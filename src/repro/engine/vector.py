@@ -47,6 +47,12 @@ Engine selection is resolved by :func:`repro.engine.resolve_engine`;
 ``create_vector_replay`` returns ``(None, reason)`` whenever any
 precondition fails, and ``run_mix`` then transparently falls back to
 the scalar engine (which remains the default and the oracle).
+
+The same op streams and integer clock grid also back
+:meth:`VectorReplay.phase_scalar`, the scalar engine's specialized
+drive.  It runs every op through the LLC's own ``access_fast`` step,
+so it serves any design with that step (Maya, Mirage, the baseline);
+only the batch kernel behind :meth:`VectorReplay.phase` is Maya's.
 """
 
 from __future__ import annotations
@@ -140,7 +146,7 @@ class VectorReplay:
 
     def __init__(
         self,
-        llc: MayaCache,
+        llc,
         dram,
         cores: int,
         base_cpi: float,
@@ -250,9 +256,13 @@ class VectorReplay:
         installs the columns directly; PRINCE mode goes through
         ``bulk_map`` (the fused-table cipher kernel), which also skips
         addresses the ``run_mix`` pretranslation already covered.
-        Returns the number of entries installed.
+        Designs without an ``index_randomizer`` (the set-indexed
+        baseline) have nothing to fill.  Returns the number of entries
+        installed.
         """
-        rand = self._llc.tags.randomizer
+        rand = getattr(self._llc, "index_randomizer", None)
+        if rand is None:
+            return 0
         installed = 0
         for core, oaddrs in enumerate(self._oaddrs_np):
             if not len(oaddrs):
@@ -274,7 +284,7 @@ class VectorReplay:
                     continue
                 columns = splitmix_indices(unique, rand._mix_keys, rand.index_bits, sdid=core)
                 keys = [(a, core) for a in unique.tolist()]
-                pre.update(zip(keys, zip(columns[0].tolist(), columns[1].tolist())))
+                pre.update(zip(keys, zip(*(c.tolist() for c in columns))))
                 installed += len(keys)
             else:
                 installed += rand.bulk_map(unique.tolist(), sdid=core)
@@ -397,9 +407,10 @@ class VectorReplay:
         :mod:`repro.engine.specialize` installed one.  Hazards (SAE,
         rekey, memo-capacity evictions) need no windowing here: there
         is no batched state to invalidate.  ``run_mix`` uses this loop
-        for the *scalar* engine when specialization is on, so the
-        serial LLC state machine runs specialized end to end while the
-        private levels replay from the cached op streams.
+        for the *scalar* engine when specialization is on, for every
+        design with an ``access_fast`` step, so the serial LLC state
+        machine runs specialized end to end while the private levels
+        replay from the cached op streams.
         """
         heap, jpos, adv_c, oprun_c, limit_c = self._phase_setup(per_core)
         heappop, heappush = heapq.heappop, heapq.heappush
@@ -994,39 +1005,50 @@ def create_vector_replay(
 ) -> Tuple[Optional[VectorReplay], str]:
     """Build a :class:`VectorReplay`, or explain why it cannot run.
 
-    Every gate below names a precondition the replay kernel relies on;
-    failing any of them returns ``(None, reason)`` and ``run_mix``
-    falls back to the scalar engine, recording the reason in
-    ``MixResult.engine_info``.
+    Every gate below names a precondition the replay relies on; failing
+    any of them returns ``(None, reason)`` and ``run_mix`` keeps the
+    per-access drive, recording the reason in ``MixResult.engine_info``
+    (vector engine) or ``MixResult.specialize_info`` (scalar replay).
 
-    ``scalar_ops=True`` builds the same replay (same gates, same op
-    streams, same integer clock grid) but marks it for the
-    :meth:`VectorReplay.phase_scalar` loop: the scalar engine's
-    specialized drive, where every op executes through the live
-    ``llc.access_fast`` step.
+    ``scalar_ops=True`` builds the same replay (same op streams, same
+    integer clock grid) for the :meth:`VectorReplay.phase_scalar` loop,
+    where every op executes through the live ``llc.access_fast`` step:
+    it skips the Maya batch-kernel gates, so it serves every design
+    with that step.
     """
     from ..common.rng import derive_seed
 
+    # Gates any replay needs: only the LLC and DRAM stay live, driven
+    # through the ``access_fast`` step protocol, whose constant lookup
+    # latency folds into the static clock advances.
+    name = type(llc).__name__
     if not HAVE_NUMPY:
         return None, "numpy unavailable"
     if sys.byteorder != "little":
         return None, "big-endian host (packed columns are little-endian)"
     if model_bandwidth:
         return None, "model_bandwidth=True needs per-access DRAM clocks"
-    if type(llc) is not MayaCache:
-        return None, f"{type(llc).__name__} does not support vector replay"
-    if not getattr(llc, "supports_vector_replay", False):
-        return None, f"{type(llc).__name__} does not advertise vector-replay support"
-    if not llc._fast_pick:
-        return None, "requires the load-aware two-skew install path"
-    if not llc._global_tag_eviction:
-        return None, "global tag eviction disabled (ablation config)"
-    if llc._on_sae == "raise":
+    if not hasattr(llc, "access_fast"):
+        return None, f"{name} has no access_fast step"
+    if not isinstance(getattr(type(llc), "extra_lookup_latency", None), int):
+        return None, f"{name} has no constant extra_lookup_latency"
+    if getattr(llc, "_on_sae", None) == "raise":
         return None, "on_sae='raise' aborts mid-replay with partial clocks"
     if any(t is not None for t in hierarchy.tlbs):
         return None, "TLB modelling enabled"
     if hierarchy.directory is not None:
         return None, "coherence directory enabled"
+    if not scalar_ops:
+        # Gates only the batch kernel needs: it transcribes one Maya
+        # install path.
+        if type(llc) is not MayaCache:
+            return None, f"{name} does not support vector replay"
+        if not getattr(llc, "supports_vector_replay", False):
+            return None, f"{name} does not advertise vector-replay support"
+        if not llc._fast_pick:
+            return None, "requires the load-aware two-skew install path"
+        if not llc._global_tag_eviction:
+            return None, "global tag eviction disabled (ablation config)"
     lat = config.latencies
     llc_fast = lat.llc_cycles + llc.extra_lookup_latency
     base_lats = [

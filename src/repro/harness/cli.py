@@ -321,8 +321,9 @@ def main(argv=None) -> int:
         "--specialize", choices=("0", "1"), default=None,
         help="config-specialized step codegen: 1 (default; generated "
         "per-config step functions plus the opstream scalar replay for "
-        "Maya) or 0 for the generic differential oracle (bit-identical "
-        "results, exported as %s so --jobs workers inherit it)"
+        "every LLC with an access_fast step) or 0 for the generic "
+        "differential oracle (bit-identical results, exported as %s so "
+        "--jobs workers inherit it)"
         % SPECIALIZE_ENV,
     )
     parser.add_argument(

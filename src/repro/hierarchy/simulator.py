@@ -20,6 +20,11 @@ Two drive loops produce bit-identical results:
   synthetic generators one at a time.  It is the oracle:
   ``tests/test_compiled_replay.py`` requires both paths to produce
   bit-identical ``CacheStats`` and per-core IPCs.
+
+With specialization on (the default), the compiled path of every LLC
+with an ``access_fast`` step skips the per-access hierarchy drive:
+the private levels come from cached per-core op streams and only the
+LLC/DRAM ops are replayed (``VectorReplay.phase_scalar``).
 """
 
 from __future__ import annotations
@@ -248,19 +253,31 @@ def run_mix(
     :mod:`repro.engine.vector`); ``None`` honours ``REPRO_ENGINE``.
     Both engines produce bit-identical results; when the vector
     engine's preconditions fail (non-Maya design, numpy missing,
-    bandwidth model on, ...) the run transparently drops to scalar and
-    ``MixResult.engine_info["fallback_reason"]`` says why.
+    bandwidth model on, ...) the run transparently drops to scalar -
+    the same drive the scalar engine would pick, op-stream replay
+    included - and ``MixResult.engine_info["fallback_reason"]`` says
+    why.
 
     ``specialize`` selects the config-specialized step functions
     (:mod:`repro.engine.specialize`): ``None`` honours
     ``REPRO_SPECIALIZE`` (default on), ``False`` keeps the generic
-    interpreters (the differential oracle).  Specialization is applied
-    after the hierarchy is built and released with it; every caller
-    resolves ``access_fast`` by attribute, so the scalar drive loops
-    and the vector engine's scalar fallback windows both pick up the
-    specialized steps.  Results are bit-identical either way (the
-    ``specialize`` differential suite enforces it); the provenance
-    lands in ``MixResult.specialize_info``, never in canonical results.
+    interpreters and the per-access hierarchy drive (the differential
+    oracle).  Specialization is applied after the hierarchy is built
+    and released with it, also when the run raises; every caller
+    resolves ``access_fast`` by attribute, so the drive loops and the
+    vector engine's scalar fallback windows all pick up the
+    specialized steps.  On the scalar engine it also selects the
+    op-stream scalar replay for every LLC with an ``access_fast`` step
+    (Maya, Mirage, the baseline): the private levels come from the
+    cached per-core op streams, which do not depend on the LLC design,
+    and every LLC-bearing op runs the design's own step in the
+    per-access drive's order.  Designs without that step (CEASER,
+    skewed, fully-associative, ...) and bandwidth/TLB/coherence
+    configs keep the per-access drive.  Results are bit-identical
+    either way (the ``specialize`` differential suites enforce it);
+    the provenance - including ``replay`` or the ``replay_reason`` it
+    declined - lands in ``MixResult.specialize_info``, never in
+    canonical results.
     """
     requested_engine = resolve_engine(engine)
     engine_used = "scalar"
@@ -273,160 +290,164 @@ def run_mix(
     specialize_info: Optional[dict] = None
     if resolve_specialize(specialize):
         specialization, specialize_info = apply_specialization(llc, hierarchy)
-    llc_lines = config.llc_geometry.lines
-    # Per-core regions are huge (no overlap) and deliberately not a
-    # multiple of any set count, so different cores' identical access
-    # patterns land on different baseline sets - as distinct physical
-    # allocations would.
-    region = (1 << 34) + 997
-    base_cpi = config.base_cpi
     cores = mix.cores
     clocks = [0.0] * cores
     instructions = [0] * cores
-    hierarchy_access = hierarchy.access  # bound once; hot loops below
-    use_compiled = compiled is None or compiled
+    try:
+        llc_lines = config.llc_geometry.lines
+        # Per-core regions are huge (no overlap) and deliberately not a
+        # multiple of any set count, so different cores' identical access
+        # patterns land on different baseline sets - as distinct physical
+        # allocations would.
+        region = (1 << 34) + 997
+        base_cpi = config.base_cpi
+        hierarchy_access = hierarchy.access  # bound once; hot loops below
+        use_compiled = compiled is None or compiled
 
-    if use_compiled:
-        # The measurement phase issues max(1, accesses_per_core) records
-        # per core (the drive loop steps each core at least once), so the
-        # compiled trace must cover exactly that many plus warm-up.
-        length = warmup_accesses + max(1, accesses_per_core)
-        traces = [
-            compile_workload(
-                bench,
-                llc_lines,
-                length,
-                seed=derive_seed(seed, 100 + core_id),
-                use_cache=trace_cache,
-            )
-            for core_id, bench in enumerate(mix.assignments)
-        ]
-        columns: List[tuple] = [
-            (trace.line_addrs, trace.write_flags, trace.gaps, core_id * region)
-            for core_id, trace in enumerate(traces)
-        ]
-        # Ahead-of-time index translation: batch-encrypt every (line,
-        # sdid) pair the replay can touch and install the packed index
-        # columns in the randomizer's side table (cached on disk keyed
-        # by content x key fingerprint, so warm trials skip the cipher).
-        randomizer = getattr(llc, "index_randomizer", None)
-        if pretranslate is None:
-            do_pretranslate = randomizer is not None and randomizer.algorithm == "prince"
-        else:
-            do_pretranslate = bool(pretranslate) and randomizer is not None
-        if do_pretranslate:
-            for core_id, trace in enumerate(traces):
-                translated = translate_trace(
-                    randomizer,
-                    trace,
-                    sdid=core_id,
-                    offset=core_id * region,
+        if use_compiled:
+            # The measurement phase issues max(1, accesses_per_core) records
+            # per core (the drive loop steps each core at least once), so the
+            # compiled trace must cover exactly that many plus warm-up.
+            length = warmup_accesses + max(1, accesses_per_core)
+            traces = [
+                compile_workload(
+                    bench,
+                    llc_lines,
+                    length,
+                    seed=derive_seed(seed, 100 + core_id),
                     use_cache=trace_cache,
-                    jobs=translate_jobs,
                 )
-                randomizer.load_packed(translated.line_addrs, translated.columns, sdid=core_id)
-        # Pre-warm randomized designs' mapping caches: every (line, sdid)
-        # pair the replay can touch is encrypted in one tight pass
-        # before the timed loops (the hierarchy passes sdid=core_id).
-        if prewarm_mappings:
-            bulk_map = getattr(llc, "bulk_map", None)
-            if bulk_map is not None:
+                for core_id, bench in enumerate(mix.assignments)
+            ]
+            columns: List[tuple] = [
+                (trace.line_addrs, trace.write_flags, trace.gaps, core_id * region)
+                for core_id, trace in enumerate(traces)
+            ]
+            # Ahead-of-time index translation: batch-encrypt every (line,
+            # sdid) pair the replay can touch and install the packed index
+            # columns in the randomizer's side table (cached on disk keyed
+            # by content x key fingerprint, so warm trials skip the cipher).
+            randomizer = getattr(llc, "index_randomizer", None)
+            if pretranslate is None:
+                do_pretranslate = randomizer is not None and randomizer.algorithm == "prince"
+            else:
+                do_pretranslate = bool(pretranslate) and randomizer is not None
+            if do_pretranslate:
                 for core_id, trace in enumerate(traces):
-                    bulk_map(trace.unique_lines(core_id * region), sdid=core_id)
-        positions = [0] * cores
+                    translated = translate_trace(
+                        randomizer,
+                        trace,
+                        sdid=core_id,
+                        offset=core_id * region,
+                        use_cache=trace_cache,
+                        jobs=translate_jobs,
+                    )
+                    randomizer.load_packed(translated.line_addrs, translated.columns, sdid=core_id)
+            # Pre-warm randomized designs' mapping caches: every (line, sdid)
+            # pair the replay can touch is encrypted in one tight pass
+            # before the timed loops (the hierarchy passes sdid=core_id).
+            if prewarm_mappings:
+                bulk_map = getattr(llc, "bulk_map", None)
+                if bulk_map is not None:
+                    for core_id, trace in enumerate(traces):
+                        bulk_map(trace.unique_lines(core_id * region), sdid=core_id)
+            positions = [0] * cores
 
-        def phase(per_core: int) -> None:
-            _drive_compiled(
-                hierarchy_access, columns, positions, clocks, instructions,
-                base_cpi, per_core, model_bandwidth,
-            )
+            def phase(per_core: int) -> None:
+                _drive_compiled(
+                    hierarchy_access, columns, positions, clocks, instructions,
+                    base_cpi, per_core, model_bandwidth,
+                )
 
-        if requested_engine == "vector":
-            # Imported lazily: the vector engine (and numpy) only load
-            # when actually requested.
-            from ..engine.vector import create_vector_replay
-
-            replay, reason = create_vector_replay(
+            replay_args = (
                 llc, hierarchy, config, mix, traces, seed, region,
                 clocks, instructions, model_bandwidth, enable_prefetch,
                 trace_cache,
             )
-            if replay is None:
-                engine_info = {"requested": "vector", "fallback_reason": reason}
-            else:
-                engine_used = "vector"
-                engine_info = replay.info
-                phase = replay.phase
-        elif specialization is not None and specialize_info.get("llc") == "MayaCache":
-            # Specialized scalar drive: replay the cached op streams
-            # with *every* op executed through the generated scalar
-            # step (``phase_scalar`` - no batch kernels, no hazard
-            # windows), so the serial LLC state machine runs the
-            # specialized code end to end while the private levels come
-            # from the pre-simulated streams.  Same gates as the vector
-            # engine; when any fail, the plain per-access drive keeps
-            # the specialized steps and the reason lands in
-            # ``specialize_info``.
-            from ..engine.vector import create_vector_replay
+            if requested_engine == "vector":
+                # Imported lazily: the vector engine (and numpy) only load
+                # when actually requested.
+                from ..engine.vector import create_vector_replay
 
-            replay, reason = create_vector_replay(
-                llc, hierarchy, config, mix, traces, seed, region,
-                clocks, instructions, model_bandwidth, enable_prefetch,
-                trace_cache, scalar_ops=True,
-            )
-            if replay is None:
-                specialize_info["replay"] = None
-                specialize_info["replay_reason"] = reason
-            else:
-                specialize_info["replay"] = "opstream-scalar"
-                specialize_info["replay_reason"] = None
-                engine_info = replay.info
-                phase = replay.phase_scalar
+                replay, reason = create_vector_replay(*replay_args)
+                if replay is None:
+                    engine_info = {"requested": "vector", "fallback_reason": reason}
+                else:
+                    engine_used = "vector"
+                    engine_info = replay.info
+                    phase = replay.phase
+            if engine_used == "scalar" and specialization is not None:
+                # Specialized scalar drive, also when the vector kernel
+                # declined: replay the cached op streams and run *every*
+                # op through the LLC's own (generated) ``access_fast``
+                # step (``phase_scalar`` - no batch kernels, no hazard
+                # windows), while the private levels come from the
+                # pre-simulated streams.  Any design with that step
+                # qualifies; when a gate fails, the plain per-access
+                # drive keeps the specialized steps and the reason lands
+                # in ``specialize_info``.
+                from ..engine.vector import create_vector_replay
 
-    else:
-        streams: List[tuple] = []
-        for core_id, bench in enumerate(mix.assignments):
-            spec = get_workload(bench)
-            stream = spec.stream(llc_lines, seed=derive_seed(seed, 100 + core_id))
-            streams.append((stream, core_id * region))
+                replay, reason = create_vector_replay(*replay_args, scalar_ops=True)
+                if replay is None:
+                    specialize_info["replay"] = None
+                    specialize_info["replay_reason"] = reason
+                else:
+                    specialize_info["replay"] = "opstream-scalar"
+                    specialize_info["replay_reason"] = None
+                    # The replay's live counters, plus the vector
+                    # engine's fallback reason when it declined first.
+                    replay.info.update(engine_info or {})
+                    engine_info = replay.info
+                    phase = replay.phase_scalar
 
-        def phase(per_core: int) -> None:
-            _drive_generator(
-                hierarchy_access, streams, clocks, instructions,
-                base_cpi, per_core, model_bandwidth,
-            )
+        else:
+            streams: List[tuple] = []
+            for core_id, bench in enumerate(mix.assignments):
+                spec = get_workload(bench)
+                stream = spec.stream(llc_lines, seed=derive_seed(seed, 100 + core_id))
+                streams.append((stream, core_id * region))
 
-        if requested_engine == "vector":
-            engine_info = {
-                "requested": "vector",
-                "fallback_reason": "generator path (compiled=False) has no column replay",
-            }
+            def phase(per_core: int) -> None:
+                _drive_generator(
+                    hierarchy_access, streams, clocks, instructions,
+                    base_cpi, per_core, model_bandwidth,
+                )
 
-    # Warm-up: run every core for `warmup_accesses`, time-ordered.
-    if warmup_accesses > 0:
-        phase(warmup_accesses)
+            if requested_engine == "vector":
+                engine_info = {
+                    "requested": "vector",
+                    "fallback_reason": "generator path (compiled=False) has no column replay",
+                }
 
-    # Reset statistics and clocks, keep cache contents (warm caches).
-    hierarchy.reset_stats()
-    clocks[:] = [0.0] * cores
-    instructions[:] = [0] * cores
+        # Warm-up: run every core for `warmup_accesses`, time-ordered.
+        if warmup_accesses > 0:
+            phase(warmup_accesses)
 
-    phase(accesses_per_core)
+        # Reset statistics and clocks, keep cache contents (warm caches).
+        hierarchy.reset_stats()
+        clocks[:] = [0.0] * cores
+        instructions[:] = [0] * cores
 
-    refresh_mapping_cache = getattr(llc, "refresh_mapping_cache_stats", None)
-    if refresh_mapping_cache is not None:
-        refresh_mapping_cache()
-    # Restore the generic step functions: the specialized closures hold
-    # references back to their caches, and dropping the instance
-    # bindings keeps per-trial bench loops refcount-clean (post-run
-    # accesses through the generic engine are bit-identical anyway).
-    if specialization is not None:
-        specialization.release()
-    # The hierarchy is done; break its compiled-access reference cycle
-    # so this trial's working set (mapping memos, trace columns, tag
-    # state) frees by refcount when the caller drops `llc` instead of
-    # piling up for the cyclic GC across a bench trial loop.
-    hierarchy.release()
+        phase(accesses_per_core)
+
+        refresh_mapping_cache = getattr(llc, "refresh_mapping_cache_stats", None)
+        if refresh_mapping_cache is not None:
+            refresh_mapping_cache()
+    finally:
+        # Restore the generic step functions, also when the run raised:
+        # the specialized closures hold references back to their caches,
+        # and dropping the instance bindings keeps per-trial bench loops
+        # refcount-clean and hands the caller's LLC back as it was built
+        # (post-run accesses through the generic engine are bit-identical
+        # anyway).
+        if specialization is not None:
+            specialization.release()
+        # The hierarchy is done; break its compiled-access reference cycle
+        # so this trial's working set (mapping memos, trace columns, tag
+        # state) frees by refcount when the caller drops `llc` instead of
+        # piling up for the cyclic GC across a bench trial loop.
+        hierarchy.release()
     stats = llc.stats
     total_instructions = sum(instructions)
     core_results = [

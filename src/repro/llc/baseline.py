@@ -18,8 +18,9 @@ class BaselineLLC(LLCache):
     """
 
     extra_lookup_latency = 0
-    # Scalar engine only: the vector replay kernel transcribes Maya's
-    # install paths, not SRRIP set-associative replacement.
+    # No vector batch kernel: it transcribes Maya's install paths, not
+    # SRRIP set-associative replacement.  The op-stream scalar replay
+    # still drives this design through its access_fast step.
     supports_vector_replay = False
 
     def __init__(

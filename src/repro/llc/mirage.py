@@ -44,9 +44,10 @@ class MirageCache(LLCache):
     """Functional Mirage model (v2 'MIRAGE' with global evictions)."""
 
     extra_lookup_latency = 4
-    # Scalar engine only: global random *data* eviction on every fill
-    # couples all installs through the data store, which the vector
-    # kernel does not transcribe.
+    # No vector batch kernel: global random *data* eviction on every
+    # fill couples all installs through the data store, which that
+    # kernel does not transcribe.  The op-stream scalar replay still
+    # drives this design through its access_fast step.
     supports_vector_replay = False
 
     def __init__(

@@ -13,9 +13,13 @@ import pytest
 
 from repro.common.config import CacheGeometry, MayaConfig, MirageConfig, SystemConfig
 from repro.core.maya_cache import MayaCache
+from repro.hierarchy.dram import DramModel
 from repro.hierarchy.simulator import run_mix
+from repro.hierarchy.system import CacheHierarchy
 from repro.llc.baseline import BaselineLLC
+from repro.llc.ceaser import CeaserCache
 from repro.llc.mirage import MirageCache
+from repro.llc.skewed import SkewedRandomizedCache
 from repro.trace.mixes import homogeneous
 
 
@@ -367,6 +371,22 @@ class TestVectorEngine:
         assert r.engine == "scalar"
         assert "fallback_reason" in r.engine_info
 
+    def test_declined_vector_run_keeps_the_opstream_replay(self, system):
+        # The batch kernel declines Mirage; the run must still take the
+        # specialized op-stream replay, not the per-access drive.
+        a, b = run_engine_pair(
+            lambda: REPLAYED["mirage-splitmix"](system),
+            homogeneous("mcf", 2), system,
+            accesses_per_core=800, warmup_accesses=300, seed=11,
+            specialize=True,
+        )
+        (_, r_s), (_, r_v) = a, b
+        assert r_v.engine == "scalar"
+        assert "does not support vector replay" in r_v.engine_info["fallback_reason"]
+        assert r_v.specialize_info["replay"] == "opstream-scalar"
+        assert r_v.engine_info["scalar_ops"] == r_s.engine_info["scalar_ops"] > 0
+        assert_bit_identical(a, b)
+
     def test_ablation_config_falls_back_to_scalar(self, system):
         llc = MayaCache(MayaConfig(**MAYA), global_tag_eviction=False)
         r = run_mix(llc, homogeneous("mcf", 2), system, engine="vector",
@@ -392,3 +412,121 @@ class TestVectorEngine:
                     accesses_per_core=300, warmup_accesses=0, seed=3,
                     trace_cache=False)
         assert r.engine == "vector"
+
+
+# -- the op-stream replay for every access_fast design ------------------
+
+#: Designs with the ``access_fast`` step protocol: the specialized
+#: scalar drive replays all of them from the cached op streams.
+REPLAYED = {
+    "baseline": lambda system: BaselineLLC(system.llc_geometry),
+    "mirage-splitmix": lambda system: MirageCache(
+        MirageConfig(sets_per_skew=16, rng_seed=7, hash_algorithm="splitmix")),
+    "mirage-prince": lambda system: MirageCache(
+        MirageConfig(sets_per_skew=16, rng_seed=7, hash_algorithm="prince")),
+    # No template covers three skews: the replay drives the generic step
+    # and batch-fills a three-column index side table.
+    "mirage-3skew": lambda system: MirageCache(
+        MirageConfig(skews=3, sets_per_skew=16, rng_seed=7, hash_algorithm="splitmix")),
+    "maya": lambda system: MayaCache(MayaConfig(**MAYA)),
+}
+
+
+def tag_placement(llc):
+    """Resident line -> tag slot.  Catches index-derivation errors the
+    stats cannot: Mirage's global data eviction does not care which
+    skew holds a tag."""
+    if isinstance(llc, MayaCache):
+        return llc.tags._where
+    if isinstance(llc, BaselineLLC):
+        return llc._cache._where
+    return llc._where
+
+
+@pytest.mark.specialize
+class TestOpstreamReplay:
+    """Specialized op-stream replay vs the generic per-access drive.
+
+    ``specialize=False`` keeps the per-access hierarchy drive (the
+    oracle); ``specialize=True`` must engage the replay for every
+    design with an ``access_fast`` step and match the oracle bit for
+    bit.  Designs and configs the replay cannot drive must say why.
+    """
+
+    @pytest.mark.parametrize("bench", ["mcf", "lbm"])
+    @pytest.mark.parametrize("design", sorted(REPLAYED))
+    def test_replay_engages_and_matches_per_access_drive(self, system, design, bench):
+        runs = []
+        for specialize in (False, True):
+            llc = REPLAYED[design](system)
+            result = run_mix(llc, homogeneous(bench, 2), system,
+                             accesses_per_core=800, warmup_accesses=300,
+                             seed=11, specialize=specialize, trace_cache=False)
+            runs.append((llc, result))
+        (llc_generic, r_generic), (llc_replay, r_replay) = runs
+        assert r_generic.specialize_info is None
+        assert r_replay.specialize_info["replay"] == "opstream-scalar", (
+            r_replay.specialize_info)
+        assert r_replay.engine_info["scalar_ops"] > 0
+        assert_bit_identical(*runs)
+        assert tag_placement(llc_replay) == tag_placement(llc_generic)
+
+    @pytest.mark.parametrize("case", ["ceaser", "skewed", "model_bandwidth"])
+    def test_declined_cases_report_a_reason(self, system, case):
+        kwargs = {}
+        if case == "ceaser":
+            llc = CeaserCache(system.llc_geometry, seed=3, hash_algorithm="splitmix")
+            reason = "CeaserCache has no access_fast step"
+        elif case == "skewed":
+            llc = SkewedRandomizedCache(system.llc_geometry, seed=3,
+                                        hash_algorithm="splitmix")
+            reason = "SkewedRandomizedCache has no access_fast step"
+        else:
+            llc = MayaCache(MayaConfig(**MAYA))
+            kwargs["model_bandwidth"] = True
+            reason = "model_bandwidth=True"
+        r = run_mix(llc, homogeneous("mcf", 2), system, specialize=True,
+                    accesses_per_core=300, warmup_accesses=100, seed=3,
+                    trace_cache=False, **kwargs)
+        assert r.specialize_info["replay"] is None
+        assert reason in r.specialize_info["replay_reason"]
+        assert r.engine_info is None
+
+
+class TestReleaseOnError:
+    """A run that raises still restores the caller's LLC and releases
+    its hierarchy, on the replay and on the per-access drive."""
+
+    @pytest.mark.parametrize("design", ["mirage-replayed", "ceaser-per-access"])
+    def test_failed_run_releases_specialization(self, system, monkeypatch, design):
+        access = DramModel.access
+        calls = []
+
+        def failing_access(self, *args, **kwargs):
+            calls.append(None)
+            if len(calls) > 50:
+                raise RuntimeError("injected DRAM failure")
+            return access(self, *args, **kwargs)
+
+        release = CacheHierarchy.release
+        released = []
+
+        def recording_release(self):
+            released.append(self)
+            release(self)
+
+        monkeypatch.setattr(DramModel, "access", failing_access)
+        monkeypatch.setattr(CacheHierarchy, "release", recording_release)
+        if design == "mirage-replayed":
+            llc = REPLAYED["mirage-splitmix"](system)
+            step_owner = llc
+        else:
+            llc = CeaserCache(system.llc_geometry, seed=3, hash_algorithm="splitmix")
+            step_owner = llc._cache
+        with pytest.raises(RuntimeError, match="injected DRAM failure"):
+            run_mix(llc, homogeneous("mcf", 2), system, specialize=True,
+                    accesses_per_core=800, warmup_accesses=300, seed=11,
+                    trace_cache=False)
+        assert len(calls) == 51
+        assert "access_fast" not in vars(step_owner)
+        assert len(released) == 1 and released[0].access is None
