@@ -31,6 +31,8 @@ from .line import (
     CacheLine,
     CoherenceState,
     EvictedLine,
+    access_result,
+    victim_line,
 )
 from .replacement import PackedLRUPolicy, ReplacementPolicy, make_packed_policy
 from .stats import CacheStats
@@ -266,18 +268,7 @@ class SetAssociativeCache:
         historical :class:`AccessResult` dataclass.
         """
         flags = self.access_fast(line_addr, is_write, core_id, is_writeback, sdid)
-        if flags & ACC_HIT:
-            return AccessResult(hit=True)
-        evicted = None
-        if flags & ACC_EVICTED:
-            evicted = EvictedLine(
-                line_addr=self.victim_addr,
-                dirty=bool(flags & ACC_EVICTED_DIRTY),
-                core_id=self.victim_core,
-                sdid=self.victim_sdid,
-                was_reused=self.victim_reused,
-            )
-        return AccessResult(hit=False, evicted=evicted)
+        return access_result(self, flags)
 
     def _evict_fast(self, idx: int, filler_core: int) -> int:
         state = self._state[idx]
@@ -308,21 +299,12 @@ class SetAssociativeCache:
 
     # -- maintenance operations -------------------------------------------
 
-    def _victim_as_evicted_line(self, flags: int) -> EvictedLine:
-        return EvictedLine(
-            line_addr=self.victim_addr,
-            dirty=bool(flags & ACC_EVICTED_DIRTY),
-            core_id=self.victim_core,
-            sdid=self.victim_sdid,
-            was_reused=self.victim_reused,
-        )
-
     def invalidate(self, line_addr: int) -> Optional[EvictedLine]:
         """Flush one line (clflush); returns writeback info if dirty."""
         idx = self._where.get(line_addr, -1)
         if idx < 0:
             return None
-        return self._victim_as_evicted_line(self._evict_fast(idx, filler_core=-1))
+        return victim_line(self, self._evict_fast(idx, filler_core=-1))
 
     def flush_all(self) -> int:
         """Invalidate the whole cache; returns the number of lines dropped."""

@@ -48,6 +48,8 @@ from ..cache.line import (
     ACC_TAG_HIT,
     AccessResult,
     EvictedLine,
+    access_result,
+    victim_line,
 )
 from ..cache.stats import CacheStats
 from .data_store import DataStore
@@ -218,24 +220,7 @@ class MayaCache:
         historical :class:`AccessResult` dataclass.
         """
         flags = self.access_fast(line_addr, is_write, core_id, is_writeback, sdid)
-        if flags & ACC_HIT:
-            return AccessResult(hit=True, extra_latency=self.extra_lookup_latency)
-        evicted = None
-        if flags & ACC_EVICTED:
-            evicted = EvictedLine(
-                line_addr=self.victim_addr,
-                dirty=bool(flags & ACC_EVICTED_DIRTY),
-                core_id=self.victim_core,
-                sdid=self.victim_sdid,
-                was_reused=self.victim_reused,
-            )
-        return AccessResult(
-            hit=False,
-            tag_hit=bool(flags & ACC_TAG_HIT),
-            evicted=evicted,
-            sae=bool(flags & ACC_SAE),
-            extra_latency=self.extra_lookup_latency,
-        )
+        return access_result(self, flags, self.extra_lookup_latency)
 
     def invalidate(self, line_addr: int, sdid: int = 0) -> Optional[EvictedLine]:
         """Flush one line (clflush semantics for this SDID's copy)."""
@@ -244,13 +229,7 @@ class MayaCache:
             return None
         flags = self._drop_tag(tag_idx, filler_core=-1)
         if flags & ACC_EVICTED:
-            return EvictedLine(
-                line_addr=self.victim_addr,
-                dirty=bool(flags & ACC_EVICTED_DIRTY),
-                core_id=self.victim_core,
-                sdid=self.victim_sdid,
-                was_reused=self.victim_reused,
-            )
+            return victim_line(self, flags)
         return None
 
     def flush_all(self) -> int:

@@ -21,12 +21,13 @@ The generated function is installed as an *instance* attribute
 (``llc.access_fast``), which every caller - the compiled hierarchy
 closure (:meth:`repro.hierarchy.system.CacheHierarchy._compile_access`),
 the vector engine's scalar fallback windows
-(:mod:`repro.engine.vector`), and the public ``access()`` wrapper -
-picks up because they all resolve ``access_fast`` by attribute at call
-time.  Rare paths (SAE handling, priority-0 promotion, priority-1
-install) delegate to the bound generic methods, so behaviour is
-bit-identical by construction; the ``specialize`` differential suite
-enforces it across the design zoo.
+(:mod:`repro.engine.vector`), the security campaign's attack harnesses
+(:mod:`repro.security.campaign`), and the public ``access()`` wrapper -
+picks up because they all resolve ``access_fast`` by attribute after
+the step is installed.  Rare paths (SAE handling, priority-0
+promotion, priority-1 install) delegate to the bound generic methods,
+so behaviour is bit-identical by construction; the ``specialize``
+differential suite enforces it across the design zoo.
 
 Generated source is cached content-keyed by config fingerprint + code
 version, the same idiom as the trace/translated/opstream caches: an
@@ -870,8 +871,11 @@ def specialize_llc(llc, spec: Specialization) -> Optional[str]:
 
     Returns ``None`` on success or a human-readable fallback reason.
     Wrapper designs (baseline, CEASER) specialize their inner packed
-    array; the object-model designs (skewed, fully-associative) have no
-    packed hot path to specialize and keep the generic engine.
+    array.  The skewed and fully-associative designs are packed too but
+    have no template: they keep their generic ``access_fast`` step and
+    get a reason back.  Callers: :func:`apply_specialization` (one
+    ``run_mix``) and :func:`repro.security.campaign.run_shard` (every
+    design one campaign cell builds); each releases ``spec`` when done.
     """
     from ..cache.set_assoc import SetAssociativeCache
     from ..core.maya_cache import MayaCache
@@ -907,8 +911,8 @@ def specialize_llc(llc, spec: Specialization) -> Optional[str]:
         spec._install(llc, "access_fast", step)
         return None
     if isinstance(llc, CeaserCache):
-        # Object access() API only, but it dispatches through the inner
-        # packed array's ``self.access_fast`` attribute lookup.
+        # CeaserCache.access_fast looks the inner array's step up per
+        # call, so shadowing the inner array alone is enough.
         step, reason = specialized_set_assoc_step(llc._cache)
         if step is None:
             return reason

@@ -209,17 +209,12 @@ def campaign_main(argv: List[str]) -> int:
         help="scorecard output path (default results/SCORECARD.json)",
     )
     parser.add_argument(
-        "--engine", choices=ENGINES, default=None,
-        help="replay engine for the campaign's trace-driven cells "
-        "(exported as %s so --jobs workers inherit it; the scorecard "
-        "is byte-identical either way)" % ENGINE_ENV,
-    )
-    parser.add_argument(
         "--specialize", choices=("0", "1"), default=None,
-        help="config-specialized step codegen: 1 (default) or 0 for "
-        "the generic differential oracle (exported as %s so --jobs "
-        "workers inherit it; the scorecard is byte-identical either "
-        "way)" % SPECIALIZE_ENV,
+        help="the access steps the cells' attacks drive: 1 (default) "
+        "installs config-specialized steps on every design a cell "
+        "builds, 0 keeps the generic steps as the differential oracle "
+        "(exported as %s so --jobs workers inherit it; the scorecard "
+        "is byte-identical either way)" % SPECIALIZE_ENV,
     )
     parser.add_argument(
         "--service", default=None, metavar="ADDR",
@@ -232,9 +227,6 @@ def campaign_main(argv: List[str]) -> int:
         help="write the runner summary (timings, report text) to PATH",
     )
     args = parser.parse_args(argv)
-
-    if args.engine:
-        os.environ[ENGINE_ENV] = args.engine
 
     if args.specialize is not None:
         os.environ[SPECIALIZE_ENV] = args.specialize

@@ -268,16 +268,16 @@ def run_mix(
     vector engine's scalar fallback windows all pick up the
     specialized steps.  On the scalar engine it also selects the
     op-stream scalar replay for every LLC with an ``access_fast`` step
-    (Maya, Mirage, the baseline): the private levels come from the
-    cached per-core op streams, which do not depend on the LLC design,
-    and every LLC-bearing op runs the design's own step in the
-    per-access drive's order.  Designs without that step (CEASER,
-    skewed, fully-associative, ...) and bandwidth/TLB/coherence
-    configs keep the per-access drive.  Results are bit-identical
-    either way (the ``specialize`` differential suites enforce it);
-    the provenance - including ``replay`` or the ``replay_reason`` it
-    declined - lands in ``MixResult.specialize_info``, never in
-    canonical results.
+    (Maya, Mirage, the baseline, CEASER, the skewed designs, the
+    fully-associative cache): the private levels come from the cached
+    per-core op streams, which do not depend on the LLC design, and
+    every LLC-bearing op runs the design's own step in the per-access
+    drive's order.  Designs without that step (V-way, partitioned) and
+    bandwidth/TLB/coherence configs keep the per-access drive.  Results
+    are bit-identical either way (the ``specialize`` differential
+    suites enforce it); the provenance - including ``replay`` or the
+    ``replay_reason`` it declined - lands in
+    ``MixResult.specialize_info``, never in canonical results.
     """
     requested_engine = resolve_engine(engine)
     engine_used = "scalar"

@@ -9,13 +9,19 @@ uses an epoch remap - after ``remap_period`` fills the key is refreshed
 and the cache flushed - which is conservative for performance (more
 misses after remap) and equivalent for the eviction-set security
 experiments, which only care about how many fills share one mapping.
+
+The hot path is :meth:`CeaserCache.access_fast` (``ACC_*`` flag
+protocol): it encrypts the address, runs the inner packed array's step
+and mirrors that array's ``victim_*`` fields before counting the fill
+toward the next remap.  :meth:`CeaserCache.access` wraps it and reports
+the cipher's lookup latency.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..cache.line import AccessResult, EvictedLine
+from ..cache.line import ACC_EVICTED, ACC_HIT, AccessResult, EvictedLine, access_result
 from ..cache.set_assoc import SetAssociativeCache
 from ..common.config import PAPER_BASELINE, CacheGeometry
 from ..common.rng import derive_seed
@@ -51,22 +57,55 @@ class CeaserCache(LLCache):
             self.geometry, policy=policy, seed=derive_seed(seed, 12), name="CEASER"
         )
         self.stats = self._cache.stats
+        # Maps a line address into the encrypted index space.  The
+        # encryption is one-to-one, so storing the encrypted address in
+        # a conventional array is behaviourally identical to storing the
+        # plaintext tag at the encrypted index.  Bound once: rekey()
+        # swaps the keys inside the randomizer.
+        self._encrypt = self._randomizer.encrypt_address
         self._fills_since_remap = 0
         self.remaps = 0
+        # Victim fields of the access_fast protocol (valid until the
+        # next access after a result with ACC_EVICTED set).
+        self.victim_addr = 0
+        self.victim_core = -1
+        self.victim_sdid = 0
+        self.victim_reused = False
 
     @property
     def index_randomizer(self):
         """The :class:`~repro.crypto.randomizer.IndexRandomizer` in use."""
         return self._randomizer
 
-    def _scramble(self, line_addr: int) -> int:
-        """Map the line address into the encrypted index space.
+    def access_fast(
+        self,
+        line_addr: int,
+        is_write: bool = False,
+        core_id: int = 0,
+        is_writeback: bool = False,
+        sdid: int = 0,
+    ) -> int:
+        """One access with no allocation; returns ``ACC_*`` flags.
 
-        The encrypted address keeps a one-to-one mapping, so storing the
-        scrambled address in a conventional array is behaviourally
-        identical to storing the plaintext tag at the encrypted index.
+        The inner array's step is looked up per call, so a specialized
+        step installed on it (:mod:`repro.engine.specialize`) is used.
+        The published victim address is the encrypted one the array
+        stores.
         """
-        return self._randomizer.encrypt_address(line_addr)
+        cache = self._cache
+        flags = cache.access_fast(self._encrypt(line_addr), is_write, core_id, is_writeback, sdid)
+        if flags & ACC_HIT:
+            return flags
+        if flags & ACC_EVICTED:
+            # Mirrored before a remap's flush overwrites the array's.
+            self.victim_addr = cache.victim_addr
+            self.victim_core = cache.victim_core
+            self.victim_sdid = cache.victim_sdid
+            self.victim_reused = cache.victim_reused
+        self._fills_since_remap += 1
+        if self._fills_since_remap >= self.remap_period:
+            self.remap()
+        return flags
 
     def access(
         self,
@@ -76,18 +115,8 @@ class CeaserCache(LLCache):
         is_writeback: bool = False,
         sdid: int = 0,
     ) -> AccessResult:
-        result = self._cache.access(
-            self._scramble(line_addr),
-            is_write=is_write,
-            core_id=core_id,
-            is_writeback=is_writeback,
-            sdid=sdid,
-        )
-        if not result.hit:
-            self._fills_since_remap += 1
-            if self._fills_since_remap >= self.remap_period:
-                self.remap()
-        return result
+        flags = self.access_fast(line_addr, is_write, core_id, is_writeback, sdid)
+        return access_result(self, flags, self.extra_lookup_latency)
 
     def remap(self) -> None:
         """Refresh the key (and flush, in this epoch-remap model)."""
@@ -101,13 +130,13 @@ class CeaserCache(LLCache):
         self.remap()
 
     def invalidate(self, line_addr: int, sdid: int = 0) -> Optional[EvictedLine]:
-        return self._cache.invalidate(self._scramble(line_addr))
+        return self._cache.invalidate(self._encrypt(line_addr))
 
     def flush_all(self) -> int:
         return self._cache.flush_all()
 
     def contains(self, line_addr: int, sdid: int = 0) -> bool:
-        return self._cache.contains(self._scramble(line_addr))
+        return self._cache.contains(self._encrypt(line_addr))
 
     @property
     def occupancy(self) -> int:
@@ -118,4 +147,4 @@ class CeaserCache(LLCache):
 
     def set_index(self, line_addr: int) -> int:
         """The (secret) set an address currently maps to - for analysis."""
-        return self._cache._set_of(self._scramble(line_addr))
+        return self._cache._set_of(self._encrypt(line_addr))

@@ -72,8 +72,9 @@ class LLCache(abc.ABC):
     # -- attacker-facing probe surface -------------------------------------
     #
     # The attack harnesses (repro.security.attacks, repro.security.campaign)
-    # drive every design through these three calls plus the helpers below,
-    # so a new design is attackable the moment it implements the ABC.
+    # drive every design through these three calls plus the helpers below
+    # (loads go through access_step), so a new design is attackable the
+    # moment it implements the ABC.
 
     def probe(self, line_addr: int, sdid: int = 0) -> bool:
         """Timing-visible residency probe (the attacker's reload).
@@ -125,6 +126,20 @@ def attack_capacity(llc) -> int:
     if geometry is not None:
         return geometry.sets * geometry.ways
     raise TypeError(f"cannot derive an attack capacity for {type(llc).__name__}")
+
+
+def access_step(llc):
+    """The design's cheapest access call: ``access_fast`` if it has one.
+
+    Designs without the step (V-way, the partitioned designs) fall back
+    to the object :meth:`LLCache.access`.  Both take the same positional
+    ``(line, is_write, core, is_writeback, sdid)``, so attack harnesses
+    bind the result once and call it positionally; they ignore what it
+    returns (flags or an :class:`AccessResult`).  Bind it after any
+    specialization, which replaces ``access_fast`` per instance.
+    """
+    step = getattr(llc, "access_fast", None)
+    return step if step is not None else llc.access
 
 
 def supports_rekey(llc) -> bool:

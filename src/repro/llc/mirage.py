@@ -30,6 +30,8 @@ from ..cache.line import (
     ACC_SAE,
     AccessResult,
     EvictedLine,
+    access_result,
+    victim_line,
 )
 from ..cache.stats import CacheStats
 from ..common.config import MirageConfig
@@ -183,20 +185,7 @@ class MirageCache(LLCache):
         sdid: int = 0,
     ) -> AccessResult:
         flags = self.access_fast(line_addr, is_write, core_id, is_writeback, sdid)
-        if flags & ACC_HIT:
-            return AccessResult(hit=True, extra_latency=self.extra_lookup_latency)
-        evicted = None
-        if flags & ACC_EVICTED:
-            evicted = EvictedLine(
-                line_addr=self.victim_addr,
-                dirty=bool(flags & ACC_EVICTED_DIRTY),
-                core_id=self.victim_core,
-                sdid=self.victim_sdid,
-                was_reused=self.victim_reused,
-            )
-        return AccessResult(
-            hit=False, evicted=evicted, sae=bool(flags & ACC_SAE), extra_latency=self.extra_lookup_latency
-        )
+        return access_result(self, flags, self.extra_lookup_latency)
 
     def _pick_skew(self, line_addr: int, sdid: int):
         indices = self._indices_of(line_addr, sdid)
@@ -272,20 +261,11 @@ class MirageCache(LLCache):
 
     # -- maintenance -----------------------------------------------------------
 
-    def _victim_as_evicted_line(self, flags: int) -> EvictedLine:
-        return EvictedLine(
-            line_addr=self.victim_addr,
-            dirty=bool(flags & ACC_EVICTED_DIRTY),
-            core_id=self.victim_core,
-            sdid=self.victim_sdid,
-            was_reused=self.victim_reused,
-        )
-
     def invalidate(self, line_addr: int, sdid: int = 0) -> Optional[EvictedLine]:
         tag_idx = self._where.get((line_addr << 16) | sdid)
         if tag_idx is None:
             return None
-        return self._victim_as_evicted_line(self._drop_tag(tag_idx, filler_core=-1))
+        return victim_line(self, self._drop_tag(tag_idx, filler_core=-1))
 
     def flush_all(self) -> int:
         # Insertion order of the location map, matching the reference

@@ -15,17 +15,21 @@ data-dependent, which no oracle can reproduce draw-for-draw).
 """
 
 from .data_store import DataStore as ReferenceDataStore
+from .fully_assoc import FullyAssociativeCache as ReferenceFullyAssociativeCache
 from .maya import MayaCache as ReferenceMayaCache
 from .mirage import MirageCache as ReferenceMirageCache
 from .prince import ScalarPrince
 from .set_assoc import SetAssociativeCache as ReferenceSetAssociativeCache
+from .skewed import SkewedRandomizedCache as ReferenceSkewedRandomizedCache
 from .tag_store import SkewedTagStore as ReferenceSkewedTagStore
 
 __all__ = [
     "ReferenceDataStore",
+    "ReferenceFullyAssociativeCache",
     "ReferenceMayaCache",
     "ReferenceMirageCache",
     "ReferenceSetAssociativeCache",
+    "ReferenceSkewedRandomizedCache",
     "ReferenceSkewedTagStore",
     "ScalarPrince",
 ]

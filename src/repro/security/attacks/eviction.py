@@ -24,17 +24,20 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ...common.rng import derive_seed, make_rng
-from ...llc.interface import LLCache
+from ...llc.interface import LLCache, access_step
 
 ATTACKER_SDID = 0
 VICTIM_SDID = 1
 _ATTACKER_BASE = 0x6000_0000
 
 
-def _install(llc: LLCache, line: int, sdid: int) -> None:
-    """Install with data (twice, so reuse-filtered designs allocate)."""
-    llc.access(line, core_id=0, sdid=sdid)
-    llc.access(line, core_id=0, sdid=sdid)
+def _install(step, line: int, sdid: int) -> None:
+    """Install with data (twice, so reuse-filtered designs allocate).
+
+    ``step`` is the design's :func:`~repro.llc.interface.access_step`.
+    """
+    step(line, False, 0, False, sdid)
+    step(line, False, 0, False, sdid)
 
 
 @dataclass
@@ -86,18 +89,19 @@ def targeting_advantage(
 ) -> TargetingResult:
     """Measure the attacker's targeting advantage on one LLC design."""
     rng = make_rng(derive_seed(seed, 0xE71))
+    step = access_step(llc)
     victim = 0x7FFF_0000
     hits = {"targeted": 0, "random": 0}
     for trial in range(trials):
         for mode in ("targeted", "random"):
             llc.flush_all()
-            _install(llc, victim, VICTIM_SDID)
+            _install(step, victim, VICTIM_SDID)
             if mode == "targeted":
                 lines = _conflicting_lines(llc, victim, fills, rng)
             else:
                 lines = [_ATTACKER_BASE + rng.randrange(1 << 24) for _ in range(fills)]
             for line in lines:
-                _install(llc, line, ATTACKER_SDID)
+                _install(step, line, ATTACKER_SDID)
             if not llc.contains(victim, sdid=VICTIM_SDID):
                 hits[mode] += 1
     return TargetingResult(
@@ -117,10 +121,11 @@ class EvictionSetResult:
 
 def _evicts(llc: LLCache, candidate_set: List[int], victim: int) -> bool:
     """Eviction oracle: prime victim, fill candidates, re-probe victim."""
+    step = access_step(llc)
     llc.flush_all()
-    _install(llc, victim, VICTIM_SDID)
+    _install(step, victim, VICTIM_SDID)
     for line in candidate_set:
-        _install(llc, line, ATTACKER_SDID)
+        _install(step, line, ATTACKER_SDID)
     return not llc.contains(victim, sdid=VICTIM_SDID)
 
 

@@ -28,7 +28,7 @@ import math
 
 from ...common.errors import AttackError
 from ...common.rng import derive_seed, make_rng
-from ...llc.interface import LLCache
+from ...llc.interface import LLCache, access_step
 
 #: Security domains used by the harness.
 ATTACKER_SDID = 0
@@ -81,20 +81,20 @@ class OccupancyAttacker:
         reuse-filtered designs, then repair passes re-install lines the
         priming itself churned out.
         """
-        access = self.llc.access
+        access = access_step(self.llc)
         for start in range(0, len(self._lines), self.PRIME_BLOCK):
             block = self._lines[start : start + self.PRIME_BLOCK]
             for line in block:
-                access(line, core_id=0, sdid=ATTACKER_SDID)
+                access(line, False, 0, False, ATTACKER_SDID)
             for line in block:
-                access(line, core_id=0, sdid=ATTACKER_SDID)
+                access(line, False, 0, False, ATTACKER_SDID)
         for _ in range(self.PRIME_REPAIR_PASSES):
             missing = [l for l in self._lines if not self.llc.contains(l, sdid=ATTACKER_SDID)]
             if not missing:
                 break
             for line in missing:
-                access(line, core_id=0, sdid=ATTACKER_SDID)
-                access(line, core_id=0, sdid=ATTACKER_SDID)
+                access(line, False, 0, False, ATTACKER_SDID)
+                access(line, False, 0, False, ATTACKER_SDID)
 
     def probe(self) -> int:
         """Count attacker lines evicted since priming (the occupancy signal)."""
@@ -103,8 +103,9 @@ class OccupancyAttacker:
     def measure_once(self, victim_accesses: List[int]) -> int:
         """One sample: prime, run the victim's accesses, probe."""
         self.prime()
+        access = access_step(self.llc)
         for line in victim_accesses:
-            self.llc.access(line, core_id=1, sdid=VICTIM_SDID)
+            access(line, False, 1, False, VICTIM_SDID)
         return self.probe()
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ...common.rng import derive_seed, make_rng
-from ...llc.interface import attack_capacity, design_rekey
+from ...llc.interface import access_step, attack_capacity, design_rekey
 
 ATTACKER_SDID = 0
 VICTIM_SDID = 1
@@ -59,11 +59,12 @@ class _Attacker:
 
     def __init__(self, llc):
         self.llc = llc
+        self._step = access_step(llc)
         self.accesses = 0
         self.probes = 0
 
     def load(self, line: int, sdid: int = ATTACKER_SDID) -> None:
-        self.llc.access(line, core_id=0, sdid=sdid)
+        self._step(line, False, 0, False, sdid)
         self.accesses += 1
 
     def install(self, line: int, sdid: int) -> None:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from ...common.rng import derive_seed, make_rng
-from ...llc.interface import design_rekey, supports_rekey
+from ...llc.interface import access_step, design_rekey, supports_rekey
 
 Op = Tuple
 
@@ -49,6 +49,12 @@ class RecordingLLC:
         return self._llc.access(
             line_addr, is_write=is_write, core_id=core_id, is_writeback=is_writeback, sdid=sdid
         )
+
+    def access_fast(self, line_addr, is_write=False, core_id=0, is_writeback=False, sdid=0):
+        """Log like :meth:`access`, then run the wrapped design's step
+        (what harnesses bind through :func:`~repro.llc.interface.access_step`)."""
+        self.ops.append(("access", line_addr, is_write, core_id, is_writeback, sdid))
+        return access_step(self._llc)(line_addr, is_write, core_id, is_writeback, sdid)
 
     def invalidate(self, line_addr, sdid=0):
         self.ops.append(("invalidate", line_addr, sdid))

@@ -30,6 +30,14 @@ probe surface - and the statistical quality of the index hash is the
 same while cells run an order of magnitude faster.  PRINCE's
 cryptographic strength is evaluated where it matters, in
 ``repro.crypto`` and the analytical layer.
+
+Attacker loads run through each design's allocation-free
+``access_fast`` step (:func:`repro.llc.interface.access_step`).  Each
+cell specializes every design it builds
+(:func:`repro.engine.specialize.specialize_llc`) before an attack binds
+that step, and releases the specialization when the cell ends, also
+when it raises.  ``REPRO_SPECIALIZE=0`` (``campaign --specialize 0``)
+keeps the generic steps; the scorecard is byte-identical either way.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ from ..common.config import CacheGeometry, MayaConfig, MirageConfig
 from ..common.errors import ConfigurationError
 from ..common.rng import derive_seed
 from ..core.maya_cache import MayaCache
+from ..engine.specialize import Specialization, resolve_specialize, specialize_llc
 from ..llc.baseline import BaselineLLC
 from ..llc.ceaser import CeaserCache
 from ..llc.fully_assoc import FullyAssociativeCache
@@ -146,8 +155,8 @@ def _params(quick: bool) -> Dict[str, object]:
 # -- per-attack cell runners -------------------------------------------------
 
 
-def _ppp_cell(design: str, params: Dict[str, object], seed: int) -> Dict[str, object]:
-    llc = _make_design(design, params["sets"], derive_seed(seed, 1))
+def _ppp_cell(design: str, params: Dict[str, object], seed: int, build) -> Dict[str, object]:
+    llc = build(derive_seed(seed, 1))
     result = prime_prune_probe(
         llc,
         target_size=params["ppp_target"],
@@ -165,13 +174,13 @@ def _ppp_cell(design: str, params: Dict[str, object], seed: int) -> Dict[str, ob
     }
 
 
-def _policy_cell(design: str, params: Dict[str, object], seed: int) -> Dict[str, object]:
+def _policy_cell(design: str, params: Dict[str, object], seed: int, build) -> Dict[str, object]:
     policies: List[Optional[str]]
     if design in ("baseline", "ceaser"):
         policies = list(_SWEEP_POLICIES)
     else:
         policies = [None]
-    probe = probe_surface(_make_design(design, params["sets"], derive_seed(seed, 3)))
+    probe = probe_surface(build(derive_seed(seed, 3)))
     periods = params["rekey_periods"] if probe.supports_rekey else (0,)
     ways = 8
     curves: Dict[str, Dict[str, float]] = {}
@@ -179,12 +188,7 @@ def _policy_cell(design: str, params: Dict[str, object], seed: int) -> Dict[str,
         label = policy or "native"
         curve: Dict[str, float] = {}
         for period in periods:
-            llc = _make_design(
-                design,
-                params["sets"],
-                derive_seed(seed, 4 + (period or 0)),
-                policy=policy,
-            )
+            llc = build(derive_seed(seed, 4 + (period or 0)), policy=policy)
             outcome = replacement_leakage(
                 llc,
                 ways,
@@ -198,8 +202,8 @@ def _policy_cell(design: str, params: Dict[str, object], seed: int) -> Dict[str,
     return {"ways": ways, "trials": params["policy_trials"], "curves": curves, "best_accuracy": best}
 
 
-def _occupancy_cell(design: str, params: Dict[str, object], seed: int) -> Dict[str, object]:
-    llc = _make_design(design, params["sets"], derive_seed(seed, 5))
+def _occupancy_cell(design: str, params: Dict[str, object], seed: int, build) -> Dict[str, object]:
+    llc = build(derive_seed(seed, 5))
     lines = attack_capacity(llc)
     victims = {
         "aes": (aes_key_pair(derive_seed(seed, 6)), AESVictim),
@@ -283,7 +287,21 @@ def run_shard(
 ) -> Dict[str, object]:
     design, attack = key.split(":", 1)
     params = _params(quick)
-    cell = _CELL_RUNNERS[attack](design, params, cell_seed(seed, key))
+    spec = Specialization() if resolve_specialize() else None
+
+    def build(design_seed: int, policy: Optional[str] = None):
+        llc = _make_design(design, params["sets"], design_seed, policy=policy)
+        if spec is not None:
+            specialize_llc(llc, spec)  # designs without a template keep their step
+        return llc
+
+    try:
+        cell = _CELL_RUNNERS[attack](design, params, cell_seed(seed, key), build)
+    finally:
+        # The generated steps close over their designs; releasing breaks
+        # those cycles, so every design frees by refcount with its cell.
+        if spec is not None:
+            spec.release()
     return {"design": design, "attack": attack, "cell": cell}
 
 

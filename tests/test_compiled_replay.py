@@ -18,8 +18,11 @@ from repro.hierarchy.simulator import run_mix
 from repro.hierarchy.system import CacheHierarchy
 from repro.llc.baseline import BaselineLLC
 from repro.llc.ceaser import CeaserCache
+from repro.llc.fully_assoc import FullyAssociativeCache
 from repro.llc.mirage import MirageCache
+from repro.llc.partitioned import WayPartitionedLLC
 from repro.llc.skewed import SkewedRandomizedCache
+from repro.llc.vway import VWayCache
 from repro.trace.mixes import homogeneous
 
 
@@ -429,6 +432,16 @@ REPLAYED = {
     "mirage-3skew": lambda system: MirageCache(
         MirageConfig(skews=3, sets_per_skew=16, rng_seed=7, hash_algorithm="splitmix")),
     "maya": lambda system: MayaCache(MayaConfig(**MAYA)),
+    # remap_period=500 remaps mid-run: the flush and the fresh keys
+    # land between replayed ops.
+    "ceaser": lambda system: CeaserCache(
+        system.llc_geometry, remap_period=500, seed=3, hash_algorithm="splitmix"),
+    "ceaser_s": lambda system: SkewedRandomizedCache(
+        system.llc_geometry, use_sdid_in_hash=False, remap_period=700, seed=3,
+        hash_algorithm="splitmix"),
+    "scatter-prince": lambda system: SkewedRandomizedCache(
+        system.llc_geometry, use_sdid_in_hash=True, seed=3, hash_algorithm="prince"),
+    "fully_assoc": lambda system: FullyAssociativeCache(system.llc_geometry.lines, seed=3),
 }
 
 
@@ -438,9 +451,9 @@ def tag_placement(llc):
     skew holds a tag."""
     if isinstance(llc, MayaCache):
         return llc.tags._where
-    if isinstance(llc, BaselineLLC):
+    if isinstance(llc, (BaselineLLC, CeaserCache)):
         return llc._cache._where
-    return llc._where
+    return llc._where  # Mirage, skewed, fully-associative
 
 
 @pytest.mark.specialize
@@ -471,16 +484,15 @@ class TestOpstreamReplay:
         assert_bit_identical(*runs)
         assert tag_placement(llc_replay) == tag_placement(llc_generic)
 
-    @pytest.mark.parametrize("case", ["ceaser", "skewed", "model_bandwidth"])
+    @pytest.mark.parametrize("case", ["vway", "partitioned", "model_bandwidth"])
     def test_declined_cases_report_a_reason(self, system, case):
         kwargs = {}
-        if case == "ceaser":
-            llc = CeaserCache(system.llc_geometry, seed=3, hash_algorithm="splitmix")
-            reason = "CeaserCache has no access_fast step"
-        elif case == "skewed":
-            llc = SkewedRandomizedCache(system.llc_geometry, seed=3,
-                                        hash_algorithm="splitmix")
-            reason = "SkewedRandomizedCache has no access_fast step"
+        if case == "vway":
+            llc = VWayCache(system.llc_geometry, seed=3)
+            reason = "VWayCache has no access_fast step"
+        elif case == "partitioned":
+            llc = WayPartitionedLLC(system.llc_geometry, domains=2, seed=3)
+            reason = "WayPartitionedLLC has no access_fast step"
         else:
             llc = MayaCache(MayaConfig(**MAYA))
             kwargs["model_bandwidth"] = True
@@ -497,7 +509,7 @@ class TestReleaseOnError:
     """A run that raises still restores the caller's LLC and releases
     its hierarchy, on the replay and on the per-access drive."""
 
-    @pytest.mark.parametrize("design", ["mirage-replayed", "ceaser-per-access"])
+    @pytest.mark.parametrize("design", ["mirage-replayed", "baseline-per-access"])
     def test_failed_run_releases_specialization(self, system, monkeypatch, design):
         access = DramModel.access
         calls = []
@@ -517,16 +529,22 @@ class TestReleaseOnError:
 
         monkeypatch.setattr(DramModel, "access", failing_access)
         monkeypatch.setattr(CacheHierarchy, "release", recording_release)
+        kwargs = {}
         if design == "mirage-replayed":
             llc = REPLAYED["mirage-splitmix"](system)
             step_owner = llc
         else:
-            llc = CeaserCache(system.llc_geometry, seed=3, hash_algorithm="splitmix")
+            # Specialized, but the bandwidth model keeps the per-access
+            # drive; the step lives on the inner array.
+            llc = BaselineLLC(system.llc_geometry)
             step_owner = llc._cache
+            kwargs["model_bandwidth"] = True
+        generic_step = llc.access_fast
         with pytest.raises(RuntimeError, match="injected DRAM failure"):
             run_mix(llc, homogeneous("mcf", 2), system, specialize=True,
                     accesses_per_core=800, warmup_accesses=300, seed=11,
-                    trace_cache=False)
+                    trace_cache=False, **kwargs)
         assert len(calls) == 51
         assert "access_fast" not in vars(step_owner)
+        assert llc.access_fast == generic_step
         assert len(released) == 1 and released[0].access is None

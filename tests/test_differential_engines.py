@@ -1,7 +1,8 @@
 """Differential tests: packed SoA engines vs the object-model reference.
 
 The packed struct-of-arrays engines (``repro.cache.set_assoc``,
-``repro.core.maya_cache``, ``repro.llc.mirage``) must be *behaviourally
+``repro.core.maya_cache``, ``repro.llc.mirage``, ``repro.llc.skewed``,
+``repro.llc.fully_assoc``) must be *behaviourally
 indistinguishable* from the retained object-model implementations in
 ``repro.reference``: same seed + same access stream => identical
 per-access results, bit-identical statistics, identical occupancy, and
@@ -21,11 +22,16 @@ import pytest
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.common.config import CacheGeometry, MayaConfig, MirageConfig
 from repro.core.maya_cache import MayaCache
+from repro.llc.fully_assoc import FullyAssociativeCache
+from repro.llc.interface import attack_capacity
 from repro.llc.mirage import MirageCache
+from repro.llc.skewed import SkewedRandomizedCache
 from repro.reference import (
+    ReferenceFullyAssociativeCache,
     ReferenceMayaCache,
     ReferenceMirageCache,
     ReferenceSetAssociativeCache,
+    ReferenceSkewedRandomizedCache,
 )
 
 
@@ -235,6 +241,124 @@ class TestSetAssocDifferential:
         drive_pair(packed, reference, ops[1000:], sdid_aware=False)
 
 
+# -- Skewed (CEASER-S / Scatter-Cache) and fully-associative ---------------
+
+
+def skewed_pair(use_sdid_in_hash, remap_period=None, seed=29):
+    geometry = CacheGeometry(sets=32, ways=8)
+    kwargs = dict(
+        use_sdid_in_hash=use_sdid_in_hash, remap_period=remap_period,
+        seed=seed, hash_algorithm="splitmix",
+    )
+    return (
+        SkewedRandomizedCache(geometry, **kwargs),
+        ReferenceSkewedRandomizedCache(geometry, **kwargs),
+    )
+
+
+#: Designs packed from their object models, as (packed, reference) pairs.
+PACKED_TWINS = {
+    "ceaser_s": lambda seed: skewed_pair(False, seed=seed),
+    "scatter": lambda seed: skewed_pair(True, seed=seed),
+    "fully_assoc": lambda seed: (
+        FullyAssociativeCache(256, seed=seed),
+        ReferenceFullyAssociativeCache(256, seed=seed),
+    ),
+}
+
+
+def assert_contains_equal(packed, reference, lines):
+    """Residency must agree for every (line, sdid) the stream touched."""
+    for line, sdid in lines:
+        assert packed.contains(line, sdid=sdid) == reference.contains(line, sdid=sdid), (
+            f"contains({line}, sdid={sdid}) diverged"
+        )
+
+
+def traffic_lines(ops):
+    """Every (line, sdid) an attack-traffic op stream touches."""
+    touched = set()
+    for op in ops:
+        if op[0] == "access":
+            touched.add((op[1], op[5]))
+        elif op[0] == "invalidate":
+            touched.add((op[1], op[2]))
+    return touched
+
+
+@pytest.mark.parametrize("name", sorted(PACKED_TWINS))
+class TestPackedTwinsDifferential:
+    """The designs packed last keep their object models as oracles.
+
+    ``drive_pair``/``replay_pair`` compare every ``AccessResult`` (so
+    the ``EvictedLine`` streams), then ``vars(stats)`` and
+    ``occupancy_by_core()``; residency is compared for every line the
+    stream touched.
+    """
+
+    def test_mixed_stream_with_invalidates(self, name):
+        packed, reference = PACKED_TWINS[name](41)
+        ops = make_stream(seed=14, length=4000, addr_space=2048, cores=4, sdids=3)
+        drive_pair(packed, reference, ops, mutate_every=83)
+        assert vars(packed.stats) == vars(reference.stats)
+        assert packed.stats.evictions > 0 and packed.stats.dirty_evictions > 0
+        assert_contains_equal(packed, reference, {(op[0], op[4]) for op in ops})
+
+    def test_flush_all_mid_stream(self, name):
+        packed, reference = PACKED_TWINS[name](43)
+        ops = make_stream(seed=15, length=3000, addr_space=1024, sdids=2)
+        drive_pair(packed, reference, ops[:1500])
+        assert packed.flush_all() == reference.flush_all()
+        assert packed.occupancy == 0
+        drive_pair(packed, reference, ops[1500:])
+        assert_contains_equal(packed, reference, {(op[0], op[4]) for op in ops})
+
+    def test_eviction_storm(self, name):
+        from repro.security.attacks import eviction_storm_ops
+
+        packed, reference = PACKED_TWINS[name](47)
+        ops = eviction_storm_ops(attack_capacity(packed), rounds=3, seed=51)
+        replay_pair(packed, reference, ops)
+        assert packed.stats.evictions > 0
+        assert_contains_equal(packed, reference, traffic_lines(ops))
+
+    def test_prime_probe_with_mid_stream_rekeys(self, name):
+        from repro.security.attacks import prime_probe_ops
+
+        packed, reference = PACKED_TWINS[name](53)
+        ops = prime_probe_ops(attack_capacity(packed), trials=8, rekey_period=2, seed=61)
+        assert sum(1 for op in ops if op[0] == "rekey") == 3
+        replay_pair(packed, reference, ops)
+        assert_contains_equal(packed, reference, traffic_lines(ops))
+
+    def test_recorded_ppp_traffic(self, name):
+        # Recorded against a packed twin with the pair's seed, so the
+        # adaptive attack issued exactly what either twin would see.
+        from repro.security.attacks import RecordingLLC, prime_prune_probe
+
+        recorder = RecordingLLC(PACKED_TWINS[name](59)[0])
+        prime_prune_probe(recorder, target_size=4, max_rounds=3, confirm=1, seed=73)
+        ops = recorder.ops
+        assert sum(1 for op in ops if op[0] == "access") > 100
+        packed, reference = PACKED_TWINS[name](59)
+        replay_pair(packed, reference, ops)
+        assert_contains_equal(packed, reference, traffic_lines(ops))
+
+
+class TestSkewedRemapDifferential:
+    @pytest.mark.parametrize("use_sdid_in_hash", [False, True])
+    def test_remap_period_and_rekey(self, use_sdid_in_hash):
+        packed, reference = skewed_pair(use_sdid_in_hash, remap_period=250, seed=61)
+        ops = make_stream(seed=16, length=4000, addr_space=2048, cores=4, sdids=2)
+        drive_pair(packed, reference, ops[:2000], mutate_every=71)
+        packed.rekey()
+        reference.rekey()
+        drive_pair(packed, reference, ops[2000:])
+        assert packed.remaps == reference.remaps > 2
+        assert packed.index_randomizer.epoch == reference.index_randomizer.epoch
+        assert_contains_equal(packed, reference, {(op[0], op[4]) for op in ops})
+
+
 # -- adversarial traffic (attack streams as engine fuzzers) ----------------
 
 
@@ -243,8 +367,9 @@ def replay_pair(packed, reference, ops):
 
     Same op format as ``repro.security.attacks.traffic.replay``, but
     every mutating call's result is compared across the pair, and a
-    ``("rekey",)`` op is applied to *both* sides (both Maya and Mirage
-    keep reference twins with a real ``rekey``).
+    ``("rekey",)`` op is applied to *both* sides (every twin has the
+    same ``rekey``: a real one, or the base no-op on the
+    fully-associative cache).
     """
     for i, op in enumerate(ops):
         kind = op[0]

@@ -115,6 +115,15 @@ class TestContract:
             assert llc.extra_lookup_latency == 4
         if name in ("ceaser", "ceaser_s", "scatter"):
             assert llc.extra_lookup_latency == 3
+        # The per-access drive charges what access() reports, and the
+        # step drives charge extra_lookup_latency: they must agree on a
+        # miss and on a hit (three touches make a data hit on Maya too).
+        miss = llc.access(0x123)
+        llc.access(0x123)
+        hit = llc.access(0x123)
+        assert not miss.hit and hit.hit
+        assert miss.extra_latency == llc.extra_lookup_latency
+        assert hit.extra_latency == llc.extra_lookup_latency
 
     def test_occupancy_bounded_by_capacity(self, name):
         llc = fresh_designs()[name]

@@ -11,9 +11,11 @@ set-associative baseline and fails (at measurably higher cost)
 against Maya.
 """
 
+import gc
 import json
 import subprocess
 import sys
+import weakref
 import zlib
 from pathlib import Path
 
@@ -194,6 +196,93 @@ class TestCampaignDeterminism:
         campaign.write_scorecard(scorecard, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
         assert p1.read_bytes().endswith(b"\n")
+
+
+# -- per-cell specialization: installed, then released -------------------
+
+
+class TestCellSpecialization:
+    """``run_shard`` specializes every design a cell builds and releases
+    it all when the cell ends, also when an attack raises.
+
+    The generated steps close over their designs, so an unreleased cell
+    leaves reference cycles behind.  The cyclic collector would free
+    them eventually, which is why these tests disable it and check with
+    weakrefs that every design dies by refcount when ``run_shard``
+    returns.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _specialize_on(self, monkeypatch):
+        from repro.engine.specialize import SPECIALIZE_ENV
+
+        monkeypatch.delenv(SPECIALIZE_ENV, raising=False)
+
+    @staticmethod
+    def _record(monkeypatch, on_built):
+        """Call ``on_built(obj)`` for every design and inner array a cell
+        builds; returns the list of templates specialize_llc installed."""
+        make = campaign._make_design
+        specialize = campaign.specialize_llc
+        installed = []
+
+        def recording_make(*args, **kwargs):
+            llc = make(*args, **kwargs)
+            for obj in (llc, getattr(llc, "_cache", None)):
+                if obj is not None:
+                    on_built(obj)
+            return llc
+
+        def recording_specialize(llc, spec):
+            reason = specialize(llc, spec)
+            if reason is None:
+                installed.append(type(llc).__name__)
+            return reason
+
+        monkeypatch.setattr(campaign, "_make_design", recording_make)
+        monkeypatch.setattr(campaign, "specialize_llc", recording_specialize)
+        return installed
+
+    @pytest.mark.parametrize("design", campaign.DESIGNS)
+    def test_raising_cell_releases_every_design(self, design, monkeypatch):
+        from repro.llc.interface import access_step
+
+        built = []  # (object, its access_fast instance binding before the cell)
+        installed = self._record(
+            monkeypatch, lambda obj: built.append((obj, vars(obj).get("access_fast")))
+        )
+
+        def failing_leakage(llc, ways, **kwargs):
+            step = access_step(llc)
+            for line in range(300):
+                step(line, False, 0, False, 0)
+            raise RuntimeError("injected attack failure")
+
+        monkeypatch.setattr(campaign, "replacement_leakage", failing_leakage)
+        with pytest.raises(RuntimeError, match="injected attack failure"):
+            campaign.run_shard(f"{design}:policy", **QUICK)
+        assert len(built) >= 2  # the probe-surface design and the attacked one
+        if design in ("baseline", "ceaser", "mirage", "maya"):
+            assert installed  # a template really was installed
+        for obj, before in built:
+            assert vars(obj).get("access_fast") is before, type(obj).__name__
+
+    @pytest.mark.parametrize("attack", campaign.ATTACKS)
+    def test_designs_free_by_refcount_after_each_cell(self, attack, monkeypatch):
+        refs = []
+        installed = self._record(monkeypatch, lambda obj: refs.append(weakref.ref(obj)))
+        gc.collect()
+        gc.disable()
+        try:
+            for design in campaign.DESIGNS:
+                del refs[:]
+                campaign.run_shard(f"{design}:{attack}", **QUICK)
+                assert refs
+                alive = [type(ref()).__name__ for ref in refs if ref() is not None]
+                assert not alive, f"{design}:{attack} left {alive} alive"
+        finally:
+            gc.enable()
+        assert {"BaselineLLC", "CeaserCache", "MirageCache", "MayaCache"} <= set(installed)
 
 
 # -- the headline result --------------------------------------------------

@@ -62,7 +62,7 @@ DESIGNS = {
             GEOMETRY, use_sdid_in_hash=False, remap_period=700,
             seed=seed, hash_algorithm="splitmix",
         ),
-        False,  # object-model design: no packed hot path to specialize
+        False,  # packed access_fast step, but no template to specialize it
     ),
     "scatter": (
         lambda seed, policy: SkewedRandomizedCache(
