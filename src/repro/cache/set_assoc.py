@@ -114,28 +114,6 @@ class SetAssociativeCache:
         self.victim_sdid = 0
         self.victim_reused = False
 
-    # -- column export ---------------------------------------------------
-
-    def columns_numpy(self):
-        """The cache columns as numpy arrays keyed by name.
-
-        ``state`` / ``reused`` are zero-copy ``uint8`` views over the
-        live bytearrays; ``addr`` / ``sdid`` / ``core`` are snapshots
-        of the plain-list columns.  Flat layout: index ``set * ways +
-        way``.  Consumed by the batch probe kernels in
-        :mod:`repro.engine.kernels` (cross-checked against the scalar
-        probe by the ``vector`` tests and the kernel microbenchmark).
-        """
-        import numpy as np
-
-        return {
-            "state": np.frombuffer(self._state, dtype=np.uint8),
-            "reused": np.frombuffer(self._reused, dtype=np.uint8),
-            "addr": np.array(self._addr, dtype=np.uint64),
-            "sdid": np.array(self._sdid, dtype=np.int64),
-            "core": np.array(self._core, dtype=np.int64),
-        }
-
     # -- lookup ---------------------------------------------------------
 
     def _set_of(self, line_addr: int) -> int:

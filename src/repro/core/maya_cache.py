@@ -81,10 +81,6 @@ class MayaCache:
     """
 
     extra_lookup_latency = SECURE_LOOKUP_EXTRA_CYCLES
-    #: The vector replay engine (:mod:`repro.engine.vector`) transcribes
-    #: this design's inline hot paths; flipping this off forces the
-    #: scalar engine even when ``--engine vector`` is requested.
-    supports_vector_replay = True
 
     def __init__(
         self,
@@ -268,15 +264,6 @@ class MayaCache:
         self.flush_all()
         self.tags.randomizer.rekey()
 
-    def bulk_map(self, line_addrs, sdid: int = 0) -> int:
-        """Pre-warm the index randomizer for a known address set.
-
-        Compiled-trace replay (:func:`repro.hierarchy.simulator.run_mix`)
-        calls this with every unique line a trace can touch; see
-        :meth:`repro.crypto.randomizer.IndexRandomizer.bulk_map`.
-        """
-        return self.tags.randomizer.bulk_map(line_addrs, sdid)
-
     @property
     def index_randomizer(self):
         """The :class:`~repro.crypto.randomizer.IndexRandomizer` in use.
@@ -288,7 +275,7 @@ class MayaCache:
 
     @property
     def mapping_cache_capacity(self) -> int:
-        """LRU mapping-cache capacity (drives the pre-warm heuristic)."""
+        """LRU mapping-cache capacity of the index randomizer."""
         return self.tags.randomizer.memo_capacity
 
     def contains(self, line_addr: int, sdid: int = 0) -> bool:

@@ -461,33 +461,6 @@ class SkewedTagStore:
 
     # -- introspection / invariants ------------------------------------------
 
-    def columns_numpy(self):
-        """The tag columns as numpy arrays keyed by name.
-
-        ``state`` / ``dirty`` / ``reused`` are zero-copy ``uint8``
-        views over the live bytearrays (they track subsequent mutations;
-        treat them as read-only).  ``addr`` / ``sdid`` / ``core`` /
-        ``fptr`` are ``int64``/``uint64`` *snapshots* of the plain-list
-        columns (lists keep the scalar hot path free of box/unbox, so a
-        view is impossible).  This is the export half of the vector
-        engine's column mirror: the batch probe kernels
-        (:func:`repro.engine.kernels.tag_compare`,
-        :func:`repro.engine.kernels.victim_select`) and the kernel
-        microbenchmark consume these, cross-checked against the scalar
-        probe.
-        """
-        import numpy as np
-
-        return {
-            "state": np.frombuffer(self._state, dtype=np.uint8),
-            "dirty": np.frombuffer(self._dirty, dtype=np.uint8),
-            "reused": np.frombuffer(self._reused, dtype=np.uint8),
-            "addr": np.array(self._addr, dtype=np.uint64),
-            "sdid": np.array(self._sdid, dtype=np.int64),
-            "core": np.array(self._core, dtype=np.int64),
-            "fptr": np.array(self._fptr, dtype=np.int64),
-        }
-
     def set_valid_count(self, skew: int, set_idx: int) -> int:
         return self._valid_count[skew * self._sets + set_idx]
 

@@ -412,11 +412,12 @@ class IndexRandomizer:
     def bulk_map(self, line_addrs, sdid: int = 0, jobs: Optional[int] = None) -> int:
         """Pre-warm the mapping cache: encrypt every address in one pass.
 
-        Intended for compiled-trace replay: the drive loop knows every
-        ``(line address, SDID)`` pair the run can touch up front, so the
-        cipher work runs through the batch kernel (:meth:`translate` —
-        fused tables, optionally a process pool) *before* the timed
-        loop.  Results land in a side table consulted by the miss path
+        Used by the op-stream replay's PRINCE-mode precompute pass
+        (:meth:`repro.engine.vector.VectorReplay.precompute_indices`):
+        the replay knows every ``(line address, SDID)`` pair the run can
+        touch up front, so the cipher work runs through the batch kernel
+        (:meth:`translate` — fused tables, optionally a process pool)
+        *before* the timed loop.  Results land in a side table consulted by the miss path
         rather than in the LRU memo itself - that keeps the memo's
         hit/miss/eviction accounting bit-identical to an unwarmed run
         while still skipping the per-miss cipher cost.  The side table

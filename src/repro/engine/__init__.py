@@ -1,43 +1,13 @@
-"""Replay engine selection.
+"""Fast execution layers behind ``run_mix``.
 
-Two engines drive ``run_mix``:
+* :mod:`repro.engine.specialize` - config-specialized ``access_fast``
+  step functions, generated per LLC configuration.
+* :mod:`repro.engine.opstream` - per-core op streams: the private
+  levels pre-simulated once, leaving only the LLC/DRAM operations.
+* :mod:`repro.engine.vector` - the op-stream replay that drives every
+  op through the LLC's (specialized) step in the per-access drive's
+  order.
 
-* ``"scalar"`` - the default and the differential oracle: the
-  per-access drive loops in :mod:`repro.hierarchy.simulator`.
-* ``"vector"`` - the numpy column-replay backend
-  (:mod:`repro.engine.vector`): op-stream compression + batch kernels
-  with epoch-segmented scalar fallback around state-coupling events.
-  Requested-but-unavailable vector runs fall back to scalar
-  transparently, recording the reason in ``MixResult.engine_info``.
-
-Selection precedence: the ``run_mix(engine=...)`` / CLI ``--engine``
-argument, then the ``REPRO_ENGINE`` environment variable, then
-``"scalar"``.
+The per-access drive loops in :mod:`repro.hierarchy.simulator` stay
+the differential oracle (``specialize=False`` / ``REPRO_SPECIALIZE=0``).
 """
-
-from __future__ import annotations
-
-import os
-from typing import Optional
-
-#: Environment variable consulted when no explicit engine is passed.
-ENGINE_ENV = "REPRO_ENGINE"
-
-ENGINES = ("scalar", "vector")
-
-
-def resolve_engine(engine: Optional[str] = None) -> str:
-    """Resolve the requested replay engine name.
-
-    ``engine`` wins when given; otherwise :data:`ENGINE_ENV`;
-    otherwise ``"scalar"``.  Unknown names raise ``ValueError`` so a
-    typo cannot silently run the wrong engine.
-    """
-    if engine is None:
-        engine = os.environ.get(ENGINE_ENV) or "scalar"
-    engine = engine.strip().lower()
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}"
-        )
-    return engine

@@ -1,4 +1,4 @@
-"""Per-core LLC op streams: stage 1 of the vectorized replay engine.
+"""Per-core LLC op streams: stage 1 of the op-stream replay.
 
 The key structural fact behind :mod:`repro.engine.vector`: a core's
 private levels (L1D, L2, stride prefetcher) are a deterministic
@@ -206,7 +206,7 @@ class OpStream(NamedTuple):
 
         Returns ``(lat_class, op_counts, op_kinds, op_addrs)`` as
         ``uint8`` / ``uint8`` / ``uint8`` / ``uint64`` ndarrays sharing
-        memory with the packed columns.  The vector replay engine
+        memory with the packed columns.  The op-stream replay
         (:mod:`repro.engine.vector`) consumes these directly; writes
         would corrupt the stream (and, under the mmap store, the
         shared map), so the views are read-only.

@@ -24,13 +24,13 @@ randomized designs' LRU mapping cache (exported as the
 ``REPRO_MEMO_CAPACITY`` environment variable so worker processes and
 nested tooling inherit it).  ``--no-trace-cache`` disables the on-disk
 compiled-trace cache (``REPRO_TRACE_CACHE=0``), forcing every stream
-to be recompiled in-process.  ``--engine vector`` selects the numpy
-column-replay engine for trace-driven runs (exported as
-``REPRO_ENGINE``); results are bit-identical to the default scalar
-loop.  ``--service ADDR`` (or the ``REPRO_SERVICE`` environment
-variable) drains the grid through a resident simulation service
-(``repro serve``) instead of one-shot worker processes - same bytes,
-no per-shard spawn/import/cache-warm cost.  ``--results PATH`` writes
+to be recompiled in-process.  ``--specialize 0`` swaps the generated
+step functions and the op-stream replay for the generic per-access
+drive (exported as ``REPRO_SPECIALIZE``); results are bit-identical.
+``--service ADDR`` (or the ``REPRO_SERVICE`` environment variable)
+drains the grid through a resident simulation service (``repro
+serve``) instead of one-shot worker processes - same bytes, no
+per-shard spawn/import/cache-warm cost.  ``--results PATH`` writes
 the canonical timing-free results JSON, which diffs byte-for-byte
 between serial, ``--jobs``, and ``--service`` runs.  A failing
 experiment no longer aborts the sweep: the remaining experiments still
@@ -47,7 +47,6 @@ import os
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import runner
-from ..engine import ENGINE_ENV, ENGINES
 from ..engine.specialize import SPECIALIZE_ENV
 from ..service import SERVICE_ENV, resolve_address
 from ..trace.compiled import TRACE_CACHE_ENV
@@ -304,12 +303,6 @@ def main(argv=None) -> int:
         "in-process instead of loaded from results/.trace_cache)" % TRACE_CACHE_ENV,
     )
     parser.add_argument(
-        "--engine", choices=ENGINES, default=None,
-        help="replay engine for trace-driven runs: 'scalar' (default) "
-        "or 'vector' (numpy column replay; bit-identical results, "
-        "exported as %s so --jobs workers inherit it)" % ENGINE_ENV,
-    )
-    parser.add_argument(
         "--specialize", choices=("0", "1"), default=None,
         help="config-specialized step codegen: 1 (default; generated "
         "per-config step functions plus the opstream scalar replay for "
@@ -334,9 +327,6 @@ def main(argv=None) -> int:
 
     if args.no_trace_cache:
         os.environ[TRACE_CACHE_ENV] = "0"
-
-    if args.engine:
-        os.environ[ENGINE_ENV] = args.engine
 
     if args.specialize is not None:
         os.environ[SPECIALIZE_ENV] = args.specialize

@@ -276,7 +276,6 @@ def summary_dict(
     extra: Optional[Dict[str, object]] = None,
 ) -> Dict[str, object]:
     """The ``--json`` payload: per-task timing plus sweep metadata."""
-    from ..engine import resolve_engine
     from ..engine.specialize import resolve_specialize
 
     try:
@@ -291,7 +290,6 @@ def summary_dict(
         "schema": "repro.harness.runner/1",
         "jobs": jobs,
         "wall_seconds": wall_seconds,
-        "engine": resolve_engine(None),
         "specialize": resolve_specialize(None),
         "numpy": numpy_version,
         "task_seconds": sum(r.seconds for r in results),

@@ -13,8 +13,7 @@ Two drive loops produce bit-identical results:
 * the **compiled fast path** (default) replays
   :class:`~repro.trace.compiled.CompiledTrace` packed columns with
   plain integer indexing - no generator resumes, no per-access object
-  construction - and can pre-warm a randomized LLC's mapping cache via
-  ``bulk_map`` before the timed loop (opt-in; see ``run_mix``);
+  construction;
 * the **generator path** (``compiled=False``) pulls
   :class:`~repro.trace.record.MemoryAccess` records out of the
   synthetic generators one at a time.  It is the oracle:
@@ -35,7 +34,6 @@ from typing import List, Optional, Sequence
 
 from ..common.config import SystemConfig
 from ..common.rng import derive_seed
-from ..engine import resolve_engine
 from ..engine.specialize import apply_specialization, resolve_specialize
 from ..llc.interface import LLCache
 from ..trace.compiled import compile_workload
@@ -72,13 +70,11 @@ class MixResult:
     #: Randomizer mapping-cache hit rate over the measured window
     #: (0.0 for designs without a randomizer/mapping cache).
     llc_randomizer_hit_rate: float = 0.0
-    #: The replay engine that actually drove the run (``"scalar"`` or
-    #: ``"vector"``); a requested-but-gated vector run reports
-    #: ``"scalar"`` here with the reason in :attr:`engine_info`.
+    #: Always ``"scalar"``, the only engine; kept for existing readers.
     engine: str = "scalar"
-    #: Engine provenance: for vector runs, numpy version plus
-    #: ``segments``/``fallback_ops`` hazard counts; for scalar
-    #: fallbacks of a vector request, the ``fallback_reason``.
+    #: Op-stream replay counters (numpy version, ``scalar_ops``,
+    #: ``runs_cache_hits``/``runs_cache_builds``) when the replay drove
+    #: the run, else ``None``.  Diagnostic only.
     engine_info: Optional[dict] = None
     #: Specialization provenance (:mod:`repro.engine.specialize`):
     #: ``None`` when the generic engines ran (``REPRO_SPECIALIZE=0``),
@@ -197,10 +193,8 @@ def run_mix(
     model_bandwidth: bool = False,
     compiled: Optional[bool] = None,
     trace_cache: Optional[bool] = None,
-    prewarm_mappings: bool = False,
     pretranslate: Optional[bool] = None,
     translate_jobs: Optional[int] = None,
-    engine: Optional[str] = None,
     specialize: Optional[bool] = None,
 ) -> MixResult:
     """Simulate ``mix`` over ``llc``; returns per-core IPCs + LLC stats.
@@ -219,18 +213,6 @@ def run_mix(
     ``REPRO_TRACE_CACHE`` environment variable; ``False`` recompiles
     every call).
 
-    ``prewarm_mappings=True`` (compiled path only) pre-warms a
-    randomized LLC's mapping cache via ``bulk_map`` with every
-    ``(line, SDID)`` pair in the compiled traces before the timed
-    loops.  It never changes results or mapping-cache counters (see
-    :meth:`repro.crypto.randomizer.IndexRandomizer.bulk_map`) but it
-    is off by default because it measures as a net slowdown in every
-    tested regime: the memo already dedups cipher work below its
-    capacity, and above it the private cache levels filter so many
-    accesses that the trace's unique-line count exceeds the number of
-    cipher misses the LLC actually takes - batching then does strictly
-    more cipher work than it saves.
-
     ``pretranslate`` (compiled path only) is the ahead-of-time index
     translation pipeline: every distinct line each compiled trace can
     touch is pushed through the randomizer's batch cipher kernel and
@@ -240,23 +222,13 @@ def run_mix(
     skip cipher work entirely).  ``None`` auto-enables it exactly when
     it pays: the LLC exposes an ``index_randomizer`` running
     ``algorithm="prince"``, whose per-miss cipher pass dominates a cold
-    trial (the splitmix mixer is cheaper than the table consult, hence
-    the prewarm caveat above).  Results and memo counters are
-    unchanged; from the first ``rekey()`` (e.g. an SAE-triggered remap)
-    the side table is dropped with the old keys and lookups fall back
-    to the live randomizer.  ``translate_jobs`` caps the translation
-    process pool (``1`` forces serial).  ``trace_cache=False`` also
-    bypasses the translated-index cache.
-
-    ``engine`` selects the replay backend: ``"scalar"`` (default) or
-    ``"vector"`` (the numpy column-replay engine,
-    :mod:`repro.engine.vector`); ``None`` honours ``REPRO_ENGINE``.
-    Both engines produce bit-identical results; when the vector
-    engine's preconditions fail (non-Maya design, numpy missing,
-    bandwidth model on, ...) the run transparently drops to scalar -
-    the same drive the scalar engine would pick, op-stream replay
-    included - and ``MixResult.engine_info["fallback_reason"]`` says
-    why.
+    trial (the splitmix mixer is cheaper than the table consult).
+    Results and memo counters are unchanged; from the first ``rekey()``
+    (e.g. an SAE-triggered remap) the side table is dropped with the
+    old keys and lookups fall back to the live randomizer.
+    ``translate_jobs`` caps the translation process pool (``1`` forces
+    serial).  ``trace_cache=False`` also bypasses the translated-index
+    cache.
 
     ``specialize`` selects the config-specialized step functions
     (:mod:`repro.engine.specialize`): ``None`` honours
@@ -265,22 +237,21 @@ def run_mix(
     oracle).  Specialization is applied after the hierarchy is built
     and released with it, also when the run raises; every caller
     resolves ``access_fast`` by attribute, so the drive loops and the
-    vector engine's scalar fallback windows all pick up the
-    specialized steps.  On the scalar engine it also selects the
-    op-stream scalar replay for every LLC with an ``access_fast`` step
-    (Maya, Mirage, the baseline, CEASER, the skewed designs, the
-    fully-associative cache): the private levels come from the cached
-    per-core op streams, which do not depend on the LLC design, and
-    every LLC-bearing op runs the design's own step in the per-access
+    op-stream replay all pick up the specialized steps.  It also
+    selects the op-stream replay (:mod:`repro.engine.vector`) for
+    every LLC with an ``access_fast`` step (Maya, Mirage, the
+    baseline, CEASER, the skewed designs, the fully-associative
+    cache): the private levels come from the cached per-core op
+    streams, which do not depend on the LLC design, and every
+    LLC-bearing op runs the design's own step in the per-access
     drive's order.  Designs without that step (V-way, partitioned) and
     bandwidth/TLB/coherence configs keep the per-access drive.  Results
     are bit-identical either way (the ``specialize`` differential
     suites enforce it); the provenance - including ``replay`` or the
     ``replay_reason`` it declined - lands in
-    ``MixResult.specialize_info``, never in canonical results.
+    ``MixResult.specialize_info``, and the replay's counters in
+    ``MixResult.engine_info``, never in canonical results.
     """
-    requested_engine = resolve_engine(engine)
-    engine_used = "scalar"
     engine_info: Optional[dict] = None
     config = config or SystemConfig(cores=mix.cores)
     if config.cores < mix.cores:
@@ -343,14 +314,6 @@ def run_mix(
                         jobs=translate_jobs,
                     )
                     randomizer.load_packed(translated.line_addrs, translated.columns, sdid=core_id)
-            # Pre-warm randomized designs' mapping caches: every (line, sdid)
-            # pair the replay can touch is encrypted in one tight pass
-            # before the timed loops (the hierarchy passes sdid=core_id).
-            if prewarm_mappings:
-                bulk_map = getattr(llc, "bulk_map", None)
-                if bulk_map is not None:
-                    for core_id, trace in enumerate(traces):
-                        bulk_map(trace.unique_lines(core_id * region), sdid=core_id)
             positions = [0] * cores
 
             def phase(per_core: int) -> None:
@@ -359,45 +322,28 @@ def run_mix(
                     base_cpi, per_core, model_bandwidth,
                 )
 
-            replay_args = (
-                llc, hierarchy, config, mix, traces, seed, region,
-                clocks, instructions, model_bandwidth, enable_prefetch,
-                trace_cache,
-            )
-            if requested_engine == "vector":
-                # Imported lazily: the vector engine (and numpy) only load
-                # when actually requested.
+            if specialization is not None:
+                # Specialized drive: replay the cached op streams and run
+                # every op through the LLC's own (generated)
+                # ``access_fast`` step, while the private levels come from
+                # the pre-simulated streams.  Any design with that step
+                # qualifies; when a gate fails, the plain per-access drive
+                # keeps the specialized steps and the reason lands in
+                # ``specialize_info``.  Imported lazily: numpy only loads
+                # when the replay is wanted.
                 from ..engine.vector import create_vector_replay
 
-                replay, reason = create_vector_replay(*replay_args)
-                if replay is None:
-                    engine_info = {"requested": "vector", "fallback_reason": reason}
-                else:
-                    engine_used = "vector"
-                    engine_info = replay.info
-                    phase = replay.phase
-            if engine_used == "scalar" and specialization is not None:
-                # Specialized scalar drive, also when the vector kernel
-                # declined: replay the cached op streams and run *every*
-                # op through the LLC's own (generated) ``access_fast``
-                # step (``phase_scalar`` - no batch kernels, no hazard
-                # windows), while the private levels come from the
-                # pre-simulated streams.  Any design with that step
-                # qualifies; when a gate fails, the plain per-access
-                # drive keeps the specialized steps and the reason lands
-                # in ``specialize_info``.
-                from ..engine.vector import create_vector_replay
-
-                replay, reason = create_vector_replay(*replay_args, scalar_ops=True)
+                replay, reason = create_vector_replay(
+                    llc, hierarchy, config, mix, traces, seed, region,
+                    clocks, instructions, model_bandwidth, enable_prefetch,
+                    trace_cache,
+                )
                 if replay is None:
                     specialize_info["replay"] = None
                     specialize_info["replay_reason"] = reason
                 else:
                     specialize_info["replay"] = "opstream-scalar"
                     specialize_info["replay_reason"] = None
-                    # The replay's live counters, plus the vector
-                    # engine's fallback reason when it declined first.
-                    replay.info.update(engine_info or {})
                     engine_info = replay.info
                     phase = replay.phase_scalar
 
@@ -413,12 +359,6 @@ def run_mix(
                     hierarchy_access, streams, clocks, instructions,
                     base_cpi, per_core, model_bandwidth,
                 )
-
-            if requested_engine == "vector":
-                engine_info = {
-                    "requested": "vector",
-                    "fallback_reason": "generator path (compiled=False) has no column replay",
-                }
 
         # Warm-up: run every core for `warmup_accesses`, time-ordered.
         if warmup_accesses > 0:
@@ -465,7 +405,6 @@ def run_mix(
         llc_saes=stats.saes,
         llc_tag_only_hits=stats.tag_only_hits,
         llc_randomizer_hit_rate=stats.randomizer_hit_rate,
-        engine=engine_used,
         engine_info=engine_info,
         specialize_info=specialize_info,
     )

@@ -18,10 +18,6 @@ class BaselineLLC(LLCache):
     """
 
     extra_lookup_latency = 0
-    # No vector batch kernel: it transcribes Maya's install paths, not
-    # SRRIP set-associative replacement.  The op-stream scalar replay
-    # still drives this design through its access_fast step.
-    supports_vector_replay = False
 
     def __init__(
         self,

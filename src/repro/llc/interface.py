@@ -27,14 +27,6 @@ class LLCache(abc.ABC):
     """
 
     extra_lookup_latency: int = 0
-    #: Engine capability flag: can the vector engine's batch kernel
-    #: (:meth:`repro.engine.vector.VectorReplay.phase`) replay this
-    #: design?  ``True`` only for designs whose inline hot paths that
-    #: kernel transcribes (currently
-    #: :class:`~repro.core.maya_cache.MayaCache`).  It does not gate the
-    #: op-stream scalar replay, which drives every design with an
-    #: ``access_fast`` step through that step.
-    supports_vector_replay: bool = False
     stats: CacheStats
 
     @abc.abstractmethod

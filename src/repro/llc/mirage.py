@@ -46,11 +46,6 @@ class MirageCache(LLCache):
     """Functional Mirage model (v2 'MIRAGE' with global evictions)."""
 
     extra_lookup_latency = 4
-    # No vector batch kernel: global random *data* eviction on every
-    # fill couples all installs through the data store, which that
-    # kernel does not transcribe.  The op-stream scalar replay still
-    # drives this design through its access_fast step.
-    supports_vector_replay = False
 
     def __init__(
         self,
@@ -290,15 +285,6 @@ class MirageCache(LLCache):
         self.flush_all()
         self.randomizer.rekey()
 
-    def bulk_map(self, line_addrs, sdid: int = 0) -> int:
-        """Pre-warm the index randomizer for a known address set.
-
-        Compiled-trace replay (:func:`repro.hierarchy.simulator.run_mix`)
-        calls this with every unique line a trace can touch; see
-        :meth:`repro.crypto.randomizer.IndexRandomizer.bulk_map`.
-        """
-        return self.randomizer.bulk_map(line_addrs, sdid)
-
     @property
     def index_randomizer(self):
         """The :class:`~repro.crypto.randomizer.IndexRandomizer` in use.
@@ -310,7 +296,7 @@ class MirageCache(LLCache):
 
     @property
     def mapping_cache_capacity(self) -> int:
-        """LRU mapping-cache capacity (drives the pre-warm heuristic)."""
+        """LRU mapping-cache capacity of the index randomizer."""
         return self.randomizer.memo_capacity
 
     @property

@@ -54,8 +54,8 @@ from .jobs import Unit
 
 #: Modules every worker imports at boot, before its first job: the full
 #: simulation stack, so no job ever pays first-import cost.  Modules
-#: that fail to import (e.g. numpy-less hosts for the vector engine)
-#: are skipped and listed in the worker's boot info.
+#: that fail to import (e.g. a missing optional dependency) are
+#: skipped and listed in the worker's boot info.
 DEFAULT_WARM_MODULES: Tuple[str, ...] = (
     "repro.hierarchy.simulator",
     "repro.trace.compiled",

@@ -148,10 +148,9 @@ class CompiledTrace:
     def unique_lines(self, offset: int = 0) -> array:
         """Distinct line addresses (shifted by ``offset``) as ``array('Q')``.
 
-        This is the input to
-        :meth:`repro.crypto.randomizer.IndexRandomizer.bulk_map`: the
-        drive loop pre-computes every mapping the replay can possibly
-        need in one tight pass before the timed loop.
+        This is the address set
+        :func:`repro.trace.translated.translate_trace` pushes through
+        the randomizer's batch cipher kernel ahead of the timed loop.
         """
         if offset:
             return array("Q", {addr + offset for addr in self.line_addrs})
@@ -164,8 +163,8 @@ class CompiledTrace:
         ``uint8`` / ``uint32`` ndarrays sharing memory with the packed
         columns (``np.frombuffer`` over the buffer protocol — no copy).
         The views are explicitly non-writeable: writes would corrupt the
-        trace (and, under the mmap store, the shared map).  The vector
-        replay engine (:mod:`repro.engine.vector`) consumes these
+        trace (and, under the mmap store, the shared map).  The
+        op-stream replay (:mod:`repro.engine.vector`) consumes these
         directly.
         """
         import numpy as np

@@ -116,10 +116,8 @@ class TranslatedTrace:
         column as a ``uint32`` ndarray, all sharing memory with the
         packed columns.  The views are explicitly non-writeable: writes
         would corrupt the cached translation (and, under the mmap
-        store, the shared map).  Callers (the vector engine's
-        precompute pass, the batch-kernel microbenchmarks) use these to
-        seed the randomizer side table without a per-element unbox
-        loop.
+        store, the shared map).  Callers use these to seed the
+        randomizer side table without a per-element unbox loop.
         """
         import numpy as np
 

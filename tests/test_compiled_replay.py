@@ -5,8 +5,10 @@ compiled packed columns and the original generator path.  The
 generator path is the oracle: for every design and stream shape the
 compiled path must produce *bit-identical* statistics (the raw
 ``CacheStats`` counters, not just summary figures) and identical
-per-core instruction/cycle counts, with and without mapping-cache
-pre-warming.
+per-core instruction/cycle counts.  With specialization on (the
+default) the compiled path of every design with an ``access_fast``
+step is the op-stream replay, which the specialize-marked classes
+below also hold against the per-access drive.
 """
 
 import pytest
@@ -26,14 +28,11 @@ from repro.llc.vway import VWayCache
 from repro.trace.mixes import homogeneous
 
 
-def run_pair(make_llc, mix, system, *, prewarm=False, **kwargs):
+def run_pair(make_llc, mix, system, **kwargs):
     """Run both drive loops on fresh LLCs; return their (llc, result)s."""
     llc_gen, llc_cmp = make_llc(), make_llc()
     r_gen = run_mix(llc_gen, mix, system, compiled=False, **kwargs)
-    r_cmp = run_mix(
-        llc_cmp, mix, system,
-        compiled=True, trace_cache=False, prewarm_mappings=prewarm, **kwargs,
-    )
+    r_cmp = run_mix(llc_cmp, mix, system, compiled=True, trace_cache=False, **kwargs)
     return (llc_gen, r_gen), (llc_cmp, r_cmp)
 
 
@@ -136,30 +135,36 @@ class TestStreamShapes:
 
 
 class TestPrewarm:
+    """A mapping side table filled before the timed loop - forced with
+    ``pretranslate=True`` on a splitmix design, where it is off by
+    default - must be invisible in every counter."""
+
     def test_forced_prewarm_is_invisible_in_stats(self, system):
         # Small memo so the run actually evicts mappings: pre-warming
         # must still leave every counter bit-identical (the side table
         # is consulted on misses without touching hit/miss accounting).
+        # specialize=False keeps the replay's own precompute pass out,
+        # so every side-table entry comes from the forced pre-warm.
         make = lambda: MayaCache(MayaConfig(memo_capacity=64, **MAYA))  # noqa: E731
         a, b = run_pair(
-            make, homogeneous("mcf", 2), system, prewarm=True,
+            make, homogeneous("mcf", 2), system,
             accesses_per_core=800, warmup_accesses=200, seed=11,
+            pretranslate=True, translate_jobs=1, specialize=False,
         )
         assert_bit_identical(a, b)
-        info = b[0].tags.randomizer.cache_info()
+        info = b[0].index_randomizer.cache_info()
+        assert info.size == info.capacity < info.misses  # the memo overflowed
         assert info.precomputed > 0  # the prewarm actually fired
 
     def test_prewarm_off_by_default(self, system):
-        # Pinned to the generic oracle: the specialized scalar replay
-        # (specialize=True, the default) batch-precomputes set indices
-        # by design - the same observably-free side-table fill the
-        # vector engine does - so the no-precompute invariant is a
-        # property of the generic drive loop specifically.
-        llc = MayaCache(MayaConfig(**MAYA))
+        # Mirage under splitmix: no pre-warm unless asked for.  Pinned
+        # to the per-access drive, as in test_splitmix_stays_off_by_default.
+        llc = MirageCache(MirageConfig(sets_per_skew=16, rng_seed=7,
+                                       hash_algorithm="splitmix"))
         run_mix(llc, homogeneous("mcf", 2), system,
                 accesses_per_core=300, warmup_accesses=0, seed=2,
                 trace_cache=False, specialize=False)
-        assert llc.tags.randomizer.cache_info().precomputed == 0
+        assert llc.index_randomizer.cache_info().precomputed == 0
 
 
 class TestPretranslate:
@@ -196,7 +201,10 @@ class TestPretranslate:
         assert_bit_identical((llc_off, r_off), (llc_on, r_on))
 
     def test_splitmix_stays_off_by_default(self, system):
-        # Generic oracle pinned, as in test_prewarm_off_by_default.
+        # Pinned to the generic oracle: the op-stream replay
+        # (specialize=True, the default) batch-precomputes set indices
+        # by design - an observably-free side-table fill - so the
+        # no-precompute invariant is a property of the per-access drive.
         llc = MayaCache(MayaConfig(**MAYA))
         run_mix(llc, homogeneous("mcf", 2), system,
                 accesses_per_core=300, warmup_accesses=0, seed=2,
@@ -237,72 +245,68 @@ class TestPretranslate:
         assert_bit_identical((llc_off, r_off), (llc_on, r_on))
 
 
-def run_engine_pair(make_llc, mix, system, **kwargs):
-    """Run the scalar oracle and the vector engine on fresh LLCs."""
-    llc_s, llc_v = make_llc(), make_llc()
-    r_s = run_mix(llc_s, mix, system, engine="scalar",
-                  trace_cache=False, **kwargs)
-    r_v = run_mix(llc_v, mix, system, engine="vector",
-                  trace_cache=False, **kwargs)
-    return (llc_s, r_s), (llc_v, r_v)
+def run_replay_pair(make_llc, mix, system, **kwargs):
+    """Run the per-access drive (``specialize=False``, the oracle) and
+    the op-stream replay (``specialize=True``) on fresh LLCs."""
+    runs = []
+    for specialize in (False, True):
+        llc = make_llc()
+        result = run_mix(llc, mix, system, specialize=specialize,
+                         trace_cache=False, **kwargs)
+        runs.append((llc, result))
+    assert runs[1][1].specialize_info["replay"] == "opstream-scalar", (
+        runs[1][1].specialize_info)
+    return runs
 
 
-@pytest.mark.vector
+@pytest.mark.specialize
 class TestVectorEngine:
-    """Vector column replay vs the scalar oracle, hazards included.
+    """The op-stream replay (:mod:`repro.engine.vector`) vs the
+    per-access drive, hazards included.
 
-    Each test drives both engines over the same mix and asserts
-    bit-identical raw counters; the hazard tests additionally assert
-    that the hazard actually fired *and* that the vector engine
-    reported epoch segments (i.e. the scalar-fallback windows ran).
+    Each test drives both over the same mix and asserts bit-identical
+    raw counters; the hazard tests additionally assert that the hazard
+    actually fired while the replay drove the run.
     """
 
-    def _assert_vector_ran(self, r_v):
-        assert r_v.engine == "vector", r_v.engine_info
-        assert r_v.engine_info["engine"] == "vector"
-
     def test_full_protocol_bit_identical(self, system):
-        a, b = run_engine_pair(
+        a, b = run_replay_pair(
             lambda: MayaCache(MayaConfig(**MAYA)),
             homogeneous("mcf", 2), system,
             accesses_per_core=800, warmup_accesses=400, seed=11,
         )
-        self._assert_vector_ran(b[1])
-        assert b[1].engine_info["segments"] == 0  # hazard-free run
+        assert b[1].engine_info["scalar_ops"] > 0
         assert_bit_identical(a, b)
 
     def test_write_heavy_stream(self, system):
-        a, b = run_engine_pair(
+        a, b = run_replay_pair(
             lambda: MayaCache(MayaConfig(**MAYA)),
             homogeneous("lbm", 2), system,
             accesses_per_core=800, warmup_accesses=200, seed=5,
         )
-        self._assert_vector_ran(b[1])
         assert a[0].stats.writebacks_received > 0
         assert_bit_identical(a, b)
 
     def test_heterogeneous_mix(self, system):
         from repro.trace.mixes import Mix
 
-        a, b = run_engine_pair(
+        a, b = run_replay_pair(
             lambda: MayaCache(MayaConfig(**MAYA)),
             Mix("mcf-lbm", ("mcf", "lbm"), "RATE"), system,
             accesses_per_core=700, warmup_accesses=300, seed=17,
         )
-        self._assert_vector_ran(b[1])
         assert_bit_identical(a, b)
 
     def test_prince_hash(self, system):
-        a, b = run_engine_pair(
+        a, b = run_replay_pair(
             lambda: MayaCache(MayaConfig(sets_per_skew=16, rng_seed=7,
                                          hash_algorithm="prince")),
             homogeneous("mcf", 2), system,
             accesses_per_core=500, warmup_accesses=200, seed=11,
         )
-        self._assert_vector_ran(b[1])
         assert_bit_identical(a, b)
 
-    # -- hazards landing mid-batch ------------------------------------
+    # -- hazards landing mid-phase ------------------------------------
 
     SAE_CFG = dict(
         sets_per_skew=4, base_ways_per_skew=2, reuse_ways_per_skew=1,
@@ -310,111 +314,55 @@ class TestVectorEngine:
     )
 
     def test_sae_storm_mid_batch_count_policy(self, system):
-        a, b = run_engine_pair(
+        a, b = run_replay_pair(
             lambda: MayaCache(MayaConfig(hash_algorithm="splitmix",
                                          **self.SAE_CFG)),
             homogeneous("mcf", 2), system,
             accesses_per_core=1200, warmup_accesses=300, seed=13,
         )
-        self._assert_vector_ran(b[1])
         assert b[0].stats.saes > 0
-        assert b[1].engine_info["segments"] > 0
-        assert b[1].engine_info["fallback_ops"] > 0
         assert_bit_identical(a, b)
 
     def test_sae_rekey_mid_batch(self, system):
         # on_sae="rekey": the mapping keys change and the memo/side
-        # tables are invalidated mid-replay; the vector engine must
-        # drop to the scalar window and resume with the new keys.
-        a, b = run_engine_pair(
+        # tables are invalidated between replayed ops; the replay must
+        # pick up the new keys exactly where the per-access drive does.
+        a, b = run_replay_pair(
             lambda: MayaCache(MayaConfig(hash_algorithm="splitmix",
                                          **self.SAE_CFG), on_sae="rekey"),
             homogeneous("mcf", 2), system,
             accesses_per_core=1200, warmup_accesses=300, seed=13,
         )
-        self._assert_vector_ran(b[1])
         assert b[0].stats.saes > 0
         assert b[0].tags.randomizer.epoch > 1  # rekeys actually happened
-        assert b[1].engine_info["segments"] > 0
         assert_bit_identical(a, b)
 
     def test_sae_rekey_prince_mid_batch(self, system):
         # Same, under the real cipher: rekey drops the precomputed
         # tables and later installs hit the live PRINCE path.
-        a, b = run_engine_pair(
+        a, b = run_replay_pair(
             lambda: MayaCache(MayaConfig(hash_algorithm="prince",
                                          **self.SAE_CFG), on_sae="rekey"),
             homogeneous("mcf", 2), system,
             accesses_per_core=1000, warmup_accesses=200, seed=13,
         )
-        self._assert_vector_ran(b[1])
         assert b[0].stats.saes > 0
         assert b[0].tags.randomizer.epoch > 1
         assert_bit_identical(a, b)
 
     def test_memo_capacity_eviction_mid_batch(self, system):
-        # A 64-entry memo overflows constantly; every overflow is a
-        # side-table invalidation hazard and opens a scalar window.
-        a, b = run_engine_pair(
+        # A 64-entry memo overflows constantly while the replay's
+        # precompute pass backs its misses from the side table: neither
+        # may show in any counter.
+        a, b = run_replay_pair(
             lambda: MayaCache(MayaConfig(memo_capacity=64, **MAYA)),
             homogeneous("mcf", 2), system,
             accesses_per_core=800, warmup_accesses=200, seed=11,
         )
-        self._assert_vector_ran(b[1])
-        assert b[1].engine_info["segments"] > 0
+        info = b[0].tags.randomizer.cache_info()
+        assert info.size == info.capacity < info.misses  # it overflowed
+        assert info.precomputed > 0  # the side table was filled
         assert_bit_identical(a, b)
-
-    # -- gating -------------------------------------------------------
-
-    def test_unsupported_design_falls_back_to_scalar(self, system):
-        llc = BaselineLLC(system.llc_geometry)
-        r = run_mix(llc, homogeneous("mcf", 2), system, engine="vector",
-                    accesses_per_core=300, warmup_accesses=0, seed=3,
-                    trace_cache=False)
-        assert r.engine == "scalar"
-        assert "fallback_reason" in r.engine_info
-
-    def test_declined_vector_run_keeps_the_opstream_replay(self, system):
-        # The batch kernel declines Mirage; the run must still take the
-        # specialized op-stream replay, not the per-access drive.
-        a, b = run_engine_pair(
-            lambda: REPLAYED["mirage-splitmix"](system),
-            homogeneous("mcf", 2), system,
-            accesses_per_core=800, warmup_accesses=300, seed=11,
-            specialize=True,
-        )
-        (_, r_s), (_, r_v) = a, b
-        assert r_v.engine == "scalar"
-        assert "does not support vector replay" in r_v.engine_info["fallback_reason"]
-        assert r_v.specialize_info["replay"] == "opstream-scalar"
-        assert r_v.engine_info["scalar_ops"] == r_s.engine_info["scalar_ops"] > 0
-        assert_bit_identical(a, b)
-
-    def test_ablation_config_falls_back_to_scalar(self, system):
-        llc = MayaCache(MayaConfig(**MAYA), global_tag_eviction=False)
-        r = run_mix(llc, homogeneous("mcf", 2), system, engine="vector",
-                    accesses_per_core=300, warmup_accesses=0, seed=3,
-                    trace_cache=False)
-        assert r.engine == "scalar"
-        assert "tag eviction" in r.engine_info["fallback_reason"]
-
-    def test_generator_path_falls_back_to_scalar(self, system):
-        llc = MayaCache(MayaConfig(**MAYA))
-        r = run_mix(llc, homogeneous("mcf", 2), system, engine="vector",
-                    compiled=False, accesses_per_core=300,
-                    warmup_accesses=0, seed=3)
-        assert r.engine == "scalar"
-        assert "generator" in r.engine_info["fallback_reason"]
-
-    def test_env_var_selects_engine(self, system, monkeypatch):
-        from repro.engine import ENGINE_ENV
-
-        monkeypatch.setenv(ENGINE_ENV, "vector")
-        llc = MayaCache(MayaConfig(**MAYA))
-        r = run_mix(llc, homogeneous("mcf", 2), system,
-                    accesses_per_core=300, warmup_accesses=0, seed=3,
-                    trace_cache=False)
-        assert r.engine == "vector"
 
 
 # -- the op-stream replay for every access_fast design ------------------
@@ -469,17 +417,12 @@ class TestOpstreamReplay:
     @pytest.mark.parametrize("bench", ["mcf", "lbm"])
     @pytest.mark.parametrize("design", sorted(REPLAYED))
     def test_replay_engages_and_matches_per_access_drive(self, system, design, bench):
-        runs = []
-        for specialize in (False, True):
-            llc = REPLAYED[design](system)
-            result = run_mix(llc, homogeneous(bench, 2), system,
-                             accesses_per_core=800, warmup_accesses=300,
-                             seed=11, specialize=specialize, trace_cache=False)
-            runs.append((llc, result))
+        runs = run_replay_pair(
+            lambda: REPLAYED[design](system), homogeneous(bench, 2), system,
+            accesses_per_core=800, warmup_accesses=300, seed=11,
+        )
         (llc_generic, r_generic), (llc_replay, r_replay) = runs
         assert r_generic.specialize_info is None
-        assert r_replay.specialize_info["replay"] == "opstream-scalar", (
-            r_replay.specialize_info)
         assert r_replay.engine_info["scalar_ops"] > 0
         assert_bit_identical(*runs)
         assert tag_placement(llc_replay) == tag_placement(llc_generic)

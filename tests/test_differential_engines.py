@@ -474,14 +474,15 @@ class TestAdversarialTraffic:
         assert packed.stats.accesses == sum(1 for op in ops if op[0] == "access")
 
 
-@pytest.mark.vector
+@pytest.mark.specialize
 class TestVectorEngineSweep:
-    """Seed sweep: the numpy column-replay engine vs the scalar loop.
+    """Seed sweep: the op-stream replay (:mod:`repro.engine.vector`,
+    ``specialize=True``) vs the per-access drive (``specialize=False``).
 
     The targeted hazard tests live in ``test_compiled_replay.py``; this
     sweep drives whole ``run_mix`` protocols across seeds and workload
-    shapes so engine divergences that depend on stream interleaving
-    (not on a specific hazard) still get caught.
+    shapes so divergences that depend on stream interleaving (not on a
+    specific hazard) still get caught.
     """
 
     @staticmethod
@@ -501,36 +502,35 @@ class TestVectorEngineSweep:
         if memo_capacity is not None:
             cfg["memo_capacity"] = memo_capacity
         results = []
-        for engine in ("scalar", "vector"):
+        for specialize in (False, True):
             llc = MayaCache(MayaConfig(**cfg), on_sae=on_sae)
             r = run_mix(
-                llc, homogeneous(bench, cores), system, engine=engine,
+                llc, homogeneous(bench, cores), system, specialize=specialize,
                 accesses_per_core=600, warmup_accesses=200, seed=seed,
                 trace_cache=False,
             )
             results.append((llc, r))
+        assert results[1][1].specialize_info["replay"] == "opstream-scalar"
         return results
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 23, 1009])
     def test_seed_sweep_bit_identical(self, seed):
-        (llc_s, r_s), (llc_v, r_v) = self._run_pair(seed)
-        assert r_v.engine == "vector", r_v.engine_info
-        assert vars(llc_v.stats) == vars(llc_s.stats)
-        assert r_v.ipcs == r_s.ipcs
-        assert r_v.llc_mpki == r_s.llc_mpki
+        (llc_g, r_g), (llc_r, r_r) = self._run_pair(seed)
+        assert vars(llc_r.stats) == vars(llc_g.stats)
+        assert r_r.ipcs == r_g.ipcs
+        assert r_r.llc_mpki == r_g.llc_mpki
 
     @pytest.mark.parametrize("bench", ["lbm", "omnetpp"])
     def test_workload_sweep_bit_identical(self, bench):
-        (llc_s, r_s), (llc_v, r_v) = self._run_pair(11, bench=bench)
-        assert r_v.engine == "vector", r_v.engine_info
-        assert vars(llc_v.stats) == vars(llc_s.stats)
-        assert r_v.ipcs == r_s.ipcs
+        (llc_g, r_g), (llc_r, r_r) = self._run_pair(11, bench=bench)
+        assert vars(llc_r.stats) == vars(llc_g.stats)
+        assert r_r.ipcs == r_g.ipcs
 
     def test_tiny_memo_sweep_bit_identical(self):
-        # Constant memo-overflow hazards: the engine spends much of the
-        # run inside scalar fallback windows and must still agree.
-        (llc_s, r_s), (llc_v, r_v) = self._run_pair(5, memo_capacity=32)
-        assert r_v.engine == "vector", r_v.engine_info
-        assert r_v.engine_info["segments"] > 0
-        assert vars(llc_v.stats) == vars(llc_s.stats)
-        assert r_v.ipcs == r_s.ipcs
+        # Constant memo overflows: the precomputed side table backs
+        # most of the replay's misses and must stay invisible.
+        (llc_g, r_g), (llc_r, r_r) = self._run_pair(5, memo_capacity=32)
+        info = llc_r.tags.randomizer.cache_info()
+        assert info.size == info.capacity < info.misses  # it overflowed
+        assert vars(llc_r.stats) == vars(llc_g.stats)
+        assert r_r.ipcs == r_g.ipcs

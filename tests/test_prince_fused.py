@@ -159,7 +159,6 @@ class TestBatchEdgeCases:
             ScalarPrince(-1)
 
 
-@pytest.mark.vector
 class TestNumpyBatchKernel:
     """The numpy gather kernel must be bit-exact with the Python loop."""
 

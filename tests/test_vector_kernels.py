@@ -1,10 +1,11 @@
-"""Element-wise cross-checks: numpy batch kernels vs the scalar paths.
+"""Element-wise cross-checks for the op-stream replay's numpy inputs.
 
-Every kernel in :mod:`repro.engine.kernels` mirrors an inline scalar
-computation (the oracle).  These tests drive both over identical
-inputs — including live tag-store columns from a warmed Maya cache —
-and require exact agreement; any divergence is a kernel bug, never a
-tolerance question, because the kernels are pure integer pipelines.
+:func:`repro.engine.kernels.splitmix_indices` mirrors the randomizer's
+inline scalar mixer (the oracle); these tests drive both over
+identical inputs and require exact agreement - any divergence is a
+kernel bug, never a tolerance question, because the kernel is a pure
+integer pipeline.  The column-view tests pin the zero-copy numpy views
+over compiled and translated traces.
 """
 
 import random
@@ -13,21 +14,9 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.common.config import CacheGeometry, MayaConfig
-from repro.core.data_store import NO_TAG
+from repro.common.config import MayaConfig
 from repro.core.maya_cache import MayaCache
 from repro.engine import kernels
-
-pytestmark = pytest.mark.vector
-
-
-def warmed_maya(accesses=3000, seed=11):
-    llc = MayaCache(MayaConfig(sets_per_skew=16, rng_seed=7, hash_algorithm="splitmix"))
-    rng = random.Random(seed)
-    for _ in range(accesses):
-        llc.access_fast(rng.randrange(1 << 20), rng.random() < 0.2,
-                        rng.randrange(4), rng.random() < 0.1, 0)
-    return llc
 
 
 class TestSplitmixIndices:
@@ -57,90 +46,7 @@ class TestSplitmixIndices:
             assert tuple(int(c[i]) for c in cols) == rand._raw_indices(addr, 0)
 
 
-class TestTagCompare:
-    def test_matches_where_dict_on_live_columns(self):
-        llc = warmed_maya()
-        tags = llc.tags
-        cols = tags.columns_numpy()
-        rand = tags.randomizer
-        rng = random.Random(7)
-        # Half resident lines, half random probes.
-        resident = [(e.line_addr, e.sdid) for _, e in tags.iter_valid()]
-        probes = rng.sample(resident, min(200, len(resident)))
-        probes += [(rng.getrandbits(20), 0) for _ in range(200)]
-        for skew in range(tags._skews):
-            bases = []
-            for addr, sdid in probes:
-                idx = rand._raw_indices(addr, sdid)[skew]
-                bases.append((skew * tags._sets + idx) * tags._ways)
-            got = kernels.tag_compare(
-                cols["addr"], cols["sdid"], cols["state"], bases, tags._ways,
-                [a for a, _ in probes], [s for _, s in probes],
-            )
-            for i, (addr, sdid) in enumerate(probes):
-                slot = tags._where.get((addr << 16) | sdid)
-                expected = -1
-                if slot is not None and bases[i] <= slot < bases[i] + tags._ways:
-                    expected = slot
-                assert int(got[i]) == expected
-
-    def test_all_misses_on_empty_store(self):
-        llc = MayaCache(MayaConfig(sets_per_skew=16, rng_seed=7,
-                                   hash_algorithm="splitmix"))
-        cols = llc.tags.columns_numpy()
-        got = kernels.tag_compare(
-            cols["addr"], cols["sdid"], cols["state"],
-            [0, llc.tags._ways], llc.tags._ways, [5, 9], [0, 0],
-        )
-        assert list(got) == [-1, -1]
-
-
-class TestVictimSelect:
-    def test_matches_bytearray_find(self):
-        llc = warmed_maya()
-        tags = llc.tags
-        state = tags.columns_numpy()["state"]
-        ways = tags._ways
-        bases = [b * ways for b in range(tags._skews * tags._sets)]
-        got = kernels.victim_select(state, bases, ways)
-        for i, base in enumerate(bases):
-            expected = tags._state.find(0, base, base + ways)
-            assert int(got[i]) == expected  # both use -1 for "set full"
-
-
 class TestColumnExports:
-    def test_tag_columns_reflect_live_state(self):
-        llc = warmed_maya()
-        cols = llc.tags.columns_numpy()
-        assert bytes(cols["state"]) == bytes(llc.tags._state)  # zero-copy view
-        assert cols["addr"].tolist() == llc.tags._addr
-        assert cols["fptr"].tolist() == llc.tags._fptr
-
-    def test_data_column_validity_mask(self):
-        llc = warmed_maya()
-        col = llc.data.columns_numpy()
-        assert int((col != NO_TAG).sum()) == llc.data.used
-
-    def test_set_assoc_columns(self):
-        from repro.cache.set_assoc import SetAssociativeCache
-
-        cache = SetAssociativeCache(CacheGeometry(sets=8, ways=4), policy="lru")
-        rng = random.Random(1)
-        for _ in range(500):
-            cache.access_fast(rng.randrange(256), False, 0, False, 0)
-        cols = cache.columns_numpy()
-        assert bytes(cols["state"]) == bytes(cache._state)
-        assert cols["addr"].tolist() == cache._addr
-        # Every resident line is findable at its mapped set.
-        for addr, idx in cache._where.items():
-            set_idx = addr & cache._set_mask
-            base = set_idx * cache._ways
-            got = kernels.tag_compare(
-                cols["addr"], cols["sdid"], cols["state"],
-                [base], cache._ways, [addr], [cache._sdid[idx]],
-            )
-            assert int(got[0]) == idx
-
     def test_trace_views_are_zero_copy(self):
         from array import array
 
@@ -169,18 +75,3 @@ class TestColumnExports:
         assert [c.tolist() for c in cols] == [[1, 2], [3, 0]]
         t.columns[1][0] = 7
         assert cols[1][0] == 7  # zero-copy
-
-
-class TestStaticAdvances:
-    def test_matches_scalar_fold(self):
-        rng = random.Random(9)
-        gaps = [rng.randrange(100) for _ in range(5000)]
-        lats = [float(rng.choice((4.0, 16.0, 46.0))) for _ in range(5000)]
-        cpi = 0.5
-        col = kernels.exact_static_advances(gaps, lats, cpi)
-        clock = 0.0
-        for i in range(5000):
-            clock += gaps[i] * cpi + lats[i]
-        # Dyadic inputs below 2^53: both summation orders are exact, so
-        # the pairwise numpy sum equals the scalar left fold bit-for-bit.
-        assert float(col.sum()) == clock

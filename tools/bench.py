@@ -7,21 +7,14 @@ fingerprint.  Fresh caches per trial make every trial's statistics
 bit-identical; the throughput spread is pure machine noise, so the
 best-of-N figure is the one to compare across commits.
 
-The ``maya_vector`` design row is the same Maya configuration driven
-through the numpy column-replay engine (``repro.engine.vector``); its
-MPKI fingerprint must match the scalar ``maya`` row bit-for-bit, which
-``run_protocol`` enforces before reporting.  ``--engine vector``
-switches every *other* trace-driven row onto the vector engine too
-(designs it cannot drive fall back to scalar and say so in the JSON).
-
 The ``maya_specialized`` row is the serial state machine under
 config-specialized codegen (``repro.engine.specialize``): the generated
-per-access step plus the opstream scalar-replay drive, with the same
-bit-identical fingerprint requirement against the generic ``maya`` row.
-Legacy rows pin specialization *off* so their figures stay comparable
-with the pre-v10 baselines; ``--verify`` additionally enforces the
-specialized speedup floor and the engine ordering (see
-``verify_specialized``).
+per-access step plus the op-stream replay (``repro.engine.vector``).
+Its MPKI fingerprint must match the generic ``maya`` row bit-for-bit,
+which ``run_protocol`` enforces before reporting.  Legacy rows pin
+specialization *off* so their figures stay comparable with the pre-v10
+baselines; ``--verify`` additionally enforces the specialized speedup
+floor (see ``verify_specialized``).
 
 Unless ``--no-service`` is given, the run closes with the resident
 simulation service's reason-to-exist figure: the per-job cost of a
@@ -48,7 +41,7 @@ Usage::
     python tools/bench.py --quick               # CI-sized protocol
     python tools/bench.py --both --out BENCH_10.json  # regenerate the
                                                       # checked-in baseline
-    python tools/bench.py kernels               # batch/cipher kernel
+    python tools/bench.py kernels               # cipher/translate kernel
                                                 # microbenchmarks only
     python tools/bench.py --quick --verify      # + reference-engine
                                                 # equivalence check
@@ -86,7 +79,6 @@ import time
 from array import array
 
 from repro.core.maya_cache import MayaCache
-from repro.engine import ENGINES
 from repro.harness.presets import experiment_maya, experiment_mirage, experiment_system
 from repro.hierarchy.simulator import run_mix
 from repro.llc.baseline import BaselineLLC
@@ -115,7 +107,7 @@ PRE_FUSED_PRINCE_ANCHOR = {"maya_prince": 6228.5}
 
 def _make_llc(design: str, params: dict):
     sets, seed = params["llc_sets"], params["seed"]
-    if design in ("maya", "maya_specialized", "maya_vector"):
+    if design in ("maya", "maya_specialized"):
         return MayaCache(experiment_maya(llc_sets=sets, seed=seed))
     if design == "maya_prince":
         # The paper's actual cipher (security-mode runs); the presets
@@ -130,13 +122,6 @@ def _make_llc(design: str, params: dict):
     if design == "baseline":
         return BaselineLLC(experiment_system(llc_sets=sets).llc_geometry)
     raise ValueError(f"unknown design {design!r}")
-
-
-def _timed(fn) -> float:
-    """Wall-clock one call of ``fn`` (for best-of-N micro timings)."""
-    t0 = time.perf_counter()
-    fn()
-    return time.perf_counter() - t0
 
 
 def bench_cipher_kernels(blocks: int = 20000, seed: int = 123) -> dict:
@@ -178,33 +163,22 @@ def bench_cipher_kernels(blocks: int = 20000, seed: int = 123) -> dict:
 
 
 def bench_batch_kernels(probes: int = 20000, seed: int = 123) -> dict:
-    """Microbenchmark the numpy column kernels vs their scalar mirrors.
+    """Microbenchmark the numpy translate kernel vs its scalar mirror.
 
-    Warms a full-size Maya tag store, exports its columns, and times
-    ``repro.engine.kernels`` - translate (splitmix index derivation),
-    tag-compare, and victim-select - against the equivalent scalar
-    loops over the same live state.  As with the cipher bench, every
-    kernel output is cross-checked element-wise against the scalar
-    oracle first; a wrong kernel can never post a fast number.
+    Times ``repro.engine.kernels.splitmix_indices`` (the op-stream
+    replay's batch index derivation) against the randomizer's
+    per-address path.  As with the cipher bench, the kernel output is
+    cross-checked element-wise against the scalar oracle first; a wrong
+    kernel can never post a fast number.
     """
     if not _have_numpy():
         return {"skipped": "numpy unavailable"}
     from repro.engine import kernels
 
     rng = random.Random(seed)
-    llc = MayaCache(experiment_maya(llc_sets=512, seed=7))
-    for _ in range(probes):
-        llc.access_fast(rng.getrandbits(30), rng.random() < 0.25,
-                        rng.randrange(8), rng.random() < 0.1, 0)
-    tags = llc.tags
-    rand = tags.randomizer
-    cols = tags.columns_numpy()
-    ways = tags._ways
+    rand = MayaCache(experiment_maya(llc_sets=512, seed=7)).tags.randomizer
     addrs = [rng.getrandbits(30) for _ in range(probes)]
     scalar_n = max(1, probes // 10)
-
-    # Translate: batch splitmix64 index derivation vs the randomizer's
-    # per-address path.
     t0 = time.perf_counter()
     idx_cols = kernels.splitmix_indices(addrs, rand._mix_keys, rand.index_bits)
     translate_secs = time.perf_counter() - t0
@@ -214,67 +188,11 @@ def bench_batch_kernels(probes: int = 20000, seed: int = 123) -> dict:
     for i in range(scalar_n):
         if tuple(int(c[i]) for c in idx_cols) != scalar_idx[i]:
             raise AssertionError("translate kernels disagree - refusing to report timings")
-
-    # Tag compare: batch probe of skew 0 vs a scalar way scan over the
-    # same (state, addr, sdid) columns.
-    bases = [int(idx_cols[0][i]) * ways for i in range(probes)]
-    t0 = time.perf_counter()
-    slots = kernels.tag_compare(cols["addr"], cols["sdid"], cols["state"],
-                                bases, ways, addrs, [0] * probes)
-    tag_secs = time.perf_counter() - t0
-    state_col, addr_col, sdid_col = tags._state, tags._addr, tags._sdid
-    t0 = time.perf_counter()
-    scalar_slots = []
-    for i in range(scalar_n):
-        base, addr, found = bases[i], addrs[i], -1
-        for s in range(base, base + ways):
-            if state_col[s] and addr_col[s] == addr and sdid_col[s] == 0:
-                found = s
-                break
-        scalar_slots.append(found)
-    tag_scalar_secs = time.perf_counter() - t0
-    if [int(s) for s in slots[:scalar_n]] != scalar_slots:
-        raise AssertionError("tag-compare kernels disagree - refusing to report timings")
-
-    # Victim select: first-invalid-way over every set vs bytearray.find.
-    # Best-of-5 timings: one batch pass runs in ~50us at this size, so
-    # a single-shot measurement is dominated by scheduler noise - the
-    # BENCH_9 "batch slower than scalar" inversion was exactly that.
-    sets_total = tags._skews * tags._sets
-    vbases = [b * ways for b in range(sets_total)]
-    victim_secs = min(
-        _timed(lambda: kernels.victim_select(cols["state"], vbases, ways))
-        for _ in range(5)
-    )
-    victims = kernels.victim_select(cols["state"], vbases, ways)
-    victim_scalar_secs = min(
-        _timed(lambda: [state_col.find(0, b, b + ways) for b in vbases])
-        for _ in range(5)
-    )
-    scalar_victims = [state_col.find(0, b, b + ways) for b in vbases]
-    if [int(v) for v in victims] != scalar_victims:
-        raise AssertionError("victim-select kernels disagree - refusing to report timings")
-    if victim_secs > victim_scalar_secs:
-        raise AssertionError(
-            "victim-select batch path slower than the scalar loop "
-            f"({sets_total / victim_secs:.0f} vs "
-            f"{sets_total / victim_scalar_secs:.0f} blocks/s over best-of-5); "
-            "the contiguous-sweep reshape fast path should make this impossible"
-        )
-
     return {
         "probes": probes,
         "translate": {
             "blocks_per_sec": round(probes / translate_secs, 1),
             "scalar_blocks_per_sec": round(scalar_n / translate_scalar_secs, 1),
-        },
-        "tag_compare": {
-            "blocks_per_sec": round(probes / tag_secs, 1),
-            "scalar_blocks_per_sec": round(scalar_n / tag_scalar_secs, 1),
-        },
-        "victim_select": {
-            "blocks_per_sec": round(sets_total / victim_secs, 1),
-            "scalar_blocks_per_sec": round(sets_total / victim_scalar_secs, 1),
         },
     }
 
@@ -586,14 +504,10 @@ def bench_design(design: str, params: dict, make_llc=_make_llc) -> dict:
     mix = homogeneous(params["bench"], params["cores"])
     system = experiment_system(cores=params["cores"], llc_sets=params["llc_sets"])
     total_accesses = (params["accesses_per_core"] + params["warmup_per_core"]) * params["cores"]
-    # ``*_vector`` design rows pin the numpy engine; everything else
-    # follows the protocol-level selection (``--engine`` / REPRO_ENGINE).
-    engine = "vector" if design.endswith("_vector") else params.get("engine")
-    # ``*_specialized`` rows (and the vector rows, whose hazard-window
-    # fallback executor is the generated step) pin specialization on;
-    # every legacy row pins it *off* so its throughput figure keeps
-    # measuring the generic engine the pre-v10 baselines recorded.
-    if design.endswith(("_specialized", "_vector")):
+    # ``*_specialized`` rows pin specialization on; every legacy row pins
+    # it *off* so its throughput figure keeps measuring the generic
+    # engine the pre-v10 baselines recorded.
+    if design.endswith("_specialized"):
         specialize = True
     else:
         specialize = bool(params.get("specialize", False))
@@ -609,14 +523,12 @@ def bench_design(design: str, params: dict, make_llc=_make_llc) -> dict:
             accesses_per_core=params["accesses_per_core"],
             warmup_accesses=params["warmup_per_core"],
             seed=params["seed"],
-            engine=engine,
             specialize=specialize,
         )
         seconds.append(time.perf_counter() - t0)
-        # Per-trial engine provenance: which engine actually executed,
-        # plus (vector) epoch-segment and fallback-window counters so a
-        # hazard-heavy run can't masquerade as pure-vector throughput,
-        # plus what the specializer installed (or why it declined).
+        # Per-trial engine provenance: the op-stream replay's counters
+        # (when it drove the run) plus what the specializer installed
+        # (or why it declined).
         trial_info = {"engine": result.engine, **(result.engine_info or {})}
         if result.specialize_info is not None:
             trial_info["specialize"] = dict(result.specialize_info)
@@ -675,27 +587,20 @@ def _have_numpy() -> bool:
 
 
 DEFAULT_DESIGNS = (
-    "maya", "maya_specialized", "maya_vector", "maya_prince", "mirage", "baseline",
+    "maya", "maya_specialized", "maya_prince", "mirage", "baseline",
 )
 
 
 def run_protocol(params: dict, designs=DEFAULT_DESIGNS) -> dict:
     results = {}
     for design in designs:
-        if design.endswith(("_specialized", "_vector")) and not _have_numpy():
-            # The specialized row's figure is the opstream scalar-replay
-            # drive, which shares the vector engine's numpy substrate.
+        if design.endswith("_specialized") and not _have_numpy():
+            # The specialized row's figure is the op-stream replay,
+            # which builds its clock columns with numpy.
             print(f"  {design:15s} skipped (numpy unavailable)")
             continue
         results[design] = bench_design(design, params)
         r = results[design]
-        if design.endswith("_vector"):
-            for t in r["engine_trials"]:
-                if t.get("engine") != "vector":
-                    raise AssertionError(
-                        f"{design}: vector engine fell back to scalar "
-                        f"({t.get('fallback_reason', 'no reason recorded')})"
-                    )
         if design.endswith("_specialized"):
             for t in r["engine_trials"]:
                 spec = t.get("specialize") or {}
@@ -714,14 +619,14 @@ def run_protocol(params: dict, designs=DEFAULT_DESIGNS) -> dict:
             f"({r['accesses_per_sec_median']:>9.1f} median over "
             f"{params['trials']} trials)  mpki={r['llc_mpki']:.6f}"
         )
-    for twin in ("maya_specialized", "maya_vector"):
-        if "maya" in results and twin in results:
-            if results[twin]["llc_mpki"] != results["maya"]["llc_mpki"]:
-                raise AssertionError(
-                    f"{twin} mpki {results[twin]['llc_mpki']} != "
-                    f"scalar maya {results['maya']['llc_mpki']} - the engines diverged"
-                )
-            print(f"  engine cross-check OK ({twin} mpki == maya mpki)")
+    twin = "maya_specialized"
+    if "maya" in results and twin in results:
+        if results[twin]["llc_mpki"] != results["maya"]["llc_mpki"]:
+            raise AssertionError(
+                f"{twin} mpki {results[twin]['llc_mpki']} != "
+                f"generic maya {results['maya']['llc_mpki']} - the engines diverged"
+            )
+        print(f"  engine cross-check OK ({twin} mpki == maya mpki)")
     return results
 
 
@@ -736,7 +641,7 @@ SPECIALIZED_SPEEDUP_FLOORS = {"full": 1.8, "quick": 1.2}
 
 
 def verify_specialized(results: dict, protocol: str) -> None:
-    """Enforce the specialized-engine speedup and ordering invariants."""
+    """Enforce the specialized-engine speedup floor."""
     if "maya" not in results or "maya_specialized" not in results:
         print("  specialized verify skipped (rows missing)")
         return
@@ -755,20 +660,6 @@ def verify_specialized(results: dict, protocol: str) -> None:
     print(
         f"  specialized speedup OK ({ratio:.2f}x >= {floor:.1f}x same-run generic)"
     )
-    if "maya_vector" in results:
-        vector_median = results["maya_vector"]["accesses_per_sec_median"]
-        if vector_median < specialized:
-            print(
-                f"SPECIALIZATION FAILURE: maya_vector median {vector_median:.1f} "
-                f"acc/s fell below maya_specialized best {specialized:.1f} - the "
-                "vector engine (specialized fallback windows) must stay fastest",
-                file=sys.stderr,
-            )
-            raise SystemExit(1)
-        print(
-            f"  engine ordering OK (maya_vector median {vector_median:.1f} >= "
-            f"maya_specialized best {specialized:.1f})"
-        )
 
 
 def verify_against_reference(params: dict) -> None:
@@ -827,7 +718,7 @@ def check_regression(measured: dict, baseline_path: str, protocol: str, pct: flo
             )
             failures += 1
     floors = []
-    for design in ("maya", "maya_specialized", "maya_vector", "maya_prince"):
+    for design in ("maya", "maya_specialized", "maya_prince"):
         if design not in measured or design not in base["results"]:
             continue
         floor = base["results"][design]["accesses_per_sec_best"] * (1 - pct / 100.0)
@@ -849,7 +740,7 @@ def check_regression(measured: dict, baseline_path: str, protocol: str, pct: flo
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("command", nargs="?", choices=("bench", "kernels"), default="bench",
-                        help="'kernels' runs only the cipher/batch kernel "
+                        help="'kernels' runs only the cipher/translate kernel "
                              "microbenchmarks (no protocol simulation)")
     parser.add_argument("--quick", action="store_true", help="CI-sized protocol")
     parser.add_argument("--both", action="store_true",
@@ -873,10 +764,6 @@ def main(argv=None) -> int:
     parser.add_argument("--no-trace-cache", action="store_true",
                         help="disable the on-disk compiled-trace cache "
                              f"(sets {TRACE_CACHE_ENV}=0; every trial recompiles)")
-    parser.add_argument("--engine", choices=ENGINES, default=None,
-                        help="replay engine for the non-*_vector design rows "
-                             "(default: scalar; the maya_vector row always "
-                             "runs the vector engine)")
     args = parser.parse_args(argv)
 
     if args.no_trace_cache:
@@ -886,8 +773,6 @@ def main(argv=None) -> int:
     params = dict(QUICK if args.quick else FULL)
     if args.trials:
         params["trials"] = args.trials
-    if args.engine:
-        params["engine"] = args.engine
 
     print("[cipher kernels] scalar vs fused PRINCE")
     kernels = bench_cipher_kernels()
@@ -897,17 +782,16 @@ def main(argv=None) -> int:
         f"batch {kernels['fused_batch_blocks_per_sec']:>9.1f} blk/s "
         f"({kernels['batch_speedup_vs_scalar']:.1f}x vs scalar)"
     )
-    print("[batch kernels] numpy column kernels vs scalar loops")
+    print("[batch kernels] numpy translate kernel vs scalar loop")
     batch_kernels = bench_batch_kernels()
     if "skipped" in batch_kernels:
         print(f"  skipped ({batch_kernels['skipped']})")
     else:
-        for name in ("translate", "tag_compare", "victim_select"):
-            k = batch_kernels[name]
-            print(
-                f"  {name:13s} {k['blocks_per_sec']:>12.1f} blk/s batch | "
-                f"{k['scalar_blocks_per_sec']:>11.1f} blk/s scalar"
-            )
+        k = batch_kernels["translate"]
+        print(
+            f"  translate     {k['blocks_per_sec']:>12.1f} blk/s batch | "
+            f"{k['scalar_blocks_per_sec']:>11.1f} blk/s scalar"
+        )
 
     try:
         import numpy
@@ -950,8 +834,6 @@ def main(argv=None) -> int:
         other = dict(FULL if args.quick else QUICK)
         if args.trials:
             other["trials"] = args.trials
-        if args.engine:
-            other["engine"] = args.engine
         print(f"[{other_name}] {other}")
         payload["protocols"][other_name] = {"params": other, "results": run_protocol(other)}
 
