@@ -24,26 +24,20 @@ advances at replay time.  The op stream is independent of the LLC
 design and of how cores interleave, so one build serves every LLC and
 every trial of a bench run.
 
-Streams are cached in two layers mirroring
-:mod:`repro.trace.compiled`: an in-memory memo and an on-disk cache
-(``results/.opstream_cache/`` by default, ``REPRO_OPSTREAM_CACHE`` to
-relocate or disable) keyed by the trace content key x private-level
-geometry x prefetcher parameters x stream offset x
-:data:`OPSTREAM_VERSION`.  Corrupt files degrade to a rebuild.
+:func:`opstream_for` caches streams in :data:`STREAMS`, an
+:class:`~repro.store.ArtifactCache` whose ``.ops`` files share the
+artifact directory with the compiled traces they derive from
+(``REPRO_TRACE_CACHE`` relocates or disables every kind at once).  The
+content key is the trace content key x private-level geometry x
+prefetcher parameters x stream offset x :data:`OPSTREAM_VERSION`.
+Corrupt files degrade to a rebuild.
 """
 
 from __future__ import annotations
 
-import hashlib
-import logging
-import os
-import pathlib
 import struct
-import sys
-import time
-import zlib
 from array import array
-from typing import NamedTuple, Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple
 
 from .. import store
 from ..cache.line import ACC_EVICTED_DIRTY, ACC_HIT
@@ -51,9 +45,7 @@ from ..cache.set_assoc import SetAssociativeCache
 from ..common.config import CacheGeometry
 from ..common.errors import TraceError
 from ..hierarchy.prefetcher import StridePrefetcher
-from ..trace.compiled import CompiledTrace, _DISABLED_VALUES
-
-logger = logging.getLogger(__name__)
+from ..trace.compiled import CompiledTrace
 
 #: LLC-op kinds (byte values in the packed kind column).
 OP_WB = 0
@@ -64,58 +56,6 @@ OP_DEMAND = 2
 #: streams; part of the content key, so stale cache entries become
 #: unreachable.
 OPSTREAM_VERSION = 1
-
-#: Environment override for the on-disk cache: a directory path, or a
-#: disable token (``0 / off / none / false / disabled``).
-OPSTREAM_CACHE_ENV = "REPRO_OPSTREAM_CACHE"
-
-DEFAULT_CACHE_DIR = os.path.join("results", ".opstream_cache")
-
-#: File format: magic, ``<HQQ`` header (key length, access count, op
-#: count), the UTF-8 key, four columns (latency classes, per-access op
-#: counts, op kinds, op addresses little-endian), trailing CRC-32.
-MAGIC = b"MAYAOPS1"
-_HEADER = struct.Struct("<HQQ")
-_CRC = struct.Struct("<I")
-
-#: In-memory memo capacity (streams).  A full bench run touches 8 cores
-#: x a handful of (workload, seed) combinations.
-MEMO_CAPACITY = 32
-
-_memo: "dict[str, OpStream]" = {}
-
-_stats = {
-    "memory_hits": 0,
-    "disk_hits": 0,
-    "builds": 0,
-    "disk_errors": 0,
-    "build_seconds": 0.0,
-    "load_seconds": 0.0,
-}
-
-
-class OpStreamCacheInfo(NamedTuple):
-    """Counters of the two-layer op-stream cache (process-wide)."""
-
-    memory_hits: int
-    disk_hits: int
-    builds: int
-    disk_errors: int
-    build_seconds: float
-    load_seconds: float
-
-
-def opstream_cache_info() -> OpStreamCacheInfo:
-    return OpStreamCacheInfo(**_stats)
-
-
-def reset_opstream_cache_stats() -> None:
-    for name in _stats:
-        _stats[name] = 0.0 if isinstance(_stats[name], float) else 0
-
-
-def clear_memory_cache() -> None:
-    _memo.clear()
 
 
 class OpStream(NamedTuple):
@@ -129,77 +69,6 @@ class OpStream(NamedTuple):
     op_kinds: bytearray
     #: Packed op line addresses (absolute, offset already applied).
     op_addrs: array
-
-    def to_bytes(self, key: str) -> bytes:
-        key_bytes = key.encode("utf-8")
-        if len(key_bytes) > 0xFFFF:
-            raise TraceError(f"cache key too long ({len(key_bytes)} bytes)")
-        payload = b"".join(
-            (
-                _HEADER.pack(len(key_bytes), len(self.lat_class), len(self.op_kinds)),
-                key_bytes,
-                bytes(self.lat_class),
-                bytes(self.op_counts),
-                bytes(self.op_kinds),
-                _addr_bytes(self.op_addrs),
-            )
-        )
-        return MAGIC + payload + _CRC.pack(zlib.crc32(payload) & 0xFFFFFFFF)
-
-    @classmethod
-    def from_bytes(cls, blob: bytes, expected_key: str) -> "OpStream":
-        """Parse a serialized stream; columns are copied out exactly once
-        (``memoryview`` slices — no intermediate ``bytes`` slicing)."""
-        return cls.from_buffer(blob, expected_key)
-
-    @classmethod
-    def from_buffer(
-        cls, buf, expected_key: str, *, copy: bool = True, validate: bool = True
-    ) -> "OpStream":
-        """Parse a serialized stream out of any buffer.
-
-        ``copy=False`` hands back zero-copy ``memoryview`` casts over
-        ``buf`` (the mmap store's path; the views pin the map alive);
-        ``validate=False`` skips the CRC scan for already-validated
-        maps.  Magic, key, and length checks always run.
-        """
-        view = buf if isinstance(buf, memoryview) else memoryview(buf)
-        if view.format != "B":
-            view = view.cast("B")
-        size = view.nbytes
-        if bytes(view[: len(MAGIC)]) != MAGIC:
-            raise TraceError(f"bad magic {bytes(view[:len(MAGIC)])!r}")
-        if size < len(MAGIC) + _HEADER.size + _CRC.size:
-            raise TraceError("truncated header")
-        payload = view[len(MAGIC) : size - _CRC.size]
-        if validate:
-            crc = _CRC.unpack_from(view, size - _CRC.size)[0]
-            if crc != (zlib.crc32(payload) & 0xFFFFFFFF):
-                raise TraceError("CRC mismatch (corrupt cache file)")
-        key_len, n, m = _HEADER.unpack_from(payload)
-        cursor = _HEADER.size
-        key = bytes(payload[cursor : cursor + key_len]).decode("utf-8", errors="replace")
-        if key != expected_key:
-            raise TraceError(f"key mismatch: file has {key!r}")
-        cursor += key_len
-        expected = cursor + n + n + m + m * 8
-        if payload.nbytes != expected:
-            raise TraceError(f"truncated columns: {payload.nbytes} bytes, expected {expected}")
-        lat_view = payload[cursor : cursor + n]
-        cursor += n
-        counts_view = payload[cursor : cursor + n]
-        cursor += n
-        kinds_view = payload[cursor : cursor + m]
-        cursor += m
-        addrs_view = payload[cursor:]
-        if copy or sys.byteorder == "big":
-            return cls(
-                bytearray(lat_view),
-                bytearray(counts_view),
-                bytearray(kinds_view),
-                _addrs_from_bytes(addrs_view),
-            )
-        return cls(lat_view, counts_view, kinds_view, addrs_view.cast("Q"))
 
     def columns_numpy(self):
         """The four columns as zero-copy, non-writeable numpy views.
@@ -224,27 +93,6 @@ class OpStream(NamedTuple):
         return views
 
 
-def _addr_bytes(column) -> bytes:
-    # array('Q') or a typed memoryview from the mmap store (already
-    # little-endian; mmap columns only exist on little-endian hosts).
-    if sys.byteorder == "big":
-        column = array(column.typecode, column)
-        column.byteswap()
-    return column.tobytes()
-
-
-def _addrs_from_bytes(blob) -> array:
-    """Heap column from little-endian bytes (any buffer; one copy)."""
-    column = array("Q")
-    column.frombytes(blob)
-    if sys.byteorder == "big":
-        column.byteswap()
-    return column
-
-
-# -- cache keys and location -----------------------------------------------
-
-
 def opstream_key(
     trace_content_key: str,
     offset: int,
@@ -262,100 +110,21 @@ def opstream_key(
     )
 
 
-def opstream_cache_dir() -> Optional[pathlib.Path]:
-    """On-disk cache directory, or ``None`` when disabled via the env."""
-    raw = os.environ.get(OPSTREAM_CACHE_ENV)
-    if raw is None or not raw.strip():
-        return pathlib.Path(DEFAULT_CACHE_DIR)
-    if raw.strip().lower() in _DISABLED_VALUES:
-        return None
-    return pathlib.Path(raw.strip())
-
-
-def cache_path(directory: Union[str, pathlib.Path], key: str) -> pathlib.Path:
-    digest = hashlib.sha256(key.encode("utf-8")).hexdigest()[:40]
-    return pathlib.Path(directory) / f"{digest}.ops"
-
-
-def _memo_get(key: str) -> Optional[OpStream]:
-    stream = _memo.pop(key, None)
-    if stream is not None:
-        _memo[key] = stream
-    return stream
-
-
-def _memo_put(key: str, stream: OpStream) -> None:
-    _memo.pop(key, None)
-    while len(_memo) >= MEMO_CAPACITY:
-        del _memo[next(iter(_memo))]
-    _memo[key] = stream
-
-
-def _load_from_disk(directory: pathlib.Path, key: str) -> Optional[OpStream]:
-    path = cache_path(directory, key)
-    start = time.perf_counter()
-    if store.mmap_enabled():
-        try:
-            artifact = store.map_artifact(path, key)
-        except FileNotFoundError:
-            return None
-        except OSError as exc:
-            _stats["disk_errors"] += 1
-            logger.warning("opstream cache: cannot read %s (%s); rebuilding", path, exc)
-            return None
-        except ValueError as exc:  # unmappable (empty) file: corrupt
-            return _corrupt(path, key, exc)
-        try:
-            stream = OpStream.from_buffer(
-                artifact.view(), key, copy=False, validate=not artifact.validated
-            )
-            artifact.validated = True
-        except (TraceError, struct.error, ValueError) as exc:
-            return _corrupt(path, key, exc)
-        _stats["load_seconds"] += time.perf_counter() - start
-        return stream
-    try:
-        blob = path.read_bytes()
-    except FileNotFoundError:
-        return None
-    except OSError as exc:
-        _stats["disk_errors"] += 1
-        logger.warning("opstream cache: cannot read %s (%s); rebuilding", path, exc)
-        return None
-    try:
-        stream = OpStream.from_bytes(blob, key)
-    except (TraceError, struct.error, ValueError) as exc:
-        return _corrupt(path, key, exc)
-    _stats["load_seconds"] += time.perf_counter() - start
-    return stream
-
-
-def _corrupt(path: pathlib.Path, key: str, exc: Exception) -> None:
-    """Shared corrupt-file handling: warn, drop any map, unlink, miss."""
-    _stats["disk_errors"] += 1
-    logger.warning("opstream cache: %s is corrupt (%s); rebuilding", path, exc)
-    store.discard(path, key)
-    try:
-        path.unlink()
-    except OSError:
-        pass
-    return None
-
-
-def _store_to_disk(directory: pathlib.Path, key: str, stream: OpStream) -> None:
-    path = cache_path(directory, key)
-    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-        tmp.write_bytes(stream.to_bytes(key))
-        os.replace(tmp, path)
-    except OSError as exc:
-        _stats["disk_errors"] += 1
-        logger.warning("opstream cache: cannot write %s (%s)", path, exc)
-        try:
-            tmp.unlink()
-        except OSError:
-            pass
+#: The op-stream cache.  File format: magic, ``<HQQ`` header (key
+#: length, access count, op count), the UTF-8 key, four columns
+#: (latency classes, per-access op counts, op kinds, op addresses),
+#: CRC-32.  A full bench run touches 8 cores x a handful of (workload,
+#: seed) combinations.
+STREAMS = store.ArtifactCache(
+    "opstream",
+    magic=b"MAYAOPS1",
+    header=struct.Struct("<HQQ"),
+    suffix=".ops",
+    memo_capacity=32,
+    layout=lambda n, m: (("B", n), ("B", n), ("B", m), ("Q", m)),
+    pack=lambda s: ((len(s.lat_class), len(s.op_kinds)), s),
+    unpack=lambda columns: OpStream(*columns),
+)
 
 
 # -- the stage-1 builder ---------------------------------------------------
@@ -486,34 +255,13 @@ def opstream_for(
     l1_geometry: CacheGeometry,
     l2_geometry: CacheGeometry,
     prefetcher: Optional[Tuple[int, int, int]],
-    use_cache: Optional[bool] = None,
+    use_cache: bool = True,
 ) -> OpStream:
-    """Two-layer-cached :func:`build_opstream`.
-
-    ``use_cache=None`` honours :data:`OPSTREAM_CACHE_ENV`; ``False``
-    bypasses both layers; ``True`` forces the memo even when the disk
-    cache is disabled (mirrors ``compile_workload``'s contract).
-    """
-    directory = opstream_cache_dir()
-    enabled = (directory is not None) if use_cache is None else bool(use_cache)
+    """:func:`build_opstream`, cached in :data:`STREAMS`;
+    ``use_cache=False`` bypasses both cache layers."""
     key = opstream_key(trace_content_key, offset, l1_geometry, l2_geometry, prefetcher)
-    if enabled:
-        stream = _memo_get(key)
-        if stream is not None:
-            _stats["memory_hits"] += 1
-            return stream
-        if directory is not None:
-            stream = _load_from_disk(directory, key)
-            if stream is not None:
-                _stats["disk_hits"] += 1
-                _memo_put(key, stream)
-                return stream
-    start = time.perf_counter()
-    stream = build_opstream(trace, offset, l1_geometry, l2_geometry, prefetcher)
-    _stats["builds"] += 1
-    _stats["build_seconds"] += time.perf_counter() - start
-    if enabled:
-        if directory is not None:
-            _store_to_disk(directory, key, stream)
-        _memo_put(key, stream)
-    return stream
+    return STREAMS.get(
+        key,
+        lambda: build_opstream(trace, offset, l1_geometry, l2_geometry, prefetcher),
+        use_cache,
+    )

@@ -28,12 +28,11 @@ promotion, priority-1 install) delegate to the bound generic methods,
 so behaviour is bit-identical by construction; the ``specialize``
 differential suite enforces it across the design zoo.
 
-Generated source is cached content-keyed by config fingerprint + code
-version, the same idiom as the trace/translated/opstream caches: an
-in-process code-object cache (resident service workers compile once per
-warm pool) over an on-disk source cache
-(``results/.specialize_cache/``, override with
-:data:`SPECIALIZE_CACHE_ENV`).
+Compiled code objects are cached in-process, keyed by config
+fingerprint + code version, so a resident service worker compiles each
+configuration once per warm pool.  Nothing is cached on disk: the
+source renders in tens of microseconds and ``compile()`` would run on
+every process start either way.
 
 Selection precedence mirrors the engine/mmap switches: the
 ``run_mix(specialize=...)`` / CLI ``--specialize`` argument, then the
@@ -53,14 +52,8 @@ from ..common.errors import SetAssociativeEviction, SimulationError
 #: Environment variable consulted when no explicit choice is passed.
 SPECIALIZE_ENV = "REPRO_SPECIALIZE"
 
-#: On-disk generated-source cache directory override ("0" disables).
-SPECIALIZE_CACHE_ENV = "REPRO_SPECIALIZE_CACHE"
-
-#: Bumped whenever a template changes; part of every cache key, so a
-#: stale on-disk source can never be loaded against newer templates.
+#: Bumped whenever a template changes; part of every cache key.
 CODEGEN_VERSION = 1
-
-_DEFAULT_CACHE_DIR = os.path.join("results", ".specialize_cache")
 
 _FALSEY = ("0", "false", "off", "no")
 
@@ -81,58 +74,33 @@ def resolve_specialize(specialize: Optional[bool] = None) -> bool:
 
 
 class SpecializeCacheInfo(NamedTuple):
-    """Counters for the generated-source cache (``cache_snapshot`` row)."""
+    """Counters for the in-process code cache (``cache_snapshot`` row)."""
 
     memory_hits: int
-    disk_hits: int
     compiles: int
     size: int
 
 
 _code_cache: dict = {}
 _memory_hits = 0
-_disk_hits = 0
 _compiles = 0
 
 
 def specialize_cache_info() -> SpecializeCacheInfo:
-    """Hit/compile counters of the in-process + on-disk source cache."""
+    """Hit/compile counters of the in-process code cache."""
     return SpecializeCacheInfo(
-        memory_hits=_memory_hits,
-        disk_hits=_disk_hits,
-        compiles=_compiles,
-        size=len(_code_cache),
+        memory_hits=_memory_hits, compiles=_compiles, size=len(_code_cache)
     )
 
 
-def clear_code_cache() -> None:
-    """Drop the in-process code cache and zero the counters (tests)."""
-    global _memory_hits, _disk_hits, _compiles
-    _code_cache.clear()
-    _memory_hits = 0
-    _disk_hits = 0
-    _compiles = 0
-
-
-def _cache_dir() -> Optional[str]:
-    raw = os.environ.get(SPECIALIZE_CACHE_ENV)
-    if raw is None:
-        return _DEFAULT_CACHE_DIR
-    raw = raw.strip()
-    if raw.lower() in _FALSEY or not raw:
-        return None
-    return raw
-
-
 def _compiled_template(kind: str, fingerprint: tuple, build_source):
-    """Code object for (kind, fingerprint), via memory -> disk -> codegen.
+    """Code object for (kind, fingerprint), compiled once per process.
 
     The key hashes the config fingerprint together with
-    :data:`CODEGEN_VERSION`; identical configurations across runs (and
-    across the resident service's warm workers, via the disk layer)
-    reuse one compile.
+    :data:`CODEGEN_VERSION`; identical configurations within a process
+    (a resident service worker's every job) reuse one compile.
     """
-    global _memory_hits, _disk_hits, _compiles
+    global _memory_hits, _compiles
     key = hashlib.sha256(
         repr((CODEGEN_VERSION, kind, fingerprint)).encode()
     ).hexdigest()
@@ -140,28 +108,7 @@ def _compiled_template(kind: str, fingerprint: tuple, build_source):
     if code is not None:
         _memory_hits += 1
         return code
-    source = None
-    directory = _cache_dir()
-    path = os.path.join(directory, f"{kind}-{key[:16]}.py") if directory else None
-    if path is not None and os.path.exists(path):
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                source = fh.read()
-            _disk_hits += 1
-        except OSError:
-            source = None
-    if source is None:
-        source = build_source()
-        if path is not None:
-            try:
-                os.makedirs(directory, exist_ok=True)
-                tmp = f"{path}.tmp.{os.getpid()}"
-                with open(tmp, "w", encoding="utf-8") as fh:
-                    fh.write(source)
-                os.replace(tmp, path)
-            except OSError:
-                pass  # cache is best-effort; codegen already succeeded
-    code = compile(source, f"<specialized:{kind}:{key[:12]}>", "exec")
+    code = compile(build_source(), f"<specialized:{kind}:{key[:12]}>", "exec")
     _compiles += 1
     _code_cache[key] = code
     return code

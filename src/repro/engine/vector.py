@@ -415,7 +415,7 @@ def create_vector_replay(
     instructions: List[int],
     model_bandwidth: bool,
     enable_prefetch: bool,
-    trace_cache: Optional[bool],
+    trace_cache: bool,
 ) -> Tuple[Optional[VectorReplay], str]:
     """Build a :class:`VectorReplay`, or explain why it cannot run.
 

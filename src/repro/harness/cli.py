@@ -22,9 +22,11 @@ serial run.  ``--json PATH`` writes a machine-readable summary with
 per-experiment wall-clock timings.  ``--memo-capacity N`` sizes the
 randomized designs' LRU mapping cache (exported as the
 ``REPRO_MEMO_CAPACITY`` environment variable so worker processes and
-nested tooling inherit it).  ``--no-trace-cache`` disables the on-disk
-compiled-trace cache (``REPRO_TRACE_CACHE=0``), forcing every stream
-to be recompiled in-process.  ``--specialize 0`` swaps the generated
+nested tooling inherit it).  ``--no-trace-cache`` disables the
+artifact cache (``REPRO_TRACE_CACHE=0``): compiled traces, translated
+index columns and op streams are rebuilt in-process for every run, and
+nothing is read from or written to ``results/.trace_cache``.
+``--specialize 0`` swaps the generated
 step functions and the op-stream replay for the generic per-access
 drive (exported as ``REPRO_SPECIALIZE``); results are bit-identical.
 ``--service ADDR`` (or the ``REPRO_SERVICE`` environment variable)
@@ -49,7 +51,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from . import runner
 from ..engine.specialize import SPECIALIZE_ENV
 from ..service import SERVICE_ENV, resolve_address
-from ..trace.compiled import TRACE_CACHE_ENV
+from ..store import CACHE_ENV
 from .presets import MEMO_CAPACITY_ENV
 
 #: Experiment registry: name -> (description, module basename under
@@ -298,9 +300,10 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--no-trace-cache", action="store_true",
-        help="disable the on-disk compiled-trace cache (exported as "
-        "%s=0 so --jobs workers inherit it; streams are recompiled "
-        "in-process instead of loaded from results/.trace_cache)" % TRACE_CACHE_ENV,
+        help="disable the artifact cache (exported as %s=0 so --jobs "
+        "workers inherit it): compiled traces, translated index columns "
+        "and op streams are rebuilt in-process for every run, and nothing "
+        "is read from or written to results/.trace_cache" % CACHE_ENV,
     )
     parser.add_argument(
         "--specialize", choices=("0", "1"), default=None,
@@ -326,7 +329,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.no_trace_cache:
-        os.environ[TRACE_CACHE_ENV] = "0"
+        os.environ[CACHE_ENV] = "0"
 
     if args.specialize is not None:
         os.environ[SPECIALIZE_ENV] = args.specialize

@@ -192,7 +192,7 @@ def run_mix(
     enable_prefetch: bool = True,
     model_bandwidth: bool = False,
     compiled: Optional[bool] = None,
-    trace_cache: Optional[bool] = None,
+    trace_cache: bool = True,
     pretranslate: Optional[bool] = None,
     translate_jobs: Optional[int] = None,
     specialize: Optional[bool] = None,
@@ -208,10 +208,10 @@ def run_mix(
     ``compiled`` selects the drive loop: ``None``/``True`` (default)
     replays compiled packed traces; ``False`` forces the original
     generator path (the differential oracle).  Both produce
-    bit-identical results.  ``trace_cache`` is forwarded to
-    :func:`repro.trace.compiled.compile_workload` (``None`` honours the
-    ``REPRO_TRACE_CACHE`` environment variable; ``False`` recompiles
-    every call).
+    bit-identical results.  ``trace_cache=False`` bypasses the artifact
+    caches (:class:`repro.store.ArtifactCache`: compiled traces,
+    translated index columns, op streams), rebuilding every artifact
+    this call needs; so does ``REPRO_TRACE_CACHE=0``.
 
     ``pretranslate`` (compiled path only) is the ahead-of-time index
     translation pipeline: every distinct line each compiled trace can
@@ -227,8 +227,7 @@ def run_mix(
     (e.g. an SAE-triggered remap) the side table is dropped with the
     old keys and lookups fall back to the live randomizer.
     ``translate_jobs`` caps the translation process pool (``1`` forces
-    serial).  ``trace_cache=False`` also bypasses the translated-index
-    cache.
+    serial).
 
     ``specialize`` selects the config-specialized step functions
     (:mod:`repro.engine.specialize`): ``None`` honours

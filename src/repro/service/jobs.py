@@ -17,10 +17,11 @@ twice - is deterministic by construction: retry == first run,
 byte for byte.
 
 This module also owns the cache-warm accounting helpers: a
-:func:`cache_snapshot` of the three process-wide resident caches
-(compiled traces, translated index columns, op streams) and the
-delta/total arithmetic the pool uses to report per-worker warm cost
-and resident-set reuse.
+:func:`cache_snapshot` of the process-wide artifact caches (compiled
+traces, translated index columns, op streams - one
+:class:`repro.store.ArtifactCache` each), the codegen cache and the
+mmap store, and the delta/total arithmetic the pool uses to report
+per-worker warm cost and resident-set reuse.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..harness import runner
 from ..harness.runner import ExperimentTask, TaskResult
 
-#: The three resident caches a worker warms once and reuses per job,
+#: The three artifact caches a worker warms once and reuses per job,
 #: plus the mmap artifact store underneath them ("store" counts maps
 #: and map reuse rather than hits/misses).
 CACHE_LAYERS = ("trace", "translated", "opstream", "store")
@@ -39,16 +40,18 @@ CACHE_LAYERS = ("trace", "translated", "opstream", "store")
 
 def cache_snapshot() -> Dict[str, Dict[str, float]]:
     """Counters of the process-wide caches and store, as plain dicts."""
-    from ..engine.opstream import opstream_cache_info
+    from ..engine.opstream import STREAMS
     from ..engine.specialize import specialize_cache_info
     from ..store import store_cache_info
-    from ..trace.compiled import trace_cache_info
-    from ..trace.translated import translated_cache_info
+    from ..trace.compiled import TRACES
+    from ..trace.translated import TRANSLATIONS
 
+    trace = dict(TRACES.info()._asdict())
+    trace["compiles"] = trace["builds"]  # the name bench/worker.py reads
     return {
-        "trace": dict(trace_cache_info()._asdict()),
-        "translated": dict(translated_cache_info()._asdict()),
-        "opstream": dict(opstream_cache_info()._asdict()),
+        "trace": trace,
+        "translated": dict(TRANSLATIONS.info()._asdict()),
+        "opstream": dict(STREAMS.info()._asdict()),
         "specialize": dict(specialize_cache_info()._asdict()),
         "store": dict(store_cache_info()._asdict()),
     }

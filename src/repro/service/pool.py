@@ -327,7 +327,7 @@ class WorkerPool:
                         "boot": dict(w.boot),
                         "caches": {k: dict(v) for k, v in w.caches.items()},
                         "resident_memory_hits": resident_hits,
-                        "warm_compiles": trace.get("compiles", 0),
+                        "warm_compiles": trace.get("builds", 0),
                         "memory": memory,
                         "peak_rss_kb": memory.get("peak_rss_kb", 0),
                         "mapped_bytes": memory.get("mapped_bytes", 0),

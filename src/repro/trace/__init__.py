@@ -2,20 +2,14 @@
 
 from .compiled import (
     GENERATOR_VERSION,
-    TRACE_CACHE_ENV,
     CompiledTrace,
     compile_workload,
-    trace_cache_dir,
-    trace_cache_info,
     trace_key,
 )
 from .io import materialize, read_trace, write_trace
 from .translated import (
-    TRANSLATED_CACHE_ENV,
     TranslatedTrace,
     translate_trace,
-    translated_cache_dir,
-    translated_cache_info,
     translated_key,
 )
 from .mixes import HETEROGENEOUS_MIXES, Mix, homogeneous, mixes_in_bin
@@ -35,8 +29,6 @@ __all__ = [
     "HETEROGENEOUS_MIXES",
     "LLC_FITTING",
     "SPEC_MEMORY_INTENSIVE",
-    "TRACE_CACHE_ENV",
-    "TRANSLATED_CACHE_ENV",
     "WORKLOADS",
     "CompiledTrace",
     "MemoryAccess",
@@ -51,12 +43,8 @@ __all__ = [
     "read_trace",
     "rebase",
     "take",
-    "trace_cache_dir",
-    "trace_cache_info",
     "trace_key",
     "translate_trace",
-    "translated_cache_dir",
-    "translated_cache_info",
     "translated_key",
     "write_trace",
 ]

@@ -5,34 +5,25 @@ import os
 import pytest
 
 from repro.common.config import CacheGeometry, MayaConfig, MirageConfig, SystemConfig
-from repro.engine.opstream import OPSTREAM_CACHE_ENV
-from repro.engine.specialize import SPECIALIZE_CACHE_ENV
-from repro.trace.compiled import TRACE_CACHE_ENV
+from repro.store import CACHE_ENV
 
 
 @pytest.fixture(autouse=True, scope="session")
-def _isolated_trace_cache(tmp_path_factory):
-    """Point the on-disk artifact caches at temp dirs for the run.
+def _isolated_artifact_cache(tmp_path_factory):
+    """Point the artifact cache at a temp dir for the run.
 
     Keeps test runs from writing into the repository's
-    ``results/.trace_cache/``, ``results/.opstream_cache/``, and
-    ``results/.specialize_cache/`` (and from *reading* stale entries
-    out of them).  Individual tests that need a private directory or a
-    disabled cache override the variable with ``monkeypatch.setenv``.
+    ``results/.trace_cache/`` (and from *reading* stale entries out of
+    it).  Individual tests that need a private directory or a disabled
+    cache override the variable with ``monkeypatch.setenv``.
     """
-    originals = {
-        env: os.environ.get(env)
-        for env in (TRACE_CACHE_ENV, OPSTREAM_CACHE_ENV, SPECIALIZE_CACHE_ENV)
-    }
-    os.environ[TRACE_CACHE_ENV] = str(tmp_path_factory.mktemp("trace_cache"))
-    os.environ[OPSTREAM_CACHE_ENV] = str(tmp_path_factory.mktemp("opstream_cache"))
-    os.environ[SPECIALIZE_CACHE_ENV] = str(tmp_path_factory.mktemp("specialize_cache"))
+    original = os.environ.get(CACHE_ENV)
+    os.environ[CACHE_ENV] = str(tmp_path_factory.mktemp("artifact_cache"))
     yield
-    for env, original in originals.items():
-        if original is None:
-            os.environ.pop(env, None)
-        else:
-            os.environ[env] = original
+    if original is None:
+        os.environ.pop(CACHE_ENV, None)
+    else:
+        os.environ[CACHE_ENV] = original
 
 
 @pytest.fixture

@@ -198,4 +198,4 @@ class TestCacheAccountingHelpers:
         delta = cache_delta(before, after)
         assert delta["trace"]["memory_hits"] == 3
         assert delta["opstream"]["build_seconds"] == pytest.approx(0.5)
-        assert delta["translated"]["translations"] == 0
+        assert delta["translated"]["builds"] == 0

@@ -30,7 +30,7 @@ from repro.core.maya_cache import MayaCache
 from repro.engine import opstream
 from repro.hierarchy.simulator import run_mix
 from repro.trace import compiled, translated
-from repro.trace.compiled import CompiledTrace, compile_workload
+from repro.trace.compiled import TRACES, CompiledTrace, compile_workload
 from repro.trace.mixes import homogeneous
 from repro.trace.record import MemoryAccess
 
@@ -47,31 +47,27 @@ def clean_store():
     store.reset_store_stats()
 
 
+CACHES = (compiled.TRACES, translated.TRANSLATIONS, opstream.STREAMS)
+
+
 @pytest.fixture()
 def cache_dirs(tmp_path, monkeypatch):
-    """Private trace + opstream disk caches, clean memos and counters.
+    """A private artifact directory, clean memos and counters.
 
-    The translated cache follows the trace cache's directory, so all
-    three artifact kinds land under ``tmp_path``.  The store is pinned
-    ON so these tests stay meaningful when the whole suite runs under
-    ``REPRO_MMAP=0`` (CI's heap-oracle pass); tests that want the heap
-    path set the variable to ``0`` themselves.
+    All three artifact kinds land under ``tmp_path``.  The store is
+    pinned ON so these tests stay meaningful when the whole suite runs
+    under ``REPRO_MMAP=0`` (CI's heap-oracle pass); tests that want the
+    heap path set the variable to ``0`` themselves.
     """
     monkeypatch.setenv(store.MMAP_ENV, "1")
-    monkeypatch.setenv(compiled.TRACE_CACHE_ENV, str(tmp_path / "tc"))
-    monkeypatch.setenv(opstream.OPSTREAM_CACHE_ENV, str(tmp_path / "ops"))
-    monkeypatch.delenv(translated.TRANSLATED_CACHE_ENV, raising=False)
-    for module in (compiled, translated, opstream):
-        module.clear_memory_cache()
-    compiled.reset_trace_cache_stats()
-    translated.reset_translated_cache_stats()
-    opstream.reset_opstream_cache_stats()
+    monkeypatch.setenv(store.CACHE_ENV, str(tmp_path))
+    for cache in CACHES:
+        cache.clear_memory()
+        cache.reset_stats()
     yield tmp_path
-    for module in (compiled, translated, opstream):
-        module.clear_memory_cache()
-    compiled.reset_trace_cache_stats()
-    translated.reset_translated_cache_stats()
-    opstream.reset_opstream_cache_stats()
+    for cache in CACHES:
+        cache.clear_memory()
+        cache.reset_stats()
 
 
 def write_artifact(path, key, lines=40, stride=5):
@@ -79,7 +75,7 @@ def write_artifact(path, key, lines=40, stride=5):
     trace = CompiledTrace.from_records(
         [MemoryAccess(a * stride, a % 3 == 0) for a in range(lines)]
     )
-    path.write_bytes(trace.to_bytes(key))
+    path.write_bytes(TRACES.encode(key, trace))
     return trace
 
 
@@ -210,14 +206,14 @@ class TestZeroCopyLoads:
 
     def test_disk_load_hands_out_mapped_views(self, cache_dirs):
         compile_workload(**self.KW)
-        compiled.clear_memory_cache()
+        TRACES.clear_memory()
         loaded = compile_workload(**self.KW)
         assert isinstance(loaded.line_addrs, memoryview)
         assert isinstance(loaded.write_flags, memoryview)
         assert isinstance(loaded.gaps, memoryview)
         assert store.store_cache_info().maps == 1
         # A second fresh load reuses the map and skips the CRC rescan.
-        compiled.clear_memory_cache()
+        TRACES.clear_memory()
         again = compile_workload(**self.KW)
         assert again == loaded
         info = store.store_cache_info()
@@ -226,7 +222,7 @@ class TestZeroCopyLoads:
     def test_heap_mode_never_maps(self, cache_dirs, monkeypatch):
         monkeypatch.setenv(store.MMAP_ENV, "0")
         compile_workload(**self.KW)
-        compiled.clear_memory_cache()
+        TRACES.clear_memory()
         loaded = compile_workload(**self.KW)
         assert isinstance(loaded.line_addrs, array)
         assert isinstance(loaded.write_flags, bytearray)
@@ -234,10 +230,10 @@ class TestZeroCopyLoads:
 
     def test_mapped_and_heap_loads_are_equal(self, cache_dirs, monkeypatch):
         compile_workload(**self.KW)
-        compiled.clear_memory_cache()
+        TRACES.clear_memory()
         mapped = compile_workload(**self.KW)
         monkeypatch.setenv(store.MMAP_ENV, "0")
-        compiled.clear_memory_cache()
+        TRACES.clear_memory()
         heap = compile_workload(**self.KW)
         assert mapped == heap
         assert list(mapped.records()) == list(heap.records())
@@ -254,7 +250,7 @@ class TestNonWriteableColumns:
 
     def test_trace_views(self, cache_dirs):
         built = compile_workload("mcf", 512, 100, seed=32)
-        compiled.clear_memory_cache()
+        TRACES.clear_memory()
         mapped = compile_workload("mcf", 512, 100, seed=32)
         for trace in (built, mapped):
             self._assert_readonly(trace.columns_numpy())
@@ -265,7 +261,7 @@ class TestNonWriteableColumns:
         rand = IndexRandomizer(2, 512, seed=7, algorithm="splitmix")
         trace = compile_workload("mcf", 512, 80, seed=33)
         built = translated.translate_trace(rand, trace)
-        translated.clear_memory_cache()
+        translated.TRANSLATIONS.clear_memory()
         mapped = translated.translate_trace(rand, trace)
         for t in (built, mapped):
             addrs, columns = t.columns_numpy()
@@ -280,7 +276,7 @@ class TestNonWriteableColumns:
             prefetcher=(2, 2, 3),
         )
         built = opstream.opstream_for(trace, "store-test-key", **kwargs)
-        opstream.clear_memory_cache()
+        opstream.STREAMS.clear_memory()
         mapped = opstream.opstream_for(trace, "store-test-key", **kwargs)
         assert isinstance(mapped.op_addrs, memoryview)  # really a disk hit
         for stream in (built, mapped):
@@ -299,8 +295,8 @@ class TestRunMixParity:
         return llc, result
 
     def _clear_memos(self):
-        for module in (compiled, translated, opstream):
-            module.clear_memory_cache()
+        for cache in CACHES:
+            cache.clear_memory()
 
     def test_mmap_and_heap_runs_bit_identical(
         self, cache_dirs, tiny_system, small_maya, monkeypatch

@@ -1,10 +1,12 @@
-"""The two-layer compiled-trace cache: keys, disk format, fallbacks.
+"""The compiled-trace kind of the artifact cache: keys, format, fallbacks.
 
 The cache is a pure performance layer: every trace it serves must be
 element-wise identical to what the synthetic generators produce, any
 on-disk corruption must degrade to a regenerate (never a crash or a
 wrong trace), and the content key must change whenever any input that
-shapes the stream changes.
+shapes the stream changes.  ``tests/test_artifact_cache.py`` runs the
+cache mechanics for every artifact kind; these tests drive the trace
+kind through :func:`compile_workload`.
 """
 
 import itertools
@@ -12,16 +14,10 @@ import logging
 
 import pytest
 
+from repro import store
 from repro.common.errors import TraceError
 from repro.trace import compiled
-from repro.trace.compiled import (
-    CompiledTrace,
-    cache_path,
-    compile_workload,
-    trace_cache_dir,
-    trace_cache_info,
-    trace_key,
-)
+from repro.trace.compiled import TRACES, CompiledTrace, compile_workload, trace_key
 from repro.trace.record import MemoryAccess
 from repro.trace.workloads import get_workload
 
@@ -30,12 +26,12 @@ from repro.trace.workloads import get_workload
 def cache_dir(tmp_path, monkeypatch):
     """A private on-disk cache + clean counters/memo for one test."""
     directory = tmp_path / "tc"
-    monkeypatch.setenv(compiled.TRACE_CACHE_ENV, str(directory))
-    compiled.clear_memory_cache()
-    compiled.reset_trace_cache_stats()
+    monkeypatch.setenv(store.CACHE_ENV, str(directory))
+    TRACES.clear_memory()
+    TRACES.reset_stats()
     yield directory
-    compiled.clear_memory_cache()
-    compiled.reset_trace_cache_stats()
+    TRACES.clear_memory()
+    TRACES.reset_stats()
 
 
 def generated_records(workload, llc_lines, length, seed):
@@ -87,77 +83,77 @@ class TestCompiledTrace:
 
     def test_roundtrip_and_key_check(self):
         trace = CompiledTrace.from_records(generated_records("mcf", 256, 64, seed=1))
-        blob = trace.to_bytes("some-key")
-        assert CompiledTrace.from_bytes(blob, "some-key") == trace
+        blob = TRACES.encode("some-key", trace)
+        assert TRACES.decode(blob, "some-key", copy=True, validate=True) == trace
         with pytest.raises(TraceError, match="key mismatch"):
-            CompiledTrace.from_bytes(blob, "other-key")
+            TRACES.decode(blob, "other-key", copy=True, validate=True)
 
 
 class TestCacheLayers:
     def test_memory_then_disk_hits(self, cache_dir):
         kwargs = dict(workload="mcf", llc_lines=512, length=200, seed=4)
         first = compile_workload(**kwargs)
-        assert trace_cache_info().compiles == 1
-        assert cache_path(cache_dir, trace_key("mcf", 512, 4, 200)).exists()
+        assert TRACES.info().builds == 1
+        assert TRACES.path(cache_dir, trace_key("mcf", 512, 4, 200)).exists()
 
         assert compile_workload(**kwargs) == first
-        assert trace_cache_info().memory_hits == 1
+        assert TRACES.info().memory_hits == 1
 
-        compiled.clear_memory_cache()  # simulate a fresh process
+        TRACES.clear_memory()  # simulate a fresh process
         assert compile_workload(**kwargs) == first
-        info = trace_cache_info()
-        assert (info.disk_hits, info.compiles) == (1, 1)
+        info = TRACES.info()
+        assert (info.disk_hits, info.builds) == (1, 1)
         assert info.hit_rate == pytest.approx(2 / 3)
 
     def test_corrupt_file_regenerates_with_warning(self, cache_dir, caplog):
         kwargs = dict(workload="mcf", llc_lines=512, length=150, seed=2)
         first = compile_workload(**kwargs)
-        path = cache_path(cache_dir, trace_key("mcf", 512, 2, 150))
+        path = TRACES.path(cache_dir, trace_key("mcf", 512, 2, 150))
         path.write_bytes(b"garbage not a trace at all")
-        compiled.clear_memory_cache()
-        with caplog.at_level(logging.WARNING, logger="repro.trace.compiled"):
+        TRACES.clear_memory()
+        with caplog.at_level(logging.WARNING, logger="repro.store"):
             again = compile_workload(**kwargs)
         assert again == first
-        assert trace_cache_info().disk_errors == 1
+        assert TRACES.info().disk_errors == 1
         assert any("corrupt" in r.message for r in caplog.records)
         # The bad file was deleted and replaced by the regenerated one.
-        assert CompiledTrace.from_bytes(
-            path.read_bytes(), trace_key("mcf", 512, 2, 150)
+        assert TRACES.decode(
+            path.read_bytes(), trace_key("mcf", 512, 2, 150), copy=True, validate=True
         ) == first
 
     def test_truncated_file_regenerates(self, cache_dir, caplog):
         kwargs = dict(workload="lbm", llc_lines=256, length=120, seed=3)
         first = compile_workload(**kwargs)
-        path = cache_path(cache_dir, trace_key("lbm", 256, 3, 120))
+        path = TRACES.path(cache_dir, trace_key("lbm", 256, 3, 120))
         path.write_bytes(path.read_bytes()[:-25])  # chop columns + CRC
-        compiled.clear_memory_cache()
-        with caplog.at_level(logging.WARNING, logger="repro.trace.compiled"):
+        TRACES.clear_memory()
+        with caplog.at_level(logging.WARNING, logger="repro.store"):
             assert compile_workload(**kwargs) == first
-        assert trace_cache_info().disk_errors == 1
+        assert TRACES.info().disk_errors == 1
 
     def test_use_cache_false_bypasses_both_layers(self, cache_dir):
         kwargs = dict(workload="mcf", llc_lines=512, length=100, seed=5)
         a = compile_workload(use_cache=False, **kwargs)
         b = compile_workload(use_cache=False, **kwargs)
         assert a == b
-        assert trace_cache_info().compiles == 2
+        assert TRACES.info().builds == 2
         assert not cache_dir.exists()  # nothing was ever written
 
     def test_env_disable_skips_disk(self, tmp_path, monkeypatch):
         for token in ("0", "off", "NONE"):
-            monkeypatch.setenv(compiled.TRACE_CACHE_ENV, token)
-            assert trace_cache_dir() is None
-        compiled.clear_memory_cache()
-        compiled.reset_trace_cache_stats()
+            monkeypatch.setenv(store.CACHE_ENV, token)
+            assert store.cache_dir() is None
+        TRACES.clear_memory()
+        TRACES.reset_stats()
         compile_workload("mcf", 512, 80, seed=6)
         compile_workload("mcf", 512, 80, seed=6)
-        assert trace_cache_info().compiles == 2  # no layer was consulted
+        assert TRACES.info().builds == 2  # no layer was consulted
 
     def test_env_path_relocates_disk(self, tmp_path, monkeypatch):
         target = tmp_path / "elsewhere"
-        monkeypatch.setenv(compiled.TRACE_CACHE_ENV, str(target))
-        assert trace_cache_dir() == target
-        compiled.clear_memory_cache()
+        monkeypatch.setenv(store.CACHE_ENV, str(target))
+        assert store.cache_dir() == target
+        TRACES.clear_memory()
         compile_workload("mcf", 512, 90, seed=8)
         assert len(list(target.glob("*.ctrace"))) == 1
 
@@ -178,33 +174,31 @@ class TestMmapStore:
         # cache file: the old inode stays mapped.
         import os
 
-        from repro import store
-
         monkeypatch.setenv(store.MMAP_ENV, "1")
         kwargs = dict(workload="mcf", llc_lines=512, length=150, seed=21)
         key = trace_key("mcf", 512, 21, 150)
         first = compile_workload(**kwargs)
-        compiled.clear_memory_cache()
+        TRACES.clear_memory()
         mapped = compile_workload(**kwargs)  # disk hit: mmap-backed columns
-        assert trace_cache_info().disk_hits == 1
-        path = cache_path(cache_dir, key)
+        assert TRACES.info().disk_hits == 1
+        path = TRACES.path(cache_dir, key)
         other = CompiledTrace.from_records(
             generated_records("lbm", 512, 150, seed=3)
         )
         tmp = path.with_name(path.name + ".race")
-        tmp.write_bytes(other.to_bytes(key))
+        tmp.write_bytes(TRACES.encode(key, other))
         os.replace(tmp, path)
         # The reader that mapped before the replace still sees its data...
         assert mapped == first
         # ...while a fresh load detects the new inode and serves it.
-        compiled.clear_memory_cache()
+        TRACES.clear_memory()
         again = compile_workload(**kwargs)
         assert again == other
         assert again != first
         # The stale reader keeps its view; nothing crashed, and both
         # loads were disk hits (no regenerate in between).
         assert mapped == first
-        assert trace_cache_info().disk_hits == 2
+        assert TRACES.info().disk_hits == 2
 
     @pytest.mark.parametrize("mmap_mode", ["1", "0"])
     def test_corruption_handled_identically(
@@ -212,33 +206,29 @@ class TestMmapStore:
     ):
         # Truncated/garbage files must warn-and-regenerate the same way
         # whether the loader maps or heap-reads (REPRO_MMAP oracle).
-        from repro import store
-
         monkeypatch.setenv(store.MMAP_ENV, mmap_mode)
         kwargs = dict(workload="mcf", llc_lines=512, length=130, seed=22)
         first = compile_workload(**kwargs)
-        path = cache_path(cache_dir, trace_key("mcf", 512, 22, 130))
+        path = TRACES.path(cache_dir, trace_key("mcf", 512, 22, 130))
         for junk in (b"\x00" * 16, path.read_bytes()[:-20], b""):
             path.write_bytes(junk)
-            compiled.clear_memory_cache()
-            errors_before = trace_cache_info().disk_errors
-            with caplog.at_level(logging.WARNING, logger="repro.trace.compiled"):
+            TRACES.clear_memory()
+            errors_before = TRACES.info().disk_errors
+            with caplog.at_level(logging.WARNING, logger="repro.store"):
                 assert compile_workload(**kwargs) == first
-            assert trace_cache_info().disk_errors == errors_before + 1
+            assert TRACES.info().disk_errors == errors_before + 1
         assert any("corrupt" in r.message for r in caplog.records)
         # The regenerated file is served cleanly again.
-        compiled.clear_memory_cache()
+        TRACES.clear_memory()
         assert compile_workload(**kwargs) == first
 
     def test_heap_fallback_loads_plain_columns(self, cache_dir, monkeypatch):
         from array import array
 
-        from repro import store
-
         monkeypatch.setenv(store.MMAP_ENV, "0")
         kwargs = dict(workload="mcf", llc_lines=512, length=90, seed=23)
         compile_workload(**kwargs)
-        compiled.clear_memory_cache()
+        TRACES.clear_memory()
         loaded = compile_workload(**kwargs)
         assert isinstance(loaded.line_addrs, array)
         assert isinstance(loaded.write_flags, bytearray)
@@ -263,8 +253,8 @@ class TestKeySensitivity:
         assert new_key != old_key
         # A trace cached under the old version is not served for the new.
         compile_workload("mcf", 512, 100, seed=7)
-        assert cache_path(cache_dir, new_key).exists()
-        assert not cache_path(cache_dir, old_key).exists()
+        assert TRACES.path(cache_dir, new_key).exists()
+        assert not TRACES.path(cache_dir, old_key).exists()
 
     def test_distinct_keys_get_distinct_files(self, cache_dir):
         compile_workload("mcf", 512, 100, seed=1)
@@ -276,9 +266,9 @@ class TestCliFlag:
     def test_no_trace_cache_exports_env(self, monkeypatch, capsys):
         from repro.harness import cli
 
-        monkeypatch.setenv(compiled.TRACE_CACHE_ENV, "somewhere")
+        monkeypatch.setenv(store.CACHE_ENV, "somewhere")
         assert cli.main(["list", "--no-trace-cache"]) == 0
         import os
 
-        assert os.environ[compiled.TRACE_CACHE_ENV] == "0"
-        assert trace_cache_dir() is None
+        assert os.environ[store.CACHE_ENV] == "0"
+        assert store.cache_dir() is None

@@ -1,4 +1,4 @@
-"""The two-layer translated-index cache: keys, disk format, fallbacks.
+"""The translated-index kind of the artifact cache: keys, format, fallbacks.
 
 Ahead-of-time index translation is a pure performance layer: every
 column it serves must equal what ``IndexRandomizer.compute_indices``
@@ -6,7 +6,9 @@ returns live, corruption must degrade to a retranslate (never a crash
 or a wrong index), the content key must change with every input that
 shapes the mapping (keys/seed, algorithm, skews, index width, SDID,
 address set), and a ``rekey()`` must make both the in-randomizer side
-table and any cached file unreachable.
+table and any cached file unreachable.  ``tests/test_artifact_cache.py``
+runs the cache mechanics for every artifact kind; these tests drive
+the translated kind through :func:`translate_trace`.
 """
 
 import logging
@@ -14,17 +16,15 @@ from array import array
 
 import pytest
 
+from repro import store
 from repro.common.errors import TraceError
 from repro.crypto.randomizer import IndexRandomizer
-from repro.trace import compiled, translated
 from repro.trace.compiled import CompiledTrace
 from repro.trace.record import MemoryAccess
 from repro.trace.translated import (
+    TRANSLATIONS,
     TranslatedTrace,
-    cache_path,
     translate_trace,
-    translated_cache_dir,
-    translated_cache_info,
     translated_key,
 )
 
@@ -33,12 +33,12 @@ from repro.trace.translated import (
 def cache_dir(tmp_path, monkeypatch):
     """A private on-disk cache + clean counters/memo for one test."""
     directory = tmp_path / "tix"
-    monkeypatch.setenv(translated.TRANSLATED_CACHE_ENV, str(directory))
-    translated.clear_memory_cache()
-    translated.reset_translated_cache_stats()
+    monkeypatch.setenv(store.CACHE_ENV, str(directory))
+    TRANSLATIONS.clear_memory()
+    TRANSLATIONS.reset_stats()
     yield directory
-    translated.clear_memory_cache()
-    translated.reset_translated_cache_stats()
+    TRANSLATIONS.clear_memory()
+    TRANSLATIONS.reset_stats()
 
 
 def make_randomizer(seed=7, algorithm="prince", **kwargs):
@@ -76,14 +76,18 @@ class TestTranslatedTrace:
     def test_roundtrip_and_key_check(self, cache_dir):
         rand = make_randomizer()
         t = translate_trace(rand, make_trace(), use_cache=False)
-        blob = t.to_bytes("some-key")
-        assert TranslatedTrace.from_bytes(blob, "some-key") == t
+        blob = TRANSLATIONS.encode("some-key", t)
+
+        def decode(buf, key):
+            return TRANSLATIONS.decode(buf, key, copy=True, validate=True)
+
+        assert decode(blob, "some-key") == t
         with pytest.raises(TraceError, match="key mismatch"):
-            TranslatedTrace.from_bytes(blob, "other-key")
+            decode(blob, "other-key")
         with pytest.raises(TraceError, match="bad magic"):
-            TranslatedTrace.from_bytes(b"XXXXXXXX" + blob[8:], "some-key")
+            decode(b"XXXXXXXX" + blob[8:], "some-key")
         with pytest.raises(TraceError, match="CRC mismatch"):
-            TranslatedTrace.from_bytes(blob[:-1] + bytes([blob[-1] ^ 1]), "some-key")
+            decode(blob[:-1] + bytes([blob[-1] ^ 1]), "some-key")
 
 
 class TestCacheLayers:
@@ -91,47 +95,47 @@ class TestCacheLayers:
         rand = make_randomizer()
         trace = make_trace()
         first = translate_trace(rand, trace)
-        assert translated_cache_info().translations == 1
+        assert TRANSLATIONS.info().builds == 1
         key = translated_key(array("Q", sorted(trace.unique_lines())), rand, 0)
-        assert cache_path(cache_dir, key).exists()
+        assert TRANSLATIONS.path(cache_dir, key).exists()
 
         assert translate_trace(rand, trace) == first
-        assert translated_cache_info().memory_hits == 1
+        assert TRANSLATIONS.info().memory_hits == 1
 
-        translated.clear_memory_cache()  # simulate a fresh process
+        TRANSLATIONS.clear_memory()  # simulate a fresh process
         assert translate_trace(rand, trace) == first
-        info = translated_cache_info()
-        assert (info.disk_hits, info.translations) == (1, 1)
+        info = TRANSLATIONS.info()
+        assert (info.disk_hits, info.builds) == (1, 1)
         assert info.hit_rate == pytest.approx(2 / 3)
-        assert info.translate_seconds > 0.0
+        assert info.build_seconds > 0.0
 
     def test_corrupt_file_retranslates_with_warning(self, cache_dir, caplog):
         rand = make_randomizer()
         trace = make_trace()
         first = translate_trace(rand, trace)
         key = translated_key(array("Q", sorted(trace.unique_lines())), rand, 0)
-        path = cache_path(cache_dir, key)
+        path = TRANSLATIONS.path(cache_dir, key)
         path.write_bytes(b"garbage, not a translation")
-        translated.clear_memory_cache()
-        with caplog.at_level(logging.WARNING, logger="repro.trace.translated"):
+        TRANSLATIONS.clear_memory()
+        with caplog.at_level(logging.WARNING, logger="repro.store"):
             again = translate_trace(rand, trace)
         assert again == first
-        assert translated_cache_info().disk_errors == 1
+        assert TRANSLATIONS.info().disk_errors == 1
         assert any("corrupt" in r.message for r in caplog.records)
         # The bad file was deleted and replaced by the regenerated one.
-        assert TranslatedTrace.from_bytes(path.read_bytes(), key) == first
+        assert TRANSLATIONS.decode(path.read_bytes(), key, copy=True, validate=True) == first
 
     def test_truncated_file_retranslates(self, cache_dir, caplog):
         rand = make_randomizer()
         trace = make_trace()
         first = translate_trace(rand, trace)
         key = translated_key(array("Q", sorted(trace.unique_lines())), rand, 0)
-        path = cache_path(cache_dir, key)
+        path = TRANSLATIONS.path(cache_dir, key)
         path.write_bytes(path.read_bytes()[:-17])
-        translated.clear_memory_cache()
-        with caplog.at_level(logging.WARNING, logger="repro.trace.translated"):
+        TRANSLATIONS.clear_memory()
+        with caplog.at_level(logging.WARNING, logger="repro.store"):
             assert translate_trace(rand, trace) == first
-        assert translated_cache_info().disk_errors == 1
+        assert TRANSLATIONS.info().disk_errors == 1
 
     def test_use_cache_false_bypasses_both_layers(self, cache_dir):
         rand = make_randomizer()
@@ -139,22 +143,22 @@ class TestCacheLayers:
         a = translate_trace(rand, trace, use_cache=False)
         b = translate_trace(rand, trace, use_cache=False)
         assert a == b
-        assert translated_cache_info().translations == 2
+        assert TRANSLATIONS.info().builds == 2
         assert not cache_dir.exists()  # nothing was ever written
 
     def test_env_disable_skips_disk(self, monkeypatch):
         for token in ("0", "off", "NONE"):
-            monkeypatch.setenv(translated.TRANSLATED_CACHE_ENV, token)
-            assert translated_cache_dir() is None
-        translated.clear_memory_cache()
-        translated.reset_translated_cache_stats()
+            monkeypatch.setenv(store.CACHE_ENV, token)
+            assert store.cache_dir() is None
+        TRANSLATIONS.clear_memory()
+        TRANSLATIONS.reset_stats()
         rand = make_randomizer()
         trace = make_trace(20)
         translate_trace(rand, trace)
         translate_trace(rand, trace)
-        assert translated_cache_info().translations == 2  # no layer consulted
-        translated.clear_memory_cache()
-        translated.reset_translated_cache_stats()
+        assert TRANSLATIONS.info().builds == 2  # no layer consulted
+        TRANSLATIONS.clear_memory()
+        TRANSLATIONS.reset_stats()
 
 
 class TestMmapStore:
@@ -165,77 +169,76 @@ class TestMmapStore:
     def test_replace_while_mapped_serves_old_content(self, cache_dir, monkeypatch):
         import os
 
-        from repro import store
-
         monkeypatch.setenv(store.MMAP_ENV, "1")
         rand = make_randomizer()
         trace = make_trace()
         first = translate_trace(rand, trace)
         key = translated_key(array("Q", sorted(trace.unique_lines())), rand, 0)
-        translated.clear_memory_cache()
+        TRANSLATIONS.clear_memory()
         mapped = translate_trace(rand, trace)  # disk hit: mmap-backed columns
-        assert translated_cache_info().disk_hits == 1
+        assert TRANSLATIONS.info().disk_hits == 1
         # Another writer publishes a different (valid) translation under
         # the same key - e.g. a concurrent worker with offset applied.
         other = translate_trace(rand, trace, offset=1 << 20, use_cache=False)
-        path = cache_path(cache_dir, key)
+        path = TRANSLATIONS.path(cache_dir, key)
         tmp = path.with_name(path.name + ".race")
-        tmp.write_bytes(other.to_bytes(key))
+        tmp.write_bytes(TRANSLATIONS.encode(key, other))
         os.replace(tmp, path)
         # The old inode stays mapped: the reader is undisturbed...
         assert mapped == first
         # ...and a fresh load sees the new inode's content.
-        translated.clear_memory_cache()
+        TRANSLATIONS.clear_memory()
         again = translate_trace(rand, trace)
         assert again == other
         assert again != first
         assert mapped == first
-        assert translated_cache_info().disk_hits == 2
+        assert TRANSLATIONS.info().disk_hits == 2
 
     @pytest.mark.parametrize("mmap_mode", ["1", "0"])
     def test_corruption_handled_identically(
         self, cache_dir, caplog, monkeypatch, mmap_mode
     ):
-        from repro import store
-
         monkeypatch.setenv(store.MMAP_ENV, mmap_mode)
         rand = make_randomizer()
         trace = make_trace()
         first = translate_trace(rand, trace)
         key = translated_key(array("Q", sorted(trace.unique_lines())), rand, 0)
-        path = cache_path(cache_dir, key)
+        path = TRANSLATIONS.path(cache_dir, key)
         for junk in (b"\x00" * 16, path.read_bytes()[:-17], b""):
             path.write_bytes(junk)
-            translated.clear_memory_cache()
-            errors_before = translated_cache_info().disk_errors
-            with caplog.at_level(logging.WARNING, logger="repro.trace.translated"):
+            TRANSLATIONS.clear_memory()
+            errors_before = TRANSLATIONS.info().disk_errors
+            with caplog.at_level(logging.WARNING, logger="repro.store"):
                 assert translate_trace(rand, trace) == first
-            assert translated_cache_info().disk_errors == errors_before + 1
+            assert TRANSLATIONS.info().disk_errors == errors_before + 1
         assert any("corrupt" in r.message for r in caplog.records)
 
 
 class TestDirResolution:
-    def test_follows_trace_cache_disable(self, monkeypatch):
-        # --no-trace-cache sets REPRO_TRACE_CACHE=0; with no explicit
-        # translated-cache setting that must disable this cache too.
-        monkeypatch.delenv(translated.TRANSLATED_CACHE_ENV, raising=False)
-        monkeypatch.setenv(compiled.TRACE_CACHE_ENV, "0")
-        assert translated_cache_dir() is None
+    """Translations share the one artifact directory with the traces."""
 
-    def test_follows_relocated_trace_cache(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(translated.TRANSLATED_CACHE_ENV, raising=False)
-        monkeypatch.setenv(compiled.TRACE_CACHE_ENV, str(tmp_path / "tc"))
-        assert translated_cache_dir() == tmp_path / "tc.translated"
+    def test_follows_trace_cache_disable(self, monkeypatch):
+        # --no-trace-cache sets REPRO_TRACE_CACHE=0, which must bypass
+        # the translated kind too: nothing remembered, nothing written.
+        monkeypatch.setenv(store.CACHE_ENV, "0")
+        TRANSLATIONS.clear_memory()
+        TRANSLATIONS.reset_stats()
+        rand = make_randomizer()
+        trace = make_trace(20)
+        translate_trace(rand, trace)
+        translate_trace(rand, trace)
+        assert TRANSLATIONS.info().builds == 2
+        TRANSLATIONS.reset_stats()
+
+    def test_follows_relocated_trace_cache(self, cache_dir):
+        # A relocated cache holds the .tix files next to the .ctrace
+        # files, in the one directory.
+        translate_trace(make_randomizer(), make_trace())
+        assert len(list(cache_dir.glob("*.tix"))) == 1
 
     def test_default_location(self, monkeypatch):
-        monkeypatch.delenv(translated.TRANSLATED_CACHE_ENV, raising=False)
-        monkeypatch.delenv(compiled.TRACE_CACHE_ENV, raising=False)
-        assert str(translated_cache_dir()) == translated.DEFAULT_CACHE_DIR
-
-    def test_explicit_env_wins(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(translated.TRANSLATED_CACHE_ENV, str(tmp_path / "x"))
-        monkeypatch.setenv(compiled.TRACE_CACHE_ENV, "0")
-        assert translated_cache_dir() == tmp_path / "x"
+        monkeypatch.delenv(store.CACHE_ENV, raising=False)
+        assert str(store.cache_dir()) == store.DEFAULT_CACHE_DIR
 
 
 class TestKeySensitivity:
@@ -272,7 +275,7 @@ class TestKeySensitivity:
         rand.rekey()
         assert rand.cache_info().precomputed == 0  # side table dropped
         t = translate_trace(rand, trace)
-        assert translated_cache_info().translations == 2
+        assert TRANSLATIONS.info().builds == 2
         for i, addr in enumerate(t.line_addrs):
             assert tuple(col[i] for col in t.columns) == rand.compute_indices(addr, 0)
 

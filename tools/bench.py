@@ -83,9 +83,10 @@ from repro.harness.presets import experiment_maya, experiment_mirage, experiment
 from repro.hierarchy.simulator import run_mix
 from repro.llc.baseline import BaselineLLC
 from repro.llc.mirage import MirageCache
-from repro.trace.compiled import TRACE_CACHE_ENV, trace_cache_info
+from repro.store import CACHE_ENV
+from repro.trace.compiled import TRACES
 from repro.trace.mixes import homogeneous
-from repro.trace.translated import translated_cache_info
+from repro.trace.translated import TRANSLATIONS
 
 #: Canonical protocol (matched by the checked-in BENCH_*.json files).
 FULL = {"llc_sets": 512, "cores": 8, "accesses_per_core": 12000,
@@ -228,7 +229,7 @@ from repro import store
 from repro.trace import compiled
 specs = json.loads(os.environ["STORE_BENCH_SPECS"])
 traces = [compiled.compile_workload(w, l, n, seed=s) for (w, l, n, s) in specs]
-if compiled.trace_cache_info().compiles:
+if compiled.TRACES.info().builds:
     raise AssertionError("store bench worker compiled instead of loading")
 sys.stdout.write("READY\\n")
 sys.stdout.flush()
@@ -263,25 +264,25 @@ def bench_store(rounds: int = 30, workers: int = 8) -> dict:
     from repro import store
     from repro.trace import compiled
 
-    directory = compiled.trace_cache_dir()
+    directory = store.cache_dir()
     if directory is None:
-        raise AssertionError("the store bench needs the trace cache enabled")
+        raise AssertionError("the store bench needs the artifact cache enabled")
     specs = _canonical_artifact_specs()
     keys = []
     for workload, llc_lines, length, seed in specs:
         compiled.compile_workload(workload, llc_lines, length, seed=seed)
         keys.append(compiled.trace_key(workload, llc_lines, seed, length))
     artifact_bytes = sum(
-        compiled.cache_path(directory, key).stat().st_size for key in keys
+        compiled.TRACES.path(directory, key).stat().st_size for key in keys
     )
 
     def best_load_seconds() -> float:
         best = None
         for _ in range(rounds):
-            compiled.clear_memory_cache()
+            compiled.TRACES.clear_memory()
             t0 = time.perf_counter()
             for key in keys:
-                if compiled._load_from_disk(directory, key) is None:
+                if compiled.TRACES._load(directory, key) is None:
                     raise AssertionError(f"store bench lost cache entry {key!r}")
             elapsed = time.perf_counter() - t0
             best = elapsed if best is None or elapsed < best else best
@@ -290,9 +291,9 @@ def bench_store(rounds: int = 30, workers: int = 8) -> dict:
     previous = os.environ.get(store.MMAP_ENV)
     try:
         os.environ[store.MMAP_ENV] = "1"
-        compiled.clear_memory_cache()
+        compiled.TRACES.clear_memory()
         for key in keys:  # prime: map + one CRC validation per artifact
-            compiled._load_from_disk(directory, key)
+            compiled.TRACES._load(directory, key)
         mmap_best = best_load_seconds()
         os.environ[store.MMAP_ENV] = "0"
         heap_best = best_load_seconds()
@@ -515,8 +516,8 @@ def bench_design(design: str, params: dict, make_llc=_make_llc) -> dict:
     translated_trials, engine_trials = [], []
     for _ in range(params["trials"]):
         llc = make_llc(design, params)
-        before = trace_cache_info()
-        tix_before = translated_cache_info()
+        before = TRACES.info()
+        tix_before = TRANSLATIONS.info()
         t0 = time.perf_counter()
         result = run_mix(
             llc, mix, system,
@@ -533,16 +534,16 @@ def bench_design(design: str, params: dict, make_llc=_make_llc) -> dict:
         if result.specialize_info is not None:
             trial_info["specialize"] = dict(result.specialize_info)
         engine_trials.append(trial_info)
-        after = trace_cache_info()
-        tix_after = translated_cache_info()
+        after = TRACES.info()
+        tix_after = TRANSLATIONS.info()
         # Per-trial trace-cache activity: the first trial compiles (or
         # loads from disk), later trials should be pure memory hits.
         trace_trials.append({
             "memory_hits": after.memory_hits - before.memory_hits,
             "disk_hits": after.disk_hits - before.disk_hits,
-            "compiles": after.compiles - before.compiles,
+            "compiles": after.builds - before.builds,
             "generation_seconds": round(
-                (after.compile_seconds - before.compile_seconds)
+                (after.build_seconds - before.build_seconds)
                 + (after.load_seconds - before.load_seconds), 4),
         })
         # Same shape for the translated-index cache (prince designs
@@ -551,9 +552,9 @@ def bench_design(design: str, params: dict, make_llc=_make_llc) -> dict:
         translated_trials.append({
             "memory_hits": tix_after.memory_hits - tix_before.memory_hits,
             "disk_hits": tix_after.disk_hits - tix_before.disk_hits,
-            "translations": tix_after.translations - tix_before.translations,
+            "translations": tix_after.builds - tix_before.builds,
             "translation_seconds": round(
-                (tix_after.translate_seconds - tix_before.translate_seconds)
+                (tix_after.build_seconds - tix_before.build_seconds)
                 + (tix_after.load_seconds - tix_before.load_seconds), 4),
         })
         hit_rate = result.llc_randomizer_hit_rate
@@ -762,12 +763,14 @@ def main(argv=None) -> int:
     parser.add_argument("--no-store", action="store_true",
                         help="skip the mmap artifact-store benchmarks")
     parser.add_argument("--no-trace-cache", action="store_true",
-                        help="disable the on-disk compiled-trace cache "
-                             f"(sets {TRACE_CACHE_ENV}=0; every trial recompiles)")
+                        help="disable the artifact cache (sets "
+                             f"{CACHE_ENV}=0): every trial rebuilds its "
+                             "traces, translations and op streams, and "
+                             "nothing is written to results/.trace_cache")
     args = parser.parse_args(argv)
 
     if args.no_trace_cache:
-        os.environ[TRACE_CACHE_ENV] = "0"
+        os.environ[CACHE_ENV] = "0"
 
     protocol = "quick" if args.quick else "full"
     params = dict(QUICK if args.quick else FULL)
