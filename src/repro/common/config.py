@@ -21,7 +21,7 @@ import dataclasses
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .addr import DEFAULT_LINE_ADDRESS_BITS, DEFAULT_LINE_BYTES
+from .addr import DEFAULT_LINE_BYTES
 from .bitops import is_power_of_two
 from .errors import ConfigurationError
 
@@ -273,16 +273,6 @@ class SystemConfig:
             l2_geometry=self.l2_geometry.scaled(min(factor, self.l2_geometry.sets)),
             llc_geometry=self.llc_geometry.scaled(factor),
         )
-
-
-@dataclass(frozen=True)
-class StorageBits:
-    """Bit-level storage parameters shared by Table VIII arithmetic."""
-
-    line_address_bits: int = DEFAULT_LINE_ADDRESS_BITS
-    coherence_bits: int = 3  # MOESI
-    sdid_bits: int = 8
-    data_bits: int = 512  # 64-byte line
 
 
 def as_dict(config: object) -> dict:

@@ -35,6 +35,7 @@ differential tests).
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Dict, Optional
 
 from ..common.config import MayaConfig
@@ -132,10 +133,13 @@ class MayaCache:
         self._mapping_cache_base = (0, 0)
         self.installs = 0
         #: Recently tag-evicted priority-0 lines, for the premature-
-        #: eviction measurement (Section V-B): line -> True.  A plain
-        #: dict is insertion-ordered, so FIFO eviction is
-        #: ``del window[next(iter(window))]``.
-        self._evicted_p0_window: Dict[tuple, bool] = {}
+        #: eviction measurement (Section V-B): line -> True, FIFO-evicted
+        #: by ``popitem(last=False)``.  An ``OrderedDict``, not a plain
+        #: dict: every tag eviction past the cap drops the oldest entry,
+        #: and a plain dict's ``next(iter(d))`` then scans the holes
+        #: earlier front deletions left.  Cleared in place only - the
+        #: specialized step binds it once.
+        self._evicted_p0_window: "OrderedDict[tuple, bool]" = OrderedDict()
         self._evicted_p0_window_size = 4096
         self.premature_p0_evictions = 0
         # Victim fields of the access_fast protocol (valid until the
@@ -440,7 +444,7 @@ class MayaCache:
             victim_sdid = tags._sdid[victim]
             window[(victim_addr, victim_sdid)] = True
             if len(window) > self._evicted_p0_window_size:
-                del window[next(iter(window))]
+                window.popitem(last=False)
             pos = pos_map[victim]
             last = pool.pop()
             if last != victim:
@@ -552,7 +556,7 @@ class MayaCache:
         window = self._evicted_p0_window
         window[(line_addr, sdid)] = True
         if len(window) > self._evicted_p0_window_size:
-            del window[next(iter(window))]
+            window.popitem(last=False)
 
     # -- introspection ---------------------------------------------------------
 

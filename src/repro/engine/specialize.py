@@ -8,8 +8,8 @@ fields - all on values that are frozen for the lifetime of a run.  This
 module emits, per concrete configuration, a *specialized* per-access
 step function with:
 
-* all config constants inlined as literals (ways, sets, memo/priority-0
-  capacities, splitmix fold shifts, window sizes),
+* all config constants inlined as literals (ways, sets, data-store
+  size, memo/priority-0 capacities, splitmix fold shifts, window sizes),
 * policy branches pruned to the single taken arm (LRU vs. hook
   dispatch, fast-pick vs. generic skew selection, global tag eviction
   on/off),
@@ -23,13 +23,21 @@ closure (:meth:`repro.hierarchy.system.CacheHierarchy._compile_access`),
 the op-stream replay (:mod:`repro.engine.vector`), the security
 campaign's attack harnesses (:mod:`repro.security.campaign`), and the
 public ``access()`` wrapper - picks up because they all resolve
-``access_fast`` by attribute after the step is installed.  Rare paths (SAE handling, priority-0
-promotion, priority-1 install) delegate to the bound generic methods,
-so behaviour is bit-identical by construction; the ``specialize``
-differential suite enforces it across the design zoo.
+``access_fast`` by attribute after the step is installed.
 
-Compiled code objects are cached in-process, keyed by config
-fingerprint + code version, so a resident service worker compiles each
+The Maya step makes no Python call-out on any steady-state path: it
+inlines promotion, the priority-1 install and both global random
+evictions, and draws its random numbers with the stdlib's own
+``getrandbits`` rejection loop.  Maya's reuse filter makes those paths
+common, so a bound-method or ``random`` frame on them costs whole
+percents of a job.  Only SAE handling still calls the generic method.
+Each inlined path transcribes the generic code it replaces, checks and
+RNG draw order included, so behaviour is bit-identical by construction;
+the ``specialize`` differential suite enforces it across the design
+zoo.
+
+Compiled code objects are cached in-process, keyed by template kind and
+config fingerprint, so a resident service worker compiles each
 configuration once per warm pool.  Nothing is cached on disk: the
 source renders in tens of microseconds and ``compile()`` would run on
 every process start either way.
@@ -43,17 +51,14 @@ differential oracle.
 
 from __future__ import annotations
 
-import hashlib
 import os
+import textwrap
 from typing import NamedTuple, Optional, Tuple
 
 from ..common.errors import SetAssociativeEviction, SimulationError
 
 #: Environment variable consulted when no explicit choice is passed.
 SPECIALIZE_ENV = "REPRO_SPECIALIZE"
-
-#: Bumped whenever a template changes; part of every cache key.
-CODEGEN_VERSION = 1
 
 _FALSEY = ("0", "false", "off", "no")
 
@@ -96,19 +101,21 @@ def specialize_cache_info() -> SpecializeCacheInfo:
 def _compiled_template(kind: str, fingerprint: tuple, build_source):
     """Code object for (kind, fingerprint), compiled once per process.
 
-    The key hashes the config fingerprint together with
-    :data:`CODEGEN_VERSION`; identical configurations within a process
-    (a resident service worker's every job) reuse one compile.
+    A template cannot change inside a process, so the config fingerprint
+    and the template kind are the whole key: identical configurations
+    (a resident service worker's every job) reuse one compile.  The
+    fingerprint must cover every value the template renders as a
+    literal.  It also names the code object, so a profile tells
+    configurations apart.
     """
     global _memory_hits, _compiles
-    key = hashlib.sha256(
-        repr((CODEGEN_VERSION, kind, fingerprint)).encode()
-    ).hexdigest()
+    key = (kind, fingerprint)
     code = _code_cache.get(key)
     if code is not None:
         _memory_hits += 1
         return code
-    code = compile(build_source(), f"<specialized:{kind}:{key[:12]}>", "exec")
+    name = repr(fingerprint).replace(" ", "")
+    code = compile(build_source(), f"<specialized:{kind}:{name}>", "exec")
     _compiles += 1
     _code_cache[key] = code
     return code
@@ -223,7 +230,7 @@ _SET_ASSOC_BINDINGS = {
 }
 
 _SET_ASSOC_TEMPLATE = '''\
-# Generated by repro.engine.specialize (v{VERSION}); do not edit.
+# Generated by repro.engine.specialize; do not edit.
 # kind=set_assoc policy={POLICY} ways={WAYS} sets={SETS}
 
 
@@ -351,7 +358,6 @@ def specialized_set_assoc_step(cache):
 
     def build() -> str:
         subst = dict(
-            VERSION=CODEGEN_VERSION,
             POLICY=policy_kind,
             WAYS=ways,
             SETS=cache._set_mask + 1,
@@ -373,63 +379,178 @@ def specialized_set_assoc_step(cache):
 
 
 # ---------------------------------------------------------------------------
-# Maya template.  The priority-1 hit and the dominant priority-0 install
-# path (Fig. 5a) are fully inlined; promotion, priority-1 install, and
-# SAE handling delegate to the bound generic methods (rare paths, and
-# rekey/flush mutate every structure in place so the column bindings
-# stay valid across them).  Tag-state literals: P0=1, P1=2.  ACC
-# literals: HIT=1, TAG_HIT=8.
+# Maya template.  Every steady-state path is inlined: the priority-1 hit,
+# the priority-0 install (Fig. 5a), promotion (Fig. 5b) and the
+# priority-1 install (Fig. 5c), with their global random data and tag
+# evictions and the RNG draws.  The reuse filter makes promotion and the
+# priority-1 install common, not rare: one maya-lbm-prince bench job runs
+# 52,511 priority-1 installs among 206,689 LLC ops, one maya-mcf job
+# 12,307 promotions and 9,844 priority-1 installs among 173,179.  The
+# inlined code transcribes MayaCache._promote, _install_priority1,
+# _global_random_data_eviction and _global_random_tag_eviction with the
+# store methods they call, keeping every SimulationError check (even one
+# a guard before it already implies), the RNG draw order and the
+# victim_* publication; the packed engine keeps calling those methods as
+# the REPRO_SPECIALIZE=0 oracle.  Each shared operation renders from one
+# snippet below, so its sites cannot drift apart.  Only SAE handling
+# stays a call-out: rekey/flush mutate every structure in place, so the
+# column bindings stay valid across it.  Tag-state literals: P0=1, P1=2.
+# ACC literals: HIT=1, EVICTED=2, EVICTED|DIRTY=6, TAG_HIT=8, SAE=16.
 # ---------------------------------------------------------------------------
 
+
+def _indent(snippet: str, spaces: int) -> str:
+    """``snippet`` (written at column 0) indented for its site."""
+    return textwrap.indent(snippet, " " * spaces).rstrip("\n")
+
+
+def _draw(target: str, n, getrandbits: str) -> str:
+    """``target = rng._randbelow(n)`` without the stdlib frame.
+
+    ``Random._randbelow`` (and so ``randrange(n)``) is the
+    ``getrandbits(n.bit_length())`` rejection loop; this renders the
+    same loop, so the same bits come from the same stream.  An int
+    ``n`` renders its bit length as a literal; any other ``n`` is an
+    expression evaluated per draw.
+    """
+    k = n.bit_length() if isinstance(n, int) else f"{n}.bit_length()"
+    return (
+        f"{target} = {getrandbits}({k})\n"
+        f"while {target} >= {n}:\n"
+        f"    {target} = {getrandbits}({k})\n"
+    )
+
+
 _MAYA_MIX_INLINE = """\
-                    k0, k1 = rand._mix_keys
-                    tweaked = line_addr ^ (sdid << 56)
-                    x = (tweaked ^ k0) & 0xFFFFFFFFFFFFFFFF
-                    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-                    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-                    x ^= x >> 31
-                    f0 = {FOLD}
-                    x = (tweaked ^ k1) & 0xFFFFFFFFFFFFFFFF
-                    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-                    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-                    x ^= x >> 31
-                    f1 = {FOLD}
-                    indices = (f0 & {MIX_MASK}, f1 & {MIX_MASK})
+k0, k1 = rand._mix_keys
+tweaked = line_addr ^ (sdid << 56)
+x = (tweaked ^ k0) & 0xFFFFFFFFFFFFFFFF
+x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+x ^= x >> 31
+f0 = {FOLD}
+x = (tweaked ^ k1) & 0xFFFFFFFFFFFFFFFF
+x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+x ^= x >> 31
+f1 = {FOLD}
+indices = (f0 & {MIX_MASK}, f1 & {MIX_MASK})
 """
 
 _MAYA_RAW_INDICES = """\
-                    indices = raw_indices(line_addr, sdid)
+indices = raw_indices(line_addr, sdid)
 """
 
+# The memo lookup of ``mkey`` plus the load-aware two-skew pick
+# (pick_skew_load_aware), then the first invalid way of the picked set.
+_MAYA_PICK = """\
+indices = memo_pop(mkey, None)
+if indices is None:
+    rand.cache_misses += 1
+    indices = precomputed_get(mkey)
+    if indices is None:
+{MISS_INDICES}
+    if len(memo) >= {MEMO_CAP}:
+        del memo[next(iter(memo))]
+else:
+    rand.cache_hits += 1
+memo[mkey] = indices
+i0 = indices[0]
+i1 = indices[1]
+l0 = valid_count[i0]
+l1 = valid_count[{SETS} + i1]
+if l0 < l1:
+    skew = 0
+    set_idx = i0
+elif l1 < l0:
+    skew = 1
+    set_idx = i1
+else:
+{TIE_DRAW}
+    set_idx = i1 if skew else i0
+base = (skew * {SETS} + set_idx) * {WAYS}
+slot = state.find(0, base, base + {WAYS})
+"""
+
+# Global random data eviction: DataStore.random_victim, DataStore.free
+# and SkewedTagStore.demote, the writeback published in victim_*.
+_MAYA_DATA_EVICTION = """\
+if len(free_list) == {DATA_N}:
+    raise SimulationError("no valid data entries to evict")
+while True:
+{VICTIM_DRAW}
+    if rptr[vd] != -1:
+        break
+vt = rptr[vd]
+if state[vt] != 2:
+    raise SimulationError("data entry points at a non-priority-1 tag")
+vdirty = dirty_col[vt]
+vreused = reused_col[vt]
+vcore = core_col[vt]
+llc.victim_addr = addr_col[vt]
+llc.victim_core = vcore
+llc.victim_sdid = sdid_col[vt]
+llc.victim_reused = True if vreused else False
+st.evictions += 1
+if vdirty:
+    st.dirty_evictions += 1
+if not vreused:
+    st.dead_evictions += 1
+if vcore >= 0 and vcore != core_id:
+    st.interference_evictions += 1
+if rptr[vd] == -1:
+    raise SimulationError("freeing an already-free data entry")
+rptr[vd] = -1
+free_append(vd)
+if state[vt] != 2:
+    raise SimulationError("can only demote a priority-1 entry")
+state[vt] = 1
+fptr_col[vt] = -1
+dirty_col[vt] = 0
+pos_map[vt] = len(pool)
+pool.append(vt)
+tags.priority1_count -= 1
+flags = 6 if vdirty else 2
+"""
+
+# Global random tag eviction after an install into ``slot``, with ``n``
+# the priority-0 pool size: SkewedTagStore.random_priority0 (excluding
+# ``slot``), the premature-eviction window's FIFO insert, and
+# SkewedTagStore.invalidate_fast.
 _MAYA_TAG_EVICTION = """\
-        n += 1
-        if n > {P0_CAP}:
-            if n == 1:
-                raise SimulationError("priority-0 pool over capacity but empty")
-            i = randbelow(n)
-            victim = pool[i]
-            if victim == slot:
-                victim = pool[(i + 1) % n]
-            victim_addr = addr_col[victim]
-            victim_sdid = sdid_col[victim]
-            window[(victim_addr, victim_sdid)] = True
-            if len(window) > {WINDOW_SIZE}:
-                del window[next(iter(window))]
-            pos = pos_map[victim]
-            last = pool.pop()
-            if last != victim:
-                pool[pos] = last
-                pos_map[last] = pos
-            valid_count[victim // {WAYS}] -= 1
-            del where[(victim_addr << 16) | victim_sdid]
-            state[victim] = 0
-            st.tag_evictions += 1
+if n > {P0_CAP}:
+    if n == 1 and pool[0] == slot:
+        raise SimulationError("priority-0 pool over capacity but empty")
+{VICTIM_DRAW}
+    victim = pool[i]
+    if victim == slot:
+        victim = pool[(i + 1) % n]
+    victim_addr = addr_col[victim]
+    victim_sdid = sdid_col[victim]
+    window[(victim_addr, victim_sdid)] = True
+    if len(window) > {WINDOW_SIZE}:
+        window_popitem(last=False)
+    vstate = state[victim]
+    if not vstate:
+        raise SimulationError("invalidating an already-invalid tag")
+    if vstate == 1:
+        pos = pos_map[victim]
+        last = pool.pop()
+        if last != victim:
+            pool[pos] = last
+            pos_map[last] = pos
+    else:
+        tags.priority1_count -= 1
+    valid_count[victim // {WAYS}] -= 1
+    del where[(victim_addr << 16) | victim_sdid]
+    state[victim] = 0
+    st.tag_evictions += 1
 """
 
 _MAYA_TEMPLATE = '''\
-# Generated by repro.engine.specialize (v{VERSION}); do not edit.
-# kind=maya ways={WAYS} sets={SETS} memo={MEMO_CAP} p0={P0_CAP} \
-fast_mix={FAST_MIX} global_tag_eviction={GLOBAL_TAG_EVICTION}
+# Generated by repro.engine.specialize; do not edit.
+# kind=maya ways={WAYS} sets={SETS} data={DATA_N} memo={MEMO_CAP} p0={P0_CAP} \
+window={WINDOW_SIZE} fast_mix={FAST_MIX} global_tag_eviction={GLOBAL_TAG_EVICTION}
 
 
 def _bind(llc, SimulationError, SetAssociativeEviction):
@@ -452,10 +573,14 @@ def _bind(llc, SimulationError, SetAssociativeEviction):
     memo_pop = memo.pop
     precomputed_get = rand._precomputed.get
     raw_indices = rand._raw_indices
-    randbelow = tags._randbelow
+    tag_getrandbits = tags._rng.getrandbits
+    rptr = llc.data._rptr
+    free_list = llc.data._free
+    free_pop = free_list.pop
+    free_append = free_list.append
+    data_getrandbits = llc.data._rng.getrandbits
     window = llc._evicted_p0_window
-    promote = llc._promote
-    install_p1 = llc._install_priority1
+    window_popitem = window.popitem
     handle_sae = llc._handle_sae
 
     def access_fast(line_addr, is_write=False, core_id=0, is_writeback=False, sdid=0):
@@ -482,7 +607,29 @@ def _bind(llc, SimulationError, SetAssociativeEviction):
                 pcm = st.per_core_misses
                 pcm[core_id] = pcm.get(core_id, 0) + 1
             st.tag_only_hits += 1
-            return 8 | promote(tag_idx, is_write or is_writeback, core_id)
+            # Priority-0 tag hit: promote, allocating a data entry.
+            flags = 0
+            if not free_list:
+{DATA_EVICTION}
+            if not free_list:
+                raise SimulationError("data store full: evict before allocating")
+            fidx = free_pop()
+            rptr[fidx] = tag_idx
+            if state[tag_idx] != 1:
+                raise SimulationError("can only promote a priority-0 entry")
+            state[tag_idx] = 2
+            fptr_col[tag_idx] = fidx
+            dirty_col[tag_idx] = 1 if is_write or is_writeback else 0
+            pos = pos_map[tag_idx]
+            last = pool.pop()
+            if last != tag_idx:
+                pool[pos] = last
+                pos_map[last] = pos
+            tags.priority1_count += 1
+            core_col[tag_idx] = core_id
+            reused_col[tag_idx] = 0
+            st.data_fills += 1
+            return 8 | flags
         st.misses += 1
         if is_writeback:
             st.writebacks_received += 1
@@ -490,43 +637,57 @@ def _bind(llc, SimulationError, SetAssociativeEviction):
             st.demand_accesses += 1
             pcm = st.per_core_misses
             pcm[core_id] = pcm.get(core_id, 0) + 1
-        if is_write or is_writeback:
-            return install_p1(line_addr, sdid, core_id)
-        # Priority-0 install (the dominant miss path), specialized.
         llc.installs += 1
-        if window.pop((line_addr, sdid), None):
-            llc.premature_p0_evictions += 1
         flags = 0
         mkey = (line_addr, sdid)
-        indices = memo_pop(mkey, None)
-        if indices is None:
-            rand.cache_misses += 1
-            indices = precomputed_get(mkey)
-            if indices is None:
-{MISS_INDICES}
-            if len(memo) >= {MEMO_CAP}:
-                del memo[next(iter(memo))]
-        else:
-            rand.cache_hits += 1
-        memo[mkey] = indices
-        i0 = indices[0]
-        i1 = indices[1]
-        l0 = valid_count[i0]
-        l1 = valid_count[{SETS} + i1]
-        if l0 < l1:
-            skew = 0
-            set_idx = i0
-        elif l1 < l0:
-            skew = 1
-            set_idx = i1
-        elif randbelow(2):
-            skew = 1
-            set_idx = i1
-        else:
-            skew = 0
-            set_idx = i0
-        base = (skew * {SETS} + set_idx) * {WAYS}
-        slot = state.find(0, base, base + {WAYS})
+        if is_write or is_writeback:
+            # Write/writeback tag miss: priority-1 install (tag + data).
+            if not free_list:
+{DATA_EVICTION}
+{P1_PICK}
+            if slot < 0:
+                if flags & 2:
+                    # The data-eviction writeback wins over the SAE's:
+                    # keep its victim fields, take only the SAE marker.
+                    va = llc.victim_addr
+                    vc = llc.victim_core
+                    vs = llc.victim_sdid
+                    vr = llc.victim_reused
+                    flags |= handle_sae(skew, set_idx) & 16
+                    llc.victim_addr = va
+                    llc.victim_core = vc
+                    llc.victim_sdid = vs
+                    llc.victim_reused = vr
+                else:
+                    flags = handle_sae(skew, set_idx)
+                slot = state.find(0, base, base + {WAYS})
+                if slot < 0:
+                    raise SimulationError("no invalid way even after SAE handling")
+            if not free_list:
+                raise SimulationError("data store full: evict before allocating")
+            fidx = free_pop()
+            rptr[fidx] = slot
+            if state[slot]:
+                raise SimulationError("installing over a valid tag entry")
+            addr_col[slot] = line_addr
+            sdid_col[slot] = sdid
+            core_col[slot] = core_id
+            dirty_col[slot] = 1
+            reused_col[slot] = 0
+            state[slot] = 2
+            fptr_col[slot] = fidx
+            tags.priority1_count += 1
+            valid_count[slot // {WAYS}] += 1
+            where[(line_addr << 16) | sdid] = slot
+            st.fills += 1
+            st.data_fills += 1
+            n = len(pool)
+{P1_TAG_EVICTION}
+            return flags
+        # Demand tag miss: priority-0 install (the dominant miss path).
+        if window.pop(mkey, None):
+            llc.premature_p0_evictions += 1
+{P0_PICK}
         if slot < 0:
             flags = handle_sae(skew, set_idx)
             slot = state.find(0, base, base + {WAYS})
@@ -544,7 +705,8 @@ def _bind(llc, SimulationError, SetAssociativeEviction):
         valid_count[slot // {WAYS}] += 1
         where[(line_addr << 16) | sdid] = slot
         st.fills += 1
-{TAG_EVICTION}
+        n += 1
+{P0_TAG_EVICTION}
         return flags
 
     return access_fast
@@ -567,9 +729,11 @@ def specialized_maya_step(llc):
     ways = tags._ways
     sets = tags._sets
     rand = tags.randomizer
+    data_n = len(llc.data._rptr)
     fingerprint = (
         ways,
         sets,
+        data_n,
         rand._memo_capacity,
         llc._p0_capacity,
         llc._evicted_p0_window_size,
@@ -586,21 +750,36 @@ def specialized_maya_step(llc):
         else:
             miss_indices = _MAYA_RAW_INDICES
         subst = dict(
-            VERSION=CODEGEN_VERSION,
             WAYS=ways,
             SETS=sets,
+            DATA_N=data_n,
             MEMO_CAP=rand._memo_capacity,
             P0_CAP=llc._p0_capacity,
             WINDOW_SIZE=llc._evicted_p0_window_size,
             FAST_MIX=bool(llc._fast_mix),
             GLOBAL_TAG_EVICTION=bool(llc._global_tag_eviction),
         )
+        pick = _MAYA_PICK.format(
+            MISS_INDICES=_indent(miss_indices, 8),
+            TIE_DRAW=_indent(_draw("skew", 2, "tag_getrandbits"), 4),
+            **subst,
+        )
+        data_eviction = _MAYA_DATA_EVICTION.format(
+            VICTIM_DRAW=_indent(_draw("vd", data_n, "data_getrandbits"), 4), **subst
+        )
         tag_eviction = (
-            _MAYA_TAG_EVICTION.format(**subst) if llc._global_tag_eviction else ""
+            _MAYA_TAG_EVICTION.format(
+                VICTIM_DRAW=_indent(_draw("i", "n", "tag_getrandbits"), 4), **subst
+            )
+            if llc._global_tag_eviction
+            else ""
         )
         return _MAYA_TEMPLATE.format(
-            MISS_INDICES=miss_indices.rstrip("\n"),
-            TAG_EVICTION=tag_eviction.rstrip("\n") or "        pass",
+            DATA_EVICTION=_indent(data_eviction, 16),
+            P1_PICK=_indent(pick, 12),
+            P1_TAG_EVICTION=_indent(tag_eviction, 12),
+            P0_PICK=_indent(pick, 8),
+            P0_TAG_EVICTION=_indent(tag_eviction, 8),
             **subst,
         )
 
@@ -668,7 +847,7 @@ _MIRAGE_SAE_COUNT = (
 )
 
 _MIRAGE_TEMPLATE = '''\
-# Generated by repro.engine.specialize (v{VERSION}); do not edit.
+# Generated by repro.engine.specialize; do not edit.
 # kind=mirage ways={WAYS} sets={SETS} data={DATA_N} on_sae={ON_SAE}
 
 
@@ -785,7 +964,6 @@ def specialized_mirage_step(llc):
 
     def build() -> str:
         subst = dict(
-            VERSION=CODEGEN_VERSION,
             WAYS=llc._ways,
             SETS=llc._sets,
             DATA_N=len(llc.data._rptr),

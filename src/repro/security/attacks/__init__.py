@@ -15,7 +15,7 @@ from .occupancy import (
     operations_to_distinguish,
     welch_t,
 )
-from .policy_probe import PolicyProbeResult, rekey_sweep, replacement_leakage
+from .policy_probe import PolicyProbeResult, replacement_leakage
 from .ppp import PPPResult, prime_prune_probe
 from .traffic import RecordingLLC, eviction_storm_ops, prime_probe_ops, replay
 
@@ -38,7 +38,6 @@ __all__ = [
     "operations_to_distinguish",
     "prime_probe_ops",
     "prime_prune_probe",
-    "rekey_sweep",
     "replacement_leakage",
     "replay",
     "targeting_advantage",

@@ -1,4 +1,4 @@
-"""Replacement-policy leakage probe with a rekey-period sweep.
+"""Replacement-policy leakage probe, optionally under periodic rekeying.
 
 A one-line Prime+Probe channel distilled to its decision problem: the
 attacker primes the victim's set with ``ways`` conflicting lines and
@@ -126,30 +126,3 @@ def replacement_leakage(
         accesses=accesses,
         probes=probes,
     )
-
-
-def rekey_sweep(
-    llc_factory,
-    ways: int,
-    periods,
-    trials: int = 60,
-    seed: Optional[int] = None,
-):
-    """Accuracy at each rekey period (``None`` or 0 = never rekey).
-
-    ``llc_factory`` builds a fresh design per period so sweep points
-    are independent; returns ``{period_label: PolicyProbeResult}`` with
-    labels ``"never"`` or the decimal period.
-    """
-    results = {}
-    for period in periods:
-        label = "never" if not period else str(period)
-        llc = llc_factory()
-        results[label] = replacement_leakage(
-            llc,
-            ways,
-            trials=trials,
-            rekey_every=period or None,
-            seed=derive_seed(seed, 0x50 + (period or 0)),
-        )
-    return results

@@ -16,12 +16,14 @@ touched one engine and forgot its twin).
 
 import dataclasses
 import random
+from collections import OrderedDict
 
 import pytest
 
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.common.config import CacheGeometry, MayaConfig, MirageConfig
 from repro.core.maya_cache import MayaCache
+from repro.engine.specialize import apply_specialization
 from repro.llc.fully_assoc import FullyAssociativeCache
 from repro.llc.interface import attack_capacity
 from repro.llc.mirage import MirageCache
@@ -180,6 +182,74 @@ class TestMayaDifferential:
         packed, reference = maya_pair(seed=47, skew_policy="random")
         ops = make_stream(seed=6, length=2000, addr_space=2048)
         drive_pair(packed, reference, ops)
+
+    @pytest.mark.parametrize(
+        "specialized", [False, pytest.param(True, marks=pytest.mark.specialize)]
+    )
+    def test_premature_eviction_window_overflow(self, specialized):
+        """A 32-entry window FIFO-evicts thousands of times; every engine
+        must evict the same entries in the same order.
+
+        The specialized step renders the window size as a literal, so
+        the size is set before specializing.  Writes and writebacks
+        make the priority-1 install evict tags as well as the
+        priority-0 install.
+        """
+
+        class CountingWindow(OrderedDict):
+            evictions = 0
+
+            def popitem(self, last=True):
+                self.evictions += 1
+                return super().popitem(last)
+
+        packed, reference = maya_pair(sets=16, seed=59)
+        caches = [packed, reference]
+        if specialized:
+            caches.append(MayaCache(packed.config))
+        for cache in caches:
+            cache._evicted_p0_window = CountingWindow()
+            cache._evicted_p0_window_size = 32
+        p1_tag_evictions = 0
+        generic_tag_eviction = packed._global_random_tag_eviction
+
+        def counted_tag_eviction(exclude):
+            nonlocal p1_tag_evictions
+            p1_tag_evictions += 1
+            generic_tag_eviction(exclude)
+
+        packed._global_random_tag_eviction = counted_tag_eviction
+        spec = None
+        if specialized:
+            spec, info = apply_specialization(caches[2])
+            assert info["llc"] == "MayaCache", info["llc_reason"]
+        try:
+            ops = make_stream(seed=14, length=6000, addr_space=4096, cores=4, sdids=2)
+            for i, (addr, is_write, core, is_writeback, sdid) in enumerate(ops):
+                results = [
+                    cache.access(addr, is_write, core, is_writeback, sdid) for cache in caches
+                ]
+                assert results.count(results[0]) == len(results), f"access {i} diverged: {results}"
+        finally:
+            if spec is not None:
+                spec.release()
+
+        assert packed._evicted_p0_window.evictions >= 2000
+        assert 0 < p1_tag_evictions < packed.stats.tag_evictions
+        for other in caches[1:]:
+            assert_stats_equal(other, packed)
+            assert other._evicted_p0_window.evictions == packed._evicted_p0_window.evictions
+            assert list(other._evicted_p0_window) == list(packed._evicted_p0_window)
+            assert other.premature_p0_evictions == packed.premature_p0_evictions
+            assert other.installs == packed.installs
+            info_o = other.tags.randomizer.cache_info()
+            info_p = packed.tags.randomizer.cache_info()
+            assert (info_o.hits, info_o.misses) == (info_p.hits, info_p.misses)
+            assert other.tags._p0_pool == packed.tags._p0_pool
+            assert other.tags.priority1_count == packed.tags.priority1_count
+        packed.check_invariants()
+        if specialized:
+            caches[2].check_invariants()
 
 
 # -- Mirage ---------------------------------------------------------------

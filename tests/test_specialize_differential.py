@@ -21,12 +21,14 @@ Marker ``specialize``; run with ``-m specialize``.
 
 import dataclasses
 import random
+import textwrap
 
 import pytest
 
 from repro.cache.line import ACC_EVICTED
 from repro.common.config import CacheGeometry, MayaConfig, MirageConfig
 from repro.core.maya_cache import MayaCache
+from repro.engine import specialize
 from repro.engine.specialize import apply_specialization
 from repro.llc.baseline import BaselineLLC
 from repro.llc.ceaser import CeaserCache
@@ -230,3 +232,65 @@ def test_release_restores_generic_step():
     assert llc.access_fast is not original
     spec.release()
     assert llc.access_fast == original
+
+
+#: Draw bounds: 1, powers of two and their neighbours (a bound just past
+#: a power of two rejects the most draws), the bench's priority-0 cap + 1
+#: (3073) and data-store size (6144), and a 21-bit bound.
+DRAW_BOUNDS = (1, 2, 3, 7, 8, 9, 63, 64, 65, 3073, 6144, 2**20 + 1)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 20241017])
+@pytest.mark.parametrize("n", DRAW_BOUNDS)
+def test_inlined_draw_matches_stdlib(n, seed):
+    """The generated Maya step draws through ``specialize._draw``,
+    which relies on ``Random._randbelow(n)`` and ``randrange(n)`` being
+    the ``getrandbits(n.bit_length())`` rejection loop.  Pin that
+    contract on every Python the suite runs on, for a literal bound and
+    for a bound read from a variable."""
+    source = (
+        "def literal(getrandbits):\n"
+        + textwrap.indent(specialize._draw("r", n, "getrandbits"), "    ")
+        + "    return r\n"
+        + "def variable(getrandbits, n):\n"
+        + textwrap.indent(specialize._draw("r", "n", "getrandbits"), "    ")
+        + "    return r\n"
+    )
+    namespace = {}
+    exec(source, namespace)
+    draws = 300
+    streams = [random.Random(seed) for _ in range(4)]
+    literal = [namespace["literal"](streams[0].getrandbits) for _ in range(draws)]
+    variable = [namespace["variable"](streams[1].getrandbits, n) for _ in range(draws)]
+    randbelow = [streams[2]._randbelow(n) for _ in range(draws)]
+    randrange = [streams[3].randrange(n) for _ in range(draws)]
+    assert literal == variable == randbelow == randrange
+    assert len({s.getrandbits(64) for s in streams}) == 1  # same bits consumed
+
+
+def test_fingerprint_covers_data_store_size(monkeypatch):
+    """Two Maya configs that share ways, sets and priority-0 cap but not
+    the data-store size (the data eviction's draw bound, a literal in
+    the generated step) must compile twice, and each step must match
+    its generic twin."""
+    monkeypatch.setattr(specialize, "_code_cache", {})
+    before = specialize.specialize_cache_info().compiles
+    events = fuzz_events(4242)
+    for base, reuse, invalid in ((6, 3, 6), (5, 3, 7)):
+        config = MayaConfig(
+            sets_per_skew=16, base_ways_per_skew=base, reuse_ways_per_skew=reuse,
+            invalid_ways_per_skew=invalid, rng_seed=9, hash_algorithm="splitmix",
+        )
+        generic = MayaCache(config)
+        specialized = MayaCache(config)
+        spec, info = apply_specialization(specialized)
+        try:
+            assert info["llc"] == "MayaCache", info["llc_reason"]
+            generic_trail = drive(generic, events)
+            specialized_trail = drive(specialized, events)
+        finally:
+            spec.release()
+        assert specialized_trail == generic_trail
+        assert dataclasses.asdict(specialized.stats) == dataclasses.asdict(generic.stats)
+        assert generic.stats.evictions > 0
+    assert specialize.specialize_cache_info().compiles - before == 2
