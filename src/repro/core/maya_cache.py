@@ -23,14 +23,17 @@ makes this astronomically rare - Section IV quantifies it, and the
 ``on_sae`` policy here lets experiments count, raise on, or rekey
 after one.
 
-The hot path is :meth:`MayaCache.access_fast`, which works directly on
-the tag store's packed columns, returns an ``ACC_*`` flag int, and
-publishes any writeback through the ``victim_*`` instance fields - no
-per-access allocation.  The public :meth:`MayaCache.access` wraps it in
-the historical :class:`AccessResult` API.  Behaviour - including RNG
-draw order and every statistics counter - is bit-identical to the
-object-model reference in ``repro.reference.maya`` (enforced by the
-differential tests).
+The per-access protocol lives in :mod:`repro.core.maya_step`, which
+renders it per configuration over the tag store's packed columns.
+:meth:`MayaCache.access_fast` binds that step on first use; it returns
+an ``ACC_*`` flag int and publishes any writeback through the
+``victim_*`` instance fields - no per-access allocation.  The public
+:meth:`MayaCache.access` wraps it in the historical
+:class:`AccessResult` API.  This module keeps the rare and whole-cache
+paths: SAE handling, invalidation, flush and rekey.  Behaviour -
+including RNG draw order and every statistics counter - is
+bit-identical to the object-model reference in ``repro.reference.maya``
+(enforced by the differential tests).
 """
 
 from __future__ import annotations
@@ -44,9 +47,7 @@ from ..common.rng import derive_seed, make_rng
 from ..cache.line import (
     ACC_EVICTED,
     ACC_EVICTED_DIRTY,
-    ACC_HIT,
     ACC_SAE,
-    ACC_TAG_HIT,
     AccessResult,
     EvictedLine,
     access_result,
@@ -54,6 +55,7 @@ from ..cache.line import (
 )
 from ..cache.stats import CacheStats
 from .data_store import DataStore
+from .maya_step import maya_step
 from .tag_store import NO_DATA, SkewedTagStore, TagState
 
 #: Extra LLC lookup cycles: 3 for the PRINCE cipher + 1 for indirection.
@@ -70,9 +72,8 @@ class MayaCache:
     ----------
     config:
         Geometry and provisioning (defaults are the paper's 12 MB design).
-    skew_policy:
-        ``"load_aware"`` (the paper's policy) or ``"random"`` (the
-        insecure alternative, kept for the ablation benchmark).
+        Only the paper's two skews are supported; skew selection is
+        always load-aware.
     on_sae:
         What to do when a set-associative eviction occurs:
         ``"count"`` (evict and keep a counter), ``"raise"``
@@ -86,7 +87,6 @@ class MayaCache:
     def __init__(
         self,
         config: Optional[MayaConfig] = None,
-        skew_policy: str = "load_aware",
         on_sae: str = "count",
         global_tag_eviction: bool = True,
     ):
@@ -95,39 +95,16 @@ class MayaCache:
         population grows past its steady-state size, the invalid-tag
         reserve drains, and SAEs appear (see the ablation benchmark)."""
         self.config = config or MayaConfig()
-        if skew_policy not in ("load_aware", "random"):
-            raise ValueError(f"unknown skew policy {skew_policy!r}")
+        if self.config.skews != 2:
+            raise ValueError(f"MayaCache models two skews, not {self.config.skews}")
         if on_sae not in ("count", "raise", "rekey"):
             raise ValueError(f"unknown SAE policy {on_sae!r}")
-        self._skew_policy = skew_policy
         self._on_sae = on_sae
         self._global_tag_eviction = global_tag_eviction
         self.tags = SkewedTagStore(self.config)
-        # Resolve the skew-selection dispatch once (hot path), and bind
-        # the location-map probe (the tag store never replaces the dict).
-        self._pick_skew = (
-            self.tags.pick_skew_load_aware
-            if skew_policy == "load_aware"
-            else self.tags.pick_skew_random
-        )
-        # The dominant install path inlines the two-skew load-aware
-        # pick; anything else dispatches through _pick_skew.
-        self._fast_pick = skew_policy == "load_aware" and self.tags._skews == 2
-        rand = self.tags.randomizer
-        bits = rand._index_bits
-        # ... and, for the splitmix hash, the mixer itself (keys are
-        # re-read per miss because rekey() replaces them).  The XOR
-        # fold over 64/bits chunks is precomputed as shift offsets:
-        # masking distributes over XOR, so the chunk fold equals
-        # ``(x ^ x>>bits ^ x>>2*bits ^ ...) & mask`` for any width.
-        self._fast_mix = self._fast_pick and rand._algorithm == "splitmix"
-        self._mix_shifts = tuple(range(bits, 64, bits))
-        self._mix_mask = (1 << bits) - 1
-        self._tag_where_get = self.tags._where.get
         self.data = DataStore(self.config.data_entries, seed=derive_seed(self.config.rng_seed, 3))
         self._rng = make_rng(derive_seed(self.config.rng_seed, 4))
         self.stats = CacheStats()
-        self._p0_capacity = self.config.priority0_entries
         #: Mapping-cache counter snapshot taken at the last stats reset,
         #: so ``stats.randomizer_*`` report the measured window only.
         self._mapping_cache_base = (0, 0)
@@ -138,7 +115,7 @@ class MayaCache:
         #: dict: every tag eviction past the cap drops the oldest entry,
         #: and a plain dict's ``next(iter(d))`` then scans the holes
         #: earlier front deletions left.  Cleared in place only - the
-        #: specialized step binds it once.
+        #: step binds it once.
         self._evicted_p0_window: "OrderedDict[tuple, bool]" = OrderedDict()
         self._evicted_p0_window_size = 4096
         self.premature_p0_evictions = 0
@@ -165,46 +142,17 @@ class MayaCache:
         in the ``victim_*`` fields until the next access.  The secure
         lookup adds the constant :data:`SECURE_LOOKUP_EXTRA_CYCLES` on
         every access (the hierarchy accounts for it).
-        """
-        tags = self.tags
-        tag_idx = self._tag_where_get((line_addr << 16) | sdid)
-        st = self.stats
-        st.accesses += 1
-        if tag_idx is not None:
-            if tags._state[tag_idx] == _P1:
-                st.hits += 1
-                if is_writeback:
-                    st.writebacks_received += 1
-                    tags._dirty[tag_idx] = 1
-                else:
-                    st.demand_accesses += 1
-                    st.demand_hits += 1
-                    tags._reused[tag_idx] = 1
-                    if is_write:
-                        tags._dirty[tag_idx] = 1
-                return ACC_HIT
-            # Priority-0 tag hit: promotion (data itself is a miss).
-            st.misses += 1
-            if is_writeback:
-                st.writebacks_received += 1
-            else:
-                st.demand_accesses += 1
-                pcm = st.per_core_misses
-                pcm[core_id] = pcm.get(core_id, 0) + 1
-            st.tag_only_hits += 1
-            return ACC_TAG_HIT | self._promote(tag_idx, is_write or is_writeback, core_id)
 
-        # Tag miss.
-        st.misses += 1
-        if is_writeback:
-            st.writebacks_received += 1
-        else:
-            st.demand_accesses += 1
-            pcm = st.per_core_misses
-            pcm[core_id] = pcm.get(core_id, 0) + 1
-        if is_write or is_writeback:
-            return self._install_priority1(line_addr, sdid, core_id)
-        return self._install_priority0(line_addr, sdid, core_id)
+        The first call binds the generated step
+        (:func:`~repro.core.maya_step.maya_step`) on the instance, where
+        attribute lookup finds it from then on.  Callers that bound this
+        method before the first access keep landing here, so the
+        instance binding is looked up first and the step renders once.
+        """
+        step = self.__dict__.get("access_fast")
+        if step is None:
+            self.access_fast = step = maya_step(self)
+        return step(line_addr, is_write, core_id, is_writeback, sdid)
 
     def access(
         self,
@@ -293,215 +241,6 @@ class MayaCache:
 
     # -- internal operations ---------------------------------------------------
 
-    def _promote(self, tag_idx: int, dirty: bool, core_id: int) -> int:
-        """Upgrade a priority-0 tag; may trigger global random data eviction."""
-        flags = 0
-        if self.data.full:
-            flags = self._global_random_data_eviction(filler_core=core_id)
-        fptr = self.data.allocate(tag_idx)
-        tags = self.tags
-        tags.promote(tag_idx, fptr, dirty)
-        tags._core[tag_idx] = core_id
-        tags._reused[tag_idx] = 0
-        self.stats.data_fills += 1
-        return flags
-
-    def _global_random_data_eviction(self, filler_core: int) -> int:
-        """Evict a uniformly random data entry, demoting its tag."""
-        victim_data = self.data.random_victim()
-        victim_tag_idx = self.data.rptr_of(victim_data)
-        tags = self.tags
-        if tags._state[victim_tag_idx] != _P1:
-            raise SimulationError("data entry points at a non-priority-1 tag")
-        dirty = tags._dirty[victim_tag_idx]
-        reused = tags._reused[victim_tag_idx]
-        core = tags._core[victim_tag_idx]
-        self.victim_addr = tags._addr[victim_tag_idx]
-        self.victim_core = core
-        self.victim_sdid = tags._sdid[victim_tag_idx]
-        self.victim_reused = bool(reused)
-        st = self.stats
-        st.evictions += 1
-        if dirty:
-            st.dirty_evictions += 1
-        if not reused:
-            st.dead_evictions += 1
-        if core >= 0 and core != filler_core:
-            st.interference_evictions += 1
-        self.data.free(victim_data)
-        tags.demote(victim_tag_idx)
-        return ACC_EVICTED | ACC_EVICTED_DIRTY if dirty else ACC_EVICTED
-
-    def _install_priority0(self, line_addr: int, sdid: int, core_id: int) -> int:
-        """Demand tag miss: fill a tag-only entry (Fig. 5a events).
-
-        This is the dominant miss path, so the tag-store operations
-        (install, random priority-0 pick, invalidate) are inlined here;
-        each is behaviourally identical to the ``SkewedTagStore`` method
-        of the same name (the differential tests enforce it).
-        """
-        self.installs += 1
-        window = self._evicted_p0_window
-        if window.pop((line_addr, sdid), None):
-            self.premature_p0_evictions += 1
-        flags = 0
-        tags = self.tags
-        ways = tags._ways
-        state = tags._state
-        if self._fast_pick:
-            # pick_skew_load_aware inlined for two skews (the hottest
-            # call on the install path): same memo LRU discipline,
-            # counter updates, and tie-break draw.
-            rand = tags.randomizer
-            memo = rand._memo
-            mkey = (line_addr, sdid)
-            indices = memo.pop(mkey, None)
-            if indices is None:
-                rand.cache_misses += 1
-                # Same miss discipline as IndexRandomizer._lookup: a
-                # bulk_map / load_packed pretranslation satisfies the
-                # miss before any cipher work.
-                indices = rand._precomputed.get(mkey)
-                if indices is None and self._fast_mix:
-                    # IndexRandomizer._raw_indices (splitmix, two
-                    # skews) inlined - the cipher pass per install
-                    # miss.  Identical mixing; the precomputed-shift
-                    # XOR fold equals the chunk fold for any width.
-                    k0, k1 = rand._mix_keys
-                    shifts = self._mix_shifts
-                    m = self._mix_mask
-                    tweaked = line_addr ^ (sdid << 56)
-                    x = (tweaked ^ k0) & 0xFFFFFFFFFFFFFFFF
-                    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-                    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-                    x ^= x >> 31
-                    f0 = x
-                    for s in shifts:
-                        f0 ^= x >> s
-                    x = (tweaked ^ k1) & 0xFFFFFFFFFFFFFFFF
-                    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-                    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-                    x ^= x >> 31
-                    f1 = x
-                    for s in shifts:
-                        f1 ^= x >> s
-                    indices = (f0 & m, f1 & m)
-                elif indices is None:
-                    indices = rand._raw_indices(line_addr, sdid)
-                if len(memo) >= rand._memo_capacity:
-                    del memo[next(iter(memo))]
-            else:
-                rand.cache_hits += 1
-            memo[mkey] = indices
-            vc = tags._valid_count
-            i0 = indices[0]
-            i1 = indices[1]
-            l0 = vc[i0]
-            l1 = vc[tags._sets + i1]
-            if l0 < l1:
-                skew, set_idx = 0, i0
-            elif l1 < l0:
-                skew, set_idx = 1, i1
-            elif tags._randbelow(2):
-                skew, set_idx = 1, i1
-            else:
-                skew, set_idx = 0, i0
-        else:
-            skew, set_idx = self._pick_skew(line_addr, sdid)
-        base = (skew * tags._sets + set_idx) * ways
-        slot = state.find(0, base, base + ways)
-        if slot < 0:
-            flags = self._handle_sae(skew, set_idx)
-            slot = state.find(0, base, base + ways)
-            if slot < 0:
-                raise SimulationError("no invalid way even after SAE handling")
-        # install(slot, ..., priority1=False), inlined.
-        tags._addr[slot] = line_addr
-        tags._sdid[slot] = sdid
-        tags._core[slot] = core_id
-        tags._dirty[slot] = 0
-        tags._reused[slot] = 0
-        state[slot] = _P0
-        tags._fptr[slot] = NO_DATA
-        pool = tags._p0_pool
-        pos_map = tags._p0_pos
-        pos_map[slot] = n = len(pool)
-        pool.append(slot)
-        tags._valid_count[slot // ways] += 1
-        tags._where[(line_addr << 16) | sdid] = slot
-        self.stats.fills += 1
-        n += 1
-        if self._global_tag_eviction and n > self._p0_capacity:
-            # Global random tag eviction, inlined: random_priority0
-            # (excluding the fresh install) + invalidate_fast.
-            if n == 1:
-                raise SimulationError("priority-0 pool over capacity but empty")
-            i = tags._randbelow(n)
-            victim = pool[i]
-            if victim == slot:
-                victim = pool[(i + 1) % n]
-            victim_addr = tags._addr[victim]
-            victim_sdid = tags._sdid[victim]
-            window[(victim_addr, victim_sdid)] = True
-            if len(window) > self._evicted_p0_window_size:
-                window.popitem(last=False)
-            pos = pos_map[victim]
-            last = pool.pop()
-            if last != victim:
-                pool[pos] = last
-                pos_map[last] = pos
-            tags._valid_count[victim // ways] -= 1
-            del tags._where[(victim_addr << 16) | victim_sdid]
-            state[victim] = 0
-            self.stats.tag_evictions += 1
-        return flags
-
-    def _install_priority1(self, line_addr: int, sdid: int, core_id: int) -> int:
-        """Write/writeback tag miss: fill tag + data (Fig. 5c events)."""
-        self.installs += 1
-        flags = 0
-        if self.data.full:
-            flags = self._global_random_data_eviction(filler_core=core_id)
-        tags = self.tags
-        skew, set_idx = self._pick_skew(line_addr, sdid)
-        base = (skew * tags._sets + set_idx) * tags._ways
-        slot = tags._state.find(0, base, base + tags._ways)
-        if slot < 0:
-            if flags & ACC_EVICTED:
-                # The data-eviction writeback wins over the SAE's: keep
-                # its victim fields, take only the SAE marker.
-                va = self.victim_addr
-                vc = self.victim_core
-                vs = self.victim_sdid
-                vr = self.victim_reused
-                flags |= self._handle_sae(skew, set_idx) & ACC_SAE
-                self.victim_addr = va
-                self.victim_core = vc
-                self.victim_sdid = vs
-                self.victim_reused = vr
-            else:
-                flags = self._handle_sae(skew, set_idx)
-            slot = tags._state.find(0, base, base + tags._ways)
-            if slot < 0:
-                raise SimulationError("no invalid way even after SAE handling")
-        fptr = self.data.allocate(slot)
-        tags.install(slot, line_addr, sdid, core_id, priority1=True, dirty=True, fptr=fptr)
-        self.stats.fills += 1
-        self.stats.data_fills += 1
-        if self._global_tag_eviction and tags.priority0_count > self.config.priority0_entries:
-            self._global_random_tag_eviction(exclude=slot)
-        return flags
-
-    def _global_random_tag_eviction(self, exclude: int) -> None:
-        """Invalidate a random priority-0 tag anywhere in the cache."""
-        victim_idx = self.tags.random_priority0(exclude=exclude)
-        if victim_idx is None:
-            raise SimulationError("priority-0 pool over capacity but empty")
-        tags = self.tags
-        self._remember_evicted_p0(tags._addr[victim_idx], tags._sdid[victim_idx])
-        tags.invalidate_fast(victim_idx)
-        self.stats.tag_evictions += 1
-
     def _handle_sae(self, skew: int, set_idx: int) -> int:
         """Both mapped sets full: a set-associative eviction happens."""
         self.stats.saes += 1
@@ -549,14 +288,6 @@ class MayaCache:
             flags = ACC_EVICTED | ACC_EVICTED_DIRTY if dirty else ACC_EVICTED
         tags.invalidate_fast(tag_idx)
         return flags
-
-    # -- premature priority-0 eviction tracking (Section V-B) ----------------
-
-    def _remember_evicted_p0(self, line_addr: int, sdid: int) -> None:
-        window = self._evicted_p0_window
-        window[(line_addr, sdid)] = True
-        if len(window) > self._evicted_p0_window_size:
-            window.popitem(last=False)
 
     # -- introspection ---------------------------------------------------------
 

@@ -21,9 +21,12 @@ line address / SDID / core / FPTR arrays plus dirty / reused byte
 columns) indexed by the flat tag index, not in a ``List[TagEntry]``.
 :meth:`SkewedTagStore.entry` returns a write-through
 :class:`TagEntryView` over the columns so introspection code and tests
-keep the historical object API; the Maya engine reads the columns
-directly.  Behaviour - including RNG draw order - is identical to the
-object-model reference in ``repro.reference.tag_store``.
+keep the historical object API.  The generated Maya step
+(:mod:`repro.core.maya_step`) installs, promotes, demotes and evicts
+in place on the columns and the pool; this class keeps the lookups,
+invalidation and the invariant check.  The object-model reference in
+``repro.reference.tag_store`` keeps the method-per-operation API
+(install, promote, skew selection, ...) that the step transcribes.
 """
 
 from __future__ import annotations
@@ -189,14 +192,9 @@ class SkewedTagStore:
                 config.memo_capacity if config.memo_capacity is not None else DEFAULT_MEMO_CAPACITY
             ),
         )
+        #: The priority-0 tie-break and global tag eviction draws of the
+        #: generated step (:mod:`repro.core.maya_step`).
         self._rng = make_rng(derive_seed(config.rng_seed, 2))
-        # random.randrange(n) is a thin argument-checking wrapper over
-        # _randbelow(n); calling the latter directly draws the identical
-        # value from the identical stream, minus the wrapper cost.
-        self._randbelow = self._rng._randbelow
-        # Memoized per-skew index lookup, bound once (the randomizer's
-        # rekey clears its memo in place, so the binding stays valid).
-        self._indices_of = self.randomizer._lookup
         total = config.tag_entries
         self._state = bytearray(total)
         # Integer columns are plain lists: stores keep a reference to
@@ -245,38 +243,12 @@ class SkewedTagStore:
     def priority0_count(self) -> int:
         return len(self._p0_pool)
 
-    def _p0_add(self, tag_idx: int) -> None:
-        self._p0_pos[tag_idx] = len(self._p0_pool)
-        self._p0_pool.append(tag_idx)
-
     def _p0_remove(self, tag_idx: int) -> None:
         pos = self._p0_pos[tag_idx]
         last = self._p0_pool.pop()
         if last != tag_idx:
             self._p0_pool[pos] = last
             self._p0_pos[last] = pos
-
-    def random_priority0(self, exclude: Optional[int] = None) -> Optional[int]:
-        """A uniformly random priority-0 tag index, optionally excluding one.
-
-        Exactly one RNG draw when the pool is non-trivial: a draw that
-        lands on ``exclude`` takes the next pool slot (cyclically)
-        instead of re-drawing.  A rejection loop would make the *number*
-        of draws data-dependent, so identical seeds could diverge after
-        a rare collision; the index shift keeps the draw count fixed
-        while staying uniform over the other entries.
-        """
-        pool = self._p0_pool
-        n = len(pool)
-        if not n:
-            return None
-        if exclude is not None and n == 1 and pool[0] == exclude:
-            return None
-        i = self._randbelow(n)
-        candidate = pool[i]
-        if candidate == exclude:
-            candidate = pool[(i + 1) % n]
-        return candidate
 
     # -- lookup ---------------------------------------------------------------
 
@@ -303,110 +275,7 @@ class SkewedTagStore:
                     return idx
         return None
 
-    # -- insertion ---------------------------------------------------------------
-
-    def pick_skew_load_aware(self, line_addr: int, sdid: int = 0) -> Tuple[int, int]:
-        """Load-aware skew selection: the mapped set with more invalid ways.
-
-        Returns ``(skew, set_idx)``.  Ties break uniformly at random, as
-        in Mirage.
-        """
-        # Randomizer memo lookup, inlined from IndexRandomizer._lookup
-        # (this is the hottest call on the install path; same LRU
-        # discipline and counter updates).
-        rand = self.randomizer
-        memo = rand._memo
-        key = (line_addr, sdid)
-        indices = memo.pop(key, None)
-        if indices is None:
-            rand.cache_misses += 1
-            # Consult the bulk_map/load_packed side table before the
-            # cipher, mirroring IndexRandomizer._lookup's miss path.
-            indices = rand._precomputed.get(key)
-            if indices is None:
-                indices = rand._raw_indices(line_addr, sdid)
-            if len(memo) >= rand._memo_capacity:
-                del memo[next(iter(memo))]
-        else:
-            rand.cache_hits += 1
-        memo[key] = indices
-        vc = self._valid_count
-        if self._skews == 2:
-            i0 = indices[0]
-            i1 = indices[1]
-            l0 = vc[i0]
-            l1 = vc[self._sets + i1]
-            if l0 < l1:
-                return 0, i0
-            if l1 < l0:
-                return 1, i1
-            skew = self._randbelow(2)
-            return (1, i1) if skew else (0, i0)
-        loads = [vc[s * self._sets + indices[s]] for s in range(self._skews)]
-        best = min(loads)
-        candidates = [s for s, load in enumerate(loads) if load == best]
-        skew = candidates[self._rng.randrange(len(candidates))] if len(candidates) > 1 else candidates[0]
-        return skew, indices[skew]
-
-    def pick_skew_random(self, line_addr: int, sdid: int = 0) -> Tuple[int, int]:
-        """Random skew selection (the insecure alternative; ablation)."""
-        indices = self._indices_of(line_addr, sdid)
-        skew = self._rng.randrange(self._skews)
-        return skew, indices[skew]
-
-    def find_invalid_way(self, skew: int, set_idx: int) -> Optional[int]:
-        base = (skew * self._sets + set_idx) * self._ways
-        idx = self._state.find(_INVALID, base, base + self._ways)
-        return None if idx < 0 else idx
-
-    def install(
-        self,
-        tag_idx: int,
-        line_addr: int,
-        sdid: int,
-        core_id: int,
-        priority1: bool,
-        dirty: bool = False,
-        fptr: int = NO_DATA,
-    ) -> None:
-        """Fill an invalid entry as priority-0 or priority-1."""
-        if self._state[tag_idx]:
-            raise SimulationError("installing over a valid tag entry")
-        self._addr[tag_idx] = line_addr
-        self._sdid[tag_idx] = sdid
-        self._core[tag_idx] = core_id
-        self._dirty[tag_idx] = 1 if dirty else 0
-        self._reused[tag_idx] = 0
-        if priority1:
-            self._state[tag_idx] = _P1
-            self._fptr[tag_idx] = fptr
-            self.priority1_count += 1
-        else:
-            self._state[tag_idx] = _P0
-            self._fptr[tag_idx] = NO_DATA
-            self._p0_add(tag_idx)
-        self._valid_count[tag_idx // self._ways] += 1
-        self._where[(line_addr << _SDID_SHIFT) | sdid] = tag_idx
-
-    def promote(self, tag_idx: int, fptr: int, dirty: bool) -> None:
-        """Priority-0 -> priority-1 on a reuse hit (Fig. 3)."""
-        if self._state[tag_idx] != _P0:
-            raise SimulationError("can only promote a priority-0 entry")
-        self._state[tag_idx] = _P1
-        self._fptr[tag_idx] = fptr
-        self._dirty[tag_idx] = 1 if dirty else 0
-        self._p0_remove(tag_idx)
-        self.priority1_count += 1
-
-    def demote(self, tag_idx: int) -> None:
-        """Priority-1 -> priority-0 on global random data eviction."""
-        if self._state[tag_idx] != _P1:
-            raise SimulationError("can only demote a priority-1 entry")
-        self._state[tag_idx] = _P0
-        self._fptr[tag_idx] = NO_DATA
-        self._dirty[tag_idx] = 0
-        self._p0_add(tag_idx)
-        self.priority1_count -= 1
+    # -- removal ----------------------------------------------------------------
 
     def invalidate(self, tag_idx: int) -> TagEntry:
         """Drop a tag entry entirely; returns a copy of the old contents."""
@@ -442,9 +311,9 @@ class SkewedTagStore:
     def invalidate_fast(self, tag_idx: int) -> None:
         """:meth:`invalidate` without materializing the old contents.
 
-        The Maya engine reads whatever victim fields it needs from the
-        columns *before* calling this, so the snapshot would be wasted
-        allocation on the hot path.
+        :meth:`MayaCache._drop_tag` reads whatever victim fields it
+        needs from the columns *before* calling this, so the snapshot
+        would be wasted allocation.
         """
         state = self._state[tag_idx]
         if not state:
@@ -456,7 +325,7 @@ class SkewedTagStore:
         self._valid_count[tag_idx // self._ways] -= 1
         del self._where[(self._addr[tag_idx] << _SDID_SHIFT) | self._sdid[tag_idx]]
         # Only the state column is cleared: every reader gates on it (or
-        # on ``_where``), and install() overwrites the other columns.
+        # on ``_where``), and every install overwrites the other columns.
         self._state[tag_idx] = _INVALID
 
     # -- introspection / invariants ------------------------------------------

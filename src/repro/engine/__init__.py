@@ -1,7 +1,9 @@
 """Fast execution layers behind ``run_mix``.
 
-* :mod:`repro.engine.specialize` - config-specialized ``access_fast``
-  step functions, generated per LLC configuration.
+* :mod:`repro.engine.specialize` - installs config-specialized
+  ``access_fast`` step functions per run: the Mirage and set-assoc
+  templates, and Maya's one generated step
+  (:mod:`repro.core.maya_step`).
 * :mod:`repro.engine.opstream` - per-core op streams: the private
   levels pre-simulated once, leaving only the LLC/DRAM operations.
 * :mod:`repro.engine.vector` - the op-stream replay that drives every

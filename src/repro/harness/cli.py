@@ -26,9 +26,10 @@ nested tooling inherit it).  ``--no-trace-cache`` disables the
 artifact cache (``REPRO_TRACE_CACHE=0``): compiled traces, translated
 index columns and op streams are rebuilt in-process for every run, and
 nothing is read from or written to ``results/.trace_cache``.
-``--specialize 0`` swaps the generated
-step functions and the op-stream replay for the generic per-access
-drive (exported as ``REPRO_SPECIALIZE``); results are bit-identical.
+``--specialize 0`` swaps the op-stream
+replay and the generated Mirage/set-assoc steps for the per-access
+drive and the generic engines (exported as ``REPRO_SPECIALIZE``;
+Maya's generated step runs either way); results are bit-identical.
 ``--service ADDR`` (or the ``REPRO_SERVICE`` environment variable)
 drains the grid through a resident simulation service (``repro
 serve``) instead of one-shot worker processes - same bytes, no
@@ -213,7 +214,8 @@ def campaign_main(argv: List[str]) -> int:
         "--specialize", choices=("0", "1"), default=None,
         help="the access steps the cells' attacks drive: 1 (default) "
         "installs config-specialized steps on every design a cell "
-        "builds, 0 keeps the generic steps as the differential oracle "
+        "builds, 0 keeps the generic steps of the non-Maya designs as "
+        "their differential oracle "
         "(exported as %s so --jobs workers inherit it; the scorecard "
         "is byte-identical either way)" % SPECIALIZE_ENV,
     )
@@ -309,7 +311,8 @@ def main(argv=None) -> int:
         "--specialize", choices=("0", "1"), default=None,
         help="config-specialized step codegen: 1 (default; generated "
         "per-config step functions plus the opstream scalar replay for "
-        "every LLC with an access_fast step) or 0 for the generic "
+        "every LLC with an access_fast step) or 0 for the per-access "
+        "drive and the generic Mirage/set-assoc engines, their "
         "differential oracle (bit-identical results, exported as %s so "
         "--jobs workers inherit it)"
         % SPECIALIZE_ENV,

@@ -77,7 +77,7 @@ class MixResult:
     #: the run, else ``None``.  Diagnostic only.
     engine_info: Optional[dict] = None
     #: Specialization provenance (:mod:`repro.engine.specialize`):
-    #: ``None`` when the generic engines ran (``REPRO_SPECIALIZE=0``),
+    #: ``None`` when specialization was off (``REPRO_SPECIALIZE=0``),
     #: else the template kind installed on the LLC (or the fallback
     #: reason) plus the count of specialized private levels.
     #: Diagnostic only - never part of canonical results.
@@ -232,11 +232,13 @@ def run_mix(
     ``specialize`` selects the config-specialized step functions
     (:mod:`repro.engine.specialize`): ``None`` honours
     ``REPRO_SPECIALIZE`` (default on), ``False`` keeps the generic
-    interpreters and the per-access hierarchy drive (the differential
-    oracle).  Specialization is applied after the hierarchy is built
-    and released with it, also when the run raises; every caller
-    resolves ``access_fast`` by attribute, so the drive loops and the
-    op-stream replay all pick up the specialized steps.  It also
+    Mirage and set-assoc interpreters and the per-access hierarchy
+    drive (their differential oracle; Maya's generated step is its only
+    implementation and runs either way).  Specialization is applied
+    after the hierarchy is built and released with it, also when the
+    run raises; every caller resolves ``access_fast`` by attribute, so
+    the drive loops and the op-stream replay all pick up the
+    specialized steps.  It also
     selects the op-stream replay (:mod:`repro.engine.vector`) for
     every LLC with an ``access_fast`` step (Maya, Mirage, the
     baseline, CEASER, the skewed designs, the fully-associative
@@ -374,11 +376,11 @@ def run_mix(
         if refresh_mapping_cache is not None:
             refresh_mapping_cache()
     finally:
-        # Restore the generic step functions, also when the run raised:
+        # Drop the installed step functions, also when the run raised:
         # the specialized closures hold references back to their caches,
         # and dropping the instance bindings keeps per-trial bench loops
         # refcount-clean and hands the caller's LLC back as it was built
-        # (post-run accesses through the generic engine are bit-identical
+        # (post-run accesses through the class's step are bit-identical
         # anyway).
         if specialization is not None:
             specialization.release()

@@ -10,8 +10,11 @@ order - any divergence is a bug in the packed rewrite.
 
 The only intentional deviation from history: the reference tag store
 carries the same deterministic ``random_priority0`` index-shift fix as
-the packed one (the historical rejection loop made the RNG draw count
-data-dependent, which no oracle can reproduce draw-for-draw).
+the generated Maya step (``repro.core.maya_step``; the historical
+rejection loop made the RNG draw count data-dependent, which no oracle
+can reproduce draw-for-draw).  For Maya this package is the only
+differential oracle: the generated step is its one fast
+implementation.
 """
 
 from .data_store import DataStore as ReferenceDataStore

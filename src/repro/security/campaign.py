@@ -37,7 +37,9 @@ cell specializes every design it builds
 (:func:`repro.engine.specialize.specialize_llc`) before an attack binds
 that step, and releases the specialization when the cell ends, also
 when it raises.  ``REPRO_SPECIALIZE=0`` (``campaign --specialize 0``)
-keeps the generic steps; the scorecard is byte-identical either way.
+keeps the generic steps of the non-Maya designs (Maya binds its
+generated step on first use); the scorecard is byte-identical either
+way.
 """
 
 from __future__ import annotations

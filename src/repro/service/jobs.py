@@ -40,8 +40,8 @@ CACHE_LAYERS = ("trace", "translated", "opstream", "store")
 
 def cache_snapshot() -> Dict[str, Dict[str, float]]:
     """Counters of the process-wide caches and store, as plain dicts."""
+    from ..common.codegen import specialize_cache_info
     from ..engine.opstream import STREAMS
-    from ..engine.specialize import specialize_cache_info
     from ..store import store_cache_info
     from ..trace.compiled import TRACES
     from ..trace.translated import TRANSLATIONS

@@ -23,7 +23,6 @@ import pytest
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.common.config import CacheGeometry, MayaConfig, MirageConfig
 from repro.core.maya_cache import MayaCache
-from repro.engine.specialize import apply_specialization
 from repro.llc.fully_assoc import FullyAssociativeCache
 from repro.llc.interface import attack_capacity
 from repro.llc.mirage import MirageCache
@@ -178,22 +177,15 @@ class TestMayaDifferential:
         drive_pair(packed, reference, ops)
         assert packed.stats.saes > 0
 
-    def test_random_skew_policy(self):
-        packed, reference = maya_pair(seed=47, skew_policy="random")
-        ops = make_stream(seed=6, length=2000, addr_space=2048)
-        drive_pair(packed, reference, ops)
+    def test_premature_eviction_window_overflow(self):
+        """A 32-entry window FIFO-evicts thousands of times; the packed
+        step must evict the same entries in the same order as the
+        reference.
 
-    @pytest.mark.parametrize(
-        "specialized", [False, pytest.param(True, marks=pytest.mark.specialize)]
-    )
-    def test_premature_eviction_window_overflow(self, specialized):
-        """A 32-entry window FIFO-evicts thousands of times; every engine
-        must evict the same entries in the same order.
-
-        The specialized step renders the window size as a literal, so
-        the size is set before specializing.  Writes and writebacks
-        make the priority-1 install evict tags as well as the
-        priority-0 install.
+        The generated step renders the window size as a literal and
+        binds the window on first access, so both are set before it.
+        Writes and writebacks make the priority-1 install evict tags as
+        well as the priority-0 install.
         """
 
         class CountingWindow(OrderedDict):
@@ -204,52 +196,40 @@ class TestMayaDifferential:
                 return super().popitem(last)
 
         packed, reference = maya_pair(sets=16, seed=59)
-        caches = [packed, reference]
-        if specialized:
-            caches.append(MayaCache(packed.config))
-        for cache in caches:
+        for cache in (packed, reference):
             cache._evicted_p0_window = CountingWindow()
             cache._evicted_p0_window_size = 32
         p1_tag_evictions = 0
-        generic_tag_eviction = packed._global_random_tag_eviction
+        install_priority1 = reference._install_priority1
 
-        def counted_tag_eviction(exclude):
+        def counted_install_priority1(line_addr, sdid, core_id):
             nonlocal p1_tag_evictions
-            p1_tag_evictions += 1
-            generic_tag_eviction(exclude)
+            before = reference.stats.tag_evictions
+            writeback = install_priority1(line_addr, sdid, core_id)
+            p1_tag_evictions += reference.stats.tag_evictions - before
+            return writeback
 
-        packed._global_random_tag_eviction = counted_tag_eviction
-        spec = None
-        if specialized:
-            spec, info = apply_specialization(caches[2])
-            assert info["llc"] == "MayaCache", info["llc_reason"]
-        try:
-            ops = make_stream(seed=14, length=6000, addr_space=4096, cores=4, sdids=2)
-            for i, (addr, is_write, core, is_writeback, sdid) in enumerate(ops):
-                results = [
-                    cache.access(addr, is_write, core, is_writeback, sdid) for cache in caches
-                ]
-                assert results.count(results[0]) == len(results), f"access {i} diverged: {results}"
-        finally:
-            if spec is not None:
-                spec.release()
+        reference._install_priority1 = counted_install_priority1
+        ops = make_stream(seed=14, length=6000, addr_space=4096, cores=4, sdids=2)
+        for i, (addr, is_write, core, is_writeback, sdid) in enumerate(ops):
+            rp = packed.access(addr, is_write, core, is_writeback, sdid)
+            rr = reference.access(addr, is_write, core, is_writeback, sdid)
+            assert rp == rr, f"access {i} diverged:\n packed   ={rp}\n reference={rr}"
 
-        assert packed._evicted_p0_window.evictions >= 2000
-        assert 0 < p1_tag_evictions < packed.stats.tag_evictions
-        for other in caches[1:]:
-            assert_stats_equal(other, packed)
-            assert other._evicted_p0_window.evictions == packed._evicted_p0_window.evictions
-            assert list(other._evicted_p0_window) == list(packed._evicted_p0_window)
-            assert other.premature_p0_evictions == packed.premature_p0_evictions
-            assert other.installs == packed.installs
-            info_o = other.tags.randomizer.cache_info()
-            info_p = packed.tags.randomizer.cache_info()
-            assert (info_o.hits, info_o.misses) == (info_p.hits, info_p.misses)
-            assert other.tags._p0_pool == packed.tags._p0_pool
-            assert other.tags.priority1_count == packed.tags.priority1_count
+        assert reference._evicted_p0_window.evictions >= 2000
+        assert 0 < p1_tag_evictions < reference.stats.tag_evictions
+        assert_stats_equal(packed, reference)
+        assert packed._evicted_p0_window.evictions == reference._evicted_p0_window.evictions
+        assert list(packed._evicted_p0_window) == list(reference._evicted_p0_window)
+        assert packed.premature_p0_evictions == reference.premature_p0_evictions
+        assert packed.installs == reference.installs
+        info_p = packed.tags.randomizer.cache_info()
+        info_r = reference.tags.randomizer.cache_info()
+        assert (info_p.hits, info_p.misses) == (info_r.hits, info_r.misses)
+        assert packed.tags._p0_pool == reference.tags._p0_pool
+        assert packed.tags.priority1_count == reference.tags.priority1_count
         packed.check_invariants()
-        if specialized:
-            caches[2].check_invariants()
+        reference.check_invariants()
 
 
 # -- Mirage ---------------------------------------------------------------
@@ -547,8 +527,12 @@ class TestAdversarialTraffic:
 @pytest.mark.specialize
 class TestVectorEngineSweep:
     """Seed sweep: the op-stream replay (:mod:`repro.engine.vector`,
-    ``specialize=True``) vs the per-access drive (``specialize=False``).
+    ``specialize=True``) vs the per-access drive (``specialize=False``)
+    vs the object-model reference (:class:`ReferenceMayaCache`).
 
+    The reference has no ``access_fast`` step, so ``run_mix`` drives it
+    per access through ``access()``: the packed step's only second
+    implementation, checked end to end through the whole hierarchy.
     The targeted hazard tests live in ``test_compiled_replay.py``; this
     sweep drives whole ``run_mix`` protocols across seeds and workload
     shapes so divergences that depend on stream interleaving (not on a
@@ -556,8 +540,11 @@ class TestVectorEngineSweep:
     """
 
     @staticmethod
-    def _run_pair(seed, *, bench="mcf", cores=2, on_sae="count",
-                  memo_capacity=None, hash_algorithm="splitmix"):
+    def _run_all(seed, *, bench="mcf", cores=2, on_sae="count",
+                  memo_capacity=None, hash_algorithm="splitmix", **cfg_kwargs):
+        """``[(llc, result)]`` for the replay, the per-access drive and
+        the reference, after asserting that all three agree on stats,
+        IPCs and MPKI."""
         from repro.common.config import SystemConfig
         from repro.hierarchy.simulator import run_mix
         from repro.trace.mixes import homogeneous
@@ -568,39 +555,55 @@ class TestVectorEngineSweep:
             l2_geometry=CacheGeometry(sets=16, ways=8),
             llc_geometry=CacheGeometry(sets=64, ways=16),
         )
-        cfg = dict(sets_per_skew=16, rng_seed=7, hash_algorithm=hash_algorithm)
+        cfg = dict(sets_per_skew=16, rng_seed=7, hash_algorithm=hash_algorithm, **cfg_kwargs)
         if memo_capacity is not None:
             cfg["memo_capacity"] = memo_capacity
         results = []
-        for specialize in (False, True):
-            llc = MayaCache(MayaConfig(**cfg), on_sae=on_sae)
+        for make, specialize in (
+            (MayaCache, True), (MayaCache, False), (ReferenceMayaCache, False),
+        ):
+            llc = make(MayaConfig(**cfg), on_sae=on_sae)
             r = run_mix(
                 llc, homogeneous(bench, cores), system, specialize=specialize,
                 accesses_per_core=600, warmup_accesses=200, seed=seed,
                 trace_cache=False,
             )
             results.append((llc, r))
-        assert results[1][1].specialize_info["replay"] == "opstream-scalar"
+        assert results[0][1].specialize_info["replay"] == "opstream-scalar"
+        (llc_v, r_v), _, (llc_ref, r_ref) = results
+        for llc, r in results[1:]:
+            assert vars(llc.stats) == vars(llc_v.stats)
+            assert r.ipcs == r_v.ipcs
+            assert r.llc_mpki == r_v.llc_mpki
+        assert llc_ref.premature_p0_evictions == llc_v.premature_p0_evictions
+        info_v = llc_v.tags.randomizer.cache_info()
+        info_ref = llc_ref.tags.randomizer.cache_info()
+        assert (info_ref.hits, info_ref.misses) == (info_v.hits, info_v.misses)
         return results
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 23, 1009])
     def test_seed_sweep_bit_identical(self, seed):
-        (llc_g, r_g), (llc_r, r_r) = self._run_pair(seed)
-        assert vars(llc_r.stats) == vars(llc_g.stats)
-        assert r_r.ipcs == r_g.ipcs
-        assert r_r.llc_mpki == r_g.llc_mpki
+        self._run_all(seed)
 
     @pytest.mark.parametrize("bench", ["lbm", "omnetpp"])
     def test_workload_sweep_bit_identical(self, bench):
-        (llc_g, r_g), (llc_r, r_r) = self._run_pair(11, bench=bench)
-        assert vars(llc_r.stats) == vars(llc_g.stats)
-        assert r_r.ipcs == r_g.ipcs
+        self._run_all(11, bench=bench)
 
     def test_tiny_memo_sweep_bit_identical(self):
         # Constant memo overflows: the precomputed side table backs
         # most of the replay's misses and must stay invisible.
-        (llc_g, r_g), (llc_r, r_r) = self._run_pair(5, memo_capacity=32)
-        info = llc_r.tags.randomizer.cache_info()
+        (llc, _), _, _ = self._run_all(5, memo_capacity=32)
+        info = llc.tags.randomizer.cache_info()
         assert info.size == info.capacity < info.misses  # it overflowed
-        assert vars(llc_r.stats) == vars(llc_g.stats)
-        assert r_r.ipcs == r_g.ipcs
+
+    def test_prince_sweep_bit_identical(self):
+        # The paper's cipher: per-miss PRINCE translation on the
+        # reference, the batch-pretranslated side table on the replay.
+        (llc, _), _, _ = self._run_all(13, hash_algorithm="prince")
+        assert llc.tags.randomizer.algorithm == "prince"
+
+    def test_rekey_on_sae_sweep_bit_identical(self):
+        # No invalid-way reserve: SAEs fire and each one rekeys and
+        # flushes the cache mid-run, under all three drives.
+        (llc, _), _, _ = self._run_all(17, on_sae="rekey", invalid_ways_per_skew=0)
+        assert llc.stats.saes > 0

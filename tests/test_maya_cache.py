@@ -166,7 +166,7 @@ class TestNoSAE:
         with pytest.raises(ValueError):
             make_maya(on_sae="ignore")
         with pytest.raises(ValueError):
-            make_maya(skew_policy="hash")
+            MayaCache(MayaConfig(skews=3, sets_per_skew=16, hash_algorithm="splitmix"))
 
 
 class TestSDIDIsolation:
@@ -287,3 +287,38 @@ class TestResetStats:
         assert len(cache._evicted_p0_window) == 0
         # Cache contents survive the reset.
         assert cache.occupancy > 0
+
+
+class TestStepBinding:
+    """``access_fast`` binds the generated step once per instance."""
+
+    def test_step_binds_once(self, monkeypatch):
+        from repro.core import maya_cache
+        from repro.engine.specialize import apply_specialization
+        from repro.llc.interface import access_step
+
+        renders = []
+        render = maya_cache.maya_step
+
+        def counting_render(llc):
+            renders.append(llc)
+            return render(llc)
+
+        monkeypatch.setattr(maya_cache, "maya_step", counting_render)
+        cache = make_maya()
+        # Taken before any access, as the attack harnesses do: this is
+        # the class binder, so every call below enters it.
+        step = access_step(cache)
+        assert step.__func__ is MayaCache.access_fast
+        for i in range(2000):
+            step(i % 300, i % 5 == 0, i % 4, i % 11 == 0, i % 2)
+        assert renders == [cache]
+        bound = vars(cache)["access_fast"]
+        assert cache.access_fast is bound
+        assert cache.stats.accesses == 2000
+
+        spec, info = apply_specialization(cache)
+        assert info["llc"] == "MayaCache", info["llc_reason"]
+        assert cache.access_fast is not bound
+        spec.release()
+        assert cache.access_fast is bound

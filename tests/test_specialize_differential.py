@@ -1,20 +1,25 @@
-"""Seeded fuzz differential: specialized codegen vs the generic engine.
+"""Seeded fuzz differential: each generated step vs its oracle.
 
 ``repro.engine.specialize`` compiles per-config ``access_fast`` step
 functions with constants inlined and policy branches pruned.  The
 contract is *bit-identity*: for any design and any access stream, the
-specialized step must produce exactly the per-access flags, victim
-protocol fields, and :class:`~repro.cache.stats.CacheStats` the generic
-engine does - including across mid-stream ``rekey()`` / ``flush_all()``
+installed step must produce exactly the per-access flags, victim
+protocol fields, and :class:`~repro.cache.stats.CacheStats` its oracle
+does - including across mid-stream ``rekey()`` / ``flush_all()``
 (which mutate the bound columns in place) and SAE storms (which route
 through the delegated rare-path methods).
 
-These tests drive two identically-seeded instances of each design -
-one generic, one with :func:`apply_specialization` installed - through
-the same randomized event stream and fail on the first divergence.
-Designs without a specialized template (skewed, fully-associative) run
-through the same harness to pin down that applying/releasing a
-specialization is a safe no-op for them.
+For Mirage and the set-associative designs the oracle is the generic
+engine: two identically-seeded instances, one with
+:func:`apply_specialization` installed, run the same randomized event
+stream and the test fails on the first divergence.  Maya has one
+implementation, the generated step of :mod:`repro.core.maya_step`, so
+its rows compare it with the object-model reference
+(:class:`~repro.reference.ReferenceMayaCache`); the reference has no
+``access_fast``, so both sides run through ``access()``.  Designs
+without a specialized template (skewed, fully-associative) run through
+the same harness to pin down that applying/releasing a specialization
+is a safe no-op for them.
 
 Marker ``specialize``; run with ``-m specialize``.
 """
@@ -26,9 +31,10 @@ import textwrap
 import pytest
 
 from repro.cache.line import ACC_EVICTED
+from repro.common import codegen
 from repro.common.config import CacheGeometry, MayaConfig, MirageConfig
 from repro.core.maya_cache import MayaCache
-from repro.engine import specialize
+from repro.core.maya_step import _draw
 from repro.engine.specialize import apply_specialization
 from repro.llc.baseline import BaselineLLC
 from repro.llc.ceaser import CeaserCache
@@ -36,14 +42,15 @@ from repro.llc.fully_assoc import FullyAssociativeCache
 from repro.llc.interface import supports_rekey
 from repro.llc.mirage import MirageCache
 from repro.llc.skewed import SkewedRandomizedCache
+from repro.reference import ReferenceMayaCache
 
 pytestmark = pytest.mark.specialize
 
 GEOMETRY = CacheGeometry(sets=32, ways=8)
 
 
-def _maya(seed, on_sae="count"):
-    return MayaCache(
+def _maya(seed, on_sae="count", make=MayaCache):
+    return make(
         MayaConfig(sets_per_skew=16, rng_seed=seed, hash_algorithm="splitmix"),
         on_sae=on_sae,
     )
@@ -82,6 +89,16 @@ DESIGNS = {
     "maya": (lambda seed, policy: _maya(seed), True),
     "maya_rekey_on_sae": (lambda seed, policy: _maya(seed, on_sae="rekey"), True),
     "fully_assoc": (lambda seed, policy: FullyAssociativeCache(192, seed=seed), False),
+}
+
+#: Designs whose oracle is the object-model reference, not a generic
+#: twin: name -> builder(seed, policy).  Both sides run through
+#: ``access()``.
+REFERENCE_ORACLES = {
+    "maya": lambda seed, policy: _maya(seed, make=ReferenceMayaCache),
+    "maya_rekey_on_sae": lambda seed, policy: _maya(
+        seed, on_sae="rekey", make=ReferenceMayaCache
+    ),
 }
 
 #: The sweep: every design, with the packed-replacement designs crossed
@@ -134,16 +151,16 @@ def fuzz_events(seed, length=1500, addr_space=4096, cores=4, sdids=2):
     return events
 
 
-def drive(llc, events):
+def drive(llc, events, via_access=False):
     """Run the event stream; returns the full per-event outcome trail.
 
     Packed designs go through ``access_fast`` (the attribute the
     specialization shadows) and record the raw ``ACC_*`` flags plus the
-    victim protocol fields; object-model designs go through ``access``
-    and record the :class:`AccessResult` fields.  Re-reads the
-    ``access_fast`` attribute every iteration on purpose: a design
-    whose rare path swaps the step mid-stream must keep dispatching
-    like the hierarchy drive loop does.
+    victim protocol fields; object-model designs, and every design
+    under ``via_access``, go through ``access`` and record the
+    :class:`AccessResult`.  Re-reads the ``access_fast`` attribute every
+    iteration on purpose: a design whose rare path swaps the step
+    mid-stream must keep dispatching like the hierarchy drive loop does.
     """
     trail = []
     for event in events:
@@ -156,7 +173,7 @@ def drive(llc, events):
             trail.append(("rekey",))
             continue
         _, addr, is_write, core, is_wb, sdid = event
-        step = getattr(llc, "access_fast", None)
+        step = None if via_access else getattr(llc, "access_fast", None)
         if step is not None:
             flags = step(addr, is_write, core, is_wb, sdid)
             if flags & ACC_EVICTED:
@@ -167,15 +184,7 @@ def drive(llc, events):
             else:
                 trail.append(flags)
         else:
-            result = llc.access(addr, is_write, core, is_wb, sdid)
-            evicted = result.evicted
-            trail.append(
-                (
-                    result.hit, result.tag_hit, result.sae,
-                    None if evicted is None
-                    else (evicted.line_addr, evicted.dirty, evicted.core_id),
-                )
-            )
+            trail.append(llc.access(addr, is_write, core, is_wb, sdid))
     return trail
 
 
@@ -191,11 +200,12 @@ def occupancy_snapshot(llc):
 )
 @pytest.mark.parametrize("stream_seed", [11, 202])
 def test_specialized_bit_identical(design, policy, stream_seed):
-    """Specialized and generic runs must match event-for-event."""
+    """The installed step and its oracle must match event-for-event."""
     build, expect_specialized = DESIGNS[design]
     events = fuzz_events(stream_seed * 1000 + len(design))
+    via_access = design in REFERENCE_ORACLES
 
-    generic = build(42, policy)
+    oracle = REFERENCE_ORACLES.get(design, build)(42, policy)
     specialized = build(42, policy)
     spec, info = apply_specialization(specialized)
     try:
@@ -203,28 +213,29 @@ def test_specialized_bit_identical(design, policy, stream_seed):
             assert info["llc"] == type(specialized).__name__, info["llc_reason"]
         else:
             assert info["llc"] is None and info["llc_reason"]
-        generic_trail = drive(generic, events)
-        specialized_trail = drive(specialized, events)
+        oracle_trail = drive(oracle, events, via_access)
+        specialized_trail = drive(specialized, events, via_access)
     finally:
         spec.release()
 
-    assert specialized_trail == generic_trail
-    assert dataclasses.asdict(specialized.stats) == dataclasses.asdict(generic.stats)
-    assert occupancy_snapshot(specialized) == occupancy_snapshot(generic)
+    assert specialized_trail == oracle_trail
+    assert dataclasses.asdict(specialized.stats) == dataclasses.asdict(oracle.stats)
+    assert occupancy_snapshot(specialized) == occupancy_snapshot(oracle)
     # The stream must actually have exercised the whole-cache events
     # and (for the secure designs) set-associative evictions.
     assert any(e[0] == "flush" for e in events)
     assert any(e[0] == "rekey" for e in events)
     if design in ("maya", "maya_rekey_on_sae"):
-        assert generic.stats.saes > 0 or generic.stats.tag_evictions > 0
+        assert oracle.stats.saes > 0 or oracle.stats.tag_evictions > 0
     if design == "mirage":
         # Mirage's extra tags make SAEs astronomically rare by design;
         # capacity pressure shows up as global evictions instead.
-        assert generic.stats.evictions > 0
+        assert oracle.stats.evictions > 0
 
 
 def test_release_restores_generic_step():
-    """``release()`` must put the original bound method back."""
+    """``release()`` must put the class's ``access_fast`` back (for
+    Maya, the binder that renders the step on first use)."""
     llc = _maya(7)
     original = llc.access_fast
     spec, info = apply_specialization(llc)
@@ -243,17 +254,17 @@ DRAW_BOUNDS = (1, 2, 3, 7, 8, 9, 63, 64, 65, 3073, 6144, 2**20 + 1)
 @pytest.mark.parametrize("seed", [0, 7, 20241017])
 @pytest.mark.parametrize("n", DRAW_BOUNDS)
 def test_inlined_draw_matches_stdlib(n, seed):
-    """The generated Maya step draws through ``specialize._draw``,
+    """The generated Maya step draws through ``maya_step._draw``,
     which relies on ``Random._randbelow(n)`` and ``randrange(n)`` being
     the ``getrandbits(n.bit_length())`` rejection loop.  Pin that
     contract on every Python the suite runs on, for a literal bound and
     for a bound read from a variable."""
     source = (
         "def literal(getrandbits):\n"
-        + textwrap.indent(specialize._draw("r", n, "getrandbits"), "    ")
+        + textwrap.indent(_draw("r", n, "getrandbits"), "    ")
         + "    return r\n"
         + "def variable(getrandbits, n):\n"
-        + textwrap.indent(specialize._draw("r", "n", "getrandbits"), "    ")
+        + textwrap.indent(_draw("r", "n", "getrandbits"), "    ")
         + "    return r\n"
     )
     namespace = {}
@@ -272,25 +283,25 @@ def test_fingerprint_covers_data_store_size(monkeypatch):
     """Two Maya configs that share ways, sets and priority-0 cap but not
     the data-store size (the data eviction's draw bound, a literal in
     the generated step) must compile twice, and each step must match
-    its generic twin."""
-    monkeypatch.setattr(specialize, "_code_cache", {})
-    before = specialize.specialize_cache_info().compiles
+    the reference."""
+    monkeypatch.setattr(codegen, "_code_cache", {})
+    before = codegen.specialize_cache_info().compiles
     events = fuzz_events(4242)
     for base, reuse, invalid in ((6, 3, 6), (5, 3, 7)):
         config = MayaConfig(
             sets_per_skew=16, base_ways_per_skew=base, reuse_ways_per_skew=reuse,
             invalid_ways_per_skew=invalid, rng_seed=9, hash_algorithm="splitmix",
         )
-        generic = MayaCache(config)
+        reference = ReferenceMayaCache(config)
         specialized = MayaCache(config)
         spec, info = apply_specialization(specialized)
         try:
             assert info["llc"] == "MayaCache", info["llc_reason"]
-            generic_trail = drive(generic, events)
-            specialized_trail = drive(specialized, events)
+            reference_trail = drive(reference, events, via_access=True)
+            specialized_trail = drive(specialized, events, via_access=True)
         finally:
             spec.release()
-        assert specialized_trail == generic_trail
-        assert dataclasses.asdict(specialized.stats) == dataclasses.asdict(generic.stats)
-        assert generic.stats.evictions > 0
-    assert specialize.specialize_cache_info().compiles - before == 2
+        assert specialized_trail == reference_trail
+        assert dataclasses.asdict(specialized.stats) == dataclasses.asdict(reference.stats)
+        assert reference.stats.evictions > 0
+    assert codegen.specialize_cache_info().compiles - before == 2

@@ -1,6 +1,6 @@
 """Element-wise cross-checks for the op-stream replay's numpy inputs.
 
-:func:`repro.engine.kernels.splitmix_indices` mirrors the randomizer's
+:func:`repro.engine.vector.splitmix_indices` mirrors the randomizer's
 inline scalar mixer (the oracle); these tests drive both over
 identical inputs and require exact agreement - any divergence is a
 kernel bug, never a tolerance question, because the kernel is a pure
@@ -16,7 +16,7 @@ np = pytest.importorskip("numpy")
 
 from repro.common.config import MayaConfig
 from repro.core.maya_cache import MayaCache
-from repro.engine import kernels
+from repro.engine.vector import splitmix_indices
 
 
 class TestSplitmixIndices:
@@ -27,7 +27,7 @@ class TestSplitmixIndices:
         rng = random.Random(3)
         addrs = [rng.getrandbits(40) for _ in range(2000)]
         for sdid in (0, 3):
-            cols = kernels.splitmix_indices(
+            cols = splitmix_indices(
                 addrs, rand._mix_keys, rand.index_bits, sdid=sdid
             )
             for i, addr in enumerate(addrs):
@@ -41,7 +41,7 @@ class TestSplitmixIndices:
         rand = llc.tags.randomizer
         rand.rekey()
         addrs = [random.Random(5).getrandbits(40) for _ in range(500)]
-        cols = kernels.splitmix_indices(addrs, rand._mix_keys, rand.index_bits)
+        cols = splitmix_indices(addrs, rand._mix_keys, rand.index_bits)
         for i, addr in enumerate(addrs):
             assert tuple(int(c[i]) for c in cols) == rand._raw_indices(addr, 0)
 
