@@ -37,6 +37,8 @@ from __future__ import annotations
 from array import array
 from typing import Iterable, List
 
+import numpy as np
+
 from ..common.bitops import mask
 
 _MASK64 = mask(64)
@@ -107,27 +109,25 @@ _MHAT1_ROWS = _build_mhat_rows(_MHAT1_LAYOUT)
 
 
 def _build_mhat_table(rows: List[int]) -> List[int]:
-    """Precompute the full 16-bit input -> 16-bit output lookup table."""
-    table = [0] * 65536
-    # Build by superposition: the map is linear, so combine single-bit images.
-    single = [0] * 16
+    """Precompute the full 16-bit input -> 16-bit output lookup table.
+
+    The map is linear over GF(2), so the table is built by doubling
+    over the 16 single-bit images: each pass appends the current table
+    XORed with the next bit's image, from the input's least significant
+    bit (``single[15]``) up to its most significant (``single[0]``).
+    """
+    single = []
     for in_bit in range(16):
         vec = 1 << (15 - in_bit)
         out = 0
         for out_bit, row_mask in enumerate(rows):
             if bin(row_mask & vec).count("1") & 1:
                 out |= 1 << (15 - out_bit)
-        single[in_bit] = out
-    for value in range(65536):
-        out = 0
-        v = value
-        bit = 15
-        while v:
-            if v & 1:
-                out ^= single[bit]
-            v >>= 1
-            bit -= 1
-        table[value] = out
+        single.append(out)
+    table = [0]
+    for bit in range(15, -1, -1):
+        image = single[bit]
+        table += [t ^ image for t in table]
     return table
 
 
@@ -346,27 +346,24 @@ def _fused_many(blocks, ks) -> "array":
 #: is ~100-200 blocks, 256 leaves margin.
 NUMPY_BATCH_THRESHOLD = 256
 
-_NP_TABLES = None
+#: The four fused table banks as ``(8, 256)`` uint64 ndarrays.
+_NP_TABLES = tuple(
+    np.array(bank, dtype=np.uint64) for bank in (_T_FWD, _T_MID, _T_INV, _T_SINV)
+)
+_NP_BYTE = np.uint64(255)
+_NP_SHIFTS = tuple(np.uint64(8 * pos) for pos in range(1, 8))
 
 
-def _numpy_tables():
-    """The four fused table banks as ``(8, 256)`` uint64 ndarrays."""
-    global _NP_TABLES
-    if _NP_TABLES is None:
-        import numpy as np
-
-        _NP_TABLES = tuple(
-            np.array(bank, dtype=np.uint64)
-            for bank in (_T_FWD, _T_MID, _T_INV, _T_SINV)
-        )
-    return _NP_TABLES
+def _table_pass(T, x):
+    r = T[0][x & _NP_BYTE]
+    for pos, sh in enumerate(_NP_SHIFTS, start=1):
+        r ^= T[pos][(x >> sh) & _NP_BYTE]
+    return r
 
 
 def _fused_many_numpy(blocks, ks) -> "array":
     """Batch fused kernel on numpy: bit-exact with :func:`_fused_many`."""
-    import numpy as np
-
-    F, M, I, S = _numpy_tables()
+    F, M, I, S = _NP_TABLES
     if isinstance(blocks, np.ndarray):
         x = blocks.astype(np.uint64, copy=True)
     elif isinstance(blocks, array) and blocks.typecode == "Q":
@@ -375,32 +372,20 @@ def _fused_many_numpy(blocks, ks) -> "array":
     else:
         x = np.array(blocks, dtype=np.uint64)
     keys = np.array(ks, dtype=np.uint64)
-    mask = np.uint64(255)
-    shifts = tuple(np.uint64(8 * pos) for pos in range(1, 8))
-
-    def table_pass(T, x):
-        r = T[0][x & mask]
-        for pos, sh in enumerate(shifts, start=1):
-            r ^= T[pos][(x >> sh) & mask]
-        return r
-
     x ^= keys[0]
     for i in range(1, 6):
-        x = table_pass(F, x) ^ keys[i]
-    x = table_pass(M, x)
+        x = _table_pass(F, x) ^ keys[i]
+    x = _table_pass(M, x)
     for i in range(6, 11):
-        x = table_pass(I, x) ^ keys[i]
-    x = table_pass(S, x) ^ keys[11]
+        x = _table_pass(I, x) ^ keys[i]
+    x = _table_pass(S, x) ^ keys[11]
     return array("Q", x.tobytes())
 
 
 def _fused_many_auto(blocks, ks) -> "array":
     """Dispatch between the numpy and pure-Python batch kernels."""
     if len(blocks) >= NUMPY_BATCH_THRESHOLD:
-        try:
-            return _fused_many_numpy(blocks, ks)
-        except ImportError:  # pragma: no cover - numpy is a hard dependency
-            pass
+        return _fused_many_numpy(blocks, ks)
     return _fused_many(blocks, ks)
 
 

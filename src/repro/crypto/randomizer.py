@@ -28,10 +28,11 @@ can report its effectiveness (see ``CacheStats.randomizer_hits``).
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
-import os
 from array import array
+from itertools import repeat
 from typing import List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..common.bitops import fold_xor, log2_exact
 from ..common.errors import ConfigurationError
@@ -47,14 +48,11 @@ DEFAULT_MEMO_CAPACITY = 1 << 20
 #: huge traces cannot grow it without bound.
 DEFAULT_PRECOMPUTED_CAPACITY = 1 << 21
 
-#: Env var overriding the process count used by :meth:`IndexRandomizer.translate`.
-TRANSLATE_JOBS_ENV = "REPRO_TRANSLATE_JOBS"
-
-#: Minimum ``len(addrs) * skews`` before ``translate`` fans out to a
-#: process pool — below this the fork/pickle overhead beats the win.
-_PARALLEL_THRESHOLD = 1 << 14
-
 _M64 = (1 << 64) - 1
+
+#: splitmix64 multiplier constants (Steele et al.).
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 def splitmix64(x: int) -> int:
@@ -65,57 +63,52 @@ def splitmix64(x: int) -> int:
     previously pasted inline four times.  Callers XOR the per-skew key
     in *before* mixing.
     """
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _M64
+    x = ((x ^ (x >> 30)) * _MIX1) & _M64
+    x = ((x ^ (x >> 27)) * _MIX2) & _M64
     return x ^ (x >> 31)
 
 
-def _translate_serial(
-    algorithm: str, keys: Sequence[int], index_bits: int, addrs, sdid: int
-) -> List[array]:
-    """Per-skew packed index columns for ``addrs`` (one ``array('I')`` each).
+def _fold_indices(words, index_bits: int):
+    """:func:`~repro.common.bitops.fold_xor` over a ``uint64`` ndarray.
 
-    Module-level and dependent only on its arguments so the
-    multiprocessing workers can run it from pickled state; the serial
-    path uses the exact same code, which keeps parallel and serial
-    translation trivially bit-identical.
+    XORs every ``index_bits``-wide chunk of each word together, as
+    ``x ^ (x >> b) ^ (x >> 2b) ...`` masked to ``b`` bits; returns a
+    fresh ``uint32`` ndarray.
     """
-    tweak = sdid << 56
-    tweaked = array("Q", [a ^ tweak for a in addrs]) if sdid else addrs
-    bits = index_bits
-    m = (1 << bits) - 1
+    folded = words.copy()
+    for shift in range(index_bits, 64, index_bits):
+        folded ^= words >> np.uint64(shift)
+    return (folded & np.uint64((1 << index_bits) - 1)).astype(np.uint32)
+
+
+def splitmix_indices(line_addrs, keys: Sequence[int], index_bits: int, sdid: int = 0):
+    """Per-skew set indices for a batch of line addresses (splitmix64).
+
+    The batch kernel behind :meth:`IndexRandomizer.translate` and
+    :meth:`repro.engine.vector.VectorReplay.precompute_indices`.
+    Vectorized mirror of ``IndexRandomizer._raw_indices``, the scalar
+    oracle the tests cross-check it against element-wise: for every
+    key, XOR the tweaked address with the key, run the splitmix64
+    finalizer, and XOR-fold the 64-bit word down to ``index_bits``.
+    Returns one ``np.uint32`` array per key, element-aligned with
+    ``line_addrs``.
+
+    ``line_addrs`` may be any buffer - including the non-writeable
+    views ``columns_numpy()`` hands out over mmap-backed cache columns;
+    the kernel never writes its inputs, every derived array is fresh.
+    """
+    addrs = np.ascontiguousarray(line_addrs, dtype=np.uint64)
+    tweaked = addrs ^ np.uint64((sdid << 56) & _M64)
+    mix1 = np.uint64(_MIX1)
+    mix2 = np.uint64(_MIX2)
     columns = []
-    if algorithm == "prince":
-        for key in keys:
-            cipher = Prince(key)
-            col = array("I", bytes(4 * len(addrs)))
-            for i, x in enumerate(cipher.encrypt_many(tweaked)):
-                f = 0
-                while x:
-                    f ^= x & m
-                    x >>= bits
-                col[i] = f
-            columns.append(col)
-    else:
-        for key in keys:
-            col = array("I", bytes(4 * len(addrs)))
-            for i, a in enumerate(tweaked):
-                x = splitmix64(a ^ key)
-                f = 0
-                while x:
-                    f ^= x & m
-                    x >>= bits
-                col[i] = f
-            columns.append(col)
+    for key in keys:
+        x = tweaked ^ np.uint64(key & _M64)
+        x = (x ^ (x >> np.uint64(30))) * mix1
+        x = (x ^ (x >> np.uint64(27))) * mix2
+        x ^= x >> np.uint64(31)
+        columns.append(_fold_indices(x, index_bits))
     return columns
-
-
-def _translate_block(args) -> List[bytes]:
-    """Pool worker: translate one chunk of addresses to column bytes."""
-    algorithm, keys, index_bits, sdid, blob = args
-    addrs = array("Q")
-    addrs.frombytes(blob)
-    return [col.tobytes() for col in _translate_serial(algorithm, keys, index_bits, addrs, sdid)]
 
 
 class MappingCacheInfo(NamedTuple):
@@ -333,60 +326,32 @@ class IndexRandomizer:
             self.precomputed_evictions += 1
         pre[key] = value
 
-    def translate(self, line_addrs, sdid: int = 0, jobs: Optional[int] = None) -> List[array]:
+    def translate(self, line_addrs, sdid: int = 0) -> List[array]:
         """Batch-translate addresses to per-skew packed index columns.
 
-        Runs the batch cipher kernel (``Prince.encrypt_many`` under
-        ``"prince"``) over ``line_addrs`` and returns one ``array('I')``
+        One serial numpy pass over ``line_addrs``: under ``"prince"``
+        each skew's cipher encrypts the whole batch
+        (``Prince.encrypt_many``) and the ciphertexts are XOR-folded to
+        the index width in one vectorized pass; under ``"splitmix"``
+        :func:`splitmix_indices` does both.  Returns one ``array('I')``
         of set indices per skew, ``columns[s][i] ==
         compute_indices(line_addrs[i], sdid)[s]``.  Nothing is cached
         here — feed the columns to :meth:`load_packed` (or persist them
         in the translated-trace cache) to make them visible to lookups.
-
-        For large batches (``len * skews >=`` 16Ki) the work fans out
-        across a ``multiprocessing`` pool: the cipher keys are plain
-        integers, so workers rebuild the key schedule from them and
-        translate disjoint address chunks.  ``jobs`` overrides the pool
-        size (``1`` forces serial); the ``REPRO_TRANSLATE_JOBS`` env var
-        overrides the default.  Any pool failure degrades to the serial
-        path, which is bit-identical by construction.
         """
-        addrs = line_addrs if isinstance(line_addrs, array) else array("Q", line_addrs)
-        keys = (
-            [c.key for c in self._ciphers]
-            if self._algorithm == "prince"
-            else list(self._mix_keys)
-        )
-        if jobs is None:
-            env = os.environ.get(TRANSLATE_JOBS_ENV)
-            if env is not None:
-                try:
-                    jobs = int(env)
-                except ValueError:
-                    jobs = None
-        if jobs is None:
-            jobs = os.cpu_count() or 1
-        jobs = max(1, min(jobs, len(addrs)))
-        if jobs > 1 and len(addrs) * self._skews >= _PARALLEL_THRESHOLD:
-            try:
-                chunk = (len(addrs) + jobs - 1) // jobs
-                tasks = [
-                    (self._algorithm, keys, self._index_bits, sdid, addrs[i : i + chunk].tobytes())
-                    for i in range(0, len(addrs), chunk)
-                ]
-                ctx = multiprocessing.get_context("fork")
-                with ctx.Pool(len(tasks)) as pool:
-                    parts = pool.map(_translate_block, tasks)
-                columns = []
-                for s in range(self._skews):
-                    col = array("I")
-                    for part in parts:
-                        col.frombytes(part[s])
-                    columns.append(col)
-                return columns
-            except Exception:
-                pass  # fall through to the serial path
-        return _translate_serial(self._algorithm, keys, self._index_bits, addrs, sdid)
+        addrs = np.asarray(line_addrs, dtype=np.uint64)
+        if self._algorithm == "prince":
+            blocks = array("Q", (addrs ^ np.uint64((sdid << 56) & _M64)).tobytes())
+            columns = [
+                _fold_indices(
+                    np.frombuffer(cipher.encrypt_many(blocks), dtype=np.uint64),
+                    self._index_bits,
+                )
+                for cipher in self._ciphers
+            ]
+        else:
+            columns = splitmix_indices(addrs, self._mix_keys, self._index_bits, sdid)
+        return [array("I", col.tobytes()) for col in columns]
 
     def load_packed(self, line_addrs, columns: Sequence, sdid: int = 0) -> int:
         """Install pre-translated index columns into the side table.
@@ -395,29 +360,34 @@ class IndexRandomizer:
         ``line_addrs`` (possibly loaded back from the on-disk
         translated-trace cache).  Entries land in the same bounded side
         table as :meth:`bulk_map` output, consulted by the miss path
-        only, so memo accounting stays bit-identical.  Returns the
+        only, so memo accounting stays bit-identical.  When the table
+        has room for the whole batch nothing can be evicted, so it is
+        installed with one ``dict.update``; otherwise entry by entry,
+        FIFO-evicting past ``precomputed_capacity``.  Returns the
         number of entries installed.
         """
         if len(columns) != self._skews:
             raise ConfigurationError(
                 f"expected {self._skews} index columns, got {len(columns)}"
             )
+        pre = self._precomputed
+        if len(pre) + len(line_addrs) <= self._precomputed_capacity:
+            pre.update(zip(zip(line_addrs, repeat(sdid)), zip(*columns)))
+            return len(line_addrs)
         install = self._install_precomputed
-        added = 0
         for i, addr in enumerate(line_addrs):
             install((addr, sdid), tuple(col[i] for col in columns))
-            added += 1
-        return added
+        return len(line_addrs)
 
-    def bulk_map(self, line_addrs, sdid: int = 0, jobs: Optional[int] = None) -> int:
+    def bulk_map(self, line_addrs, sdid: int = 0) -> int:
         """Pre-warm the mapping cache: encrypt every address in one pass.
 
         Used by the op-stream replay's PRINCE-mode precompute pass
         (:meth:`repro.engine.vector.VectorReplay.precompute_indices`):
         the replay knows every ``(line address, SDID)`` pair the run can
         touch up front, so the cipher work runs through the batch kernel
-        (:meth:`translate` — fused tables, optionally a process pool)
-        *before* the timed loop.  Results land in a side table consulted by the miss path
+        (:meth:`translate`) *before* the timed loop.  Results land in a
+        side table consulted by the miss path
         rather than in the LRU memo itself - that keeps the memo's
         hit/miss/eviction accounting bit-identical to an unwarmed run
         while still skipping the per-miss cipher cost.  The side table
@@ -438,7 +408,7 @@ class IndexRandomizer:
             novel.append(addr)
         if not novel:
             return 0
-        return self.load_packed(novel, self.translate(novel, sdid, jobs=jobs), sdid)
+        return self.load_packed(novel, self.translate(novel, sdid), sdid)
 
     def clear_precomputed(self) -> int:
         """Drop the precomputed side table; returns how many entries it held.

@@ -42,20 +42,14 @@ from __future__ import annotations
 
 import heapq
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from ..common.errors import TraceError
+from ..crypto.randomizer import splitmix_indices
 from ..trace.compiled import trace_key
 from .opstream import opstream_for
-
-# numpy is an optional dependency of the library: without it
-# create_vector_replay declines and run_mix keeps the per-access drive.
-try:
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:
-    HAVE_NUMPY = False
 
 #: Packed replay units shared across trials (see
 #: :meth:`VectorReplay._get_runs`): entries hold only immutable ints
@@ -63,50 +57,6 @@ except ImportError:
 #: FIFO-bounded; a steady bench loop needs cores x phases entries.
 _RUNS_CACHE: dict = {}
 _RUNS_CACHE_MAX = 64
-
-
-_M64 = (1 << 64) - 1
-
-#: splitmix64 multiplier constants (Steele et al.), as in
-#: :func:`repro.crypto.randomizer.splitmix64`.
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
-
-
-def splitmix_indices(line_addrs, keys: Sequence[int], index_bits: int, sdid: int = 0):
-    """Per-skew set indices for a batch of line addresses (splitmix64).
-
-    The batch kernel behind :meth:`VectorReplay.precompute_indices`:
-    every distinct line a replay can touch is mixed and XOR-folded in
-    one pass and installed in the randomizer's precomputed side table,
-    so the replay loop's per-miss index derivation becomes a dict probe.
-    Vectorized mirror of ``IndexRandomizer._raw_indices``, the scalar
-    oracle that ``tests/test_vector_kernels.py`` cross-checks it against
-    element-wise: for every key, XOR the tweaked address with the key,
-    run the splitmix64 finalizer, and XOR-fold the 64-bit word down to
-    ``index_bits``.  Returns one ``np.uint32`` array per key,
-    element-aligned with ``line_addrs``.  Needs numpy (:data:`HAVE_NUMPY`).
-
-    ``line_addrs`` may be any buffer - including the non-writeable
-    views ``columns_numpy()`` hands out over mmap-backed cache columns;
-    the kernel never writes its inputs, every derived array is fresh.
-    """
-    addrs = np.ascontiguousarray(line_addrs, dtype=np.uint64)
-    tweaked = addrs ^ np.uint64((sdid << 56) & _M64)
-    mask = np.uint64((1 << index_bits) - 1)
-    mix1 = np.uint64(_MIX1)
-    mix2 = np.uint64(_MIX2)
-    columns = []
-    for key in keys:
-        x = tweaked ^ np.uint64(key & _M64)
-        x = (x ^ (x >> np.uint64(30))) * mix1
-        x = (x ^ (x >> np.uint64(27))) * mix2
-        x ^= x >> np.uint64(31)
-        folded = x.copy()
-        for shift in range(index_bits, 64, index_bits):
-            folded ^= x >> np.uint64(shift)
-        columns.append((folded & mask).astype(np.uint32))
-    return columns
 
 
 def _dyadic_grid_bits(value: float) -> Optional[int]:
@@ -264,12 +214,12 @@ class VectorReplay:
 
         The install paths consult the randomizer's precomputed side
         table only *after* counting the memo miss, so pre-filling it is
-        observably free (the PR 5 invariant) - and it moves the per-miss
-        index derivation off the replay loop.  Splitmix mode runs the
-        :func:`splitmix_indices` batch kernel and installs the columns
-        directly; PRINCE mode goes through
-        ``bulk_map`` (the fused-table cipher kernel), which also skips
-        addresses the ``run_mix`` pretranslation already covered.
+        observably free - and it moves the per-miss index derivation off
+        the replay loop.  Splitmix mode runs the
+        :func:`~repro.crypto.randomizer.splitmix_indices` batch kernel
+        and installs the columns with ``load_packed``; PRINCE mode goes
+        through ``bulk_map`` (the fused-table cipher kernel), which also
+        skips addresses the ``run_mix`` pretranslation already covered.
         Designs without an ``index_randomizer`` (the set-indexed
         baseline) have nothing to fill.  Returns the number of entries
         installed.
@@ -283,23 +233,10 @@ class VectorReplay:
                 continue
             unique = np.unique(oaddrs)
             if rand.algorithm == "splitmix":
-                pre = rand._precomputed
-                if len(pre) + len(unique) > rand.precomputed_capacity:
-                    # Would overflow the FIFO-bounded table; proper
-                    # accounting matters more than the batch win.
-                    columns = splitmix_indices(
-                        unique, rand._mix_keys, rand.index_bits, sdid=core
-                    )
-                    installed += rand.load_packed(
-                        unique.tolist(),
-                        [c.astype("<u4").tolist() for c in columns],
-                        sdid=core,
-                    )
-                    continue
                 columns = splitmix_indices(unique, rand._mix_keys, rand.index_bits, sdid=core)
-                keys = [(a, core) for a in unique.tolist()]
-                pre.update(zip(keys, zip(*(c.tolist() for c in columns))))
-                installed += len(keys)
+                installed += rand.load_packed(
+                    unique.tolist(), [c.tolist() for c in columns], sdid=core
+                )
             else:
                 installed += rand.bulk_map(unique.tolist(), sdid=core)
         return installed
@@ -479,8 +416,6 @@ def create_vector_replay(
     # ``access_fast`` step protocol, whose constant lookup latency
     # folds into the static clock advances.
     name = type(llc).__name__
-    if not HAVE_NUMPY:
-        return None, "numpy unavailable"
     if sys.byteorder != "little":
         return None, "big-endian host (packed columns are little-endian)"
     if model_bandwidth:

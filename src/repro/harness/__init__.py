@@ -1,7 +1,6 @@
 """Experiment harness: presets, formatting, and per-table/figure runs."""
 
 from .formatting import geomean, percent, render_table, sci
-from .statistics import SeedStudy, across_seeds
 from .presets import (
     EXPERIMENT_LLC_SETS,
     experiment_maya,
@@ -16,8 +15,6 @@ __all__ = [
     "experiment_maya_iso_area",
     "experiment_mirage",
     "experiment_system",
-    "SeedStudy",
-    "across_seeds",
     "geomean",
     "percent",
     "render_table",

@@ -194,7 +194,6 @@ def run_mix(
     compiled: Optional[bool] = None,
     trace_cache: bool = True,
     pretranslate: Optional[bool] = None,
-    translate_jobs: Optional[int] = None,
     specialize: Optional[bool] = None,
 ) -> MixResult:
     """Simulate ``mix`` over ``llc``; returns per-core IPCs + LLC stats.
@@ -215,19 +214,18 @@ def run_mix(
 
     ``pretranslate`` (compiled path only) is the ahead-of-time index
     translation pipeline: every distinct line each compiled trace can
-    touch is pushed through the randomizer's batch cipher kernel and
-    the per-skew index columns are installed in its precomputed side
-    table (and persisted in the on-disk translated-trace cache, keyed
-    by address-set content x key fingerprint x SDID, so warm trials
-    skip cipher work entirely).  ``None`` auto-enables it exactly when
-    it pays: the LLC exposes an ``index_randomizer`` running
-    ``algorithm="prince"``, whose per-miss cipher pass dominates a cold
-    trial (the splitmix mixer is cheaper than the table consult).
-    Results and memo counters are unchanged; from the first ``rekey()``
-    (e.g. an SAE-triggered remap) the side table is dropped with the
-    old keys and lookups fall back to the live randomizer.
-    ``translate_jobs`` caps the translation process pool (``1`` forces
-    serial).
+    touch is pushed through the randomizer's batch cipher kernel in one
+    in-process numpy pass per core, and the per-skew index columns are
+    installed in its precomputed side table (and persisted in the
+    on-disk translated-trace cache, keyed by address-set content x key
+    fingerprint x SDID, so warm trials skip cipher work entirely).
+    ``None`` auto-enables it exactly when it pays: the LLC exposes an
+    ``index_randomizer`` running ``algorithm="prince"``, whose per-miss
+    cipher pass dominates a cold trial (the splitmix mixer is cheaper
+    than the table consult).  Results and memo counters are unchanged;
+    from the first ``rekey()`` (e.g. an SAE-triggered remap) the side
+    table is dropped with the old keys and lookups fall back to the
+    live randomizer.
 
     ``specialize`` selects the config-specialized step functions
     (:mod:`repro.engine.specialize`): ``None`` honours
@@ -312,7 +310,6 @@ def run_mix(
                         sdid=core_id,
                         offset=core_id * region,
                         use_cache=trace_cache,
-                        jobs=translate_jobs,
                     )
                     randomizer.load_packed(translated.line_addrs, translated.columns, sdid=core_id)
             positions = [0] * cores
@@ -330,8 +327,7 @@ def run_mix(
                 # the pre-simulated streams.  Any design with that step
                 # qualifies; when a gate fails, the plain per-access drive
                 # keeps the specialized steps and the reason lands in
-                # ``specialize_info``.  Imported lazily: numpy only loads
-                # when the replay is wanted.
+                # ``specialize_info``.
                 from ..engine.vector import create_vector_replay
 
                 replay, reason = create_vector_replay(

@@ -1,7 +1,6 @@
 """Storage, power, and area models (Tables VIII and IX)."""
 
 from .cacti_lite import CactiLite, PowerAreaEstimate, table_ix
-from .energy_account import EnergyReport, account
 from .storage import (
     COHERENCE_BITS,
     DATA_BITS,
@@ -22,10 +21,8 @@ __all__ = [
     "PHYSICAL_ADDRESS_BITS",
     "SDID_BITS",
     "CactiLite",
-    "EnergyReport",
     "PowerAreaEstimate",
     "StorageBreakdown",
-    "account",
     "baseline_storage",
     "line_address_bits",
     "maya_iso_area_storage",

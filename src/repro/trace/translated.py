@@ -41,7 +41,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from array import array
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .. import store
 from ..common.errors import TraceError
@@ -131,20 +131,19 @@ def translate_trace(
     sdid: int = 0,
     offset: int = 0,
     use_cache: bool = True,
-    jobs: Optional[int] = None,
 ) -> TranslatedTrace:
     """Translate a compiled trace's distinct lines, cached.
 
     ``trace`` is a :class:`~repro.trace.compiled.CompiledTrace` (or any
     object with ``unique_lines(offset)``); ``offset`` is the per-core
-    region shift the drive loop applies.  Translations are cached in
-    :data:`TRANSLATIONS`; ``use_cache=False`` bypasses both cache
-    layers.  ``jobs`` is forwarded to :meth:`IndexRandomizer.translate`
-    for the cold-path process pool.
+    region shift the drive loop applies.  A cold translation is one
+    serial :meth:`IndexRandomizer.translate` pass in this process.
+    Translations are cached in :data:`TRANSLATIONS`; ``use_cache=False``
+    bypasses both cache layers.
     """
     addrs = array("Q", sorted(trace.unique_lines(offset)))
 
     def build() -> TranslatedTrace:
-        return TranslatedTrace(addrs, randomizer.translate(addrs, sdid, jobs=jobs))
+        return TranslatedTrace(addrs, randomizer.translate(addrs, sdid))
 
     return TRANSLATIONS.get(translated_key(addrs, randomizer, sdid), build, use_cache)

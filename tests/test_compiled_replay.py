@@ -149,7 +149,7 @@ class TestPrewarm:
         a, b = run_pair(
             make, homogeneous("mcf", 2), system,
             accesses_per_core=800, warmup_accesses=200, seed=11,
-            pretranslate=True, translate_jobs=1, specialize=False,
+            pretranslate=True, specialize=False,
         )
         assert_bit_identical(a, b)
         info = b[0].index_randomizer.cache_info()
@@ -195,7 +195,7 @@ class TestPretranslate:
         r_off = run_mix(llc_off, homogeneous("mcf", 2), system,
                         pretranslate=False, **kwargs)
         r_on = run_mix(llc_on, homogeneous("mcf", 2), system,
-                       pretranslate=True, translate_jobs=1, **kwargs)
+                       pretranslate=True, **kwargs)
         assert llc_off.index_randomizer.cache_info().precomputed == 0
         assert llc_on.index_randomizer.cache_info().precomputed > 0
         assert_bit_identical((llc_off, r_off), (llc_on, r_on))
@@ -225,7 +225,7 @@ class TestPretranslate:
         r_gen = run_mix(llc_gen, homogeneous("mcf", 2), system, compiled=False, **kwargs)
         r_cmp = run_mix(llc_cmp, homogeneous("mcf", 2), system,
                         compiled=True, trace_cache=False, pretranslate=True,
-                        translate_jobs=1, **kwargs)
+                        **kwargs)
         assert llc_cmp.stats.saes > 0  # rekeys actually happened
         assert llc_cmp.index_randomizer.epoch > 1
         assert llc_cmp.index_randomizer.cache_info().precomputed == 0  # dropped

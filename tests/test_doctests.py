@@ -8,7 +8,6 @@ import repro.cache.opt
 import repro.common.addr
 import repro.common.bitops
 import repro.harness.formatting
-import repro.harness.statistics
 import repro.security.channel
 
 MODULES = (
@@ -16,7 +15,6 @@ MODULES = (
     repro.common.addr,
     repro.cache.opt,
     repro.harness.formatting,
-    repro.harness.statistics,
     repro.security.channel,
 )
 

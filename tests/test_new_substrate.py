@@ -1,5 +1,5 @@
 """Tests for the extension substrates: TLB, OPT, DRRIP, trace I/O,
-DRAM bandwidth, statistics, channel measurement, fingerprinting."""
+DRAM bandwidth, channel measurement, fingerprinting."""
 
 import math
 
@@ -12,7 +12,6 @@ from repro.cache.set_assoc import SetAssociativeCache
 from repro.common.config import CacheGeometry, DramConfig, MayaConfig
 from repro.common.errors import TraceError
 from repro.core import MayaCache
-from repro.harness.statistics import SeedStudy, across_seeds
 from repro.hierarchy.dram import DramModel
 from repro.hierarchy.tlb import TlbConfig, TlbHierarchy
 from repro.llc import BaselineLLC, FullyAssociativeCache
@@ -165,31 +164,6 @@ class TestDramBandwidth:
         dram.access(0, now=0.0)
         lat = dram.access(0, now=1000.0)  # long idle gap, same row
         assert lat == dram.config.row_hit_cycles
-
-
-class TestStatistics:
-    def test_seed_study_summary(self):
-        study = SeedStudy((1.0, 2.0, 3.0))
-        assert study.mean == 2.0
-        assert study.median == 2.0
-        assert study.std == pytest.approx(1.0)
-        low, high = study.confidence_interval()
-        assert low < 2.0 < high
-        assert "95% CI" in study.describe()
-
-    def test_single_value(self):
-        study = SeedStudy((5.0,))
-        assert study.confidence_interval() == (5.0, 5.0)
-
-    def test_across_seeds(self):
-        study = across_seeds(lambda s: s * 2.0, [1, 2, 3])
-        assert study.values == (2.0, 4.0, 6.0)
-        with pytest.raises(ValueError):
-            across_seeds(lambda s: s, [])
-
-    def test_bad_level(self):
-        with pytest.raises(ValueError):
-            SeedStudy((1.0, 2.0)).confidence_interval(level=2.0)
 
 
 class TestChannel:

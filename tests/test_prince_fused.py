@@ -15,6 +15,10 @@ from array import array
 import pytest
 
 from repro.crypto.prince import (
+    _MHAT0_ROWS,
+    _MHAT0_TABLE,
+    _MHAT1_ROWS,
+    _MHAT1_TABLE,
     ALPHA,
     ROUND_CONSTANTS,
     TEST_VECTORS,
@@ -25,6 +29,25 @@ from repro.crypto.prince import (
 )
 from repro.reference.prince import ScalarPrince
 from repro.reference.prince import _core as scalar_core
+
+
+class TestMhatTables:
+    @pytest.mark.parametrize(
+        "rows, table", [(_MHAT0_ROWS, _MHAT0_TABLE), (_MHAT1_ROWS, _MHAT1_TABLE)],
+        ids=["mhat0", "mhat1"],
+    )
+    def test_tables_equal_row_parity_product(self, rows, table):
+        # Output bit 15 - i is the parity of row i AND the input, for
+        # every one of the 65,536 inputs (chunks are stored MSB-first).
+        np = pytest.importorskip("numpy")
+        inputs = np.arange(1 << 16, dtype=np.uint32)
+        expected = np.zeros(1 << 16, dtype=np.uint32)
+        for i, row_mask in enumerate(rows):
+            p = inputs & row_mask
+            for shift in (8, 4, 2, 1):
+                p ^= p >> shift
+            expected |= (p & 1) << (15 - i)
+        assert table == expected.tolist()
 
 
 class TestPublishedVectors:

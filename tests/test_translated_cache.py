@@ -12,12 +12,14 @@ the translated kind through :func:`translate_trace`.
 """
 
 import logging
+import random
 from array import array
 
 import pytest
 
 from repro import store
 from repro.common.errors import TraceError
+from repro.crypto.prince import NUMPY_BATCH_THRESHOLD
 from repro.crypto.randomizer import IndexRandomizer
 from repro.trace.compiled import CompiledTrace
 from repro.trace.record import MemoryAccess
@@ -286,16 +288,48 @@ class TestKeySensitivity:
         assert len(list(cache_dir.glob("*.tix"))) == 2
 
 
-class TestParallelTranslation:
-    def test_forced_parallel_matches_serial(self, cache_dir):
-        rand = make_randomizer()
-        addrs = array("Q", range(0, 9000))
-        serial = rand.translate(addrs, 2, jobs=1)
-        parallel = rand.translate(addrs, 2, jobs=4)
-        assert serial == parallel
+class TestTranslationKernels:
+    """The serial numpy translation and the bulk side-table install."""
 
-    def test_jobs_env_override_is_tolerant(self, cache_dir, monkeypatch):
-        monkeypatch.setenv("REPRO_TRANSLATE_JOBS", "not-a-number")
-        rand = make_randomizer()
-        addrs = array("Q", range(64))
-        assert rand.translate(addrs, 0) == rand.translate(addrs, 0, jobs=1)
+    @pytest.mark.parametrize("count", [100, 20_000])
+    @pytest.mark.parametrize("sdid", [0, 3])
+    @pytest.mark.parametrize("sets", [64, 512, 1024])
+    @pytest.mark.parametrize("algorithm", ["prince", "splitmix"])
+    def test_translate_matches_compute_indices(self, algorithm, sets, sdid, count):
+        # 100 addresses stay below the numpy cipher batch threshold, so
+        # PRINCE takes the pure-Python kernel there; 20,000 take numpy.
+        assert 100 < NUMPY_BATCH_THRESHOLD <= 20_000
+        rand = IndexRandomizer(2, sets, seed=sets + sdid, algorithm=algorithm)
+        rng = random.Random(count)
+        addrs = array("Q", (rng.getrandbits(64) for _ in range(count)))
+        columns = rand.translate(addrs, sdid)
+        assert [col.typecode for col in columns] == ["I", "I"]
+        got = list(zip(*columns))
+        expected = [rand.compute_indices(addr, sdid) for addr in addrs]
+        assert got == expected
+
+    @pytest.mark.parametrize("overlap", [0, 5])
+    @pytest.mark.parametrize("overflow", [0, 1])
+    def test_load_packed_equals_per_entry_install(self, overflow, overlap):
+        # The batch fits exactly (len + n == capacity: one dict.update)
+        # or overflows by one (the FIFO path), and its first ``overlap``
+        # addresses are already in the table.  Either way the table must
+        # equal installing entry by entry: keys, values, order, counter.
+        capacity, prefill = 50, 20
+        n = capacity - prefill + overflow
+        addrs = array("Q", range(overlap)) + array("Q", range(100, 100 + n - overlap))
+        columns = [array("I", range(1000, 1000 + n)), array("I", range(n))]
+        fast = IndexRandomizer(2, 64, seed=3, algorithm="splitmix",
+                               precomputed_capacity=capacity)
+        slow = IndexRandomizer(2, 64, seed=3, algorithm="splitmix",
+                               precomputed_capacity=capacity)
+        for rand in (fast, slow):
+            for addr in range(prefill):
+                rand._install_precomputed((addr, 1), (addr, addr))
+        assert fast.load_packed(addrs, columns, sdid=1) == n
+        for i, addr in enumerate(addrs):
+            slow._install_precomputed((addr, 1), (columns[0][i], columns[1][i]))
+        assert list(fast._precomputed.items()) == list(slow._precomputed.items())
+        assert fast.precomputed_evictions == slow.precomputed_evictions
+        assert fast.precomputed_evictions == (0 if overlap else overflow)
+        assert all(type(addr) is int for addr, _ in fast._precomputed)

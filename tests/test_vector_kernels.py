@@ -1,6 +1,6 @@
 """Element-wise cross-checks for the op-stream replay's numpy inputs.
 
-:func:`repro.engine.vector.splitmix_indices` mirrors the randomizer's
+:func:`repro.crypto.randomizer.splitmix_indices` mirrors the randomizer's
 inline scalar mixer (the oracle); these tests drive both over
 identical inputs and require exact agreement - any divergence is a
 kernel bug, never a tolerance question, because the kernel is a pure
@@ -16,7 +16,7 @@ np = pytest.importorskip("numpy")
 
 from repro.common.config import MayaConfig
 from repro.core.maya_cache import MayaCache
-from repro.engine.vector import splitmix_indices
+from repro.crypto.randomizer import splitmix_indices
 
 
 class TestSplitmixIndices:

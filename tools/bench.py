@@ -170,15 +170,15 @@ def bench_cipher_kernels(blocks: int = 20000, seed: int = 123) -> dict:
 def bench_batch_kernels(probes: int = 20000, seed: int = 123) -> dict:
     """Microbenchmark the numpy translate kernel vs its scalar mirror.
 
-    Times ``repro.engine.vector.splitmix_indices`` (the op-stream
-    replay's batch index derivation) against the randomizer's
-    per-address path.  As with the cipher bench, the kernel output is
+    Times ``repro.crypto.randomizer.splitmix_indices`` (the batch index
+    derivation behind ``IndexRandomizer.translate`` and the op-stream
+    replay's precompute) against the randomizer's per-address path.  As with the cipher bench, the kernel output is
     cross-checked element-wise against the scalar oracle first; a wrong
     kernel can never post a fast number.
     """
     if not _have_numpy():
         return {"skipped": "numpy unavailable"}
-    from repro.engine.vector import splitmix_indices
+    from repro.crypto.randomizer import splitmix_indices
 
     rng = random.Random(seed)
     rand = MayaCache(experiment_maya(llc_sets=512, seed=7)).tags.randomizer
