@@ -1,7 +1,6 @@
 """Generic cache substrate: lines, replacement, set-associative arrays."""
 
 from .line import AccessResult, CacheLine, CoherenceState, EvictedLine
-from .mshr import MSHREntry, MSHRFile
 from .opt import opt_hit_rate, policy_gap_report, set_associative_opt_hit_rate
 from .replacement import (
     BRRIPPolicy,
@@ -24,8 +23,6 @@ __all__ = [
     "CoherenceState",
     "EvictedLine",
     "LRUPolicy",
-    "MSHREntry",
-    "MSHRFile",
     "RandomPolicy",
     "ReplacementPolicy",
     "SRRIPPolicy",

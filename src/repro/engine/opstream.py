@@ -24,6 +24,15 @@ advances at replay time.  The op stream is independent of the LLC
 design and of how cores interleave, so one build serves every LLC and
 every trial of a bench run.
 
+:func:`build_opstream` is one loop over the packed trace columns that
+keeps only the private state the stream depends on: each set's
+resident lines in LRU order with their dirty bits, and the
+prefetcher's three ints.  An insertion-ordered dict per set is exact
+because the builder never invalidates or flushes a private line (see
+its docstring).  ``tests/test_opstream_oracle.py`` holds the streams
+equal, column for column, to ones recorded from
+``CacheHierarchy.access`` over every workload.
+
 :func:`opstream_for` caches streams in :data:`STREAMS`, an
 :class:`~repro.store.ArtifactCache` whose ``.ops`` files share the
 artifact directory with the compiled traces they derive from
@@ -40,11 +49,8 @@ from array import array
 from typing import NamedTuple, Optional, Tuple
 
 from .. import store
-from ..cache.line import ACC_EVICTED_DIRTY, ACC_HIT
-from ..cache.set_assoc import SetAssociativeCache
 from ..common.config import CacheGeometry
 from ..common.errors import TraceError
-from ..hierarchy.prefetcher import StridePrefetcher
 from ..trace.compiled import CompiledTrace
 
 #: LLC-op kinds (byte values in the packed kind column).
@@ -139,112 +145,151 @@ def build_opstream(
 ) -> OpStream:
     """Pre-simulate one core's private levels over its whole trace.
 
-    Faithful transcription of the private-level portion of
-    ``CacheHierarchy._compile_access`` (plus its ``_prefetch`` and
-    writeback helpers) for one core in isolation: identical access
-    order, identical inlined prefetcher state machine, identical L1/L2
-    eviction behaviour - differing only in that every LLC/DRAM
-    interaction is *recorded* instead of performed.  The scalar engine
-    over the same trace issues exactly these ops in exactly this
-    per-core order (``tests/test_differential_engines.py`` holds the
-    end-to-end results bit-identical).
+    One loop over the packed trace columns replays the private-level
+    portion of ``CacheHierarchy._compile_access`` (with its
+    ``_prefetch`` and writeback helpers) for one core in isolation, in
+    the same access order and with the same prefetcher state machine,
+    recording every LLC/DRAM interaction instead of performing it.
+
+    Each private set is an insertion-ordered dict mapping a resident
+    line to its dirty bit: a touch pops the line and re-inserts it, a
+    fill inserts it, and a full set's victim is its first key.  That is
+    exactly ``SetAssociativeCache``'s packed LRU here because this
+    builder never invalidates or flushes a private line: a line leaves a
+    set only as the victim of the fill that replaces it, so "the set has
+    an invalid way" is ``len(set) < ways``, and packed LRU's victim - the
+    unique minimum of a clock that every touch and fill advances - is
+    the set's least recently touched line, its first key.
+    ``tests/test_opstream_oracle.py`` rebuilds the streams from
+    ``CacheHierarchy.access`` over a recording LLC and compares them
+    column for column.
 
     ``prefetcher`` is ``(degree, confidence_threshold, max_confidence)``
     or ``None`` when prefetching is disabled.
     """
-    l1 = SetAssociativeCache(l1_geometry, policy="lru", name="OPS-L1D")
-    l2 = SetAssociativeCache(l2_geometry, policy="lru", name="OPS-L2")
-    pf = StridePrefetcher(*prefetcher) if prefetcher is not None else None
-    addrs = trace.line_addrs
+    l1_ways = l1_geometry.ways
+    l1_mask = l1_geometry.sets - 1
+    l1_sets = [{} for _ in range(l1_geometry.sets)]
+    l2_ways = l2_geometry.ways
+    l2_mask = l2_geometry.sets - 1
+    l2_sets = [{} for _ in range(l2_geometry.sets)]
+    prefetching = prefetcher is not None
+    if prefetching:
+        pf_degree, pf_threshold, pf_max = prefetcher
+    # StridePrefetcher's state (last line, last stride, confidence).
+    last = -1
+    last_stride = 0
+    conf = 0
     writes = trace.write_flags
-    n = len(addrs)
+    n = len(writes)
     lat_class = bytearray(n)
     op_counts = bytearray(n)
     op_kinds = bytearray()
     op_addrs = array("Q")
     kinds_append = op_kinds.append
     addrs_append = op_addrs.append
-    l1_access = l1.access_fast
-    l2_access = l2.access_fast
-    l1_where = l1._where
-    if pf is not None:
-        pf_threshold = pf.confidence_threshold
-        pf_max = pf.max_confidence
-        pf_degree = pf.degree
 
-    for i in range(n):
-        a = addrs[i] + offset
+    for i, a in enumerate(trace.line_addrs):
+        a += offset
         ops_before = len(op_kinds)
-        f1 = l1_access(a, writes[i] != 0, 0)
-        if f1 & ACC_EVICTED_DIRTY:
-            fwb = l2_access(l1.victim_addr, False, 0, True)
-            if fwb & ACC_EVICTED_DIRTY:
-                kinds_append(OP_WB)
-                addrs_append(l2.victim_addr)
-        if pf is not None:
-            # StridePrefetcher.observe() inlined exactly as in the
-            # hierarchy closure (same state updates, same issue order).
-            last = pf._last_addr
+        # L1 demand access; a dirty victim is written back to L2.
+        s1 = l1_sets[a & l1_mask]
+        dirty = s1.pop(a, -1)
+        l1_hit = dirty >= 0
+        if l1_hit:
+            s1[a] = dirty | writes[i]
+        else:
+            if len(s1) == l1_ways:
+                for victim in s1:
+                    break
+                if s1.pop(victim):
+                    s2 = l2_sets[victim & l2_mask]
+                    if s2.pop(victim, -1) < 0 and len(s2) == l2_ways:
+                        for v2 in s2:
+                            break
+                        if s2.pop(v2):
+                            kinds_append(OP_WB)
+                            addrs_append(v2)
+                    s2[victim] = 1
+            s1[a] = writes[i]
+        if prefetching:
+            # StridePrefetcher.observe(), as inlined in the hierarchy.
             if last < 0:
-                pf._last_addr = a
+                last = a
             else:
                 stride = a - last
-                if stride != 0 and stride == pf._last_stride:
-                    conf = pf._confidence + 1
+                if stride != 0 and stride == last_stride:
+                    conf += 1
                     if conf > pf_max:
                         conf = pf_max
                 else:
-                    conf = pf._confidence - 1
+                    conf -= 1
                     if conf < 0:
                         conf = 0
-                    pf._last_stride = stride
-                pf._confidence = conf
-                pf._last_addr = a
-                stride = pf._last_stride
-                if conf >= pf_threshold and stride != 0:
-                    issued = 0
+                    last_stride = stride
+                last = a
+                if conf >= pf_threshold and last_stride != 0:
                     target = a
                     for _ in range(pf_degree):
-                        target += stride
-                        if target >= 0:
-                            issued += 1
-                            # CacheHierarchy._prefetch, recorded form.
-                            if target not in l1_where:
-                                fp1 = l1_access(target, False, 0)
-                                if fp1 & ACC_EVICTED_DIRTY:
-                                    fwb = l2_access(l1.victim_addr, False, 0, True)
-                                    if fwb & ACC_EVICTED_DIRTY:
+                        target += last_stride
+                        if target < 0:
+                            continue
+                        # CacheHierarchy._prefetch: a line already in L1
+                        # is left untouched; otherwise fill L1 (dirty
+                        # victim to L2), then touch or fill L2.
+                        t1 = l1_sets[target & l1_mask]
+                        if target in t1:
+                            continue
+                        if len(t1) == l1_ways:
+                            for victim in t1:
+                                break
+                            if t1.pop(victim):
+                                s2 = l2_sets[victim & l2_mask]
+                                if s2.pop(victim, -1) < 0 and len(s2) == l2_ways:
+                                    for v2 in s2:
+                                        break
+                                    if s2.pop(v2):
                                         kinds_append(OP_WB)
-                                        addrs_append(l2.victim_addr)
-                                fp2 = l2_access(target, False, 0)
-                                if fp2 & ACC_EVICTED_DIRTY:
+                                        addrs_append(v2)
+                                s2[victim] = 1
+                        t1[target] = 0
+                        s2 = l2_sets[target & l2_mask]
+                        dirty = s2.pop(target, -1)
+                        if dirty >= 0:
+                            s2[target] = dirty
+                        else:
+                            if len(s2) == l2_ways:
+                                for v2 in s2:
+                                    break
+                                if s2.pop(v2):
                                     kinds_append(OP_WB)
-                                    addrs_append(l2.victim_addr)
-                                if not fp2 & ACC_HIT:
-                                    kinds_append(OP_PF)
-                                    addrs_append(target)
-                    pf.issued += issued
-        if f1 & ACC_HIT:
-            count = len(op_kinds) - ops_before
-            if count:
-                if count > 255:
-                    raise TraceError(f"access {i} produced {count} LLC ops (> 255)")
-                op_counts[i] = count
-            continue
-        f2 = l2_access(a, False, 0)
-        if f2 & ACC_EVICTED_DIRTY:
-            kinds_append(OP_WB)
-            addrs_append(l2.victim_addr)
-        if f2 & ACC_HIT:
-            lat_class[i] = 1
-        else:
-            lat_class[i] = 2
-            kinds_append(OP_DEMAND)
-            addrs_append(a)
+                                    addrs_append(v2)
+                            s2[target] = 0
+                            kinds_append(OP_PF)
+                            addrs_append(target)
+        if not l1_hit:
+            # L2 demand access; a miss reaches the LLC.
+            s2 = l2_sets[a & l2_mask]
+            dirty = s2.pop(a, -1)
+            if dirty >= 0:
+                s2[a] = dirty
+                lat_class[i] = 1
+            else:
+                if len(s2) == l2_ways:
+                    for v2 in s2:
+                        break
+                    if s2.pop(v2):
+                        kinds_append(OP_WB)
+                        addrs_append(v2)
+                s2[a] = 0
+                lat_class[i] = 2
+                kinds_append(OP_DEMAND)
+                addrs_append(a)
         count = len(op_kinds) - ops_before
-        if count > 255:
-            raise TraceError(f"access {i} produced {count} LLC ops (> 255)")
-        op_counts[i] = count
+        if count:
+            if count > 255:
+                raise TraceError(f"access {i} produced {count} LLC ops (> 255)")
+            op_counts[i] = count
     return OpStream(lat_class, op_counts, op_kinds, op_addrs)
 
 

@@ -19,10 +19,9 @@ counts match the benchmark suite.  ``--jobs N`` runs experiments on N
 worker processes (multi-config experiments such as fig9/fig10/table7
 additionally fan out per workload mix); results are identical to the
 serial run.  ``--json PATH`` writes a machine-readable summary with
-per-experiment wall-clock timings.  ``--memo-capacity N`` sizes the
-randomized designs' LRU mapping cache (exported as the
-``REPRO_MEMO_CAPACITY`` environment variable so worker processes and
-nested tooling inherit it).  ``--no-trace-cache`` disables the
+per-experiment wall-clock timings (and, with ``--service``, the
+service's ``/status``, or ``service_status_error`` when fetching it
+fails).  ``--no-trace-cache`` disables the
 artifact cache (``REPRO_TRACE_CACHE=0``): compiled traces, translated
 index columns and op streams are rebuilt in-process for every run, and
 nothing is read from or written to ``results/.trace_cache``.
@@ -53,7 +52,6 @@ from . import runner
 from ..engine.specialize import SPECIALIZE_ENV
 from ..service import SERVICE_ENV, resolve_address
 from ..store import CACHE_ENV
-from .presets import MEMO_CAPACITY_ENV
 
 #: Experiment registry: name -> (description, module basename under
 #: ``repro.harness.experiments``, run() kwargs builder).  The builder
@@ -296,11 +294,6 @@ def main(argv=None) -> int:
         help="base seed; per-experiment child seeds are derived deterministically",
     )
     parser.add_argument(
-        "--memo-capacity", type=int, default=None, metavar="N",
-        help="randomizer mapping-cache entries for the randomized designs "
-        "(default 2**20; exported as %s so --jobs workers inherit it)" % MEMO_CAPACITY_ENV,
-    )
-    parser.add_argument(
         "--no-trace-cache", action="store_true",
         help="disable the artifact cache (exported as %s=0 so --jobs "
         "workers inherit it): compiled traces, translated index columns "
@@ -336,12 +329,6 @@ def main(argv=None) -> int:
 
     if args.specialize is not None:
         os.environ[SPECIALIZE_ENV] = args.specialize
-
-    if args.memo_capacity is not None:
-        if args.memo_capacity <= 0:
-            print("--memo-capacity must be positive", file=sys.stderr)
-            return 2
-        os.environ[MEMO_CAPACITY_ENV] = str(args.memo_capacity)
 
     if args.experiments == ["list"]:
         for name, (description, _, _) in _REGISTRY.items():
@@ -393,8 +380,8 @@ def main(argv=None) -> int:
                 from ..service.client import ServiceClient
 
                 extra["service_status"] = ServiceClient(service).status()
-            except Exception:  # noqa: BLE001 - accounting is best-effort
-                pass
+            except Exception as exc:  # noqa: BLE001 - accounting is best-effort
+                extra["service_status_error"] = f"{type(exc).__name__}: {exc}"
         runner.write_summary(args.json, results, jobs, wall_seconds, extra=extra)
     if args.results:
         runner.write_results(args.results, results)

@@ -17,39 +17,15 @@ analyses and the crypto tests use real PRINCE.
 
 from __future__ import annotations
 
-import os
-from typing import Optional
-
 from ..common.config import (
     CacheGeometry,
     MayaConfig,
     MirageConfig,
     SystemConfig,
 )
-from ..common.errors import ConfigurationError
 
 #: Default experiment scale: paper sets / 16.
 EXPERIMENT_LLC_SETS = 1024
-
-#: Environment override for the randomizer mapping-cache capacity the
-#: presets hand to randomized designs (Maya, Mirage).  The CLI's
-#: ``--memo-capacity`` flag sets this variable, so ``--jobs`` worker
-#: processes inherit it through the environment.
-MEMO_CAPACITY_ENV = "REPRO_MEMO_CAPACITY"
-
-
-def memo_capacity_override() -> Optional[int]:
-    """The mapping-cache capacity from :data:`MEMO_CAPACITY_ENV`, if set."""
-    raw = os.environ.get(MEMO_CAPACITY_ENV)
-    if raw is None or raw == "":
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"{MEMO_CAPACITY_ENV} must be a positive integer, got {raw!r}"
-        ) from None
-    return value  # positivity is validated by the design configs
 
 
 def experiment_system(cores: int = 8, llc_sets: int = EXPERIMENT_LLC_SETS) -> SystemConfig:
@@ -80,7 +56,6 @@ def experiment_maya(
         invalid_ways_per_skew=invalid_ways_per_skew,
         rng_seed=seed,
         hash_algorithm="splitmix",
-        memo_capacity=memo_capacity_override(),
     )
 
 
@@ -90,7 +65,6 @@ def experiment_mirage(llc_sets: int = EXPERIMENT_LLC_SETS, seed: int = 0) -> Mir
         sets_per_skew=llc_sets,
         rng_seed=seed,
         hash_algorithm="splitmix",
-        memo_capacity=memo_capacity_override(),
     )
 
 
@@ -108,5 +82,4 @@ def experiment_maya_iso_area(llc_sets: int = EXPERIMENT_LLC_SETS, seed: int = 0)
         invalid_ways_per_skew=6,
         rng_seed=seed,
         hash_algorithm="splitmix",
-        memo_capacity=memo_capacity_override(),
     )

@@ -1,10 +1,9 @@
-"""The generic cache substrate: lines, policies, arrays, MSHRs, stats."""
+"""The generic cache substrate: lines, policies, arrays, stats."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.line import AccessResult, CacheLine, CoherenceState, EvictedLine
-from repro.cache.mshr import MSHRFile
 from repro.cache.replacement import (
     BRRIPPolicy,
     LRUPolicy,
@@ -200,45 +199,6 @@ class TestSetAssociativeCache:
             elif len(lines) == 2:
                 lines.pop(0)
             lines.append(addr)
-
-
-class TestMSHR:
-    def test_allocate_and_complete(self):
-        mshr = MSHRFile(2)
-        assert mshr.allocate(1, cycle=0)
-        assert mshr.lookup(1)
-        entry = mshr.complete(1)
-        assert entry.merged_requests == 1
-        assert not mshr.lookup(1)
-
-    def test_merge_does_not_consume_capacity(self):
-        mshr = MSHRFile(1)
-        assert mshr.allocate(1, cycle=0)
-        assert mshr.allocate(1, cycle=1, is_write=True)
-        assert mshr.merges == 1
-        assert mshr.complete(1).is_write
-
-    def test_full_file_stalls(self):
-        mshr = MSHRFile(1)
-        mshr.allocate(1, cycle=0)
-        assert not mshr.allocate(2, cycle=0)
-        assert mshr.stalls == 1
-
-    def test_complete_unknown_raises(self):
-        with pytest.raises(KeyError):
-            MSHRFile(1).complete(9)
-
-    def test_drain_older_than(self):
-        mshr = MSHRFile(4)
-        mshr.allocate(1, cycle=0)
-        mshr.allocate(2, cycle=5)
-        done = mshr.drain_older_than(3)
-        assert [e.line_addr for e in done] == [1]
-        assert mshr.occupancy == 1
-
-    def test_rejects_non_positive_size(self):
-        with pytest.raises(ValueError):
-            MSHRFile(0)
 
 
 class TestStats:

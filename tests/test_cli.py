@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from repro.harness import runner
 from repro.harness.cli import main
 from repro.harness.experiments import table9_power
+from repro.service.client import ServiceClient
 
 
 class TestCli:
@@ -39,6 +41,24 @@ class TestCli:
         assert payload["ok"] is True and payload["jobs"] == 1
         assert payload["results"][0]["name"] == "table8"
         assert payload["results"][0]["seconds"] >= 0
+        capsys.readouterr()
+
+    def test_json_summary_records_service_status_error(self, tmp_path, monkeypatch, capsys):
+        # The grid drains locally; only the /status fetch fails.
+        def drain_locally(self, tasks, progress=None):
+            return runner.run_tasks(tasks)
+
+        def status_down(self):
+            raise ConnectionRefusedError("status endpoint down")
+
+        monkeypatch.setattr(ServiceClient, "run_tasks", drain_locally)
+        monkeypatch.setattr(ServiceClient, "status", status_down)
+        path = tmp_path / "summary.json"
+        assert main(["table8", "--service", "127.0.0.1:9", "--json", str(path)]) == 0
+        payload = json.loads(path.read_text())
+        assert payload["service"] == "127.0.0.1:9"
+        assert "service_status" not in payload
+        assert payload["service_status_error"] == "ConnectionRefusedError: status endpoint down"
         capsys.readouterr()
 
 
