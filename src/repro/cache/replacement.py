@@ -207,51 +207,33 @@ def make_policy(name: str, seed: Optional[int] = None) -> ReplacementPolicy:
 # Packed policies: the struct-of-arrays engine's counterparts.
 #
 # The packed :class:`~repro.cache.set_assoc.SetAssociativeCache` keeps
-# per-line replacement state in one flat ``array('q')`` column instead
-# of ``CacheLine.repl_state``, so these policies take (column, flat
-# index) arguments rather than line lists.  Each packed policy is
-# draw-for-draw and decision-for-decision identical to its object-model
-# namesake above (the differential tests enforce this); the object
-# policies stay untouched because the reference engine and direct
-# policy-level tests still drive them with ``CacheLine`` lists.
+# per-line replacement state in one flat list column instead of
+# ``CacheLine.repl_state``.  Its generated step
+# (:mod:`repro.cache.set_assoc_step`) inlines the LRU, random, SRRIP and
+# BRRIP arms and reads their state here (clock, RNG, RRPV bound, long
+# probability); the DRRIP arm calls DRRIP's hooks, which take (column,
+# flat index) arguments and reuse SRRIP's and BRRIP's.  Each packed
+# policy is draw-for-draw and decision-for-decision identical to its
+# object-model namesake above (the differential tests enforce this);
+# the object policies stay untouched because the reference engine and
+# direct policy-level tests still drive them with ``CacheLine`` lists.
 # ---------------------------------------------------------------------------
 
 
 class PackedLRUPolicy:
-    """LRU over the packed column (same monotone-clock scheme)."""
+    """LRU state: the monotone clock the generated step advances on
+    every hit and fill (the victim is the first minimum of the set)."""
 
     def __init__(self) -> None:
         self._clock = 0
 
-    def on_hit(self, repl, idx: int) -> None:
-        self._clock += 1
-        repl[idx] = self._clock
-
-    def on_fill(self, repl, base: int, ways: int, idx: int) -> None:
-        self._clock += 1
-        repl[idx] = self._clock
-
-    def victim(self, repl, base: int, ways: int) -> int:
-        # Slice + min + index run at C speed; index() returns the first
-        # occurrence, matching the object policy's first-minimum scan.
-        window = repl[base : base + ways]
-        return base + window.index(min(window))
-
 
 class PackedRandomPolicy:
-    """Uniformly random victim (deterministic seed; same draw order)."""
+    """Random-victim state: the seeded RNG the generated step draws
+    each victim from (one ``randrange(ways)`` per eviction)."""
 
     def __init__(self, seed: Optional[int] = None) -> None:
         self._rng = make_rng(seed)
-
-    def on_hit(self, repl, idx: int) -> None:
-        pass
-
-    def on_fill(self, repl, base: int, ways: int, idx: int) -> None:
-        pass
-
-    def victim(self, repl, base: int, ways: int) -> int:
-        return base + self._rng.randrange(ways)
 
 
 class PackedSRRIPPolicy:

@@ -9,12 +9,16 @@ by the hierarchy layer.
 Storage layout: instead of a ``CacheLine`` dataclass per way, the cache
 keeps one flat column per field (coherence state, line address, owning
 core, SDID, reused bit, replacement state, fill epoch), indexed by
-``set * ways + way``.  The hot path is :meth:`access_fast`, which
-returns an ``ACC_*`` flag int and publishes any victim through the
-``victim_*`` instance fields - no per-access allocation.  The public
-:meth:`access` wraps it in the historical :class:`AccessResult` API.
-Behaviour is bit-identical to the object-model reference in
-``repro.reference.set_assoc`` (enforced by the differential tests).
+``set * ways + way``.  The per-access protocol lives in
+:mod:`repro.cache.set_assoc_step`, which renders it per configuration
+and replacement policy over these columns.  :meth:`access_fast` binds
+that step on first use; it returns an ``ACC_*`` flag int and publishes
+any victim through the ``victim_*`` instance fields - no per-access
+allocation.  The public :meth:`access` wraps it in the historical
+:class:`AccessResult` API.  This module keeps invalidation, flush and
+introspection.  Behaviour is bit-identical to the object-model
+reference in ``repro.reference.set_assoc`` (enforced by the
+differential tests).
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from ..common.errors import SimulationError
 from .line import (
     ACC_EVICTED,
     ACC_EVICTED_DIRTY,
-    ACC_HIT,
     AccessResult,
     CacheLine,
     CoherenceState,
@@ -34,7 +37,8 @@ from .line import (
     access_result,
     victim_line,
 )
-from .replacement import PackedLRUPolicy, ReplacementPolicy, make_packed_policy
+from .replacement import make_packed_policy
+from .set_assoc_step import set_assoc_step
 from .stats import CacheStats
 
 #: Coherence-state byte values used in the packed state column.  The
@@ -42,24 +46,22 @@ from .stats import CacheStats
 #: (OWNED, MODIFIED) are dirty, so validity and dirtiness are integer
 #: compares instead of enum property calls.
 _INVALID = CoherenceState.INVALID.value
-_EXCLUSIVE = CoherenceState.EXCLUSIVE.value
-_MODIFIED = CoherenceState.MODIFIED.value
 _DIRTY_MIN = CoherenceState.OWNED.value
 
 
 class SetAssociativeCache:
-    """Set-associative cache with pluggable (packed) replacement.
+    """Set-associative cache with a packed replacement policy.
 
     Parameters
     ----------
     geometry:
         Sets / ways / line size.
     policy:
-        Replacement policy name (see
-        :func:`repro.cache.replacement.make_packed_policy`).  Object
-        :class:`ReplacementPolicy` instances are not accepted - they
-        operate on ``CacheLine`` lists, which the packed engine does not
-        keep; use ``repro.reference.set_assoc`` for that interface.
+        Replacement policy *name*: ``lru``, ``random``, ``srrip``,
+        ``brrip`` or ``drrip`` (see
+        :func:`repro.cache.replacement.make_packed_policy`); the step
+        renders one arm per name.  Policy objects are not accepted;
+        ``repro.reference.set_assoc`` takes those.
     name:
         Label used in reports ("L1D", "LLC", ...).
     """
@@ -73,20 +75,15 @@ class SetAssociativeCache:
     ):
         self.geometry = geometry
         self.name = name
-        if isinstance(policy, ReplacementPolicy):
+        if not isinstance(policy, str):
             raise TypeError(
-                "object-model ReplacementPolicy instances drive CacheLine lists; "
-                "the packed engine takes a policy *name* "
-                "(use repro.reference.set_assoc.SetAssociativeCache for the object interface)"
+                f"policy must be a replacement policy name, not {type(policy).__name__} "
+                "(use repro.reference.set_assoc.SetAssociativeCache for policy objects)"
             )
-        self._policy = policy if not isinstance(policy, str) else make_packed_policy(policy, seed=seed)
-        # Policy hooks bound once (hot path: one per access / fill).
-        self._policy_on_hit = self._policy.on_hit
-        self._policy_on_fill = self._policy.on_fill
-        self._policy_victim = self._policy.victim
-        # LRU (every private L1/L2) is special-cased inline in the hot
-        # paths; the policy object's clock stays authoritative.
-        self._lru = type(self._policy) is PackedLRUPolicy
+        # The packed policy holds the state the step reads (LRU clock,
+        # RNG, BRRIP probability, DRRIP dueling); unknown names raise.
+        self._policy = make_packed_policy(policy, seed=seed)
+        self._policy_kind = policy.lower()
         self._ways = geometry.ways
         self._set_mask = geometry.sets - 1
         total = geometry.sets * geometry.ways
@@ -104,7 +101,6 @@ class SetAssociativeCache:
         self._epoch = [0] * total
         #: line_addr -> flat index (set * ways + way) for O(1) lookup.
         self._where: Dict[int, int] = {}
-        self._where_get = self._where.get  # bound once; never rebound
         self.stats = CacheStats()
         self._fill_epoch = 0
         # Victim fields of the access_fast protocol (valid until the
@@ -123,13 +119,6 @@ class SetAssociativeCache:
         """Non-mutating presence probe (attack harness helper)."""
         return line_addr in self._where
 
-    def _find_way(self, set_idx: int, line_addr: int) -> Optional[int]:
-        """O(1) location via the address map (models the associative probe)."""
-        packed = self._where.get(line_addr)
-        if packed is None:
-            return None
-        return packed - set_idx * self._ways
-
     # -- main access path -------------------------------------------------
 
     def access_fast(
@@ -145,92 +134,18 @@ class SetAssociativeCache:
         Writeback accesses (``is_writeback=True``) model dirty evictions
         arriving from an upper level: a hit marks the line dirty, a miss
         allocates a dirty line (non-inclusive LLC behaviour).
+
+        The first call binds the generated step
+        (:func:`~repro.cache.set_assoc_step.set_assoc_step`) on the
+        instance, where attribute lookup finds it from then on.  Callers
+        that bound this method before the first access keep landing
+        here, so the instance binding is looked up first and the step
+        renders once.
         """
-        idx = self._where_get(line_addr, -1)
-        st = self.stats
-        st.accesses += 1
-        if idx >= 0:
-            st.hits += 1
-            if is_writeback:
-                st.writebacks_received += 1
-                # A writeback is the line's own dirty data returning, not
-                # a reuse; only demand hits count for dead-block stats.
-                self._state[idx] = _MODIFIED
-            else:
-                st.demand_accesses += 1
-                st.demand_hits += 1
-                self._reused[idx] = 1
-                if is_write:
-                    self._state[idx] = _MODIFIED
-            if self._lru:
-                policy = self._policy
-                policy._clock += 1
-                self._repl[idx] = policy._clock
-            else:
-                self._policy_on_hit(self._repl, idx)
-            return ACC_HIT
-        st.misses += 1
-        if is_writeback:
-            st.writebacks_received += 1
-        else:
-            st.demand_accesses += 1
-            pcm = st.per_core_misses
-            pcm[core_id] = pcm.get(core_id, 0) + 1
-        # _fill_fast inlined (hot path; behaviour identical).
-        ways = self._ways
-        base = (line_addr & self._set_mask) * ways
-        state = self._state
-        repl = self._repl
-        where = self._where
-        if len(where) == self._total_lines:
-            idx = -1  # every line valid: the invalid-way scan cannot hit
-        else:
-            idx = state.find(_INVALID, base, base + ways)
-        flags = 0
-        if idx < 0:
-            if self._lru:
-                window = repl[base : base + ways]
-                idx = base + window.index(min(window))
-            else:
-                idx = self._policy_victim(repl, base, ways)
-            # _evict_fast inlined (hot path; behaviour identical).
-            vstate = state[idx]
-            vdirty = vstate >= _DIRTY_MIN
-            addr = self._addr[idx]
-            vcore = self._core[idx]
-            reused = self._reused[idx]
-            self.victim_addr = addr
-            self.victim_core = vcore
-            self.victim_sdid = self._sdid[idx]
-            self.victim_reused = bool(reused)
-            st.evictions += 1
-            if vdirty:
-                st.dirty_evictions += 1
-                flags = ACC_EVICTED | ACC_EVICTED_DIRTY
-            else:
-                flags = ACC_EVICTED
-            if not reused:
-                st.dead_evictions += 1
-            if vcore >= 0 and vcore != core_id:
-                st.interference_evictions += 1
-            del where[addr]
-        state[idx] = _MODIFIED if is_write or is_writeback else _EXCLUSIVE
-        self._addr[idx] = line_addr
-        self._core[idx] = core_id
-        self._sdid[idx] = sdid
-        self._reused[idx] = 0
-        self._fill_epoch += 1
-        self._epoch[idx] = self._fill_epoch
-        where[line_addr] = idx
-        if self._lru:
-            policy = self._policy
-            policy._clock += 1
-            repl[idx] = policy._clock
-        else:
-            self._policy_on_fill(repl, base, ways, idx)
-        st.fills += 1
-        st.data_fills += 1
-        return flags
+        step = self.__dict__.get("access_fast")
+        if step is None:
+            self.access_fast = step = set_assoc_step(self)
+        return step(line_addr, is_write, core_id, is_writeback, sdid)
 
     def access(
         self,

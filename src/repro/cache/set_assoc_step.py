@@ -1,0 +1,206 @@
+"""The set-associative array's per-access step, rendered per configuration.
+
+This module is the one fast implementation of
+:class:`~repro.cache.set_assoc.SetAssociativeCache`'s access protocol:
+the hit, the invalid-way fill and the victim eviction, with the
+replacement policy's hit touch, victim choice and insertion inlined as
+the single arm the configured policy takes (LRU, random, SRRIP, BRRIP,
+DRRIP).  One array serves the private L1/L2 levels, the baseline LLC,
+CEASER's inner array and the partitioned designs' slices.
+:func:`set_assoc_step` renders the step as Python source with the ways,
+set mask, capacity and RRPV bounds inlined as literals, compiles it
+once per configuration (:mod:`repro.common.codegen`) and binds the
+array's packed columns as closure locals.
+
+:meth:`SetAssociativeCache.access_fast` binds the step on first use; a
+run or campaign cell that manages its steps
+(:mod:`repro.engine.specialize`) installs one through a releasable
+``Specialization`` instead.  The differential oracle is the object
+model in :mod:`repro.reference.set_assoc`: same seed, same RNG draw
+order, bit-identical statistics and placement.
+"""
+
+from __future__ import annotations
+
+from ..common.codegen import bind_template, compiled_template
+
+# ACC literals: HIT=1, EVICTED=2, EVICTED|DIRTY=6.  Coherence literals:
+# INVALID=0, EXCLUSIVE=2, OWNED(dirty floor)=3, MODIFIED=4.
+
+_HIT_TOUCH = {
+    "lru": (
+        "            policy._clock = clk = policy._clock + 1\n"
+        "            repl[idx] = clk\n"
+    ),
+    "random": "",
+    "srrip": "            repl[idx] = 0\n",
+    "brrip": "            repl[idx] = 0\n",
+    "drrip": "            on_hit(repl, idx)\n",
+}
+
+# SRRIP and BRRIP: RRPVs never exceed the maximum, so the object
+# policy's scan-then-age-all rounds collapse to one jump - age every
+# line by (max - highest RRPV) and take the first line that was at the
+# highest RRPV.  LRU's ``index(min)`` is the object policy's
+# first-minimum scan.
+_VICTIM = {
+    "lru": (
+        "            window = repl[base : base + {WAYS}]\n"
+        "            idx = base + window.index(min(window))\n"
+    ),
+    "random": "            idx = base + rng_randrange({WAYS})\n",
+    "srrip": (
+        "            window = repl[base : base + {WAYS}]\n"
+        "            m = max(window)\n"
+        "            delta = {RRPV_MAX} - m\n"
+        "            if delta > 0:\n"
+        "                for i in range(base, base + {WAYS}):\n"
+        "                    repl[i] += delta\n"
+        "            idx = base + window.index(m)\n"
+    ),
+    "drrip": "            idx = victim(repl, base, {WAYS})\n",
+}
+_VICTIM["brrip"] = _VICTIM["srrip"]
+
+_FILL = {
+    "lru": (
+        "        policy._clock = clk = policy._clock + 1\n"
+        "        repl[idx] = clk\n"
+    ),
+    "random": "",
+    "srrip": "        repl[idx] = {RRPV_MAX_MINUS_1}\n",
+    "brrip": (
+        "        if rng_random() < long_probability:\n"
+        "            repl[idx] = {RRPV_MAX_MINUS_1}\n"
+        "        else:\n"
+        "            repl[idx] = {RRPV_MAX}\n"
+    ),
+    "drrip": "        on_fill(repl, base, {WAYS}, idx)\n",
+}
+
+_BINDINGS = {
+    "lru": "",
+    "random": "    rng_randrange = policy._rng.randrange\n",
+    "srrip": "",
+    "brrip": (
+        "    rng_random = policy._rng.random\n"
+        "    long_probability = policy._long_probability\n"
+    ),
+    "drrip": (
+        "    on_hit = policy.on_hit\n"
+        "    on_fill = policy.on_fill\n"
+        "    victim = policy.victim\n"
+    ),
+}
+
+_TEMPLATE = '''\
+# Generated by repro.cache.set_assoc_step; do not edit.
+# kind=set_assoc policy={POLICY} ways={WAYS} sets={SETS}
+
+
+def _bind(cache, SimulationError, SetAssociativeEviction):
+    st = cache.stats
+    state = cache._state
+    addr_col = cache._addr
+    core_col = cache._core
+    sdid_col = cache._sdid
+    reused_col = cache._reused
+    repl = cache._repl
+    epoch_col = cache._epoch
+    where = cache._where
+    where_get = where.get
+    policy = cache._policy
+{POLICY_BINDINGS}
+    def access_fast(line_addr, is_write=False, core_id=0, is_writeback=False, sdid=0):
+        idx = where_get(line_addr, -1)
+        st.accesses += 1
+        if idx >= 0:
+            st.hits += 1
+            if is_writeback:
+                st.writebacks_received += 1
+                state[idx] = 4
+            else:
+                st.demand_accesses += 1
+                st.demand_hits += 1
+                reused_col[idx] = 1
+                if is_write:
+                    state[idx] = 4
+{HIT_TOUCH}
+            return 1
+        st.misses += 1
+        if is_writeback:
+            st.writebacks_received += 1
+        else:
+            st.demand_accesses += 1
+            pcm = st.per_core_misses
+            pcm[core_id] = pcm.get(core_id, 0) + 1
+        base = (line_addr & {SET_MASK}) * {WAYS}
+        if len(where) == {TOTAL_LINES}:
+            idx = -1
+        else:
+            idx = state.find(0, base, base + {WAYS})
+        flags = 0
+        if idx < 0:
+{VICTIM}
+            vstate = state[idx]
+            addr = addr_col[idx]
+            vcore = core_col[idx]
+            vreused = reused_col[idx]
+            cache.victim_addr = addr
+            cache.victim_core = vcore
+            cache.victim_sdid = sdid_col[idx]
+            cache.victim_reused = True if vreused else False
+            st.evictions += 1
+            if vstate >= 3:
+                st.dirty_evictions += 1
+                flags = 6
+            else:
+                flags = 2
+            if not vreused:
+                st.dead_evictions += 1
+            if vcore >= 0 and vcore != core_id:
+                st.interference_evictions += 1
+            del where[addr]
+        state[idx] = 4 if is_write or is_writeback else 2
+        addr_col[idx] = line_addr
+        core_col[idx] = core_id
+        sdid_col[idx] = sdid
+        reused_col[idx] = 0
+        cache._fill_epoch = fe = cache._fill_epoch + 1
+        epoch_col[idx] = fe
+        where[line_addr] = idx
+{FILL_TOUCH}
+        st.fills += 1
+        st.data_fills += 1
+        return flags
+
+    return access_fast
+'''
+
+
+def set_assoc_step(cache):
+    """The ``access_fast`` closure for a packed set-associative array."""
+    policy_kind = cache._policy_kind
+    ways = cache._ways
+    rrpv_max = getattr(cache._policy, "_max", 0)
+    fingerprint = (policy_kind, ways, cache._set_mask, cache._total_lines, rrpv_max)
+
+    def build() -> str:
+        subst = dict(
+            POLICY=policy_kind,
+            WAYS=ways,
+            SETS=cache._set_mask + 1,
+            SET_MASK=cache._set_mask,
+            TOTAL_LINES=cache._total_lines,
+            RRPV_MAX=rrpv_max,
+            RRPV_MAX_MINUS_1=rrpv_max - 1,
+        )
+        return _TEMPLATE.format(
+            POLICY_BINDINGS=_BINDINGS[policy_kind],
+            HIT_TOUCH=_HIT_TOUCH[policy_kind].format(**subst) or "            pass\n",
+            VICTIM=_VICTIM[policy_kind].format(**subst),
+            FILL_TOUCH=_FILL[policy_kind].format(**subst) or "        pass\n",
+            **subst,
+        )
+
+    return bind_template(compiled_template("set_assoc", fingerprint, build), cache)

@@ -1,8 +1,8 @@
 """Compile-once cache for the generated per-access step functions.
 
-The LLC state machines render per-configuration Python source (the
-Maya step in :mod:`repro.core.maya_step`, the set-assoc and Mirage
-templates of the run-level specialization).  Each template defines a
+The cache state machines render per-configuration Python source (the
+steps in :mod:`repro.core.maya_step`, :mod:`repro.llc.mirage_step`
+and :mod:`repro.cache.set_assoc_step`).  Each template defines a
 ``_bind(target, SimulationError, SetAssociativeEviction)`` function that
 binds the target's columns as closure locals and returns its
 ``access_fast`` step.

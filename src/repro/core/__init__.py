@@ -2,7 +2,7 @@
 
 from .data_store import NO_TAG, DataEntry, DataStore
 from .maya_cache import SECURE_LOOKUP_EXTRA_CYCLES, MayaCache
-from .tag_store import NO_DATA, SkewedTagStore, TagEntry, TagState
+from .tag_store import NO_DATA, SkewedTagStore, TagState
 
 __all__ = [
     "NO_DATA",
@@ -12,6 +12,5 @@ __all__ = [
     "DataStore",
     "MayaCache",
     "SkewedTagStore",
-    "TagEntry",
     "TagState",
 ]

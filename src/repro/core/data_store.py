@@ -8,8 +8,9 @@ is O(1).  A free list serves fills while the store is warming up.
 
 Storage: the RPTRs live in a single flat column (free entries hold
 ``NO_TAG``); :meth:`entry` materializes a :class:`DataEntry`
-snapshot for introspection but the engines read :meth:`rptr_of`
-directly.  Behaviour - including the RNG draw order of
+snapshot for introspection, while the generated Maya and Mirage steps
+bind the column, the free list and the RNG draw directly.  Behaviour -
+including the RNG draw order of
 :meth:`random_victim` - is identical to the object-model reference in
 ``repro.reference.data_store``.
 """
@@ -66,10 +67,6 @@ class DataStore:
         """A :class:`DataEntry` snapshot of slot ``idx`` (not live)."""
         return DataEntry(rptr=self._rptr[idx])
 
-    def rptr_of(self, idx: int) -> int:
-        """The raw RPTR of slot ``idx`` (``NO_TAG`` when free)."""
-        return self._rptr[idx]
-
     def allocate(self, rptr: int) -> int:
         """Take a free entry, point it at tag ``rptr``, return its index."""
         if not self._free:
@@ -101,12 +98,6 @@ class DataStore:
             idx = randbelow(n)
             if rptr[idx] != NO_TAG:
                 return idx
-
-    def retarget(self, idx: int, rptr: int) -> None:
-        """Repoint an entry's RPTR (tag relocation support)."""
-        if self._rptr[idx] == NO_TAG:
-            raise SimulationError("retargeting a free data entry")
-        self._rptr[idx] = rptr
 
     def check_invariants(self, expected_rptrs) -> None:
         """Verify RPTR/free-list consistency against the tag store.

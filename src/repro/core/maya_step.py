@@ -11,11 +11,11 @@ compiles it once per configuration (:mod:`repro.common.codegen`), and
 binds the tag store's packed columns as closure locals.
 
 :meth:`repro.core.maya_cache.MayaCache.access_fast` binds the step on
-first use; a run that specializes its caches (``specialize_llc``, one
-layer up) installs a fresh one through a releasable ``Specialization``
-instead.  The differential oracle is the object model in
-:mod:`repro.reference.maya`: same seed, same RNG draw order,
-bit-identical statistics.
+first use; a run or campaign cell that manages its steps
+(``specialize_llc``, one layer up) installs a fresh one through a
+releasable ``Specialization`` instead.  The differential oracle is the
+object model in :mod:`repro.reference.maya`: same seed, same RNG draw
+order, bit-identical statistics.
 
 The step makes no Python call-out on any steady-state path and draws
 its random numbers with the stdlib's own ``getrandbits`` rejection

@@ -17,8 +17,8 @@ tag eviction*) and per-set invalid-way counts (for *load-aware skew
 selection*).
 
 Storage layout: the entries live in parallel packed columns (state /
-line address / SDID / core / FPTR arrays plus dirty / reused byte
-columns) indexed by the flat tag index, not in a ``List[TagEntry]``.
+line address / SDID / core / FPTR lists plus dirty / reused byte
+columns) indexed by the flat tag index, not in a list of entry objects.
 :meth:`SkewedTagStore.entry` returns a write-through
 :class:`TagEntryView` over the columns so introspection code and tests
 keep the historical object API.  The generated Maya step
@@ -32,7 +32,6 @@ invalidation and the invariant check.  The object-model reference in
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..common.config import MayaConfig
@@ -63,44 +62,11 @@ _P0 = 1
 _P1 = 2
 
 
-@dataclass
-class TagEntry:
-    """One tag-store entry, as a plain value object.
-
-    The packed store returns these as *snapshots* (e.g. from
-    :meth:`SkewedTagStore.invalidate`); live per-slot access goes
-    through :class:`TagEntryView`.  ``dirty`` only has meaning for
-    priority-1 entries (a tag-only entry has no data to be dirty).
-    ``reused`` supports the dead-block accounting of Fig. 1.
-    """
-
-    state: TagState = TagState.INVALID
-    line_addr: int = 0
-    sdid: int = 0
-    core_id: int = -1
-    dirty: bool = False
-    reused: bool = False
-    fptr: int = NO_DATA
-
-    @property
-    def valid(self) -> bool:
-        return self.state is not TagState.INVALID
-
-    def invalidate(self) -> None:
-        self.state = TagState.INVALID
-        self.line_addr = 0
-        self.sdid = 0
-        self.core_id = -1
-        self.dirty = False
-        self.reused = False
-        self.fptr = NO_DATA
-
-
 class TagEntryView:
     """Write-through view of one packed tag slot.
 
     Reads and writes go straight to the store's columns, so the view
-    behaves like the historical ``TagEntry`` object for introspection
+    behaves like the historical tag-entry object for introspection
     (``entry.state is TagState.PRIORITY_1`` etc.).  Structural fields
     (state, FPTR, address) are read-only here: changing them requires
     the store's bookkeeping (pools, counters), so only the mutators on
@@ -156,18 +122,6 @@ class TagEntryView:
     @property
     def valid(self) -> bool:
         return self._store._state[self._idx] != _INVALID
-
-    def snapshot(self) -> TagEntry:
-        """A detached :class:`TagEntry` copy of the slot's contents."""
-        return TagEntry(
-            state=self.state,
-            line_addr=self.line_addr,
-            sdid=self.sdid,
-            core_id=self.core_id,
-            dirty=self.dirty,
-            reused=self.reused,
-            fptr=self.fptr,
-        )
 
 
 class SkewedTagStore:
@@ -261,59 +215,14 @@ class SkewedTagStore:
         """
         return self._where.get((line_addr << _SDID_SHIFT) | sdid)
 
-    def lookup_associative(self, line_addr: int, sdid: int = 0) -> Optional[int]:
-        """The literal two-set probe; used to validate :meth:`lookup`."""
-        indices = self.randomizer.all_indices(line_addr, sdid)
-        state = self._state
-        addr = self._addr
-        sdids = self._sdid
-        for skew in range(self._skews):
-            base = self.tag_index(skew, indices[skew], 0)
-            for way in range(self._ways):
-                idx = base + way
-                if state[idx] and addr[idx] == line_addr and sdids[idx] == sdid:
-                    return idx
-        return None
-
     # -- removal ----------------------------------------------------------------
 
-    def invalidate(self, tag_idx: int) -> TagEntry:
-        """Drop a tag entry entirely; returns a copy of the old contents."""
-        state = self._state[tag_idx]
-        if not state:
-            raise SimulationError("invalidating an already-invalid tag")
-        line_addr = self._addr[tag_idx]
-        sdid = self._sdid[tag_idx]
-        old = TagEntry(
-            state=_TAG_STATES[state],
-            line_addr=line_addr,
-            sdid=sdid,
-            core_id=self._core[tag_idx],
-            dirty=bool(self._dirty[tag_idx]),
-            reused=bool(self._reused[tag_idx]),
-            fptr=self._fptr[tag_idx],
-        )
-        if state == _P0:
-            self._p0_remove(tag_idx)
-        else:
-            self.priority1_count -= 1
-        self._valid_count[tag_idx // self._ways] -= 1
-        del self._where[(line_addr << _SDID_SHIFT) | sdid]
-        self._state[tag_idx] = _INVALID
-        self._addr[tag_idx] = 0
-        self._sdid[tag_idx] = 0
-        self._core[tag_idx] = -1
-        self._dirty[tag_idx] = 0
-        self._reused[tag_idx] = 0
-        self._fptr[tag_idx] = NO_DATA
-        return old
-
     def invalidate_fast(self, tag_idx: int) -> None:
-        """:meth:`invalidate` without materializing the old contents.
+        """Drop a tag entry entirely, at either priority.
 
         :meth:`MayaCache._drop_tag` reads whatever victim fields it
-        needs from the columns *before* calling this, so the snapshot
-        would be wasted allocation.
+        needs from the columns *before* calling this, so nothing is
+        returned.
         """
         state = self._state[tag_idx]
         if not state:

@@ -1,4 +1,4 @@
-"""The op-stream replay: ``run_mix``'s specialized drive (stage 2).
+"""The op-stream replay: ``run_mix``'s default drive (stage 2).
 
 Replays a mix over any LLC with an ``access_fast`` step in two stages.
 Stage 1 (:mod:`repro.engine.opstream`) pre-simulates each core's
@@ -7,8 +7,8 @@ classes plus the ordered LLC/DRAM op stream.  Stage 2 - this module -
 replays *only the op-bearing accesses* through a k-way merge identical
 in ordering to the per-access drive loop, advancing each core's clock
 over op-free runs with precomputed exact integer sums, and runs every
-op through the LLC's own ``access_fast`` step (the config-specialized
-generated step when :mod:`repro.engine.specialize` installed one).
+op through the LLC's own ``access_fast`` step (the design's generated
+step, which ``run_mix`` installs through :mod:`repro.engine.specialize`).
 
 **Why the results are bit-identical to the per-access drive:**
 
@@ -305,11 +305,10 @@ class VectorReplay:
         the whole-window static advance for cores with no shared-state
         ops, then merges the op-bearing accesses of the rest in the
         per-access drive's order (same packed-key heap, same integer
-        clock grid).  Each op runs the cache's own step - the
-        config-specialized generated step when
-        :mod:`repro.engine.specialize` installed one - so the serial
-        LLC state machine runs specialized end to end while the private
-        levels replay from the cached op streams.
+        clock grid).  Each op runs the cache's own step - the design's
+        generated step where it has one - so the serial LLC state
+        machine runs end to end while the private levels replay from
+        the cached op streams.
         """
         count = max(1, per_core)
         cores = self._cores

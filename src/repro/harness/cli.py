@@ -26,9 +26,9 @@ artifact cache (``REPRO_TRACE_CACHE=0``): compiled traces, translated
 index columns and op streams are rebuilt in-process for every run, and
 nothing is read from or written to ``results/.trace_cache``.
 ``--specialize 0`` swaps the op-stream
-replay and the generated Mirage/set-assoc steps for the per-access
-drive and the generic engines (exported as ``REPRO_SPECIALIZE``;
-Maya's generated step runs either way); results are bit-identical.
+replay for the per-access drive (exported as ``REPRO_SPECIALIZE``;
+every design runs its one generated step either way); results are
+bit-identical.
 ``--service ADDR`` (or the ``REPRO_SERVICE`` environment variable)
 drains the grid through a resident simulation service (``repro
 serve``) instead of one-shot worker processes - same bytes, no
@@ -209,15 +209,6 @@ def campaign_main(argv: List[str]) -> int:
         help="scorecard output path (default results/SCORECARD.json)",
     )
     parser.add_argument(
-        "--specialize", choices=("0", "1"), default=None,
-        help="the access steps the cells' attacks drive: 1 (default) "
-        "installs config-specialized steps on every design a cell "
-        "builds, 0 keeps the generic steps of the non-Maya designs as "
-        "their differential oracle "
-        "(exported as %s so --jobs workers inherit it; the scorecard "
-        "is byte-identical either way)" % SPECIALIZE_ENV,
-    )
-    parser.add_argument(
         "--service", default=None, metavar="ADDR",
         help="drain the campaign's (design x attack) shards through a "
         "resident simulation service (default from %s when set); the "
@@ -228,9 +219,6 @@ def campaign_main(argv: List[str]) -> int:
         help="write the runner summary (timings, report text) to PATH",
     )
     args = parser.parse_args(argv)
-
-    if args.specialize is not None:
-        os.environ[SPECIALIZE_ENV] = args.specialize
 
     designs = args.designs.split(",") if args.designs else None
     attacks = args.attacks.split(",") if args.attacks else None
@@ -302,13 +290,11 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--specialize", choices=("0", "1"), default=None,
-        help="config-specialized step codegen: 1 (default; generated "
-        "per-config step functions plus the opstream scalar replay for "
-        "every LLC with an access_fast step) or 0 for the per-access "
-        "drive and the generic Mirage/set-assoc engines, their "
-        "differential oracle (bit-identical results, exported as %s so "
-        "--jobs workers inherit it)"
-        % SPECIALIZE_ENV,
+        help="the drive: 1 (default) for the op-stream replay of every "
+        "LLC with an access_fast step, or 0 for the per-access drive, "
+        "its differential oracle; both run each design's generated step "
+        "(bit-identical results, exported as %s so --jobs workers "
+        "inherit it)" % SPECIALIZE_ENV,
     )
     parser.add_argument(
         "--service", default=None, metavar="ADDR",

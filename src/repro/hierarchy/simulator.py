@@ -20,10 +20,11 @@ Two drive loops produce bit-identical results:
   ``tests/test_compiled_replay.py`` requires both paths to produce
   bit-identical ``CacheStats`` and per-core IPCs.
 
-With specialization on (the default), the compiled path of every LLC
+With ``specialize`` on (the default), the compiled path of every LLC
 with an ``access_fast`` step skips the per-access hierarchy drive:
 the private levels come from cached per-core op streams and only the
-LLC/DRAM ops are replayed (``VectorReplay.phase_scalar``).
+LLC/DRAM ops are replayed (``VectorReplay.phase_scalar``).  Either
+drive runs each design's one generated step.
 """
 
 from __future__ import annotations
@@ -76,11 +77,12 @@ class MixResult:
     #: ``runs_cache_hits``/``runs_cache_builds``) when the replay drove
     #: the run, else ``None``.  Diagnostic only.
     engine_info: Optional[dict] = None
-    #: Specialization provenance (:mod:`repro.engine.specialize`):
-    #: ``None`` when specialization was off (``REPRO_SPECIALIZE=0``),
-    #: else the template kind installed on the LLC (or the fallback
-    #: reason) plus the count of specialized private levels.
-    #: Diagnostic only - never part of canonical results.
+    #: Drive provenance (:mod:`repro.engine.specialize`): ``None`` when
+    #: ``specialize`` was off (``REPRO_SPECIALIZE=0``, the per-access
+    #: drive), else the design whose step was installed on the LLC (or
+    #: the reason it has none) and the ``replay`` taken (or the
+    #: ``replay_reason`` it declined).  Diagnostic only - never part of
+    #: canonical results.
     specialize_info: Optional[dict] = None
 
     @property
@@ -227,39 +229,38 @@ def run_mix(
     table is dropped with the old keys and lookups fall back to the
     live randomizer.
 
-    ``specialize`` selects the config-specialized step functions
-    (:mod:`repro.engine.specialize`): ``None`` honours
-    ``REPRO_SPECIALIZE`` (default on), ``False`` keeps the generic
-    Mirage and set-assoc interpreters and the per-access hierarchy
-    drive (their differential oracle; Maya's generated step is its only
-    implementation and runs either way).  Specialization is applied
-    after the hierarchy is built and released with it, also when the
-    run raises; every caller resolves ``access_fast`` by attribute, so
-    the drive loops and the op-stream replay all pick up the
-    specialized steps.  It also
-    selects the op-stream replay (:mod:`repro.engine.vector`) for
-    every LLC with an ``access_fast`` step (Maya, Mirage, the
-    baseline, CEASER, the skewed designs, the fully-associative
-    cache): the private levels come from the cached per-core op
-    streams, which do not depend on the LLC design, and every
-    LLC-bearing op runs the design's own step in the per-access
-    drive's order.  Designs without that step (V-way, partitioned) and
-    bandwidth/TLB/coherence configs keep the per-access drive.  Results
-    are bit-identical either way (the ``specialize`` differential
-    suites enforce it); the provenance - including ``replay`` or the
-    ``replay_reason`` it declined - lands in
-    ``MixResult.specialize_info``, and the replay's counters in
-    ``MixResult.engine_info``, never in canonical results.
+    ``specialize`` selects only the drive (:mod:`repro.engine.specialize`):
+    ``None`` honours ``REPRO_SPECIALIZE`` (default on).  On, the compiled
+    path takes the op-stream replay (:mod:`repro.engine.vector`) for
+    every LLC with an ``access_fast`` step (Maya, Mirage, the baseline,
+    CEASER, the skewed designs, the fully-associative cache): the
+    private levels come from the cached per-core op streams, which do
+    not depend on the LLC design, and every LLC-bearing op runs the
+    design's own step in the per-access drive's order.  Designs
+    without that step (V-way, partitioned) and bandwidth/TLB/coherence
+    configs keep the per-access drive, as does ``specialize=False``,
+    which stays the replay's differential oracle.  Results are
+    bit-identical either way (the ``specialize`` differential suites
+    enforce it); the provenance - ``replay`` or the ``replay_reason``
+    it declined - lands in ``MixResult.specialize_info``, and the
+    replay's counters in ``MixResult.engine_info``, never in canonical
+    results.
+
+    Both drives run each design's one generated step.  The LLC's step
+    is installed through a releasable ``Specialization`` after the
+    hierarchy is built, and the private levels bind theirs on first
+    access; the run drops every one of them when it ends, also when it
+    raises, so it hands the caller's LLC back as it was built and
+    leaves no reference cycle behind.
     """
     engine_info: Optional[dict] = None
     config = config or SystemConfig(cores=mix.cores)
     if config.cores < mix.cores:
         raise ValueError(f"mix {mix.name} needs {mix.cores} cores, config has {config.cores}")
     hierarchy = CacheHierarchy(llc, config, enable_prefetch=enable_prefetch)
-    specialization = None
-    specialize_info: Optional[dict] = None
-    if resolve_specialize(specialize):
-        specialization, specialize_info = apply_specialization(llc, hierarchy)
+    specialization, specialize_info = apply_specialization(llc)
+    if not resolve_specialize(specialize):
+        specialize_info = None
     cores = mix.cores
     clocks = [0.0] * cores
     instructions = [0] * cores
@@ -320,14 +321,13 @@ def run_mix(
                     base_cpi, per_core, model_bandwidth,
                 )
 
-            if specialization is not None:
-                # Specialized drive: replay the cached op streams and run
-                # every op through the LLC's own (generated)
-                # ``access_fast`` step, while the private levels come from
-                # the pre-simulated streams.  Any design with that step
-                # qualifies; when a gate fails, the plain per-access drive
-                # keeps the specialized steps and the reason lands in
-                # ``specialize_info``.
+            if specialize_info is not None:
+                # Replay drive: replay the cached op streams and run
+                # every op through the LLC's own ``access_fast`` step,
+                # while the private levels come from the pre-simulated
+                # streams.  Any design with that step qualifies; when a
+                # gate fails, the per-access drive runs instead and the
+                # reason lands in ``specialize_info``.
                 from ..engine.vector import create_vector_replay
 
                 replay, reason = create_vector_replay(
@@ -373,17 +373,16 @@ def run_mix(
             refresh_mapping_cache()
     finally:
         # Drop the installed step functions, also when the run raised:
-        # the specialized closures hold references back to their caches,
+        # the generated closures hold references back to their caches,
         # and dropping the instance bindings keeps per-trial bench loops
         # refcount-clean and hands the caller's LLC back as it was built
-        # (post-run accesses through the class's step are bit-identical
-        # anyway).
-        if specialization is not None:
-            specialization.release()
-        # The hierarchy is done; break its compiled-access reference cycle
-        # so this trial's working set (mapping memos, trace columns, tag
-        # state) frees by refcount when the caller drops `llc` instead of
-        # piling up for the cyclic GC across a bench trial loop.
+        # (a later access binds the same step again).
+        specialization.release()
+        # The hierarchy is done; break its compiled-access reference
+        # cycle and drop the private levels' self-bound steps, so this
+        # trial's working set (mapping memos, trace columns, tag state)
+        # frees by refcount when the caller drops `llc` instead of piling
+        # up for the cyclic GC across a bench trial loop.
         hierarchy.release()
     stats = llc.stats
     total_instructions = sum(instructions)

@@ -293,17 +293,21 @@ class CacheHierarchy:
     # -- maintenance ------------------------------------------------------------
 
     def release(self) -> None:
-        """Break the compiled-access reference cycle.
+        """Break the compiled-access and private-step reference cycles.
 
-        ``access`` closes over bound methods of this hierarchy, so the
-        hierarchy can only be reclaimed by the cyclic garbage collector.
-        Drivers that build many hierarchies in one process (the bench
-        trial loop) call this when done so each one frees by refcount
-        instead of accreting until a gen-2 collection; the GC pauses
-        otherwise grow with the number of retired trials and skew
+        ``access`` closes over bound methods of this hierarchy, and each
+        private L1/L2 array bound its generated step, which closes over
+        the array, on itself at its first access; without this the
+        hierarchy could only be reclaimed by the cyclic garbage
+        collector.  Drivers that build many hierarchies in one process
+        (the bench trial loop) call this when done so each one frees by
+        refcount instead of accreting until a gen-2 collection; the GC
+        pauses otherwise grow with the number of retired trials and skew
         per-trial timings.  The hierarchy must not be accessed again.
         """
         self.access = None
+        for cache in self.l1 + self.l2:
+            cache.__dict__.pop("access_fast", None)
 
     def reset_stats(self) -> None:
         """Zero all statistics (after warm-up) without touching contents."""

@@ -87,8 +87,8 @@ class CeaserCache(LLCache):
     ) -> int:
         """One access with no allocation; returns ``ACC_*`` flags.
 
-        The inner array's step is looked up per call, so a specialized
-        step installed on it (:mod:`repro.engine.specialize`) is used.
+        The inner array's step is looked up per call, so a step
+        installed on it (:mod:`repro.engine.specialize`) is used.
         The published victim address is the encrypted one the array
         stores.
         """

@@ -13,10 +13,17 @@ and the extra tags are pure overhead (+20% storage); Maya's reuse
 filtering lets it shrink the data store below the baseline instead.
 
 The tag array is stored as packed columns (validity, address, SDID,
-core, FPTR, dirty/reused bits) and the hot path is
-:meth:`MirageCache.access_fast` (``ACC_*`` flag protocol, victim
-published via the ``victim_*`` fields).  Behaviour is bit-identical to
-the object-model reference in ``repro.reference.mirage``.
+core, FPTR, dirty/reused bits).  The per-access protocol lives in
+:mod:`repro.llc.mirage_step`, which renders it per configuration over
+these columns.  :meth:`MirageCache.access_fast` binds that step on
+first use; it returns an ``ACC_*`` flag int and publishes any victim
+through the ``victim_*`` instance fields.  This module keeps
+invalidation, flush, rekey and introspection.  Only the deployed
+configuration is modelled: two skews with load-aware skew selection.
+The object-model reference in ``repro.reference.mirage`` also keeps
+more skews and random skew selection; the skew-selection ablation runs
+on the bucket model (:mod:`repro.security.buckets`).  Behaviour is
+bit-identical to that reference (enforced by the differential tests).
 """
 
 from __future__ import annotations
@@ -26,8 +33,6 @@ from typing import Dict, Optional
 from ..cache.line import (
     ACC_EVICTED,
     ACC_EVICTED_DIRTY,
-    ACC_HIT,
-    ACC_SAE,
     AccessResult,
     EvictedLine,
     access_result,
@@ -35,35 +40,35 @@ from ..cache.line import (
 )
 from ..cache.stats import CacheStats
 from ..common.config import MirageConfig
-from ..common.errors import SetAssociativeEviction, SimulationError
+from ..common.errors import SimulationError
 from ..common.rng import derive_seed, make_rng
 from ..core.data_store import DataStore
 from ..crypto.randomizer import DEFAULT_MEMO_CAPACITY, IndexRandomizer
 from .interface import LLCache
+from .mirage_step import mirage_step
 
 
 class MirageCache(LLCache):
-    """Functional Mirage model (v2 'MIRAGE' with global evictions)."""
+    """Functional Mirage model (v2 'MIRAGE' with global evictions).
+
+    Only the paper's two skews are supported; skew selection is always
+    load-aware.  ``on_sae`` is ``"count"`` (evict a random way of the
+    full set and count it) or ``"raise"``
+    (:class:`~repro.common.errors.SetAssociativeEviction`).
+    """
 
     extra_lookup_latency = 4
 
-    def __init__(
-        self,
-        config: Optional[MirageConfig] = None,
-        skew_policy: str = "load_aware",
-        on_sae: str = "count",
-    ):
+    def __init__(self, config: Optional[MirageConfig] = None, on_sae: str = "count"):
         self.config = config or MirageConfig()
-        if skew_policy not in ("load_aware", "random"):
-            raise ValueError(f"unknown skew policy {skew_policy!r}")
+        if self.config.skews != 2:
+            raise ValueError(f"MirageCache models two skews, not {self.config.skews}")
         if on_sae not in ("count", "raise"):
             raise ValueError(f"unknown SAE policy {on_sae!r}")
-        self._skew_policy = skew_policy
         self._on_sae = on_sae
         cfg = self.config
         self._ways = cfg.ways_per_skew
         self._sets = cfg.sets_per_skew
-        self._skews = cfg.skews
         self.randomizer = IndexRandomizer(
             cfg.skews,
             cfg.sets_per_skew,
@@ -91,7 +96,7 @@ class MirageCache(LLCache):
         self._reused = bytearray(total)
         self._fptr = [-1] * total
         # Flat list indexed ``skew * sets + set_idx`` (== tag_idx // ways).
-        self._valid_count = [0] * (self._skews * self._sets)
+        self._valid_count = [0] * (2 * self._sets)
         #: packed (line_addr << 16 | sdid) -> tag index.
         self._where: Dict[int, int] = {}
         self.data = DataStore(cfg.data_entries, seed=derive_seed(cfg.rng_seed, 33))
@@ -104,16 +109,6 @@ class MirageCache(LLCache):
         self.victim_sdid = 0
         self.victim_reused = False
 
-    # -- index helpers -------------------------------------------------------
-
-    def _tag_index(self, skew: int, set_idx: int, way: int) -> int:
-        return (skew * self._sets + set_idx) * self._ways + way
-
-    def _locate(self, tag_idx: int):
-        set_way, way = divmod(tag_idx, self._ways)
-        skew, set_idx = divmod(set_way, self._sets)
-        return skew, set_idx, way
-
     # -- access path ---------------------------------------------------------
 
     def access_fast(
@@ -124,52 +119,19 @@ class MirageCache(LLCache):
         is_writeback: bool = False,
         sdid: int = 0,
     ) -> int:
-        """One access with no allocation; returns ``ACC_*`` flags."""
-        tag_idx = self._where.get((line_addr << 16) | sdid)
-        st = self.stats
-        st.accesses += 1
-        if tag_idx is not None:
-            st.hits += 1
-            if is_writeback:
-                st.writebacks_received += 1
-                self._dirty[tag_idx] = 1
-            else:
-                st.demand_accesses += 1
-                st.demand_hits += 1
-                self._reused[tag_idx] = 1
-                if is_write:
-                    self._dirty[tag_idx] = 1
-            return ACC_HIT
-        st.misses += 1
-        if is_writeback:
-            st.writebacks_received += 1
-        else:
-            st.demand_accesses += 1
-            pcm = st.per_core_misses
-            pcm[core_id] = pcm.get(core_id, 0) + 1
+        """One access with no allocation; returns ``ACC_*`` flags.
 
-        flags = 0
-        self.installs += 1
-        # Global random eviction first, so a data entry and the victim's
-        # tag slot are free before the new install.
-        if self.data.full:
-            flags = self._global_random_eviction(filler_core=core_id)
-        skew, set_idx = self._pick_skew(line_addr, sdid)
-        base = (skew * self._sets + set_idx) * self._ways
-        slot = self._valid.find(0, base, base + self._ways)
-        if slot < 0:
-            st.saes += 1
-            if self._on_sae == "raise":
-                raise SetAssociativeEviction(
-                    f"SAE in skew {skew}, set {set_idx}", installs=self.installs
-                )
-            victim_way = self._rng.randrange(self._ways)
-            # The SAE victim's writeback supersedes the data eviction's
-            # (v1 semantics kept by the reference model).
-            flags = ACC_SAE | self._drop_tag(base + victim_way, filler_core=core_id)
-            slot = self._valid.find(0, base, base + self._ways)
-        self._install(slot, line_addr, sdid, core_id, dirty=is_write or is_writeback)
-        return flags
+        The first call binds the generated step
+        (:func:`~repro.llc.mirage_step.mirage_step`) on the instance,
+        where attribute lookup finds it from then on.  Callers that
+        bound this method before the first access keep landing here, so
+        the instance binding is looked up first and the step renders
+        once.
+        """
+        step = self.__dict__.get("access_fast")
+        if step is None:
+            self.access_fast = step = mirage_step(self)
+        return step(line_addr, is_write, core_id, is_writeback, sdid)
 
     def access(
         self,
@@ -181,48 +143,6 @@ class MirageCache(LLCache):
     ) -> AccessResult:
         flags = self.access_fast(line_addr, is_write, core_id, is_writeback, sdid)
         return access_result(self, flags, self.extra_lookup_latency)
-
-    def _pick_skew(self, line_addr: int, sdid: int):
-        indices = self._indices_of(line_addr, sdid)
-        if self._skew_policy == "random":
-            skew = self._rng.randrange(self._skews)
-            return skew, indices[skew]
-        vc = self._valid_count
-        if self._skews == 2:
-            i0 = indices[0]
-            i1 = indices[1]
-            l0 = vc[i0]
-            l1 = vc[self._sets + i1]
-            if l0 < l1:
-                return 0, i0
-            if l1 < l0:
-                return 1, i1
-            skew = self._rng.randrange(2)
-            return (1, i1) if skew else (0, i0)
-        loads = [vc[s * self._sets + indices[s]] for s in range(self._skews)]
-        best = min(loads)
-        candidates = [s for s, load in enumerate(loads) if load == best]
-        skew = candidates[self._rng.randrange(len(candidates))] if len(candidates) > 1 else candidates[0]
-        return skew, indices[skew]
-
-    def _install(self, tag_idx: int, line_addr: int, sdid: int, core_id: int, dirty: bool) -> None:
-        if self._valid[tag_idx]:
-            raise SimulationError("installing over a valid Mirage tag")
-        self._valid[tag_idx] = 1
-        self._addr[tag_idx] = line_addr
-        self._sdid[tag_idx] = sdid
-        self._core[tag_idx] = core_id
-        self._dirty[tag_idx] = 1 if dirty else 0
-        self._reused[tag_idx] = 0
-        self._fptr[tag_idx] = self.data.allocate(tag_idx)
-        self._valid_count[tag_idx // self._ways] += 1
-        self._where[(line_addr << 16) | sdid] = tag_idx
-        self.stats.fills += 1
-        self.stats.data_fills += 1
-
-    def _global_random_eviction(self, filler_core: int) -> int:
-        victim_data = self.data.random_victim()
-        return self._drop_tag(self.data.rptr_of(victim_data), filler_core=filler_core)
 
     def _drop_tag(self, tag_idx: int, filler_core: int) -> int:
         if not self._valid[tag_idx]:
@@ -320,7 +240,7 @@ class MirageCache(LLCache):
         """Structural consistency between tags, data, and indices."""
         expected = {}
         valid_total = 0
-        per_set = [0] * (self._skews * self._sets)
+        per_set = [0] * (2 * self._sets)
         for idx in range(len(self._valid)):
             if self._valid[idx]:
                 if self._fptr[idx] < 0:

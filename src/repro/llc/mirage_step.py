@@ -1,0 +1,199 @@
+"""Mirage's per-access state machine, rendered per configuration.
+
+This module is the one fast implementation of
+:class:`~repro.llc.mirage.MirageCache`'s access protocol: the tag hit,
+and on a miss the global random data eviction, the two-skew load-aware
+skew pick (a random tie-break on equal loads), the SAE branch (the one
+configured arm: count, or raise) and the install.  The drop-tag body is
+expanded at both eviction sites exactly as the object model sequences
+it.  :func:`mirage_step` renders the step as Python source with the
+ways, sets and data-store size inlined as literals, compiles it once
+per configuration (:mod:`repro.common.codegen`) and binds the tag
+store's packed columns and the data store's RPTR column and free list
+as closure locals.
+
+:meth:`MirageCache.access_fast` binds the step on first use; a run or
+campaign cell that manages its steps (:mod:`repro.engine.specialize`)
+installs one through a releasable ``Specialization`` instead.  The
+differential oracle is the object model in :mod:`repro.reference.mirage`:
+same seed, same RNG draw order, bit-identical statistics and tag
+placement.
+"""
+
+from __future__ import annotations
+
+from ..common.codegen import bind_template, compiled_template
+
+
+def _drop_tag(indent: str, tag_expr: str) -> str:
+    lines = [
+        f"vt = {tag_expr}",
+        "if not valid[vt]:",
+        "    raise SimulationError(\"dropping an invalid Mirage tag\")",
+        "vdirty = dirty_col[vt]",
+        "vreused = reused_col[vt]",
+        "vcore = core_col[vt]",
+        "vaddr = addr_col[vt]",
+        "vsd = sdid_col[vt]",
+        "llc.victim_addr = vaddr",
+        "llc.victim_core = vcore",
+        "llc.victim_sdid = vsd",
+        "llc.victim_reused = True if vreused else False",
+        "st.evictions += 1",
+        "if vdirty:",
+        "    st.dirty_evictions += 1",
+        "if not vreused:",
+        "    st.dead_evictions += 1",
+        "if vcore >= 0 and core_id >= 0 and vcore != core_id:",
+        "    st.interference_evictions += 1",
+        "fp = fptr_col[vt]",
+        "if rptr[fp] == -1:",
+        "    raise SimulationError(\"freeing an already-free data entry\")",
+        "rptr[fp] = -1",
+        "free_append(fp)",
+        "valid_count[vt // {WAYS}] -= 1",
+        "del where[(vaddr << 16) | vsd]",
+        "valid[vt] = 0",
+        "fptr_col[vt] = -1",
+    ]
+    return "".join(indent + line + "\n" for line in lines)
+
+
+_SAE_RAISE = """\
+            raise SetAssociativeEviction(
+                "SAE in skew %d, set %d" % (skew, set_idx), installs=llc.installs
+            )
+"""
+
+# The SAE victim's writeback supersedes the data eviction's (v1
+# semantics, kept by the reference model).
+_SAE_COUNT = (
+    """\
+            victim_way = rng_randrange({WAYS})
+"""
+    + _drop_tag("            ", "base + victim_way")
+    + """\
+            flags = 22 if vdirty else 18
+            slot = valid.find(0, base, base + {WAYS})
+"""
+)
+
+# ACC literals: HIT=1, EVICTED=2, EVICTED|DIRTY=6, SAE=16.
+_TEMPLATE = '''\
+# Generated by repro.llc.mirage_step; do not edit.
+# kind=mirage ways={WAYS} sets={SETS} data={DATA_N} on_sae={ON_SAE}
+
+
+def _bind(llc, SimulationError, SetAssociativeEviction):
+    st = llc.stats
+    valid = llc._valid
+    addr_col = llc._addr
+    sdid_col = llc._sdid
+    core_col = llc._core
+    dirty_col = llc._dirty
+    reused_col = llc._reused
+    fptr_col = llc._fptr
+    valid_count = llc._valid_count
+    where = llc._where
+    where_get = where.get
+    indices_of = llc._indices_of
+    rng_randrange = llc._rng.randrange
+    data = llc.data
+    rptr = data._rptr
+    free_list = data._free
+    free_append = free_list.append
+    free_pop = free_list.pop
+    data_randbelow = data._randbelow
+
+    def access_fast(line_addr, is_write=False, core_id=0, is_writeback=False, sdid=0):
+        key = (line_addr << 16) | sdid
+        tag_idx = where_get(key)
+        st.accesses += 1
+        if tag_idx is not None:
+            st.hits += 1
+            if is_writeback:
+                st.writebacks_received += 1
+                dirty_col[tag_idx] = 1
+            else:
+                st.demand_accesses += 1
+                st.demand_hits += 1
+                reused_col[tag_idx] = 1
+                if is_write:
+                    dirty_col[tag_idx] = 1
+            return 1
+        st.misses += 1
+        if is_writeback:
+            st.writebacks_received += 1
+        else:
+            st.demand_accesses += 1
+            pcm = st.per_core_misses
+            pcm[core_id] = pcm.get(core_id, 0) + 1
+        flags = 0
+        llc.installs += 1
+        if not free_list:
+            while True:
+                vd = data_randbelow({DATA_N})
+                if rptr[vd] != -1:
+                    break
+{GLOBAL_DROP}
+            flags = 6 if vdirty else 2
+        indices = indices_of(line_addr, sdid)
+        i0 = indices[0]
+        i1 = indices[1]
+        l0 = valid_count[i0]
+        l1 = valid_count[{SETS} + i1]
+        if l0 < l1:
+            skew = 0
+            set_idx = i0
+        elif l1 < l0:
+            skew = 1
+            set_idx = i1
+        elif rng_randrange(2):
+            skew = 1
+            set_idx = i1
+        else:
+            skew = 0
+            set_idx = i0
+        base = (skew * {SETS} + set_idx) * {WAYS}
+        slot = valid.find(0, base, base + {WAYS})
+        if slot < 0:
+            st.saes += 1
+{SAE}
+        if valid[slot]:
+            raise SimulationError("installing over a valid Mirage tag")
+        valid[slot] = 1
+        addr_col[slot] = line_addr
+        sdid_col[slot] = sdid
+        core_col[slot] = core_id
+        dirty_col[slot] = 1 if is_write or is_writeback else 0
+        reused_col[slot] = 0
+        if not free_list:
+            raise SimulationError("data store full: evict before allocating")
+        fidx = free_pop()
+        rptr[fidx] = slot
+        fptr_col[slot] = fidx
+        valid_count[slot // {WAYS}] += 1
+        where[key] = slot
+        st.fills += 1
+        st.data_fills += 1
+        return flags
+
+    return access_fast
+'''
+
+
+def mirage_step(llc):
+    """The ``access_fast`` closure for a :class:`MirageCache`."""
+    data_n = len(llc.data._rptr)
+    fingerprint = (llc._ways, llc._sets, data_n, llc._on_sae)
+
+    def build() -> str:
+        subst = dict(WAYS=llc._ways, SETS=llc._sets, DATA_N=data_n, ON_SAE=llc._on_sae)
+        sae = _SAE_RAISE if llc._on_sae == "raise" else _SAE_COUNT.format(**subst)
+        return _TEMPLATE.format(
+            GLOBAL_DROP=_drop_tag("            ", "rptr[vd]").format(**subst).rstrip("\n"),
+            SAE=sae.rstrip("\n"),
+            **subst,
+        )
+
+    return bind_template(compiled_template("mirage", fingerprint, build), llc)

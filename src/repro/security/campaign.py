@@ -33,13 +33,11 @@ cryptographic strength is evaluated where it matters, in
 
 Attacker loads run through each design's allocation-free
 ``access_fast`` step (:func:`repro.llc.interface.access_step`).  Each
-cell specializes every design it builds
+cell installs the generated step of every design it builds through one
+releasable ``Specialization``
 (:func:`repro.engine.specialize.specialize_llc`) before an attack binds
-that step, and releases the specialization when the cell ends, also
-when it raises.  ``REPRO_SPECIALIZE=0`` (``campaign --specialize 0``)
-keeps the generic steps of the non-Maya designs (Maya binds its
-generated step on first use); the scorecard is byte-identical either
-way.
+that step, and releases it when the cell ends, also when it raises, so
+every design frees by refcount with its cell.
 """
 
 from __future__ import annotations
@@ -53,7 +51,7 @@ from ..common.config import CacheGeometry, MayaConfig, MirageConfig
 from ..common.errors import ConfigurationError
 from ..common.rng import derive_seed
 from ..core.maya_cache import MayaCache
-from ..engine.specialize import Specialization, resolve_specialize, specialize_llc
+from ..engine.specialize import Specialization, specialize_llc
 from ..llc.baseline import BaselineLLC
 from ..llc.ceaser import CeaserCache
 from ..llc.fully_assoc import FullyAssociativeCache
@@ -289,12 +287,11 @@ def run_shard(
 ) -> Dict[str, object]:
     design, attack = key.split(":", 1)
     params = _params(quick)
-    spec = Specialization() if resolve_specialize() else None
+    spec = Specialization()
 
     def build(design_seed: int, policy: Optional[str] = None):
         llc = _make_design(design, params["sets"], design_seed, policy=policy)
-        if spec is not None:
-            specialize_llc(llc, spec)  # designs without a template keep their step
+        specialize_llc(llc, spec)  # designs without a generated step keep theirs
         return llc
 
     try:
@@ -302,8 +299,7 @@ def run_shard(
     finally:
         # The generated steps close over their designs; releasing breaks
         # those cycles, so every design frees by refcount with its cell.
-        if spec is not None:
-            spec.release()
+        spec.release()
     return {"design": design, "attack": attack, "cell": cell}
 
 

@@ -7,6 +7,7 @@ from repro.cache.line import AccessResult, CacheLine, CoherenceState, EvictedLin
 from repro.cache.replacement import (
     BRRIPPolicy,
     LRUPolicy,
+    PackedLRUPolicy,
     RandomPolicy,
     SRRIPPolicy,
     make_policy,
@@ -179,6 +180,17 @@ class TestSetAssociativeCache:
             cache.access(addr, core_id=addr % 2)
         counts = cache.occupancy_by_core()
         assert counts[0] == 3 and counts[1] == 3
+
+    @pytest.mark.parametrize("policy", [LRUPolicy(), PackedLRUPolicy()])
+    def test_policy_object_rejected(self, tiny_geometry, policy):
+        """The step renders one arm per policy *name*; objects (of
+        either engine) have no arm."""
+        with pytest.raises(TypeError, match="replacement policy name"):
+            SetAssociativeCache(tiny_geometry, policy=policy)
+
+    def test_unknown_policy_name_rejected(self, tiny_geometry):
+        with pytest.raises(ValueError, match="unknown replacement policy 'plru'"):
+            SetAssociativeCache(tiny_geometry, policy="plru")
 
     @given(st.lists(st.tuples(st.integers(min_value=0, max_value=200), st.booleans()), max_size=300))
     @settings(max_examples=30, deadline=None)

@@ -11,6 +11,9 @@ step is the op-stream replay, which the specialize-marked classes
 below also hold against the per-access drive.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.common.config import CacheGeometry, MayaConfig, MirageConfig, SystemConfig
@@ -367,18 +370,14 @@ class TestVectorEngine:
 
 # -- the op-stream replay for every access_fast design ------------------
 
-#: Designs with the ``access_fast`` step protocol: the specialized
-#: scalar drive replays all of them from the cached op streams.
+#: Designs with the ``access_fast`` step protocol: the op-stream
+#: replay drives all of them from the cached op streams.
 REPLAYED = {
     "baseline": lambda system: BaselineLLC(system.llc_geometry),
     "mirage-splitmix": lambda system: MirageCache(
         MirageConfig(sets_per_skew=16, rng_seed=7, hash_algorithm="splitmix")),
     "mirage-prince": lambda system: MirageCache(
         MirageConfig(sets_per_skew=16, rng_seed=7, hash_algorithm="prince")),
-    # No template covers three skews: the replay drives the generic step
-    # and batch-fills a three-column index side table.
-    "mirage-3skew": lambda system: MirageCache(
-        MirageConfig(skews=3, sets_per_skew=16, rng_seed=7, hash_algorithm="splitmix")),
     "maya": lambda system: MayaCache(MayaConfig(**MAYA)),
     # remap_period=500 remaps mid-run: the flush and the fresh keys
     # land between replayed ops.
@@ -406,12 +405,14 @@ def tag_placement(llc):
 
 @pytest.mark.specialize
 class TestOpstreamReplay:
-    """Specialized op-stream replay vs the generic per-access drive.
+    """The op-stream replay vs the per-access drive.
 
     ``specialize=False`` keeps the per-access hierarchy drive (the
     oracle); ``specialize=True`` must engage the replay for every
     design with an ``access_fast`` step and match the oracle bit for
-    bit.  Designs and configs the replay cannot drive must say why.
+    bit.  Both drives run the same generated steps, so these rows check
+    the drive, not the steps: ``repro.reference`` is the steps' oracle.
+    Designs and configs the replay cannot drive must say why.
     """
 
     @pytest.mark.parametrize("bench", ["mcf", "lbm"])
@@ -477,17 +478,82 @@ class TestReleaseOnError:
             llc = REPLAYED["mirage-splitmix"](system)
             step_owner = llc
         else:
-            # Specialized, but the bandwidth model keeps the per-access
-            # drive; the step lives on the inner array.
+            # The bandwidth model keeps the per-access drive; the step
+            # lives on the inner array.
             llc = BaselineLLC(system.llc_geometry)
             step_owner = llc._cache
             kwargs["model_bandwidth"] = True
-        generic_step = llc.access_fast
+        binder = llc.access_fast
         with pytest.raises(RuntimeError, match="injected DRAM failure"):
             run_mix(llc, homogeneous("mcf", 2), system, specialize=True,
                     accesses_per_core=800, warmup_accesses=300, seed=11,
                     trace_cache=False, **kwargs)
         assert len(calls) == 51
         assert "access_fast" not in vars(step_owner)
-        assert llc.access_fast == generic_step
+        assert llc.access_fast == binder
         assert len(released) == 1 and released[0].access is None
+        private = released[0].l1 + released[0].l2
+        assert not any("access_fast" in vars(cache) for cache in private)
+
+
+#: run_mix keyword arguments per drive.
+DRIVES = {
+    "replay": {"specialize": True},
+    "model_bandwidth": {"specialize": True, "model_bandwidth": True},
+    "per_access": {"specialize": False},
+}
+
+
+#: The designs whose arrays bind generated steps: Maya, Mirage, the
+#: baseline's inner array and the partitioned slices (which never
+#: replay, so every drive is per-access for them).
+FREED = {
+    "maya": REPLAYED["maya"],
+    "mirage-splitmix": REPLAYED["mirage-splitmix"],
+    "baseline": REPLAYED["baseline"],
+    "partitioned": lambda system: WayPartitionedLLC(system.llc_geometry, domains=2, seed=3),
+}
+
+
+class TestRunFreesByRefcount:
+    """A finished run leaves no reference cycle behind.
+
+    Every generated step closes over its cache, so a step left bound on
+    the LLC, on a wrapper's inner array or slice, or on a private L1/L2
+    keeps that cache alive until the cyclic collector runs.  With the
+    collector off, every cache a run touched must die by refcount once
+    the caller drops the LLC and the result, on both drives and under
+    ``specialize=False``.
+    """
+
+    @pytest.mark.parametrize("drive", sorted(DRIVES))
+    @pytest.mark.parametrize("design", sorted(FREED))
+    def test_every_cache_frees_by_refcount(self, system, monkeypatch, design, drive):
+        private = []
+        init = CacheHierarchy.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            private.extend(self.l1 + self.l2)
+
+        monkeypatch.setattr(CacheHierarchy, "__init__", recording_init)
+        llc = FREED[design](system)
+        replayed = drive == "replay" and design != "partitioned"
+        gc.collect()
+        gc.disable()
+        try:
+            result = run_mix(llc, homogeneous("mcf", 2), system,
+                             accesses_per_core=300, warmup_accesses=100, seed=3,
+                             trace_cache=False, **DRIVES[drive])
+            replay = (result.specialize_info or {}).get("replay")
+            assert replay == ("opstream-scalar" if replayed else None)
+            assert llc.stats.accesses > 0
+            if not replayed:
+                assert all(cache.stats.accesses > 0 for cache in private)
+            caches = [llc, getattr(llc, "_cache", None)] + getattr(llc, "_slices", [])
+            refs = [weakref.ref(cache) for cache in caches + private if cache is not None]
+            del llc, result, caches, private[:]
+            alive = [type(ref()).__name__ for ref in refs if ref() is not None]
+            assert not alive, f"{design} on {drive} left {alive} alive"
+        finally:
+            gc.enable()

@@ -57,15 +57,7 @@ class TestRandomVictim:
         assert min(counts.values()) > 800  # ~1000 each
 
 
-class TestRetargetAndInvariants:
-    def test_retarget(self):
-        store = DataStore(2, seed=1)
-        idx = store.allocate(5)
-        store.retarget(idx, 9)
-        assert store.entry(idx).rptr == 9
-        with pytest.raises(SimulationError):
-            store.retarget(1 - idx, 3)
-
+class TestInvariants:
     def test_check_invariants_detects_mismatch(self):
         store = DataStore(2, seed=1)
         idx = store.allocate(5)

@@ -244,11 +244,20 @@ def mirage_pair(seed=13, on_sae="count", **cfg_kwargs):
     )
 
 
+def assert_mirage_placement_equal(packed, reference):
+    """(line, SDID) -> tag slot must match.  The skew pick (load-aware,
+    random tie-break) does not show in access results until an SAE, so
+    only the placement catches a wrong pick or tie-break draw."""
+    placed = {(key >> 16, key & 0xFFFF): slot for key, slot in packed._where.items()}
+    assert placed == reference._where
+
+
 class TestMirageDifferential:
     def test_mixed_stream_bit_identical(self):
         packed, reference = mirage_pair()
         ops = make_stream(seed=7, length=4000, addr_space=4096, cores=4, sdids=2)
         drive_pair(packed, reference, ops, mutate_every=89)
+        assert_mirage_placement_equal(packed, reference)
         assert packed.stats.evictions > 0
 
     def test_sae_path(self):
@@ -258,14 +267,17 @@ class TestMirageDifferential:
         )
         ops = make_stream(seed=8, length=1500, addr_space=256, cores=2)
         drive_pair(packed, reference, ops)
+        assert_mirage_placement_equal(packed, reference)
         assert packed.stats.saes > 0
 
     def test_flush_all_mid_stream(self):
         packed, reference = mirage_pair(seed=19)
         ops = make_stream(seed=9, length=2400, addr_space=2048)
         drive_pair(packed, reference, ops[:1200])
+        assert_mirage_placement_equal(packed, reference)
         assert packed.flush_all() == reference.flush_all()
         drive_pair(packed, reference, ops[1200:])
+        assert_mirage_placement_equal(packed, reference)
 
 
 # -- Set-associative baseline (also the packed L1/L2 substrate) -----------

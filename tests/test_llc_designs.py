@@ -176,6 +176,13 @@ class TestMirage:
         llc.access(5, sdid=1)
         assert llc.data.used == 2
 
+    def test_only_two_skews(self):
+        """The step renders the paper's two-skew load-aware pick; more
+        skews live on in ``repro.reference.mirage`` only."""
+        cfg = MirageConfig(skews=3, sets_per_skew=16, hash_algorithm="splitmix")
+        with pytest.raises(ValueError, match="two skews, not 3"):
+            MirageCache(cfg)
+
     def test_flush_all(self, small_mirage):
         llc = MirageCache(small_mirage)
         for addr in range(10):

@@ -212,12 +212,6 @@ class TestCellSpecialization:
     returns.
     """
 
-    @pytest.fixture(autouse=True)
-    def _specialize_on(self, monkeypatch):
-        from repro.engine.specialize import SPECIALIZE_ENV
-
-        monkeypatch.delenv(SPECIALIZE_ENV, raising=False)
-
     @staticmethod
     def _record(monkeypatch, on_built):
         """Call ``on_built(obj)`` for every design and inner array a cell

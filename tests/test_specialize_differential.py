@@ -1,25 +1,29 @@
-"""Seeded fuzz differential: each generated step vs its oracle.
+"""Seeded fuzz differential: each generated step vs its reference.
 
-``repro.engine.specialize`` compiles per-config ``access_fast`` step
-functions with constants inlined and policy branches pruned.  The
-contract is *bit-identity*: for any design and any access stream, the
-installed step must produce exactly the per-access flags, victim
-protocol fields, and :class:`~repro.cache.stats.CacheStats` its oracle
+Every packed design with a state machine has one fast implementation,
+a step rendered per configuration: :mod:`repro.core.maya_step`,
+:mod:`repro.llc.mirage_step` and :mod:`repro.cache.set_assoc_step`
+(the baseline and CEASER's inner array).  The contract is
+*bit-identity* with the object-model reference
+(:mod:`repro.reference`): for any access stream, the installed step
+must produce exactly the per-access results, victim fields,
+:class:`~repro.cache.stats.CacheStats` and occupancy the reference
 does - including across mid-stream ``rekey()`` / ``flush_all()``
 (which mutate the bound columns in place) and SAE storms (which route
-through the delegated rare-path methods).
+through the rare-path methods).  The references have no
+``access_fast``, so both sides run through ``access()``.  CEASER's
+reference is a ``CeaserCache`` whose inner array is
+:class:`ReferenceArray`, the reference set-associative cache behind
+the packed array's ``access_fast`` protocol.
 
-For Mirage and the set-associative designs the oracle is the generic
-engine: two identically-seeded instances, one with
-:func:`apply_specialization` installed, run the same randomized event
-stream and the test fails on the first divergence.  Maya has one
-implementation, the generated step of :mod:`repro.core.maya_step`, so
-its rows compare it with the object-model reference
-(:class:`~repro.reference.ReferenceMayaCache`); the reference has no
-``access_fast``, so both sides run through ``access()``.  Designs
-without a specialized template (skewed, fully-associative) run through
-the same harness to pin down that applying/releasing a specialization
-is a safe no-op for them.
+Placement is compared too: where each resident line sits, sampled
+before every flush and rekey and at the end.  Mirage's skew pick does
+not show in access results until an SAE, which these streams almost
+never cause.  Designs without a generated step (skewed,
+fully-associative) run through the same harness against an identical
+twin to pin down that applying/releasing a specialization is a safe
+no-op for them; ``tests/test_differential_engines.py`` holds them
+against their references.
 
 Marker ``specialize``; run with ``-m specialize``.
 """
@@ -30,9 +34,10 @@ import textwrap
 
 import pytest
 
-from repro.cache.line import ACC_EVICTED
+from repro.cache.line import ACC_EVICTED, ACC_EVICTED_DIRTY, ACC_HIT
 from repro.common import codegen
 from repro.common.config import CacheGeometry, MayaConfig, MirageConfig
+from repro.common.rng import derive_seed
 from repro.core.maya_cache import MayaCache
 from repro.core.maya_step import _draw
 from repro.engine.specialize import apply_specialization
@@ -42,7 +47,11 @@ from repro.llc.fully_assoc import FullyAssociativeCache
 from repro.llc.interface import supports_rekey
 from repro.llc.mirage import MirageCache
 from repro.llc.skewed import SkewedRandomizedCache
-from repro.reference import ReferenceMayaCache
+from repro.reference import (
+    ReferenceMayaCache,
+    ReferenceMirageCache,
+    ReferenceSetAssociativeCache,
+)
 
 pytestmark = pytest.mark.specialize
 
@@ -56,22 +65,63 @@ def _maya(seed, on_sae="count", make=MayaCache):
     )
 
 
+def _mirage(seed, make=MirageCache):
+    return make(MirageConfig(sets_per_skew=16, rng_seed=seed, hash_algorithm="splitmix"))
+
+
+def _ceaser(seed, policy):
+    return CeaserCache(
+        GEOMETRY, remap_period=900, seed=seed, hash_algorithm="splitmix", policy=policy
+    )
+
+
+class ReferenceArray:
+    """:class:`ReferenceSetAssociativeCache` behind the packed array's
+    ``access_fast`` protocol: ``access()`` results become ``ACC_*``
+    flags and ``victim_*`` fields; everything else is delegated."""
+
+    def __init__(self, geometry, policy, seed):
+        self._reference = ReferenceSetAssociativeCache(geometry, policy=policy, seed=seed)
+        self.victim_addr = 0
+        self.victim_core = -1
+        self.victim_sdid = 0
+        self.victim_reused = False
+
+    def __getattr__(self, name):
+        return getattr(self._reference, name)
+
+    def access_fast(self, line_addr, is_write=False, core_id=0, is_writeback=False, sdid=0):
+        result = self._reference.access(line_addr, is_write, core_id, is_writeback, sdid)
+        if result.hit:
+            return ACC_HIT
+        victim = result.evicted
+        if victim is None:
+            return 0
+        self.victim_addr = victim.line_addr
+        self.victim_core = victim.core_id
+        self.victim_sdid = victim.sdid
+        self.victim_reused = victim.was_reused
+        return ACC_EVICTED | ACC_EVICTED_DIRTY if victim.dirty else ACC_EVICTED
+
+
+def _reference_ceaser(seed, policy):
+    """A CEASER whose inner array is the reference (same derived seed)."""
+    llc = _ceaser(seed, policy)
+    llc._cache = ReferenceArray(GEOMETRY, policy, derive_seed(seed, 12))
+    llc.stats = llc._cache.stats
+    return llc
+
+
 #: name -> (builder(seed, policy), expect_specialized)
 DESIGNS = {
     "baseline": (lambda seed, policy: BaselineLLC(GEOMETRY, policy=policy, seed=seed), True),
-    "ceaser": (
-        lambda seed, policy: CeaserCache(
-            GEOMETRY, remap_period=900, seed=seed,
-            hash_algorithm="splitmix", policy=policy,
-        ),
-        True,
-    ),
+    "ceaser": (_ceaser, True),
     "ceaser_s": (
         lambda seed, policy: SkewedRandomizedCache(
             GEOMETRY, use_sdid_in_hash=False, remap_period=700,
             seed=seed, hash_algorithm="splitmix",
         ),
-        False,  # packed access_fast step, but no template to specialize it
+        False,  # packed access_fast step, but no generated one
     ),
     "scatter": (
         lambda seed, policy: SkewedRandomizedCache(
@@ -80,21 +130,20 @@ DESIGNS = {
         ),
         False,
     ),
-    "mirage": (
-        lambda seed, policy: MirageCache(
-            MirageConfig(sets_per_skew=16, rng_seed=seed, hash_algorithm="splitmix")
-        ),
-        True,
-    ),
+    "mirage": (lambda seed, policy: _mirage(seed), True),
     "maya": (lambda seed, policy: _maya(seed), True),
     "maya_rekey_on_sae": (lambda seed, policy: _maya(seed, on_sae="rekey"), True),
     "fully_assoc": (lambda seed, policy: FullyAssociativeCache(192, seed=seed), False),
 }
 
-#: Designs whose oracle is the object-model reference, not a generic
-#: twin: name -> builder(seed, policy).  Both sides run through
-#: ``access()``.
+#: Every design with a generated step, and its object-model reference:
+#: name -> builder(seed, policy).
 REFERENCE_ORACLES = {
+    "baseline": lambda seed, policy: ReferenceSetAssociativeCache(
+        GEOMETRY, policy=policy, seed=seed
+    ),
+    "ceaser": _reference_ceaser,
+    "mirage": lambda seed, policy: _mirage(seed, make=ReferenceMirageCache),
     "maya": lambda seed, policy: _maya(seed, make=ReferenceMayaCache),
     "maya_rekey_on_sae": lambda seed, policy: _maya(
         seed, on_sae="rekey", make=ReferenceMayaCache
@@ -102,7 +151,7 @@ REFERENCE_ORACLES = {
 }
 
 #: The sweep: every design, with the packed-replacement designs crossed
-#: against every replacement policy the codegen has a template for.
+#: against every replacement policy the step renders an arm for.
 COMBOS = (
     [("baseline", p) for p in ("lru", "random", "srrip", "brrip", "drrip")]
     + [("ceaser", p) for p in ("lru", "random", "srrip")]
@@ -115,6 +164,22 @@ COMBOS = (
         ("fully_assoc", None),
     ]
 )
+
+
+def placement(llc):
+    """Where each resident line sits: (line, SDID) -> tag slot for the
+    skewed tag stores (the packed ones key ``line << 16 | sdid``), line
+    -> flat slot for the set-associative arrays."""
+    if isinstance(llc, (MayaCache, ReferenceMayaCache)):
+        where = llc.tags._where
+    elif isinstance(llc, (MirageCache, ReferenceMirageCache)):
+        where = llc._where
+    else:
+        return dict(getattr(llc, "_cache", llc)._where)
+    return {
+        key if isinstance(key, tuple) else (key >> 16, key & 0xFFFF): slot
+        for key, slot in where.items()
+    }
 
 
 def fuzz_events(seed, length=1500, addr_space=4096, cores=4, sdids=2):
@@ -151,19 +216,22 @@ def fuzz_events(seed, length=1500, addr_space=4096, cores=4, sdids=2):
     return events
 
 
-def drive(llc, events, via_access=False):
+def drive(llc, events, via_access=False, place=None):
     """Run the event stream; returns the full per-event outcome trail.
 
     Packed designs go through ``access_fast`` (the attribute the
     specialization shadows) and record the raw ``ACC_*`` flags plus the
-    victim protocol fields; object-model designs, and every design
-    under ``via_access``, go through ``access`` and record the
-    :class:`AccessResult`.  Re-reads the ``access_fast`` attribute every
-    iteration on purpose: a design whose rare path swaps the step
+    victim protocol fields; every design under ``via_access`` goes
+    through ``access`` and records the :class:`AccessResult`.  With
+    ``place``, the trail also records ``place(llc)`` before every flush
+    and rekey and at the end.  Re-reads the ``access_fast`` attribute
+    every iteration on purpose: a design whose rare path swaps the step
     mid-stream must keep dispatching like the hierarchy drive loop does.
     """
     trail = []
     for event in events:
+        if event[0] in ("flush", "rekey") and place is not None:
+            trail.append(("placement", place(llc)))
         if event[0] == "flush":
             trail.append(("flush", llc.flush_all()))
             continue
@@ -185,6 +253,8 @@ def drive(llc, events, via_access=False):
                 trail.append(flags)
         else:
             trail.append(llc.access(addr, is_write, core, is_wb, sdid))
+    if place is not None:
+        trail.append(("placement", place(llc)))
     return trail
 
 
@@ -204,6 +274,7 @@ def test_specialized_bit_identical(design, policy, stream_seed):
     build, expect_specialized = DESIGNS[design]
     events = fuzz_events(stream_seed * 1000 + len(design))
     via_access = design in REFERENCE_ORACLES
+    place = placement if via_access else None
 
     oracle = REFERENCE_ORACLES.get(design, build)(42, policy)
     specialized = build(42, policy)
@@ -213,8 +284,8 @@ def test_specialized_bit_identical(design, policy, stream_seed):
             assert info["llc"] == type(specialized).__name__, info["llc_reason"]
         else:
             assert info["llc"] is None and info["llc_reason"]
-        oracle_trail = drive(oracle, events, via_access)
-        specialized_trail = drive(specialized, events, via_access)
+        oracle_trail = drive(oracle, events, via_access, place)
+        specialized_trail = drive(specialized, events, via_access, place)
     finally:
         spec.release()
 
@@ -233,16 +304,18 @@ def test_specialized_bit_identical(design, policy, stream_seed):
         assert oracle.stats.evictions > 0
 
 
-def test_release_restores_generic_step():
-    """``release()`` must put the class's ``access_fast`` back (for
-    Maya, the binder that renders the step on first use)."""
-    llc = _maya(7)
-    original = llc.access_fast
+@pytest.mark.parametrize("design", ["baseline", "ceaser", "mirage", "maya"])
+def test_release_restores_the_binder(design):
+    """``release()`` must put the class's ``access_fast`` back: the
+    binder that renders the step on first use."""
+    llc = DESIGNS[design][0](7, "lru" if design in ("baseline", "ceaser") else None)
+    owners = [llc] + ([llc._cache] if hasattr(llc, "_cache") else [])
+    before = [vars(owner).get("access_fast") for owner in owners]
     spec, info = apply_specialization(llc)
-    assert info["llc"] == "MayaCache"
-    assert llc.access_fast is not original
+    assert info["llc"] == type(llc).__name__
+    assert "access_fast" in vars(getattr(llc, "_cache", llc))
     spec.release()
-    assert llc.access_fast == original
+    assert [vars(owner).get("access_fast") for owner in owners] == before
 
 
 #: Draw bounds: 1, powers of two and their neighbours (a bound just past

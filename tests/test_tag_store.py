@@ -55,12 +55,16 @@ class TestPackedStore:
         slot = store.lookup(0x42, 0)
         assert slot is not None
         assert store.lookup(0x42, 1) is None  # different domain, no match
-        assert store.lookup_associative(0x42, 0) == slot
-        old = store.invalidate(slot)
-        assert old.state is TagState.PRIORITY_0 and old.line_addr == 0x42
+        # The map lookup agrees with the hardware's two-set probe: the
+        # slot lies in one of the sets the randomizer maps the line to.
+        skew, set_idx, _ = store.locate(slot)
+        assert set_idx == store.randomizer.all_indices(0x42, 0)[skew]
+        entry = store.entry(slot)
+        assert entry.state is TagState.PRIORITY_0 and entry.line_addr == 0x42
+        store.invalidate_fast(slot)
+        assert not entry.valid
         assert store.priority0_count == 0
         assert store.lookup(0x42, 0) is None
-        assert store.lookup_associative(0x42, 0) is None
         store.check_invariants()
 
 

@@ -9,16 +9,16 @@ best-of-N figure is the one to compare across commits.
 
 The ``maya_specialized`` row is the default Maya path: the generated
 per-access step (``repro.core.maya_step``) driven by the op-stream
-replay (``repro.engine.vector``), with the private L1/L2 specialized
-too (``repro.engine.specialize``).  Every other row pins specialization
-*off*, which selects the per-access hierarchy drive with the generic
-L1/L2 engines.  For Mirage and the baseline that also means their
-generic LLC engines, comparable with the pre-v10 baselines; Maya's
-step is the same generated code either way (its only
-implementation), so the ``maya`` row measures it on the per-access
-drive.  The two Maya fingerprints must match bit-for-bit, which
-``run_protocol`` enforces before reporting; ``--verify`` additionally
-enforces the replay's speedup floor (see ``verify_specialized``).
+replay (``repro.engine.vector``), which takes the private L1/L2 off the
+critical path.  Every other row pins ``specialize`` *off*, which
+selects the per-access hierarchy drive: every access runs the private
+L1/L2 arrays' generated steps (``repro.cache.set_assoc_step``) and, on
+a miss, the LLC's.  Each design has one generated step, so the LLC
+code is the same on either drive; the ``maya`` row measures Maya's on
+the per-access drive.  The two Maya fingerprints must match
+bit-for-bit, which ``run_protocol`` enforces before reporting;
+``--verify`` additionally enforces the replay's speedup floor (see
+``verify_specialized``).
 
 Unless ``--no-service`` is given, the run closes with the resident
 simulation service's reason-to-exist figure: the per-job cost of a
@@ -509,10 +509,10 @@ def bench_design(design: str, params: dict, make_llc=_make_llc) -> dict:
     mix = homogeneous(params["bench"], params["cores"])
     system = experiment_system(cores=params["cores"], llc_sets=params["llc_sets"])
     total_accesses = (params["accesses_per_core"] + params["warmup_per_core"]) * params["cores"]
-    # ``*_specialized`` rows pin specialization on; every other row pins
-    # it *off*: the per-access drive with the generic L1/L2 engines (and
-    # the generic Mirage/baseline LLC engines the pre-v10 baselines
-    # recorded; Maya's generated step runs either way).
+    # ``*_specialized`` rows pin the op-stream replay on; every other
+    # row pins it *off*: the per-access drive, through the private
+    # levels' generated steps (every design runs its one generated step
+    # either way).
     if design.endswith("_specialized"):
         specialize = True
     else:
@@ -637,11 +637,12 @@ def run_protocol(params: dict, designs=DEFAULT_DESIGNS) -> dict:
 
 
 #: ``--verify`` floors for the specialized run, keyed by protocol.  FULL
-#: carries the headline claim - the op-stream replay with specialized
-#: L1/L2 must beat the same generated Maya step on the per-access drive
-#: with generic L1/L2 >=1.8x in the *same run* (measured 2.83x, best of
-#: 3 trials on a 2-vCPU VM; same-run ratios cancel machine speed, so the
-#: floor absorbs runner variance, not regressions).  The quick protocol
+#: carries the headline claim - the op-stream replay must beat the same
+#: generated Maya step on the per-access drive (private L1/L2 simulated
+#: per access) >=1.8x in the *same run* (measured 2.83x, best of 3
+#: trials on a 2-vCPU VM, when the per-access rows still ran hand-written
+#: L1/L2 engines; same-run ratios cancel machine speed, so the floor
+#: absorbs runner variance, not regressions).  The quick protocol
 #: amortizes the replay setup over 4x fewer accesses, so its floor is
 #: lower (measured 2.65x).
 SPECIALIZED_SPEEDUP_FLOORS = {"full": 1.8, "quick": 1.2}
