@@ -12,11 +12,17 @@ config fingerprint, so a resident service worker compiles each
 configuration once per warm pool.  Nothing is cached on disk: the
 source renders in tens of microseconds and ``compile()`` would run on
 every process start either way.
+
+The snippets the Maya and Mirage steps share live here too, so their
+sites cannot drift apart: the stdlib-exact random draw (:func:`_draw`)
+and the randomizer's mapping-memo lookup (:func:`_memo_lookup`) with
+its inlined splitmix mix and fold.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import textwrap
+from typing import NamedTuple, Optional
 
 from .errors import SetAssociativeEviction, SimulationError
 
@@ -69,3 +75,81 @@ def bind_template(code, target):
     namespace: dict = {}
     exec(code, namespace)
     return namespace["_bind"](target, SimulationError, SetAssociativeEviction)
+
+
+def _indent(snippet: str, spaces: int) -> str:
+    """``snippet`` (written at column 0) indented for its site."""
+    return textwrap.indent(snippet, " " * spaces).rstrip("\n")
+
+
+def _draw(target: str, n, getrandbits: str) -> str:
+    """``target = rng._randbelow(n)`` without the stdlib frame.
+
+    ``Random._randbelow`` (and so ``randrange(n)``) is the
+    ``getrandbits(n.bit_length())`` rejection loop; this renders the
+    same loop, so the same bits come from the same stream.  An int
+    ``n`` renders its bit length as a literal; any other ``n`` is an
+    expression evaluated per draw.
+    """
+    k = n.bit_length() if isinstance(n, int) else f"{n}.bit_length()"
+    return (
+        f"{target} = {getrandbits}({k})\n"
+        f"while {target} >= {n}:\n"
+        f"    {target} = {getrandbits}({k})\n"
+    )
+
+
+# IndexRandomizer._raw_packed for splitmix with two skews: the XOR fold
+# over 64/bits chunks renders as shift offsets (masking distributes over
+# XOR, so it equals the chunk fold for any width).
+_SPLITMIX_PACKED = """\
+k0, k1 = rand._mix_keys
+tweaked = line_addr ^ (sdid << 56)
+x = (tweaked ^ k0) & 0xFFFFFFFFFFFFFFFF
+x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+x ^= x >> 31
+f0 = {FOLD}
+x = (tweaked ^ k1) & 0xFFFFFFFFFFFFFFFF
+x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+x ^= x >> 31
+packed = (f0 & {MASK}) | (({FOLD}) & {MASK}) << 32
+"""
+
+# IndexRandomizer._lookup_packed of ``key`` (its LRU discipline, counters
+# and precomputed side table), then the two skews' indices unpacked from
+# their 32-bit lanes.
+_MEMO_LOOKUP = """\
+packed = memo_pop(key, None)
+if packed is None:
+    rand.cache_misses += 1
+    packed = precomputed_get(key)
+    if packed is None:
+{MISS}
+    if len(memo) >= {MEMO_CAP}:
+        del memo[next(iter(memo))]
+else:
+    rand.cache_hits += 1
+memo[key] = packed
+i0 = packed & 0xFFFFFFFF
+i1 = packed >> 32
+"""
+
+
+def _memo_lookup(memo_cap: int, mix_bits: Optional[int]) -> str:
+    """The two-skew mapping lookup of ``key`` into ``i0``/``i1``.
+
+    Reads ``line_addr``, ``sdid`` and ``key`` (their packed key) and
+    needs ``rand``, ``memo``, ``memo_pop`` and ``precomputed_get``
+    bound; a miss outside the side table runs the splitmix mixer inline
+    when ``mix_bits`` (the index width) is given, else calls the bound
+    ``raw_packed`` (the PRINCE cipher).  Both values must be part of
+    the template's fingerprint.
+    """
+    if mix_bits is None:
+        miss = "packed = raw_packed(line_addr, sdid)\n"
+    else:
+        fold = " ^ ".join(["x"] + [f"(x >> {s})" for s in range(mix_bits, 64, mix_bits)])
+        miss = _SPLITMIX_PACKED.format(FOLD=fold, MASK=(1 << mix_bits) - 1)
+    return _MEMO_LOOKUP.format(MISS=_indent(miss, 8), MEMO_CAP=memo_cap)

@@ -41,6 +41,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, Optional
 
+from ..common.addr import sdid_error
 from ..common.config import MayaConfig
 from ..common.errors import SetAssociativeEviction, SimulationError
 from ..common.rng import derive_seed, make_rng
@@ -101,6 +102,9 @@ class MayaCache:
             raise ValueError(f"unknown SAE policy {on_sae!r}")
         self._on_sae = on_sae
         self._global_tag_eviction = global_tag_eviction
+        # sdid_bits <= SDID_SHIFT, so an SDID that fits the domain count
+        # also fits the packed key's lane.
+        self._sdid_bits = self.config.sdid_bits
         self.tags = SkewedTagStore(self.config)
         self.data = DataStore(self.config.data_entries, seed=derive_seed(self.config.rng_seed, 3))
         self._rng = make_rng(derive_seed(self.config.rng_seed, 4))
@@ -110,13 +114,14 @@ class MayaCache:
         self._mapping_cache_base = (0, 0)
         self.installs = 0
         #: Recently tag-evicted priority-0 lines, for the premature-
-        #: eviction measurement (Section V-B): line -> True, FIFO-evicted
+        #: eviction measurement (Section V-B): packed
+        #: ``(line_addr << SDID_SHIFT) | sdid`` key -> True, FIFO-evicted
         #: by ``popitem(last=False)``.  An ``OrderedDict``, not a plain
         #: dict: every tag eviction past the cap drops the oldest entry,
         #: and a plain dict's ``next(iter(d))`` then scans the holes
         #: earlier front deletions left.  Cleared in place only - the
         #: step binds it once.
-        self._evicted_p0_window: "OrderedDict[tuple, bool]" = OrderedDict()
+        self._evicted_p0_window: "OrderedDict[int, bool]" = OrderedDict()
         self._evicted_p0_window_size = 4096
         self.premature_p0_evictions = 0
         # Victim fields of the access_fast protocol (valid until the
@@ -165,13 +170,18 @@ class MayaCache:
         """One LLC access; returns hit/miss plus any writeback produced.
 
         Boundary wrapper over :meth:`access_fast` returning the
-        historical :class:`AccessResult` dataclass.
+        historical :class:`AccessResult` dataclass.  Unlike the step,
+        it rejects an SDID outside ``[0, config.max_domains)``.
         """
+        if sdid >> self._sdid_bits:
+            raise sdid_error(sdid, self._sdid_bits)
         flags = self.access_fast(line_addr, is_write, core_id, is_writeback, sdid)
         return access_result(self, flags, self.extra_lookup_latency)
 
     def invalidate(self, line_addr: int, sdid: int = 0) -> Optional[EvictedLine]:
         """Flush one line (clflush semantics for this SDID's copy)."""
+        if sdid >> self._sdid_bits:
+            raise sdid_error(sdid, self._sdid_bits)
         tag_idx = self.tags.lookup(line_addr, sdid)
         if tag_idx is None:
             return None
@@ -232,11 +242,15 @@ class MayaCache:
 
     def contains(self, line_addr: int, sdid: int = 0) -> bool:
         """Is the line resident *with data* (priority-1)?"""
+        if sdid >> self._sdid_bits:
+            raise sdid_error(sdid, self._sdid_bits)
         tag_idx = self.tags.lookup(line_addr, sdid)
         return tag_idx is not None and self.tags._state[tag_idx] == _P1
 
     def contains_tag(self, line_addr: int, sdid: int = 0) -> bool:
         """Is the line's tag resident at either priority?"""
+        if sdid >> self._sdid_bits:
+            raise sdid_error(sdid, self._sdid_bits)
         return self.tags.lookup(line_addr, sdid) is not None
 
     # -- internal operations ---------------------------------------------------

@@ -19,7 +19,7 @@ order, bit-identical statistics.
 
 The step makes no Python call-out on any steady-state path and draws
 its random numbers with the stdlib's own ``getrandbits`` rejection
-loop (:func:`_draw`).  Maya's reuse filter makes promotion and the
+loop (``codegen._draw``).  Maya's reuse filter makes promotion and the
 priority-1 install common paths: one maya-lbm-prince bench job runs
 52,511 priority-1 installs among 206,689 LLC ops, one maya-mcf job
 12,307 promotions and 9,844 priority-1 installs among 173,179.  Only
@@ -31,77 +31,24 @@ stay valid across it.  Every store operation keeps its
 
 from __future__ import annotations
 
-import textwrap
-
-from ..common.codegen import bind_template, compiled_template
-
-
-def _indent(snippet: str, spaces: int) -> str:
-    """``snippet`` (written at column 0) indented for its site."""
-    return textwrap.indent(snippet, " " * spaces).rstrip("\n")
-
-
-def _draw(target: str, n, getrandbits: str) -> str:
-    """``target = rng._randbelow(n)`` without the stdlib frame.
-
-    ``Random._randbelow`` (and so ``randrange(n)``) is the
-    ``getrandbits(n.bit_length())`` rejection loop; this renders the
-    same loop, so the same bits come from the same stream.  An int
-    ``n`` renders its bit length as a literal; any other ``n`` is an
-    expression evaluated per draw.
-    """
-    k = n.bit_length() if isinstance(n, int) else f"{n}.bit_length()"
-    return (
-        f"{target} = {getrandbits}({k})\n"
-        f"while {target} >= {n}:\n"
-        f"    {target} = {getrandbits}({k})\n"
-    )
+from ..common.codegen import (
+    _draw,
+    _indent,
+    _memo_lookup,
+    bind_template,
+    compiled_template,
+)
 
 
 # Each shared operation renders from one snippet below, so its sites
 # cannot drift apart.  Tag-state literals: P0=1, P1=2.  ACC literals:
 # HIT=1, EVICTED=2, EVICTED|DIRTY=6, TAG_HIT=8, SAE=16.
 
-# IndexRandomizer._raw_indices for splitmix with two skews: the XOR fold
-# over 64/bits chunks renders as shift offsets (masking distributes over
-# XOR, so it equals the chunk fold for any width).
-_MAYA_MIX_INLINE = """\
-k0, k1 = rand._mix_keys
-tweaked = line_addr ^ (sdid << 56)
-x = (tweaked ^ k0) & 0xFFFFFFFFFFFFFFFF
-x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-x ^= x >> 31
-f0 = {FOLD}
-x = (tweaked ^ k1) & 0xFFFFFFFFFFFFFFFF
-x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-x ^= x >> 31
-f1 = {FOLD}
-indices = (f0 & {MIX_MASK}, f1 & {MIX_MASK})
-"""
-
-_MAYA_RAW_INDICES = """\
-indices = raw_indices(line_addr, sdid)
-"""
-
-# The memo lookup of ``mkey`` (IndexRandomizer._lookup's LRU discipline,
-# counters and precomputed side table) plus the load-aware two-skew
-# pick, then the first invalid way of the picked set.
+# The mapping lookup of ``key`` (repro.common.codegen._memo_lookup)
+# plus the load-aware two-skew pick, then the first invalid way of the
+# picked set.
 _MAYA_PICK = """\
-indices = memo_pop(mkey, None)
-if indices is None:
-    rand.cache_misses += 1
-    indices = precomputed_get(mkey)
-    if indices is None:
-{MISS_INDICES}
-    if len(memo) >= {MEMO_CAP}:
-        del memo[next(iter(memo))]
-else:
-    rand.cache_hits += 1
-memo[mkey] = indices
-i0 = indices[0]
-i1 = indices[1]
+{LOOKUP}
 l0 = valid_count[i0]
 l1 = valid_count[{SETS} + i1]
 if l0 < l1:
@@ -172,9 +119,8 @@ if n > {P0_CAP}:
     victim = pool[i]
     if victim == slot:
         victim = pool[(i + 1) % n]
-    victim_addr = addr_col[victim]
-    victim_sdid = sdid_col[victim]
-    window[(victim_addr, victim_sdid)] = True
+    vkey = (addr_col[victim] << 16) | sdid_col[victim]
+    window[vkey] = True
     if len(window) > {WINDOW_SIZE}:
         window_popitem(last=False)
     vstate = state[victim]
@@ -189,7 +135,7 @@ if n > {P0_CAP}:
     else:
         tags.priority1_count -= 1
     valid_count[victim // {WAYS}] -= 1
-    del where[(victim_addr << 16) | victim_sdid]
+    del where[vkey]
     state[victim] = 0
     st.tag_evictions += 1
 """
@@ -197,7 +143,7 @@ if n > {P0_CAP}:
 _MAYA_TEMPLATE = '''\
 # Generated by repro.core.maya_step; do not edit.
 # kind=maya ways={WAYS} sets={SETS} data={DATA_N} memo={MEMO_CAP} p0={P0_CAP} \
-window={WINDOW_SIZE} fast_mix={FAST_MIX} global_tag_eviction={GLOBAL_TAG_EVICTION}
+window={WINDOW_SIZE} mix_bits={MIX_BITS} global_tag_eviction={GLOBAL_TAG_EVICTION}
 
 
 def _bind(llc, SimulationError, SetAssociativeEviction):
@@ -219,7 +165,7 @@ def _bind(llc, SimulationError, SetAssociativeEviction):
     memo = rand._memo
     memo_pop = memo.pop
     precomputed_get = rand._precomputed.get
-    raw_indices = rand._raw_indices
+    raw_packed = rand._raw_packed
     tag_getrandbits = tags._rng.getrandbits
     rptr = llc.data._rptr
     free_list = llc.data._free
@@ -231,7 +177,8 @@ def _bind(llc, SimulationError, SetAssociativeEviction):
     handle_sae = llc._handle_sae
 
     def access_fast(line_addr, is_write=False, core_id=0, is_writeback=False, sdid=0):
-        tag_idx = where_get((line_addr << 16) | sdid)
+        key = (line_addr << 16) | sdid
+        tag_idx = where_get(key)
         st.accesses += 1
         if tag_idx is not None:
             if state[tag_idx] == 2:
@@ -286,7 +233,6 @@ def _bind(llc, SimulationError, SetAssociativeEviction):
             pcm[core_id] = pcm.get(core_id, 0) + 1
         llc.installs += 1
         flags = 0
-        mkey = (line_addr, sdid)
         if is_write or is_writeback:
             # Write/writeback tag miss: priority-1 install (tag + data).
             if not free_list:
@@ -325,14 +271,14 @@ def _bind(llc, SimulationError, SetAssociativeEviction):
             fptr_col[slot] = fidx
             tags.priority1_count += 1
             valid_count[slot // {WAYS}] += 1
-            where[(line_addr << 16) | sdid] = slot
+            where[key] = slot
             st.fills += 1
             st.data_fills += 1
             n = len(pool)
 {P1_TAG_EVICTION}
             return flags
         # Demand tag miss: priority-0 install (the dominant miss path).
-        if window.pop(mkey, None):
+        if window.pop(key, None):
             llc.premature_p0_evictions += 1
 {P0_PICK}
         if slot < 0:
@@ -350,7 +296,7 @@ def _bind(llc, SimulationError, SetAssociativeEviction):
         pos_map[slot] = n = len(pool)
         pool.append(slot)
         valid_count[slot // {WAYS}] += 1
-        where[(line_addr << 16) | sdid] = slot
+        where[key] = slot
         st.fills += 1
         n += 1
 {P0_TAG_EVICTION}
@@ -377,10 +323,7 @@ def maya_step(llc):
     p0_cap = llc.config.priority0_entries
     window_size = llc._evicted_p0_window_size
     global_tag_eviction = bool(llc._global_tag_eviction)
-    fast_mix = rand._algorithm == "splitmix"
-    bits = rand._index_bits
-    mix_shifts = tuple(range(bits, 64, bits))
-    mix_mask = (1 << bits) - 1
+    mix_bits = rand._index_bits if rand._algorithm == "splitmix" else None
     fingerprint = (
         ways,
         sets,
@@ -388,18 +331,11 @@ def maya_step(llc):
         memo_cap,
         p0_cap,
         window_size,
-        fast_mix,
-        mix_shifts,
-        mix_mask,
+        mix_bits,
         global_tag_eviction,
     )
 
     def build() -> str:
-        if fast_mix:
-            fold = " ^ ".join(["x"] + [f"(x >> {s})" for s in mix_shifts])
-            miss_indices = _MAYA_MIX_INLINE.format(FOLD=fold, MIX_MASK=mix_mask)
-        else:
-            miss_indices = _MAYA_RAW_INDICES
         subst = dict(
             WAYS=ways,
             SETS=sets,
@@ -407,11 +343,11 @@ def maya_step(llc):
             MEMO_CAP=memo_cap,
             P0_CAP=p0_cap,
             WINDOW_SIZE=window_size,
-            FAST_MIX=fast_mix,
+            MIX_BITS=mix_bits,
             GLOBAL_TAG_EVICTION=global_tag_eviction,
         )
         pick = _MAYA_PICK.format(
-            MISS_INDICES=_indent(miss_indices, 8),
+            LOOKUP=_memo_lookup(memo_cap, mix_bits).rstrip("\n"),
             TIE_DRAW=_indent(_draw("skew", 2, "tag_getrandbits"), 4),
             **subst,
         )

@@ -34,6 +34,7 @@ from __future__ import annotations
 import enum
 from typing import List, Optional, Tuple
 
+from ..common.addr import SDID_SHIFT
 from ..common.config import MayaConfig
 from ..common.errors import SimulationError
 from ..common.rng import derive_seed, make_rng
@@ -41,10 +42,6 @@ from ..crypto.randomizer import DEFAULT_MEMO_CAPACITY, IndexRandomizer
 
 #: FPTR value meaning "no data entry" (priority-0 / invalid tags).
 NO_DATA = -1
-
-#: Width of the SDID lane in the packed (line, SDID) location key;
-#: MayaConfig validates ``sdid_bits <= 16`` so the lane never overflows.
-_SDID_SHIFT = 16
 
 
 class TagState(enum.Enum):
@@ -213,7 +210,7 @@ class SkewedTagStore:
         part of the match so different domains never share an entry);
         implemented as an O(1) map lookup for simulation speed.
         """
-        return self._where.get((line_addr << _SDID_SHIFT) | sdid)
+        return self._where.get((line_addr << SDID_SHIFT) | sdid)
 
     # -- removal ----------------------------------------------------------------
 
@@ -232,7 +229,7 @@ class SkewedTagStore:
         else:
             self.priority1_count -= 1
         self._valid_count[tag_idx // self._ways] -= 1
-        del self._where[(self._addr[tag_idx] << _SDID_SHIFT) | self._sdid[tag_idx]]
+        del self._where[(self._addr[tag_idx] << SDID_SHIFT) | self._sdid[tag_idx]]
         # Only the state column is cleared: every reader gates on it (or
         # on ``_where``), and every install overwrites the other columns.
         self._state[tag_idx] = _INVALID
@@ -276,7 +273,7 @@ class SkewedTagStore:
                 p1 += 1
                 if fptr[idx] == NO_DATA:
                     raise SimulationError("priority-1 entry without a forward pointer")
-            live[(self._addr[idx] << _SDID_SHIFT) | self._sdid[idx]] = idx
+            live[(self._addr[idx] << SDID_SHIFT) | self._sdid[idx]] = idx
         if p0 != len(self._p0_pool):
             raise SimulationError(f"p0 pool size {len(self._p0_pool)} != live count {p0}")
         if p1 != self.priority1_count:

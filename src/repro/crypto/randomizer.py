@@ -23,17 +23,24 @@ skips the cipher entirely.  The cache is invalidated on
 which models CEASER-style remapping and Maya's boot-time/SAE-triggered
 key refresh, and exposes hit/miss/invalidation counters so experiments
 can report its effectiveness (see ``CacheStats.randomizer_hits``).
+
+The memo and the precomputed side table are ``dict[int, int]``: the key
+is ``(line_addr << SDID_SHIFT) | sdid``, the packed key of every LLC's
+location map, and the value holds skew ``s``'s index in bits
+``32*s .. 32*s + 31`` (any ``array('I')`` column value packs exactly),
+so an entry is two ints rather than two tuples of ints.  The public
+lookups still return tuples.
 """
 
 from __future__ import annotations
 
 import hashlib
 from array import array
-from itertools import repeat
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..common.addr import SDID_SHIFT, sdid_error
 from ..common.bitops import fold_xor, log2_exact
 from ..common.errors import ConfigurationError
 from ..common.rng import derive_seed, make_rng
@@ -49,6 +56,10 @@ DEFAULT_MEMO_CAPACITY = 1 << 20
 DEFAULT_PRECOMPUTED_CAPACITY = 1 << 21
 
 _M64 = (1 << 64) - 1
+
+#: Width of each skew's lane in a packed mapping value.
+_LANE = 32
+_LANE_MASK = (1 << _LANE) - 1
 
 #: splitmix64 multiplier constants (Steele et al.).
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -109,6 +120,20 @@ def splitmix_indices(line_addrs, keys: Sequence[int], index_bits: int, sdid: int
         x ^= x >> np.uint64(31)
         columns.append(_fold_indices(x, index_bits))
     return columns
+
+
+def _pack_lanes(columns) -> list:
+    """Per-element packed mapping values of aligned per-skew columns."""
+    packed = np.asarray(columns[0], dtype=np.uint64)
+    if len(columns) > 1:
+        packed = packed | np.asarray(columns[1], dtype=np.uint64) << np.uint64(_LANE)
+    values = packed.tolist()
+    # A third lane starts at bit 64, past uint64: pack it in Python.
+    for s in range(2, len(columns)):
+        shift = _LANE * s
+        lane = np.asarray(columns[s], dtype=np.uint64).tolist()
+        values = [v | x << shift for v, x in zip(values, lane)]
+    return values
 
 
 class MappingCacheInfo(NamedTuple):
@@ -190,15 +215,16 @@ class IndexRandomizer:
         self._epoch = 0
         self._ciphers: List[Prince] = []
         self._mix_keys: List[int] = []
-        # LRU mapping cache: (line_addr, sdid) -> per-skew indices.
-        # Plain dict in insertion order; a hit reinserts its key (O(1)
-        # move-to-back), so the front is always the LRU entry.
-        self._memo: dict = {}
+        # LRU mapping cache: packed (line_addr, sdid) key -> packed
+        # per-skew indices.  Plain dict in insertion order; a hit
+        # reinserts its key (O(1) move-to-back), so the front is always
+        # the LRU entry.
+        self._memo: Dict[int, int] = {}
         self._memo_capacity = memo_capacity
         # Precomputed mappings from bulk_map()/load_packed(); consulted
         # on memo misses only, so hit/miss/eviction accounting is
         # untouched.  Bounded: FIFO-evicted past precomputed_capacity.
-        self._precomputed: dict = {}
+        self._precomputed: Dict[int, int] = {}
         self._precomputed_capacity = precomputed_capacity
         self.precomputed_evictions = 0
         self.cache_hits = 0
@@ -295,36 +321,71 @@ class IndexRandomizer:
             out.append(f)
         return tuple(out)
 
-    def _lookup(self, line_addr: int, sdid: int) -> tuple:
+    def _raw_packed(self, line_addr: int, sdid: int) -> int:
+        """:meth:`_raw_indices` packed into 32-bit lanes."""
+        packed = 0
+        for s, index in enumerate(self._raw_indices(line_addr, sdid)):
+            packed |= index << (_LANE * s)
+        return packed
+
+    def _unpack(self, packed: int) -> tuple:
+        """The per-skew indices of a packed mapping value."""
+        if self._skews == 2:
+            return (packed & _LANE_MASK, packed >> _LANE)
+        return tuple((packed >> (_LANE * s)) & _LANE_MASK for s in range(self._skews))
+
+    def _lookup_packed(self, line_addr: int, sdid: int) -> int:
         """LRU cache lookup; computes and inserts on a miss.
 
-        A miss first consults the :meth:`bulk_map` side table before
-        paying for the cipher; either way it *counts* as a miss and
-        inserts into the memo, so the memo's hit/miss/eviction
-        behaviour is bit-identical with or without pre-warming.
+        Returns the packed per-skew indices.  A miss first consults the
+        :meth:`bulk_map` side table before paying for the cipher;
+        either way it *counts* as a miss and inserts into the memo, so
+        the memo's hit/miss/eviction behaviour is bit-identical with or
+        without pre-warming.  The generated Maya and Mirage steps
+        inline this (``repro.common.codegen._memo_lookup``).
         """
         memo = self._memo
-        key = (line_addr, sdid)
-        cached = memo.pop(key, None)
-        if cached is None:
+        key = (line_addr << SDID_SHIFT) | sdid
+        packed = memo.pop(key, None)
+        if packed is None:
             self.cache_misses += 1
-            cached = self._precomputed.get(key)
-            if cached is None:
-                cached = self._raw_indices(line_addr, sdid)
+            packed = self._precomputed.get(key)
+            if packed is None:
+                packed = self._raw_packed(line_addr, sdid)
             if len(memo) >= self._memo_capacity:
                 del memo[next(iter(memo))]  # evict the LRU entry
         else:
             self.cache_hits += 1
-        memo[key] = cached  # (re)insert at the MRU position
-        return cached
+        memo[key] = packed  # (re)insert at the MRU position
+        return packed
 
-    def _install_precomputed(self, key, value) -> None:
+    def _lookup(self, line_addr: int, sdid: int) -> tuple:
+        """:meth:`_lookup_packed`, unpacked to per-skew indices."""
+        return self._unpack(self._lookup_packed(line_addr, sdid))
+
+    def _install_precomputed(self, key: int, value: int) -> None:
         """Insert into the bounded side table, FIFO-evicting past capacity."""
         pre = self._precomputed
         if key not in pre and len(pre) >= self._precomputed_capacity:
             del pre[next(iter(pre))]
             self.precomputed_evictions += 1
         pre[key] = value
+
+    def _keys(self, line_addrs, sdid: int) -> list:
+        """Packed ``(line_addr, sdid)`` keys of a batch, as Python ints.
+
+        One numpy pass, unless an address is ``>= 2**48``: its uint64
+        shift would wrap, so that batch is keyed in Python.
+        """
+        if sdid >> SDID_SHIFT:
+            raise sdid_error(sdid)
+        try:
+            addrs = np.asarray(line_addrs, dtype=np.uint64)
+        except TypeError:  # a set or an iterator: no sequence to view
+            addrs = np.fromiter(line_addrs, dtype=np.uint64)
+        if len(addrs) and int(addrs.max()) >> (64 - SDID_SHIFT):
+            return [(addr << SDID_SHIFT) | sdid for addr in addrs.tolist()]
+        return ((addrs << np.uint64(SDID_SHIFT)) | np.uint64(sdid)).tolist()
 
     def translate(self, line_addrs, sdid: int = 0) -> List[array]:
         """Batch-translate addresses to per-skew packed index columns.
@@ -363,21 +424,24 @@ class IndexRandomizer:
         only, so memo accounting stays bit-identical.  When the table
         has room for the whole batch nothing can be evicted, so it is
         installed with one ``dict.update``; otherwise entry by entry,
-        FIFO-evicting past ``precomputed_capacity``.  Returns the
-        number of entries installed.
+        FIFO-evicting past ``precomputed_capacity``.  The int keys and
+        packed values are built in numpy (:meth:`_keys`,
+        :func:`_pack_lanes`).  Returns the number of entries installed.
         """
         if len(columns) != self._skews:
             raise ConfigurationError(
                 f"expected {self._skews} index columns, got {len(columns)}"
             )
+        keys = self._keys(line_addrs, sdid)
+        values = _pack_lanes(columns)
         pre = self._precomputed
-        if len(pre) + len(line_addrs) <= self._precomputed_capacity:
-            pre.update(zip(zip(line_addrs, repeat(sdid)), zip(*columns)))
-            return len(line_addrs)
+        if len(pre) + len(keys) <= self._precomputed_capacity:
+            pre.update(zip(keys, values))
+            return len(keys)
         install = self._install_precomputed
-        for i, addr in enumerate(line_addrs):
-            install((addr, sdid), tuple(col[i] for col in columns))
-        return len(line_addrs)
+        for key, value in zip(keys, values):
+            install(key, value)
+        return len(keys)
 
     def bulk_map(self, line_addrs, sdid: int = 0) -> int:
         """Pre-warm the mapping cache: encrypt every address in one pass.
@@ -400,12 +464,11 @@ class IndexRandomizer:
         memo = self._memo
         novel = array("Q")
         seen = set()
-        for addr in line_addrs:
-            key = (addr, sdid)
-            if key in pre or key in memo or addr in seen:
+        for key in self._keys(line_addrs, sdid):
+            if key in pre or key in memo or key in seen:
                 continue
-            seen.add(addr)
-            novel.append(addr)
+            seen.add(key)
+            novel.append(key >> SDID_SHIFT)
         if not novel:
             return 0
         return self.load_packed(novel, self.translate(novel, sdid), sdid)
@@ -444,10 +507,12 @@ class IndexRandomizer:
 
     def set_index(self, line_addr: int, skew: int = 0, sdid: int = 0) -> int:
         """Set index of ``line_addr`` in ``skew`` for security domain ``sdid``."""
-        return self._lookup(line_addr, sdid)[skew]
+        return self.all_indices(line_addr, sdid)[skew]
 
     def all_indices(self, line_addr: int, sdid: int = 0) -> Tuple[int, ...]:
         """Set indices of ``line_addr`` in every skew (one cipher pass each)."""
+        if sdid >> SDID_SHIFT:
+            raise sdid_error(sdid)
         return self._lookup(line_addr, sdid)
 
     def compute_indices(self, line_addr: int, sdid: int = 0) -> Tuple[int, ...]:

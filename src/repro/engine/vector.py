@@ -33,6 +33,12 @@ step, which ``run_mix`` installs through :mod:`repro.engine.specialize`).
   mapping-memo capacity evictions) need no special handling: there is
   no batched state to invalidate.
 
+*Memory.*  Per phase the replay holds two int lists per core - the
+advance after each op-bearing access and the op-column offset its ops
+end at - and walks the op stream's ``op_kinds``/``op_addrs`` columns by
+offset, so no per-op Python object outlives its access and nothing
+outlives the run.
+
 ``create_vector_replay`` returns ``(None, reason)`` whenever a
 precondition fails; ``run_mix`` then keeps the per-access drive and
 records the reason in ``MixResult.specialize_info``.
@@ -50,13 +56,6 @@ from ..common.errors import TraceError
 from ..crypto.randomizer import splitmix_indices
 from ..trace.compiled import trace_key
 from .opstream import opstream_for
-
-#: Packed replay units shared across trials (see
-#: :meth:`VectorReplay._get_runs`): entries hold only immutable ints
-#: and tuples derived from op-stream content, never live cache state.
-#: FIFO-bounded; a steady bench loop needs cores x phases entries.
-_RUNS_CACHE: dict = {}
-_RUNS_CACHE_MAX = 64
 
 
 def _dyadic_grid_bits(value: float) -> Optional[int]:
@@ -143,8 +142,6 @@ class VectorReplay:
             "replay": "opstream-scalar",
             "numpy": np.__version__,
             "scalar_ops": 0,
-            "runs_cache_hits": 0,
-            "runs_cache_builds": 0,
         }
         # Integer clock domain: _timing_exact proved every increment is
         # an exact multiple of 2^-grid with all sums below 2^52 grid
@@ -164,24 +161,22 @@ class VectorReplay:
         lat_i = np.rint(base_lat_table * scale).astype(np.int64)
         # Per-core precomputed columns over the whole trace: exclusive
         # prefix sums of static clock advances (grid units) and of
-        # instruction gaps, op-bearing access indices, op offsets, and
-        # the op kind/address streams; plus a content key identifying
-        # everything the packed-run cache entries are derived from.
+        # instruction gaps, op-bearing access indices and op offsets,
+        # plus the op kind/address columns the replay walks by offset.
         self._ext = []
         self._gext = []
         self._op_idx = []
         self._op_off = []
-        self._kinds_np = []
         self._oaddrs_np = []
-        self._ckey = []
-        timing_fp = (cpi_i, lat_i.tobytes(), grid)
-        for core, (trace, stream) in enumerate(zip(traces, streams)):
+        self._op_kinds = []
+        self._op_addrs = []
+        for trace, stream in zip(traces, streams):
             gaps_np = trace.columns_numpy()[2]
             n = len(gaps_np)
             # Read-only views (possibly straight over a shared mmap of
             # the cache file); every derived column below is a fresh
             # array, nothing writes through them.
-            lat_np, counts_np, kinds_np, oaddrs_np = stream.columns_numpy()
+            lat_np, counts_np, _, oaddrs_np = stream.columns_numpy()
             static = gaps_np.astype(np.int64) * cpi_i + lat_i[lat_np]
             ext = np.zeros(n + 1, dtype=np.int64)
             np.cumsum(static, out=ext[1:])
@@ -193,19 +188,9 @@ class VectorReplay:
             self._gext.append(gext)
             self._op_idx.append(np.flatnonzero(counts_np))
             self._op_off.append(op_off)
-            self._kinds_np.append(kinds_np)
             self._oaddrs_np.append(oaddrs_np)
-            self._ckey.append(
-                (
-                    bytes(trace.gaps),
-                    bytes(stream.lat_class),
-                    bytes(stream.op_counts),
-                    bytes(stream.op_addrs),
-                    bytes(stream.op_kinds),
-                    core,
-                    timing_fp,
-                )
-            )
+            self._op_kinds.append(stream.op_kinds)
+            self._op_addrs.append(stream.op_addrs)
 
     # -- batch set-index precompute ---------------------------------------
 
@@ -234,66 +219,39 @@ class VectorReplay:
             unique = np.unique(oaddrs)
             if rand.algorithm == "splitmix":
                 columns = splitmix_indices(unique, rand._mix_keys, rand.index_bits, sdid=core)
-                installed += rand.load_packed(
-                    unique.tolist(), [c.tolist() for c in columns], sdid=core
-                )
+                installed += rand.load_packed(unique, columns, sdid=core)
             else:
-                installed += rand.bulk_map(unique.tolist(), sdid=core)
+                installed += rand.bulk_map(unique, sdid=core)
         return installed
 
-    # -- packed run construction ------------------------------------------
+    # -- per-phase runs -----------------------------------------------------
 
-    def _get_runs(self, c: int, start: int, end: int):
-        """Packed replay units for core ``c``'s accesses [start, end).
+    def _runs(self, c: int, start: int, end: int):
+        """Core ``c``'s op-bearing accesses among [start, end).
 
-        Returns ``()`` when the window has no shared-state ops, else
-        ``(lead, advs, opruns)``: the grid-unit advance from the window
-        start to the first op-bearing access, per-run advances to the
-        next op-bearing access (or window end), and per-run tuples of
-        ``(kind, addr)`` op records.
-
-        Everything here is a pure function of the op stream, the core
-        id, and the timing constants - all captured in the content
-        key - so entries are shared across trials through a bounded
-        module-level cache; a bench loop builds them once and replays
-        them for free afterwards.
+        Returns ``None`` when the window has no shared-state ops, else
+        ``(lead, advs, ends, first)``: the grid-unit advance from the
+        window start to the first op-bearing access, per-access
+        advances to the next op-bearing access (or the window end), the
+        op-column offset each access's ops end at, and the offset its
+        first op starts at.  The ops of consecutive op-bearing accesses
+        are adjacent in the op columns, so the replay walks them by
+        offset and no per-op object outlives its access.
         """
-        key = (self._ckey[c], start, end)
-        entry = _RUNS_CACHE.get(key)
-        if entry is not None:
-            self.info["runs_cache_hits"] += 1
-            return entry
         idx_all = self._op_idx[c]
         lo = int(np.searchsorted(idx_all, start))
         hi = int(np.searchsorted(idx_all, end))
         if lo == hi:
-            entry = ()
-        else:
-            k = idx_all[lo:hi]
-            ext = self._ext[c]
-            bounds = np.empty(len(k) + 1, dtype=np.int64)
-            bounds[:-1] = k
-            bounds[-1] = end
-            advs = (ext[bounds[1:]] - ext[bounds[:-1]]).tolist()
-            lead = int(ext[k[0]] - ext[start])
-            off = self._op_off[c]
-            rel0 = int(off[k[0]])
-            rstarts = (off[k] - rel0).tolist()
-            rends = (off[k + 1] - rel0).tolist()
-            flat_hi = int(off[int(k[-1]) + 1])
-            kinds = self._kinds_np[c][rel0:flat_hi].tolist()
-            addrs = self._oaddrs_np[c][rel0:flat_hi].tolist()
-            recs = list(zip(kinds, addrs))
-            entry = (
-                lead,
-                advs,
-                [tuple(recs[s:e]) for s, e in zip(rstarts, rends)],
-            )
-        if len(_RUNS_CACHE) >= _RUNS_CACHE_MAX:
-            del _RUNS_CACHE[next(iter(_RUNS_CACHE))]
-        _RUNS_CACHE[key] = entry
-        self.info["runs_cache_builds"] += 1
-        return entry
+            return None
+        k = idx_all[lo:hi]
+        ext = self._ext[c]
+        bounds = np.empty(len(k) + 1, dtype=np.int64)
+        bounds[:-1] = k
+        bounds[-1] = end
+        advs = (ext[bounds[1:]] - ext[bounds[:-1]]).tolist()
+        lead = int(ext[k[0]] - ext[start])
+        off = self._op_off[c]
+        return lead, advs, off[k + 1].tolist(), int(off[k[0]])
 
     # -- the replay loop --------------------------------------------------
 
@@ -317,8 +275,9 @@ class VectorReplay:
         inv_scale = self._inv_scale
         cshift = self._cshift
         jpos = [0] * cores
+        opos = [0] * cores
         adv_c: List[Optional[list]] = [None] * cores
-        oprun_c: List[Optional[list]] = [None] * cores
+        end_c: List[Optional[list]] = [None] * cores
         limit_c = [0] * cores
         heap = []
         for c in range(cores):
@@ -327,17 +286,15 @@ class VectorReplay:
             self._pos[c] = end
             gext = self._gext[c]
             self._instructions[c] += int(gext[end] - gext[start]) + count
-            entry = self._get_runs(c, start, end)
-            if not entry:
+            runs = self._runs(c, start, end)
+            if runs is None:
                 # No shared-state ops this phase: the whole window is
                 # one exact static advance.
                 ext = self._ext[c]
                 clocks[c] = clocks[c] + int(ext[end] - ext[start]) * inv_scale
                 continue
-            lead, advs, opruns = entry
-            adv_c[c] = advs
-            oprun_c[c] = opruns
-            limit_c[c] = len(advs)
+            lead, adv_c[c], end_c[c], opos[c] = runs
+            limit_c[c] = len(adv_c[c])
             heap.append(((int(clocks[c] * scale) + lead) << cshift) | c)
         heapq.heapify(heap)
         heappop, heappush = heapq.heappop, heapq.heappush
@@ -348,18 +305,27 @@ class VectorReplay:
         rh_i = self._rh_i
         rm_i = self._rm_i
         lat_rh = self._lat_rh
+        op_kinds = self._op_kinds
+        op_addrs = self._op_addrs
         n_ops = 0
         while heap:
             hk = heappop(heap)
             c = hk & cmask
             j = jpos[c]
+            o = opos[c]
             advs = adv_c[c]
-            runs = oprun_c[c]
+            ends = end_c[c]
+            kinds = op_kinds[c]
+            addrs = op_addrs[c]
             limit = limit_c[c]
             while True:
                 d = 0
-                for kind, a in runs[j]:
-                    n_ops += 1
+                e = ends[j]
+                n_ops += e - o
+                while o < e:
+                    kind = kinds[o]
+                    a = addrs[o]
+                    o += 1
                     if kind:
                         flags = access_fast(a, False, c, False, c)
                         if flags & 4:  # ACC_EVICTED_DIRTY
@@ -381,6 +347,7 @@ class VectorReplay:
                         hk = nk
                         continue
                     jpos[c] = j
+                    opos[c] = o
                     heappush(heap, nk)
                 else:
                     clocks[c] = (nk >> cshift) * inv_scale

@@ -73,9 +73,9 @@ class MixResult:
     llc_randomizer_hit_rate: float = 0.0
     #: Always ``"scalar"``, the only engine; kept for existing readers.
     engine: str = "scalar"
-    #: Op-stream replay counters (numpy version, ``scalar_ops``,
-    #: ``runs_cache_hits``/``runs_cache_builds``) when the replay drove
-    #: the run, else ``None``.  Diagnostic only.
+    #: Op-stream replay counters (numpy version, ``scalar_ops``: the
+    #: LLC ops replayed) when the replay drove the run, else ``None``.
+    #: Diagnostic only.
     engine_info: Optional[dict] = None
     #: Drive provenance (:mod:`repro.engine.specialize`): ``None`` when
     #: ``specialize`` was off (``REPRO_SPECIALIZE=0``, the per-access

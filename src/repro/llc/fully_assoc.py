@@ -29,6 +29,7 @@ from ..cache.line import (
     victim_line,
 )
 from ..cache.stats import CacheStats
+from ..common.addr import SDID_SHIFT, sdid_error
 from ..common.errors import SimulationError
 from ..common.rng import make_rng
 from .interface import LLCache
@@ -116,6 +117,8 @@ class FullyAssociativeCache(LLCache):
         is_writeback: bool = False,
         sdid: int = 0,
     ) -> AccessResult:
+        if sdid >> SDID_SHIFT:
+            raise sdid_error(sdid)
         flags = self.access_fast(line_addr, is_write, core_id, is_writeback, sdid)
         return access_result(self, flags, self.extra_lookup_latency)
 
@@ -153,7 +156,9 @@ class FullyAssociativeCache(LLCache):
         return ACC_EVICTED | ACC_EVICTED_DIRTY if dirty else ACC_EVICTED
 
     def invalidate(self, line_addr: int, sdid: int = 0) -> Optional[EvictedLine]:
-        pos = self._where.get((line_addr << 16) | sdid)
+        if sdid >> SDID_SHIFT:
+            raise sdid_error(sdid)
+        pos = self._where.get((line_addr << SDID_SHIFT) | sdid)
         if pos is None:
             return None
         return victim_line(self, self._remove_at(pos, filler_core=-1))
@@ -165,7 +170,9 @@ class FullyAssociativeCache(LLCache):
         return count
 
     def contains(self, line_addr: int, sdid: int = 0) -> bool:
-        return ((line_addr << 16) | sdid) in self._where
+        if sdid >> SDID_SHIFT:
+            raise sdid_error(sdid)
+        return ((line_addr << SDID_SHIFT) | sdid) in self._where
 
     @property
     def occupancy(self) -> int:

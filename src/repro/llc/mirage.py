@@ -39,6 +39,7 @@ from ..cache.line import (
     victim_line,
 )
 from ..cache.stats import CacheStats
+from ..common.addr import SDID_SHIFT, sdid_error
 from ..common.config import MirageConfig
 from ..common.errors import SimulationError
 from ..common.rng import derive_seed, make_rng
@@ -79,9 +80,6 @@ class MirageCache(LLCache):
             ),
         )
         self._rng = make_rng(derive_seed(cfg.rng_seed, 32))
-        # Memoized per-skew index lookup, bound once (rekey clears the
-        # randomizer's memo in place, so the binding stays valid).
-        self._indices_of = self.randomizer._lookup
         total = cfg.tag_entries
         # A tag entry is valid iff its FPTR >= 0; the separate validity
         # byte column exists so find-invalid-way is a C-speed .find().
@@ -141,6 +139,8 @@ class MirageCache(LLCache):
         is_writeback: bool = False,
         sdid: int = 0,
     ) -> AccessResult:
+        if sdid >> SDID_SHIFT:
+            raise sdid_error(sdid)
         flags = self.access_fast(line_addr, is_write, core_id, is_writeback, sdid)
         return access_result(self, flags, self.extra_lookup_latency)
 
@@ -177,7 +177,9 @@ class MirageCache(LLCache):
     # -- maintenance -----------------------------------------------------------
 
     def invalidate(self, line_addr: int, sdid: int = 0) -> Optional[EvictedLine]:
-        tag_idx = self._where.get((line_addr << 16) | sdid)
+        if sdid >> SDID_SHIFT:
+            raise sdid_error(sdid)
+        tag_idx = self._where.get((line_addr << SDID_SHIFT) | sdid)
         if tag_idx is None:
             return None
         return victim_line(self, self._drop_tag(tag_idx, filler_core=-1))
@@ -193,14 +195,16 @@ class MirageCache(LLCache):
         return count
 
     def contains(self, line_addr: int, sdid: int = 0) -> bool:
-        return ((line_addr << 16) | sdid) in self._where
+        if sdid >> SDID_SHIFT:
+            raise sdid_error(sdid)
+        return ((line_addr << SDID_SHIFT) | sdid) in self._where
 
     def rekey(self) -> None:
         """Refresh the randomizing keys and flush (key management).
 
         Mirrors :meth:`repro.core.maya_cache.MayaCache.rekey`; the
-        randomizer's memo is cleared in place, so the bound
-        ``_indices_of`` lookup stays valid.
+        randomizer clears its memo and side table in place and the step
+        reads the mixer keys per miss, so a bound step stays valid.
         """
         self.flush_all()
         self.randomizer.rekey()

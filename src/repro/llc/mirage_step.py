@@ -7,10 +7,14 @@ skew pick (a random tie-break on equal loads), the SAE branch (the one
 configured arm: count, or raise) and the install.  The drop-tag body is
 expanded at both eviction sites exactly as the object model sequences
 it.  :func:`mirage_step` renders the step as Python source with the
-ways, sets and data-store size inlined as literals, compiles it once
-per configuration (:mod:`repro.common.codegen`) and binds the tag
-store's packed columns and the data store's RPTR column and free list
-as closure locals.
+ways, sets, data-store size and memo capacity inlined as literals,
+compiles it once per configuration (:mod:`repro.common.codegen`) and
+binds the tag store's packed columns, the data store's RPTR column and
+free list, and the randomizer's memo and side table as closure locals.
+The mapping-memo lookup (with the splitmix mixer on a miss) and the
+three random draws render from the snippets Maya's step shares
+(:mod:`repro.common.codegen`); only a PRINCE miss outside the side
+table calls out, to the cipher.
 
 :meth:`MirageCache.access_fast` binds the step on first use; a run or
 campaign cell that manages its steps (:mod:`repro.engine.specialize`)
@@ -22,7 +26,13 @@ placement.
 
 from __future__ import annotations
 
-from ..common.codegen import bind_template, compiled_template
+from ..common.codegen import (
+    _draw,
+    _indent,
+    _memo_lookup,
+    bind_template,
+    compiled_template,
+)
 
 
 def _drop_tag(indent: str, tag_expr: str) -> str:
@@ -68,9 +78,7 @@ _SAE_RAISE = """\
 # The SAE victim's writeback supersedes the data eviction's (v1
 # semantics, kept by the reference model).
 _SAE_COUNT = (
-    """\
-            victim_way = rng_randrange({WAYS})
-"""
+    "{VICTIM_DRAW}\n"
     + _drop_tag("            ", "base + victim_way")
     + """\
             flags = 22 if vdirty else 18
@@ -81,7 +89,8 @@ _SAE_COUNT = (
 # ACC literals: HIT=1, EVICTED=2, EVICTED|DIRTY=6, SAE=16.
 _TEMPLATE = '''\
 # Generated by repro.llc.mirage_step; do not edit.
-# kind=mirage ways={WAYS} sets={SETS} data={DATA_N} on_sae={ON_SAE}
+# kind=mirage ways={WAYS} sets={SETS} data={DATA_N} memo={MEMO_CAP} \
+mix_bits={MIX_BITS} on_sae={ON_SAE}
 
 
 def _bind(llc, SimulationError, SetAssociativeEviction):
@@ -96,14 +105,18 @@ def _bind(llc, SimulationError, SetAssociativeEviction):
     valid_count = llc._valid_count
     where = llc._where
     where_get = where.get
-    indices_of = llc._indices_of
-    rng_randrange = llc._rng.randrange
+    rand = llc.randomizer
+    memo = rand._memo
+    memo_pop = memo.pop
+    precomputed_get = rand._precomputed.get
+    raw_packed = rand._raw_packed
+    rng_getrandbits = llc._rng.getrandbits
     data = llc.data
     rptr = data._rptr
     free_list = data._free
     free_append = free_list.append
     free_pop = free_list.pop
-    data_randbelow = data._randbelow
+    data_getrandbits = data._rng.getrandbits
 
     def access_fast(line_addr, is_write=False, core_id=0, is_writeback=False, sdid=0):
         key = (line_addr << 16) | sdid
@@ -132,14 +145,12 @@ def _bind(llc, SimulationError, SetAssociativeEviction):
         llc.installs += 1
         if not free_list:
             while True:
-                vd = data_randbelow({DATA_N})
+{DATA_DRAW}
                 if rptr[vd] != -1:
                     break
 {GLOBAL_DROP}
             flags = 6 if vdirty else 2
-        indices = indices_of(line_addr, sdid)
-        i0 = indices[0]
-        i1 = indices[1]
+{LOOKUP}
         l0 = valid_count[i0]
         l1 = valid_count[{SETS} + i1]
         if l0 < l1:
@@ -148,12 +159,9 @@ def _bind(llc, SimulationError, SetAssociativeEviction):
         elif l1 < l0:
             skew = 1
             set_idx = i1
-        elif rng_randrange(2):
-            skew = 1
-            set_idx = i1
         else:
-            skew = 0
-            set_idx = i0
+{TIE_DRAW}
+            set_idx = i1 if skew else i0
         base = (skew * {SETS} + set_idx) * {WAYS}
         slot = valid.find(0, base, base + {WAYS})
         if slot < 0:
@@ -185,13 +193,32 @@ def _bind(llc, SimulationError, SetAssociativeEviction):
 def mirage_step(llc):
     """The ``access_fast`` closure for a :class:`MirageCache`."""
     data_n = len(llc.data._rptr)
-    fingerprint = (llc._ways, llc._sets, data_n, llc._on_sae)
+    rand = llc.randomizer
+    memo_cap = rand._memo_capacity
+    mix_bits = rand._index_bits if rand._algorithm == "splitmix" else None
+    fingerprint = (llc._ways, llc._sets, data_n, memo_cap, mix_bits, llc._on_sae)
 
     def build() -> str:
-        subst = dict(WAYS=llc._ways, SETS=llc._sets, DATA_N=data_n, ON_SAE=llc._on_sae)
-        sae = _SAE_RAISE if llc._on_sae == "raise" else _SAE_COUNT.format(**subst)
+        subst = dict(
+            WAYS=llc._ways,
+            SETS=llc._sets,
+            DATA_N=data_n,
+            MEMO_CAP=memo_cap,
+            MIX_BITS=mix_bits,
+            ON_SAE=llc._on_sae,
+        )
+        if llc._on_sae == "raise":
+            sae = _SAE_RAISE
+        else:
+            sae = _SAE_COUNT.format(
+                VICTIM_DRAW=_indent(_draw("victim_way", llc._ways, "rng_getrandbits"), 12),
+                **subst,
+            )
         return _TEMPLATE.format(
+            DATA_DRAW=_indent(_draw("vd", data_n, "data_getrandbits"), 16),
             GLOBAL_DROP=_drop_tag("            ", "rptr[vd]").format(**subst).rstrip("\n"),
+            LOOKUP=_indent(_memo_lookup(memo_cap, mix_bits), 8),
+            TIE_DRAW=_indent(_draw("skew", 2, "rng_getrandbits"), 12),
             SAE=sae.rstrip("\n"),
             **subst,
         )

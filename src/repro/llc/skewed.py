@@ -32,6 +32,7 @@ from ..cache.line import (
     victim_line,
 )
 from ..cache.stats import CacheStats
+from ..common.addr import SDID_SHIFT, sdid_error
 from ..common.config import CacheGeometry
 from ..common.errors import ConfigurationError
 from ..common.rng import derive_seed, make_rng
@@ -80,9 +81,9 @@ class SkewedRandomizedCache(LLCache):
             skews, geometry.sets, seed=derive_seed(seed, 21), algorithm=hash_algorithm
         )
         self._rng = make_rng(derive_seed(seed, 22))
-        # Memoized per-skew index lookup, bound once (rekey clears the
-        # randomizer's memo in place, so the binding stays valid).
-        self._indices_of = self._randomizer._lookup
+        # Memoized packed per-skew index lookup, bound once (rekey clears
+        # the randomizer's memo in place, so the binding stays valid).
+        self._indices_of = self._randomizer._lookup_packed
         total = skews * geometry.sets * self.ways_per_skew
         # A slot is valid iff its state byte is non-zero (INVALID == 0),
         # so find-invalid-way is a C-speed ``.find(0)``.
@@ -144,11 +145,13 @@ class SkewedRandomizedCache(LLCache):
             pcm = st.per_core_misses
             pcm[core_id] = pcm.get(core_id, 0) + 1
 
-        # Fill: random skew, first invalid way, else a random way.
-        indices = self._indices_of(line_addr, hash_sdid)
+        # Fill: random skew, first invalid way, else a random way.  Skew
+        # s's set index is the packed lookup's 32-bit lane s.
+        packed = self._indices_of(line_addr, hash_sdid)
         skew = self._rng.randrange(self.skews)
         ways = self.ways_per_skew
-        base = (skew * self.sets_per_skew + indices[skew]) * ways
+        set_idx = (packed >> (32 * skew)) & 0xFFFFFFFF
+        base = (skew * self.sets_per_skew + set_idx) * ways
         state = self._state
         idx = state.find(0, base, base + ways)
         flags = 0
@@ -180,6 +183,8 @@ class SkewedRandomizedCache(LLCache):
         is_writeback: bool = False,
         sdid: int = 0,
     ) -> AccessResult:
+        if sdid >> SDID_SHIFT:
+            raise sdid_error(sdid)
         flags = self.access_fast(line_addr, is_write, core_id, is_writeback, sdid)
         return access_result(self, flags, self.extra_lookup_latency)
 
@@ -219,7 +224,9 @@ class SkewedRandomizedCache(LLCache):
         self.remap()
 
     def invalidate(self, line_addr: int, sdid: int = 0) -> Optional[EvictedLine]:
-        idx = self._where.get((line_addr << 16) | self._hash_sdid(sdid))
+        if sdid >> SDID_SHIFT:
+            raise sdid_error(sdid)
+        idx = self._where.get((line_addr << SDID_SHIFT) | self._hash_sdid(sdid))
         if idx is None:
             return None
         return victim_line(self, self._drop(idx, filler_core=-1))
@@ -233,7 +240,9 @@ class SkewedRandomizedCache(LLCache):
         return count
 
     def contains(self, line_addr: int, sdid: int = 0) -> bool:
-        return ((line_addr << 16) | self._hash_sdid(sdid)) in self._where
+        if sdid >> SDID_SHIFT:
+            raise sdid_error(sdid)
+        return ((line_addr << SDID_SHIFT) | self._hash_sdid(sdid)) in self._where
 
     @property
     def occupancy(self) -> int:

@@ -557,3 +557,39 @@ class TestRunFreesByRefcount:
             assert not alive, f"{design} on {drive} left {alive} alive"
         finally:
             gc.enable()
+
+
+class TestReplayKeepsNoOps:
+    """The replay walks each core's op columns by offset, so nothing it
+    allocates per op outlives the run that made it, and the randomizer's
+    mapping tables it fills hold plain ints."""
+
+    # Seeds no other test runs, so nothing from an earlier run could
+    # serve these.
+    @pytest.mark.parametrize("design, seed", [(MayaCache, 2027), (MirageCache, 2029)])
+    def test_cold_run_leaves_no_replay_allocations(self, system, design, seed):
+        import tracemalloc
+
+        from repro.engine import vector
+
+        # The line addresses the LLC holds were created by the replay
+        # loop: 4 sets per skew keep them to ~120 tags (~4 KiB).
+        config = MayaConfig if design is MayaCache else MirageConfig
+        llc = design(config(sets_per_skew=4, rng_seed=7, hash_algorithm="splitmix"))
+        tracemalloc.start()
+        try:
+            result = run_mix(llc, homogeneous("mcf", 2), system,
+                             accesses_per_core=2000, warmup_accesses=500, seed=seed,
+                             trace_cache=False, specialize=True)
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        assert result.specialize_info["replay"] == "opstream-scalar"
+        assert result.engine_info["scalar_ops"] > 1000
+        rand = llc.index_randomizer
+        assert rand.cache_info().size and rand.cache_info().precomputed
+        for table in (rand._memo, rand._precomputed):
+            assert all(type(k) is int and type(v) is int for k, v in table.items())
+        alive = snapshot.filter_traces([tracemalloc.Filter(True, vector.__file__)])
+        size = sum(stat.size for stat in alive.statistics("filename"))
+        assert size < 16 * 1024, f"{size} bytes from engine/vector.py still alive"

@@ -220,7 +220,10 @@ class TestMayaDifferential:
         assert 0 < p1_tag_evictions < reference.stats.tag_evictions
         assert_stats_equal(packed, reference)
         assert packed._evicted_p0_window.evictions == reference._evicted_p0_window.evictions
-        assert list(packed._evicted_p0_window) == list(reference._evicted_p0_window)
+        # The packed window keys lines (line << 16) | sdid, the
+        # reference's (line, sdid).
+        decoded = [(key >> 16, key & 0xFFFF) for key in packed._evicted_p0_window]
+        assert decoded == list(reference._evicted_p0_window)
         assert packed.premature_p0_evictions == reference.premature_p0_evictions
         assert packed.installs == reference.installs
         info_p = packed.tags.randomizer.cache_info()

@@ -21,6 +21,19 @@ from repro.llc import (
 )
 
 
+def assert_sdid_lane_enforced(llc):
+    """An SDID outside 16 bits would share domain 0's packed
+    (line << 16) | sdid key, and so its line: the object API rejects
+    it (a negative one too) and leaves the cache as it was."""
+    llc.access(5, sdid=0)
+    for sdid in (1 << 16, (1 << 16) + 1, -1):
+        for probe in (llc.access, llc.contains, llc.invalidate):
+            with pytest.raises(ConfigurationError):
+                probe(5, sdid=sdid)
+    assert llc.contains(5, sdid=0)
+    assert llc.stats.accesses == 1
+
+
 class TestBaseline:
     def test_basic_hit_miss(self, tiny_geometry):
         llc = BaselineLLC(tiny_geometry)
@@ -68,6 +81,9 @@ class TestFullyAssociative:
         llc.access(5, sdid=1)
         assert llc.occupancy == 2
 
+    def test_sdid_outside_the_key_lane_rejected(self):
+        assert_sdid_lane_enforced(FullyAssociativeCache(16, seed=1))
+
     def test_flush_and_invalidate(self):
         llc = FullyAssociativeCache(8, seed=1)
         llc.access(5, is_write=True)
@@ -103,6 +119,9 @@ class TestSkewed:
         llc.access(5, sdid=0)
         assert llc.contains(5, sdid=0)
         assert not llc.contains(5, sdid=1)
+
+    def test_sdid_outside_the_key_lane_rejected(self, tiny_geometry):
+        assert_sdid_lane_enforced(make_scatter_cache(tiny_geometry))
 
     def test_ceaser_s_ignores_sdid(self, tiny_geometry):
         llc = make_ceaser_s(tiny_geometry, remap_period=None)
@@ -175,6 +194,9 @@ class TestMirage:
         llc.access(5, sdid=0)
         llc.access(5, sdid=1)
         assert llc.data.used == 2
+
+    def test_sdid_outside_the_key_lane_rejected(self, small_mirage):
+        assert_sdid_lane_enforced(MirageCache(small_mirage))
 
     def test_only_two_skews(self):
         """The step renders the paper's two-skew load-aware pick; more

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.config import MayaConfig
-from repro.common.errors import SetAssociativeEviction
+from repro.common.errors import ConfigurationError, SetAssociativeEviction
 from repro.core import MayaCache, TagState
 
 
@@ -185,6 +185,19 @@ class TestSDIDIsolation:
         cache.invalidate(0x42, sdid=1)
         assert not cache.contains_tag(0x42, sdid=1)
         assert cache.contains(0x42, sdid=2)
+
+    @pytest.mark.parametrize("sdid", [-1, 256, 1 << 16])
+    def test_sdid_outside_the_domains_rejected(self, sdid):
+        # 8 SDID bits: 256 domains.  Domain 65536 would otherwise share
+        # domain 0's packed (line << 16) | sdid key, and so its line.
+        cache = make_maya()
+        cache.access(5, sdid=0)
+        cache.access(5, sdid=0)
+        for probe in (cache.access, cache.contains, cache.contains_tag, cache.invalidate):
+            with pytest.raises(ConfigurationError):
+                probe(5, sdid=sdid)
+        assert cache.contains(5, sdid=0)
+        assert cache.stats.accesses == 2
 
     def test_occupancy_by_domain(self):
         cache = make_maya()

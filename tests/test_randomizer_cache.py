@@ -9,6 +9,7 @@ whole point of re-keying is that old mappings become invalid).
 
 import pytest
 
+from repro.common.addr import SDID_SHIFT
 from repro.common.rng import make_rng
 from repro.core import MayaCache
 from repro.crypto.randomizer import IndexRandomizer
@@ -195,8 +196,9 @@ class TestPrecomputedBound:
         info = r.cache_info()
         assert info.precomputed == 30
         assert info.precomputed_evictions == 70
-        # The survivors are the most recently installed (FIFO evicts oldest).
-        assert set(r._precomputed) == {(a, 0) for a in range(70, 100)}
+        # The survivors are the most recently installed (FIFO evicts
+        # oldest), keyed (line << SDID_SHIFT) | sdid.
+        assert set(r._precomputed) == {a << SDID_SHIFT for a in range(70, 100)}
 
     def test_evicted_entries_recompute_correctly(self):
         r = IndexRandomizer(2, 64, seed=3, algorithm="splitmix", precomputed_capacity=10)
@@ -220,6 +222,28 @@ class TestPrecomputedBound:
 
         with pytest.raises(ConfigurationError):
             IndexRandomizer(2, 64, precomputed_capacity=0)
+
+
+class TestSdidLane:
+    """Keys are (line << SDID_SHIFT) | sdid: a wider or negative SDID
+    would alias another domain's mapping, so the batch and lookup APIs
+    reject it."""
+
+    @pytest.mark.parametrize("sdid", [-1, 1 << SDID_SHIFT])
+    def test_out_of_lane_sdid_rejected(self, sdid):
+        from repro.common.errors import ConfigurationError
+
+        r = IndexRandomizer(2, 64, seed=3, algorithm="splitmix")
+        addrs = [1, 2, 3]
+        columns = r.translate(addrs)
+        with pytest.raises(ConfigurationError):
+            r.load_packed(addrs, columns, sdid=sdid)
+        with pytest.raises(ConfigurationError):
+            r.bulk_map(addrs, sdid=sdid)
+        with pytest.raises(ConfigurationError):
+            r.all_indices(1, sdid=sdid)
+        info = r.cache_info()
+        assert (info.size, info.precomputed, info.misses) == (0, 0, 0)
 
 
 class TestTranslateAndLoadPacked:

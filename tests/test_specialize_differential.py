@@ -36,10 +36,10 @@ import pytest
 
 from repro.cache.line import ACC_EVICTED, ACC_EVICTED_DIRTY, ACC_HIT
 from repro.common import codegen
+from repro.common.codegen import _draw
 from repro.common.config import CacheGeometry, MayaConfig, MirageConfig
 from repro.common.rng import derive_seed
 from repro.core.maya_cache import MayaCache
-from repro.core.maya_step import _draw
 from repro.engine.specialize import apply_specialization
 from repro.llc.baseline import BaselineLLC
 from repro.llc.ceaser import CeaserCache
@@ -327,7 +327,7 @@ DRAW_BOUNDS = (1, 2, 3, 7, 8, 9, 63, 64, 65, 3073, 6144, 2**20 + 1)
 @pytest.mark.parametrize("seed", [0, 7, 20241017])
 @pytest.mark.parametrize("n", DRAW_BOUNDS)
 def test_inlined_draw_matches_stdlib(n, seed):
-    """The generated Maya step draws through ``maya_step._draw``,
+    """The generated Maya and Mirage steps draw through ``codegen._draw``,
     which relies on ``Random._randbelow(n)`` and ``randrange(n)`` being
     the ``getrandbits(n.bit_length())`` rejection loop.  Pin that
     contract on every Python the suite runs on, for a literal bound and

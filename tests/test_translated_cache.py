@@ -315,6 +315,9 @@ class TestTranslationKernels:
         # or overflows by one (the FIFO path), and its first ``overlap``
         # addresses are already in the table.  Either way the table must
         # equal installing entry by entry: keys, values, order, counter.
+        # Entries are (line << 16) | sdid -> skew 0 | skew 1 << 32; the
+        # column values exceed the 64-set index width and still pack
+        # exactly into their 32-bit lanes.
         capacity, prefill = 50, 20
         n = capacity - prefill + overflow
         addrs = array("Q", range(overlap)) + array("Q", range(100, 100 + n - overlap))
@@ -325,11 +328,42 @@ class TestTranslationKernels:
                                precomputed_capacity=capacity)
         for rand in (fast, slow):
             for addr in range(prefill):
-                rand._install_precomputed((addr, 1), (addr, addr))
+                rand._install_precomputed((addr << 16) | 1, addr | addr << 32)
         assert fast.load_packed(addrs, columns, sdid=1) == n
         for i, addr in enumerate(addrs):
-            slow._install_precomputed((addr, 1), (columns[0][i], columns[1][i]))
+            slow._install_precomputed((addr << 16) | 1, columns[0][i] | columns[1][i] << 32)
         assert list(fast._precomputed.items()) == list(slow._precomputed.items())
         assert fast.precomputed_evictions == slow.precomputed_evictions
         assert fast.precomputed_evictions == (0 if overlap else overflow)
-        assert all(type(addr) is int for addr, _ in fast._precomputed)
+        assert all(type(key) is int for key in fast._precomputed)
+        assert all(type(value) is int for value in fast._precomputed.values())
+
+    def test_load_packed_keys_wide_addresses_exactly(self):
+        # (addr << 16) | sdid wraps a uint64 from 2**48 on: such a batch
+        # is keyed in Python, so every key is the exact int.
+        rand = IndexRandomizer(2, 64, seed=3, algorithm="splitmix")
+        addrs = array("Q", [5, (1 << 48) - 1, 1 << 48, (1 << 64) - 1])
+        rand.load_packed(addrs, rand.translate(addrs, sdid=9), sdid=9)
+        assert list(rand._precomputed) == [(addr << 16) | 9 for addr in addrs]
+        for addr in addrs:
+            assert rand.all_indices(addr, 9) == rand.compute_indices(addr, 9)
+
+    @pytest.mark.parametrize("algorithm", ["prince", "splitmix"])
+    @pytest.mark.parametrize("sets", [64, 16_384])
+    @pytest.mark.parametrize("skews", [1, 2, 3])
+    def test_packed_lanes_round_trip(self, skews, sets, algorithm):
+        # Half the addresses come from the side table, half from the
+        # cipher; the second pass hits the memo.  Every path unpacks
+        # the 32-bit lanes back to the cipher's indices.
+        rand = IndexRandomizer(skews, sets, seed=skews + sets, algorithm=algorithm)
+        rng = random.Random(sets - skews)
+        addrs = [rng.getrandbits(46) for _ in range(120)]
+        loaded = array("Q", addrs[::2])
+        rand.load_packed(loaded, rand.translate(loaded, sdid=3), sdid=3)
+        for _ in range(2):
+            for addr in addrs:
+                assert rand.all_indices(addr, 3) == rand.compute_indices(addr, 3)
+        info = rand.cache_info()
+        assert (info.hits, info.misses) == (len(addrs), len(addrs))
+        for table in (rand._memo, rand._precomputed):
+            assert all(type(k) is int and type(v) is int for k, v in table.items())
