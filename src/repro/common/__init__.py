@@ -3,13 +3,9 @@
 from .addr import (
     DEFAULT_LINE_ADDRESS_BITS,
     DEFAULT_LINE_BYTES,
-    byte_address,
-    clamp_line_address,
     line_address,
-    page_color,
     page_number,
     set_index_from_address,
-    tag_from_address,
 )
 from .bitops import (
     bits_required,
@@ -20,7 +16,6 @@ from .bitops import (
     mask,
     parity,
     rotate_left,
-    rotate_right,
 )
 from .config import (
     PAPER_BASELINE,
@@ -32,7 +27,6 @@ from .config import (
     MayaConfig,
     MirageConfig,
     SystemConfig,
-    as_dict,
 )
 from .errors import (
     AttackError,
@@ -42,7 +36,7 @@ from .errors import (
     SimulationError,
     TraceError,
 )
-from .rng import DEFAULT_SEED, derive_seed, make_numpy_rng, make_rng
+from .rng import DEFAULT_SEED, derive_seed, make_rng
 
 __all__ = [
     "DEFAULT_LINE_ADDRESS_BITS",
@@ -63,24 +57,17 @@ __all__ = [
     "SimulationError",
     "SystemConfig",
     "TraceError",
-    "as_dict",
     "bits_required",
-    "byte_address",
-    "clamp_line_address",
     "derive_seed",
     "extract_bits",
     "fold_xor",
     "is_power_of_two",
     "line_address",
     "log2_exact",
-    "make_numpy_rng",
     "make_rng",
     "mask",
-    "page_color",
     "page_number",
     "parity",
     "rotate_left",
-    "rotate_right",
     "set_index_from_address",
-    "tag_from_address",
 ]

@@ -39,35 +39,11 @@ def line_address(address: int, line_bytes: int = DEFAULT_LINE_BYTES) -> int:
     return address >> log2_exact(line_bytes)
 
 
-def byte_address(line_addr: int, line_bytes: int = DEFAULT_LINE_BYTES) -> int:
-    """Inverse of :func:`line_address` (offset zero)."""
-    return line_addr << log2_exact(line_bytes)
-
-
 def page_number(address: int, page_bytes: int = 4096) -> int:
     """Return the page frame number of a byte address."""
     return address >> log2_exact(page_bytes)
 
 
-def page_color(address: int, num_colors: int, page_bytes: int = 4096) -> int:
-    """Page color used by set-partitioned (page-coloring) LLCs.
-
-    The color is the low bits of the page frame number, which is how OS
-    page-coloring schemes bind pages to LLC set regions.
-    """
-    return page_number(address, page_bytes) & mask(log2_exact(num_colors))
-
-
 def set_index_from_address(line_addr: int, num_sets: int) -> int:
     """Conventional (non-randomized) set index: low line-address bits."""
     return line_addr & mask(log2_exact(num_sets))
-
-
-def tag_from_address(line_addr: int, num_sets: int) -> int:
-    """Conventional tag: the line-address bits above the set index."""
-    return line_addr >> log2_exact(num_sets)
-
-
-def clamp_line_address(line_addr: int, address_bits: int = DEFAULT_LINE_ADDRESS_BITS) -> int:
-    """Truncate a line address to the modelled physical width."""
-    return line_addr & mask(address_bits)

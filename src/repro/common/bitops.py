@@ -78,12 +78,6 @@ def rotate_left(value: int, amount: int, width: int) -> int:
     return ((value << amount) | (value >> (width - amount))) & mask(width)
 
 
-def rotate_right(value: int, amount: int, width: int) -> int:
-    """Rotate ``value`` right by ``amount`` within ``width`` bits."""
-    amount %= width
-    return rotate_left(value, width - amount, width)
-
-
 def fold_xor(value: int, out_width: int) -> int:
     """XOR-fold an arbitrarily wide integer down to ``out_width`` bits.
 

@@ -17,7 +17,6 @@ count, and scaled configs let the Python simulators finish in seconds.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -274,7 +273,3 @@ class SystemConfig:
             llc_geometry=self.llc_geometry.scaled(factor),
         )
 
-
-def as_dict(config: object) -> dict:
-    """Render any config dataclass as a plain dict (for reports)."""
-    return dataclasses.asdict(config)

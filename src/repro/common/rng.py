@@ -7,16 +7,13 @@ experiment in EXPERIMENTS.md is exactly reproducible.
 
 We use :class:`random.Random` rather than numpy generators for the
 cache-simulator hot paths (single scalar draws are faster and allocation
-free), and expose a numpy generator for vectorized consumers such as the
-bucket-and-balls model.
+free).
 """
 
 from __future__ import annotations
 
 import random
 from typing import Optional
-
-import numpy as np
 
 #: Library-wide default seed; chosen arbitrarily and fixed forever.
 DEFAULT_SEED = 0x3A7A  # "maya"
@@ -30,11 +27,6 @@ def make_rng(seed: Optional[int] = None) -> random.Random:
     identical statistics.
     """
     return random.Random(DEFAULT_SEED if seed is None else seed)
-
-
-def make_numpy_rng(seed: Optional[int] = None) -> np.random.Generator:
-    """Return a seeded numpy :class:`~numpy.random.Generator`."""
-    return np.random.default_rng(DEFAULT_SEED if seed is None else seed)
 
 
 def derive_seed(base: Optional[int], stream: int) -> int:

@@ -26,39 +26,14 @@ fully-associative designs have hand-written ``access_fast`` methods and
 no generated step; :func:`specialize_llc` reports that as its one
 decline.
 
-``REPRO_SPECIALIZE``, the CLI ``--specialize`` and
-``run_mix(specialize=...)`` choose only the drive: on (the default),
-the op-stream replay; off, the per-access hierarchy drive, which stays
-the replay's differential oracle.  Both run the same generated steps.
-Precedence: the argument, then the environment variable, then *on*.
+Installing a step does not choose the drive: ``run_mix`` takes the
+op-stream replay (:mod:`repro.engine.vector`) unless the replay
+declines the input, and both drives run the same generated steps.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Tuple
-
-#: Environment variable consulted when no explicit choice is passed.
-SPECIALIZE_ENV = "REPRO_SPECIALIZE"
-
-_FALSEY = ("0", "false", "off", "no")
-
-
-def resolve_specialize(specialize: Optional[bool] = None) -> bool:
-    """Resolve whether ``run_mix`` takes the op-stream replay drive.
-
-    ``specialize`` wins when given; otherwise :data:`SPECIALIZE_ENV`
-    ("0"/"false"/"off"/"no" disable); otherwise on.  Off selects the
-    per-access hierarchy drive; every design runs its one generated
-    step either way.
-    """
-    if specialize is not None:
-        return bool(specialize)
-    raw = os.environ.get(SPECIALIZE_ENV)
-    if raw is None:
-        return True
-    return raw.strip().lower() not in _FALSEY
-
 
 _MISSING = object()
 

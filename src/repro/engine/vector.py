@@ -31,7 +31,9 @@ step, which ``run_mix`` installs through :mod:`repro.engine.specialize`).
   same DRAM model calls the per-access drive would make, on the same
   live objects, in the same order.  Hazards (SAEs, rekeys,
   mapping-memo capacity evictions) need no special handling: there is
-  no batched state to invalidate.
+  no batched state to invalidate.  An ``on_sae="raise"`` SAE leaves
+  the step at the same op with the same LLC state on either drive;
+  the run then returns no result, so its partial clocks are never read.
 
 *Memory.*  Per phase the replay holds two int lists per core - the
 advance after each op-bearing access and the op-column offset its ops
@@ -379,23 +381,15 @@ def create_vector_replay(
     from ..common.rng import derive_seed
 
     # Only the LLC and DRAM stay live, driven through the
-    # ``access_fast`` step protocol, whose constant lookup latency
-    # folds into the static clock advances.
-    name = type(llc).__name__
+    # ``access_fast`` step protocol (which the hierarchy requires),
+    # whose constant lookup latency folds into the static clock
+    # advances.
     if sys.byteorder != "little":
         return None, "big-endian host (packed columns are little-endian)"
     if model_bandwidth:
+        # Each queued read's delay, divided by the MLP factor, adds a
+        # fractional clock bit: no fixed integer grid holds the clocks.
         return None, "model_bandwidth=True needs per-access DRAM clocks"
-    if not hasattr(llc, "access_fast"):
-        return None, f"{name} has no access_fast step"
-    if not isinstance(getattr(type(llc), "extra_lookup_latency", None), int):
-        return None, f"{name} has no constant extra_lookup_latency"
-    if getattr(llc, "_on_sae", None) == "raise":
-        return None, "on_sae='raise' aborts mid-replay with partial clocks"
-    if any(t is not None for t in hierarchy.tlbs):
-        return None, "TLB modelling enabled"
-    if hierarchy.directory is not None:
-        return None, "coherence directory enabled"
     lat = config.latencies
     llc_fast = lat.llc_cycles + llc.extra_lookup_latency
     base_lats = [

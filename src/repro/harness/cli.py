@@ -25,10 +25,6 @@ fails).  ``--no-trace-cache`` disables the
 artifact cache (``REPRO_TRACE_CACHE=0``): compiled traces, translated
 index columns and op streams are rebuilt in-process for every run, and
 nothing is read from or written to ``results/.trace_cache``.
-``--specialize 0`` swaps the op-stream
-replay for the per-access drive (exported as ``REPRO_SPECIALIZE``;
-every design runs its one generated step either way); results are
-bit-identical.
 ``--service ADDR`` (or the ``REPRO_SERVICE`` environment variable)
 drains the grid through a resident simulation service (``repro
 serve``) instead of one-shot worker processes - same bytes, no
@@ -49,7 +45,6 @@ import os
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import runner
-from ..engine.specialize import SPECIALIZE_ENV
 from ..service import SERVICE_ENV, resolve_address
 from ..store import CACHE_ENV
 
@@ -289,14 +284,6 @@ def main(argv=None) -> int:
         "is read from or written to results/.trace_cache" % CACHE_ENV,
     )
     parser.add_argument(
-        "--specialize", choices=("0", "1"), default=None,
-        help="the drive: 1 (default) for the op-stream replay of every "
-        "LLC with an access_fast step, or 0 for the per-access drive, "
-        "its differential oracle; both run each design's generated step "
-        "(bit-identical results, exported as %s so --jobs workers "
-        "inherit it)" % SPECIALIZE_ENV,
-    )
-    parser.add_argument(
         "--service", default=None, metavar="ADDR",
         help="drain the grid through a resident simulation service "
         "(HOST:PORT; default from %s when set).  Results are "
@@ -312,9 +299,6 @@ def main(argv=None) -> int:
 
     if args.no_trace_cache:
         os.environ[CACHE_ENV] = "0"
-
-    if args.specialize is not None:
-        os.environ[SPECIALIZE_ENV] = args.specialize
 
     if args.experiments == ["list"]:
         for name, (description, _, _) in _REGISTRY.items():

@@ -1,6 +1,5 @@
 """Multi-core hierarchy: cores, prefetcher, DRAM, trace-driven simulator."""
 
-from .directory import CoherenceDirectory, DirectoryActions
 from .dram import DramModel
 from .prefetcher import StridePrefetcher
 from .simulator import (
@@ -11,18 +10,13 @@ from .simulator import (
     weighted_speedup,
 )
 from .system import CacheHierarchy
-from .tlb import TlbConfig, TlbHierarchy
 
 __all__ = [
     "CacheHierarchy",
-    "CoherenceDirectory",
-    "DirectoryActions",
     "CoreResult",
     "DramModel",
     "MixResult",
     "StridePrefetcher",
-    "TlbConfig",
-    "TlbHierarchy",
     "normalized_weighted_speedup",
     "run_mix",
     "weighted_speedup",

@@ -8,39 +8,31 @@ coupling that creates inter-core LLC interference - and statistics are
 collected after a warm-up phase, following the paper's methodology
 (200M warm-up + 200M measured instructions per core, scaled down).
 
-Two drive loops produce bit-identical results:
-
-* the **compiled fast path** (default) replays
-  :class:`~repro.trace.compiled.CompiledTrace` packed columns with
-  plain integer indexing - no generator resumes, no per-access object
-  construction;
-* the **generator path** (``compiled=False``) pulls
-  :class:`~repro.trace.record.MemoryAccess` records out of the
-  synthetic generators one at a time.  It is the oracle:
-  ``tests/test_compiled_replay.py`` requires both paths to produce
-  bit-identical ``CacheStats`` and per-core IPCs.
-
-With ``specialize`` on (the default), the compiled path of every LLC
-with an ``access_fast`` step skips the per-access hierarchy drive:
-the private levels come from cached per-core op streams and only the
-LLC/DRAM ops are replayed (``VectorReplay.phase_scalar``).  Either
-drive runs each design's one generated step.
+Every run replays :class:`~repro.trace.compiled.CompiledTrace` packed
+columns, and the run picks its drive: the op-stream replay
+(:mod:`repro.engine.vector`), where the private levels come from
+cached per-core op streams and only the LLC/DRAM ops are replayed,
+unless the replay declines an input it cannot replay exactly; only
+then does the per-access drive loop (:func:`_drive_compiled`) walk
+every access through the hierarchy.  Both run each design's one
+generated step and produce bit-identical results; the test suite keeps
+the per-access loop as the replay's differential oracle.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from ..common.config import SystemConfig
 from ..common.rng import derive_seed
-from ..engine.specialize import apply_specialization, resolve_specialize
+from ..engine import vector
+from ..engine.specialize import apply_specialization
 from ..llc.interface import LLCache
 from ..trace.compiled import compile_workload
 from ..trace.mixes import Mix
 from ..trace.translated import translate_trace
-from ..trace.workloads import get_workload
 from .system import CacheHierarchy
 
 
@@ -77,13 +69,12 @@ class MixResult:
     #: LLC ops replayed) when the replay drove the run, else ``None``.
     #: Diagnostic only.
     engine_info: Optional[dict] = None
-    #: Drive provenance (:mod:`repro.engine.specialize`): ``None`` when
-    #: ``specialize`` was off (``REPRO_SPECIALIZE=0``, the per-access
-    #: drive), else the design whose step was installed on the LLC (or
-    #: the reason it has none) and the ``replay`` taken (or the
-    #: ``replay_reason`` it declined).  Diagnostic only - never part of
-    #: canonical results.
-    specialize_info: Optional[dict] = None
+    #: Drive provenance (:mod:`repro.engine.specialize`), a dict: the
+    #: design whose step was installed on the LLC (``llc``, or the
+    #: ``llc_reason`` it has none) and the ``replay`` taken
+    #: (``"opstream-scalar"``, or ``None`` with the ``replay_reason``
+    #: it declined).  Diagnostic only - never part of canonical results.
+    specialize_info: dict = field(default_factory=dict)
 
     @property
     def total_instructions(self) -> int:
@@ -152,38 +143,6 @@ def _drive_compiled(
             heappush(heap, (clock, c))
 
 
-def _drive_generator(
-    hierarchy_access,
-    streams: List[tuple],
-    clocks: List[float],
-    instructions: List[int],
-    base_cpi: float,
-    per_core: int,
-    model_bandwidth: bool,
-) -> None:
-    """One time-ordered phase pulling records out of the generators."""
-    cores = range(len(streams))
-    done = [0] * len(streams)
-    heap = [(clocks[c], c) for c in cores]
-    heapq.heapify(heap)
-    heappop, heappush = heapq.heappop, heapq.heappush
-    while heap:
-        _, c = heappop(heap)
-        stream, offset = streams[c]
-        access = next(stream)
-        latency = hierarchy_access(
-            c,
-            access.line_addr + offset,
-            access.is_write,
-            clocks[c] if model_bandwidth else None,
-        )
-        clocks[c] += access.gap * base_cpi + latency
-        instructions[c] += access.gap + 1
-        done[c] += 1
-        if done[c] < per_core:
-            heappush(heap, (clocks[c], c))
-
-
 def run_mix(
     llc: LLCache,
     mix: Mix,
@@ -193,10 +152,8 @@ def run_mix(
     seed: Optional[int] = None,
     enable_prefetch: bool = True,
     model_bandwidth: bool = False,
-    compiled: Optional[bool] = None,
     trace_cache: bool = True,
     pretranslate: Optional[bool] = None,
-    specialize: Optional[bool] = None,
 ) -> MixResult:
     """Simulate ``mix`` over ``llc``; returns per-core IPCs + LLC stats.
 
@@ -206,20 +163,17 @@ def run_mix(
     turns on DRAM channel-occupancy queueing (cores' clocks feed the
     controller), which matters for bandwidth-bound streaming mixes.
 
-    ``compiled`` selects the drive loop: ``None``/``True`` (default)
-    replays compiled packed traces; ``False`` forces the original
-    generator path (the differential oracle).  Both produce
-    bit-identical results.  ``trace_cache=False`` bypasses the artifact
-    caches (:class:`repro.store.ArtifactCache`: compiled traces,
-    translated index columns, op streams), rebuilding every artifact
-    this call needs; so does ``REPRO_TRACE_CACHE=0``.
+    ``trace_cache=False`` bypasses the artifact caches
+    (:class:`repro.store.ArtifactCache`: compiled traces, translated
+    index columns, op streams), rebuilding every artifact this call
+    needs; so does ``REPRO_TRACE_CACHE=0``.
 
-    ``pretranslate`` (compiled path only) is the ahead-of-time index
-    translation pipeline: every distinct line each compiled trace can
-    touch is pushed through the randomizer's batch cipher kernel in one
-    in-process numpy pass per core, and the per-skew index columns are
-    installed in its precomputed side table (and persisted in the
-    on-disk translated-trace cache, keyed by address-set content x key
+    ``pretranslate`` is the ahead-of-time index translation pipeline:
+    every distinct line each compiled trace can touch is pushed through
+    the randomizer's batch cipher kernel in one in-process numpy pass
+    per core, and the per-skew index columns are installed in its
+    precomputed side table (and persisted in the on-disk
+    translated-trace cache, keyed by address-set content x key
     fingerprint x SDID, so warm trials skip cipher work entirely).
     ``None`` auto-enables it exactly when it pays: the LLC exposes an
     ``index_randomizer`` running ``algorithm="prince"``, whose per-miss
@@ -229,22 +183,19 @@ def run_mix(
     table is dropped with the old keys and lookups fall back to the
     live randomizer.
 
-    ``specialize`` selects only the drive (:mod:`repro.engine.specialize`):
-    ``None`` honours ``REPRO_SPECIALIZE`` (default on).  On, the compiled
-    path takes the op-stream replay (:mod:`repro.engine.vector`) for
-    every LLC with an ``access_fast`` step (Maya, Mirage, the baseline,
-    CEASER, the skewed designs, the fully-associative cache): the
-    private levels come from the cached per-core op streams, which do
-    not depend on the LLC design, and every LLC-bearing op runs the
-    design's own step in the per-access drive's order.  Designs
-    without that step (V-way, partitioned) and bandwidth/TLB/coherence
-    configs keep the per-access drive, as does ``specialize=False``,
-    which stays the replay's differential oracle.  Results are
-    bit-identical either way (the ``specialize`` differential suites
-    enforce it); the provenance - ``replay`` or the ``replay_reason``
-    it declined - lands in ``MixResult.specialize_info``, and the
-    replay's counters in ``MixResult.engine_info``, never in canonical
-    results.
+    The run picks its drive.  It takes the op-stream replay
+    (:mod:`repro.engine.vector`): the private levels come from the
+    cached per-core op streams, which do not depend on the LLC design,
+    and every LLC-bearing op runs the design's own ``access_fast`` step
+    in the per-access drive's order.  The replay declines only inputs
+    it cannot replay exactly - ``model_bandwidth=True``, timing
+    constants off a fixed integer clock grid, a failed op-stream build,
+    a big-endian host - and only then does the per-access drive loop
+    run.  Results are bit-identical either way (the test suite holds
+    the replay to that loop); the drive taken - ``replay``, or the
+    ``replay_reason`` it declined - lands in
+    ``MixResult.specialize_info``, and the replay's counters in
+    ``MixResult.engine_info``, never in canonical results.
 
     Both drives run each design's one generated step.  The LLC's step
     is installed through a releasable ``Specialization`` after the
@@ -259,8 +210,6 @@ def run_mix(
         raise ValueError(f"mix {mix.name} needs {mix.cores} cores, config has {config.cores}")
     hierarchy = CacheHierarchy(llc, config, enable_prefetch=enable_prefetch)
     specialization, specialize_info = apply_specialization(llc)
-    if not resolve_specialize(specialize):
-        specialize_info = None
     cores = mix.cores
     clocks = [0.0] * cores
     instructions = [0] * cores
@@ -272,88 +221,67 @@ def run_mix(
         # allocations would.
         region = (1 << 34) + 997
         base_cpi = config.base_cpi
-        hierarchy_access = hierarchy.access  # bound once; hot loops below
-        use_compiled = compiled is None or compiled
-
-        if use_compiled:
-            # The measurement phase issues max(1, accesses_per_core) records
-            # per core (the drive loop steps each core at least once), so the
-            # compiled trace must cover exactly that many plus warm-up.
-            length = warmup_accesses + max(1, accesses_per_core)
-            traces = [
-                compile_workload(
-                    bench,
-                    llc_lines,
-                    length,
-                    seed=derive_seed(seed, 100 + core_id),
+        # The measurement phase issues max(1, accesses_per_core) records
+        # per core (the drive loop steps each core at least once), so the
+        # compiled trace must cover exactly that many plus warm-up.
+        length = warmup_accesses + max(1, accesses_per_core)
+        traces = [
+            compile_workload(
+                bench,
+                llc_lines,
+                length,
+                seed=derive_seed(seed, 100 + core_id),
+                use_cache=trace_cache,
+            )
+            for core_id, bench in enumerate(mix.assignments)
+        ]
+        # Ahead-of-time index translation: batch-encrypt every (line,
+        # sdid) pair the replay can touch and install the packed index
+        # columns in the randomizer's side table (cached on disk keyed
+        # by content x key fingerprint, so warm trials skip the cipher).
+        randomizer = getattr(llc, "index_randomizer", None)
+        if pretranslate is None:
+            do_pretranslate = randomizer is not None and randomizer.algorithm == "prince"
+        else:
+            do_pretranslate = bool(pretranslate) and randomizer is not None
+        if do_pretranslate:
+            for core_id, trace in enumerate(traces):
+                translated = translate_trace(
+                    randomizer,
+                    trace,
+                    sdid=core_id,
+                    offset=core_id * region,
                     use_cache=trace_cache,
                 )
-                for core_id, bench in enumerate(mix.assignments)
-            ]
+                randomizer.load_packed(translated.line_addrs, translated.columns, sdid=core_id)
+
+        # The replay runs every op through the LLC's own ``access_fast``
+        # step while the private levels come from the pre-simulated op
+        # streams.  Looked up on its module at call time, so a test can
+        # make it decline and hold the replay to the per-access drive.
+        replay, reason = vector.create_vector_replay(
+            llc, hierarchy, config, mix, traces, seed, region,
+            clocks, instructions, model_bandwidth, enable_prefetch,
+            trace_cache,
+        )
+        if replay is not None:
+            specialize_info["replay"] = "opstream-scalar"
+            specialize_info["replay_reason"] = None
+            engine_info = replay.info
+            phase = replay.phase_scalar
+        else:
+            specialize_info["replay"] = None
+            specialize_info["replay_reason"] = reason
+            hierarchy_access = hierarchy.access  # bound once; hot loop below
             columns: List[tuple] = [
                 (trace.line_addrs, trace.write_flags, trace.gaps, core_id * region)
                 for core_id, trace in enumerate(traces)
             ]
-            # Ahead-of-time index translation: batch-encrypt every (line,
-            # sdid) pair the replay can touch and install the packed index
-            # columns in the randomizer's side table (cached on disk keyed
-            # by content x key fingerprint, so warm trials skip the cipher).
-            randomizer = getattr(llc, "index_randomizer", None)
-            if pretranslate is None:
-                do_pretranslate = randomizer is not None and randomizer.algorithm == "prince"
-            else:
-                do_pretranslate = bool(pretranslate) and randomizer is not None
-            if do_pretranslate:
-                for core_id, trace in enumerate(traces):
-                    translated = translate_trace(
-                        randomizer,
-                        trace,
-                        sdid=core_id,
-                        offset=core_id * region,
-                        use_cache=trace_cache,
-                    )
-                    randomizer.load_packed(translated.line_addrs, translated.columns, sdid=core_id)
             positions = [0] * cores
 
             def phase(per_core: int) -> None:
                 _drive_compiled(
                     hierarchy_access, columns, positions, clocks, instructions,
-                    base_cpi, per_core, model_bandwidth,
-                )
-
-            if specialize_info is not None:
-                # Replay drive: replay the cached op streams and run
-                # every op through the LLC's own ``access_fast`` step,
-                # while the private levels come from the pre-simulated
-                # streams.  Any design with that step qualifies; when a
-                # gate fails, the per-access drive runs instead and the
-                # reason lands in ``specialize_info``.
-                from ..engine.vector import create_vector_replay
-
-                replay, reason = create_vector_replay(
-                    llc, hierarchy, config, mix, traces, seed, region,
-                    clocks, instructions, model_bandwidth, enable_prefetch,
-                    trace_cache,
-                )
-                if replay is None:
-                    specialize_info["replay"] = None
-                    specialize_info["replay_reason"] = reason
-                else:
-                    specialize_info["replay"] = "opstream-scalar"
-                    specialize_info["replay_reason"] = None
-                    engine_info = replay.info
-                    phase = replay.phase_scalar
-
-        else:
-            streams: List[tuple] = []
-            for core_id, bench in enumerate(mix.assignments):
-                spec = get_workload(bench)
-                stream = spec.stream(llc_lines, seed=derive_seed(seed, 100 + core_id))
-                streams.append((stream, core_id * region))
-
-            def phase(per_core: int) -> None:
-                _drive_generator(
-                    hierarchy_access, streams, clocks, instructions,
                     base_cpi, per_core, model_bandwidth,
                 )
 

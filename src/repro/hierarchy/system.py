@@ -12,24 +12,22 @@ paper's comparisons measure - relative miss counts times relative
 latencies - at Python-friendly speed (see DESIGN.md "Substitutions").
 
 The demand path runs on the allocation-free ``access_fast`` protocol
-(``ACC_*`` flag ints + ``victim_*`` fields) end to end when the LLC
-design provides it; designs that only implement the object
-:class:`~repro.cache.line.AccessResult` API (and may charge a
-*variable* ``extra_latency``) are driven through it unchanged.
+(``ACC_*`` flag ints + ``victim_*`` fields) end to end, so the LLC
+must provide that step and a constant ``extra_lookup_latency``; every
+design in :mod:`repro.llc` and :mod:`repro.core` does.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional
 
-from ..cache.line import ACC_EVICTED, ACC_EVICTED_DIRTY, ACC_HIT
+from ..cache.line import ACC_EVICTED_DIRTY, ACC_HIT
 from ..cache.set_assoc import SetAssociativeCache
 from ..common.config import SystemConfig
+from ..common.errors import ConfigurationError
 from ..llc.interface import LLCache
-from .directory import CoherenceDirectory
 from .dram import DramModel
 from .prefetcher import StridePrefetcher
-from .tlb import TlbHierarchy
 
 
 class CacheHierarchy:
@@ -40,27 +38,15 @@ class CacheHierarchy:
         llc: LLCache,
         config: Optional[SystemConfig] = None,
         enable_prefetch: bool = True,
-        enable_tlb: bool = False,
-        enable_coherence: bool = False,
         mlp_factor: float = 2.0,
     ):
-        """``enable_tlb`` adds Table V's two-level TLB in front of every
-        demand access.  Translation latency is identical across LLC
-        designs, so the comparative experiments leave it off by
-        default; switch it on for absolute-IPC studies.
-
-        ``enable_coherence`` activates the MOESI directory over the
-        private levels: cross-core writes invalidate other cores'
-        copies and reads downgrade modified owners.  The standard
-        experiments run disjoint per-core address spaces where the
-        directory never fires; shared-memory scenarios need it."""
         self.config = config or SystemConfig()
+        if not hasattr(llc, "access_fast"):
+            raise ConfigurationError(
+                f"{type(llc).__name__} has no access_fast step; the hierarchy "
+                "drives the LLC through the access_fast protocol only"
+            )
         self.llc = llc
-        # Engines exposing access_fast promise a *constant*
-        # extra_lookup_latency, so the fast path can charge it without
-        # materializing an AccessResult.  Anything else goes through
-        # the object API and its per-access extra_latency.
-        self._fast_llc = hasattr(llc, "access_fast")
         if mlp_factor < 1.0:
             raise ValueError("MLP factor cannot be below 1 (no negative overlap)")
         self.mlp_factor = mlp_factor
@@ -76,12 +62,6 @@ class CacheHierarchy:
         self.prefetchers: List[Optional[StridePrefetcher]] = [
             StridePrefetcher() if enable_prefetch else None for _ in range(cores)
         ]
-        self.tlbs: List[Optional[TlbHierarchy]] = [
-            TlbHierarchy() if enable_tlb else None for _ in range(cores)
-        ]
-        self.directory: Optional[CoherenceDirectory] = (
-            CoherenceDirectory(cores) if enable_coherence else None
-        )
         self.dram = DramModel(self.config.dram)
         # Per-level latency constants, hoisted off the config dataclass
         # (read on every access).
@@ -110,40 +90,24 @@ class CacheHierarchy:
         l1s = self.l1
         l2s = self.l2
         prefetchers = self.prefetchers
-        tlbs = self.tlbs
-        directory = self.directory
         llc = self.llc
-        fast_llc = self._fast_llc
         dram_access = self.dram.access
         l1_cycles = self._l1_cycles
         l2_cycles = self._l2_cycles
-        llc_cycles = self._llc_cycles
         # access_fast engines promise a constant extra lookup latency,
         # so it folds into the per-level charge once.
-        llc_fast_cycles = llc_cycles + (llc.extra_lookup_latency if fast_llc else 0)
+        llc_fast_cycles = self._llc_cycles + llc.extra_lookup_latency
         mlp_factor = self.mlp_factor
         writeback_to_l2 = self._writeback_to_l2
         writeback_to_llc = self._writeback_to_llc
         prefetch_fill = self._prefetch
-        coherence_actions = self._coherence_actions
-        note_private_eviction = self._note_private_eviction
-        spill_to_dram = self._spill_to_dram
 
         def access(core_id, line_addr, is_write=False, now=None):
             latency = l1_cycles
-            tlb = tlbs[core_id]
-            if tlb is not None:
-                latency += tlb.translate(line_addr)
-            if directory is not None:
-                coherence_actions(core_id, line_addr, is_write, now)
             l1 = l1s[core_id]
             f1 = l1.access_fast(line_addr, is_write, core_id)
-            if f1 & ACC_EVICTED:
-                v1_addr = l1.victim_addr
-                if f1 & ACC_EVICTED_DIRTY:
-                    writeback_to_l2(core_id, v1_addr, now)
-                if directory is not None:
-                    note_private_eviction(core_id, v1_addr)
+            if f1 & ACC_EVICTED_DIRTY:
+                writeback_to_l2(core_id, l1.victim_addr, now)
             # Train on the demand stream (as PC-indexed IPCP effectively
             # does); issuing is cheap because already-resident targets
             # short-circuit in _prefetch.  StridePrefetcher.observe() is
@@ -183,27 +147,16 @@ class CacheHierarchy:
             latency += l2_cycles
             l2 = l2s[core_id]
             f2 = l2.access_fast(line_addr, False, core_id)
-            if f2 & ACC_EVICTED:
-                v2_addr = l2.victim_addr
-                if f2 & ACC_EVICTED_DIRTY:
-                    writeback_to_llc(core_id, v2_addr, now)
-                if directory is not None:
-                    note_private_eviction(core_id, v2_addr)
+            if f2 & ACC_EVICTED_DIRTY:
+                writeback_to_llc(core_id, l2.victim_addr, now)
             if f2 & ACC_HIT:
                 return latency
 
-            if fast_llc:
-                f3 = llc.access_fast(line_addr, False, core_id, False, core_id)
-                latency += llc_fast_cycles
-                if f3 & ACC_EVICTED_DIRTY:
-                    dram_access(llc.victim_addr, True, now)
-                if not f3 & ACC_HIT:
-                    latency += dram_access(line_addr, False, now) / mlp_factor
-                return latency
-            r3 = llc.access(line_addr, core_id=core_id, sdid=core_id)
-            latency += llc_cycles + r3.extra_latency
-            spill_to_dram(r3.evicted, now)
-            if not r3.hit:
+            f3 = llc.access_fast(line_addr, False, core_id, False, core_id)
+            latency += llc_fast_cycles
+            if f3 & ACC_EVICTED_DIRTY:
+                dram_access(llc.victim_addr, True, now)
+            if not f3 & ACC_HIT:
                 latency += dram_access(line_addr, False, now) / mlp_factor
             return latency
 
@@ -223,50 +176,11 @@ class CacheHierarchy:
             self._writeback_to_llc(core_id, l2.victim_addr, now)
         if not f2 & ACC_HIT:
             llc = self.llc
-            if self._fast_llc:
-                f3 = llc.access_fast(line_addr, False, core_id, False, core_id)
-                if f3 & ACC_EVICTED_DIRTY:
-                    self.dram.access(llc.victim_addr, True, now)
-                if not f3 & ACC_HIT:
-                    self.dram.access(line_addr, False, now)
-            else:
-                r3 = llc.access(line_addr, core_id=core_id, sdid=core_id)
-                self._spill_to_dram(r3.evicted, now)
-                if not r3.hit:
-                    self.dram.access(line_addr, now=now)
-
-    # -- coherence ----------------------------------------------------------------
-
-    def _coherence_actions(self, core_id: int, line_addr: int, is_write: bool, now) -> None:
-        """Apply directory protocol actions before the private lookup.
-
-        Invalidation and downgrade both drop the remote private copies
-        (a functional simplification of downgrade-to-shared); dirty
-        copies are written back to the LLC so no data is lost.
-        """
-        directory = self.directory
-        actions = (
-            directory.on_write(core_id, line_addr)
-            if is_write
-            else directory.on_read(core_id, line_addr)
-        )
-        targets = list(actions.invalidate)
-        if actions.downgrade is not None:
-            targets.append(actions.downgrade)
-        for other in targets:
-            for level in (self.l1[other], self.l2[other]):
-                evicted = level.invalidate(line_addr)
-                if evicted is not None and evicted.dirty:
-                    self._writeback_to_llc(other, evicted.line_addr, now)
-            directory.on_eviction(other, line_addr)
-        if is_write:
-            # Re-register the writer (invalidate path cleared others only).
-            directory.on_write(core_id, line_addr)
-
-    def _note_private_eviction(self, core_id: int, line_addr: int) -> None:
-        """Tell the directory when a core has lost all private copies."""
-        if not self.l1[core_id].contains(line_addr) and not self.l2[core_id].contains(line_addr):
-            self.directory.on_eviction(core_id, line_addr)
+            f3 = llc.access_fast(line_addr, False, core_id, False, core_id)
+            if f3 & ACC_EVICTED_DIRTY:
+                self.dram.access(llc.victim_addr, True, now)
+            if not f3 & ACC_HIT:
+                self.dram.access(line_addr, False, now)
 
     # -- writeback propagation ---------------------------------------------------
 
@@ -278,17 +192,9 @@ class CacheHierarchy:
 
     def _writeback_to_llc(self, core_id: int, line_addr: int, now: Optional[float] = None) -> None:
         llc = self.llc
-        if self._fast_llc:
-            f = llc.access_fast(line_addr, False, core_id, True, core_id)
-            if f & ACC_EVICTED_DIRTY:
-                self.dram.access(llc.victim_addr, True, now)
-            return
-        r = llc.access(line_addr, core_id=core_id, is_writeback=True, sdid=core_id)
-        self._spill_to_dram(r.evicted, now)
-
-    def _spill_to_dram(self, evicted, now: Optional[float] = None) -> None:
-        if evicted is not None and evicted.dirty:
-            self.dram.access(evicted.line_addr, is_write=True, now=now)
+        f = llc.access_fast(line_addr, False, core_id, True, core_id)
+        if f & ACC_EVICTED_DIRTY:
+            self.dram.access(llc.victim_addr, True, now)
 
     # -- maintenance ------------------------------------------------------------
 
@@ -313,9 +219,6 @@ class CacheHierarchy:
         """Zero all statistics (after warm-up) without touching contents."""
         for cache in self.l1 + self.l2:
             cache.stats.reset()
-        for tlb in self.tlbs:
-            if tlb is not None:
-                tlb.reset_stats()
         if hasattr(self.llc, "reset_stats"):
             self.llc.reset_stats()
         else:

@@ -7,7 +7,6 @@ from .interface import LLCache
 from .mirage import MirageCache
 from .partitioned import FlexiblePartitionedLLC, SetPartitionedLLC, WayPartitionedLLC
 from .skewed import SkewedRandomizedCache, make_ceaser_s, make_scatter_cache
-from .vway import VWayCache
 
 __all__ = [
     "BaselineLLC",
@@ -18,7 +17,6 @@ __all__ = [
     "MirageCache",
     "SetPartitionedLLC",
     "SkewedRandomizedCache",
-    "VWayCache",
     "WayPartitionedLLC",
     "make_ceaser_s",
     "make_scatter_cache",

@@ -123,9 +123,11 @@ def attack_capacity(llc) -> int:
 def access_step(llc):
     """The design's cheapest access call: ``access_fast`` if it has one.
 
-    Designs without the step (V-way, the partitioned designs) fall back
-    to the object :meth:`LLCache.access`.  Both take the same positional
-    ``(line, is_write, core, is_writeback, sdid)``, so attack harnesses
+    Every design in :mod:`repro.llc` and :mod:`repro.core` has the
+    step; the object-model references in :mod:`repro.reference` do not
+    and fall back to the object :meth:`LLCache.access`.  Both take the
+    same positional ``(line, is_write, core, is_writeback, sdid)``, so
+    attack harnesses
     bind the result once and call it positionally; they ignore what it
     returns (flags or an :class:`AccessResult`).  Bind it after any
     specialization, which replaces ``access_fast`` per instance.

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence
 
-from ..cache.line import AccessResult, EvictedLine
+from ..cache.line import ACC_EVICTED, AccessResult, EvictedLine, access_result
 from ..cache.set_assoc import SetAssociativeCache
 from ..common.config import CacheGeometry
 from ..common.errors import ConfigurationError
@@ -42,9 +42,34 @@ class _PartitionedBase(LLCache):
             raise ConfigurationError("need at least one domain")
         self.domains = domains
         self._slices: List[SetAssociativeCache] = []
+        # Victim fields of the access_fast protocol (valid until the
+        # next access after a result with ACC_EVICTED set).
+        self.victim_addr = 0
+        self.victim_core = -1
+        self.victim_sdid = 0
+        self.victim_reused = False
 
-    def _slice_for(self, core_id: int) -> SetAssociativeCache:
-        return self._slices[core_id % self.domains]
+    def access_fast(
+        self,
+        line_addr: int,
+        is_write: bool = False,
+        core_id: int = 0,
+        is_writeback: bool = False,
+        sdid: int = 0,
+    ) -> int:
+        """One access with no allocation; returns ``ACC_*`` flags.
+
+        The owning slice's step is looked up per call, so a step
+        installed on it (:mod:`repro.engine.specialize`) is used.
+        """
+        part = self._slices[core_id % self.domains]
+        flags = part.access_fast(line_addr, is_write, core_id, is_writeback, sdid)
+        if flags & ACC_EVICTED:
+            self.victim_addr = part.victim_addr
+            self.victim_core = part.victim_core
+            self.victim_sdid = part.victim_sdid
+            self.victim_reused = part.victim_reused
+        return flags
 
     def access(
         self,
@@ -54,9 +79,8 @@ class _PartitionedBase(LLCache):
         is_writeback: bool = False,
         sdid: int = 0,
     ) -> AccessResult:
-        return self._slice_for(core_id).access(
-            line_addr, is_write=is_write, core_id=core_id, is_writeback=is_writeback, sdid=sdid
-        )
+        flags = self.access_fast(line_addr, is_write, core_id, is_writeback, sdid)
+        return access_result(self, flags)
 
     def invalidate(self, line_addr: int, sdid: int = 0) -> Optional[EvictedLine]:
         for part in self._slices:

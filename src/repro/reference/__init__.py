@@ -15,8 +15,14 @@ rejection loop made the RNG draw count data-dependent, which no oracle
 can reproduce draw-for-draw).  For Maya this package is the only
 differential oracle: the generated step is its one fast
 implementation.
+
+The reference models keep the object ``access()`` API only, which
+:class:`~repro.hierarchy.system.CacheHierarchy` does not drive;
+:class:`AccessFastAdapter` puts one behind the ``access_fast`` step
+protocol so ``run_mix`` can drive a reference twin end to end.
 """
 
+from ..cache.line import ACC_EVICTED, ACC_EVICTED_DIRTY, ACC_HIT, ACC_SAE, ACC_TAG_HIT
 from .data_store import DataStore as ReferenceDataStore
 from .fully_assoc import FullyAssociativeCache as ReferenceFullyAssociativeCache
 from .maya import MayaCache as ReferenceMayaCache
@@ -26,7 +32,46 @@ from .set_assoc import SetAssociativeCache as ReferenceSetAssociativeCache
 from .skewed import SkewedRandomizedCache as ReferenceSkewedRandomizedCache
 from .tag_store import SkewedTagStore as ReferenceSkewedTagStore
 
+
+class AccessFastAdapter:
+    """An object-model reference behind the ``access_fast`` protocol.
+
+    Each step calls the model's ``access()`` and turns its
+    :class:`~repro.cache.line.AccessResult` into ``ACC_*`` flags plus
+    the ``victim_*`` fields; every other attribute (``stats``,
+    ``extra_lookup_latency``, ``reset_stats``, ...) reads through to
+    the model.
+    """
+
+    def __init__(self, model):
+        self.model = model
+        self.victim_addr = 0
+        self.victim_core = -1
+        self.victim_sdid = 0
+        self.victim_reused = False
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+    def access_fast(self, line_addr, is_write=False, core_id=0, is_writeback=False, sdid=0):
+        result = self.model.access(
+            line_addr, is_write=is_write, core_id=core_id, is_writeback=is_writeback, sdid=sdid
+        )
+        if result.hit:
+            return ACC_HIT
+        flags = (ACC_TAG_HIT if result.tag_hit else 0) | (ACC_SAE if result.sae else 0)
+        evicted = result.evicted
+        if evicted is not None:
+            flags |= ACC_EVICTED | (ACC_EVICTED_DIRTY if evicted.dirty else 0)
+            self.victim_addr = evicted.line_addr
+            self.victim_core = evicted.core_id
+            self.victim_sdid = evicted.sdid
+            self.victim_reused = evicted.was_reused
+        return flags
+
+
 __all__ = [
+    "AccessFastAdapter",
     "ReferenceDataStore",
     "ReferenceFullyAssociativeCache",
     "ReferenceMayaCache",

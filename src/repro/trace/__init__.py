@@ -6,14 +6,13 @@ from .compiled import (
     compile_workload,
     trace_key,
 )
-from .io import materialize, read_trace, write_trace
 from .translated import (
     TranslatedTrace,
     translate_trace,
     translated_key,
 )
-from .mixes import HETEROGENEOUS_MIXES, Mix, homogeneous, mixes_in_bin
-from .record import MemoryAccess, rebase, take
+from .mixes import HETEROGENEOUS_MIXES, Mix, homogeneous
+from .record import MemoryAccess, take
 from .workloads import (
     GAP_MEMORY_INTENSIVE,
     LLC_FITTING,
@@ -38,13 +37,8 @@ __all__ = [
     "compile_workload",
     "get_workload",
     "homogeneous",
-    "materialize",
-    "mixes_in_bin",
-    "read_trace",
-    "rebase",
     "take",
     "trace_key",
     "translate_trace",
     "translated_key",
-    "write_trace",
 ]

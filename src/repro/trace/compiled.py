@@ -27,9 +27,9 @@ key - workload name, LLC line count, seed, length, and
 stream, so a stale entry can never be served.  A corrupt cache file is
 logged, deleted, and the trace regenerated.
 
-The generator path remains the oracle: ``tests/test_compiled_replay.py``
-replays both paths and requires element-wise identical streams and
-bit-identical statistics.
+The generators remain the oracle: ``tests/test_trace_cache.py`` holds
+each compiled trace equal to its generator's records, element for
+element.
 """
 
 from __future__ import annotations

@@ -72,9 +72,3 @@ HETEROGENEOUS_MIXES: Dict[str, Mix] = {
     )
 }
 
-
-def mixes_in_bin(bin_: str) -> List[Mix]:
-    """All heterogeneous mixes in MPKI bin ``L``, ``M``, or ``H``."""
-    if bin_ not in ("L", "M", "H"):
-        raise TraceError(f"unknown bin {bin_!r}; use 'L', 'M', or 'H'")
-    return [m for m in HETEROGENEOUS_MIXES.values() if m.bin == bin_]

@@ -2,13 +2,14 @@
 
 A trace is any iterable of :class:`MemoryAccess`.  The synthetic
 generators in :mod:`repro.trace.synthetic` produce them lazily; the
-hierarchy simulator consumes them.  Addresses are *line* addresses
+trace compiler (:mod:`repro.trace.compiled`) packs them into the
+columns the hierarchy simulator replays.  Addresses are *line* addresses
 (the 64-byte block offset is already stripped).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List
+from typing import Iterable, List
 
 
 class MemoryAccess:
@@ -43,17 +44,6 @@ class MemoryAccess:
         # and make records unhashable; the trace compiler dedups
         # records via sets, so hash must agree with __eq__.
         return hash((self.line_addr, self.is_write, self.gap))
-
-
-def rebase(trace: Iterable[MemoryAccess], offset_lines: int) -> Iterator[MemoryAccess]:
-    """Shift every address by ``offset_lines`` (per-core private spaces).
-
-    Homogeneous "rate-mode" mixes run one copy of a benchmark per core;
-    rebasing keeps the copies' working sets disjoint, exactly like
-    distinct physical address spaces would.
-    """
-    for access in trace:
-        yield MemoryAccess(access.line_addr + offset_lines, access.is_write, access.gap)
 
 
 def take(trace: Iterable[MemoryAccess], count: int) -> List[MemoryAccess]:

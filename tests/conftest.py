@@ -1,11 +1,77 @@
-"""Shared fixtures: small, fast configurations for unit tests."""
+"""Shared fixtures: small, fast configurations for unit tests.
 
+Also the drive seam.  ``run_mix`` takes the op-stream replay unless
+``repro.engine.vector.create_vector_replay`` declines, and only then
+runs the per-access drive loop, the replay's differential oracle.  The
+``drives`` fixture pins either drive inside a ``with`` block by
+patching that function, and ``pytest --per-access-drive`` declines the
+replay for the whole session, so every ``run_mix``-level test reruns
+on the per-access drive (tests that pin a drive keep it).
+"""
+
+import contextlib
 import os
 
 import pytest
 
 from repro.common.config import CacheGeometry, MayaConfig, MirageConfig, SystemConfig
+from repro.engine import vector
 from repro.store import CACHE_ENV
+
+#: The real replay factory, captured before any test patches it.
+CREATE_VECTOR_REPLAY = vector.create_vector_replay
+
+
+def decline_replay(*args, **kwargs):
+    """A ``create_vector_replay`` that declines every input."""
+    return None, "per-access drive pinned by the test suite"
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--per-access-drive", action="store_true", default=False,
+        help="decline the op-stream replay in every run_mix call, so the "
+        "suite runs on the per-access drive, the replay's oracle",
+    )
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _session_drive(request):
+    """Apply ``--per-access-drive`` for the whole session."""
+    if not request.config.getoption("--per-access-drive"):
+        yield
+        return
+    vector.create_vector_replay = decline_replay
+    try:
+        yield
+    finally:
+        vector.create_vector_replay = CREATE_VECTOR_REPLAY
+
+
+class Drives:
+    """Pin the drive ``run_mix`` takes inside a ``with`` block."""
+
+    def __init__(self, monkeypatch):
+        self._monkeypatch = monkeypatch
+
+    @contextlib.contextmanager
+    def _pinned(self, create):
+        with self._monkeypatch.context() as patch:
+            patch.setattr(vector, "create_vector_replay", create)
+            yield
+
+    def per_access(self):
+        """The per-access drive: the replay declines every input."""
+        return self._pinned(decline_replay)
+
+    def replay(self):
+        """The op-stream replay, also under ``--per-access-drive``."""
+        return self._pinned(CREATE_VECTOR_REPLAY)
+
+
+@pytest.fixture
+def drives(monkeypatch) -> Drives:
+    return Drives(monkeypatch)
 
 
 @pytest.fixture(autouse=True, scope="session")

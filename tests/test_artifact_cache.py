@@ -325,17 +325,17 @@ class TestOsFailures:
 # -- --no-trace-cache ----------------------------------------------------------
 
 
-def test_disabled_cache_writes_nothing(tmp_path, monkeypatch, tiny_system, small_maya):
+def test_disabled_cache_writes_nothing(tmp_path, monkeypatch, drives, tiny_system, small_maya):
     """``REPRO_TRACE_CACHE=0`` (what ``--no-trace-cache`` exports) must
     keep every artifact kind - and the generated code - off the disk."""
     monkeypatch.chdir(tmp_path)
     for name in [name for name in os.environ if name.startswith("REPRO_")]:
         monkeypatch.delenv(name)
     monkeypatch.setenv(store.CACHE_ENV, "0")
-    result = run_mix(
-        MayaCache(small_maya), homogeneous("mcf", 2), tiny_system,
-        accesses_per_core=300, warmup_accesses=150, seed=5,
-        specialize=True, pretranslate=True,
-    )
+    with drives.replay():
+        result = run_mix(
+            MayaCache(small_maya), homogeneous("mcf", 2), tiny_system,
+            accesses_per_core=300, warmup_accesses=150, seed=5, pretranslate=True,
+        )
     assert result.specialize_info["replay"] == "opstream-scalar"
     assert list(tmp_path.iterdir()) == []

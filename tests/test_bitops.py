@@ -12,7 +12,6 @@ from repro.common.bitops import (
     mask,
     parity,
     rotate_left,
-    rotate_right,
 )
 
 
@@ -72,11 +71,11 @@ class TestRotations:
     def test_known_rotations(self):
         assert rotate_left(0b0001, 1, 4) == 0b0010
         assert rotate_left(0b1000, 1, 4) == 0b0001
-        assert rotate_right(0b0001, 1, 4) == 0b1000
 
     @given(st.integers(min_value=0, max_value=(1 << 16) - 1), st.integers(min_value=0, max_value=64))
     def test_rotate_roundtrip(self, value, amount):
-        assert rotate_right(rotate_left(value, amount, 16), amount, 16) == value
+        back = 16 - amount % 16
+        assert rotate_left(rotate_left(value, amount, 16), back, 16) == value
 
     @given(st.integers(min_value=0, max_value=(1 << 16) - 1))
     def test_full_rotation_is_identity(self, value):

@@ -20,6 +20,7 @@ from collections import OrderedDict
 
 import pytest
 
+from repro.cache.line import ACC_EVICTED, ACC_EVICTED_DIRTY, ACC_SAE, ACC_TAG_HIT
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.common.config import CacheGeometry, MayaConfig, MirageConfig
 from repro.core.maya_cache import MayaCache
@@ -28,6 +29,7 @@ from repro.llc.interface import attack_capacity
 from repro.llc.mirage import MirageCache
 from repro.llc.skewed import SkewedRandomizedCache
 from repro.reference import (
+    AccessFastAdapter,
     ReferenceFullyAssociativeCache,
     ReferenceMayaCache,
     ReferenceMirageCache,
@@ -539,29 +541,97 @@ class TestAdversarialTraffic:
         assert packed.stats.accesses == sum(1 for op in ops if op[0] == "access")
 
 
+# -- the references behind the access_fast protocol -----------------------
+
+#: Each packed design with an ``access_fast`` step and its reference:
+#: name -> ((packed, reference) builder, SDIDs in the stream, flags the
+#: stream must raise at least once).
+ADAPTED = {
+    "set_assoc": (
+        lambda: (
+            SetAssociativeCache(CacheGeometry(sets=32, ways=8), policy="srrip", seed=21),
+            ReferenceSetAssociativeCache(CacheGeometry(sets=32, ways=8), policy="srrip", seed=21),
+        ),
+        1, ACC_EVICTED_DIRTY,
+    ),
+    "maya": (lambda: maya_pair(sets=16), 2, ACC_TAG_HIT | ACC_EVICTED_DIRTY),
+    # No invalid-way reserve: SAEs fire.
+    "maya_sae": (
+        lambda: tuple(
+            make(MayaConfig(sets_per_skew=4, base_ways_per_skew=2, reuse_ways_per_skew=1,
+                            invalid_ways_per_skew=0, rng_seed=5, hash_algorithm="splitmix"))
+            for make in (MayaCache, ReferenceMayaCache)
+        ),
+        2, ACC_TAG_HIT | ACC_SAE,
+    ),
+    "mirage_sae": (
+        lambda: mirage_pair(sets_per_skew=16, base_ways_per_skew=4, extra_ways_per_skew=0),
+        2, ACC_EVICTED_DIRTY | ACC_SAE,
+    ),
+    "ceaser_s": (lambda: skewed_pair(False, remap_period=500), 1, ACC_EVICTED_DIRTY),
+    "scatter": (lambda: skewed_pair(True), 2, ACC_EVICTED_DIRTY),
+    "fully_assoc": (lambda: PACKED_TWINS["fully_assoc"](7), 1, ACC_EVICTED_DIRTY),
+}
+
+
+class TestAccessFastAdapter:
+    """:class:`~repro.reference.AccessFastAdapter` turns a reference's
+    :class:`~repro.cache.line.AccessResult` into the flag word and the
+    ``victim_*`` fields of the ``access_fast`` protocol - all the
+    hierarchy reads - so both must match the packed design's step
+    access by access."""
+
+    @pytest.mark.parametrize("name", sorted(ADAPTED))
+    def test_flags_and_victims_match_the_packed_step(self, name):
+        make, sdids, expected = ADAPTED[name]
+        packed, reference = make()
+        adapter = AccessFastAdapter(reference)
+        raised = 0
+        ops = make_stream(seed=31, length=3000, addr_space=1024, sdids=sdids)
+        for i, (addr, is_write, core, is_writeback, sdid) in enumerate(ops):
+            flags = packed.access_fast(addr, is_write, core, is_writeback, sdid)
+            assert adapter.access_fast(addr, is_write, core, is_writeback, sdid) == flags, (
+                f"access {i} ({addr=}) diverged")
+            raised |= flags
+            if flags & ACC_EVICTED:
+                assert (adapter.victim_addr, adapter.victim_core, adapter.victim_sdid,
+                        adapter.victim_reused) == (packed.victim_addr, packed.victim_core,
+                                                   packed.victim_sdid, packed.victim_reused)
+        assert raised & expected == expected
+        # Everything else reads through to the reference.
+        assert adapter.stats is reference.stats
+        assert adapter.occupancy == reference.occupancy
+        assert_stats_equal(packed, reference)
+
+
 @pytest.mark.specialize
 class TestVectorEngineSweep:
-    """Seed sweep: the op-stream replay (:mod:`repro.engine.vector`,
-    ``specialize=True``) vs the per-access drive (``specialize=False``)
-    vs the object-model reference (:class:`ReferenceMayaCache`).
+    """Seed sweep: the op-stream replay (:mod:`repro.engine.vector`) vs
+    the per-access drive vs the object-model reference
+    (:class:`ReferenceMayaCache`).
 
-    The reference has no ``access_fast`` step, so ``run_mix`` drives it
-    per access through ``access()``: the packed step's only second
-    implementation, checked end to end through the whole hierarchy.
-    The targeted hazard tests live in ``test_compiled_replay.py``; this
-    sweep drives whole ``run_mix`` protocols across seeds and workload
-    shapes so divergences that depend on stream interleaving (not on a
-    specific hazard) still get caught.
+    The reference has only the object ``access()`` API, so ``run_mix``
+    drives it through :class:`~repro.reference.AccessFastAdapter`, per
+    access: the packed step's only second implementation, checked end
+    to end through the whole hierarchy.  The targeted hazard tests live
+    in ``test_compiled_replay.py``; this sweep drives whole ``run_mix``
+    protocols across seeds and workload shapes so divergences that
+    depend on stream interleaving (not on a specific hazard) still get
+    caught.
     """
 
-    @staticmethod
-    def _run_all(seed, *, bench="mcf", cores=2, on_sae="count",
-                  memo_capacity=None, hash_algorithm="splitmix", **cfg_kwargs):
+    @pytest.fixture(autouse=True)
+    def _drives(self, drives):
+        self.drives = drives
+
+    def _run_all(self, seed, *, bench="mcf", cores=2, on_sae="count",
+                 memo_capacity=None, hash_algorithm="splitmix", **cfg_kwargs):
         """``[(llc, result)]`` for the replay, the per-access drive and
         the reference, after asserting that all three agree on stats,
         IPCs and MPKI."""
         from repro.common.config import SystemConfig
         from repro.hierarchy.simulator import run_mix
+        from repro.reference import AccessFastAdapter
         from repro.trace.mixes import homogeneous
 
         system = SystemConfig(
@@ -574,15 +644,19 @@ class TestVectorEngineSweep:
         if memo_capacity is not None:
             cfg["memo_capacity"] = memo_capacity
         results = []
-        for make, specialize in (
-            (MayaCache, True), (MayaCache, False), (ReferenceMayaCache, False),
+        for make, pin in (
+            (MayaCache, self.drives.replay),
+            (MayaCache, self.drives.per_access),
+            (ReferenceMayaCache, self.drives.per_access),
         ):
             llc = make(MayaConfig(**cfg), on_sae=on_sae)
-            r = run_mix(
-                llc, homogeneous(bench, cores), system, specialize=specialize,
-                accesses_per_core=600, warmup_accesses=200, seed=seed,
-                trace_cache=False,
-            )
+            with pin():
+                r = run_mix(
+                    llc if make is MayaCache else AccessFastAdapter(llc),
+                    homogeneous(bench, cores), system,
+                    accesses_per_core=600, warmup_accesses=200, seed=seed,
+                    trace_cache=False,
+                )
             results.append((llc, r))
         assert results[0][1].specialize_info["replay"] == "opstream-scalar"
         (llc_v, r_v), _, (llc_ref, r_ref) = results

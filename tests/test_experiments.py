@@ -21,6 +21,7 @@ from repro.harness.experiments import (
     table10_summary,
     table11_partitioning,
 )
+from repro.hierarchy.simulator import run_mix
 
 
 class TestFig1:
@@ -148,3 +149,25 @@ class TestTable11:
         for row in rows.values():
             assert row.performance_ws < 1.0  # all partitioning schemes lose
         assert "technique" in table11_partitioning.report(rows)
+
+    @pytest.mark.parametrize("bench", ["mcf", "lbm"])
+    def test_every_run_replays_and_matches_the_per_access_drive(self, monkeypatch, drives,
+                                                                 bench):
+        # The baseline profile run and the three partitioned designs all
+        # take the op-stream replay, and the rows equal the per-access
+        # drive's exactly.
+        infos = []
+
+        def recording_run_mix(*args, **kwargs):
+            result = run_mix(*args, **kwargs)
+            infos.append(result.specialize_info)
+            return result
+
+        monkeypatch.setattr(table11_partitioning, "run_mix", recording_run_mix)
+        kwargs = dict(workloads=(bench,), accesses_per_core=600, warmup_per_core=300)
+        with drives.replay():
+            replayed = table11_partitioning.run(**kwargs)
+        with drives.per_access():
+            per_access = table11_partitioning.run(**kwargs)
+        assert [info["replay"] for info in infos] == ["opstream-scalar"] * 4 + [None] * 4
+        assert replayed == per_access

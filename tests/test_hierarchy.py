@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.common.config import CacheGeometry, DramConfig, SystemConfig
+from repro.common.config import CacheGeometry, DramConfig, MirageConfig, SystemConfig
+from repro.common.errors import ConfigurationError
 from repro.core import MayaCache
 from repro.common.config import MayaConfig
 from repro.hierarchy import (
@@ -14,6 +15,13 @@ from repro.hierarchy import (
     weighted_speedup,
 )
 from repro.llc import BaselineLLC
+from repro.reference import (
+    AccessFastAdapter,
+    ReferenceFullyAssociativeCache,
+    ReferenceMayaCache,
+    ReferenceMirageCache,
+    ReferenceSkewedRandomizedCache,
+)
 from repro.trace import homogeneous
 
 
@@ -131,6 +139,34 @@ class TestHierarchy:
     def test_rejects_sub_unity_mlp(self, tiny_system):
         with pytest.raises(ValueError):
             CacheHierarchy(BaselineLLC(tiny_system.llc_geometry), tiny_system, mlp_factor=0.5)
+
+    #: Every object-model reference LLC: each has only access().
+    REFERENCES = {
+        "mirage": lambda system: ReferenceMirageCache(
+            MirageConfig(sets_per_skew=16, rng_seed=7, hash_algorithm="splitmix")),
+        "maya": lambda system: ReferenceMayaCache(
+            MayaConfig(sets_per_skew=16, rng_seed=7, hash_algorithm="splitmix")),
+        "skewed": lambda system: ReferenceSkewedRandomizedCache(
+            system.llc_geometry, seed=3, hash_algorithm="splitmix"),
+        "fully_assoc": lambda system: ReferenceFullyAssociativeCache(
+            system.llc_geometry.lines, seed=3),
+    }
+
+    @pytest.mark.parametrize("name", sorted(REFERENCES))
+    def test_rejects_llc_without_access_fast(self, tiny_system, name):
+        # The hierarchy drives the LLC through the access_fast protocol
+        # alone, so a model with only access() is refused up front.
+        model = self.REFERENCES[name](tiny_system)
+        with pytest.raises(ConfigurationError,
+                           match=f"{type(model).__name__} has no access_fast step"):
+            CacheHierarchy(model, tiny_system)
+        with pytest.raises(ConfigurationError):
+            run_mix(model, homogeneous("mcf", 2), tiny_system, 100, 50)
+        assert model.stats.accesses == 0
+        # Behind the adapter it runs.
+        hier = CacheHierarchy(AccessFastAdapter(model), tiny_system, enable_prefetch=False)
+        hier.access(0, 1)
+        assert model.stats.accesses == 1
 
 
 class TestRunMix:

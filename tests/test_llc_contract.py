@@ -9,11 +9,13 @@ import random
 
 import pytest
 
+from repro.cache.line import ACC_EVICTED_DIRTY
 from repro.common.config import CacheGeometry, MayaConfig, MirageConfig
 from repro.core import MayaCache
 from repro.llc import (
     BaselineLLC,
     CeaserCache,
+    FlexiblePartitionedLLC,
     FullyAssociativeCache,
     MirageCache,
     SetPartitionedLLC,
@@ -36,6 +38,9 @@ def fresh_designs():
         "maya": MayaCache(MayaConfig(sets_per_skew=32, rng_seed=1, hash_algorithm="splitmix")),
         "dawg": WayPartitionedLLC(GEO, domains=4, seed=1),
         "coloring": SetPartitionedLLC(GEO, domains=4, seed=1),
+        # BCE-like: 16, 8, 4 and 4 sets, which fill GEO's 32 exactly.
+        "bce": FlexiblePartitionedLLC(GEO, domains=4, demand_weights=(4, 2, 1, 1), min_sets=4,
+                                      seed=1),
     }
 
 
@@ -115,15 +120,32 @@ class TestContract:
             assert llc.extra_lookup_latency == 4
         if name in ("ceaser", "ceaser_s", "scatter"):
             assert llc.extra_lookup_latency == 3
-        # The per-access drive charges what access() reports, and the
-        # step drives charge extra_lookup_latency: they must agree on a
-        # miss and on a hit (three touches make a data hit on Maya too).
+        # access() reports extra_latency, and the hierarchy charges
+        # extra_lookup_latency: they must agree on a miss and on a hit
+        # (three touches make a data hit on Maya too).
         miss = llc.access(0x123)
         llc.access(0x123)
         hit = llc.access(0x123)
         assert not miss.hit and hit.hit
         assert miss.extra_latency == llc.extra_lookup_latency
         assert hit.extra_latency == llc.extra_lookup_latency
+
+    def test_access_fast_publishes_the_dirty_victim(self, name):
+        # The hierarchy writes a dirty victim back to DRAM from the
+        # design's victim_* fields, read right after the step.
+        llc = fresh_designs()[name]
+        rng = random.Random(2)
+        owner = {}
+        dirty_evictions = 0
+        for addr in range(1, 3000):
+            core = rng.randrange(4)
+            flags = llc.access_fast(addr, False, core, True, core)
+            # CEASER's array holds (and evicts) encrypted addresses.
+            owner[llc._encrypt(addr) if name == "ceaser" else addr] = core
+            if flags & ACC_EVICTED_DIRTY:
+                dirty_evictions += 1
+                assert owner.get(llc.victim_addr) == llc.victim_core == llc.victim_sdid
+        assert dirty_evictions > 0
 
     def test_occupancy_bounded_by_capacity(self, name):
         llc = fresh_designs()[name]

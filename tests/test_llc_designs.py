@@ -231,6 +231,19 @@ class TestPartitioned:
             llc.access(rng.randrange(10_000), core_id=1)
         assert llc.contains(0x42)
 
+    @pytest.mark.parametrize(
+        "design", [WayPartitionedLLC, SetPartitionedLLC, FlexiblePartitionedLLC]
+    )
+    def test_isolation_holds_on_the_step(self, tiny_geometry, design):
+        # The hierarchy and the replay route through access_fast.
+        llc = design(tiny_geometry, domains=2, seed=1)
+        llc.access_fast(0x42, False, 0, False, 0)
+        rng = random.Random(0)
+        for _ in range(2000):
+            llc.access_fast(rng.randrange(10_000), False, 1, False, 1)
+        assert llc.contains(0x42)
+        assert llc._slices[0].stats.accesses == 1
+
     def test_way_partition_requires_divisibility(self):
         with pytest.raises(ConfigurationError):
             WayPartitionedLLC(CacheGeometry(sets=8, ways=6), domains=4)

@@ -1,5 +1,5 @@
-"""Tests for the extension substrates: TLB, OPT, DRRIP, trace I/O,
-DRAM bandwidth, channel measurement, fingerprinting."""
+"""Tests for the extension substrates: OPT, DRRIP, DRAM bandwidth,
+channel measurement, fingerprinting."""
 
 import math
 
@@ -10,46 +10,12 @@ from repro.cache.opt import opt_hit_rate, policy_gap_report, set_associative_opt
 from repro.cache.replacement import DRRIPPolicy, make_policy
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.common.config import CacheGeometry, DramConfig, MayaConfig
-from repro.common.errors import TraceError
 from repro.core import MayaCache
 from repro.hierarchy.dram import DramModel
-from repro.hierarchy.tlb import TlbConfig, TlbHierarchy
 from repro.llc import BaselineLLC, FullyAssociativeCache
 from repro.security.attacks import fingerprint_accuracy
 from repro.security.channel import leakage_curve, mutual_information_binary
 from repro.security.victims import ModExpVictim, WebsiteVictim, modexp_key_pair, website_catalog
-from repro.trace import MemoryAccess
-from repro.trace.io import read_trace, write_trace
-
-
-class TestTlb:
-    def test_hit_after_first_touch(self):
-        tlb = TlbHierarchy()
-        cold = tlb.translate(0)
-        warm = tlb.translate(1)  # same 4 KB page
-        assert cold > warm == tlb.config.l1_latency
-        assert tlb.page_walks == 1
-
-    def test_stlb_catches_l1_victims(self):
-        config = TlbConfig(l1_entries=4, l1_ways=4, stlb_entries=64, stlb_ways=16)
-        tlb = TlbHierarchy(config)
-        pages = [i * 64 for i in range(8)]  # 8 distinct pages
-        for page in pages:
-            tlb.translate(page)
-        walks_before = tlb.page_walks
-        lat = tlb.translate(pages[0])  # evicted from L1, held by STLB
-        assert lat == config.l1_latency + config.stlb_latency
-        assert tlb.page_walks == walks_before
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TlbConfig(l1_entries=5, l1_ways=4)
-
-    def test_reset(self):
-        tlb = TlbHierarchy()
-        tlb.translate(0)
-        tlb.reset_stats()
-        assert tlb.page_walks == 0 and tlb.l1.stats.accesses == 0
 
 
 class TestOpt:
@@ -111,38 +77,6 @@ class TestDrrip:
         cache = SetAssociativeCache(geometry, policy="drrip", seed=1)
         cache.access(1)
         assert cache.access(1).hit
-
-
-class TestTraceIO:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "t.mtrc"
-        records = [MemoryAccess(i * 7, i % 2 == 0, i % 5) for i in range(100)]
-        assert write_trace(path, records) == 100
-        assert list(read_trace(path)) == records
-
-    def test_gzip_roundtrip(self, tmp_path):
-        path = tmp_path / "t.mtrc.gz"
-        records = [MemoryAccess(i, False, 3) for i in range(50)]
-        write_trace(path, records)
-        assert list(read_trace(path)) == records
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad"
-        path.write_bytes(b"NOTATRACE" + b"\x00" * 16)
-        with pytest.raises(TraceError):
-            list(read_trace(path))
-
-    def test_truncated_file(self, tmp_path):
-        path = tmp_path / "t.mtrc"
-        write_trace(path, [MemoryAccess(1), MemoryAccess(2)])
-        data = path.read_bytes()
-        path.write_bytes(data[:-3])
-        with pytest.raises(TraceError):
-            list(read_trace(path))
-
-    def test_address_range_validated(self, tmp_path):
-        with pytest.raises(TraceError):
-            write_trace(tmp_path / "t.mtrc", [MemoryAccess(1 << 64)])
 
 
 class TestDramBandwidth:

@@ -11,8 +11,6 @@ from repro.crypto.randomizer import IndexRandomizer
 from repro.llc import MirageCache
 from repro.common.config import MirageConfig
 from repro.trace import get_workload, WORKLOADS
-from repro.trace.record import MemoryAccess
-from repro.trace.io import read_trace, write_trace
 
 
 @given(st.sampled_from(sorted(WORKLOADS)), st.integers(min_value=0, max_value=1 << 16))
@@ -24,27 +22,6 @@ def test_workload_streams_are_valid(name, seed):
         assert access.line_addr >= 0
         assert isinstance(access.is_write, bool)
         assert access.gap >= 0
-
-
-@given(
-    st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=(1 << 40) - 1),
-            st.booleans(),
-            st.integers(min_value=0, max_value=255),
-        ),
-        max_size=100,
-    )
-)
-@settings(max_examples=30, deadline=None)
-def test_trace_io_roundtrip_property(records):
-    import tempfile, pathlib, os
-
-    accesses = [MemoryAccess(a, w, g) for a, w, g in records]
-    with tempfile.TemporaryDirectory() as tmp:
-        path = pathlib.Path(tmp) / "t.mtrc"
-        write_trace(path, accesses)
-        assert list(read_trace(path)) == accesses
 
 
 @given(st.integers(min_value=0, max_value=(1 << 40) - 1), st.integers(min_value=0, max_value=3))

@@ -12,9 +12,10 @@ does - including across mid-stream ``rekey()`` / ``flush_all()``
 (which mutate the bound columns in place) and SAE storms (which route
 through the rare-path methods).  The references have no
 ``access_fast``, so both sides run through ``access()``.  CEASER's
-reference is a ``CeaserCache`` whose inner array is
-:class:`ReferenceArray`, the reference set-associative cache behind
-the packed array's ``access_fast`` protocol.
+reference is a ``CeaserCache`` whose inner array is the reference
+set-associative cache behind
+:class:`~repro.reference.AccessFastAdapter`, which gives it the packed
+array's ``access_fast`` protocol.
 
 Placement is compared too: where each resident line sits, sampled
 before every flush and rekey and at the end.  Mirage's skew pick does
@@ -34,7 +35,7 @@ import textwrap
 
 import pytest
 
-from repro.cache.line import ACC_EVICTED, ACC_EVICTED_DIRTY, ACC_HIT
+from repro.cache.line import ACC_EVICTED
 from repro.common import codegen
 from repro.common.codegen import _draw
 from repro.common.config import CacheGeometry, MayaConfig, MirageConfig
@@ -48,6 +49,7 @@ from repro.llc.interface import supports_rekey
 from repro.llc.mirage import MirageCache
 from repro.llc.skewed import SkewedRandomizedCache
 from repro.reference import (
+    AccessFastAdapter,
     ReferenceMayaCache,
     ReferenceMirageCache,
     ReferenceSetAssociativeCache,
@@ -75,39 +77,12 @@ def _ceaser(seed, policy):
     )
 
 
-class ReferenceArray:
-    """:class:`ReferenceSetAssociativeCache` behind the packed array's
-    ``access_fast`` protocol: ``access()`` results become ``ACC_*``
-    flags and ``victim_*`` fields; everything else is delegated."""
-
-    def __init__(self, geometry, policy, seed):
-        self._reference = ReferenceSetAssociativeCache(geometry, policy=policy, seed=seed)
-        self.victim_addr = 0
-        self.victim_core = -1
-        self.victim_sdid = 0
-        self.victim_reused = False
-
-    def __getattr__(self, name):
-        return getattr(self._reference, name)
-
-    def access_fast(self, line_addr, is_write=False, core_id=0, is_writeback=False, sdid=0):
-        result = self._reference.access(line_addr, is_write, core_id, is_writeback, sdid)
-        if result.hit:
-            return ACC_HIT
-        victim = result.evicted
-        if victim is None:
-            return 0
-        self.victim_addr = victim.line_addr
-        self.victim_core = victim.core_id
-        self.victim_sdid = victim.sdid
-        self.victim_reused = victim.was_reused
-        return ACC_EVICTED | ACC_EVICTED_DIRTY if victim.dirty else ACC_EVICTED
-
-
 def _reference_ceaser(seed, policy):
     """A CEASER whose inner array is the reference (same derived seed)."""
     llc = _ceaser(seed, policy)
-    llc._cache = ReferenceArray(GEOMETRY, policy, derive_seed(seed, 12))
+    llc._cache = AccessFastAdapter(
+        ReferenceSetAssociativeCache(GEOMETRY, policy=policy, seed=derive_seed(seed, 12))
+    )
     llc.stats = llc._cache.stats
     return llc
 

@@ -15,8 +15,6 @@ from repro.trace import (
     MemoryAccess,
     get_workload,
     homogeneous,
-    mixes_in_bin,
-    rebase,
     take,
 )
 from repro.trace import synthetic
@@ -32,11 +30,6 @@ class TestRecord:
         assert a == MemoryAccess(5, True, 3)
         assert a != MemoryAccess(5, False, 3)
         assert "W" in repr(a)
-
-    def test_rebase_shifts_addresses(self):
-        stream = iter([MemoryAccess(1), MemoryAccess(2)])
-        shifted = list(rebase(stream, 100))
-        assert [a.line_addr for a in shifted] == [101, 102]
 
     def test_take(self):
         stream = synthetic.streaming(100, seed=1)
@@ -172,17 +165,11 @@ class TestMixes:
             assert mix.cores == 8, mix.name
 
     def test_table_vi_bins(self):
-        assert {m.bin for m in HETEROGENEOUS_MIXES.values()} == {"L", "M", "H"}
-        assert len(mixes_in_bin("L")) == 7
-        assert len(mixes_in_bin("M")) == 7
-        assert len(mixes_in_bin("H")) == 7
+        bins = [m.bin for m in HETEROGENEOUS_MIXES.values()]
+        assert {b: bins.count(b) for b in bins} == {"L": 7, "M": 7, "H": 7}
 
     def test_specific_composition_matches_table_vi(self):
         m4 = HETEROGENEOUS_MIXES["M4"]
         assert sorted(m4.assignments) == sorted(
             ["perlbench", "bwaves", "mcf", "mcf", "mcf", "cam4", "xz", "bc"]
         )
-
-    def test_bin_validation(self):
-        with pytest.raises(TraceError):
-            mixes_in_bin("X")

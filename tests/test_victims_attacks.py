@@ -170,15 +170,16 @@ class TestOccupancyAttack:
 
 
 class TestLineage:
-    """V-way -> Mirage -> Maya: randomization is what kills targeting."""
+    """Set-associative -> Mirage -> Maya: randomization is what kills
+    targeting."""
 
-    def test_vway_is_targetable_but_mirage_is_not(self):
-        from repro.llc import MirageCache, VWayCache
+    def test_set_assoc_is_targetable_but_mirage_is_not(self):
+        from repro.llc import BaselineLLC, MirageCache
         from repro.common.config import CacheGeometry, MirageConfig
 
-        vway = VWayCache(CacheGeometry(sets=16, ways=8), replacement="random", seed=1)
-        result = targeting_advantage(vway, fills=64, trials=40, seed=1)
-        # The V-way tag index is public: conflicts are addressable.
+        baseline = BaselineLLC(CacheGeometry(sets=16, ways=8), policy="random", seed=1)
+        result = targeting_advantage(baseline, fills=64, trials=40, seed=1)
+        # The set index is public: conflicts are addressable.
         assert result.targeted_eviction_rate > result.random_eviction_rate + 0.2
 
         mirage = MirageCache(MirageConfig(sets_per_skew=16, rng_seed=1, hash_algorithm="splitmix"))

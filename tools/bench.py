@@ -10,10 +10,12 @@ best-of-N figure is the one to compare across commits.
 The ``maya_specialized`` row is the default Maya path: the generated
 per-access step (``repro.core.maya_step``) driven by the op-stream
 replay (``repro.engine.vector``), which takes the private L1/L2 off the
-critical path.  Every other row pins ``specialize`` *off*, which
-selects the per-access hierarchy drive: every access runs the private
-L1/L2 arrays' generated steps (``repro.cache.set_assoc_step``) and, on
-a miss, the LLC's.  Each design has one generated step, so the LLC
+critical path.  Every other row makes the replay decline
+(``tools/per_access_drive.py``, as the test suite's
+``--per-access-drive`` does), which leaves the per-access hierarchy
+drive: every access runs the private L1/L2 arrays' generated steps
+(``repro.cache.set_assoc_step``) and, on a miss, the LLC's.  Each
+design has one generated step, so the LLC
 code is the same on either drive; the ``maya`` row measures Maya's on
 the per-access drive.  The two Maya fingerprints must match
 bit-for-bit, which ``run_protocol`` enforces before reporting;
@@ -72,6 +74,7 @@ the path (``pip install -e .`` or ``PYTHONPATH=src``).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -82,6 +85,7 @@ import sys
 import time
 from array import array
 
+from per_access_drive import per_access_drive
 from repro.core.maya_cache import MayaCache
 from repro.harness.presets import experiment_maya, experiment_mirage, experiment_system
 from repro.hierarchy.simulator import run_mix
@@ -509,14 +513,10 @@ def bench_design(design: str, params: dict, make_llc=_make_llc) -> dict:
     mix = homogeneous(params["bench"], params["cores"])
     system = experiment_system(cores=params["cores"], llc_sets=params["llc_sets"])
     total_accesses = (params["accesses_per_core"] + params["warmup_per_core"]) * params["cores"]
-    # ``*_specialized`` rows pin the op-stream replay on; every other
-    # row pins it *off*: the per-access drive, through the private
-    # levels' generated steps (every design runs its one generated step
-    # either way).
-    if design.endswith("_specialized"):
-        specialize = True
-    else:
-        specialize = bool(params.get("specialize", False))
+    # ``*_specialized`` rows take the op-stream replay; every other
+    # row the per-access drive, through the private levels' generated
+    # steps (every design runs its one generated step either way).
+    specialize = design.endswith("_specialized")
     seconds, mpki, hit_rate, trace_trials = [], None, 0.0, []
     translated_trials, engine_trials = [], []
     for _ in range(params["trials"]):
@@ -524,20 +524,19 @@ def bench_design(design: str, params: dict, make_llc=_make_llc) -> dict:
         before = TRACES.info()
         tix_before = TRANSLATIONS.info()
         t0 = time.perf_counter()
-        result = run_mix(
-            llc, mix, system,
-            accesses_per_core=params["accesses_per_core"],
-            warmup_accesses=params["warmup_per_core"],
-            seed=params["seed"],
-            specialize=specialize,
-        )
+        with contextlib.nullcontext() if specialize else per_access_drive():
+            result = run_mix(
+                llc, mix, system,
+                accesses_per_core=params["accesses_per_core"],
+                warmup_accesses=params["warmup_per_core"],
+                seed=params["seed"],
+            )
         seconds.append(time.perf_counter() - t0)
         # Per-trial engine provenance: the op-stream replay's counters
         # (when it drove the run) plus what the specializer installed
         # (or why it declined).
-        trial_info = {"engine": result.engine, **(result.engine_info or {})}
-        if result.specialize_info is not None:
-            trial_info["specialize"] = dict(result.specialize_info)
+        trial_info = {"engine": result.engine, **(result.engine_info or {}),
+                      "specialize": dict(result.specialize_info)}
         engine_trials.append(trial_info)
         after = TRACES.info()
         tix_after = TRANSLATIONS.info()
@@ -674,13 +673,15 @@ def verify_against_reference(params: dict) -> None:
     """Reference (object-model) Maya must reproduce the packed MPKI.
 
     Drives the retained pre-SoA engine through the same ``run_mix``
-    (it takes the slow AccessResult path) and requires a bit-identical
+    (behind :class:`~repro.reference.AccessFastAdapter`, which turns
+    each object ``access()`` into the step protocol, on the per-access
+    drive) and requires a bit-identical
     MPKI fingerprint - an end-to-end cross-check that the generated
     Maya step did not drift, at the full-size protocol that
     tests/test_differential_engines.py::TestVectorEngineSweep checks
     on small configurations.
     """
-    from repro.reference import ReferenceMayaCache
+    from repro.reference import AccessFastAdapter, ReferenceMayaCache
 
     def maya_config(design, p):
         cfg = experiment_maya(llc_sets=p["llc_sets"], seed=p["seed"])
@@ -689,7 +690,7 @@ def verify_against_reference(params: dict) -> None:
         return cfg
 
     def make(design, p):
-        return ReferenceMayaCache(maya_config(design, p))
+        return AccessFastAdapter(ReferenceMayaCache(maya_config(design, p)))
 
     ref_params = dict(params, trials=1)
     for design in ("maya", "maya_prince"):
