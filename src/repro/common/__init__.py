@@ -1,15 +1,8 @@
 """Shared utilities: addresses, bit operations, configs, RNG, errors."""
 
-from .addr import (
-    DEFAULT_LINE_ADDRESS_BITS,
-    DEFAULT_LINE_BYTES,
-    line_address,
-    page_number,
-    set_index_from_address,
-)
+from .addr import DEFAULT_LINE_BYTES, set_index_from_address
 from .bitops import (
     bits_required,
-    extract_bits,
     fold_xor,
     is_power_of_two,
     log2_exact,
@@ -39,7 +32,6 @@ from .errors import (
 from .rng import DEFAULT_SEED, derive_seed, make_rng
 
 __all__ = [
-    "DEFAULT_LINE_ADDRESS_BITS",
     "DEFAULT_LINE_BYTES",
     "DEFAULT_SEED",
     "PAPER_BASELINE",
@@ -59,14 +51,11 @@ __all__ = [
     "TraceError",
     "bits_required",
     "derive_seed",
-    "extract_bits",
     "fold_xor",
     "is_power_of_two",
-    "line_address",
     "log2_exact",
     "make_rng",
     "mask",
-    "page_number",
     "parity",
     "rotate_left",
     "set_index_from_address",

@@ -109,12 +109,3 @@ def parity(value: int) -> int:
     0
     """
     return bin(value).count("1") & 1
-
-
-def extract_bits(value: int, low: int, width: int) -> int:
-    """Extract ``width`` bits of ``value`` starting at bit ``low``.
-
-    >>> extract_bits(0b110100, 2, 3)
-    5
-    """
-    return (value >> low) & mask(width)

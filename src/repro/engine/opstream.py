@@ -300,13 +300,9 @@ def opstream_for(
     l1_geometry: CacheGeometry,
     l2_geometry: CacheGeometry,
     prefetcher: Optional[Tuple[int, int, int]],
-    use_cache: bool = True,
 ) -> OpStream:
-    """:func:`build_opstream`, cached in :data:`STREAMS`;
-    ``use_cache=False`` bypasses both cache layers."""
+    """:func:`build_opstream`, cached in :data:`STREAMS`."""
     key = opstream_key(trace_content_key, offset, l1_geometry, l2_geometry, prefetcher)
     return STREAMS.get(
-        key,
-        lambda: build_opstream(trace, offset, l1_geometry, l2_geometry, prefetcher),
-        use_cache,
+        key, lambda: build_opstream(trace, offset, l1_geometry, l2_geometry, prefetcher)
     )

@@ -369,7 +369,6 @@ def create_vector_replay(
     instructions: List[int],
     model_bandwidth: bool,
     enable_prefetch: bool,
-    trace_cache: bool,
 ) -> Tuple[Optional[VectorReplay], str]:
     """Build a :class:`VectorReplay`, or explain why it cannot run.
 
@@ -420,7 +419,6 @@ def create_vector_replay(
                     config.l1d_geometry,
                     config.l2_geometry,
                     prefetcher,
-                    use_cache=trace_cache,
                 )
             )
     except TraceError as exc:

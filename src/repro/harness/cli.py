@@ -15,38 +15,36 @@ against every LLC design - and writes the deterministic scorecard to
 ``results/SCORECARD.json``.
 
 ``--fast`` shrinks iteration counts ~4x for a quick smoke run; default
-counts match the benchmark suite.  ``--jobs N`` runs experiments on N
-worker processes (multi-config experiments such as fig9/fig10/table7
-additionally fan out per workload mix); results are identical to the
-serial run.  ``--json PATH`` writes a machine-readable summary with
+counts match the benchmark suite.  ``--jobs N`` drains the experiments
+on an in-process pool of N forked workers, the resident service's
+worker pool (multi-config experiments such as fig9/fig10/table7
+additionally fan out per workload mix): a worker that dies mid-unit is
+replaced and its unit re-issued, and results are identical to the
+serial run.  Forked workers inherit this process's environment, so
+``REPRO_TRACE_CACHE=0`` (or a relocated cache directory) reaches them.
+``--json PATH`` writes a machine-readable summary with
 per-experiment wall-clock timings (and, with ``--service``, the
 service's ``/status``, or ``service_status_error`` when fetching it
-fails).  ``--no-trace-cache`` disables the
-artifact cache (``REPRO_TRACE_CACHE=0``): compiled traces, translated
-index columns and op streams are rebuilt in-process for every run, and
-nothing is read from or written to ``results/.trace_cache``.
-``--service ADDR`` (or the ``REPRO_SERVICE`` environment variable)
-drains the grid through a resident simulation service (``repro
-serve``) instead of one-shot worker processes - same bytes, no
-per-shard spawn/import/cache-warm cost.  ``--results PATH`` writes
-the canonical timing-free results JSON, which diffs byte-for-byte
-between serial, ``--jobs``, and ``--service`` runs.  A failing
-experiment no longer aborts the sweep: the remaining experiments still
-run and the exit status is 1.
+fails).  ``--service ADDR`` (or the ``REPRO_SERVICE`` environment
+variable) drains the grid through a resident simulation service
+(``repro serve``) instead - same bytes, and its workers stay warm
+across runs.  ``--results PATH`` writes the canonical timing-free
+results JSON, which diffs byte-for-byte between serial, ``--jobs``,
+and ``--service`` runs.  A failing experiment does not abort the
+sweep: the remaining experiments still run and the exit status is 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import inspect
+import os
 import sys
 import time
-import os
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import runner
 from ..service import SERVICE_ENV, resolve_address
-from ..store import CACHE_ENV
 
 #: Experiment registry: name -> (description, module basename under
 #: ``repro.harness.experiments``, run() kwargs builder).  The builder
@@ -277,13 +275,6 @@ def main(argv=None) -> int:
         help="base seed; per-experiment child seeds are derived deterministically",
     )
     parser.add_argument(
-        "--no-trace-cache", action="store_true",
-        help="disable the artifact cache (exported as %s=0 so --jobs "
-        "workers inherit it): compiled traces, translated index columns "
-        "and op streams are rebuilt in-process for every run, and nothing "
-        "is read from or written to results/.trace_cache" % CACHE_ENV,
-    )
-    parser.add_argument(
         "--service", default=None, metavar="ADDR",
         help="drain the grid through a resident simulation service "
         "(HOST:PORT; default from %s when set).  Results are "
@@ -296,9 +287,6 @@ def main(argv=None) -> int:
         "(byte-diffable between serial, --jobs, and --service runs)",
     )
     args = parser.parse_args(argv)
-
-    if args.no_trace_cache:
-        os.environ[CACHE_ENV] = "0"
 
     if args.experiments == ["list"]:
         for name, (description, _, _) in _REGISTRY.items():

@@ -2,11 +2,13 @@
 
 Every experiment is described by a picklable :class:`ExperimentTask`
 (module path + ``run`` keyword arguments), so the same task list drives
-both the in-process serial path and a ``multiprocessing`` pool
-(``--jobs N`` on the CLI).  Determinism is preserved across process
-boundaries because a task carries *all* of its inputs explicitly:
-a worker imports the experiment module and calls ``run(**kwargs)``
-exactly as the serial path would.
+the in-process serial path, ``--jobs N`` (an in-process
+:class:`repro.service.pool.WorkerPool` of N forked workers) and the
+resident service (``--service``).  Determinism is preserved across
+process boundaries because a task carries *all* of its inputs
+explicitly: a worker imports the experiment module and calls
+``run(**kwargs)`` exactly as the serial path would, so the serial run
+is the oracle the other two must match byte for byte.
 
 **Fan-out.**  An experiment module may additionally implement the shard
 protocol::
@@ -34,7 +36,6 @@ from __future__ import annotations
 
 import importlib
 import json
-import multiprocessing
 import os
 import time
 import traceback
@@ -111,8 +112,13 @@ def _shard_functions(module) -> Optional[Tuple[Callable, Callable, Callable]]:
     return fns if all(fns) else None
 
 
-def _execute_unit(unit: Tuple[int, ExperimentTask, Optional[object]]):
-    """Run one unit of work; never raises (errors travel back as text)."""
+def execute_unit(unit: Tuple[int, ExperimentTask, Optional[object]]):
+    """Run one unit of work; never raises (errors travel back as text).
+
+    Every drain path executes units through this function, which is
+    what makes ``--jobs`` and ``--service`` results byte-identical to
+    the serial run by construction.
+    """
     index, task, shard_key = unit
     start = time.perf_counter()
     try:
@@ -124,12 +130,6 @@ def _execute_unit(unit: Tuple[int, ExperimentTask, Optional[object]]):
         return index, payload, time.perf_counter() - start, None
     except Exception:  # noqa: BLE001 - a failing experiment must not kill the sweep
         return index, None, time.perf_counter() - start, traceback.format_exc()
-
-
-#: Public aliases: the resident service (repro.service) executes and
-#: plans work through the exact same code paths as the one-shot pool,
-#: which is what makes service results byte-identical by construction.
-execute_unit = _execute_unit
 
 
 # -- orchestration ---------------------------------------------------------
@@ -158,9 +158,6 @@ def plan_units(tasks: Sequence[ExperimentTask]):
     return units, task_keys
 
 
-_plan_units = plan_units
-
-
 def _merge_task(task: ExperimentTask, keys: List[object], parts: List[object]) -> str:
     module = _load(task.module)
     return module.report(module.merge_shards(keys, parts, **task.kwargs))
@@ -174,12 +171,18 @@ def run_tasks(
 ) -> List[TaskResult]:
     """Execute ``tasks``; serially for ``jobs <= 1``, else on a pool.
 
+    ``jobs > 1`` drains the planned units on an in-process
+    :class:`repro.service.pool.WorkerPool` of ``min(jobs, units)``
+    workers through :class:`repro.service.jobs.GridRun` - the resident
+    service's own code, minus the HTTP layer - so a worker that dies
+    mid-unit is respawned and its unit re-issued, and a unit that keeps
+    killing workers fails with an error instead of hanging the sweep.
     With ``service`` set to a resident-service address (``HOST:PORT``,
     see :mod:`repro.service`), the tasks are submitted over HTTP and
     drained by the service's persistent workers instead; ``jobs`` is
     then the *service's* concern and ignored here.  Results are
-    byte-identical either way - the service executes the same planned
-    units through :func:`execute_unit` and merges with the same code.
+    byte-identical on every path: each executes the same planned units
+    through :func:`execute_unit` and merges with :func:`finalize_task`.
 
     Results come back in task order regardless of completion order, and
     a failure in one task (or one shard) is captured in its
@@ -190,50 +193,33 @@ def run_tasks(
 
         return ServiceClient(service).run_tasks(tasks, progress=progress)
     notify = progress or (lambda _message: None)
-    results = [TaskResult(name=t.name, description=t.description) for t in tasks]
     if jobs <= 1 or len(tasks) == 0:
+        results = [TaskResult(name=t.name, description=t.description) for t in tasks]
         for task, result in zip(tasks, results):
-            _, payload, seconds, error = _execute_unit((0, task, None))
+            _, payload, seconds, error = execute_unit((0, task, None))
             result.seconds = seconds
             if error is None:
                 result.text = payload
             else:
                 result.error = error
-            notify(_progress_line(result))
+            notify(progress_line(result))
         return results
 
-    units, task_keys = _plan_units(tasks)
-    unit_owner: List[int] = []  # unit index -> task index
-    owned_units: List[List[int]] = [[] for _ in tasks]  # task index -> its unit indices
-    for task_index, keys in enumerate(task_keys):
-        count = 1 if keys is None else len(keys)
-        start = len(unit_owner)
-        unit_owner.extend([task_index] * count)
-        owned_units[task_index] = list(range(start, start + count))
-        results[task_index].shards = count
+    from ..service.jobs import GridRun
+    from ..service.pool import WorkerPool
 
-    payloads: Dict[int, object] = {}
-    pending = [len(owned) for owned in owned_units]
-    ctx = multiprocessing.get_context()
-    with ctx.Pool(processes=min(jobs, len(units))) as pool:
-        for index, payload, seconds, error in pool.imap_unordered(_execute_unit, units):
-            task_index = unit_owner[index]
-            result = results[task_index]
-            result.seconds += seconds
-            if error is not None:
-                result.error = error if result.error is None else result.error + "\n" + error
-            payloads[index] = payload
-            pending[task_index] -= 1
-            if pending[task_index] == 0:
-                _finalize(
-                    tasks[task_index], result, task_keys[task_index],
-                    [payloads[i] for i in owned_units[task_index]],
-                )
-                notify(_progress_line(result))
-    return results
+    grid = GridRun(tasks)
+    with WorkerPool(workers=min(jobs, len(grid))) as pool:
+        pool.submit_many(grid.units)
+        while not grid.done:
+            message = pool.next_result()
+            finished = grid.record(message.job_id, message.payload, message.seconds, message.error)
+            if finished is not None:
+                notify(progress_line(finished))
+    return grid.results()
 
 
-def _finalize(
+def finalize_task(
     task: ExperimentTask,
     result: TaskResult,
     keys: Optional[List[object]],
@@ -254,16 +240,10 @@ def _finalize(
         result.error = traceback.format_exc()
 
 
-finalize_task = _finalize
-
-
-def _progress_line(result: TaskResult) -> str:
+def progress_line(result: TaskResult) -> str:
     status = "ok" if result.ok else "FAILED"
     shards = f", {result.shards} shards" if result.shards > 1 else ""
     return f"{result.name}: {status} ({result.seconds:.1f}s{shards})"
-
-
-progress_line = _progress_line
 
 
 # -- machine-readable summary ----------------------------------------------

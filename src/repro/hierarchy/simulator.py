@@ -152,7 +152,6 @@ def run_mix(
     seed: Optional[int] = None,
     enable_prefetch: bool = True,
     model_bandwidth: bool = False,
-    trace_cache: bool = True,
     pretranslate: Optional[bool] = None,
 ) -> MixResult:
     """Simulate ``mix`` over ``llc``; returns per-core IPCs + LLC stats.
@@ -163,10 +162,10 @@ def run_mix(
     turns on DRAM channel-occupancy queueing (cores' clocks feed the
     controller), which matters for bandwidth-bound streaming mixes.
 
-    ``trace_cache=False`` bypasses the artifact caches
-    (:class:`repro.store.ArtifactCache`: compiled traces, translated
-    index columns, op streams), rebuilding every artifact this call
-    needs; so does ``REPRO_TRACE_CACHE=0``.
+    Compiled traces, translated index columns and op streams come from
+    the artifact cache (:class:`repro.store.ArtifactCache`);
+    ``REPRO_TRACE_CACHE=0`` turns it off, so every artifact this call
+    needs is rebuilt and nothing is kept.
 
     ``pretranslate`` is the ahead-of-time index translation pipeline:
     every distinct line each compiled trace can touch is pushed through
@@ -231,7 +230,6 @@ def run_mix(
                 llc_lines,
                 length,
                 seed=derive_seed(seed, 100 + core_id),
-                use_cache=trace_cache,
             )
             for core_id, bench in enumerate(mix.assignments)
         ]
@@ -251,7 +249,6 @@ def run_mix(
                     trace,
                     sdid=core_id,
                     offset=core_id * region,
-                    use_cache=trace_cache,
                 )
                 randomizer.load_packed(translated.line_addrs, translated.columns, sdid=core_id)
 
@@ -262,7 +259,6 @@ def run_mix(
         replay, reason = vector.create_vector_replay(
             llc, hierarchy, config, mix, traces, seed, region,
             clocks, instructions, model_bandwidth, enable_prefetch,
-            trace_cache,
         )
         if replay is not None:
             specialize_info["replay"] = "opstream-scalar"

@@ -1,14 +1,15 @@
 """Resident simulation service: persistent workers, zero per-job spawn.
 
-The one-shot runner (``repro.harness.runner``) pays interpreter spawn,
-``import repro``, and cache re-warm for every parallel sweep.  This
-package keeps all of that resident:
+A ``--jobs N`` sweep (``repro.harness.runner``) starts its worker pool
+per run, so every sweep pays worker start-up, imports and cache
+re-warm.  This package keeps all of that resident:
 
 * :mod:`~repro.service.pool` - N workers boot once over
   ``multiprocessing`` pipes, pre-import the simulation stack, keep the
   compiled-trace / translated-index / op-stream caches hot, survive
   crashes (lost units are re-issued, byte-identically), and report
-  per-worker cache-warm accounting.
+  per-worker cache-warm accounting.  ``--jobs N`` drains on an
+  in-process pool of its own, with no HTTP layer.
 * :mod:`~repro.service.jobs` - adapts :class:`ExperimentTask` grids
   and the shard protocol to the pool through the runner's *own*
   planning/merge code, so results match serial byte for byte.
@@ -39,7 +40,8 @@ def resolve_address(address: Optional[str] = None) -> Optional[str]:
     """Explicit ``address`` wins; else :data:`SERVICE_ENV`; else None.
 
     Returning None means "no service configured - run locally", which
-    is how ``runner.run_tasks`` keeps the one-shot path the default.
+    is how ``runner.run_tasks`` keeps the local paths (serial or
+    ``--jobs``) the default.
     """
     if address:
         return address

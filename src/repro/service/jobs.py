@@ -1,8 +1,8 @@
 """Job layer: adapt :class:`ExperimentTask` grids to the worker pool.
 
-The resident service executes exactly the work units the one-shot
-runner would: :func:`repro.harness.runner.plan_units` expands each task
-through the shard protocol (``shard_keys``/``run_shard``/
+The resident service and ``--jobs N`` execute exactly the work units a
+serial run would: :func:`repro.harness.runner.plan_units` expands each
+task through the shard protocol (``shard_keys``/``run_shard``/
 ``merge_shards``) and :func:`repro.harness.runner.execute_unit` runs a
 unit.  :class:`GridRun` wraps that planning for an out-of-order
 completion stream - the pool hands back ``(job_id, payload)`` pairs in
@@ -111,8 +111,8 @@ class Unit:
 def execute(unit: Unit) -> Tuple[object, float, Optional[str]]:
     """Run one unit; never raises.  Returns (payload, seconds, error).
 
-    Thin shim over :func:`repro.harness.runner.execute_unit` so the
-    service cannot drift from the one-shot pool's execution semantics.
+    Thin shim over :func:`repro.harness.runner.execute_unit` so a pool
+    worker cannot drift from the serial run's execution semantics.
     """
     task = ExperimentTask(
         name=unit.job_id, description="", module=unit.module, kwargs=dict(unit.kwargs)

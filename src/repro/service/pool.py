@@ -1,13 +1,14 @@
 """Resident worker pool: boot once, drain jobs at near-zero overhead.
 
-The one-shot runner pool (``repro.harness.runner``, ``--jobs N``) pays
-interpreter spawn + ``import repro`` + trace/translated/opstream cache
-re-warm for every sweep.  :class:`WorkerPool` spawns N workers *once*:
-each worker pre-imports the simulation stack, then loops on a duplex
-pipe executing :class:`repro.service.jobs.Unit` payloads until told to
-stop.  The process-wide resident caches (compiled traces, translated
-index columns, op streams) warm on first touch and stay hot, so every
-job after the first costs only a pipe round-trip plus the simulation
+:class:`WorkerPool` spawns N workers *once*: each worker pre-imports
+the simulation stack, then loops on a duplex pipe executing
+:class:`repro.service.jobs.Unit` payloads until told to stop.  The
+resident service keeps one pool for its whole life; ``--jobs N``
+(``repro.harness.runner.run_tasks``) starts one per sweep and drains
+it through the same :class:`repro.service.jobs.GridRun` bookkeeping.
+The process-wide resident caches (compiled traces, translated index
+columns, op streams) warm on first touch and stay hot, so every job
+after the first costs only a pipe round-trip plus the simulation
 itself.
 
 **Crash recovery.**  The supervisor waits on each worker's pipe *and*
@@ -26,9 +27,9 @@ memory gauges (peak RSS, bytes mapped through the artifact store); the
 supervisor folds the deltas into per-worker totals - boot/warm
 seconds, jobs drained, busy seconds, memory/disk hits per cache layer -
 and keeps the latest gauges, all surfaced through
-:meth:`WorkerPool.worker_stats` (and from there the runner JSON
-summary and the service ``/status`` endpoint, where mapped bytes shared
-across the pool make the mmap store's N-way memory win observable).
+:meth:`WorkerPool.worker_stats` (and from there the service
+``/status`` endpoint, where mapped bytes shared across the pool make
+the mmap store's N-way memory win observable).
 
 Threading model: one daemon dispatcher thread owns the workers; public
 methods only touch the job queue / result queue under a lock, and a

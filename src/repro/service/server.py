@@ -30,10 +30,12 @@ or stop.  SIGTERM and SIGINT trigger the same graceful path as
 ``drain_deadline`` seconds to finish, then the pool is torn down and
 the pidfile removed.
 
-Determinism: the server executes the exact units the one-shot runner
-would and merges them with the runner's own code, so a grid drained
-through the service produces byte-identical results to ``--jobs``
-(see tests/test_service_server.py and the CI ``service-smoke`` job).
+Determinism: the server executes the exact units a serial run would
+and merges them with the runner's own code, so a grid drained through
+the service produces byte-identical results to a serial run and to
+``--jobs``, which drains an in-process pool through the same
+:class:`~repro.service.jobs.GridRun` (see tests/test_service_server.py
+and the CI ``service-smoke`` job).
 """
 
 from __future__ import annotations

@@ -22,11 +22,11 @@ and column layout - and this module owns everything else:
 * **One write protocol.**  A per-process temp file, then
   ``os.replace``, so readers only ever see whole files.
 
-Disk loads go through the mmap store unless :data:`MMAP_ENV` disables
-it.  Reading files with ``read()`` + ``array.frombytes`` gives each
-process a private heap copy - N identical copies across the resident
-service workers, ``--jobs`` shards, and bench trials.  Mapping them
-instead works like this:
+Disk loads go through the mmap store on little-endian hosts.  Reading
+files with ``read()`` + ``array.frombytes`` gives each process a
+private heap copy - N identical copies across the resident service
+workers, ``--jobs`` workers, and bench trials.  Mapping them instead
+works like this:
 
 * :func:`map_artifact` opens a cache file read-only and ``mmap``\\ s it
   (``ACCESS_READ`` — ``MAP_SHARED`` + ``PROT_READ`` on POSIX), so the OS
@@ -45,11 +45,12 @@ instead works like this:
   a concurrent writer is detected and mapped fresh, while the stale
   entry is dropped (its pages survive for any live views).
 
-``REPRO_MMAP`` (:data:`MMAP_ENV`) disables the map layer with the same
-tokens; loads then take the heap path, which is kept as the
-differential oracle — stats and MPKI fingerprints are bit-identical
-either way.  The store also auto-disables on big-endian hosts, where
-zero-copy casts of the little-endian file columns would be wrong.
+Big-endian hosts take the heap path instead (:func:`mmap_enabled`),
+where zero-copy casts of the little-endian file columns would be wrong.
+The heap path is also the map layer's differential oracle: the test
+suite pins it by patching :func:`mmap_enabled` (``pytest
+--heap-loads`` for a whole session), and stats and MPKI fingerprints
+are bit-identical either way.
 
 Counters (:func:`store_cache_info`) are monotonic so the service's
 ``cache_delta`` accounting can attribute per-job store activity, and
@@ -78,17 +79,12 @@ logger = logging.getLogger(__name__)
 
 #: Environment override for the artifact-cache directory: a path, or one
 #: of ``0 / off / none / false / disabled`` to bypass every kind's memo
-#: and disk layer (the CLI's ``--no-trace-cache`` exports ``0`` so
-#: worker processes inherit it).
+#: and disk layer (forked ``--jobs`` workers inherit it).  The one
+#: switch that turns the cache off.
 CACHE_ENV = "REPRO_TRACE_CACHE"
 
 #: Default artifact-cache location (relative to the working directory).
 DEFAULT_CACHE_DIR = os.path.join("results", ".trace_cache")
-
-#: Environment toggle for the mmap artifact store.  Unset or any other
-#: value enables it; ``0 / off / none / false / disabled`` selects the
-#: heap-loading fallback (the differential oracle).
-MMAP_ENV = "REPRO_MMAP"
 
 _DISABLED_VALUES = frozenset(("0", "off", "none", "false", "disabled"))
 
@@ -111,17 +107,11 @@ def cache_dir() -> Optional[pathlib.Path]:
 def mmap_enabled() -> bool:
     """Whether cache loads should go through the mmap store.
 
-    Checked per load so tests (and ``repro`` subprocesses inheriting the
-    environment) can flip :data:`MMAP_ENV` at any time.  Big-endian
-    hosts always use the heap path: the cache files are little-endian
-    and a zero-copy ``memoryview.cast`` cannot byteswap.
+    Big-endian hosts use the heap path: the cache files are
+    little-endian and a zero-copy ``memoryview.cast`` cannot byteswap.
+    Looked up per load, so tests can pin either path by patching it.
     """
-    if sys.byteorder != "little":
-        return False
-    raw = os.environ.get(MMAP_ENV)
-    if raw is None or not raw.strip():
-        return True
-    return raw.strip().lower() not in _DISABLED_VALUES
+    return sys.byteorder == "little"
 
 
 class MappedArtifact:
@@ -396,14 +386,13 @@ class ArtifactCache:
 
     # -- the two layers ----------------------------------------------------
 
-    def get(self, key: str, build: Callable[[], Any], use_cache: bool = True):
+    def get(self, key: str, build: Callable[[], Any]):
         """The artifact for ``key``: memo, then disk, then ``build()``.
 
-        ``use_cache=False``, or a disabled :func:`cache_dir`, bypasses
-        both layers: the artifact is built and nothing is remembered or
-        written.
+        A disabled :func:`cache_dir` bypasses both layers: the artifact
+        is built and nothing is remembered or written.
         """
-        directory = cache_dir() if use_cache else None
+        directory = cache_dir()
         if directory is None:
             return self._build(build)
         artifact = self._memo.get(key)
@@ -434,7 +423,7 @@ class ArtifactCache:
 
         With the mmap store enabled the file is mapped read-only and the
         columns are zero-copy views over the shared map; otherwise the
-        heap oracle reads and copies.  Both paths count the same stats
+        heap path reads and copies.  Both paths count the same stats
         and fail the same way.
         """
         path = self.path(directory, key)

@@ -12,7 +12,7 @@ from .translated import (
     translated_key,
 )
 from .mixes import HETEROGENEOUS_MIXES, Mix, homogeneous
-from .record import MemoryAccess, take
+from .record import MemoryAccess
 from .workloads import (
     GAP_MEMORY_INTENSIVE,
     LLC_FITTING,
@@ -37,7 +37,6 @@ __all__ = [
     "compile_workload",
     "get_workload",
     "homogeneous",
-    "take",
     "trace_key",
     "translate_trace",
     "translated_key",

@@ -168,11 +168,9 @@ def compile_workload(
     llc_lines: int,
     length: int,
     seed: Optional[int] = None,
-    use_cache: bool = True,
 ) -> CompiledTrace:
     """Compile ``length`` accesses of a named workload, cached in
-    :data:`TRACES`; ``use_cache=False`` bypasses both cache layers
-    (every call regenerates - the bench tool's cold path)."""
+    :data:`TRACES`."""
     if length < 0:
         raise TraceError(f"trace length cannot be negative, got {length}")
 
@@ -180,4 +178,4 @@ def compile_workload(
         stream = get_workload(workload).stream(llc_lines, seed=seed)
         return CompiledTrace.from_records(stream, length)
 
-    return TRACES.get(trace_key(workload, llc_lines, seed, length), build, use_cache)
+    return TRACES.get(trace_key(workload, llc_lines, seed, length), build)

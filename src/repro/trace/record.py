@@ -9,8 +9,6 @@ columns the hierarchy simulator replays.  Addresses are *line* addresses
 
 from __future__ import annotations
 
-from typing import Iterable, List
-
 
 class MemoryAccess:
     """One memory instruction's cache access.
@@ -44,13 +42,3 @@ class MemoryAccess:
         # and make records unhashable; the trace compiler dedups
         # records via sets, so hash must agree with __eq__.
         return hash((self.line_addr, self.is_write, self.gap))
-
-
-def take(trace: Iterable[MemoryAccess], count: int) -> List[MemoryAccess]:
-    """Materialize the first ``count`` accesses of a trace."""
-    out: List[MemoryAccess] = []
-    for access in trace:
-        out.append(access)
-        if len(out) >= count:
-            break
-    return out

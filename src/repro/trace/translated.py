@@ -130,7 +130,6 @@ def translate_trace(
     trace,
     sdid: int = 0,
     offset: int = 0,
-    use_cache: bool = True,
 ) -> TranslatedTrace:
     """Translate a compiled trace's distinct lines, cached.
 
@@ -138,12 +137,11 @@ def translate_trace(
     object with ``unique_lines(offset)``); ``offset`` is the per-core
     region shift the drive loop applies.  A cold translation is one
     serial :meth:`IndexRandomizer.translate` pass in this process.
-    Translations are cached in :data:`TRANSLATIONS`; ``use_cache=False``
-    bypasses both cache layers.
+    Translations are cached in :data:`TRANSLATIONS`.
     """
     addrs = array("Q", sorted(trace.unique_lines(offset)))
 
     def build() -> TranslatedTrace:
         return TranslatedTrace(addrs, randomizer.translate(addrs, sdid))
 
-    return TRANSLATIONS.get(translated_key(addrs, randomizer, sdid), build, use_cache)
+    return TRANSLATIONS.get(translated_key(addrs, randomizer, sdid), build)

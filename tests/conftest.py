@@ -7,6 +7,15 @@ runs the per-access drive loop, the replay's differential oracle.  The
 patching that function, and ``pytest --per-access-drive`` declines the
 replay for the whole session, so every ``run_mix``-level test reruns
 on the per-access drive (tests that pin a drive keep it).
+
+And the load-path seam.  Artifact-cache loads go through the mmap
+store when ``repro.store.mmap_enabled()`` says so (on little-endian
+hosts) and through the heap path, the store's differential oracle,
+otherwise.  Tests pin a path by patching that function, and ``pytest
+--heap-loads`` pins the heap path for the whole session.  Both
+session options reach forked worker processes (``--jobs``, the
+service pool), which inherit the patched modules, but not spawned
+subprocesses.
 """
 
 import contextlib
@@ -14,6 +23,7 @@ import os
 
 import pytest
 
+from repro import store
 from repro.common.config import CacheGeometry, MayaConfig, MirageConfig, SystemConfig
 from repro.engine import vector
 from repro.store import CACHE_ENV
@@ -33,6 +43,11 @@ def pytest_addoption(parser):
         help="decline the op-stream replay in every run_mix call, so the "
         "suite runs on the per-access drive, the replay's oracle",
     )
+    parser.addoption(
+        "--heap-loads", action="store_true", default=False,
+        help="load every cached artifact through the heap path, the mmap "
+        "store's oracle, instead of mapping it",
+    )
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -46,6 +61,20 @@ def _session_drive(request):
         yield
     finally:
         vector.create_vector_replay = CREATE_VECTOR_REPLAY
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _session_load_path(request):
+    """Apply ``--heap-loads`` for the whole session."""
+    if not request.config.getoption("--heap-loads"):
+        yield
+        return
+    mmap_enabled = store.mmap_enabled
+    store.mmap_enabled = lambda: False
+    try:
+        yield
+    finally:
+        store.mmap_enabled = mmap_enabled
 
 
 class Drives:
@@ -90,6 +119,20 @@ def _isolated_artifact_cache(tmp_path_factory):
         os.environ.pop(CACHE_ENV, None)
     else:
         os.environ[CACHE_ENV] = original
+
+
+@pytest.fixture
+def sharded_grid():
+    """A small sharded ``table7`` task: two rate mixes and one
+    heterogeneous mix, each a shard that runs all three designs."""
+    from repro.harness.cli import build_tasks
+
+    tasks = build_tasks(["table7"], fast=True)
+    tasks[0].kwargs.update(
+        rate_workloads=["mcf", "lbm"], hetero_bins=["L"], mixes_per_bin=1,
+        accesses_per_core=400, warmup_per_core=200,
+    )
+    return tasks
 
 
 @pytest.fixture

@@ -15,6 +15,13 @@ payloads, plus two fault-injection knobs the real experiments lack:
     Slows shards down so tests can deterministically observe in-flight
     work (kill windows, drain deadlines).
 
+``probe``
+    Makes each shard report what the process running it sees instead
+    of its checksum: whether it is a worker process, the name of the
+    replay factory ``run_mix`` would call, the artifact-cache variable
+    and the load path.  Tests use it to check what forked workers
+    inherit from the process that started them.
+
 The module lives in the ``tests`` package: worker processes inherit
 ``sys.path`` from pytest, so they can import ``tests.service_helpers``
 exactly like a real experiment module.
@@ -42,8 +49,11 @@ def run_shard(
     crash_key: Optional[str] = None,
     crash_dir: Optional[str] = None,
     sleep_per_shard: float = 0.0,
+    probe: bool = False,
     **_kwargs,
 ) -> str:
+    if probe:
+        return _probe()
     if sleep_per_shard:
         time.sleep(sleep_per_shard)
     if crash_key == key:
@@ -55,6 +65,20 @@ def run_shard(
                 handle.write(str(os.getpid()))
             os._exit(23)  # first execution: die mid-shard
     return f"{key}:{zlib.crc32(key.encode('utf-8')):08x}"
+
+
+def _probe() -> str:
+    import multiprocessing
+
+    from repro import store
+    from repro.engine import vector
+
+    return (
+        f"worker={multiprocessing.parent_process() is not None} "
+        f"replay={vector.create_vector_replay.__name__} "
+        f"cache={os.environ.get(store.CACHE_ENV)} "
+        f"mmap={store.mmap_enabled()}"
+    )
 
 
 def merge_shards(

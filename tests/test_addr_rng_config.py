@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.common.addr import line_address, page_number, set_index_from_address
+from repro.common.addr import set_index_from_address
 from repro.common.config import (
     CacheGeometry,
     DramConfig,
@@ -19,15 +19,6 @@ from repro.common.rng import DEFAULT_SEED, derive_seed, make_rng
 
 
 class TestAddresses:
-    def test_line_address_strips_offset(self):
-        assert line_address(0x1234) == 0x1234 >> 6
-        assert line_address(63) == 0
-        assert line_address(64) == 1
-
-    def test_page_number(self):
-        assert page_number(4096) == 1
-        assert page_number(4096 * 11 + 7) == 11
-
     @given(st.integers(min_value=0, max_value=(1 << 46) - 1))
     def test_set_index_is_the_low_line_bits(self, line):
         assert set_index_from_address(line, 1024) == line % 1024

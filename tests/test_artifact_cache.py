@@ -48,8 +48,8 @@ class Kind(NamedTuple):
 
     cache: store.ArtifactCache
     key: str
-    #: The kind's entry point: ``load(use_cache=True) -> artifact``.
-    load: Callable[..., Any]
+    #: The kind's entry point: ``load() -> artifact``.
+    load: Callable[[], Any]
     #: A different valid artifact of the same kind (built uncached).
     other: Any
 
@@ -65,7 +65,7 @@ def make_kind(name: str) -> Kind:
         return Kind(
             TRACES,
             trace_key("mcf", 512, 3, 120),
-            lambda use_cache=True: compile_workload("mcf", 512, 120, seed=3, use_cache=use_cache),
+            lambda: compile_workload("mcf", 512, 120, seed=3),
             generated("lbm"),
         )
     if name == "translated":
@@ -75,16 +75,14 @@ def make_kind(name: str) -> Kind:
         return Kind(
             TRANSLATIONS,
             translated_key(array("Q", sorted(source.unique_lines())), rand, 0),
-            lambda use_cache=True: translate_trace(rand, source, use_cache=use_cache),
+            lambda: translate_trace(rand, source),
             TranslatedTrace(shifted, rand.translate(shifted, 0)),
         )
     source = generated("mcf")
     return Kind(
         STREAMS,
         opstream_key("artifact-test", 0, L1, L2, PREFETCHER),
-        lambda use_cache=True: opstream_for(
-            source, "artifact-test", 0, L1, L2, PREFETCHER, use_cache=use_cache
-        ),
+        lambda: opstream_for(source, "artifact-test", 0, L1, L2, PREFETCHER),
         build_opstream(generated("lbm"), 0, L1, L2, PREFETCHER),
     )
 
@@ -112,9 +110,10 @@ def kind(request) -> Kind:
     return make_kind(request.param)
 
 
-@pytest.fixture(params=["1", "0"], ids=["mmap", "heap"])
+@pytest.fixture(params=["mmap", "heap"])
 def load_path(request, monkeypatch):
-    monkeypatch.setenv(store.MMAP_ENV, request.param)
+    """Pin the mmap store or its heap oracle for one test."""
+    monkeypatch.setattr(store, "mmap_enabled", lambda: request.param == "mmap")
     return request.param
 
 
@@ -126,7 +125,8 @@ def messages(caplog):
 
 
 class TestLayers:
-    def test_memory_then_disk_hits(self, kind, cache_dir):
+    def test_memory_then_disk_hits(self, kind, cache_dir, load_path):
+        # Both load paths count the same stats.
         first = kind.load()
         assert kind.cache.info().builds == 1
         assert kind.cache.path(cache_dir, kind.key).exists()
@@ -138,6 +138,17 @@ class TestLayers:
         assert (info.memory_hits, info.disk_hits, info.builds, info.disk_errors) == (1, 1, 1, 0)
         assert info.hit_rate == pytest.approx(2 / 3)
         assert info.build_seconds > 0.0
+
+    def test_disk_load_column_types(self, kind, cache_dir, load_path):
+        # Mapped loads hand out zero-copy views over the map; heap loads
+        # hand out plain arrays and never map.
+        kind.load()
+        kind.cache.clear_memory()
+        _, columns = kind.cache.pack(kind.load())
+        assert kind.cache.info().disk_hits == 1
+        expected = (memoryview,) if load_path == "mmap" else (array, bytearray)
+        assert columns and all(isinstance(column, expected) for column in columns)
+        assert (store.store_cache_info().maps > 0) == (load_path == "mmap")
 
     def test_all_kinds_share_one_directory(self, cache_dir):
         for name in KINDS:
@@ -161,19 +172,24 @@ class TestLayers:
         small.get("b", lambda: trace)
         assert small.info().builds == 4
 
-    @pytest.mark.parametrize("setting", ["use_cache=False", "0", "off", "NONE"])
+    @pytest.mark.parametrize("setting", ["0", "off", "NONE", "False", " disabled "])
     def test_bypass_skips_both_layers(self, kind, cache_dir, monkeypatch, setting):
-        if setting == "use_cache=False":
-            kind.load(use_cache=False)
-            kind.load(use_cache=False)
-        else:
-            monkeypatch.setenv(store.CACHE_ENV, setting)
-            assert store.cache_dir() is None
-            kind.load()
-            kind.load()
+        # REPRO_TRACE_CACHE is the one switch that turns the cache off.
+        monkeypatch.setenv(store.CACHE_ENV, setting)
+        assert store.cache_dir() is None
+        kind.load()
+        kind.load()
         info = kind.cache.info()
         assert (info.memory_hits, info.disk_hits, info.builds) == (0, 0, 2)
         assert not cache_dir.exists()
+
+    def test_default_directory(self, monkeypatch):
+        for value in (None, "", "  "):
+            if value is None:
+                monkeypatch.delenv(store.CACHE_ENV, raising=False)
+            else:
+                monkeypatch.setenv(store.CACHE_ENV, value)
+            assert str(store.cache_dir()) == store.DEFAULT_CACHE_DIR
 
 
 # -- the file envelope -------------------------------------------------------
@@ -208,7 +224,7 @@ class TestEnvelope:
         assert cache.decode(bytes.fromhex(golden), "k", copy=True, validate=True) == artifact
 
     def test_roundtrip_and_key_mismatch(self, kind):
-        artifact = kind.load(use_cache=False)
+        artifact = kind.other
         blob = kind.cache.encode("some-key", artifact)
         for copy in (True, False):
             assert kind.cache.decode(blob, "some-key", copy=copy, validate=True) == artifact
@@ -262,7 +278,7 @@ class TestCorruption:
         # A reader holding mapped columns keeps the content it validated
         # after a concurrent writer os.replace()s the file; the next load
         # maps the new inode.
-        monkeypatch.setenv(store.MMAP_ENV, "1")
+        monkeypatch.setattr(store, "mmap_enabled", lambda: True)
         first = kind.load()
         kind.cache.clear_memory()
         mapped = kind.load()
@@ -322,12 +338,12 @@ class TestOsFailures:
         assert "cannot read" in message
 
 
-# -- --no-trace-cache ----------------------------------------------------------
+# -- REPRO_TRACE_CACHE=0 ---------------------------------------------------------
 
 
 def test_disabled_cache_writes_nothing(tmp_path, monkeypatch, drives, tiny_system, small_maya):
-    """``REPRO_TRACE_CACHE=0`` (what ``--no-trace-cache`` exports) must
-    keep every artifact kind - and the generated code - off the disk."""
+    """``REPRO_TRACE_CACHE=0`` must keep every artifact kind - and the
+    generated code - off the disk."""
     monkeypatch.chdir(tmp_path)
     for name in [name for name in os.environ if name.startswith("REPRO_")]:
         monkeypatch.delenv(name)
@@ -338,4 +354,17 @@ def test_disabled_cache_writes_nothing(tmp_path, monkeypatch, drives, tiny_syste
             accesses_per_core=300, warmup_accesses=150, seed=5, pretranslate=True,
         )
     assert result.specialize_info["replay"] == "opstream-scalar"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_disabled_cache_reaches_jobs_workers(tmp_path, monkeypatch, sharded_grid):
+    """The switch lives in the environment, so forked ``--jobs`` workers
+    see it too: a sharded grid drained by them writes nothing."""
+    from repro.harness import runner
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(store.CACHE_ENV, "0")
+    (result,) = runner.run_tasks(sharded_grid, jobs=2)
+    assert result.ok, result.error
+    assert result.shards == 3
     assert list(tmp_path.iterdir()) == []

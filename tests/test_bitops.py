@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from repro.common.bitops import (
     bits_required,
-    extract_bits,
     fold_xor,
     is_power_of_two,
     log2_exact,
@@ -108,7 +107,3 @@ class TestParityExtract:
         assert parity(0) == 0
         assert parity(0b1011) == 1
         assert parity(0b1001) == 0
-
-    def test_extract_bits(self):
-        assert extract_bits(0b110100, 2, 3) == 0b101
-        assert extract_bits(0xFF, 4, 4) == 0xF

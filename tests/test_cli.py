@@ -62,6 +62,28 @@ class TestCli:
         capsys.readouterr()
 
 
+class TestJobs:
+    """``--jobs N`` drains on an in-process worker pool; the serial run
+    is its oracle."""
+
+    NAMES = ["table8", "table9", "table1"]
+
+    def test_results_match_serial_bytes(self, tmp_path, capsys):
+        serial, parallel = tmp_path / "serial.json", tmp_path / "jobs.json"
+        assert main(self.NAMES + ["--results", str(serial)]) == 0
+        assert main(self.NAMES + ["--jobs", "2", "--results", str(parallel)]) == 0
+        assert parallel.read_bytes() == serial.read_bytes()
+        assert "[runner] table8: ok" in capsys.readouterr().err
+
+    def test_json_summary_records_the_pool_run(self, tmp_path, capsys):
+        path = tmp_path / "summary.json"
+        assert main(self.NAMES + ["--jobs", "2", "--json", str(path)]) == 0
+        payload = json.loads(path.read_text())
+        assert payload["ok"] is True and payload["jobs"] == 2
+        assert [entry["name"] for entry in payload["results"]] == self.NAMES
+        capsys.readouterr()
+
+
 class TestFailureHandling:
     """Regression: a failing experiment must report, continue, and make
     the sweep exit non-zero - not abort the remaining experiments."""
@@ -79,6 +101,14 @@ class TestFailureHandling:
         assert "synthetic experiment failure" in captured.err
         assert "1 experiment(s) failed" in captured.err
         # The healthy experiment after the failure still ran.
+        assert "17312" in captured.out
+
+    def test_failure_in_a_forked_worker_is_reported(self, broken_table9, capsys):
+        # --jobs workers are forked, so they inherit the patched module.
+        assert main(["table9", "table8", "--jobs", "2"]) == 1
+        captured = capsys.readouterr()
+        assert "synthetic experiment failure" in captured.err
+        assert "1 experiment(s) failed" in captured.err
         assert "17312" in captured.out
 
     def test_failure_recorded_in_json_summary(self, broken_table9, tmp_path, capsys):

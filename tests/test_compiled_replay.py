@@ -52,7 +52,7 @@ def run_pair(drives, make_llc, mix, system, **kwargs):
     for pin in (drives.per_access, drives.replay):
         llc = make_llc()
         with pin():
-            result = run_mix(llc, mix, system, trace_cache=False, **kwargs)
+            result = run_mix(llc, mix, system, **kwargs)
         runs.append((llc, result))
     assert runs[0][1].specialize_info["replay"] is None
     assert runs[1][1].specialize_info["replay"] == "opstream-scalar", (
@@ -116,7 +116,7 @@ class TestDesigns:
             llc = make()
             with pin():
                 result = run_mix(llc, self.MIX, system4, accesses_per_core=600,
-                                 warmup_accesses=200, seed=19, trace_cache=False)
+                                 warmup_accesses=200, seed=19)
             runs.append((llc, result))
         (llc, r_replay), (reference, r_reference) = runs
         assert r_replay.specialize_info["replay"] == "opstream-scalar"
@@ -256,7 +256,7 @@ class TestPrewarm:
         # The per-access drive keeps the replay's own precompute pass
         # out, so every side-table entry comes from the forced pre-warm.
         make = lambda: MayaCache(MayaConfig(memo_capacity=64, **MAYA))  # noqa: E731
-        kwargs = dict(accesses_per_core=800, warmup_accesses=200, seed=11, trace_cache=False)
+        kwargs = dict(accesses_per_core=800, warmup_accesses=200, seed=11)
         llc_off, llc_on = make(), make()
         with drives.per_access():
             r_off = run_mix(llc_off, homogeneous("mcf", 2), system,
@@ -276,8 +276,7 @@ class TestPrewarm:
                                        hash_algorithm="splitmix"))
         with drives.per_access():
             run_mix(llc, homogeneous("mcf", 2), system,
-                    accesses_per_core=300, warmup_accesses=0, seed=2,
-                    trace_cache=False)
+                    accesses_per_core=300, warmup_accesses=0, seed=2)
         assert llc.index_randomizer.cache_info().precomputed == 0
 
 
@@ -294,7 +293,7 @@ class TestPretranslate:
         # run is the oracle.
         make = lambda: MayaCache(MayaConfig(**self.PRINCE))  # noqa: E731
         llc_off, llc_auto = make(), make()
-        kwargs = dict(accesses_per_core=500, warmup_accesses=200, seed=11, trace_cache=False)
+        kwargs = dict(accesses_per_core=500, warmup_accesses=200, seed=11)
         with drives.per_access():
             r_off = run_mix(llc_off, homogeneous("mcf", 2), system,
                             pretranslate=False, **kwargs)
@@ -305,8 +304,7 @@ class TestPretranslate:
 
     def test_pretranslate_on_off_bit_identical(self, system, drives):
         make = lambda: MayaCache(MayaConfig(**self.PRINCE))  # noqa: E731
-        kwargs = dict(accesses_per_core=500, warmup_accesses=200, seed=11,
-                      trace_cache=False)
+        kwargs = dict(accesses_per_core=500, warmup_accesses=200, seed=11)
         llc_off, llc_on = make(), make()
         with drives.per_access():
             r_off = run_mix(llc_off, homogeneous("mcf", 2), system,
@@ -325,8 +323,7 @@ class TestPretranslate:
         llc = MayaCache(MayaConfig(**MAYA))
         with drives.per_access():
             run_mix(llc, homogeneous("mcf", 2), system,
-                    accesses_per_core=300, warmup_accesses=0, seed=2,
-                    trace_cache=False)
+                    accesses_per_core=300, warmup_accesses=0, seed=2)
         assert llc.index_randomizer.cache_info().precomputed == 0
 
     def test_rekey_during_run_falls_back_to_live_randomizer(self, system, drives):
@@ -340,7 +337,7 @@ class TestPretranslate:
         )
         make = lambda: MayaCache(cfg, on_sae="rekey", global_tag_eviction=False)  # noqa: E731
         llc_off, llc_on = make(), make()
-        kwargs = dict(accesses_per_core=800, warmup_accesses=200, seed=13, trace_cache=False)
+        kwargs = dict(accesses_per_core=800, warmup_accesses=200, seed=13)
         with drives.per_access():
             r_off = run_mix(llc_off, homogeneous("mcf", 2), system,
                             pretranslate=False, **kwargs)
@@ -358,8 +355,7 @@ class TestPretranslate:
             MirageConfig(sets_per_skew=16, rng_seed=7, hash_algorithm="prince")
         )
         llc_off, llc_on = make(), make()
-        kwargs = dict(accesses_per_core=500, warmup_accesses=200, seed=11,
-                      trace_cache=False)
+        kwargs = dict(accesses_per_core=500, warmup_accesses=200, seed=11)
         r_off = run_mix(llc_off, homogeneous("mcf", 2), system,
                         pretranslate=False, **kwargs)
         r_on = run_mix(llc_on, homogeneous("mcf", 2), system, **kwargs)
@@ -560,8 +556,7 @@ class TestOpstreamReplay:
             reason = "timing constants"
         with drives.replay():
             r = run_mix(MayaCache(MayaConfig(**MAYA)), homogeneous("mcf", 2), system,
-                        accesses_per_core=300, warmup_accesses=100, seed=3,
-                        trace_cache=False, **kwargs)
+                        accesses_per_core=300, warmup_accesses=100, seed=3, **kwargs)
         assert r.specialize_info["replay"] is None
         assert reason in r.specialize_info["replay_reason"]
         assert r.engine_info is None
@@ -586,8 +581,7 @@ class TestOpstreamReplay:
             llc = self.RAISING[design]()
             with pin(), pytest.raises(SetAssociativeEviction) as info:
                 run_mix(llc, homogeneous("mcf", 2), system,
-                        accesses_per_core=800, warmup_accesses=300, seed=11,
-                        trace_cache=False)
+                        accesses_per_core=800, warmup_accesses=300, seed=11)
             raised.append((str(info.value), vars(llc.stats), llc.occupancy))
         assert raised[0][0].startswith("SAE")
         assert raised[1] == raised[0]
@@ -629,8 +623,7 @@ class TestReleaseOnError:
         binder = llc.access_fast
         with pin(), pytest.raises(RuntimeError, match="injected DRAM failure"):
             run_mix(llc, homogeneous("mcf", 2), system,
-                    accesses_per_core=800, warmup_accesses=300, seed=11,
-                    trace_cache=False)
+                    accesses_per_core=800, warmup_accesses=300, seed=11)
         assert len(calls) == 51
         assert "access_fast" not in vars(step_owner)
         assert llc.access_fast == binder
@@ -686,8 +679,7 @@ class TestRunFreesByRefcount:
         try:
             with getattr(drives, pin)():
                 result = run_mix(llc, homogeneous("mcf", 2), system,
-                                 accesses_per_core=300, warmup_accesses=100, seed=3,
-                                 trace_cache=False, **kwargs)
+                                 accesses_per_core=300, warmup_accesses=100, seed=3, **kwargs)
             replay = result.specialize_info["replay"]
             assert replay == ("opstream-scalar" if pin == "replay" else None)
             assert llc.stats.accesses > 0
@@ -707,13 +699,18 @@ class TestReplayKeepsNoOps:
     allocates per op outlives the run that made it, and the randomizer's
     mapping tables it fills hold plain ints."""
 
-    # Seeds no other test runs, so nothing from an earlier run could
-    # serve these.
+    # Seeds no other test runs, and the artifact cache is off, so
+    # nothing from an earlier run could serve these and nothing is kept.
     @pytest.mark.parametrize("design, seed", [(MayaCache, 2027), (MirageCache, 2029)])
-    def test_cold_run_leaves_no_replay_allocations(self, system, drives, design, seed):
+    def test_cold_run_leaves_no_replay_allocations(
+        self, system, drives, monkeypatch, design, seed
+    ):
         import tracemalloc
 
         from repro.engine import vector
+        from repro.store import CACHE_ENV
+
+        monkeypatch.setenv(CACHE_ENV, "0")
 
         # The line addresses the LLC holds were created by the replay
         # loop: 4 sets per skew keep them to ~120 tags (~4 KiB).
@@ -723,8 +720,7 @@ class TestReplayKeepsNoOps:
         try:
             with drives.replay():
                 result = run_mix(llc, homogeneous("mcf", 2), system,
-                                 accesses_per_core=2000, warmup_accesses=500, seed=seed,
-                                 trace_cache=False)
+                                 accesses_per_core=2000, warmup_accesses=500, seed=seed)
             snapshot = tracemalloc.take_snapshot()
         finally:
             tracemalloc.stop()

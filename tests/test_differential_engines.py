@@ -655,7 +655,6 @@ class TestVectorEngineSweep:
                     llc if make is MayaCache else AccessFastAdapter(llc),
                     homogeneous(bench, cores), system,
                     accesses_per_core=600, warmup_accesses=200, seed=seed,
-                    trace_cache=False,
                 )
             results.append((llc, r))
         assert results[0][1].specialize_info["replay"] == "opstream-scalar"

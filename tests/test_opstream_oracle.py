@@ -60,7 +60,7 @@ class RecordingLLC:
 
 @functools.lru_cache(maxsize=None)
 def _trace(workload):
-    return compile_workload(workload, TRACE_LLC_LINES, RECORDS, seed=7, use_cache=False)
+    return compile_workload(workload, TRACE_LLC_LINES, RECORDS, seed=7)
 
 
 def oracle_stream(trace, offset, config, enable_prefetch) -> OpStream:

@@ -19,6 +19,7 @@ import pytest
 
 from repro.common.config import CacheGeometry, SystemConfig
 from repro.engine import vector
+from repro.harness import runner
 from repro.hierarchy.simulator import run_mix
 from repro.llc import BaselineLLC
 from repro.trace.mixes import homogeneous
@@ -43,7 +44,7 @@ def replay_of_one_run():
         llc_geometry=CacheGeometry(sets=64, ways=16),
     )
     result = run_mix(BaselineLLC(system.llc_geometry), homogeneous("mcf", 2), system,
-                     accesses_per_core=300, warmup_accesses=100, seed=3, trace_cache=False)
+                     accesses_per_core=300, warmup_accesses=100, seed=3)
     return result.specialize_info
 
 
@@ -100,3 +101,15 @@ def test_results_equal_a_replayed_run(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
     assert paths["per_access"].read_bytes() == paths["replay"].read_bytes()
+
+
+def test_jobs_results_equal_a_replayed_run(tool, drives, sharded_grid):
+    # The tool's patch reaches forked --jobs workers, and a sharded
+    # grid they drain on the per-access drive writes the replay's bytes.
+    with drives.replay():
+        replayed = runner.run_tasks(sharded_grid, jobs=2)
+        with tool.per_access_drive():
+            per_access = runner.run_tasks(sharded_grid, jobs=2)
+    assert replayed[0].ok and per_access[0].ok
+    assert replayed[0].shards == 3
+    assert runner.results_dict(per_access) == runner.results_dict(replayed)

@@ -6,6 +6,7 @@ the code that produces them.
 
 import math
 import pathlib
+import re
 
 import pytest
 
@@ -57,3 +58,15 @@ class TestDocsExist:
         design = (ROOT / "DESIGN.md").read_text() + (ROOT / "EXPERIMENTS.md").read_text()
         for bench in (ROOT / "benchmarks").glob("test_*.py"):
             assert bench.name in design, f"{bench.name} not indexed in DESIGN/EXPERIMENTS"
+
+
+class TestEnvironmentTable:
+    def test_readme_lists_exactly_the_variables_src_reads(self):
+        """README's ``REPRO_*`` table names every variable ``src``
+        reads, and nothing else."""
+        readme = (ROOT / "README.md").read_text()
+        listed = set(re.findall(r"^\| `(REPRO_[A-Z_]+)` \|", readme, re.MULTILINE))
+        read = set()
+        for path in (ROOT / "src").rglob("*.py"):
+            read.update(re.findall(r"[\"'](REPRO_[A-Z_]+)[\"']", path.read_text()))
+        assert listed == read

@@ -2,8 +2,9 @@
 
 Load-bearing properties:
 
-* **Gating** - ``REPRO_MMAP`` tokens select heap loading; unset/blank
-  enables the store (on little-endian hosts).
+* **Gating** - the store maps on little-endian hosts and nowhere
+  else; no environment variable switches it (tests pin a path by
+  patching :func:`repro.store.mmap_enabled`).
 * **Registry** - repeat opens of the same ``(path, key)`` are served by
   one map; an ``os.replace`` by a concurrent writer is detected through
   the file identity and mapped fresh while live views keep serving the
@@ -14,10 +15,12 @@ Load-bearing properties:
 * **Non-writeable views** - every ``columns_numpy()`` ndarray is
   read-only, whether the backing columns are heap or mapped.
 * **Parity** - a full ``run_mix`` over cache-loaded artifacts produces
-  bit-identical statistics with the store on and off (the heap path is
-  the differential oracle).
+  bit-identical statistics with the store on and off, and a sharded
+  grid drained by ``--jobs`` workers writes the same canonical results
+  bytes either way (the heap path is the differential oracle).
 """
 
+import json
 import os
 import sys
 from array import array
@@ -28,6 +31,7 @@ from repro import store
 from repro.common.config import CacheGeometry
 from repro.core.maya_cache import MayaCache
 from repro.engine import opstream
+from repro.harness import runner
 from repro.hierarchy.simulator import run_mix
 from repro.trace import compiled, translated
 from repro.trace.compiled import TRACES, CompiledTrace, compile_workload
@@ -35,6 +39,10 @@ from repro.trace.mixes import homogeneous
 from repro.trace.record import MemoryAccess
 
 pytestmark = pytest.mark.store
+
+#: The real load-path gate, captured at collection, before ``pytest
+#: --heap-loads`` patches it for the session.
+MMAP_ENABLED = store.mmap_enabled
 
 
 @pytest.fixture(autouse=True)
@@ -56,10 +64,10 @@ def cache_dirs(tmp_path, monkeypatch):
 
     All three artifact kinds land under ``tmp_path``.  The store is
     pinned ON so these tests stay meaningful when the whole suite runs
-    under ``REPRO_MMAP=0`` (CI's heap-oracle pass); tests that want the
-    heap path set the variable to ``0`` themselves.
+    with ``--heap-loads`` (CI's heap-oracle pass); tests that want the
+    heap path pin it themselves.
     """
-    monkeypatch.setenv(store.MMAP_ENV, "1")
+    monkeypatch.setattr(store, "mmap_enabled", lambda: True)
     monkeypatch.setenv(store.CACHE_ENV, str(tmp_path))
     for cache in CACHES:
         cache.clear_memory()
@@ -79,29 +87,19 @@ def write_artifact(path, key, lines=40, stride=5):
     return trace
 
 
-class TestEnvGate:
-    def test_default_and_blank_enable(self, monkeypatch):
-        for value in (None, "", "   "):
-            if value is None:
-                monkeypatch.delenv(store.MMAP_ENV, raising=False)
-            else:
-                monkeypatch.setenv(store.MMAP_ENV, value)
-            assert store.mmap_enabled()
-
-    def test_disable_tokens(self, monkeypatch):
-        for token in ("0", "off", "NONE", "False", " disabled "):
-            monkeypatch.setenv(store.MMAP_ENV, token)
-            assert not store.mmap_enabled()
-        for token in ("1", "on", "anything-else"):
-            monkeypatch.setenv(store.MMAP_ENV, token)
-            assert store.mmap_enabled()
+class TestGate:
+    def test_little_endian_hosts_map_whatever_the_environment(self, monkeypatch):
+        # No environment variable picks the load path: REPRO_MMAP=0 is
+        # ignored.
+        monkeypatch.setattr(store.sys, "byteorder", "little")
+        monkeypatch.setenv("REPRO_MMAP", "0")
+        assert MMAP_ENABLED()
 
     def test_big_endian_hosts_use_the_heap_path(self, monkeypatch):
         # Zero-copy casts of the little-endian file columns would be
         # wrong on a big-endian host, so the store must refuse there.
-        monkeypatch.delenv(store.MMAP_ENV, raising=False)
         monkeypatch.setattr(store.sys, "byteorder", "big")
-        assert not store.mmap_enabled()
+        assert not MMAP_ENABLED()
 
 
 class TestRegistry:
@@ -220,7 +218,7 @@ class TestZeroCopyLoads:
         assert (info.maps, info.map_reuses) == (1, 1)
 
     def test_heap_mode_never_maps(self, cache_dirs, monkeypatch):
-        monkeypatch.setenv(store.MMAP_ENV, "0")
+        monkeypatch.setattr(store, "mmap_enabled", lambda: False)
         compile_workload(**self.KW)
         TRACES.clear_memory()
         loaded = compile_workload(**self.KW)
@@ -232,7 +230,7 @@ class TestZeroCopyLoads:
         compile_workload(**self.KW)
         TRACES.clear_memory()
         mapped = compile_workload(**self.KW)
-        monkeypatch.setenv(store.MMAP_ENV, "0")
+        monkeypatch.setattr(store, "mmap_enabled", lambda: False)
         TRACES.clear_memory()
         heap = compile_workload(**self.KW)
         assert mapped == heap
@@ -284,7 +282,7 @@ class TestNonWriteableColumns:
 
 
 class TestRunMixParity:
-    """REPRO_MMAP=0 is the differential oracle: bit-identical results."""
+    """The heap path is the differential oracle: bit-identical results."""
 
     def _run(self, system, small_maya):
         llc = MayaCache(small_maya)
@@ -308,7 +306,7 @@ class TestRunMixParity:
         llc_map, r_map = self._run(tiny_system, small_maya)  # mmap reload
         assert store.store_cache_info().maps > 0
         maps_after = store.store_cache_info().maps
-        monkeypatch.setenv(store.MMAP_ENV, "0")
+        monkeypatch.setattr(store, "mmap_enabled", lambda: False)
         self._clear_memos()
         llc_heap, r_heap = self._run(tiny_system, small_maya)  # heap reload
         assert store.store_cache_info().maps == maps_after  # no new maps
@@ -320,6 +318,29 @@ class TestRunMixParity:
             assert [c.cycles for c in result.cores] == [c.cycles for c in r_cold.cores]
             assert result.ipcs == r_cold.ipcs
             assert result.llc_mpki == r_cold.llc_mpki
+
+    def test_jobs_grid_results_identical_across_load_paths(
+        self, cache_dirs, monkeypatch, sharded_grid
+    ):
+        # A small sharded grid drained by --jobs workers on a warm
+        # directory.  The forked workers start with empty memos, so
+        # they load every artifact from disk, through the load path
+        # they inherit; the canonical results bytes must equal the
+        # serial run's on both paths.
+        serial = runner.run_tasks(sharded_grid, jobs=1)  # warms the directory
+        assert list(cache_dirs.glob("*.ctrace"))
+        self._clear_memos()
+        store.clear_registry()
+        expected = json.dumps(runner.results_dict(serial), indent=2)
+        files = {path: path.stat().st_ino for path in cache_dirs.iterdir()}
+        for mapped in (True, False):
+            monkeypatch.setattr(store, "mmap_enabled", lambda: mapped)
+            results = runner.run_tasks(sharded_grid, jobs=2)
+            assert results[0].ok, results[0].error
+            assert results[0].shards == 3
+            assert json.dumps(runner.results_dict(results), indent=2) == expected
+        # No worker rebuilt (and so rewrote) an artifact: all were loads.
+        assert {path: path.stat().st_ino for path in cache_dirs.iterdir()} == files
 
 
 class TestAccountingIntegration:

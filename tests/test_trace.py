@@ -15,7 +15,6 @@ from repro.trace import (
     MemoryAccess,
     get_workload,
     homogeneous,
-    take,
 )
 from repro.trace import synthetic
 
@@ -30,10 +29,6 @@ class TestRecord:
         assert a == MemoryAccess(5, True, 3)
         assert a != MemoryAccess(5, False, 3)
         assert "W" in repr(a)
-
-    def test_take(self):
-        stream = synthetic.streaming(100, seed=1)
-        assert len(take(stream, 5)) == 5
 
 
 class TestStreaming:

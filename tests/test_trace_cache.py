@@ -10,7 +10,6 @@ kind through :func:`compile_workload`.
 """
 
 import itertools
-import logging
 
 import pytest
 
@@ -81,151 +80,19 @@ class TestCompiledTrace:
         with pytest.raises(TraceError, match="ended after 2 of 5"):
             CompiledTrace.from_records([MemoryAccess(1), MemoryAccess(2)], count=5)
 
-    def test_roundtrip_and_key_check(self):
-        trace = CompiledTrace.from_records(generated_records("mcf", 256, 64, seed=1))
-        blob = TRACES.encode("some-key", trace)
-        assert TRACES.decode(blob, "some-key", copy=True, validate=True) == trace
-        with pytest.raises(TraceError, match="key mismatch"):
-            TRACES.decode(blob, "other-key", copy=True, validate=True)
-
-
-class TestCacheLayers:
-    def test_memory_then_disk_hits(self, cache_dir):
-        kwargs = dict(workload="mcf", llc_lines=512, length=200, seed=4)
-        first = compile_workload(**kwargs)
-        assert TRACES.info().builds == 1
-        assert TRACES.path(cache_dir, trace_key("mcf", 512, 4, 200)).exists()
-
-        assert compile_workload(**kwargs) == first
-        assert TRACES.info().memory_hits == 1
-
-        TRACES.clear_memory()  # simulate a fresh process
-        assert compile_workload(**kwargs) == first
-        info = TRACES.info()
-        assert (info.disk_hits, info.builds) == (1, 1)
-        assert info.hit_rate == pytest.approx(2 / 3)
-
-    def test_corrupt_file_regenerates_with_warning(self, cache_dir, caplog):
-        kwargs = dict(workload="mcf", llc_lines=512, length=150, seed=2)
-        first = compile_workload(**kwargs)
-        path = TRACES.path(cache_dir, trace_key("mcf", 512, 2, 150))
-        path.write_bytes(b"garbage not a trace at all")
-        TRACES.clear_memory()
-        with caplog.at_level(logging.WARNING, logger="repro.store"):
-            again = compile_workload(**kwargs)
-        assert again == first
-        assert TRACES.info().disk_errors == 1
-        assert any("corrupt" in r.message for r in caplog.records)
-        # The bad file was deleted and replaced by the regenerated one.
-        assert TRACES.decode(
-            path.read_bytes(), trace_key("mcf", 512, 2, 150), copy=True, validate=True
-        ) == first
-
-    def test_truncated_file_regenerates(self, cache_dir, caplog):
-        kwargs = dict(workload="lbm", llc_lines=256, length=120, seed=3)
-        first = compile_workload(**kwargs)
-        path = TRACES.path(cache_dir, trace_key("lbm", 256, 3, 120))
-        path.write_bytes(path.read_bytes()[:-25])  # chop columns + CRC
-        TRACES.clear_memory()
-        with caplog.at_level(logging.WARNING, logger="repro.store"):
-            assert compile_workload(**kwargs) == first
-        assert TRACES.info().disk_errors == 1
-
-    def test_use_cache_false_bypasses_both_layers(self, cache_dir):
-        kwargs = dict(workload="mcf", llc_lines=512, length=100, seed=5)
-        a = compile_workload(use_cache=False, **kwargs)
-        b = compile_workload(use_cache=False, **kwargs)
-        assert a == b
-        assert TRACES.info().builds == 2
-        assert not cache_dir.exists()  # nothing was ever written
-
-    def test_env_disable_skips_disk(self, tmp_path, monkeypatch):
-        for token in ("0", "off", "NONE"):
-            monkeypatch.setenv(store.CACHE_ENV, token)
-            assert store.cache_dir() is None
-        TRACES.clear_memory()
-        TRACES.reset_stats()
-        compile_workload("mcf", 512, 80, seed=6)
-        compile_workload("mcf", 512, 80, seed=6)
-        assert TRACES.info().builds == 2  # no layer was consulted
-
-    def test_env_path_relocates_disk(self, tmp_path, monkeypatch):
-        target = tmp_path / "elsewhere"
-        monkeypatch.setenv(store.CACHE_ENV, str(target))
-        assert store.cache_dir() == target
-        TRACES.clear_memory()
-        compile_workload("mcf", 512, 90, seed=8)
-        assert len(list(target.glob("*.ctrace"))) == 1
-
-
 class TestMmapStore:
-    """Writer/reader races and corruption under the mmap artifact store.
+    """The heap path, the mmap store's oracle, on a compiled trace.
 
-    Marked ``store`` so the CI service-smoke job can select the mmap
-    layer's coverage directly; the scenarios also run in the default
-    suite.
+    ``tests/test_artifact_cache.py`` runs the layers, the corruption
+    path and the writer/reader race for every kind on both load paths.
     """
 
     pytestmark = pytest.mark.store
 
-    def test_replace_while_mapped_serves_old_content(self, cache_dir, monkeypatch):
-        # A process holding a mapped trace must keep serving the content
-        # it validated even after another process os.replace()s the
-        # cache file: the old inode stays mapped.
-        import os
-
-        monkeypatch.setenv(store.MMAP_ENV, "1")
-        kwargs = dict(workload="mcf", llc_lines=512, length=150, seed=21)
-        key = trace_key("mcf", 512, 21, 150)
-        first = compile_workload(**kwargs)
-        TRACES.clear_memory()
-        mapped = compile_workload(**kwargs)  # disk hit: mmap-backed columns
-        assert TRACES.info().disk_hits == 1
-        path = TRACES.path(cache_dir, key)
-        other = CompiledTrace.from_records(
-            generated_records("lbm", 512, 150, seed=3)
-        )
-        tmp = path.with_name(path.name + ".race")
-        tmp.write_bytes(TRACES.encode(key, other))
-        os.replace(tmp, path)
-        # The reader that mapped before the replace still sees its data...
-        assert mapped == first
-        # ...while a fresh load detects the new inode and serves it.
-        TRACES.clear_memory()
-        again = compile_workload(**kwargs)
-        assert again == other
-        assert again != first
-        # The stale reader keeps its view; nothing crashed, and both
-        # loads were disk hits (no regenerate in between).
-        assert mapped == first
-        assert TRACES.info().disk_hits == 2
-
-    @pytest.mark.parametrize("mmap_mode", ["1", "0"])
-    def test_corruption_handled_identically(
-        self, cache_dir, caplog, monkeypatch, mmap_mode
-    ):
-        # Truncated/garbage files must warn-and-regenerate the same way
-        # whether the loader maps or heap-reads (REPRO_MMAP oracle).
-        monkeypatch.setenv(store.MMAP_ENV, mmap_mode)
-        kwargs = dict(workload="mcf", llc_lines=512, length=130, seed=22)
-        first = compile_workload(**kwargs)
-        path = TRACES.path(cache_dir, trace_key("mcf", 512, 22, 130))
-        for junk in (b"\x00" * 16, path.read_bytes()[:-20], b""):
-            path.write_bytes(junk)
-            TRACES.clear_memory()
-            errors_before = TRACES.info().disk_errors
-            with caplog.at_level(logging.WARNING, logger="repro.store"):
-                assert compile_workload(**kwargs) == first
-            assert TRACES.info().disk_errors == errors_before + 1
-        assert any("corrupt" in r.message for r in caplog.records)
-        # The regenerated file is served cleanly again.
-        TRACES.clear_memory()
-        assert compile_workload(**kwargs) == first
-
     def test_heap_fallback_loads_plain_columns(self, cache_dir, monkeypatch):
         from array import array
 
-        monkeypatch.setenv(store.MMAP_ENV, "0")
+        monkeypatch.setattr(store, "mmap_enabled", lambda: False)
         kwargs = dict(workload="mcf", llc_lines=512, length=90, seed=23)
         compile_workload(**kwargs)
         TRACES.clear_memory()
@@ -260,15 +127,3 @@ class TestKeySensitivity:
         compile_workload("mcf", 512, 100, seed=1)
         compile_workload("mcf", 512, 100, seed=2)
         assert len(list(cache_dir.glob("*.ctrace"))) == 2
-
-
-class TestCliFlag:
-    def test_no_trace_cache_exports_env(self, monkeypatch, capsys):
-        from repro.harness import cli
-
-        monkeypatch.setenv(store.CACHE_ENV, "somewhere")
-        assert cli.main(["list", "--no-trace-cache"]) == 0
-        import os
-
-        assert os.environ[store.CACHE_ENV] == "0"
-        assert store.cache_dir() is None

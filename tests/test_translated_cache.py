@@ -11,7 +11,6 @@ runs the cache mechanics for every artifact kind; these tests drive
 the translated kind through :func:`translate_trace`.
 """
 
-import logging
 import random
 from array import array
 
@@ -74,173 +73,6 @@ class TestTranslatedTrace:
     def test_column_length_validation(self):
         with pytest.raises(TraceError, match="column length"):
             TranslatedTrace(array("Q", [1, 2]), [array("I", [0])])
-
-    def test_roundtrip_and_key_check(self, cache_dir):
-        rand = make_randomizer()
-        t = translate_trace(rand, make_trace(), use_cache=False)
-        blob = TRANSLATIONS.encode("some-key", t)
-
-        def decode(buf, key):
-            return TRANSLATIONS.decode(buf, key, copy=True, validate=True)
-
-        assert decode(blob, "some-key") == t
-        with pytest.raises(TraceError, match="key mismatch"):
-            decode(blob, "other-key")
-        with pytest.raises(TraceError, match="bad magic"):
-            decode(b"XXXXXXXX" + blob[8:], "some-key")
-        with pytest.raises(TraceError, match="CRC mismatch"):
-            decode(blob[:-1] + bytes([blob[-1] ^ 1]), "some-key")
-
-
-class TestCacheLayers:
-    def test_memory_then_disk_hits(self, cache_dir):
-        rand = make_randomizer()
-        trace = make_trace()
-        first = translate_trace(rand, trace)
-        assert TRANSLATIONS.info().builds == 1
-        key = translated_key(array("Q", sorted(trace.unique_lines())), rand, 0)
-        assert TRANSLATIONS.path(cache_dir, key).exists()
-
-        assert translate_trace(rand, trace) == first
-        assert TRANSLATIONS.info().memory_hits == 1
-
-        TRANSLATIONS.clear_memory()  # simulate a fresh process
-        assert translate_trace(rand, trace) == first
-        info = TRANSLATIONS.info()
-        assert (info.disk_hits, info.builds) == (1, 1)
-        assert info.hit_rate == pytest.approx(2 / 3)
-        assert info.build_seconds > 0.0
-
-    def test_corrupt_file_retranslates_with_warning(self, cache_dir, caplog):
-        rand = make_randomizer()
-        trace = make_trace()
-        first = translate_trace(rand, trace)
-        key = translated_key(array("Q", sorted(trace.unique_lines())), rand, 0)
-        path = TRANSLATIONS.path(cache_dir, key)
-        path.write_bytes(b"garbage, not a translation")
-        TRANSLATIONS.clear_memory()
-        with caplog.at_level(logging.WARNING, logger="repro.store"):
-            again = translate_trace(rand, trace)
-        assert again == first
-        assert TRANSLATIONS.info().disk_errors == 1
-        assert any("corrupt" in r.message for r in caplog.records)
-        # The bad file was deleted and replaced by the regenerated one.
-        assert TRANSLATIONS.decode(path.read_bytes(), key, copy=True, validate=True) == first
-
-    def test_truncated_file_retranslates(self, cache_dir, caplog):
-        rand = make_randomizer()
-        trace = make_trace()
-        first = translate_trace(rand, trace)
-        key = translated_key(array("Q", sorted(trace.unique_lines())), rand, 0)
-        path = TRANSLATIONS.path(cache_dir, key)
-        path.write_bytes(path.read_bytes()[:-17])
-        TRANSLATIONS.clear_memory()
-        with caplog.at_level(logging.WARNING, logger="repro.store"):
-            assert translate_trace(rand, trace) == first
-        assert TRANSLATIONS.info().disk_errors == 1
-
-    def test_use_cache_false_bypasses_both_layers(self, cache_dir):
-        rand = make_randomizer()
-        trace = make_trace()
-        a = translate_trace(rand, trace, use_cache=False)
-        b = translate_trace(rand, trace, use_cache=False)
-        assert a == b
-        assert TRANSLATIONS.info().builds == 2
-        assert not cache_dir.exists()  # nothing was ever written
-
-    def test_env_disable_skips_disk(self, monkeypatch):
-        for token in ("0", "off", "NONE"):
-            monkeypatch.setenv(store.CACHE_ENV, token)
-            assert store.cache_dir() is None
-        TRANSLATIONS.clear_memory()
-        TRANSLATIONS.reset_stats()
-        rand = make_randomizer()
-        trace = make_trace(20)
-        translate_trace(rand, trace)
-        translate_trace(rand, trace)
-        assert TRANSLATIONS.info().builds == 2  # no layer consulted
-        TRANSLATIONS.clear_memory()
-        TRANSLATIONS.reset_stats()
-
-
-class TestMmapStore:
-    """Writer/reader races and corruption for ``.tix`` files under mmap."""
-
-    pytestmark = pytest.mark.store
-
-    def test_replace_while_mapped_serves_old_content(self, cache_dir, monkeypatch):
-        import os
-
-        monkeypatch.setenv(store.MMAP_ENV, "1")
-        rand = make_randomizer()
-        trace = make_trace()
-        first = translate_trace(rand, trace)
-        key = translated_key(array("Q", sorted(trace.unique_lines())), rand, 0)
-        TRANSLATIONS.clear_memory()
-        mapped = translate_trace(rand, trace)  # disk hit: mmap-backed columns
-        assert TRANSLATIONS.info().disk_hits == 1
-        # Another writer publishes a different (valid) translation under
-        # the same key - e.g. a concurrent worker with offset applied.
-        other = translate_trace(rand, trace, offset=1 << 20, use_cache=False)
-        path = TRANSLATIONS.path(cache_dir, key)
-        tmp = path.with_name(path.name + ".race")
-        tmp.write_bytes(TRANSLATIONS.encode(key, other))
-        os.replace(tmp, path)
-        # The old inode stays mapped: the reader is undisturbed...
-        assert mapped == first
-        # ...and a fresh load sees the new inode's content.
-        TRANSLATIONS.clear_memory()
-        again = translate_trace(rand, trace)
-        assert again == other
-        assert again != first
-        assert mapped == first
-        assert TRANSLATIONS.info().disk_hits == 2
-
-    @pytest.mark.parametrize("mmap_mode", ["1", "0"])
-    def test_corruption_handled_identically(
-        self, cache_dir, caplog, monkeypatch, mmap_mode
-    ):
-        monkeypatch.setenv(store.MMAP_ENV, mmap_mode)
-        rand = make_randomizer()
-        trace = make_trace()
-        first = translate_trace(rand, trace)
-        key = translated_key(array("Q", sorted(trace.unique_lines())), rand, 0)
-        path = TRANSLATIONS.path(cache_dir, key)
-        for junk in (b"\x00" * 16, path.read_bytes()[:-17], b""):
-            path.write_bytes(junk)
-            TRANSLATIONS.clear_memory()
-            errors_before = TRANSLATIONS.info().disk_errors
-            with caplog.at_level(logging.WARNING, logger="repro.store"):
-                assert translate_trace(rand, trace) == first
-            assert TRANSLATIONS.info().disk_errors == errors_before + 1
-        assert any("corrupt" in r.message for r in caplog.records)
-
-
-class TestDirResolution:
-    """Translations share the one artifact directory with the traces."""
-
-    def test_follows_trace_cache_disable(self, monkeypatch):
-        # --no-trace-cache sets REPRO_TRACE_CACHE=0, which must bypass
-        # the translated kind too: nothing remembered, nothing written.
-        monkeypatch.setenv(store.CACHE_ENV, "0")
-        TRANSLATIONS.clear_memory()
-        TRANSLATIONS.reset_stats()
-        rand = make_randomizer()
-        trace = make_trace(20)
-        translate_trace(rand, trace)
-        translate_trace(rand, trace)
-        assert TRANSLATIONS.info().builds == 2
-        TRANSLATIONS.reset_stats()
-
-    def test_follows_relocated_trace_cache(self, cache_dir):
-        # A relocated cache holds the .tix files next to the .ctrace
-        # files, in the one directory.
-        translate_trace(make_randomizer(), make_trace())
-        assert len(list(cache_dir.glob("*.tix"))) == 1
-
-    def test_default_location(self, monkeypatch):
-        monkeypatch.delenv(store.CACHE_ENV, raising=False)
-        assert str(store.cache_dir()) == store.DEFAULT_CACHE_DIR
 
 
 class TestKeySensitivity:

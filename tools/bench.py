@@ -33,7 +33,8 @@ canonical results against a serial run - the same invariant the CI
 ``service-smoke`` job enforces.
 
 Unless ``--no-store`` is given, the run also benchmarks the zero-copy
-mmap artifact store (``repro.store``) against its heap fallback: warm
+mmap artifact store (``repro.store``) against its heap path (pinned by
+patching ``store.mmap_enabled``, in process and in each worker): warm
 reloads of the canonical protocol's compiled traces must come out >=5x
 faster mapped than heap-read, and the aggregate proportional RSS of 8
 concurrent workers loading the same artifacts must land below the heap
@@ -55,9 +56,8 @@ Usage::
     python tools/bench.py --service-grid        # + drain the fast
                                                 # fig9+fig10+table7 grid
                                                 # through a live service
-    python tools/bench.py --no-trace-cache      # recompile traces every trial
-                                                # (also disables the
-                                                # translated-index cache)
+    REPRO_TRACE_CACHE=0 python tools/bench.py   # rebuild every artifact
+                                                # every trial
 
 ``--check-regression PCT`` exits 1 if measured Maya throughput falls
 more than PCT percent below the checked-in baseline's figure for the
@@ -91,7 +91,6 @@ from repro.harness.presets import experiment_maya, experiment_mirage, experiment
 from repro.hierarchy.simulator import run_mix
 from repro.llc.baseline import BaselineLLC
 from repro.llc.mirage import MirageCache
-from repro.store import CACHE_ENV
 from repro.trace.compiled import TRACES
 from repro.trace.mixes import homogeneous
 from repro.trace.translated import TRANSLATIONS
@@ -226,15 +225,18 @@ def _canonical_artifact_specs(params: dict = FULL) -> list:
 
 
 #: Worker script for the aggregate-RSS bench: load the canonical
-#: artifacts (must come off the disk cache), then hold them alive while
-#: the parent reads back PSS - proportional set size, which divides
-#: each shared physical page across its mappers, so page-cache sharing
-#: under mmap shows directly where plain RSS would bill every worker
-#: the full page.
+#: artifacts (must come off the disk cache) through the load path named
+#: by its one argument (``mmap`` or ``heap``), then hold them alive
+#: while the parent reads back PSS - proportional set size, which
+#: divides each shared physical page across its mappers, so page-cache
+#: sharing under mmap shows directly where plain RSS would bill every
+#: worker the full page.
 _STORE_WORKER_CODE = """\
 import json, os, sys
 from repro import store
 from repro.trace import compiled
+mapped = sys.argv[1] == "mmap"
+store.mmap_enabled = lambda: mapped
 specs = json.loads(os.environ["STORE_BENCH_SPECS"])
 traces = [compiled.compile_workload(w, l, n, seed=s) for (w, l, n, s) in specs]
 if compiled.TRACES.info().builds:
@@ -296,20 +298,17 @@ def bench_store(rounds: int = 30, workers: int = 8) -> dict:
             best = elapsed if best is None or elapsed < best else best
         return best
 
-    previous = os.environ.get(store.MMAP_ENV)
+    mmap_enabled = store.mmap_enabled
     try:
-        os.environ[store.MMAP_ENV] = "1"
+        store.mmap_enabled = lambda: True
         compiled.TRACES.clear_memory()
         for key in keys:  # prime: map + one CRC validation per artifact
             compiled.TRACES._load(directory, key)
         mmap_best = best_load_seconds()
-        os.environ[store.MMAP_ENV] = "0"
+        store.mmap_enabled = lambda: False
         heap_best = best_load_seconds()
     finally:
-        if previous is None:
-            os.environ.pop(store.MMAP_ENV, None)
-        else:
-            os.environ[store.MMAP_ENV] = previous
+        store.mmap_enabled = mmap_enabled
     speedup = heap_best / mmap_best
     if speedup < 5.0:
         raise AssertionError(
@@ -319,14 +318,13 @@ def bench_store(rounds: int = 30, workers: int = 8) -> dict:
 
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
-    def measure_workers(mmap_value: str) -> list:
+    def measure_workers(mode: str) -> list:
         env = dict(os.environ)
         env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
-        env[store.MMAP_ENV] = mmap_value
         env["STORE_BENCH_SPECS"] = json.dumps(specs)
         procs = [
             subprocess.Popen(
-                [sys.executable, "-c", _STORE_WORKER_CODE], env=env,
+                [sys.executable, "-c", _STORE_WORKER_CODE, mode], env=env,
                 stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
             )
             for _ in range(workers)
@@ -347,8 +345,8 @@ def bench_store(rounds: int = 30, workers: int = 8) -> dict:
                 except (OSError, subprocess.TimeoutExpired):
                     proc.kill()
 
-    mmap_reports = measure_workers("1")
-    heap_reports = measure_workers("0")
+    mmap_reports = measure_workers("mmap")
+    heap_reports = measure_workers("heap")
     have_pss = all(
         r["pss_kb"] is not None for r in mmap_reports + heap_reports
     )
@@ -772,15 +770,7 @@ def main(argv=None) -> int:
                         help="skip the resident-service benchmarks entirely")
     parser.add_argument("--no-store", action="store_true",
                         help="skip the mmap artifact-store benchmarks")
-    parser.add_argument("--no-trace-cache", action="store_true",
-                        help="disable the artifact cache (sets "
-                             f"{CACHE_ENV}=0): every trial rebuilds its "
-                             "traces, translations and op streams, and "
-                             "nothing is written to results/.trace_cache")
     args = parser.parse_args(argv)
-
-    if args.no_trace_cache:
-        os.environ[CACHE_ENV] = "0"
 
     protocol = "quick" if args.quick else "full"
     params = dict(QUICK if args.quick else FULL)
