@@ -1,8 +1,10 @@
 """Compile-once cache for the generated per-access step functions.
 
 The cache state machines render per-configuration Python source (the
-steps in :mod:`repro.core.maya_step`, :mod:`repro.llc.mirage_step`
-and :mod:`repro.cache.set_assoc_step`).  Each template defines a
+steps in :mod:`repro.core.maya_step`, :mod:`repro.llc.mirage_step`,
+:mod:`repro.llc.skewed_step`, :mod:`repro.llc.ceaser_step`,
+:mod:`repro.llc.fully_assoc_step` and
+:mod:`repro.cache.set_assoc_step`).  Each template defines a
 ``_bind(target, SimulationError, SetAssociativeEviction)`` function that
 binds the target's columns as closure locals and returns its
 ``access_fast`` step.
@@ -13,10 +15,10 @@ configuration once per warm pool.  Nothing is cached on disk: the
 source renders in tens of microseconds and ``compile()`` would run on
 every process start either way.
 
-The snippets the Maya and Mirage steps share live here too, so their
-sites cannot drift apart: the stdlib-exact random draw (:func:`_draw`)
-and the randomizer's mapping-memo lookup (:func:`_memo_lookup`) with
-its inlined splitmix mix and fold.
+The snippets the randomized steps share live here too, so their sites
+cannot drift apart: the stdlib-exact random draw (:func:`_draw`), the
+splitmix64 mixer (:func:`_splitmix`) and the randomizer's mapping-memo
+lookup (:func:`_memo_lookup`) with its inlined mix and fold.
 """
 
 from __future__ import annotations
@@ -99,23 +101,15 @@ def _draw(target: str, n, getrandbits: str) -> str:
     )
 
 
-# IndexRandomizer._raw_packed for splitmix with two skews: the XOR fold
-# over 64/bits chunks renders as shift offsets (masking distributes over
-# XOR, so it equals the chunk fold for any width).
-_SPLITMIX_PACKED = """\
-k0, k1 = rand._mix_keys
-tweaked = line_addr ^ (sdid << 56)
-x = (tweaked ^ k0) & 0xFFFFFFFFFFFFFFFF
-x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-x ^= x >> 31
-f0 = {FOLD}
-x = (tweaked ^ k1) & 0xFFFFFFFFFFFFFFFF
-x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-x ^= x >> 31
-packed = (f0 & {MASK}) | (({FOLD}) & {MASK}) << 32
-"""
+def _splitmix(value: str, key: str) -> str:
+    """``x = splitmix64((value ^ key) & M64)``, the randomizer's mixer."""
+    return (
+        f"x = ({value} ^ {key}) & 0xFFFFFFFFFFFFFFFF\n"
+        "x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF\n"
+        "x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF\n"
+        "x ^= x >> 31\n"
+    )
+
 
 # IndexRandomizer._lookup_packed of ``key`` (its LRU discipline, counters
 # and precomputed side table), then the two skews' indices unpacked from
@@ -137,19 +131,32 @@ i1 = packed >> 32
 """
 
 
-def _memo_lookup(memo_cap: int, mix_bits: Optional[int]) -> str:
+def _memo_lookup(memo_cap: int, mix_bits: Optional[int], sdid: str = "sdid") -> str:
     """The two-skew mapping lookup of ``key`` into ``i0``/``i1``.
 
-    Reads ``line_addr``, ``sdid`` and ``key`` (their packed key) and
-    needs ``rand``, ``memo``, ``memo_pop`` and ``precomputed_get``
-    bound; a miss outside the side table runs the splitmix mixer inline
-    when ``mix_bits`` (the index width) is given, else calls the bound
-    ``raw_packed`` (the PRINCE cipher).  Both values must be part of
-    the template's fingerprint.
+    Reads ``line_addr``, ``key`` (the packed ``line_addr``/``sdid``
+    key) and ``sdid``, the expression for the SDID that enters the hash
+    (``"0"`` for a design that maps every domain alike), and needs
+    ``rand``, ``memo``, ``memo_pop`` and ``precomputed_get`` bound.  A
+    miss outside the side table runs the splitmix mixer inline when
+    ``mix_bits`` (the index width) is given - the two-skew
+    ``IndexRandomizer._raw_packed``, whose XOR fold over ``64/bits``
+    chunks renders as shift offsets (masking distributes over XOR, so
+    it equals the chunk fold for any width) - else calls the bound
+    ``raw_packed`` (the PRINCE cipher).  ``memo_cap`` and ``mix_bits``
+    must be part of the template's fingerprint.
     """
     if mix_bits is None:
-        miss = "packed = raw_packed(line_addr, sdid)\n"
+        miss = f"packed = raw_packed(line_addr, {sdid})\n"
     else:
         fold = " ^ ".join(["x"] + [f"(x >> {s})" for s in range(mix_bits, 64, mix_bits)])
-        miss = _SPLITMIX_PACKED.format(FOLD=fold, MASK=(1 << mix_bits) - 1)
+        mask = (1 << mix_bits) - 1
+        miss = (
+            "k0, k1 = rand._mix_keys\n"
+            f"tweaked = line_addr ^ ({sdid} << 56)\n"
+            + _splitmix("tweaked", "k0")
+            + f"f0 = {fold}\n"
+            + _splitmix("tweaked", "k1")
+            + f"packed = (f0 & {mask}) | (({fold}) & {mask}) << 32\n"
+        )
     return _MEMO_LOOKUP.format(MISS=_indent(miss, 8), MEMO_CAP=memo_cap)

@@ -41,7 +41,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, Optional
 
-from ..common.addr import sdid_error
+from ..common.addr import SDID_SHIFT, sdid_error
 from ..common.config import MayaConfig
 from ..common.errors import SetAssociativeEviction, SimulationError
 from ..common.rng import derive_seed, make_rng
@@ -246,6 +246,18 @@ class MayaCache:
             raise sdid_error(sdid, self._sdid_bits)
         tag_idx = self.tags.lookup(line_addr, sdid)
         return tag_idx is not None and self.tags._state[tag_idx] == _P1
+
+    def missing(self, lines, sdid: int = 0) -> list:
+        """The lines of ``lines`` without data for ``sdid``, in order: a
+        tag-only (priority-0) line is missing, as :meth:`contains` says."""
+        if sdid >> self._sdid_bits:
+            raise sdid_error(sdid, self._sdid_bits)
+        where_get = self.tags._where.get
+        state = self.tags._state
+        return [
+            line for line in lines
+            if (idx := where_get((line << SDID_SHIFT) | sdid)) is None or state[idx] != _P1
+        ]
 
     def contains_tag(self, line_addr: int, sdid: int = 0) -> bool:
         """Is the line's tag resident at either priority?"""

@@ -2,9 +2,12 @@
 
 Every packed design with a state machine has exactly one fast
 implementation, a step rendered per configuration: Maya's
-(:mod:`repro.core.maya_step`), Mirage's (:mod:`repro.llc.mirage_step`)
-and the set-associative array's (:mod:`repro.cache.set_assoc_step`),
-which serves the baseline LLC, CEASER's inner array, the partitioned
+(:mod:`repro.core.maya_step`), Mirage's (:mod:`repro.llc.mirage_step`),
+CEASER-S and Scatter-Cache's (:mod:`repro.llc.skewed_step`), CEASER's
+(:mod:`repro.llc.ceaser_step`, around its inner array's), the
+fully-associative cache's (:mod:`repro.llc.fully_assoc_step`) and the
+set-associative array's (:mod:`repro.cache.set_assoc_step`), which
+serves the baseline LLC, CEASER's inner array, the partitioned
 designs' slices and the private L1/L2 levels.  Each binds its step as
 an *instance* attribute (``access_fast``) on first use, and every caller
 - the compiled hierarchy closure
@@ -21,10 +24,11 @@ A bound step closes over its cache, so the binding is a
 campaign cell instead installs a fresh step on each design it drives
 through a releasable :class:`Specialization` (:func:`specialize_llc`),
 whose ``release()`` drops the bindings again, so every cache frees by
-refcount when its caller lets go of it.  The skewed and
-fully-associative designs have hand-written ``access_fast`` methods and
-no generated step; :func:`specialize_llc` reports that as its one
-decline.
+refcount when its caller lets go of it.  Every design in
+:mod:`repro.llc` and :mod:`repro.core` takes a step; only an object
+from outside them (a reference model behind
+:class:`~repro.reference.AccessFastAdapter`) keeps its own
+``access_fast``, and :func:`specialize_llc` says so.
 
 Installing a step does not choose the drive: ``run_mix`` takes the
 op-stream replay (:mod:`repro.engine.vector`) unless the replay
@@ -67,13 +71,13 @@ class Specialization:
 def specialize_llc(llc, spec: Specialization) -> Optional[str]:
     """Install a fresh generated step on ``llc`` through ``spec``.
 
-    Returns ``None`` on success or a human-readable reason when the
-    design has no generated step.  Wrapper designs install on the
-    packed arrays they hold: the baseline on its inner array (and its
-    forwarding attribute), CEASER on its inner array, the partitioned
-    designs on every slice.  The skewed and fully-associative designs
-    keep their hand-written ``access_fast`` and get a reason back.
-    Callers: :func:`apply_specialization` (one ``run_mix``) and
+    Returns ``None`` once the step is installed, or a human-readable
+    reason for an object that is not one of the library's designs.
+    Wrapper designs install on the packed arrays they hold: the
+    baseline on its inner array (and its forwarding attribute), CEASER
+    on its inner array and then its own step, which calls the array's,
+    the partitioned designs on every slice.  Callers:
+    :func:`apply_specialization` (one ``run_mix``) and
     :func:`repro.security.campaign.run_shard` (every design one
     campaign cell builds); each releases ``spec`` when done.
     """
@@ -83,14 +87,23 @@ def specialize_llc(llc, spec: Specialization) -> Optional[str]:
     from ..core.maya_step import maya_step
     from ..llc.baseline import BaselineLLC
     from ..llc.ceaser import CeaserCache
+    from ..llc.ceaser_step import ceaser_step
+    from ..llc.fully_assoc import FullyAssociativeCache
+    from ..llc.fully_assoc_step import fully_assoc_step
     from ..llc.mirage import MirageCache
     from ..llc.mirage_step import mirage_step
     from ..llc.partitioned import _PartitionedBase
+    from ..llc.skewed import SkewedRandomizedCache
+    from ..llc.skewed_step import skewed_step
 
     if isinstance(llc, MayaCache):
         spec._install(llc, "access_fast", maya_step(llc))
     elif isinstance(llc, MirageCache):
         spec._install(llc, "access_fast", mirage_step(llc))
+    elif isinstance(llc, SkewedRandomizedCache):
+        spec._install(llc, "access_fast", skewed_step(llc))
+    elif isinstance(llc, FullyAssociativeCache):
+        spec._install(llc, "access_fast", fully_assoc_step(llc))
     elif isinstance(llc, SetAssociativeCache):
         spec._install(llc, "access_fast", set_assoc_step(llc))
     elif isinstance(llc, BaselineLLC):
@@ -100,14 +113,14 @@ def specialize_llc(llc, spec: Specialization) -> Optional[str]:
         spec._install(llc._cache, "access_fast", step)
         spec._install(llc, "access_fast", step)
     elif isinstance(llc, CeaserCache):
-        # CeaserCache.access_fast looks the inner array's step up per
-        # call, so shadowing the inner array alone is enough.
+        # The CEASER step looks the inner array's step up per access.
         spec._install(llc._cache, "access_fast", set_assoc_step(llc._cache))
+        spec._install(llc, "access_fast", ceaser_step(llc))
     elif isinstance(llc, _PartitionedBase):
         for part in llc._slices:
             spec._install(part, "access_fast", set_assoc_step(part))
     else:
-        return f"no specialized template for {type(llc).__name__}"
+        return f"{type(llc).__name__} is not a library design; its own access_fast runs"
     return None
 
 

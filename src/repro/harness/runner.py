@@ -29,7 +29,9 @@ stable across platforms and Python builds (no ``hash()`` involved).
 
 **Reporting.**  Each task is timed individually; a machine-readable
 summary (:func:`write_summary`, CLI ``--json PATH``) records per-task
-wall-clock, shard counts, errors, and the report text.
+wall-clock, shard counts, errors, the report text and the recoveries
+(units re-issued after a worker died, shard plans that fell back to one
+unit).
 """
 
 from __future__ import annotations
@@ -73,6 +75,10 @@ class TaskResult:
     seconds: float = 0.0
     shards: int = 1
     error: Optional[str] = None
+    #: Units the ``--jobs``/service pool re-issued after a worker died.
+    reissues: int = 0
+    #: 1 if shard planning raised and the task ran as one unit instead.
+    plan_fallbacks: int = 0
 
     @property
     def ok(self) -> bool:
@@ -135,26 +141,33 @@ def execute_unit(unit: Tuple[int, ExperimentTask, Optional[object]]):
 # -- orchestration ---------------------------------------------------------
 
 
+def plan_task(task: ExperimentTask) -> Tuple[Optional[List[object]], bool]:
+    """A task's shard keys (``None``: run it as one unit), and whether
+    that is a fallback because planning raised.
+
+    A planning failure runs the task unsharded, where ``run`` fails in
+    its own right; the caller counts the fallback
+    (:attr:`TaskResult.plan_fallbacks`).
+    """
+    try:
+        fns = _shard_functions(_load(task.module))
+        if fns is None:
+            return None, False
+        keys = list(fns[0](**task.kwargs))
+    except Exception:  # noqa: BLE001 - counted by the caller, fails in run()
+        return None, True
+    return (keys if len(keys) >= _MIN_SHARDS_TO_FAN_OUT else None), False
+
+
 def plan_units(tasks: Sequence[ExperimentTask]):
     """Expand tasks into work units; returns (units, per-task shard keys)."""
     units: List[Tuple[int, ExperimentTask, Optional[object]]] = []
     task_keys: List[Optional[List[object]]] = []
     for task in tasks:
-        keys: Optional[List[object]] = None
-        try:
-            fns = _shard_functions(_load(task.module))
-            if fns is not None:
-                keys = list(fns[0](**task.kwargs))
-                if len(keys) < _MIN_SHARDS_TO_FAN_OUT:
-                    keys = None
-        except Exception:  # noqa: BLE001 - planning failure -> run unsharded, fail there
-            keys = None
+        keys, _ = plan_task(task)
         task_keys.append(keys)
-        if keys is None:
-            units.append((len(units), task, None))
-        else:
-            for key in keys:
-                units.append((len(units), task, key))
+        for key in [None] if keys is None else keys:
+            units.append((len(units), task, key))
     return units, task_keys
 
 
@@ -213,7 +226,9 @@ def run_tasks(
         pool.submit_many(grid.units)
         while not grid.done:
             message = pool.next_result()
-            finished = grid.record(message.job_id, message.payload, message.seconds, message.error)
+            finished = grid.record(
+                message.job_id, message.payload, message.seconds, message.error, message.reissues
+            )
             if finished is not None:
                 notify(progress_line(finished))
     return grid.results()
@@ -271,6 +286,10 @@ def summary_dict(
         "numpy": numpy_version,
         "task_seconds": sum(r.seconds for r in results),
         "ok": all(r.ok for r in results),
+        # Recoveries: units re-issued after a worker died (0 on the
+        # serial path) and tasks whose shard planning raised.
+        "reissues": sum(r.reissues for r in results),
+        "plan_fallbacks": sum(r.plan_fallbacks for r in results),
         # "caches" includes the mmap artifact store's map/reuse counters
         # ("store" layer); "memory" adds this process's peak RSS and the
         # bytes currently mapped (shared page-cache pages, not copies).
@@ -282,6 +301,8 @@ def summary_dict(
                 "description": r.description,
                 "seconds": r.seconds,
                 "shards": r.shards,
+                "reissues": r.reissues,
+                "plan_fallbacks": r.plan_fallbacks,
                 "ok": r.ok,
                 "error": r.error,
                 "text": r.text,

@@ -70,6 +70,10 @@ class BaselineLLC(LLCache):
     def contains(self, line_addr: int, sdid: int = 0) -> bool:
         return self._cache.contains(line_addr)
 
+    def missing(self, lines, sdid: int = 0) -> list:
+        where = self._cache._where
+        return [line for line in lines if line not in where]
+
     @property
     def occupancy(self) -> int:
         return self._cache.occupancy

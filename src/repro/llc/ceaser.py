@@ -10,22 +10,24 @@ and the cache flushed - which is conservative for performance (more
 misses after remap) and equivalent for the eviction-set security
 experiments, which only care about how many fills share one mapping.
 
-The hot path is :meth:`CeaserCache.access_fast` (``ACC_*`` flag
-protocol): it encrypts the address, runs the inner packed array's step
-and mirrors that array's ``victim_*`` fields before counting the fill
-toward the next remap.  :meth:`CeaserCache.access` wraps it and reports
-the cipher's lookup latency.
+The per-access protocol lives in :mod:`repro.llc.ceaser_step`: the
+step encrypts the address, runs the inner packed array's step and
+mirrors that array's ``victim_*`` fields before counting the fill
+toward the next remap.  :meth:`CeaserCache.access_fast` binds it on
+first use (``ACC_*`` flag protocol); :meth:`CeaserCache.access` wraps
+it and reports the cipher's lookup latency.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..cache.line import ACC_EVICTED, ACC_HIT, AccessResult, EvictedLine, access_result
+from ..cache.line import AccessResult, EvictedLine, access_result
 from ..cache.set_assoc import SetAssociativeCache
 from ..common.config import PAPER_BASELINE, CacheGeometry
 from ..common.rng import derive_seed
 from ..crypto.randomizer import IndexRandomizer
+from .ceaser_step import ceaser_step
 from .interface import LLCache
 
 
@@ -87,25 +89,18 @@ class CeaserCache(LLCache):
     ) -> int:
         """One access with no allocation; returns ``ACC_*`` flags.
 
-        The inner array's step is looked up per call, so a step
-        installed on it (:mod:`repro.engine.specialize`) is used.
-        The published victim address is the encrypted one the array
-        stores.
+        The first call binds the generated step
+        (:func:`~repro.llc.ceaser_step.ceaser_step`) on the instance,
+        where attribute lookup finds it from then on.  Callers that
+        bound this method before the first access keep landing here, so
+        the instance binding is looked up first and the step renders
+        once.  The published victim address is the encrypted one the
+        array stores.
         """
-        cache = self._cache
-        flags = cache.access_fast(self._encrypt(line_addr), is_write, core_id, is_writeback, sdid)
-        if flags & ACC_HIT:
-            return flags
-        if flags & ACC_EVICTED:
-            # Mirrored before a remap's flush overwrites the array's.
-            self.victim_addr = cache.victim_addr
-            self.victim_core = cache.victim_core
-            self.victim_sdid = cache.victim_sdid
-            self.victim_reused = cache.victim_reused
-        self._fills_since_remap += 1
-        if self._fills_since_remap >= self.remap_period:
-            self.remap()
-        return flags
+        step = self.__dict__.get("access_fast")
+        if step is None:
+            self.access_fast = step = ceaser_step(self)
+        return step(line_addr, is_write, core_id, is_writeback, sdid)
 
     def access(
         self,
@@ -137,6 +132,11 @@ class CeaserCache(LLCache):
 
     def contains(self, line_addr: int, sdid: int = 0) -> bool:
         return self._cache.contains(self._encrypt(line_addr))
+
+    def missing(self, lines, sdid: int = 0) -> list:
+        encrypt = self._encrypt
+        where = self._cache._where
+        return [line for line in lines if encrypt(line) not in where]
 
     @property
     def occupancy(self) -> int:

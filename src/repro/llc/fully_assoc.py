@@ -8,11 +8,14 @@ occupancy-attack comparison (Fig. 8) and as a teaching example.
 
 Resident lines are packed columns (address, SDID, core, dirty and
 reused bits) over slots ``0 .. occupancy - 1``; an eviction moves the
-last slot into the hole (swap-remove).  The hot path is
-:meth:`FullyAssociativeCache.access_fast` (``ACC_*`` flag protocol,
-victim published via the ``victim_*`` fields).  Behaviour - RNG draw
-order and every statistics counter included - is bit-identical to the
-object-model reference in ``repro.reference.fully_assoc``.
+last slot into the hole (swap-remove).  The per-access protocol lives
+in :mod:`repro.llc.fully_assoc_step`, which renders it per capacity
+over these columns; :meth:`FullyAssociativeCache.access_fast` binds
+that step on first use (``ACC_*`` flag protocol, victim published via
+the ``victim_*`` fields).  This module keeps invalidation, flush and
+the probe surface.  Behaviour - RNG draw order and every statistics
+counter included - is bit-identical to the object-model reference in
+``repro.reference.fully_assoc`` (enforced by the differential tests).
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from typing import Dict, Optional
 from ..cache.line import (
     ACC_EVICTED,
     ACC_EVICTED_DIRTY,
-    ACC_HIT,
     AccessResult,
     EvictedLine,
     access_result,
@@ -32,6 +34,7 @@ from ..cache.stats import CacheStats
 from ..common.addr import SDID_SHIFT, sdid_error
 from ..common.errors import SimulationError
 from ..common.rng import make_rng
+from .fully_assoc_step import fully_assoc_step
 from .interface import LLCache
 
 
@@ -69,45 +72,19 @@ class FullyAssociativeCache(LLCache):
         is_writeback: bool = False,
         sdid: int = 0,
     ) -> int:
-        """One access with no allocation; returns ``ACC_*`` flags."""
-        key = (line_addr << 16) | sdid
-        pos = self._where.get(key)
-        st = self.stats
-        st.accesses += 1
-        if pos is not None:
-            st.hits += 1
-            if is_writeback:
-                st.writebacks_received += 1
-                self._dirty[pos] = 1
-            else:
-                st.demand_accesses += 1
-                st.demand_hits += 1
-                self._reused[pos] = 1
-                if is_write:
-                    self._dirty[pos] = 1
-            return ACC_HIT
-        st.misses += 1
-        if is_writeback:
-            st.writebacks_received += 1
-        else:
-            st.demand_accesses += 1
-            pcm = st.per_core_misses
-            pcm[core_id] = pcm.get(core_id, 0) + 1
+        """One access with no allocation; returns ``ACC_*`` flags.
 
-        flags = 0
-        if self._size >= self.capacity_lines:
-            flags = self._remove_at(self._rng.randrange(self._size), filler_core=core_id)
-        pos = self._size
-        self._addr[pos] = line_addr
-        self._sdid[pos] = sdid
-        self._core[pos] = core_id
-        self._dirty[pos] = 1 if is_write or is_writeback else 0
-        self._reused[pos] = 0
-        self._where[key] = pos
-        self._size = pos + 1
-        st.fills += 1
-        st.data_fills += 1
-        return flags
+        The first call binds the generated step
+        (:func:`~repro.llc.fully_assoc_step.fully_assoc_step`) on the
+        instance, where attribute lookup finds it from then on.  Callers
+        that bound this method before the first access keep landing
+        here, so the instance binding is looked up first and the step
+        renders once.
+        """
+        step = self.__dict__.get("access_fast")
+        if step is None:
+            self.access_fast = step = fully_assoc_step(self)
+        return step(line_addr, is_write, core_id, is_writeback, sdid)
 
     def access(
         self,
@@ -173,6 +150,12 @@ class FullyAssociativeCache(LLCache):
         if sdid >> SDID_SHIFT:
             raise sdid_error(sdid)
         return ((line_addr << SDID_SHIFT) | sdid) in self._where
+
+    def missing(self, lines, sdid: int = 0) -> list:
+        if sdid >> SDID_SHIFT:
+            raise sdid_error(sdid)
+        where = self._where
+        return [line for line in lines if ((line << SDID_SHIFT) | sdid) not in where]
 
     @property
     def occupancy(self) -> int:

@@ -64,17 +64,21 @@ class LLCache(abc.ABC):
     # -- attacker-facing probe surface -------------------------------------
     #
     # The attack harnesses (repro.security.attacks, repro.security.campaign)
-    # drive every design through these three calls plus the helpers below
-    # (loads go through access_step), so a new design is attackable the
-    # moment it implements the ABC.
+    # drive every design through contains, missing and rekey plus the
+    # helpers below (loads go through access_step), so a new design is
+    # attackable the moment it implements the ABC.
 
-    def probe(self, line_addr: int, sdid: int = 0) -> bool:
-        """Timing-visible residency probe (the attacker's reload).
+    def missing(self, lines, sdid: int = 0) -> list:
+        """The lines of ``lines`` not resident for ``sdid``, in order.
 
-        Identical to :meth:`contains`; named separately so attack code
-        reads as the attack it models (prime / *probe*).
+        The attacker's bulk probe: one call per scan instead of one
+        :meth:`contains` call per line.  This default is exactly
+        ``[line for line in lines if not contains(line, sdid)]``; the
+        packed designs override it with one pass over their location
+        map, and must raise what :meth:`contains` raises.
         """
-        return self.contains(line_addr, sdid=sdid)
+        contains = self.contains
+        return [line for line in lines if not contains(line, sdid)]
 
     def rekey(self) -> None:
         """Refresh the design's mapping keys, if it has any.

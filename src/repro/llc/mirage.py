@@ -199,6 +199,12 @@ class MirageCache(LLCache):
             raise sdid_error(sdid)
         return ((line_addr << SDID_SHIFT) | sdid) in self._where
 
+    def missing(self, lines, sdid: int = 0) -> list:
+        if sdid >> SDID_SHIFT:
+            raise sdid_error(sdid)
+        where = self._where
+        return [line for line in lines if ((line << SDID_SHIFT) | sdid) not in where]
+
     def rekey(self) -> None:
         """Refresh the randomizing keys and flush (key management).
 

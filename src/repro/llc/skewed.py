@@ -9,12 +9,16 @@ set conflicts - eviction-set attacks remain possible at reduced rate
 zero-SAE behaviour.
 
 The array is stored as packed columns (coherence state, address, core,
-SDID, reused bit) indexed ``(skew * sets + set) * ways + way``, and the
-hot path is :meth:`SkewedRandomizedCache.access_fast` (``ACC_*`` flag
-protocol, victim published via the ``victim_*`` fields).  Behaviour -
-RNG draw order and every statistics counter included - is
-bit-identical to the object-model reference in
-``repro.reference.skewed``.
+SDID, reused bit) indexed ``(skew * sets + set) * ways + way``.  The
+per-access protocol lives in :mod:`repro.llc.skewed_step`, which
+renders it per configuration over these columns;
+:meth:`SkewedRandomizedCache.access_fast` binds that step on first use
+(``ACC_*`` flag protocol, victim published via the ``victim_*``
+fields).  This module keeps invalidation, flush, remap and the probe
+surface.  Only the deployed two-skew arrangement is modelled; the
+reference in ``repro.reference.skewed`` also keeps more skews.
+Behaviour - RNG draw order and every statistics counter included - is
+bit-identical to that reference (enforced by the differential tests).
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from typing import Dict, Optional
 from ..cache.line import (
     ACC_EVICTED,
     ACC_EVICTED_DIRTY,
-    ACC_HIT,
     AccessResult,
     CoherenceState,
     EvictedLine,
@@ -38,9 +41,8 @@ from ..common.errors import ConfigurationError
 from ..common.rng import derive_seed, make_rng
 from ..crypto.randomizer import IndexRandomizer
 from .interface import LLCache
+from .skewed_step import skewed_step
 
-_EXCLUSIVE = CoherenceState.EXCLUSIVE.value
-_MODIFIED = CoherenceState.MODIFIED.value
 _DIRTY_MIN = CoherenceState.OWNED.value
 
 
@@ -50,7 +52,7 @@ class SkewedRandomizedCache(LLCache):
     Parameters
     ----------
     geometry:
-        Total geometry; ways are split evenly across ``skews``.
+        Total geometry; ways are split evenly across the two skews.
     use_sdid_in_hash:
         ``True`` gives Scatter-Cache semantics (per-domain mapping),
         ``False`` gives CEASER-S semantics.
@@ -63,28 +65,23 @@ class SkewedRandomizedCache(LLCache):
     def __init__(
         self,
         geometry: CacheGeometry,
-        skews: int = 2,
         use_sdid_in_hash: bool = True,
         remap_period: Optional[int] = None,
         seed: Optional[int] = None,
         hash_algorithm: str = "prince",
     ):
-        if geometry.ways % skews:
-            raise ConfigurationError(f"{geometry.ways} ways do not split across {skews} skews")
+        if geometry.ways % 2:
+            raise ConfigurationError(f"{geometry.ways} ways do not split across 2 skews")
         self.geometry = geometry
-        self.skews = skews
-        self.ways_per_skew = geometry.ways // skews
+        self.ways_per_skew = geometry.ways // 2
         self.sets_per_skew = geometry.sets
         self.use_sdid_in_hash = use_sdid_in_hash
         self.remap_period = remap_period
         self._randomizer = IndexRandomizer(
-            skews, geometry.sets, seed=derive_seed(seed, 21), algorithm=hash_algorithm
+            2, geometry.sets, seed=derive_seed(seed, 21), algorithm=hash_algorithm
         )
         self._rng = make_rng(derive_seed(seed, 22))
-        # Memoized packed per-skew index lookup, bound once (rekey clears
-        # the randomizer's memo in place, so the binding stays valid).
-        self._indices_of = self._randomizer._lookup_packed
-        total = skews * geometry.sets * self.ways_per_skew
+        total = geometry.sets * geometry.ways
         # A slot is valid iff its state byte is non-zero (INVALID == 0),
         # so find-invalid-way is a C-speed ``.find(0)``.
         self._state = bytearray(total)
@@ -120,60 +117,19 @@ class SkewedRandomizedCache(LLCache):
         is_writeback: bool = False,
         sdid: int = 0,
     ) -> int:
-        """One access with no allocation; returns ``ACC_*`` flags."""
-        hash_sdid = sdid if self.use_sdid_in_hash else 0
-        idx = self._where.get((line_addr << 16) | hash_sdid)
-        st = self.stats
-        st.accesses += 1
-        if idx is not None:
-            st.hits += 1
-            if is_writeback:
-                st.writebacks_received += 1
-                self._state[idx] = _MODIFIED
-            else:
-                st.demand_accesses += 1
-                st.demand_hits += 1
-                self._reused[idx] = 1
-                if is_write:
-                    self._state[idx] = _MODIFIED
-            return ACC_HIT
-        st.misses += 1
-        if is_writeback:
-            st.writebacks_received += 1
-        else:
-            st.demand_accesses += 1
-            pcm = st.per_core_misses
-            pcm[core_id] = pcm.get(core_id, 0) + 1
+        """One access with no allocation; returns ``ACC_*`` flags.
 
-        # Fill: random skew, first invalid way, else a random way.  Skew
-        # s's set index is the packed lookup's 32-bit lane s.
-        packed = self._indices_of(line_addr, hash_sdid)
-        skew = self._rng.randrange(self.skews)
-        ways = self.ways_per_skew
-        set_idx = (packed >> (32 * skew)) & 0xFFFFFFFF
-        base = (skew * self.sets_per_skew + set_idx) * ways
-        state = self._state
-        idx = state.find(0, base, base + ways)
-        flags = 0
-        if idx < 0:
-            idx = base + self._rng.randrange(ways)
-            flags = self._drop(idx, filler_core=core_id)
-        state[idx] = _MODIFIED if is_write or is_writeback else _EXCLUSIVE
-        self._addr[idx] = line_addr
-        self._core[idx] = core_id
-        self._sdid[idx] = sdid
-        self._reused[idx] = 0
-        self._where[(line_addr << 16) | hash_sdid] = idx
-        st.fills += 1
-        st.data_fills += 1
-
-        self._fills_since_remap += 1
-        if self.remap_period is not None and self._fills_since_remap >= self.remap_period:
-            # The remap's flush must not clobber this fill's victim.
-            victim = (self.victim_addr, self.victim_core, self.victim_sdid, self.victim_reused)
-            self.remap()
-            self.victim_addr, self.victim_core, self.victim_sdid, self.victim_reused = victim
-        return flags
+        The first call binds the generated step
+        (:func:`~repro.llc.skewed_step.skewed_step`) on the instance,
+        where attribute lookup finds it from then on.  Callers that
+        bound this method before the first access keep landing here, so
+        the instance binding is looked up first and the step renders
+        once.
+        """
+        step = self.__dict__.get("access_fast")
+        if step is None:
+            self.access_fast = step = skewed_step(self)
+        return step(line_addr, is_write, core_id, is_writeback, sdid)
 
     def access(
         self,
@@ -243,6 +199,13 @@ class SkewedRandomizedCache(LLCache):
         if sdid >> SDID_SHIFT:
             raise sdid_error(sdid)
         return ((line_addr << SDID_SHIFT) | self._hash_sdid(sdid)) in self._where
+
+    def missing(self, lines, sdid: int = 0) -> list:
+        if sdid >> SDID_SHIFT:
+            raise sdid_error(sdid)
+        hash_sdid = self._hash_sdid(sdid)
+        where = self._where
+        return [line for line in lines if ((line << SDID_SHIFT) | hash_sdid) not in where]
 
     @property
     def occupancy(self) -> int:

@@ -1,0 +1,152 @@
+"""CEASER-S and Scatter-Cache's per-access step, rendered per configuration.
+
+The one fast implementation of
+:class:`~repro.llc.skewed.SkewedRandomizedCache`'s access protocol: the
+hit, and on a miss the two-skew mapping lookup, the random skew pick,
+the first invalid way of that set (else a random way, whose line is
+dropped), the install and, when the design remaps, the epoch remap.
+Ways, sets, memo capacity and remap period render as literals; the SDID
+that enters the hash and the location map is the access's own for
+Scatter-Cache and ``0`` for CEASER-S.  The mapping lookup (splitmix
+inlined, PRINCE a call-out) and both draws come from the snippets the
+Maya and Mirage steps share (:mod:`repro.common.codegen`).
+:meth:`SkewedRandomizedCache.access_fast` binds the step on first use;
+:mod:`repro.engine.specialize` installs a releasable one.  The oracle
+is :mod:`repro.reference.skewed`: same RNG draw order, bit-identical
+statistics and placement.
+"""
+
+from __future__ import annotations
+
+from ..common.codegen import _draw, _indent, _memo_lookup, bind_template, compiled_template
+
+# The remap's flush must not clobber this fill's victim.
+_REMAP = """\
+        llc._fills_since_remap = fills = llc._fills_since_remap + 1
+        if fills >= {REMAP_PERIOD}:
+            victim = (llc.victim_addr, llc.victim_core, llc.victim_sdid, llc.victim_reused)
+            llc.remap()
+            llc.victim_addr, llc.victim_core, llc.victim_sdid, llc.victim_reused = victim
+"""
+
+# ACC literals: HIT=1, EVICTED=2, EVICTED|DIRTY=6.  Coherence literals:
+# INVALID=0, EXCLUSIVE=2, OWNED(dirty floor)=3, MODIFIED=4.  The victim's
+# slot is refilled at once, so its state byte is not cleared.
+_TEMPLATE = '''\
+# Generated by repro.llc.skewed_step; do not edit.
+# kind=skewed ways={WAYS} sets={SETS} memo={MEMO_CAP} mix_bits={MIX_BITS} \
+sdid_in_hash={SDID_IN_HASH} remap={REMAP_PERIOD}
+
+
+def _bind(llc, SimulationError, SetAssociativeEviction):
+    st = llc.stats
+    state = llc._state
+    addr_col = llc._addr
+    core_col = llc._core
+    sdid_col = llc._sdid
+    reused_col = llc._reused
+    where = llc._where
+    where_get = where.get
+    rand = llc._randomizer
+    memo = rand._memo
+    memo_pop = memo.pop
+    precomputed_get = rand._precomputed.get
+    raw_packed = rand._raw_packed
+    rng_getrandbits = llc._rng.getrandbits
+
+    def access_fast(line_addr, is_write=False, core_id=0, is_writeback=False, sdid=0):
+        key = {KEY}
+        idx = where_get(key)
+        st.accesses += 1
+        if idx is not None:
+            st.hits += 1
+            if is_writeback:
+                st.writebacks_received += 1
+                state[idx] = 4
+            else:
+                st.demand_accesses += 1
+                st.demand_hits += 1
+                reused_col[idx] = 1
+                if is_write:
+                    state[idx] = 4
+            return 1
+        st.misses += 1
+        if is_writeback:
+            st.writebacks_received += 1
+        else:
+            st.demand_accesses += 1
+            pcm = st.per_core_misses
+            pcm[core_id] = pcm.get(core_id, 0) + 1
+{LOOKUP}
+{SKEW_DRAW}
+        base = (skew * {SETS} + (i1 if skew else i0)) * {WAYS}
+        idx = state.find(0, base, base + {WAYS})
+        flags = 0
+        if idx < 0:
+{WAY_DRAW}
+            idx = base + way
+            vaddr = addr_col[idx]
+            vcore = core_col[idx]
+            vsd = sdid_col[idx]
+            vreused = reused_col[idx]
+            llc.victim_addr = vaddr
+            llc.victim_core = vcore
+            llc.victim_sdid = vsd
+            llc.victim_reused = True if vreused else False
+            st.evictions += 1
+            if state[idx] >= 3:
+                st.dirty_evictions += 1
+                flags = 6
+            else:
+                flags = 2
+            if not vreused:
+                st.dead_evictions += 1
+            if vcore >= 0 and core_id >= 0 and vcore != core_id:
+                st.interference_evictions += 1
+            del where[{VICTIM_KEY}]
+        state[idx] = 4 if is_write or is_writeback else 2
+        addr_col[idx] = line_addr
+        core_col[idx] = core_id
+        sdid_col[idx] = sdid
+        reused_col[idx] = 0
+        where[key] = idx
+        st.fills += 1
+        st.data_fills += 1
+{REMAP}
+        return flags
+
+    return access_fast
+'''
+
+
+def skewed_step(llc):
+    """The ``access_fast`` closure for a :class:`SkewedRandomizedCache`."""
+    rand = llc._randomizer
+    memo_cap = rand._memo_capacity
+    mix_bits = rand._index_bits if rand._algorithm == "splitmix" else None
+    sdid_in_hash = llc.use_sdid_in_hash
+    fingerprint = (
+        llc.ways_per_skew, llc.sets_per_skew, memo_cap, mix_bits, sdid_in_hash, llc.remap_period
+    )
+
+    def build() -> str:
+        subst = dict(
+            WAYS=llc.ways_per_skew,
+            SETS=llc.sets_per_skew,
+            MEMO_CAP=memo_cap,
+            MIX_BITS=mix_bits,
+            SDID_IN_HASH=sdid_in_hash,
+            REMAP_PERIOD=llc.remap_period,
+        )
+        remap = "" if llc.remap_period is None else _REMAP.format(**subst)
+        return _TEMPLATE.format(
+            KEY="(line_addr << 16) | sdid" if sdid_in_hash else "line_addr << 16",
+            VICTIM_KEY="(vaddr << 16) | vsd" if sdid_in_hash else "vaddr << 16",
+            LOOKUP=_indent(_memo_lookup(memo_cap, mix_bits, "sdid" if sdid_in_hash else "0"), 8),
+            SKEW_DRAW=_indent(_draw("skew", 2, "rng_getrandbits"), 8),
+            WAY_DRAW=_indent(_draw("way", llc.ways_per_skew, "rng_getrandbits"), 12),
+            REMAP=remap.rstrip("\n"),
+            **subst,
+        )
+
+    return bind_template(compiled_template("skewed", fingerprint, build), llc)

@@ -77,10 +77,6 @@ def conflicting_lines(llc: LLCache, victim: int, count: int, rng) -> List[int]:
     return [victim + (i + 1) * sets for i in range(count)]
 
 
-#: Backward-compatible private alias (pre-campaign callers).
-_conflicting_lines = conflicting_lines
-
-
 def targeting_advantage(
     llc: LLCache,
     fills: int = 64,
@@ -97,7 +93,7 @@ def targeting_advantage(
             llc.flush_all()
             _install(step, victim, VICTIM_SDID)
             if mode == "targeted":
-                lines = _conflicting_lines(llc, victim, fills, rng)
+                lines = conflicting_lines(llc, victim, fills, rng)
             else:
                 lines = [_ATTACKER_BASE + rng.randrange(1 << 24) for _ in range(fills)]
             for line in lines:

@@ -89,7 +89,7 @@ class OccupancyAttacker:
             for line in block:
                 access(line, False, 0, False, ATTACKER_SDID)
         for _ in range(self.PRIME_REPAIR_PASSES):
-            missing = [l for l in self._lines if not self.llc.contains(l, sdid=ATTACKER_SDID)]
+            missing = self.llc.missing(self._lines, ATTACKER_SDID)
             if not missing:
                 break
             for line in missing:
@@ -98,7 +98,7 @@ class OccupancyAttacker:
 
     def probe(self) -> int:
         """Count attacker lines evicted since priming (the occupancy signal)."""
-        return sum(1 for line in self._lines if not self.llc.contains(line, sdid=ATTACKER_SDID))
+        return len(self.llc.missing(self._lines, ATTACKER_SDID))
 
     def measure_once(self, victim_accesses: List[int]) -> int:
         """One sample: prime, run the victim's accesses, probe."""

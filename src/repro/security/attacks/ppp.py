@@ -55,26 +55,32 @@ class PPPResult:
 
 
 class _Attacker:
-    """Operation-counting wrapper around the probe surface."""
+    """Operation counters around the design's bound step and bulk probe."""
 
     def __init__(self, llc):
         self.llc = llc
         self._step = access_step(llc)
+        self._missing = llc.missing
         self.accesses = 0
         self.probes = 0
 
-    def load(self, line: int, sdid: int = ATTACKER_SDID) -> None:
-        self._step(line, False, 0, False, sdid)
-        self.accesses += 1
+    def sweep(self, lines: List[int]) -> None:
+        """Load every line once, in order, as the attacker."""
+        step = self._step
+        for line in lines:
+            step(line, False, 0, False, ATTACKER_SDID)
+        self.accesses += len(lines)
 
     def install(self, line: int, sdid: int) -> None:
         """Double-touch install so reuse-filtered designs allocate data."""
-        self.load(line, sdid)
-        self.load(line, sdid)
+        self._step(line, False, 0, False, sdid)
+        self._step(line, False, 0, False, sdid)
+        self.accesses += 2
 
-    def probe(self, line: int, sdid: int = ATTACKER_SDID) -> bool:
-        self.probes += 1
-        return self.llc.contains(line, sdid=sdid)
+    def missing(self, lines: List[int], sdid: int = ATTACKER_SDID) -> List[int]:
+        """Probe every line; the ones no longer resident, in order."""
+        self.probes += len(lines)
+        return self._missing(lines, sdid)
 
 
 def prime_prune_probe(
@@ -116,23 +122,20 @@ def prime_prune_probe(
         llc.flush_all()
         batch = [_ATTACKER_BASE + rng.randrange(1 << 24) for _ in range(batch_size)]
         # Prime: double-touch sweeps so reuse-filtered designs allocate.
-        for line in batch:
-            attacker.load(line)
-        for line in batch:
-            attacker.load(line)
+        attacker.sweep(batch)
+        attacker.sweep(batch)
         # Prune until the survivors are simultaneously resident.
         survivors = batch
         for _ in range(prune_rounds):
             prune_passes += 1
-            resident = [line for line in survivors if attacker.probe(line)]
-            if len(resident) == len(survivors):
+            gone = set(attacker.missing(survivors))
+            if not gone:
                 break
-            survivors = resident
-            for line in survivors:
-                attacker.load(line)
+            survivors = [line for line in survivors if line not in gone]
+            attacker.sweep(survivors)
         # Probe: one victim install, then catch what it displaced.
         attacker.install(victim, VICTIM_SDID)
-        caught = [line for line in survivors if not attacker.probe(line)]
+        caught = attacker.missing(survivors)
         for line in caught:
             if line not in members:
                 members.add(line)
@@ -164,6 +167,6 @@ def _verify(attacker: _Attacker, candidate: List[int], victim: int, confirm: int
         attacker.install(victim, VICTIM_SDID)
         for line in candidate:
             attacker.install(line, ATTACKER_SDID)
-        if attacker.probe(victim, VICTIM_SDID):
+        if not attacker.missing([victim], VICTIM_SDID):
             return False
     return True

@@ -35,7 +35,7 @@ Op = Tuple
 class RecordingLLC:
     """Forwarding proxy that logs all state-mutating probe-surface calls.
 
-    Read-only calls (``contains``/``probe``/properties) are forwarded
+    Read-only calls (``contains``/``missing``/properties) are forwarded
     without logging: replay only needs the mutations, and probes on the
     replayed engines are what the differential assertions are for.
     """
@@ -69,9 +69,6 @@ class RecordingLLC:
         return design_rekey(self._llc)
 
     def contains(self, line_addr, sdid=0):
-        return self._llc.contains(line_addr, sdid=sdid)
-
-    def probe(self, line_addr, sdid=0):
         return self._llc.contains(line_addr, sdid=sdid)
 
     def __getattr__(self, name):

@@ -32,12 +32,15 @@ cryptographic strength is evaluated where it matters, in
 ``repro.crypto`` and the analytical layer.
 
 Attacker loads run through each design's allocation-free
-``access_fast`` step (:func:`repro.llc.interface.access_step`).  Each
-cell installs the generated step of every design it builds through one
-releasable ``Specialization``
+``access_fast`` step (:func:`repro.llc.interface.access_step`).  All
+seven designs have a generated step: each cell installs the step of
+every design it builds through one releasable ``Specialization``
 (:func:`repro.engine.specialize.specialize_llc`) before an attack binds
 that step, and releases it when the cell ends, also when it raises, so
-every design frees by refcount with its cell.
+every design frees by refcount with its cell.  Residency scans - PPP's
+prune and catch, the occupancy attacker's repair and probe passes - ask
+the design once per scan (:meth:`repro.llc.interface.LLCache.missing`)
+rather than once per line.
 """
 
 from __future__ import annotations
@@ -291,7 +294,7 @@ def run_shard(
 
     def build(design_seed: int, policy: Optional[str] = None):
         llc = _make_design(design, params["sets"], design_seed, policy=policy)
-        specialize_llc(llc, spec)  # designs without a generated step keep theirs
+        specialize_llc(llc, spec)
         return llc
 
     try:

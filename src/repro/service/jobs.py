@@ -1,7 +1,7 @@
 """Job layer: adapt :class:`ExperimentTask` grids to the worker pool.
 
 The resident service and ``--jobs N`` execute exactly the work units a
-serial run would: :func:`repro.harness.runner.plan_units` expands each
+serial run would: :func:`repro.harness.runner.plan_task` expands each
 task through the shard protocol (``shard_keys``/``run_shard``/
 ``merge_shards``) and :func:`repro.harness.runner.execute_unit` runs a
 unit.  :class:`GridRun` wraps that planning for an out-of-order
@@ -138,21 +138,17 @@ class GridRun:
     def __init__(self, tasks: Sequence[ExperimentTask], job_prefix: str = "grid"):
         self.tasks: List[ExperimentTask] = list(tasks)
         self._results = [TaskResult(name=t.name, description=t.description) for t in self.tasks]
-        planned, self._task_keys = runner.plan_units(self.tasks)
-        # plan_units emits units in task order (1 unit for an unsharded
-        # task, len(keys) for a sharded one), so ownership falls out of
-        # the per-task key lists - no identity matching on task objects.
+        # One unit for an unsharded task, one per shard key otherwise.
+        self._task_keys: List[Optional[List[object]]] = []
         self.units: List[Unit] = []
         self._owned_units: List[List[int]] = []
-        cursor = 0
-        for task_index, (task, keys) in enumerate(zip(self.tasks, self._task_keys)):
-            count = 1 if keys is None else len(keys)
-            owned = list(range(cursor, cursor + count))
-            self._owned_units.append(owned)
-            self._results[task_index].shards = count
-            for unit_index in owned:
-                _, planned_task, shard_key = planned[unit_index]
-                assert planned_task is task, "plan_units unit order drifted"
+        for task_index, task in enumerate(self.tasks):
+            keys, fell_back = runner.plan_task(task)
+            self._task_keys.append(keys)
+            owned = []
+            for shard_key in [None] if keys is None else keys:
+                unit_index = len(self.units)
+                owned.append(unit_index)
                 self.units.append(
                     Unit(
                         job_id=f"{job_prefix}/u{unit_index}",
@@ -163,7 +159,9 @@ class GridRun:
                         shard_key=shard_key,
                     )
                 )
-            cursor += count
+            self._owned_units.append(owned)
+            self._results[task_index].shards = len(owned)
+            self._results[task_index].plan_fallbacks = int(fell_back)
         self._payloads: Dict[int, object] = {}
         self._pending = [len(owned) for owned in self._owned_units]
         self._by_job_id = {unit.job_id: unit for unit in self.units}
@@ -183,20 +181,28 @@ class GridRun:
         return self._by_job_id[job_id]
 
     def record(
-        self, job_id: str, payload: object, seconds: float, error: Optional[str]
+        self,
+        job_id: str,
+        payload: object,
+        seconds: float,
+        error: Optional[str],
+        reissues: int = 0,
     ) -> Optional[TaskResult]:
         """Record one unit completion; returns the TaskResult when its
         task just finished (all units in), else None.
 
-        Idempotent per unit: a duplicate delivery (a worker that
-        completed a unit *and* was seen dying, or a double-submitted
-        job id) is ignored, so replays can never corrupt the merge.
+        ``reissues`` counts the times the pool re-issued the unit after
+        a worker died with it.  Idempotent per unit: a duplicate
+        delivery (a worker that completed a unit *and* was seen dying,
+        or a double-submitted job id) is ignored, so replays can never
+        corrupt the merge.
         """
         unit = self._by_job_id[job_id]
         if unit.unit_index in self._payloads:
             return None
         result = self._results[unit.task_index]
         result.seconds += seconds
+        result.reissues += reissues
         if error is not None:
             result.error = error if result.error is None else result.error + "\n" + error
         self._payloads[unit.unit_index] = payload
@@ -250,6 +256,8 @@ def result_to_dict(result: TaskResult) -> Dict[str, object]:
         "text": result.text,
         "seconds": result.seconds,
         "shards": result.shards,
+        "reissues": result.reissues,
+        "plan_fallbacks": result.plan_fallbacks,
         "error": result.error,
         "ok": result.ok,
     }
@@ -263,4 +271,6 @@ def result_from_dict(payload: Dict[str, object]) -> TaskResult:
         seconds=float(payload.get("seconds") or 0.0),
         shards=int(payload.get("shards") or 1),
         error=payload.get("error"),
+        reissues=int(payload.get("reissues") or 0),
+        plan_fallbacks=int(payload.get("plan_fallbacks") or 0),
     )

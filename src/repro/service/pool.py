@@ -85,7 +85,8 @@ class ResultMessage:
     seconds: float
     error: Optional[str]
     worker: int
-    crashes: int = 0
+    #: Times the pool re-issued this unit after a worker died with it.
+    reissues: int = 0
 
 
 @dataclass
@@ -431,7 +432,7 @@ class WorkerPool:
             self._results.put(
                 ResultMessage(
                     job_id, payload, seconds, error, worker.index,
-                    crashes=self._crashes.get(job_id, 0),
+                    reissues=self._crashes.get(job_id, 0),
                 )
             )
 
@@ -464,7 +465,7 @@ class WorkerPool:
             self._results.put(
                 ResultMessage(
                     job_id, None, 0.0, reason, worker.index,
-                    crashes=self._crashes.get(job_id, 0),
+                    reissues=self._crashes[job_id] - 1,
                 )
             )
             with self._idle:

@@ -10,7 +10,7 @@ over stdlib ``http.server``, no third-party dependencies:
 ``POST /submit``             body ``{"tasks": [{name, description, module,
                              kwargs}, ...]}`` -> ``{"id": ..., "units": N}``.
                              Planning (shard fan-out) happens server-side
-                             through the runner's own ``plan_units``.
+                             through the runner's own ``plan_task``.
 ``GET  /status``             server + per-worker cache-warm accounting.
 ``GET  /result/<id>``        ``{"done": false, "completed_units": k}`` while
                              running; the full per-task results once done.
@@ -197,7 +197,8 @@ class SimulationService:
                 continue
             grid = submission.grid
             finished = grid.record(
-                message.job_id, message.payload, message.seconds, message.error
+                message.job_id, message.payload, message.seconds, message.error,
+                message.reissues,
             )
             unit = grid.unit(message.job_id)
             submission.add_event({
@@ -208,7 +209,7 @@ class SimulationService:
                 "seconds": round(message.seconds, 4),
                 "ok": message.error is None,
                 "worker": message.worker,
-                "reissues": message.crashes,
+                "reissues": message.reissues,
             })
             if finished is not None:
                 submission.add_event({

@@ -99,7 +99,7 @@ class TestDesigns:
 
     The twin has only ``access()``, so it runs behind
     :class:`~repro.reference.AccessFastAdapter`; the replay drives the
-    generated (or hand-written) ``access_fast`` step.  Four
+    generated ``access_fast`` step.  Four
     heterogeneous cores interleave their streams; stats, per-core
     cycles and per-core occupancy must match bit for bit.
     """

@@ -23,6 +23,12 @@ from repro.llc import (
     make_ceaser_s,
     make_scatter_cache,
 )
+from repro.llc.interface import supports_rekey
+from repro.reference import (
+    ReferenceFullyAssociativeCache,
+    ReferenceMirageCache,
+    ReferenceSkewedRandomizedCache,
+)
 
 GEO = CacheGeometry(sets=32, ways=16)
 
@@ -156,3 +162,82 @@ class TestContract:
         if name == "maya":
             capacity = llc.config.data_entries
         assert llc.occupancy <= capacity
+
+
+# -- the bulk probe: missing() is the contains() filter ---------------------
+
+
+def probe_designs():
+    """The campaign's seven designs, the partitioned LLCs (which keep
+    ``LLCache.missing``'s default) and the references that subclass
+    ``LLCache``."""
+    designs = fresh_designs()
+    designs.update(
+        ref_ceaser_s=ReferenceSkewedRandomizedCache(
+            GEO, use_sdid_in_hash=False, seed=1, hash_algorithm="splitmix"
+        ),
+        ref_scatter=ReferenceSkewedRandomizedCache(GEO, seed=1, hash_algorithm="splitmix"),
+        ref_mirage=ReferenceMirageCache(
+            MirageConfig(sets_per_skew=32, rng_seed=1, hash_algorithm="splitmix")
+        ),
+        ref_fully_assoc=ReferenceFullyAssociativeCache(GEO.lines, seed=1),
+    )
+    return designs
+
+
+def contains_filter(llc, lines, sdid):
+    return [line for line in lines if not llc.contains(line, sdid)]
+
+
+def outcome(call):
+    """What a probe call returns, or the error it raises."""
+    try:
+        return "returned", call()
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return "raised", type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", list(probe_designs()))
+def test_missing_agrees_with_contains(name):
+    """``missing(lines, sdid)`` must equal the per-line ``contains``
+    filter, in order and with repeats, after a fuzzed stream in two
+    SDIDs that leaves Maya tags at priority 0, a rekey (CEASER's remap)
+    and a flush; an SDID out of range must fail the same way both ways."""
+    llc = probe_designs()[name]
+    rng = random.Random(5)
+    touched = []
+
+    def burst(count):
+        for _ in range(count):
+            line, sdid = rng.randrange(1500), rng.randrange(2)
+            touched.append(line)
+            # One touch installs only a priority-0 tag on Maya.
+            for _ in range(1 if rng.random() < 0.4 else 2):
+                llc.access(line, is_write=rng.random() < 0.1, core_id=sdid, sdid=sdid)
+
+    def check():
+        lines = touched[-400:] + [rng.randrange(4000) for _ in range(100)] + touched[-50:]
+        for sdid in (0, 1):
+            assert llc.missing(lines, sdid) == contains_filter(llc, lines, sdid)
+        return lines
+
+    burst(600)
+    lines = check()
+    if name == "maya":
+        tag_only = [line for line in lines if llc.contains_tag(line) and not llc.contains(line)]
+        assert tag_only, "the stream left no priority-0 tag to probe"
+    if supports_rekey(llc):
+        llc.rekey()
+        burst(300)
+        check()
+    llc.flush_all()
+    assert llc.missing(lines, 0) == lines
+    burst(300)
+    lines = check()
+    assert 0 < len(llc.missing(lines, 0)) < len(lines)
+
+    bad = 1 << 16
+    got = outcome(lambda: llc.missing(lines, bad))
+    assert got == outcome(lambda: contains_filter(llc, lines, bad))
+    if name in ("ceaser_s", "scatter", "mirage", "maya", "fully_assoc"):
+        assert got[0] == "raised"

@@ -32,8 +32,9 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 #: interpreter and prints the canonical results.  ``argv[1]`` is a JSON
 #: spec: ``tasks`` as ``[name, kwargs]`` pairs, ``jobs``, and optional
 #: ``per_access_drive`` (enter ``tools/per_access_drive.py``'s block,
-#: with the fork start method that tool sets) and ``heap_loads`` (pin
-#: the heap path as ``pytest --heap-loads`` does).
+#: with the fork start method that tool sets), ``heap_loads`` (pin
+#: the heap path as ``pytest --heap-loads`` does) and ``summary``
+#: (print the ``--json`` summary instead).
 SWEEP_SCRIPT = """\
 import contextlib, importlib.util, json, multiprocessing, sys
 from repro import store
@@ -52,7 +53,10 @@ if spec.get("heap_loads"):
     store.mmap_enabled = lambda: False
 with block:
     results = runner.run_tasks(tasks, jobs=spec["jobs"])
-print(json.dumps(runner.results_dict(results)))
+if spec.get("summary"):
+    print(json.dumps(runner.summary_dict(results, spec["jobs"], 0.0)))
+else:
+    print(json.dumps(runner.results_dict(results)))
 """
 
 
@@ -174,6 +178,25 @@ class TestWorkerPool:
         for key in ("charlie", "echo"):
             assert (tmp_path / f"crashed-{key}").exists(), f"{key} never crashed its worker"
         assert parallel == serial
+
+    def test_summary_counts_reissues_and_plan_fallbacks(self, tmp_path):
+        # A recovered sweep must not read like a clean one: the unit the
+        # pool re-issued is counted on its task and in the total, and a
+        # task whose shard planning raised (labels=5 is not a key list)
+        # counts the fallback to one unsharded unit.
+        parallel = run_bounded({
+            "tasks": [["grid", {"crash_key": "charlie", "crash_dir": str(tmp_path)}],
+                      ["unplannable", {"labels": 5}]],
+            "jobs": 2,
+            "summary": True,
+        })
+        grid, unplannable = parallel["results"]
+        assert grid["ok"] and (grid["reissues"], grid["plan_fallbacks"]) == (1, 0)
+        assert not unplannable["ok"]
+        assert (unplannable["reissues"], unplannable["plan_fallbacks"]) == (0, 1)
+        assert (parallel["reissues"], parallel["plan_fallbacks"]) == (1, 1)
+        serial = runner.summary_dict(runner.run_tasks([_helper("grid")], jobs=1), 1, 0.0)
+        assert (serial["reissues"], serial["plan_fallbacks"]) == (0, 0)
 
     def test_poison_unit_fails_while_the_other_task_completes(self):
         # A unit that kills every worker it touches is given up on with

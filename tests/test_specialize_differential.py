@@ -2,29 +2,30 @@
 
 Every packed design with a state machine has one fast implementation,
 a step rendered per configuration: :mod:`repro.core.maya_step`,
-:mod:`repro.llc.mirage_step` and :mod:`repro.cache.set_assoc_step`
+:mod:`repro.llc.mirage_step`, :mod:`repro.llc.skewed_step` (CEASER-S
+and Scatter-Cache), :mod:`repro.llc.ceaser_step`,
+:mod:`repro.llc.fully_assoc_step` and :mod:`repro.cache.set_assoc_step`
 (the baseline and CEASER's inner array).  The contract is
 *bit-identity* with the object-model reference
 (:mod:`repro.reference`): for any access stream, the installed step
-must produce exactly the per-access results, victim fields,
+must produce exactly the per-access results,
 :class:`~repro.cache.stats.CacheStats` and occupancy the reference
 does - including across mid-stream ``rekey()`` / ``flush_all()``
 (which mutate the bound columns in place) and SAE storms (which route
 through the rare-path methods).  The references have no
-``access_fast``, so both sides run through ``access()``.  CEASER's
-reference is a ``CeaserCache`` whose inner array is the reference
-set-associative cache behind
-:class:`~repro.reference.AccessFastAdapter`, which gives it the packed
-array's ``access_fast`` protocol.
+``access_fast``, so both sides run through ``access()``, which on the
+packed side calls the installed step.  CEASER has no object model of
+its own: its oracle is the wrapper protocol written out call by call
+(``_ObjectCeaser``) around the reference set-associative cache behind
+:class:`~repro.reference.AccessFastAdapter`, which gives that cache the
+packed array's ``access_fast`` protocol.  The PRINCE rows cover
+the steps' cipher call-outs: a skewed step's mapping miss and every
+CEASER encryption.
 
 Placement is compared too: where each resident line sits, sampled
 before every flush and rekey and at the end.  Mirage's skew pick does
 not show in access results until an SAE, which these streams almost
-never cause.  Designs without a generated step (skewed,
-fully-associative) run through the same harness against an identical
-twin to pin down that applying/releasing a specialization is a safe
-no-op for them; ``tests/test_differential_engines.py`` holds them
-against their references.
+never cause.
 
 Marker ``specialize``; run with ``-m specialize``.
 """
@@ -35,7 +36,7 @@ import textwrap
 
 import pytest
 
-from repro.cache.line import ACC_EVICTED
+from repro.cache.line import ACC_EVICTED, ACC_HIT
 from repro.common import codegen
 from repro.common.codegen import _draw
 from repro.common.config import CacheGeometry, MayaConfig, MirageConfig
@@ -50,9 +51,11 @@ from repro.llc.mirage import MirageCache
 from repro.llc.skewed import SkewedRandomizedCache
 from repro.reference import (
     AccessFastAdapter,
+    ReferenceFullyAssociativeCache,
     ReferenceMayaCache,
     ReferenceMirageCache,
     ReferenceSetAssociativeCache,
+    ReferenceSkewedRandomizedCache,
 )
 
 pytestmark = pytest.mark.specialize
@@ -71,15 +74,40 @@ def _mirage(seed, make=MirageCache):
     return make(MirageConfig(sets_per_skew=16, rng_seed=seed, hash_algorithm="splitmix"))
 
 
-def _ceaser(seed, policy):
+def _ceaser(seed, policy, algorithm="splitmix"):
     return CeaserCache(
-        GEOMETRY, remap_period=900, seed=seed, hash_algorithm="splitmix", policy=policy
+        GEOMETRY, remap_period=60, seed=seed, hash_algorithm=algorithm, policy=policy
     )
 
 
-def _reference_ceaser(seed, policy):
-    """A CEASER whose inner array is the reference (same derived seed)."""
-    llc = _ceaser(seed, policy)
+class _ObjectCeaser(CeaserCache):
+    """CEASER's protocol written out call by call: encrypt, run the
+    inner array, mirror its victim, count the fill toward the remap."""
+
+    def access_fast(self, line_addr, is_write=False, core_id=0, is_writeback=False, sdid=0):
+        cache = self._cache
+        flags = cache.access_fast(
+            self._randomizer.encrypt_address(line_addr), is_write, core_id, is_writeback, sdid
+        )
+        if flags & ACC_HIT:
+            return flags
+        if flags & ACC_EVICTED:
+            self.victim_addr = cache.victim_addr
+            self.victim_core = cache.victim_core
+            self.victim_sdid = cache.victim_sdid
+            self.victim_reused = cache.victim_reused
+        self._fills_since_remap += 1
+        if self._fills_since_remap >= self.remap_period:
+            self.remap()
+        return flags
+
+
+def _reference_ceaser(seed, policy, algorithm="splitmix"):
+    """CEASER's oracle: :class:`_ObjectCeaser` over the reference array
+    (same derived seed)."""
+    llc = _ObjectCeaser(
+        GEOMETRY, remap_period=60, seed=seed, hash_algorithm=algorithm, policy=policy
+    )
     llc._cache = AccessFastAdapter(
         ReferenceSetAssociativeCache(GEOMETRY, policy=policy, seed=derive_seed(seed, 12))
     )
@@ -87,42 +115,48 @@ def _reference_ceaser(seed, policy):
     return llc
 
 
-#: name -> (builder(seed, policy), expect_specialized)
+def _skewed(seed, sdid_in_hash, remap_period, algorithm="splitmix",
+            make=SkewedRandomizedCache):
+    return make(
+        GEOMETRY, use_sdid_in_hash=sdid_in_hash, remap_period=remap_period,
+        seed=seed, hash_algorithm=algorithm,
+    )
+
+
+#: name -> builder(seed, policy).
 DESIGNS = {
-    "baseline": (lambda seed, policy: BaselineLLC(GEOMETRY, policy=policy, seed=seed), True),
-    "ceaser": (_ceaser, True),
-    "ceaser_s": (
-        lambda seed, policy: SkewedRandomizedCache(
-            GEOMETRY, use_sdid_in_hash=False, remap_period=700,
-            seed=seed, hash_algorithm="splitmix",
-        ),
-        False,  # packed access_fast step, but no generated one
-    ),
-    "scatter": (
-        lambda seed, policy: SkewedRandomizedCache(
-            GEOMETRY, use_sdid_in_hash=True, remap_period=None,
-            seed=seed, hash_algorithm="splitmix",
-        ),
-        False,
-    ),
-    "mirage": (lambda seed, policy: _mirage(seed), True),
-    "maya": (lambda seed, policy: _maya(seed), True),
-    "maya_rekey_on_sae": (lambda seed, policy: _maya(seed, on_sae="rekey"), True),
-    "fully_assoc": (lambda seed, policy: FullyAssociativeCache(192, seed=seed), False),
+    "baseline": lambda seed, policy: BaselineLLC(GEOMETRY, policy=policy, seed=seed),
+    "ceaser": _ceaser,
+    "ceaser_prince": lambda seed, policy: _ceaser(seed, policy, "prince"),
+    "ceaser_s": lambda seed, policy: _skewed(seed, False, 60),
+    "scatter": lambda seed, policy: _skewed(seed, True, None),
+    "scatter_prince": lambda seed, policy: _skewed(seed, True, 60, "prince"),
+    "mirage": lambda seed, policy: _mirage(seed),
+    "maya": lambda seed, policy: _maya(seed),
+    "maya_rekey_on_sae": lambda seed, policy: _maya(seed, on_sae="rekey"),
+    "fully_assoc": lambda seed, policy: FullyAssociativeCache(192, seed=seed),
 }
 
-#: Every design with a generated step, and its object-model reference:
-#: name -> builder(seed, policy).
+#: Every design's object-model reference: name -> builder(seed, policy).
 REFERENCE_ORACLES = {
     "baseline": lambda seed, policy: ReferenceSetAssociativeCache(
         GEOMETRY, policy=policy, seed=seed
     ),
     "ceaser": _reference_ceaser,
+    "ceaser_prince": lambda seed, policy: _reference_ceaser(seed, policy, "prince"),
+    "ceaser_s": lambda seed, policy: _skewed(
+        seed, False, 60, make=ReferenceSkewedRandomizedCache
+    ),
+    "scatter": lambda seed, policy: _skewed(seed, True, None, make=ReferenceSkewedRandomizedCache),
+    "scatter_prince": lambda seed, policy: _skewed(
+        seed, True, 60, "prince", make=ReferenceSkewedRandomizedCache
+    ),
     "mirage": lambda seed, policy: _mirage(seed, make=ReferenceMirageCache),
     "maya": lambda seed, policy: _maya(seed, make=ReferenceMayaCache),
     "maya_rekey_on_sae": lambda seed, policy: _maya(
         seed, on_sae="rekey", make=ReferenceMayaCache
     ),
+    "fully_assoc": lambda seed, policy: ReferenceFullyAssociativeCache(192, seed=seed),
 }
 
 #: The sweep: every design, with the packed-replacement designs crossed
@@ -131,8 +165,10 @@ COMBOS = (
     [("baseline", p) for p in ("lru", "random", "srrip", "brrip", "drrip")]
     + [("ceaser", p) for p in ("lru", "random", "srrip")]
     + [
+        ("ceaser_prince", "lru"),
         ("ceaser_s", None),
         ("scatter", None),
+        ("scatter_prince", None),
         ("mirage", None),
         ("maya", None),
         ("maya_rekey_on_sae", None),
@@ -142,15 +178,16 @@ COMBOS = (
 
 
 def placement(llc):
-    """Where each resident line sits: (line, SDID) -> tag slot for the
-    skewed tag stores (the packed ones key ``line << 16 | sdid``), line
-    -> flat slot for the set-associative arrays."""
-    if isinstance(llc, (MayaCache, ReferenceMayaCache)):
-        where = llc.tags._where
-    elif isinstance(llc, (MirageCache, ReferenceMirageCache)):
-        where = llc._where
-    else:
+    """Where each resident line sits: line -> flat slot for the
+    set-associative arrays, (line, SDID) -> slot for the rest (the
+    packed location maps key ``line << 16 | sdid``, the reference ones
+    a tuple; the reference skewed array stores ``(skew, set, way)``)."""
+    if hasattr(llc, "_cache") or isinstance(llc, ReferenceSetAssociativeCache):
         return dict(getattr(llc, "_cache", llc)._where)
+    where = llc.tags._where if hasattr(llc, "tags") else llc._where
+    if isinstance(llc, ReferenceSkewedRandomizedCache):
+        sets, ways = llc.sets_per_skew, llc.ways_per_skew
+        where = {key: (skew * sets + s) * ways + w for key, (skew, s, w) in where.items()}
     return {
         key if isinstance(key, tuple) else (key >> 16, key & 0xFFFF): slot
         for key, slot in where.items()
@@ -191,17 +228,12 @@ def fuzz_events(seed, length=1500, addr_space=4096, cores=4, sdids=2):
     return events
 
 
-def drive(llc, events, via_access=False, place=None):
-    """Run the event stream; returns the full per-event outcome trail.
+def drive(llc, events, place=None):
+    """Run the event stream through ``access``; returns the full trail.
 
-    Packed designs go through ``access_fast`` (the attribute the
-    specialization shadows) and record the raw ``ACC_*`` flags plus the
-    victim protocol fields; every design under ``via_access`` goes
-    through ``access`` and records the :class:`AccessResult`.  With
-    ``place``, the trail also records ``place(llc)`` before every flush
-    and rekey and at the end.  Re-reads the ``access_fast`` attribute
-    every iteration on purpose: a design whose rare path swaps the step
-    mid-stream must keep dispatching like the hierarchy drive loop does.
+    The trail records each :class:`AccessResult` and every flush count.
+    With ``place``, it also records ``place(llc)`` before every flush
+    and rekey and at the end.
     """
     trail = []
     for event in events:
@@ -216,18 +248,7 @@ def drive(llc, events, via_access=False, place=None):
             trail.append(("rekey",))
             continue
         _, addr, is_write, core, is_wb, sdid = event
-        step = None if via_access else getattr(llc, "access_fast", None)
-        if step is not None:
-            flags = step(addr, is_write, core, is_wb, sdid)
-            if flags & ACC_EVICTED:
-                trail.append(
-                    (flags, llc.victim_addr, llc.victim_core,
-                     llc.victim_sdid, llc.victim_reused)
-                )
-            else:
-                trail.append(flags)
-        else:
-            trail.append(llc.access(addr, is_write, core, is_wb, sdid))
+        trail.append(llc.access(addr, is_write, core, is_wb, sdid))
     if place is not None:
         trail.append(("placement", place(llc)))
     return trail
@@ -246,21 +267,14 @@ def occupancy_snapshot(llc):
 @pytest.mark.parametrize("stream_seed", [11, 202])
 def test_specialized_bit_identical(design, policy, stream_seed):
     """The installed step and its oracle must match event-for-event."""
-    build, expect_specialized = DESIGNS[design]
     events = fuzz_events(stream_seed * 1000 + len(design))
-    via_access = design in REFERENCE_ORACLES
-    place = placement if via_access else None
-
-    oracle = REFERENCE_ORACLES.get(design, build)(42, policy)
-    specialized = build(42, policy)
+    oracle = REFERENCE_ORACLES[design](42, policy)
+    specialized = DESIGNS[design](42, policy)
     spec, info = apply_specialization(specialized)
     try:
-        if expect_specialized:
-            assert info["llc"] == type(specialized).__name__, info["llc_reason"]
-        else:
-            assert info["llc"] is None and info["llc_reason"]
-        oracle_trail = drive(oracle, events, via_access, place)
-        specialized_trail = drive(specialized, events, via_access, place)
+        assert info["llc"] == type(specialized).__name__, info["llc_reason"]
+        oracle_trail = drive(oracle, events, placement)
+        specialized_trail = drive(specialized, events, placement)
     finally:
         spec.release()
 
@@ -279,11 +293,13 @@ def test_specialized_bit_identical(design, policy, stream_seed):
         assert oracle.stats.evictions > 0
 
 
-@pytest.mark.parametrize("design", ["baseline", "ceaser", "mirage", "maya"])
+@pytest.mark.parametrize(
+    "design", ["baseline", "ceaser", "ceaser_s", "scatter", "mirage", "maya", "fully_assoc"]
+)
 def test_release_restores_the_binder(design):
     """``release()`` must put the class's ``access_fast`` back: the
     binder that renders the step on first use."""
-    llc = DESIGNS[design][0](7, "lru" if design in ("baseline", "ceaser") else None)
+    llc = DESIGNS[design](7, "lru" if design in ("baseline", "ceaser") else None)
     owners = [llc] + ([llc._cache] if hasattr(llc, "_cache") else [])
     before = [vars(owner).get("access_fast") for owner in owners]
     spec, info = apply_specialization(llc)
@@ -345,8 +361,8 @@ def test_fingerprint_covers_data_store_size(monkeypatch):
         spec, info = apply_specialization(specialized)
         try:
             assert info["llc"] == "MayaCache", info["llc_reason"]
-            reference_trail = drive(reference, events, via_access=True)
-            specialized_trail = drive(specialized, events, via_access=True)
+            reference_trail = drive(reference, events)
+            specialized_trail = drive(specialized, events)
         finally:
             spec.release()
         assert specialized_trail == reference_trail
