@@ -13,7 +13,9 @@ Compiled code objects are cached in-process, keyed by template kind and
 config fingerprint, so a resident service worker compiles each
 configuration once per warm pool.  Nothing is cached on disk: the
 source renders in tens of microseconds and ``compile()`` would run on
-every process start either way.
+every process start either way.  The rendered source is kept beside its
+code object (:func:`template_source`): the op-stream replay's kernel
+(:mod:`repro.engine.vector`) renders a step's body inline from it.
 
 The snippets the randomized steps share live here too, so their sites
 cannot drift apart: the stdlib-exact random draw (:func:`_draw`), the
@@ -38,6 +40,8 @@ class SpecializeCacheInfo(NamedTuple):
 
 
 _code_cache: dict = {}
+#: Code filename -> the source compiled under it.
+_sources: dict = {}
 _memory_hits = 0
 _compiles = 0
 
@@ -49,7 +53,7 @@ def specialize_cache_info() -> SpecializeCacheInfo:
     )
 
 
-def compiled_template(kind: str, fingerprint: tuple, build_source):
+def compiled_template(kind: str, fingerprint: tuple, build_source, keep_source: bool = True):
     """Code object for (kind, fingerprint), compiled once per process.
 
     A template cannot change inside a process, so the config fingerprint
@@ -57,7 +61,8 @@ def compiled_template(kind: str, fingerprint: tuple, build_source):
     (a resident service worker's every job) reuse one compile.  The
     fingerprint must cover every value the template renders as a
     literal.  It also names the code object, so a profile tells
-    configurations apart.
+    configurations apart.  ``keep_source=False`` drops the source after
+    the compile, for a template nothing renders inline.
     """
     global _memory_hits, _compiles
     key = (kind, fingerprint)
@@ -66,10 +71,24 @@ def compiled_template(kind: str, fingerprint: tuple, build_source):
         _memory_hits += 1
         return code
     name = repr(fingerprint).replace(" ", "")
-    code = compile(build_source(), f"<specialized:{kind}:{name}>", "exec")
+    filename = f"<specialized:{kind}:{name}>"
+    source = build_source()
+    code = compile(source, filename, "exec")
     _compiles += 1
     _code_cache[key] = code
+    if keep_source:
+        _sources[filename] = source
     return code
+
+
+def template_source(function) -> Optional[str]:
+    """The source ``function`` was compiled from, if a template made it.
+
+    ``None`` for anything else: a bound method, a builtin, a wrapper
+    written in a module.
+    """
+    code = getattr(function, "__code__", None)
+    return None if code is None else _sources.get(code.co_filename)
 
 
 def bind_template(code, target):

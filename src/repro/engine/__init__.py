@@ -8,7 +8,8 @@
 * :mod:`repro.engine.opstream` - per-core op streams: the private
   levels pre-simulated once, leaving only the LLC/DRAM operations.
 * :mod:`repro.engine.vector` - the op-stream replay that drives every
-  op through the LLC's generated step in the per-access drive's order.
+  op through the LLC's generated step in the per-access drive's order,
+  in a generated kernel that runs the step's body inline.
 
 ``run_mix`` (:mod:`repro.hierarchy.simulator`) takes the replay unless
 it declines an input it cannot replay exactly; only then does the

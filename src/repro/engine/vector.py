@@ -10,6 +10,31 @@ over op-free runs with precomputed exact integer sums, and runs every
 op through the LLC's own ``access_fast`` step (the design's generated
 step, which ``run_mix`` installs through :mod:`repro.engine.specialize`).
 
+**The kernel.**  The merge loop is generated code: one template
+(:data:`_KERNEL`), compiled once per step configuration per process
+(:mod:`repro.common.codegen`), with one op slot rendered in one of two
+forms:
+
+* *inline* - when the installed ``access_fast`` is a library design's
+  generated step, the slot is that step's body, taken from the source
+  codegen compiled the step from.  Each ``return X`` becomes
+  ``flags = X`` and an exit from the op, and the kernel binds the
+  values the step's closure binds (for the baseline, its inner array's
+  columns; CEASER's body keeps its call into the inner array's step).
+  A body with a ``return`` inside a loop, or one that assigns or reads
+  a name the kernel itself uses, is refused and takes the call form.
+* *call* - anything else installed as ``access_fast`` (the partitioned
+  LLCs' slice router, a reference model behind ``AccessFastAdapter``,
+  a wrapper) is called once per op.
+
+The DRAM model gets the same two forms: a model running
+``DramModel.access`` itself renders its ``now=None`` rule inline from
+the snippets next to that method (:mod:`repro.hierarchy.dram`), and a
+replaced ``access`` is called.  ``engine_info`` names the op form taken
+(``kernel``, with ``kernel_reason`` for the call form) and the DRAM
+form (``kernel_dram``); :func:`kernel_info` counts the kernels taken in
+this process.
+
 **Why the results are bit-identical to the per-access drive:**
 
 * *Order.*  The per-access loop pops ``(clock, core)`` tuples from a
@@ -34,6 +59,14 @@ step, which ``run_mix`` installs through :mod:`repro.engine.specialize`).
   no batched state to invalidate.  An ``on_sae="raise"`` SAE leaves
   the step at the same op with the same LLC state on either drive;
   the run then returns no result, so its partial clocks are never read.
+* *Inlining.*  The inline form runs the step's own statements with the
+  same argument values, on the same bound objects, in the same order
+  as the call; a ``return`` only ends the op.  The inline DRAM rule is
+  ``DramModel.access``'s ``now=None`` path statement for statement; a
+  DRAM write's address is unused when ``now`` is None, so the inline
+  write only counts it.  The DRAM counters are kernel locals added to
+  the model in a ``finally`` at the end of each phase, so a step that
+  raises mid-phase leaves the model counted as a call would have.
 
 *Memory.*  Per phase the replay holds two int lists per core - the
 advance after each op-bearing access and the op-column offset its ops
@@ -48,12 +81,16 @@ records the reason in ``MixResult.specialize_info``.
 
 from __future__ import annotations
 
+import ast
+import builtins
+import functools
 import heapq
 import sys
-from typing import List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
+from ..common import codegen
 from ..common.errors import TraceError
 from ..crypto.randomizer import splitmix_indices
 from ..trace.compiled import trace_key
@@ -110,6 +147,283 @@ def _timing_exact(base_cpi: float, base_lats, dram_lats, mlp: float, traces) -> 
     return grid
 
 
+# -- the replay kernel ------------------------------------------------------
+
+# One phase of the merge: pop the core with the smallest packed
+# (clock, core) key, run the ops of its op-bearing accesses, and keep
+# that core while its next key still beats the heap's top; else swap
+# it for the top in one ``heapreplace`` (keys are distinct, so the pop
+# order is the same as a push then a pop).  ``{OP}`` sets ``flags``
+# (ACC literals: HIT=1, EVICTED|DIRTY=4) for the op at ``line_addr``;
+# the DRAM read sets ``hit``.  Op kinds: 0 writeback, 1 prefetch,
+# 2 demand read (repro.engine.opstream.OP_*); a demand read's DRAM
+# latency is exactly the row-hit or the row-miss cycles.
+_KERNEL = '''\
+# Generated by repro.engine.vector; do not edit.
+# kind=replay op={OP_FORM} dram={DRAM_FORM}
+import heapq
+
+
+def _bind(bound, SimulationError, SetAssociativeEviction):
+{BINDINGS}
+    def replay_kernel(heap, jpos, opos, runs, clocks, cshift, inv_scale, rh_i, rm_i,
+                      replay_llc, access_fast, dram):
+        heappop = heapq.heappop
+        heapreplace = heapq.heapreplace
+        cmask = (1 << cshift) - 1
+        is_write = False
+{DRAM_BIND}
+        try:
+            hk = heappop(heap) if heap else -1
+            while hk >= 0:
+                c = hk & cmask
+                j = jpos[c]
+                o = opos[c]
+                advs, ends, kinds, addrs, limit = runs[c]
+                core_id = sdid = c
+                while True:
+                    d = 0
+                    e = ends[j]
+                    while o < e:
+                        kind = kinds[o]
+                        line_addr = addrs[o]
+                        o += 1
+                        is_writeback = not kind
+{OP}
+                        if flags & 4:
+{DRAM_WRITE}
+                        if kind and not flags & 1:
+{DRAM_READ}
+                            if kind == 2:
+                                d += rh_i if hit else rm_i
+                    nk = hk + ((advs[j] + d) << cshift)
+                    j += 1
+                    if j < limit:
+                        if not heap or nk < heap[0]:
+                            hk = nk
+                            continue
+                        jpos[c] = j
+                        opos[c] = o
+                        hk = heapreplace(heap, nk)
+                    else:
+                        clocks[c] = (nk >> cshift) * inv_scale
+                        hk = heappop(heap) if heap else -1
+                    break
+        finally:
+{DRAM_FLUSH}
+
+    return replay_kernel
+'''
+
+_CALL_OP = "flags = access_fast(line_addr, is_write, core_id, is_writeback, sdid)\n"
+
+#: The DRAM slots' call form: the model's ``access`` with ``now=None``.
+_DRAM_CALLS = {
+    "BIND": "dram_access = dram.access\nlat_rh = float(dram._row_hit_cycles)\n",
+    "READ": "hit = dram_access(line_addr, False, None) == lat_rh\n",
+    "WRITE": "dram_access(replay_llc.victim_addr, True, None)\n",
+    "FLUSH": "pass\n",
+}
+
+#: The step signature the kernel's op slot provides, in call order.
+_PARAMS = ("line_addr", "is_write", "core_id", "is_writeback", "sdid")
+
+#: Process counters of the kernels taken, by op form.
+_KERNELS = {"inline": 0, "call": 0}
+
+
+def kernel_info() -> Dict[str, int]:
+    """How many replays took each op form in this process."""
+    return dict(_KERNELS)
+
+
+def _dram_slots(inline: bool) -> Dict[str, str]:
+    if not inline:
+        return _DRAM_CALLS
+    from ..hierarchy.dram import DramModel
+
+    return {
+        "BIND": DramModel.KERNEL_BIND,
+        "READ": DramModel.KERNEL_READ,
+        "WRITE": DramModel.KERNEL_WRITE,
+        "FLUSH": DramModel.KERNEL_FLUSH,
+    }
+
+
+def _render_kernel(op: str, op_form: str, bindings: Tuple[str, ...], dram_inline: bool) -> str:
+    dram = _dram_slots(dram_inline)
+    indent = codegen._indent
+    return _KERNEL.format(
+        OP_FORM=op_form,
+        DRAM_FORM="inline" if dram_inline else "call",
+        BINDINGS="".join(f"    {name} = bound[{name!r}]\n" for name in bindings),
+        OP=indent(op, 24),
+        DRAM_BIND=indent(dram["BIND"], 8),
+        DRAM_WRITE=indent(dram["WRITE"], 28),
+        DRAM_READ=indent(dram["READ"], 28),
+        DRAM_FLUSH=indent(dram["FLUSH"], 12),
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_names() -> Tuple[FrozenSet[str], FrozenSet[str]]:
+    """The names the kernel binds, and every name it binds or reads,
+    outside the op slot and but for the step parameters it provides."""
+    bound = {"flags"}
+    used = set(bound)
+    for dram_inline in (False, True):
+        tree = ast.parse(_render_kernel(_CALL_OP, "call", (), dram_inline))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+                if not isinstance(node.ctx, ast.Load):
+                    bound.add(node.id)
+            elif isinstance(node, ast.arg):
+                bound.add(node.arg)
+            elif isinstance(node, ast.alias):
+                bound.add(node.asname or node.name)
+            elif isinstance(node, ast.FunctionDef):
+                bound.add(node.name)
+    # ``_bind`` receives the exception classes every step's ``_bind`` does.
+    own = set(_PARAMS) | {"SimulationError", "SetAssociativeEviction"}
+    return frozenset(bound - own), frozenset((used | bound) - own)
+
+
+class _Scan(ast.NodeVisitor):
+    """Names a step body stores and loads, and what the op slot refuses."""
+
+    def __init__(self):
+        self.stores = set()
+        self.loads = set()
+        self.problems: List[str] = []
+        self._loops = 0
+
+    def _loop(self, node):
+        self._loops += 1
+        self.generic_visit(node)
+        self._loops -= 1
+
+    visit_For = visit_AsyncFor = visit_While = _loop
+
+    def visit_Return(self, node):
+        if self._loops:
+            self.problems.append(f"a return inside a loop (line {node.lineno})")
+        self.generic_visit(node)
+
+    def visit_Name(self, node):
+        (self.loads if isinstance(node.ctx, ast.Load) else self.stores).add(node.id)
+
+    def visit_ExceptHandler(self, node):
+        if node.name:
+            self.stores.add(node.name)
+        self.generic_visit(node)
+
+    def _declaration(self, node):
+        self.problems.append(f"a {type(node).__name__} statement (line {node.lineno})")
+
+    def _definition(self, node):
+        self.problems.append(f"a nested {type(node).__name__} (line {node.lineno})")
+
+    visit_Nonlocal = visit_Global = _declaration
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = visit_Lambda = _definition
+
+
+class _ReturnToFlags(ast.NodeTransformer):
+    """``return X`` -> ``flags = X`` and a ``break`` out of the op."""
+
+    def visit_Return(self, node):
+        value = node.value if node.value is not None else ast.Constant(None)
+        return [ast.Assign(targets=[ast.Name("flags", ast.Store())], value=value), ast.Break()]
+
+
+#: (step code filename, first line) -> why the op slot calls that step
+#: (``None``: it renders the step inline).
+_refusals: Dict[Tuple[str, int], Optional[str]] = {}
+
+
+def _render_inline(source: str, code) -> Tuple[Optional[str], Optional[str]]:
+    """``(op slot source, None)`` for the step compiled as ``code`` from
+    ``source``, or ``(None, reason)`` when the slot must call it."""
+    defs = [
+        node for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef) and node.lineno == code.co_firstlineno
+        and node.name == code.co_name
+    ]
+    if len(defs) != 1:
+        return None, "the step's definition is not in its template source"
+    step = defs[0]
+    args = step.args
+    if (tuple(a.arg for a in args.args) != _PARAMS or args.posonlyargs or args.vararg
+            or args.kwonlyargs or args.kwarg):
+        return None, f"the step's signature is not ({', '.join(_PARAMS)})"
+    scan = _Scan()
+    for statement in step.body:
+        scan.visit(statement)
+    if scan.problems:
+        return None, f"the step's body has {scan.problems[0]}"
+    kernel_bound, kernel_used = _kernel_names()
+    freevars = set(code.co_freevars)
+    assigned = scan.stores & (kernel_used | set(_PARAMS))
+    assigned.discard("flags")
+    if assigned:
+        return None, f"the step's body assigns kernel-local {', '.join(sorted(assigned))}"
+    outer = scan.loads - scan.stores - set(_PARAMS) - freevars
+    missing = sorted(name for name in outer if not hasattr(builtins, name))
+    if missing:
+        return None, f"the step's body reads module globals {', '.join(missing)}"
+    shadowed = (freevars | outer) & kernel_bound
+    if shadowed:
+        return None, f"the kernel shadows the step's {', '.join(sorted(shadowed))}"
+    body: list = []
+    for statement in step.body:
+        rendered = _ReturnToFlags().visit(statement)
+        body.extend(rendered if isinstance(rendered, list) else [rendered])
+    if not isinstance(step.body[-1], ast.Return):
+        body += [ast.Assign(targets=[ast.Name("flags", ast.Store())], value=ast.Constant(None)),
+                 ast.Break()]
+    loop = ast.While(test=ast.Constant(True), body=body, orelse=[])
+    return ast.unparse(ast.fix_missing_locations(loop)) + "\n", None
+
+
+def _bind_kernel(access_fast, dram_inline: bool) -> Tuple[object, Optional[str]]:
+    """The replay kernel for ``access_fast``, and the reason it calls
+    the step rather than inlining it (``None`` when it inlines).
+
+    Only the verdict is kept per step configuration: the op slot's text
+    is rendered again only when its kernel has to be compiled.
+    """
+    source = codegen.template_source(access_fast)
+    op = None
+    if source is None:
+        name = getattr(access_fast, "__qualname__", type(access_fast).__name__)
+        reason: Optional[str] = f"access_fast ({name}) is not a generated step"
+    else:
+        code = access_fast.__code__
+        key = (code.co_filename, code.co_firstlineno)
+        if key in _refusals:
+            reason = _refusals[key]
+        else:
+            op, reason = _render_inline(source, code)
+            _refusals[key] = reason
+    if reason is None:
+        op_form = "inline:" + code.co_filename[len("<specialized:"):-1]
+        bound = {
+            name: cell.cell_contents
+            for name, cell in zip(code.co_freevars, access_fast.__closure__ or ())
+        }
+    else:
+        op, op_form, bound = _CALL_OP, "call", {}
+
+    def build() -> str:
+        body = op if op is not None else _render_inline(source, code)[0]
+        return _render_kernel(body, op_form, tuple(bound), dram_inline)
+
+    compiled = codegen.compiled_template(
+        "replay", (op_form, dram_inline), build, keep_source=False
+    )
+    return codegen.bind_template(compiled, bound), reason
+
+
 class VectorReplay:
     """Stage-2 replay state for one ``run_mix`` invocation.
 
@@ -117,6 +431,8 @@ class VectorReplay:
     :meth:`phase_scalar` is a drop-in replacement for the per-access
     ``phase(per_core)`` closure in ``run_mix`` (same
     ``clocks``/``instructions`` contract, warm-up then measurement).
+    The kernel is chosen once, from the ``access_fast`` installed on
+    the LLC and the DRAM model's ``access`` at construction.
     """
 
     def __init__(
@@ -133,17 +449,27 @@ class VectorReplay:
         clocks: List[float],
         instructions: List[int],
     ):
+        from ..hierarchy.dram import runs_own_access
+
         self._llc = llc
         self._dram = dram
         self._cores = cores
         self._clocks = clocks
         self._instructions = instructions
         self._pos = [0] * cores
+        self._access_fast = llc.access_fast
+        dram_inline = runs_own_access(dram)
+        self._kernel, reason = _bind_kernel(self._access_fast, dram_inline)
+        form = "call" if reason else "inline"
+        _KERNELS[form] += 1
         self.info = {
             "engine": "scalar",
             "replay": "opstream-scalar",
             "numpy": np.__version__,
             "scalar_ops": 0,
+            "kernel": form,
+            "kernel_reason": reason,
+            "kernel_dram": "inline" if dram_inline else "call",
         }
         # Integer clock domain: _timing_exact proved every increment is
         # an exact multiple of 2^-grid with all sums below 2^52 grid
@@ -158,7 +484,6 @@ class VectorReplay:
         self._cshift = max((cores - 1).bit_length(), 1)
         self._rh_i = int((float(dram._row_hit_cycles) / mlp) * scale)
         self._rm_i = int((float(dram._row_miss_cycles) / mlp) * scale)
-        self._lat_rh = float(dram._row_hit_cycles)
         cpi_i = int(base_cpi * scale)
         lat_i = np.rint(base_lat_table * scale).astype(np.int64)
         # Per-core precomputed columns over the whole trace: exclusive
@@ -255,20 +580,18 @@ class VectorReplay:
         off = self._op_off[c]
         return lead, advs, off[k + 1].tolist(), int(off[k[0]])
 
-    # -- the replay loop --------------------------------------------------
+    # -- one phase ----------------------------------------------------------
 
     def phase_scalar(self, per_core: int) -> None:
-        """One time-ordered phase executing every op through the live
-        ``llc.access_fast`` step (plus the DRAM model).
+        """One time-ordered phase executing every op through the LLC's
+        step (plus the DRAM model), in the replay kernel.
 
         Advances every core's position/instruction counters, applies
         the whole-window static advance for cores with no shared-state
-        ops, then merges the op-bearing accesses of the rest in the
-        per-access drive's order (same packed-key heap, same integer
-        clock grid).  Each op runs the cache's own step - the design's
-        generated step where it has one - so the serial LLC state
-        machine runs end to end while the private levels replay from
-        the cached op streams.
+        ops, then hands the op-bearing accesses of the rest to the
+        kernel, which merges them in the per-access drive's order (same
+        packed-key heap, same integer clock grid) and runs each op
+        through the design's step, inline or called.
         """
         count = max(1, per_core)
         cores = self._cores
@@ -278,10 +601,9 @@ class VectorReplay:
         cshift = self._cshift
         jpos = [0] * cores
         opos = [0] * cores
-        adv_c: List[Optional[list]] = [None] * cores
-        end_c: List[Optional[list]] = [None] * cores
-        limit_c = [0] * cores
+        runs_c: List[Optional[tuple]] = [None] * cores
         heap = []
+        n_ops = 0
         for c in range(cores):
             start = self._pos[c]
             end = start + count
@@ -295,65 +617,15 @@ class VectorReplay:
                 ext = self._ext[c]
                 clocks[c] = clocks[c] + int(ext[end] - ext[start]) * inv_scale
                 continue
-            lead, adv_c[c], end_c[c], opos[c] = runs
-            limit_c[c] = len(adv_c[c])
+            lead, advs, ends, opos[c] = runs
+            runs_c[c] = (advs, ends, self._op_kinds[c], self._op_addrs[c], len(advs))
+            n_ops += ends[-1] - opos[c]
             heap.append(((int(clocks[c] * scale) + lead) << cshift) | c)
         heapq.heapify(heap)
-        heappop, heappush = heapq.heappop, heapq.heappush
-        cmask = (1 << cshift) - 1
-        llc = self._llc
-        access_fast = llc.access_fast
-        dram_access = self._dram.access
-        rh_i = self._rh_i
-        rm_i = self._rm_i
-        lat_rh = self._lat_rh
-        op_kinds = self._op_kinds
-        op_addrs = self._op_addrs
-        n_ops = 0
-        while heap:
-            hk = heappop(heap)
-            c = hk & cmask
-            j = jpos[c]
-            o = opos[c]
-            advs = adv_c[c]
-            ends = end_c[c]
-            kinds = op_kinds[c]
-            addrs = op_addrs[c]
-            limit = limit_c[c]
-            while True:
-                d = 0
-                e = ends[j]
-                n_ops += e - o
-                while o < e:
-                    kind = kinds[o]
-                    a = addrs[o]
-                    o += 1
-                    if kind:
-                        flags = access_fast(a, False, c, False, c)
-                        if flags & 4:  # ACC_EVICTED_DIRTY
-                            dram_access(llc.victim_addr, True, None)
-                        if not flags & 1:  # ACC_HIT
-                            lat = dram_access(a, False, None)
-                            if kind == 2:
-                                # Reads return exactly the row-hit or
-                                # row-miss cycles.
-                                d += rh_i if lat == lat_rh else rm_i
-                    else:
-                        flags = access_fast(a, False, c, True, c)
-                        if flags & 4:
-                            dram_access(llc.victim_addr, True, None)
-                nk = hk + ((advs[j] + d) << cshift)
-                j += 1
-                if j < limit:
-                    if not heap or nk < heap[0]:
-                        hk = nk
-                        continue
-                    jpos[c] = j
-                    opos[c] = o
-                    heappush(heap, nk)
-                else:
-                    clocks[c] = (nk >> cshift) * inv_scale
-                break
+        self._kernel(
+            heap, jpos, opos, runs_c, clocks, cshift, inv_scale, self._rh_i, self._rm_i,
+            self._llc, self._access_fast, self._dram,
+        )
         self.info["scalar_ops"] += n_ops
 
 

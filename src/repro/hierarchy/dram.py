@@ -68,6 +68,40 @@ class DramModel:
         self.row_misses += 1
         return self._row_miss_cycles + queue_delay
 
+    # ``access(line_addr, is_write, None)`` as statements, for the
+    # op-stream replay's generated kernel (:mod:`repro.engine.vector`),
+    # which renders them inline when the model runs this class's own
+    # ``access`` (:func:`runs_own_access`).  ``KERNEL_BIND`` runs once per
+    # phase; the read rule sets ``hit`` for the op at ``line_addr``; a
+    # write only counts, since its address is unused without ``now``.
+    # The counters are kernel locals that ``KERNEL_FLUSH`` adds to the
+    # model in a ``finally`` at the end of the phase.
+    KERNEL_BIND = """\
+dram_open_rows = dram._open_rows
+dram_open_rows_get = dram_open_rows.get
+dram_row_shift = dram._lines_per_row_shift
+dram_banks = dram._banks
+dram_reads = dram_writes = dram_row_hits = dram_row_misses = 0
+"""
+    KERNEL_READ = """\
+row = line_addr >> dram_row_shift
+bank = row % dram_banks
+hit = dram_open_rows_get(bank) == row
+dram_open_rows[bank] = row
+dram_reads += 1
+if hit:
+    dram_row_hits += 1
+else:
+    dram_row_misses += 1
+"""
+    KERNEL_WRITE = "dram_writes += 1\n"
+    KERNEL_FLUSH = """\
+dram.reads += dram_reads
+dram.writes += dram_writes
+dram.row_hits += dram_row_hits
+dram.row_misses += dram_row_misses
+"""
+
     @property
     def row_hit_rate(self) -> float:
         total = self.row_hits + self.row_misses
@@ -76,3 +110,16 @@ class DramModel:
     def reset_stats(self) -> None:
         self.reads = self.writes = self.row_hits = self.row_misses = 0
         self.queue_cycles = 0.0
+
+
+_OWN_ACCESS = DramModel.access
+
+
+def runs_own_access(dram) -> bool:
+    """Whether ``dram.access`` is :meth:`DramModel.access` itself.
+
+    False once a subclass, a class patch or an instance attribute
+    replaces it; the replay kernel then calls it instead of rendering
+    the ``KERNEL_*`` snippets.
+    """
+    return type(dram).access is _OWN_ACCESS and "access" not in vars(dram)

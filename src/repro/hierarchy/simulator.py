@@ -66,8 +66,10 @@ class MixResult:
     #: Always ``"scalar"``, the only engine; kept for existing readers.
     engine: str = "scalar"
     #: Op-stream replay counters (numpy version, ``scalar_ops``: the
-    #: LLC ops replayed) when the replay drove the run, else ``None``.
-    #: Diagnostic only.
+    #: LLC ops replayed) and the replay kernel taken (``kernel``:
+    #: ``"inline"`` or ``"call"``, ``kernel_reason`` for the call form,
+    #: ``kernel_dram`` for the DRAM model's form) when the replay drove
+    #: the run, else ``None``.  Diagnostic only.
     engine_info: Optional[dict] = None
     #: Drive provenance (:mod:`repro.engine.specialize`), a dict: the
     #: design whose step was installed on the LLC (``llc``, or the

@@ -31,6 +31,25 @@ VICTIM_SDID = 1
 _ATTACKER_BASE = 0x6000_0000
 
 
+def attacker_lines(rng, count: int) -> List[int]:
+    """``count`` lines ``_ATTACKER_BASE + rng.randrange(1 << 24)``.
+
+    Drawn with the ``getrandbits(25)`` rejection loop that ``randrange``
+    runs for that bound (the loop ``repro.common.codegen._draw``
+    renders), so the same bits come from the same stream, without the
+    library's frames.
+    """
+    getrandbits = rng.getrandbits
+    lines = []
+    append = lines.append
+    for _ in range(count):
+        r = getrandbits(25)
+        while r >= 1 << 24:
+            r = getrandbits(25)
+        append(_ATTACKER_BASE + r)
+    return lines
+
+
 def _install(step, line: int, sdid: int) -> None:
     """Install with data (twice, so reuse-filtered designs allocate).
 
@@ -95,7 +114,7 @@ def targeting_advantage(
             if mode == "targeted":
                 lines = conflicting_lines(llc, victim, fills, rng)
             else:
-                lines = [_ATTACKER_BASE + rng.randrange(1 << 24) for _ in range(fills)]
+                lines = attacker_lines(rng, fills)
             for line in lines:
                 _install(step, line, ATTACKER_SDID)
             if not llc.contains(victim, sdid=VICTIM_SDID):
@@ -142,7 +161,7 @@ def construct_eviction_set(
     itself does not reliably evict the victim - the Maya/Mirage case.
     """
     rng = make_rng(derive_seed(seed, 0x5E7))
-    pool = [_ATTACKER_BASE + rng.randrange(1 << 24) for _ in range(pool_size)]
+    pool = attacker_lines(rng, pool_size)
     queries = 0
 
     def oracle(candidate: List[int]) -> bool:

@@ -30,10 +30,10 @@ from typing import List, Optional
 
 from ...common.rng import derive_seed, make_rng
 from ...llc.interface import access_step, attack_capacity, design_rekey
+from .eviction import attacker_lines
 
 ATTACKER_SDID = 0
 VICTIM_SDID = 1
-_ATTACKER_BASE = 0x6000_0000
 _DEFAULT_VICTIM = 0x7FFF_0000
 
 
@@ -120,7 +120,7 @@ def prime_prune_probe(
         if rekey_every and round_no and round_no % rekey_every == 0:
             design_rekey(llc)
         llc.flush_all()
-        batch = [_ATTACKER_BASE + rng.randrange(1 << 24) for _ in range(batch_size)]
+        batch = attacker_lines(rng, batch_size)
         # Prime: double-touch sweeps so reuse-filtered designs allocate.
         attacker.sweep(batch)
         attacker.sweep(batch)

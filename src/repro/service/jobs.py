@@ -19,9 +19,10 @@ byte for byte.
 This module also owns the cache-warm accounting helpers: a
 :func:`cache_snapshot` of the process-wide artifact caches (compiled
 traces, translated index columns, op streams - one
-:class:`repro.store.ArtifactCache` each), the codegen cache and the
-mmap store, and the delta/total arithmetic the pool uses to report
-per-worker warm cost and resident-set reuse.
+:class:`repro.store.ArtifactCache` each), the codegen cache, the mmap
+store and the op-stream replay's kernel counts, and the delta/total
+arithmetic the pool uses to report per-worker warm cost and
+resident-set reuse.
 """
 
 from __future__ import annotations
@@ -34,14 +35,17 @@ from ..harness.runner import ExperimentTask, TaskResult
 
 #: The three artifact caches a worker warms once and reuses per job,
 #: plus the mmap artifact store underneath them ("store" counts maps
-#: and map reuse rather than hits/misses).
-CACHE_LAYERS = ("trace", "translated", "opstream", "store")
+#: and map reuse rather than hits/misses) and the replay kernels taken
+#: ("kernels": replays per op form, ``inline`` or ``call``; no
+#: ``memory_hits``, so it adds nothing to ``resident_memory_hits``).
+CACHE_LAYERS = ("trace", "translated", "opstream", "store", "kernels")
 
 
 def cache_snapshot() -> Dict[str, Dict[str, float]]:
     """Counters of the process-wide caches and store, as plain dicts."""
     from ..common.codegen import specialize_cache_info
     from ..engine.opstream import STREAMS
+    from ..engine.vector import kernel_info
     from ..store import store_cache_info
     from ..trace.compiled import TRACES
     from ..trace.translated import TRANSLATIONS
@@ -54,6 +58,7 @@ def cache_snapshot() -> Dict[str, Dict[str, float]]:
         "opstream": dict(STREAMS.info()._asdict()),
         "specialize": dict(specialize_cache_info()._asdict()),
         "store": dict(store_cache_info()._asdict()),
+        "kernels": kernel_info(),
     }
 
 

@@ -712,8 +712,6 @@ class TestReplayKeepsNoOps:
 
         monkeypatch.setenv(CACHE_ENV, "0")
 
-        # The line addresses the LLC holds were created by the replay
-        # loop: 4 sets per skew keep them to ~120 tags (~4 KiB).
         config = MayaConfig if design is MayaCache else MirageConfig
         llc = design(config(sets_per_skew=4, rng_seed=7, hash_algorithm="splitmix"))
         tracemalloc.start()
@@ -721,15 +719,25 @@ class TestReplayKeepsNoOps:
             with drives.replay():
                 result = run_mix(llc, homogeneous("mcf", 2), system,
                                  accesses_per_core=2000, warmup_accesses=500, seed=seed)
+            assert result.specialize_info["replay"] == "opstream-scalar"
+            assert result.engine_info["kernel"] == "inline"
+            assert result.engine_info["scalar_ops"] > 1000
+            rand = llc.index_randomizer
+            assert rand.cache_info().size and rand.cache_info().precomputed
+            for table in (rand._memo, rand._precomputed):
+                assert all(type(k) is int and type(v) is int for k, v in table.items())
+            # The kernel runs the design's step inline, so the LLC's own
+            # tags and memo entries were made on the kernel's lines: drop
+            # the LLC (a run frees by refcount), and whatever the replay
+            # or its kernel made is left.
+            del llc, rand, table, result
             snapshot = tracemalloc.take_snapshot()
         finally:
             tracemalloc.stop()
-        assert result.specialize_info["replay"] == "opstream-scalar"
-        assert result.engine_info["scalar_ops"] > 1000
-        rand = llc.index_randomizer
-        assert rand.cache_info().size and rand.cache_info().precomputed
-        for table in (rand._memo, rand._precomputed):
-            assert all(type(k) is int and type(v) is int for k, v in table.items())
-        alive = snapshot.filter_traces([tracemalloc.Filter(True, vector.__file__)])
+        alive = snapshot.filter_traces([
+            tracemalloc.Filter(True, vector.__file__),
+            tracemalloc.Filter(True, "<specialized:replay:*"),
+        ])
         size = sum(stat.size for stat in alive.statistics("filename"))
-        assert size < 16 * 1024, f"{size} bytes from engine/vector.py still alive"
+        assert size < 16 * 1024, (
+            f"{size} bytes from engine/vector.py and its kernel still alive")

@@ -169,7 +169,7 @@ class TestLifecycleAndAccounting:
             assert message.error is not None
             seen += 1
 
-    def test_worker_stats_show_boot_and_resident_reuse(self, pool):
+    def test_worker_stats_show_boot_and_resident_reuse(self, pool, pytestconfig):
         first = GridRun([_fig9_task()], job_prefix="w1")
         pool.submit_many(first.units)
         _drain(pool, first)
@@ -181,12 +181,20 @@ class TestLifecycleAndAccounting:
         assert sum(w["jobs"] for w in stats) == len(first.units) + len(again.units)
         for w in stats:
             assert w["boot"]["warm_seconds"] >= 0.0
-            assert set(w["caches"]) <= {"trace", "translated", "opstream", "store"}
+            assert set(w["caches"]) <= {"trace", "translated", "opstream", "store", "kernels"}
             # Memory gauges ride along with every completion.
             assert w["peak_rss_kb"] > 0
             assert w["mapped_bytes"] >= 0
         # The second pass reuses the first pass's resident traces.
         assert sum(w["resident_memory_hits"] for w in stats) > 0
+        # Every replayed run_mix took the inline kernel (the forked
+        # workers replay unless the session declines the replay); the
+        # kernel counts are no cache layer's memory hits.
+        kernels = [w["caches"]["kernels"] for w in stats if "kernels" in w["caches"]]
+        if not pytestconfig.getoption("--per-access-drive"):
+            assert sum(k["inline"] for k in kernels) > 0
+        assert sum(k["call"] for k in kernels) == 0
+        assert not any("memory_hits" in k for k in kernels)
 
 
 class TestCacheAccountingHelpers:
