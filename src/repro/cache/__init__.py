@@ -4,7 +4,6 @@ from .line import AccessResult, CacheLine, CoherenceState, EvictedLine
 from .opt import opt_hit_rate, policy_gap_report, set_associative_opt_hit_rate
 from .replacement import (
     BRRIPPolicy,
-    DRRIPPolicy,
     LRUPolicy,
     RandomPolicy,
     ReplacementPolicy,
@@ -19,7 +18,6 @@ __all__ = [
     "BRRIPPolicy",
     "CacheLine",
     "CacheStats",
-    "DRRIPPolicy",
     "CoherenceState",
     "EvictedLine",
     "LRUPolicy",

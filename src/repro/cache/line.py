@@ -38,10 +38,6 @@ class CoherenceState(enum.Enum):
             raise ValueError("cannot write an invalid line")
         return CoherenceState.MODIFIED
 
-    def on_read_fill(self) -> "CoherenceState":
-        """State after filling for a demand read (single-node: Exclusive)."""
-        return CoherenceState.EXCLUSIVE
-
 
 @dataclass
 class CacheLine:

@@ -57,8 +57,8 @@ class SetAssociativeCache:
     geometry:
         Sets / ways / line size.
     policy:
-        Replacement policy *name*: ``lru``, ``random``, ``srrip``,
-        ``brrip`` or ``drrip`` (see
+        Replacement policy *name*: ``lru``, ``random``, ``srrip`` or
+        ``brrip`` (see
         :func:`repro.cache.replacement.make_packed_policy`); the step
         renders one arm per name.  Policy objects are not accepted;
         ``repro.reference.set_assoc`` takes those.
@@ -81,7 +81,7 @@ class SetAssociativeCache:
                 "(use repro.reference.set_assoc.SetAssociativeCache for policy objects)"
             )
         # The packed policy holds the state the step reads (LRU clock,
-        # RNG, BRRIP probability, DRRIP dueling); unknown names raise.
+        # RNG, RRPV bound, BRRIP probability); unknown names raise.
         self._policy = make_packed_policy(policy, seed=seed)
         self._policy_kind = policy.lower()
         self._ways = geometry.ways

@@ -4,8 +4,8 @@ This module is the one fast implementation of
 :class:`~repro.cache.set_assoc.SetAssociativeCache`'s access protocol:
 the hit, the invalid-way fill and the victim eviction, with the
 replacement policy's hit touch, victim choice and insertion inlined as
-the single arm the configured policy takes (LRU, random, SRRIP, BRRIP,
-DRRIP).  One array serves the private L1/L2 levels, the baseline LLC,
+the single arm the configured policy takes (LRU, random, SRRIP,
+BRRIP).  One array serves the private L1/L2 levels, the baseline LLC,
 CEASER's inner array and the partitioned designs' slices.
 :func:`set_assoc_step` renders the step as Python source with the ways,
 set mask, capacity and RRPV bounds inlined as literals, compiles it
@@ -35,7 +35,6 @@ _HIT_TOUCH = {
     "random": "",
     "srrip": "            repl[idx] = 0\n",
     "brrip": "            repl[idx] = 0\n",
-    "drrip": "            on_hit(repl, idx)\n",
 }
 
 # SRRIP and BRRIP: RRPVs never exceed the maximum, so the object
@@ -58,7 +57,6 @@ _VICTIM = {
         "                    repl[i] += delta\n"
         "            idx = base + window.index(m)\n"
     ),
-    "drrip": "            idx = victim(repl, base, {WAYS})\n",
 }
 _VICTIM["brrip"] = _VICTIM["srrip"]
 
@@ -75,7 +73,6 @@ _FILL = {
         "        else:\n"
         "            repl[idx] = {RRPV_MAX}\n"
     ),
-    "drrip": "        on_fill(repl, base, {WAYS}, idx)\n",
 }
 
 _BINDINGS = {
@@ -85,11 +82,6 @@ _BINDINGS = {
     "brrip": (
         "    rng_random = policy._rng.random\n"
         "    long_probability = policy._long_probability\n"
-    ),
-    "drrip": (
-        "    on_hit = policy.on_hit\n"
-        "    on_fill = policy.on_fill\n"
-        "    victim = policy.victim\n"
     ),
 }
 

@@ -109,32 +109,12 @@ def _drive_compiled(
     heap = [(clocks[c], c) for c in cores]
     heapq.heapify(heap)
     heappop, heappush = heapq.heappop, heapq.heappush
-    if not model_bandwidth:
-        # Specialized copy of the loop below with ``now`` pinned to
-        # None (the common case): one branch and one list index fewer
-        # per access.
-        while heap:
-            _, c = heappop(heap)
-            addrs, writes, gaps, offset = columns[c]
-            i = positions[c]
-            latency = hierarchy_access(c, addrs[i] + offset, writes[i] != 0, None)
-            gap = gaps[i]
-            clock = clocks[c] + gap * base_cpi + latency
-            clocks[c] = clock
-            instructions[c] += gap + 1
-            positions[c] = i = i + 1
-            if i < limits[c]:
-                heappush(heap, (clock, c))
-        return
     while heap:
         _, c = heappop(heap)
         addrs, writes, gaps, offset = columns[c]
         i = positions[c]
         latency = hierarchy_access(
-            c,
-            addrs[i] + offset,
-            writes[i] != 0,
-            clocks[c],
+            c, addrs[i] + offset, writes[i] != 0, clocks[c] if model_bandwidth else None
         )
         gap = gaps[i]
         clock = clocks[c] + gap * base_cpi + latency

@@ -84,12 +84,6 @@ class DataStore:
             if self._entries[idx].valid:
                 return idx
 
-    def retarget(self, idx: int, rptr: int) -> None:
-        """Repoint an entry's RPTR (tag relocation support)."""
-        if not self._entries[idx].valid:
-            raise SimulationError("retargeting a free data entry")
-        self._entries[idx].rptr = rptr
-
     def check_invariants(self, expected_rptrs) -> None:
         """Verify RPTR/free-list consistency against the tag store.
 

@@ -44,10 +44,6 @@ class OccupancyAttackResult:
     mean_a: float
     mean_b: float
 
-    @property
-    def operations_per_key(self) -> int:
-        return self.operations // 2
-
 
 class OccupancyAttacker:
     """Prime / victim-op / probe occupancy measurement loop."""

@@ -107,11 +107,6 @@ class BucketModelResult:
     def iterations_per_spill(self) -> float:
         return self.iterations / self.spills if self.spills else float("inf")
 
-    @property
-    def installs_per_spill(self) -> float:
-        """Ball throws (line installs) per SAE; ``inf`` when none seen."""
-        return self.throws / self.spills if self.spills else float("inf")
-
 
 class BucketAndBallsModel:
     """Executable bucket-and-balls simulation."""

@@ -100,14 +100,6 @@ class CompiledTrace:
         for addr, flag, gap in zip(self.line_addrs, self.write_flags, self.gaps):
             yield MemoryAccess(addr, flag != 0, gap)
 
-    def unique_records(self) -> set:
-        """The distinct records, deduplicated via a set.
-
-        Relies on :class:`MemoryAccess` being hashable (it defines both
-        ``__eq__`` and ``__hash__``).
-        """
-        return set(self.records())
-
     def unique_lines(self, offset: int = 0) -> array:
         """Distinct line addresses (shifted by ``offset``) as ``array('Q')``.
 

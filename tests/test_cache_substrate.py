@@ -188,9 +188,10 @@ class TestSetAssociativeCache:
         with pytest.raises(TypeError, match="replacement policy name"):
             SetAssociativeCache(tiny_geometry, policy=policy)
 
-    def test_unknown_policy_name_rejected(self, tiny_geometry):
-        with pytest.raises(ValueError, match="unknown replacement policy 'plru'"):
-            SetAssociativeCache(tiny_geometry, policy="plru")
+    @pytest.mark.parametrize("name", ["plru", "drrip"])
+    def test_unknown_policy_name_rejected(self, tiny_geometry, name):
+        with pytest.raises(ValueError, match=f"unknown replacement policy '{name}'"):
+            SetAssociativeCache(tiny_geometry, policy=name)
 
     @given(st.lists(st.tuples(st.integers(min_value=0, max_value=200), st.booleans()), max_size=300))
     @settings(max_examples=30, deadline=None)

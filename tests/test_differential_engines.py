@@ -289,7 +289,7 @@ class TestMirageDifferential:
 
 
 class TestSetAssocDifferential:
-    @pytest.mark.parametrize("policy", ["lru", "random", "srrip", "brrip", "drrip"])
+    @pytest.mark.parametrize("policy", ["lru", "random", "srrip", "brrip"])
     def test_mixed_stream_bit_identical(self, policy):
         geometry = CacheGeometry(sets=32, ways=4)
         packed = SetAssociativeCache(geometry, policy=policy, seed=21)

@@ -1,5 +1,5 @@
-"""Tests for the extension substrates: OPT, DRRIP, DRAM bandwidth,
-channel measurement, fingerprinting."""
+"""Tests for the extension substrates: OPT, DRAM bandwidth, channel
+measurement, fingerprinting."""
 
 import math
 
@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.opt import opt_hit_rate, policy_gap_report, set_associative_opt_hit_rate
-from repro.cache.replacement import DRRIPPolicy, make_policy
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.common.config import CacheGeometry, DramConfig, MayaConfig
 from repro.core import MayaCache
@@ -54,29 +53,6 @@ class TestOpt:
         lru_hits = sum(1 for addr in trace if cache.access(addr).hit)
         lru = lru_hits / len(trace) if trace else 0.0
         assert opt >= lru - 1e-9
-
-
-class TestDrrip:
-    def test_make_policy(self):
-        assert isinstance(make_policy("drrip", seed=1), DRRIPPolicy)
-
-    def test_psel_moves_toward_better_team(self):
-        """A thrash pattern (no reuse) should push PSEL toward BRRIP."""
-        geometry = CacheGeometry(sets=64, ways=4)
-        cache = SetAssociativeCache(geometry, policy="drrip", seed=1)
-        for addr in range(20_000):
-            cache.access(addr)  # pure scan: BRRIP's home turf
-        policy = cache._policy
-        assert policy.winning_team in ("srrip", "brrip")
-        # Leaders exist on both teams.
-        roles = set(policy._roles.values())
-        assert {"srrip", "brrip"} <= roles
-
-    def test_behaves_as_cache_policy(self):
-        geometry = CacheGeometry(sets=8, ways=4)
-        cache = SetAssociativeCache(geometry, policy="drrip", seed=1)
-        cache.access(1)
-        assert cache.access(1).hit
 
 
 class TestDramBandwidth:

@@ -11,14 +11,20 @@ Load-bearing properties:
   the same unit cannot corrupt the merge.
 * **Accounting** - per-worker boot/warm cost and resident-cache reuse
   are observable through ``worker_stats()``.
+* **Overhead** - a job's round trip through a warm worker is at least
+  10x cheaper than a cold process running the same job.
 """
 
 import os
 import signal
+import statistics
+import subprocess
+import sys
 import time
 
 import pytest
 
+from repro.harness.cli import build_tasks
 from repro.harness.runner import ExperimentTask, run_tasks
 from repro.service.jobs import GridRun, Unit, cache_delta, cache_snapshot
 from repro.service.pool import WorkerPool
@@ -26,6 +32,8 @@ from repro.service.pool import WorkerPool
 from .service_helpers import MODULE
 
 pytestmark = pytest.mark.service
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _helper_task(name="grid", **kwargs):
@@ -195,6 +203,47 @@ class TestLifecycleAndAccounting:
             assert sum(k["inline"] for k in kernels) > 0
         assert sum(k["call"] for k in kernels) == 0
         assert not any("memory_hits" in k for k in kernels)
+
+
+#: What a cold per-job process runs: import the simulation stack (a
+#: resident worker pays that once, at boot) and one fast ``table8`` job.
+COLD_JOB = (
+    "from repro.harness.cli import build_tasks\n"
+    "from repro.harness import runner\n"
+    "results = runner.run_tasks(build_tasks(['table8'], fast=True), jobs=1)\n"
+    "assert results[0].ok, results[0].error\n"
+)
+
+
+class TestResidentOverhead:
+    @pytest.mark.perf
+    def test_resident_job_is_ten_times_cheaper_than_a_cold_spawn(self):
+        """The pool's reason to exist: a job's round trip through a warm
+        worker costs under a tenth of a fresh interpreter running it."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        cold = []
+        for _ in range(2):
+            start = time.perf_counter()
+            subprocess.run([sys.executable, "-c", COLD_JOB], env=env, check=True,
+                           stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+            cold.append(time.perf_counter() - start)
+        task = build_tasks(["table8"], fast=True)[0]
+        resident = []
+        with WorkerPool(workers=1) as pool:
+            for job in range(5):
+                grid = GridRun([task], job_prefix=f"r{job}")
+                start = time.perf_counter()
+                pool.submit_many(grid.units)
+                results = _drain(pool, grid)
+                resident.append(time.perf_counter() - start)
+                assert results[0].ok, results[0].error
+        warm = statistics.median(resident[1:])  # the first job finishes the warm-up
+        ratio = min(cold) / warm
+        assert ratio >= 10.0, (
+            f"a resident job took {warm * 1000:.1f} ms against a {min(cold):.3f} s "
+            f"cold spawn: {ratio:.1f}x < 10x"
+        )
 
 
 class TestCacheAccountingHelpers:

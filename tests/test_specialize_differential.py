@@ -162,7 +162,7 @@ REFERENCE_ORACLES = {
 #: The sweep: every design, with the packed-replacement designs crossed
 #: against every replacement policy the step renders an arm for.
 COMBOS = (
-    [("baseline", p) for p in ("lru", "random", "srrip", "brrip", "drrip")]
+    [("baseline", p) for p in ("lru", "random", "srrip", "brrip")]
     + [("ceaser", p) for p in ("lru", "random", "srrip")]
     + [
         ("ceaser_prince", "lru"),

@@ -18,11 +18,16 @@ Load-bearing properties:
   bit-identical statistics with the store on and off, and a sharded
   grid drained by ``--jobs`` workers writes the same canonical results
   bytes either way (the heap path is the differential oracle).
+* **Floors** - warm mapped loads are at least 5x faster than heap
+  loads, and workers that map one artifact together pay for one copy
+  of it, less than heap workers pay for theirs.
 """
 
 import json
 import os
+import subprocess
 import sys
+import time
 from array import array
 
 import pytest
@@ -39,6 +44,8 @@ from repro.trace.mixes import homogeneous
 from repro.trace.record import MemoryAccess
 
 pytestmark = pytest.mark.store
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 #: The real load-path gate, captured at collection, before ``pytest
 #: --heap-loads`` patches it for the session.
@@ -381,3 +388,121 @@ class TestAccountingIntegration:
             assert pss is not None and pss > 0
         else:
             assert pss is None
+
+
+#: The floors' artifact: one compiled ``mcf`` trace of 100k records
+#: (1.3 MB on disk), big enough that a load's cost is the column bytes.
+BIG_TRACE = ("mcf", 8192, 100_000, 7)
+
+#: A worker for the sharing test.  Each step waits for a line on stdin,
+#: so every sibling is up before any loads and has loaded before any
+#: measures: load ``BIG_TRACE`` off the disk cache through the path the
+#: first argument names; report the growth of the process's PSS over
+#: the load and the ``Pss``/``Rss`` of its mappings of the file the
+#: second argument names (``null`` when unmapped); hold the trace until
+#: stdin closes.
+SHARING_WORKER = """\
+import json, sys
+from repro import store
+from repro.trace import compiled
+mapped, path = sys.argv[1] == "mmap", sys.argv[2]
+store.mmap_enabled = lambda: mapped
+workload, llc_lines, length, seed = json.loads(sys.argv[3])
+print("UP", flush=True)
+sys.stdin.readline()
+before = store.proportional_rss_kb()
+trace = compiled.compile_workload(workload, llc_lines, length, seed=seed)
+assert compiled.TRACES.info().builds == 0, "the worker compiled instead of loading"
+print("LOADED", flush=True)
+sys.stdin.readline()
+growth = store.proportional_rss_kb() - before
+mapping, inside = None, False
+with open("/proc/self/smaps") as fh:
+    for line in fh:
+        field, _, rest = line.partition(" ")
+        if not field.endswith(":"):
+            inside = line.rstrip("\\n").endswith(" " + path)
+            if inside and mapping is None:
+                mapping = {"Pss:": 0, "Rss:": 0}
+        elif inside and field in ("Pss:", "Rss:"):
+            mapping[field] += int(rest.split()[0])
+print(json.dumps({"growth_kb": growth, "mapping": mapping}), flush=True)
+sys.stdin.readline()
+"""
+
+
+@pytest.mark.perf
+class TestFloors:
+    """What the mmap store must pay for itself, against the heap path."""
+
+    def _no_build(self):
+        raise AssertionError("the trace was rebuilt instead of loaded")
+
+    def test_warm_mapped_loads_are_five_times_faster_than_heap_loads(
+        self, cache_dirs, monkeypatch
+    ):
+        workload, llc_lines, length, seed = BIG_TRACE
+        compile_workload(workload, llc_lines, length, seed=seed)  # onto the disk
+        key = compiled.trace_key(workload, llc_lines, seed, length)
+        best = {}
+        for mapped in (True, False):
+            monkeypatch.setattr(store, "mmap_enabled", lambda: mapped)
+            TRACES.clear_memory()
+            TRACES.get(key, self._no_build)  # a mapped load validates the CRC once
+            seconds = []
+            for _ in range(20):
+                TRACES.clear_memory()
+                start = time.perf_counter()
+                trace = TRACES.get(key, self._no_build)
+                seconds.append(time.perf_counter() - start)
+            assert isinstance(trace.line_addrs, memoryview) == mapped
+            best[mapped] = min(seconds)
+        ratio = best[False] / best[True]
+        assert ratio >= 5.0, (
+            f"a warm mapped load took {best[True] * 1e6:.0f} us against "
+            f"{best[False] * 1e6:.0f} us on the heap: {ratio:.1f}x < 5x"
+        )
+
+    def test_mapped_workers_share_one_copy(self, cache_dirs):
+        if not os.path.exists("/proc/self/smaps") or store.proportional_rss_kb() is None:
+            pytest.skip("/proc smaps PSS is unavailable on this host")
+        workload, llc_lines, length, seed = BIG_TRACE
+        compile_workload(workload, llc_lines, length, seed=seed)  # onto the disk
+        key = compiled.trace_key(workload, llc_lines, seed, length)
+        path = os.path.realpath(TRACES.path(store.cache_dir(), key))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        workers = 3
+        reports = {}
+        for mode in ("mmap", "heap"):
+            procs = [
+                subprocess.Popen(
+                    [sys.executable, "-c", SHARING_WORKER, mode, path, json.dumps(BIG_TRACE)],
+                    env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+                )
+                for _ in range(workers)
+            ]
+            try:
+                for step in ("UP", "LOADED"):
+                    for proc in procs:
+                        assert proc.stdout.readline().strip() == step, "a worker died"
+                    for proc in procs:
+                        proc.stdin.write("next\n")
+                        proc.stdin.flush()
+                reports[mode] = [json.loads(proc.stdout.readline()) for proc in procs]
+            finally:
+                for proc in procs:
+                    proc.stdin.close()
+                    proc.wait(timeout=30.0)
+        mappings = [r["mapping"] for r in reports["mmap"]]
+        assert None not in mappings, "a mapped worker does not map the artifact"
+        assert [r["mapping"] for r in reports["heap"]] == [None] * workers
+        # Shared page-cache pages bill each mapper Rss / workers, so the
+        # mapping's own Pss lines add up to one copy, whatever the
+        # allocator does; heap workers each hold a copy of their own.
+        assert sum(m["Pss:"] for m in mappings) <= max(m["Rss:"] for m in mappings)
+        growth = {mode: sum(r["growth_kb"] for r in reports[mode]) for mode in reports}
+        assert growth["mmap"] < growth["heap"], (
+            f"loading the artifact grew {workers} mapped workers' PSS by "
+            f"{growth['mmap']} KiB, {workers} heap workers' by {growth['heap']} KiB"
+        )

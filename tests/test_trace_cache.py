@@ -72,9 +72,6 @@ class TestCompiledTrace:
         )
         assert sorted(trace.unique_lines()) == [1, 2]
         assert sorted(trace.unique_lines(offset=10)) == [11, 12]
-        assert trace.unique_records() == {
-            MemoryAccess(1), MemoryAccess(2, True), MemoryAccess(1)
-        }
 
     def test_from_records_rejects_short_stream(self):
         with pytest.raises(TraceError, match="ended after 2 of 5"):
