@@ -240,6 +240,11 @@ class MayaCache:
         """LRU mapping-cache capacity of the index randomizer."""
         return self.tags.randomizer.memo_capacity
 
+    def premap(self, lines, sdid: int = 0) -> int:
+        """:meth:`repro.llc.interface.LLCache.premap`: the tag store's
+        randomizer, keyed by the access's own SDID (Maya hashes it)."""
+        return self.tags.randomizer.premap(lines, sdid)
+
     def contains(self, line_addr: int, sdid: int = 0) -> bool:
         """Is the line resident *with data* (priority-1)?"""
         if sdid >> self._sdid_bits:

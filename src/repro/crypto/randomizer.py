@@ -92,11 +92,20 @@ def _fold_indices(words, index_bits: int):
     return (folded & np.uint64((1 << index_bits) - 1)).astype(np.uint32)
 
 
+def _splitmix_many(x):
+    """:func:`splitmix64` over a ``uint64`` ndarray (wrapping multiplies
+    are the ``& _M64`` of the scalar mixer); returns a fresh array."""
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX1)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX2)
+    x ^= x >> np.uint64(31)
+    return x
+
+
 def splitmix_indices(line_addrs, keys: Sequence[int], index_bits: int, sdid: int = 0):
     """Per-skew set indices for a batch of line addresses (splitmix64).
 
     The batch kernel behind :meth:`IndexRandomizer.translate` and
-    :meth:`repro.engine.vector.VectorReplay.precompute_indices`.
+    :meth:`IndexRandomizer.premap`.
     Vectorized mirror of ``IndexRandomizer._raw_indices``, the scalar
     oracle the tests cross-check it against element-wise: for every
     key, XOR the tweaked address with the key, run the splitmix64
@@ -110,16 +119,10 @@ def splitmix_indices(line_addrs, keys: Sequence[int], index_bits: int, sdid: int
     """
     addrs = np.ascontiguousarray(line_addrs, dtype=np.uint64)
     tweaked = addrs ^ np.uint64((sdid << 56) & _M64)
-    mix1 = np.uint64(_MIX1)
-    mix2 = np.uint64(_MIX2)
-    columns = []
-    for key in keys:
-        x = tweaked ^ np.uint64(key & _M64)
-        x = (x ^ (x >> np.uint64(30))) * mix1
-        x = (x ^ (x >> np.uint64(27))) * mix2
-        x ^= x >> np.uint64(31)
-        columns.append(_fold_indices(x, index_bits))
-    return columns
+    return [
+        _fold_indices(_splitmix_many(tweaked ^ np.uint64(key & _M64)), index_bits)
+        for key in keys
+    ]
 
 
 def _pack_lanes(columns) -> list:
@@ -446,11 +449,11 @@ class IndexRandomizer:
     def bulk_map(self, line_addrs, sdid: int = 0) -> int:
         """Pre-warm the mapping cache: encrypt every address in one pass.
 
-        Used by the op-stream replay's PRINCE-mode precompute pass
-        (:meth:`repro.engine.vector.VectorReplay.precompute_indices`):
-        the replay knows every ``(line address, SDID)`` pair the run can
-        touch up front, so the cipher work runs through the batch kernel
-        (:meth:`translate`) *before* the timed loop.  Results land in a
+        :meth:`premap`'s PRINCE path: a caller that knows the
+        ``(line address, SDID)`` pairs it will touch up front (the
+        op-stream replay, an attacker's fresh batch) runs the cipher
+        work through the batch kernel (:meth:`translate`) *before* its
+        loop.  Results land in a
         side table consulted by the miss path
         rather than in the LRU memo itself - that keeps the memo's
         hit/miss/eviction accounting bit-identical to an unwarmed run
@@ -472,6 +475,21 @@ class IndexRandomizer:
         if not novel:
             return 0
         return self.load_packed(novel, self.translate(novel, sdid), sdid)
+
+    def premap(self, line_addrs, sdid: int = 0) -> int:
+        """Load the side table with the mappings of ``line_addrs`` for ``sdid``.
+
+        One batch pass ahead of the lookups that will miss on them:
+        under ``"splitmix"`` :func:`splitmix_indices` installed with
+        :meth:`load_packed`, under ``"prince"`` :meth:`bulk_map` (the
+        cipher batch kernel, skipping mappings already known).  Like
+        both, it leaves the memo and its counters alone.  Returns the
+        number of entries installed.
+        """
+        if self._algorithm == "splitmix":
+            columns = splitmix_indices(line_addrs, self._mix_keys, self._index_bits, sdid)
+            return self.load_packed(line_addrs, columns, sdid)
+        return self.bulk_map(line_addrs, sdid)
 
     def clear_precomputed(self) -> int:
         """Drop the precomputed side table; returns how many entries it held.
@@ -544,3 +562,16 @@ class IndexRandomizer:
         if self._algorithm == "prince":
             return self._ciphers[skew].encrypt(line_addr)
         return splitmix64((line_addr ^ self._mix_keys[skew]) & _M64)
+
+    def encrypt_addresses(self, line_addrs, skew: int = 0) -> list:
+        """:meth:`encrypt_address` of every line of ``line_addrs``, in order.
+
+        Under ``"splitmix"`` one numpy pass through the mixer
+        :func:`splitmix_indices` runs; under ``"prince"`` one cipher
+        call per line, as :meth:`encrypt_address` makes.
+        """
+        if self._algorithm == "prince":
+            encrypt = self._ciphers[skew].encrypt
+            return [encrypt(line) for line in line_addrs]
+        addrs = np.asarray(line_addrs, dtype=np.uint64)
+        return _splitmix_many(addrs ^ np.uint64(self._mix_keys[skew] & _M64)).tolist()

@@ -11,9 +11,11 @@ op through the LLC's own ``access_fast`` step (the design's generated
 step, which ``run_mix`` installs through :mod:`repro.engine.specialize`).
 
 **The kernel.**  The merge loop is generated code: one template
-(:data:`_KERNEL`), compiled once per step configuration per process
-(:mod:`repro.common.codegen`), with one op slot rendered in one of two
-forms:
+(:data:`_KERNEL`), compiled once per step configuration per process,
+with one op slot that :func:`repro.common.codegen.bind_kernel` renders
+in one of two forms (the attack harnesses' sweep kernel,
+:func:`repro.llc.interface.access_lines`, renders through the same
+function):
 
 * *inline* - when the installed ``access_fast`` is a library design's
   generated step, the slot is that step's body, taken from the source
@@ -81,8 +83,6 @@ records the reason in ``MixResult.specialize_info``.
 
 from __future__ import annotations
 
-import ast
-import builtins
 import functools
 import heapq
 import sys
@@ -92,7 +92,6 @@ import numpy as np
 
 from ..common import codegen
 from ..common.errors import TraceError
-from ..crypto.randomizer import splitmix_indices
 from ..trace.compiled import trace_key
 from .opstream import opstream_for
 
@@ -215,8 +214,6 @@ def _bind(bound, SimulationError, SetAssociativeEviction):
     return replay_kernel
 '''
 
-_CALL_OP = "flags = access_fast(line_addr, is_write, core_id, is_writeback, sdid)\n"
-
 #: The DRAM slots' call form: the model's ``access`` with ``now=None``.
 _DRAM_CALLS = {
     "BIND": "dram_access = dram.access\nlat_rh = float(dram._row_hit_cycles)\n",
@@ -224,9 +221,6 @@ _DRAM_CALLS = {
     "WRITE": "dram_access(replay_llc.victim_addr, True, None)\n",
     "FLUSH": "pass\n",
 }
-
-#: The step signature the kernel's op slot provides, in call order.
-_PARAMS = ("line_addr", "is_write", "core_id", "is_writeback", "sdid")
 
 #: Process counters of the kernels taken, by op form.
 _KERNELS = {"inline": 0, "call": 0}
@@ -268,160 +262,22 @@ def _render_kernel(op: str, op_form: str, bindings: Tuple[str, ...], dram_inline
 @functools.lru_cache(maxsize=None)
 def _kernel_names() -> Tuple[FrozenSet[str], FrozenSet[str]]:
     """The names the kernel binds, and every name it binds or reads,
-    outside the op slot and but for the step parameters it provides."""
-    bound = {"flags"}
-    used = set(bound)
-    for dram_inline in (False, True):
-        tree = ast.parse(_render_kernel(_CALL_OP, "call", (), dram_inline))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-                if not isinstance(node.ctx, ast.Load):
-                    bound.add(node.id)
-            elif isinstance(node, ast.arg):
-                bound.add(node.arg)
-            elif isinstance(node, ast.alias):
-                bound.add(node.asname or node.name)
-            elif isinstance(node, ast.FunctionDef):
-                bound.add(node.name)
-    # ``_bind`` receives the exception classes every step's ``_bind`` does.
-    own = set(_PARAMS) | {"SimulationError", "SetAssociativeEviction"}
-    return frozenset(bound - own), frozenset((used | bound) - own)
-
-
-class _Scan(ast.NodeVisitor):
-    """Names a step body stores and loads, and what the op slot refuses."""
-
-    def __init__(self):
-        self.stores = set()
-        self.loads = set()
-        self.problems: List[str] = []
-        self._loops = 0
-
-    def _loop(self, node):
-        self._loops += 1
-        self.generic_visit(node)
-        self._loops -= 1
-
-    visit_For = visit_AsyncFor = visit_While = _loop
-
-    def visit_Return(self, node):
-        if self._loops:
-            self.problems.append(f"a return inside a loop (line {node.lineno})")
-        self.generic_visit(node)
-
-    def visit_Name(self, node):
-        (self.loads if isinstance(node.ctx, ast.Load) else self.stores).add(node.id)
-
-    def visit_ExceptHandler(self, node):
-        if node.name:
-            self.stores.add(node.name)
-        self.generic_visit(node)
-
-    def _declaration(self, node):
-        self.problems.append(f"a {type(node).__name__} statement (line {node.lineno})")
-
-    def _definition(self, node):
-        self.problems.append(f"a nested {type(node).__name__} (line {node.lineno})")
-
-    visit_Nonlocal = visit_Global = _declaration
-    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = visit_Lambda = _definition
-
-
-class _ReturnToFlags(ast.NodeTransformer):
-    """``return X`` -> ``flags = X`` and a ``break`` out of the op."""
-
-    def visit_Return(self, node):
-        value = node.value if node.value is not None else ast.Constant(None)
-        return [ast.Assign(targets=[ast.Name("flags", ast.Store())], value=value), ast.Break()]
-
-
-#: (step code filename, first line) -> why the op slot calls that step
-#: (``None``: it renders the step inline).
-_refusals: Dict[Tuple[str, int], Optional[str]] = {}
-
-
-def _render_inline(source: str, code) -> Tuple[Optional[str], Optional[str]]:
-    """``(op slot source, None)`` for the step compiled as ``code`` from
-    ``source``, or ``(None, reason)`` when the slot must call it."""
-    defs = [
-        node for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.FunctionDef) and node.lineno == code.co_firstlineno
-        and node.name == code.co_name
-    ]
-    if len(defs) != 1:
-        return None, "the step's definition is not in its template source"
-    step = defs[0]
-    args = step.args
-    if (tuple(a.arg for a in args.args) != _PARAMS or args.posonlyargs or args.vararg
-            or args.kwonlyargs or args.kwarg):
-        return None, f"the step's signature is not ({', '.join(_PARAMS)})"
-    scan = _Scan()
-    for statement in step.body:
-        scan.visit(statement)
-    if scan.problems:
-        return None, f"the step's body has {scan.problems[0]}"
-    kernel_bound, kernel_used = _kernel_names()
-    freevars = set(code.co_freevars)
-    assigned = scan.stores & (kernel_used | set(_PARAMS))
-    assigned.discard("flags")
-    if assigned:
-        return None, f"the step's body assigns kernel-local {', '.join(sorted(assigned))}"
-    outer = scan.loads - scan.stores - set(_PARAMS) - freevars
-    missing = sorted(name for name in outer if not hasattr(builtins, name))
-    if missing:
-        return None, f"the step's body reads module globals {', '.join(missing)}"
-    shadowed = (freevars | outer) & kernel_bound
-    if shadowed:
-        return None, f"the kernel shadows the step's {', '.join(sorted(shadowed))}"
-    body: list = []
-    for statement in step.body:
-        rendered = _ReturnToFlags().visit(statement)
-        body.extend(rendered if isinstance(rendered, list) else [rendered])
-    if not isinstance(step.body[-1], ast.Return):
-        body += [ast.Assign(targets=[ast.Name("flags", ast.Store())], value=ast.Constant(None)),
-                 ast.Break()]
-    loop = ast.While(test=ast.Constant(True), body=body, orelse=[])
-    return ast.unparse(ast.fix_missing_locations(loop)) + "\n", None
+    outside the op slot, under either DRAM form."""
+    return codegen.kernel_names(*(
+        _render_kernel(codegen.CALL_OP, "call", (), dram_inline) for dram_inline in (False, True)
+    ))
 
 
 def _bind_kernel(access_fast, dram_inline: bool) -> Tuple[object, Optional[str]]:
     """The replay kernel for ``access_fast``, and the reason it calls
-    the step rather than inlining it (``None`` when it inlines).
-
-    Only the verdict is kept per step configuration: the op slot's text
-    is rendered again only when its kernel has to be compiled.
-    """
-    source = codegen.template_source(access_fast)
-    op = None
-    if source is None:
-        name = getattr(access_fast, "__qualname__", type(access_fast).__name__)
-        reason: Optional[str] = f"access_fast ({name}) is not a generated step"
-    else:
-        code = access_fast.__code__
-        key = (code.co_filename, code.co_firstlineno)
-        if key in _refusals:
-            reason = _refusals[key]
-        else:
-            op, reason = _render_inline(source, code)
-            _refusals[key] = reason
-    if reason is None:
-        op_form = "inline:" + code.co_filename[len("<specialized:"):-1]
-        bound = {
-            name: cell.cell_contents
-            for name, cell in zip(code.co_freevars, access_fast.__closure__ or ())
-        }
-    else:
-        op, op_form, bound = _CALL_OP, "call", {}
-
-    def build() -> str:
-        body = op if op is not None else _render_inline(source, code)[0]
-        return _render_kernel(body, op_form, tuple(bound), dram_inline)
-
-    compiled = codegen.compiled_template(
-        "replay", (op_form, dram_inline), build, keep_source=False
+    the step rather than inlining it (``None`` when it inlines)."""
+    return codegen.bind_kernel(
+        "replay",
+        access_fast,
+        lambda op, op_form, bindings: _render_kernel(op, op_form, bindings, dram_inline),
+        _kernel_names(),
+        (dram_inline,),
     )
-    return codegen.bind_template(compiled, bound), reason
 
 
 class VectorReplay:
@@ -524,31 +380,25 @@ class VectorReplay:
     def precompute_indices(self) -> int:
         """Batch-derive set indices for every address the replay can touch.
 
-        The install paths consult the randomizer's precomputed side
-        table only *after* counting the memo miss, so pre-filling it is
-        observably free - and it moves the per-miss index derivation off
-        the replay loop.  Splitmix mode runs the
-        :func:`~repro.crypto.randomizer.splitmix_indices` batch kernel
-        and installs the columns with ``load_packed``; PRINCE mode goes
-        through ``bulk_map`` (the fused-table cipher kernel), which also
-        skips addresses the ``run_mix`` pretranslation already covered.
-        Designs without an ``index_randomizer`` (the set-indexed
-        baseline) have nothing to fill.  Returns the number of entries
+        Each core's distinct op addresses go to the design's
+        :meth:`~repro.llc.interface.LLCache.premap` under the core's
+        SDID, which loads the randomizer's side table keyed by the SDID
+        the design's hash uses, in one numpy pass (splitmix) or through
+        the cipher batch kernel (PRINCE, which also skips addresses the
+        ``run_mix`` pretranslation already covered).  The install paths
+        consult that table only *after* counting the memo miss, so
+        pre-filling it is observably free - and it moves the per-miss
+        index derivation off the replay loop.  A design that derives no
+        indices through a side table (the set-indexed baseline, CEASER,
+        the references) loads nothing.  Returns the number of entries
         installed.
         """
-        rand = getattr(self._llc, "index_randomizer", None)
-        if rand is None:
+        if getattr(self._llc, "index_randomizer", None) is None:
             return 0
         installed = 0
         for core, oaddrs in enumerate(self._oaddrs_np):
-            if not len(oaddrs):
-                continue
-            unique = np.unique(oaddrs)
-            if rand.algorithm == "splitmix":
-                columns = splitmix_indices(unique, rand._mix_keys, rand.index_bits, sdid=core)
-                installed += rand.load_packed(unique, columns, sdid=core)
-            else:
-                installed += rand.bulk_map(unique, sdid=core)
+            if len(oaddrs):
+                installed += self._llc.premap(np.unique(oaddrs), core)
         return installed
 
     # -- per-phase runs -----------------------------------------------------

@@ -7,6 +7,10 @@ with random replacement.  Paper shape: the 16-way cache is noticeably
 *easier* to attack (normalized < 1: 0.85 for AES, 0.63 for modexp),
 while Maya sits at the fully-associative level (~0.996 / 0.992) -
 i.e. Maya does not make occupancy attacks easier.
+
+Each trial installs its design's generated step through a releasable
+``Specialization``, as a campaign cell does, so the attacker's sweep
+kernel runs the step's body inline.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from typing import Callable, Dict, List
 from ...common.config import CacheGeometry, MayaConfig
 from ...common.rng import derive_seed
 from ...core import MayaCache
+from ...engine.specialize import Specialization, specialize_llc
 from ...llc import BaselineLLC, FullyAssociativeCache
 from ...security.attacks import operations_to_distinguish
 from ...security.victims import AESVictim, ModExpVictim, aes_key_pair, modexp_key_pair
@@ -62,14 +67,20 @@ def run(
             samples = []
             for trial in range(trials):
                 make_a, make_b = victim_builder(derive_seed(seed, trial))
-                result = operations_to_distinguish(
-                    factory(),
-                    make_a,
-                    make_b,
-                    attacker_lines=attacker_lines,
-                    max_operations=max_operations,
-                    seed=derive_seed(seed, 100 + trial),
-                )
+                llc = factory()
+                spec = Specialization()
+                specialize_llc(llc, spec)
+                try:
+                    result = operations_to_distinguish(
+                        llc,
+                        make_a,
+                        make_b,
+                        attacker_lines=attacker_lines,
+                        max_operations=max_operations,
+                        seed=derive_seed(seed, 100 + trial),
+                    )
+                finally:
+                    spec.release()
                 samples.append(result.operations)
             per_design[design_name] = median(samples)
         fa = per_design["FullyAssoc"]

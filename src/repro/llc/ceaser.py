@@ -15,7 +15,10 @@ step encrypts the address, runs the inner packed array's step and
 mirrors that array's ``victim_*`` fields before counting the fill
 toward the next remap.  :meth:`CeaserCache.access_fast` binds it on
 first use (``ACC_*`` flag protocol); :meth:`CeaserCache.access` wraps
-it and reports the cipher's lookup latency.
+it and reports the cipher's lookup latency.  The design keeps
+:meth:`~repro.llc.interface.LLCache.premap`'s default, which loads
+nothing: the step encrypts inline and never reads the randomizer's
+side table.
 """
 
 from __future__ import annotations
@@ -134,9 +137,12 @@ class CeaserCache(LLCache):
         return self._cache.contains(self._encrypt(line_addr))
 
     def missing(self, lines, sdid: int = 0) -> list:
-        encrypt = self._encrypt
+        """One batch encryption of ``lines`` (a numpy pass under
+        ``"splitmix"``), then one location-map probe per line."""
+        lines = list(lines)
         where = self._cache._where
-        return [line for line in lines if encrypt(line) not in where]
+        tags = self._randomizer.encrypt_addresses(lines)
+        return [line for line, tag in zip(lines, tags) if tag not in where]
 
     @property
     def occupancy(self) -> int:

@@ -3,16 +3,25 @@
 The hierarchy simulator, the attack harnesses, and the experiment
 runner only touch this surface, so baseline / CEASER / Scatter-Cache /
 Mirage / Maya / partitioned designs are interchangeable.
+
+The attack harnesses load lines in bulk through :func:`access_lines`:
+a generated sweep kernel around the design's installed step, which
+runs the step's body inline for a library design's generated step and
+calls any other step once per touch.  They derive a fresh batch's set
+mappings in one pass first (:meth:`LLCache.premap`) and drop them once
+the batch is installed (:func:`drop_premap`).
 """
 
 from __future__ import annotations
 
 import abc
+import functools
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from ..cache.line import AccessResult, EvictedLine
 from ..cache.stats import CacheStats
+from ..common import codegen
 
 
 class LLCache(abc.ABC):
@@ -64,9 +73,9 @@ class LLCache(abc.ABC):
     # -- attacker-facing probe surface -------------------------------------
     #
     # The attack harnesses (repro.security.attacks, repro.security.campaign)
-    # drive every design through contains, missing and rekey plus the
-    # helpers below (loads go through access_step), so a new design is
-    # attackable the moment it implements the ABC.
+    # drive every design through contains, missing, premap and rekey plus
+    # the helpers below (loads go through access_lines or access_step), so
+    # a new design is attackable the moment it implements the ABC.
 
     def missing(self, lines, sdid: int = 0) -> list:
         """The lines of ``lines`` not resident for ``sdid``, in order.
@@ -79,6 +88,20 @@ class LLCache(abc.ABC):
         """
         contains = self.contains
         return [line for line in lines if not contains(line, sdid)]
+
+    def premap(self, lines, sdid: int = 0) -> int:
+        """Derive the set mappings of ``lines`` for ``sdid`` ahead of their loads.
+
+        A randomized design loads its randomizer's side table in one
+        batch pass (:meth:`repro.crypto.randomizer.IndexRandomizer.premap`),
+        keyed by the SDID its hash uses, so a load that misses the
+        mapping memo reads its mapping there instead of computing it.
+        The miss is still counted and the memo filled in the same order,
+        so premapping changes no statistic, placement or random draw.
+        Returns the number of entries loaded; this default, for a design
+        whose steps never read such a table, loads none.
+        """
+        return 0
 
     def rekey(self) -> None:
         """Refresh the design's mapping keys, if it has any.
@@ -131,13 +154,93 @@ def access_step(llc):
     step; the object-model references in :mod:`repro.reference` do not
     and fall back to the object :meth:`LLCache.access`.  Both take the
     same positional ``(line, is_write, core, is_writeback, sdid)``, so
-    attack harnesses
-    bind the result once and call it positionally; they ignore what it
-    returns (flags or an :class:`AccessResult`).  Bind it after any
+    a caller binds the result once and calls it positionally, ignoring
+    what it returns (flags or an :class:`AccessResult`);
+    :func:`access_lines` wraps it for loads in bulk.  Bind it after any
     specialization, which replaces ``access_fast`` per instance.
     """
     step = getattr(llc, "access_fast", None)
     return step if step is not None else llc.access
+
+
+# One touch per line per pass over each block of ``block`` lines, as a
+# read of ``core_id`` in ``sdid``: the loop the harnesses ran over the
+# bound step.  ``{OP}`` is the step's body or a call to it.
+_SWEEP = '''\
+# Generated by repro.llc.interface; do not edit.
+# kind=sweep op={OP_FORM}
+
+
+def _bind(bound, SimulationError, SetAssociativeEviction):
+{BINDINGS}
+    def sweep(lines, block, passes, core_id, sdid):
+        is_write = False
+        is_writeback = False
+        for first in range(0, len(lines), block):
+            chunk = lines[first:first + block]
+            for repeat in range(passes):
+                for line_addr in chunk:
+{OP}
+
+    return sweep
+'''
+
+#: Process counters of the sweep kernels bound, by op form.
+_SWEEPS = {"inline": 0, "call": 0}
+
+
+def sweep_info() -> Dict[str, int]:
+    """How many sweep kernels took each op form in this process."""
+    return dict(_SWEEPS)
+
+
+def _render_sweep(op: str, op_form: str, bindings: Tuple[str, ...]) -> str:
+    if op_form == "call":
+        bindings = ("access_fast",)  # the step, as codegen.bind_kernel binds it
+    return _SWEEP.format(
+        OP_FORM=op_form,
+        BINDINGS="".join(f"    {name} = bound[{name!r}]\n" for name in bindings),
+        OP=codegen._indent(op, 20),
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _sweep_names() -> Tuple[FrozenSet[str], FrozenSet[str]]:
+    return codegen.kernel_names(_render_sweep(codegen.CALL_OP, "call", ()))
+
+
+def access_lines(llc):
+    """The design's bulk load, ``sweep(lines, block, passes, core_id, sdid)``,
+    and the reason it calls the step rather than inlining it.
+
+    ``sweep`` walks ``lines`` in blocks of ``block`` lines (``block >=
+    1``) and touches every line of a block once per pass, in order, as
+    a read of ``core_id`` in ``sdid``: ``passes=2`` with ``block=1`` is
+    a double-touch install per line, with ``block=len(lines)`` two
+    sweeps of the whole list.  It is a generated kernel around the
+    step :func:`access_step` returns (:func:`repro.common.codegen.bind_kernel`):
+    for a library design's generated step it runs the step's body
+    inline, on the objects the step's closure binds, and the reason is
+    ``None``; any other step - a reference model's ``access``, a
+    wrapper - is called once per touch.  Either way the design sees the
+    calls the loop would have made, in the same order.  The code
+    compiles once per step configuration per process; the kernel holds
+    the design's columns, so bind it per attacker, after any
+    specialization, and let it go with the attacker.
+    :func:`sweep_info` counts the kernels bound per form.
+    """
+    kernel, reason = codegen.bind_kernel("sweep", access_step(llc), _render_sweep, _sweep_names())
+    _SWEEPS["call" if reason else "inline"] += 1
+    return kernel, reason
+
+
+def drop_premap(llc) -> None:
+    """Drop what :meth:`LLCache.premap` loaded, once its lines are
+    installed: the side table of the design's ``index_randomizer``
+    (``clear_precomputed``), if it has one."""
+    rand = getattr(llc, "index_randomizer", None)
+    if rand is not None:
+        rand.clear_precomputed()
 
 
 def supports_rekey(llc) -> bool:

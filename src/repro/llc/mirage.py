@@ -229,6 +229,10 @@ class MirageCache(LLCache):
         """LRU mapping-cache capacity of the index randomizer."""
         return self.randomizer.memo_capacity
 
+    def premap(self, lines, sdid: int = 0) -> int:
+        """:meth:`LLCache.premap`, keyed by the access's own SDID."""
+        return self.randomizer.premap(lines, sdid)
+
     @property
     def occupancy(self) -> int:
         return self.data.used

@@ -200,6 +200,11 @@ class SkewedRandomizedCache(LLCache):
             raise sdid_error(sdid)
         return ((line_addr << SDID_SHIFT) | self._hash_sdid(sdid)) in self._where
 
+    def premap(self, lines, sdid: int = 0) -> int:
+        """:meth:`LLCache.premap`, keyed by the SDID the hash uses: the
+        access's own for Scatter-Cache, ``0`` for CEASER-S."""
+        return self._randomizer.premap(lines, self._hash_sdid(sdid))
+
     def missing(self, lines, sdid: int = 0) -> list:
         if sdid >> SDID_SHIFT:
             raise sdid_error(sdid)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ...common.rng import derive_seed, make_rng
-from ...llc.interface import LLCache, access_step
+from ...llc.interface import LLCache, access_lines
 
 ATTACKER_SDID = 0
 VICTIM_SDID = 1
@@ -50,13 +50,11 @@ def attacker_lines(rng, count: int) -> List[int]:
     return lines
 
 
-def _install(step, line: int, sdid: int) -> None:
-    """Install with data (twice, so reuse-filtered designs allocate).
-
-    ``step`` is the design's :func:`~repro.llc.interface.access_step`.
-    """
-    step(line, False, 0, False, sdid)
-    step(line, False, 0, False, sdid)
+def _install(sweep, lines: List[int], sdid: int) -> None:
+    """Install each line with data, in turn: touched twice, so
+    reuse-filtered designs allocate.  ``sweep`` is the design's
+    :func:`~repro.llc.interface.access_lines` kernel."""
+    sweep(lines, 1, 2, 0, sdid)
 
 
 @dataclass
@@ -104,19 +102,18 @@ def targeting_advantage(
 ) -> TargetingResult:
     """Measure the attacker's targeting advantage on one LLC design."""
     rng = make_rng(derive_seed(seed, 0xE71))
-    step = access_step(llc)
+    sweep, _ = access_lines(llc)
     victim = 0x7FFF_0000
     hits = {"targeted": 0, "random": 0}
     for trial in range(trials):
         for mode in ("targeted", "random"):
             llc.flush_all()
-            _install(step, victim, VICTIM_SDID)
+            _install(sweep, [victim], VICTIM_SDID)
             if mode == "targeted":
                 lines = conflicting_lines(llc, victim, fills, rng)
             else:
                 lines = attacker_lines(rng, fills)
-            for line in lines:
-                _install(step, line, ATTACKER_SDID)
+            _install(sweep, lines, ATTACKER_SDID)
             if not llc.contains(victim, sdid=VICTIM_SDID):
                 hits[mode] += 1
     return TargetingResult(
@@ -134,13 +131,11 @@ class EvictionSetResult:
     oracle_queries: int
 
 
-def _evicts(llc: LLCache, candidate_set: List[int], victim: int) -> bool:
+def _evicts(llc: LLCache, sweep, candidate_set: List[int], victim: int) -> bool:
     """Eviction oracle: prime victim, fill candidates, re-probe victim."""
-    step = access_step(llc)
     llc.flush_all()
-    _install(step, victim, VICTIM_SDID)
-    for line in candidate_set:
-        _install(step, line, ATTACKER_SDID)
+    _install(sweep, [victim], VICTIM_SDID)
+    _install(sweep, candidate_set, ATTACKER_SDID)
     return not llc.contains(victim, sdid=VICTIM_SDID)
 
 
@@ -162,12 +157,13 @@ def construct_eviction_set(
     """
     rng = make_rng(derive_seed(seed, 0x5E7))
     pool = attacker_lines(rng, pool_size)
+    sweep, _ = access_lines(llc)
     queries = 0
 
     def oracle(candidate: List[int]) -> bool:
         nonlocal queries
         queries += 1
-        return _evicts(llc, candidate, victim)
+        return _evicts(llc, sweep, candidate, victim)
 
     # The pool must evict the victim *consistently* to be reducible.
     if not all(oracle(pool) for _ in range(confirm)):

@@ -28,7 +28,7 @@ import math
 
 from ...common.errors import AttackError
 from ...common.rng import derive_seed, make_rng
-from ...llc.interface import LLCache, access_step
+from ...llc.interface import LLCache, access_lines
 
 #: Security domains used by the harness.
 ATTACKER_SDID = 0
@@ -60,6 +60,7 @@ class OccupancyAttacker:
         self._rng = make_rng(derive_seed(seed, 0xA77))
         base = 0x4000_0000
         self._lines = [base + i for i in range(attacker_lines)]
+        self._sweep, _ = access_lines(llc)
 
     #: Lines per priming block.  Reuse-filtered designs (Maya) evict a
     #: random priority-0 tag per install, so a tag must be re-touched
@@ -77,20 +78,13 @@ class OccupancyAttacker:
         reuse-filtered designs, then repair passes re-install lines the
         priming itself churned out.
         """
-        access = access_step(self.llc)
-        for start in range(0, len(self._lines), self.PRIME_BLOCK):
-            block = self._lines[start : start + self.PRIME_BLOCK]
-            for line in block:
-                access(line, False, 0, False, ATTACKER_SDID)
-            for line in block:
-                access(line, False, 0, False, ATTACKER_SDID)
+        sweep = self._sweep
+        sweep(self._lines, self.PRIME_BLOCK, 2, 0, ATTACKER_SDID)
         for _ in range(self.PRIME_REPAIR_PASSES):
             missing = self.llc.missing(self._lines, ATTACKER_SDID)
             if not missing:
                 break
-            for line in missing:
-                access(line, False, 0, False, ATTACKER_SDID)
-                access(line, False, 0, False, ATTACKER_SDID)
+            sweep(missing, 1, 2, 0, ATTACKER_SDID)
 
     def probe(self) -> int:
         """Count attacker lines evicted since priming (the occupancy signal)."""
@@ -99,9 +93,7 @@ class OccupancyAttacker:
     def measure_once(self, victim_accesses: List[int]) -> int:
         """One sample: prime, run the victim's accesses, probe."""
         self.prime()
-        access = access_step(self.llc)
-        for line in victim_accesses:
-            access(line, False, 1, False, VICTIM_SDID)
+        self._sweep(victim_accesses, len(victim_accesses) or 1, 1, 1, VICTIM_SDID)
         return self.probe()
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ...common.rng import derive_seed, make_rng
-from ...llc.interface import access_step, attack_capacity, design_rekey
+from ...llc.interface import access_lines, attack_capacity, design_rekey, drop_premap
 from .eviction import ATTACKER_SDID, VICTIM_SDID, _install, conflicting_lines
 
 _DEFAULT_VICTIM = 0x7FFF_0000
@@ -54,18 +54,14 @@ class PolicyProbeResult:
         return self.correct / self.trials if self.trials else 0.0
 
 
-def _warm(step, fillers: List[int]) -> int:
-    """Fill the cache with filler lines through the design's
-    :func:`~repro.llc.interface.access_step`; returns accesses issued."""
-    accesses = 0
-    for start in range(0, len(fillers), _WARM_BLOCK):
-        block = fillers[start : start + _WARM_BLOCK]
-        for line in block:
-            step(line, False, 2, False, ATTACKER_SDID)
-        for line in block:
-            step(line, False, 2, False, ATTACKER_SDID)
-        accesses += 2 * len(block)
-    return accesses
+def _warm(llc, sweep, fillers: List[int], lines: List[int]) -> int:
+    """Fill the cache with filler lines through the design's sweep
+    kernel (:func:`~repro.llc.interface.access_lines`), having derived
+    the mappings of the fillers and the conflict lines in one pass;
+    returns accesses issued."""
+    llc.premap(fillers + lines, ATTACKER_SDID)
+    sweep(fillers, _WARM_BLOCK, 2, 2, ATTACKER_SDID)
+    return 2 * len(fillers)
 
 
 def replacement_leakage(
@@ -89,8 +85,8 @@ def replacement_leakage(
     lines: List[int] = conflicting_lines(llc, victim, ways, rng)
     canary = lines[0]
     fillers = [_FILLER_BASE + i for i in range(attack_capacity(llc))]
-    step = access_step(llc)
-    accesses = _warm(step, fillers)
+    sweep, _ = access_lines(llc)
+    accesses = _warm(llc, sweep, fillers, lines)
     # Balanced victim schedule: exactly half the trials run the victim,
     # so a signal-free channel scores 0.5 instead of the class-imbalance
     # noise a per-trial coin flip would add.
@@ -103,13 +99,14 @@ def replacement_leakage(
         if rekey_every and trial and trial % rekey_every == 0:
             design_rekey(llc)
             rekeys += 1
-            accesses += _warm(step, fillers)
-        for line in lines:
-            _install(step, line, ATTACKER_SDID)
-            accesses += 2
+            accesses += _warm(llc, sweep, fillers, lines)
+        _install(sweep, lines, ATTACKER_SDID)
+        accesses += 2 * len(lines)
+        # The conflict lines are installed: whatever premap loaded is too.
+        drop_premap(llc)
         victim_ran = schedule[trial]
         if victim_ran:
-            _install(step, victim, VICTIM_SDID)
+            _install(sweep, [victim], VICTIM_SDID)
             accesses += 2
         probes += 1
         guess = not llc.contains(canary, sdid=ATTACKER_SDID)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ...common.rng import derive_seed, make_rng
-from ...llc.interface import access_step, attack_capacity, design_rekey
+from ...llc.interface import access_lines, attack_capacity, design_rekey, drop_premap
 from .eviction import attacker_lines
 
 ATTACKER_SDID = 0
@@ -55,27 +55,25 @@ class PPPResult:
 
 
 class _Attacker:
-    """Operation counters around the design's bound step and bulk probe."""
+    """Operation counters around the design's sweep kernel and bulk probe."""
 
     def __init__(self, llc):
         self.llc = llc
-        self._step = access_step(llc)
+        self._sweep, _ = access_lines(llc)
         self._missing = llc.missing
         self.accesses = 0
         self.probes = 0
 
-    def sweep(self, lines: List[int]) -> None:
-        """Load every line once, in order, as the attacker."""
-        step = self._step
-        for line in lines:
-            step(line, False, 0, False, ATTACKER_SDID)
-        self.accesses += len(lines)
+    def sweep(self, lines: List[int], passes: int = 1) -> None:
+        """Load every line once per pass, in order, as the attacker."""
+        self._sweep(lines, len(lines) or 1, passes, 0, ATTACKER_SDID)
+        self.accesses += passes * len(lines)
 
-    def install(self, line: int, sdid: int) -> None:
-        """Double-touch install so reuse-filtered designs allocate data."""
-        self._step(line, False, 0, False, sdid)
-        self._step(line, False, 0, False, sdid)
-        self.accesses += 2
+    def install(self, lines: List[int], sdid: int) -> None:
+        """Double-touch install of each line in turn, so reuse-filtered
+        designs allocate data."""
+        self._sweep(lines, 1, 2, 0, sdid)
+        self.accesses += 2 * len(lines)
 
     def missing(self, lines: List[int], sdid: int = ATTACKER_SDID) -> List[int]:
         """Probe every line; the ones no longer resident, in order."""
@@ -122,8 +120,11 @@ def prime_prune_probe(
         llc.flush_all()
         batch = attacker_lines(rng, batch_size)
         # Prime: double-touch sweeps so reuse-filtered designs allocate.
-        attacker.sweep(batch)
-        attacker.sweep(batch)
+        # The fresh batch's mappings are derived in one pass beforehand
+        # and dropped once it is installed.
+        llc.premap(batch, ATTACKER_SDID)
+        attacker.sweep(batch, passes=2)
+        drop_premap(llc)
         # Prune until the survivors are simultaneously resident.
         survivors = batch
         for _ in range(prune_rounds):
@@ -134,7 +135,7 @@ def prime_prune_probe(
             survivors = [line for line in survivors if line not in gone]
             attacker.sweep(survivors)
         # Probe: one victim install, then catch what it displaced.
-        attacker.install(victim, VICTIM_SDID)
+        attacker.install([victim], VICTIM_SDID)
         caught = attacker.missing(survivors)
         for line in caught:
             if line not in members:
@@ -164,9 +165,8 @@ def _verify(attacker: _Attacker, candidate: List[int], victim: int, confirm: int
     """Does the constructed set evict a fresh victim ``confirm`` times?"""
     for _ in range(confirm):
         attacker.llc.flush_all()
-        attacker.install(victim, VICTIM_SDID)
-        for line in candidate:
-            attacker.install(line, ATTACKER_SDID)
+        attacker.install([victim], VICTIM_SDID)
+        attacker.install(candidate, ATTACKER_SDID)
         if not attacker.missing([victim], VICTIM_SDID):
             return False
     return True

@@ -31,16 +31,24 @@ same while cells run an order of magnitude faster.  PRINCE's
 cryptographic strength is evaluated where it matters, in
 ``repro.crypto`` and the analytical layer.
 
-Attacker loads run through each design's allocation-free
-``access_fast`` step (:func:`repro.llc.interface.access_step`).  All
-seven designs have a generated step: each cell installs the step of
-every design it builds through one releasable ``Specialization``
+Attacker loads run through a sweep kernel per attacker
+(:func:`repro.llc.interface.access_lines`): generated code that loops
+over a batch of lines and runs the design's allocation-free
+``access_fast`` step body inline, once per touch.  All seven designs
+have a generated step: each cell installs the step of every design it
+builds through one releasable ``Specialization``
 (:func:`repro.engine.specialize.specialize_llc`) before an attack binds
-that step, and releases it when the cell ends, also when it raises, so
-every design frees by refcount with its cell.  Residency scans - PPP's
-prune and catch, the occupancy attacker's repair and probe passes - ask
-the design once per scan (:meth:`repro.llc.interface.LLCache.missing`)
-rather than once per line.
+its kernel, and releases it when the cell ends, also when it raises;
+the kernels die with their attackers, so every design frees by
+refcount with its cell.  A fresh batch's set mappings - each PPP
+round's, the policy probe's fillers and conflict lines after every
+rekey - are derived in one batch pass first
+(:meth:`repro.llc.interface.LLCache.premap`) and dropped once the batch
+is installed; the step reads them only on a counted memo miss, so no
+cell's bits move.  Residency scans - PPP's prune and catch, the
+occupancy attacker's repair and probe passes - ask the design once per
+scan (:meth:`repro.llc.interface.LLCache.missing`) rather than once per
+line.
 """
 
 from __future__ import annotations

@@ -57,7 +57,15 @@ class AESVictim:
         This realizes the paper's setup of "two different keys, each
         having different reuse profiles at the LLC".
         """
-        state = [self._rng.randrange(256) for _ in range(16)]
+        # ``randrange(256)`` per byte, drawn with the ``getrandbits(9)``
+        # rejection loop it runs, without the library's frames.
+        getrandbits = self._rng.getrandbits
+        state = []
+        for _ in range(16):
+            r = getrandbits(9)
+            while r >= 256:
+                r = getrandbits(9)
+            state.append(r)
         accesses: List[int] = []
         key_bytes = self.key.key_bytes
         for round_no in range(10):

@@ -20,9 +20,9 @@ This module also owns the cache-warm accounting helpers: a
 :func:`cache_snapshot` of the process-wide artifact caches (compiled
 traces, translated index columns, op streams - one
 :class:`repro.store.ArtifactCache` each), the codegen cache, the mmap
-store and the op-stream replay's kernel counts, and the delta/total
-arithmetic the pool uses to report per-worker warm cost and
-resident-set reuse.
+store, the op-stream replay's and the attack harnesses' kernel counts,
+and the delta/total arithmetic the pool uses to report per-worker warm
+cost and resident-set reuse.
 """
 
 from __future__ import annotations
@@ -35,10 +35,12 @@ from ..harness.runner import ExperimentTask, TaskResult
 
 #: The three artifact caches a worker warms once and reuses per job,
 #: plus the mmap artifact store underneath them ("store" counts maps
-#: and map reuse rather than hits/misses) and the replay kernels taken
-#: ("kernels": replays per op form, ``inline`` or ``call``; no
-#: ``memory_hits``, so it adds nothing to ``resident_memory_hits``).
-CACHE_LAYERS = ("trace", "translated", "opstream", "store", "kernels")
+#: and map reuse rather than hits/misses), the replay kernels taken
+#: ("kernels": replays per op form, ``inline`` or ``call``) and the
+#: attack harnesses' sweep kernels bound ("sweeps", per op form too);
+#: the last two have no ``memory_hits``, so they add nothing to
+#: ``resident_memory_hits``.
+CACHE_LAYERS = ("trace", "translated", "opstream", "store", "kernels", "sweeps")
 
 
 def cache_snapshot() -> Dict[str, Dict[str, float]]:
@@ -46,6 +48,7 @@ def cache_snapshot() -> Dict[str, Dict[str, float]]:
     from ..common.codegen import specialize_cache_info
     from ..engine.opstream import STREAMS
     from ..engine.vector import kernel_info
+    from ..llc.interface import sweep_info
     from ..store import store_cache_info
     from ..trace.compiled import TRACES
     from ..trace.translated import TRANSLATIONS
@@ -59,6 +62,7 @@ def cache_snapshot() -> Dict[str, Dict[str, float]]:
         "specialize": dict(specialize_cache_info()._asdict()),
         "store": dict(store_cache_info()._asdict()),
         "kernels": kernel_info(),
+        "sweeps": sweep_info(),
     }
 
 

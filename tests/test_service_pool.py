@@ -189,7 +189,8 @@ class TestLifecycleAndAccounting:
         assert sum(w["jobs"] for w in stats) == len(first.units) + len(again.units)
         for w in stats:
             assert w["boot"]["warm_seconds"] >= 0.0
-            assert set(w["caches"]) <= {"trace", "translated", "opstream", "store", "kernels"}
+            assert set(w["caches"]) <= {
+                "trace", "translated", "opstream", "store", "kernels", "sweeps"}
             # Memory gauges ride along with every completion.
             assert w["peak_rss_kb"] > 0
             assert w["mapped_bytes"] >= 0
