@@ -5,6 +5,12 @@ The single-node simulators in this library only exercise the
 valid/clean/dirty distinction, but the full MOESI state set is modelled
 so the storage arithmetic and the tag-entry layout match the hardware
 design, and so multi-socket extensions have somewhere to stand.
+
+The module also holds the ``access_fast`` step protocol every packed
+engine shares: the ``ACC_*`` flags, the first-use binder
+(:func:`first_access`, :func:`bind_steps`), the one maintenance-drop
+path (:func:`drop_victim`) and the boundary wrappers
+(:func:`victim_line`, :func:`access_result`).
 """
 
 from __future__ import annotations
@@ -127,6 +133,52 @@ def victim_line(engine, flags: int) -> EvictedLine:
         sdid=engine.victim_sdid,
         was_reused=engine.victim_reused,
     )
+
+
+def drop_victim(engine, addr: int, core: int, sdid: int, dirty, reused) -> int:
+    """Publish a line that a maintenance drop removes as ``engine``'s
+    victim and count its eviction; returns the ``ACC_*`` flags.
+
+    The one eviction path of every packed engine's invalidation, flush
+    and SAE drops.  A drop fills nothing, so it is never cross-core
+    interference: that takes a fill by one core displacing another
+    core's line, which the generated steps count.
+    """
+    engine.victim_addr = addr
+    engine.victim_core = core
+    engine.victim_sdid = sdid
+    engine.victim_reused = bool(reused)
+    engine.stats.record_eviction(dirty=dirty, was_reused=reused, cross_core=False)
+    return ACC_EVICTED | ACC_EVICTED_DIRTY if dirty else ACC_EVICTED
+
+
+def bind_steps(engine):
+    """Bind ``engine``'s generated steps; returns its ``access_fast``.
+
+    ``engine.fresh_steps()`` renders the design's ``(owner, step)``
+    pairs - its own step and those of the arrays it holds - and each
+    step becomes its owner's instance ``access_fast``.
+    :func:`repro.engine.specialize.specialize_llc` installs the same
+    pairs releasably.
+    """
+    for owner, step in engine.fresh_steps():
+        owner.access_fast = step
+    return engine.access_fast
+
+
+def first_access(engine, line_addr, is_write=False, core_id=0, is_writeback=False, sdid=0) -> int:
+    """The class-level ``access_fast`` of every packed engine: binds its
+    generated steps (:func:`bind_steps`) on first use and runs the step.
+
+    Attribute lookup finds the instance binding from then on.  A caller
+    that bound this method before the first access keeps landing here,
+    so the instance binding is looked up first and the steps render
+    once.
+    """
+    step = engine.__dict__.get("access_fast")
+    if step is None:
+        step = bind_steps(engine)
+    return step(line_addr, is_write, core_id, is_writeback, sdid)
 
 
 def access_result(engine, flags: int, extra_latency: int = 0) -> AccessResult:

@@ -28,13 +28,13 @@ from typing import Dict, Optional
 from ..common.config import CacheGeometry
 from ..common.errors import SimulationError
 from .line import (
-    ACC_EVICTED,
-    ACC_EVICTED_DIRTY,
     AccessResult,
     CacheLine,
     CoherenceState,
     EvictedLine,
     access_result,
+    drop_victim,
+    first_access,
     victim_line,
 )
 from .replacement import make_packed_policy
@@ -65,6 +65,16 @@ class SetAssociativeCache:
     name:
         Label used in reports ("L1D", "LLC", ...).
     """
+
+    # Victim fields of the access_fast protocol (valid until the next
+    # access after a result with ACC_EVICTED set).
+    victim_addr = 0
+    victim_core = -1
+    victim_sdid = 0
+    victim_reused = False
+
+    #: Binds the generated step on first use (:func:`~repro.cache.line.first_access`).
+    access_fast = first_access
 
     def __init__(
         self,
@@ -103,12 +113,6 @@ class SetAssociativeCache:
         self._where: Dict[int, int] = {}
         self.stats = CacheStats()
         self._fill_epoch = 0
-        # Victim fields of the access_fast protocol (valid until the
-        # next access after a result with ACC_EVICTED set).
-        self.victim_addr = 0
-        self.victim_core = -1
-        self.victim_sdid = 0
-        self.victim_reused = False
 
     # -- lookup ---------------------------------------------------------
 
@@ -121,32 +125,6 @@ class SetAssociativeCache:
 
     # -- main access path -------------------------------------------------
 
-    def access_fast(
-        self,
-        line_addr: int,
-        is_write: bool = False,
-        core_id: int = 0,
-        is_writeback: bool = False,
-        sdid: int = 0,
-    ) -> int:
-        """One access with no allocation; returns ``ACC_*`` flags.
-
-        Writeback accesses (``is_writeback=True``) model dirty evictions
-        arriving from an upper level: a hit marks the line dirty, a miss
-        allocates a dirty line (non-inclusive LLC behaviour).
-
-        The first call binds the generated step
-        (:func:`~repro.cache.set_assoc_step.set_assoc_step`) on the
-        instance, where attribute lookup finds it from then on.  Callers
-        that bound this method before the first access keep landing
-        here, so the instance binding is looked up first and the step
-        renders once.
-        """
-        step = self.__dict__.get("access_fast")
-        if step is None:
-            self.access_fast = step = set_assoc_step(self)
-        return step(line_addr, is_write, core_id, is_writeback, sdid)
-
     def access(
         self,
         line_addr: int,
@@ -158,37 +136,32 @@ class SetAssociativeCache:
         """Perform one access; fills on miss (allocate-on-miss).
 
         Boundary wrapper over :meth:`access_fast` returning the
-        historical :class:`AccessResult` dataclass.
+        historical :class:`AccessResult` dataclass.  Writeback accesses
+        (``is_writeback=True``) model dirty evictions arriving from an
+        upper level: a hit marks the line dirty, a miss allocates a
+        dirty line (non-inclusive LLC behaviour).
         """
         flags = self.access_fast(line_addr, is_write, core_id, is_writeback, sdid)
         return access_result(self, flags)
 
-    def _evict_fast(self, idx: int, filler_core: int) -> int:
+    def fresh_steps(self):
+        """This array's one fresh generated step, as ``(owner, step)``."""
+        return [(self, set_assoc_step(self))]
+
+    def _evict_fast(self, idx: int) -> int:
         state = self._state[idx]
         if not state:
             raise SimulationError("evicting an invalid line")
-        dirty = state >= _DIRTY_MIN
         addr = self._addr[idx]
-        core = self._core[idx]
-        reused = self._reused[idx]
-        self.victim_addr = addr
-        self.victim_core = core
-        self.victim_sdid = self._sdid[idx]
-        self.victim_reused = bool(reused)
-        st = self.stats
-        st.evictions += 1
-        if dirty:
-            st.dirty_evictions += 1
-        if not reused:
-            st.dead_evictions += 1
-        if core >= 0 and core != filler_core:
-            st.interference_evictions += 1
+        flags = drop_victim(
+            self, addr, self._core[idx], self._sdid[idx], state >= _DIRTY_MIN, self._reused[idx]
+        )
         self._where.pop(addr, None)
         # Only the state column is cleared: every reader gates on it (or
         # on ``_where``), and a refill overwrites the other columns, so
         # resetting them here would be wasted stores on the hot path.
         self._state[idx] = _INVALID
-        return ACC_EVICTED | ACC_EVICTED_DIRTY if dirty else ACC_EVICTED
+        return flags
 
     # -- maintenance operations -------------------------------------------
 
@@ -197,7 +170,7 @@ class SetAssociativeCache:
         idx = self._where.get(line_addr, -1)
         if idx < 0:
             return None
-        return victim_line(self, self._evict_fast(idx, filler_core=-1))
+        return victim_line(self, self._evict_fast(idx))
 
     def flush_all(self) -> int:
         """Invalidate the whole cache; returns the number of lines dropped."""
@@ -205,7 +178,7 @@ class SetAssociativeCache:
         state = self._state
         for idx in range(len(state)):
             if state[idx]:
-                self._evict_fast(idx, filler_core=-1)
+                self._evict_fast(idx)
                 count += 1
         return count
 

@@ -28,9 +28,10 @@ renders it per configuration over the tag store's packed columns.
 :meth:`MayaCache.access_fast` binds that step on first use; it returns
 an ``ACC_*`` flag int and publishes any writeback through the
 ``victim_*`` instance fields - no per-access allocation.  The public
-:meth:`MayaCache.access` wraps it in the historical
-:class:`AccessResult` API.  This module keeps the rare and whole-cache
-paths: SAE handling, invalidation, flush and rekey.  Behaviour -
+:meth:`~repro.llc.interface.LLCache.access` wraps it in the historical
+:class:`~repro.cache.line.AccessResult` API and rejects an SDID outside
+``[0, config.max_domains)``.  This module keeps the rare and
+whole-cache paths: SAE handling, invalidation, flush and rekey.  Behaviour -
 including RNG draw order and every statistics counter - is
 bit-identical to the object-model reference in ``repro.reference.maya``
 (enforced by the differential tests).
@@ -45,16 +46,9 @@ from ..common.addr import SDID_SHIFT, sdid_error
 from ..common.config import MayaConfig
 from ..common.errors import SetAssociativeEviction, SimulationError
 from ..common.rng import derive_seed, make_rng
-from ..cache.line import (
-    ACC_EVICTED,
-    ACC_EVICTED_DIRTY,
-    ACC_SAE,
-    AccessResult,
-    EvictedLine,
-    access_result,
-    victim_line,
-)
+from ..cache.line import ACC_EVICTED, ACC_SAE, EvictedLine, drop_victim, first_access, victim_line
 from ..cache.stats import CacheStats
+from ..llc.interface import LLCache
 from .data_store import DataStore
 from .maya_step import maya_step
 from .tag_store import NO_DATA, SkewedTagStore, TagState
@@ -66,7 +60,7 @@ _P0 = TagState.PRIORITY_0.value
 _P1 = TagState.PRIORITY_1.value
 
 
-class MayaCache:
+class MayaCache(LLCache):
     """Functional model of the Maya LLC.
 
     Parameters
@@ -104,7 +98,7 @@ class MayaCache:
         self._global_tag_eviction = global_tag_eviction
         # sdid_bits <= SDID_SHIFT, so an SDID that fits the domain count
         # also fits the packed key's lane.
-        self._sdid_bits = self.config.sdid_bits
+        self.sdid_bits = self.config.sdid_bits
         self.tags = SkewedTagStore(self.config)
         self.data = DataStore(self.config.data_entries, seed=derive_seed(self.config.rng_seed, 3))
         self._rng = make_rng(derive_seed(self.config.rng_seed, 4))
@@ -124,68 +118,26 @@ class MayaCache:
         self._evicted_p0_window: "OrderedDict[int, bool]" = OrderedDict()
         self._evicted_p0_window_size = 4096
         self.premature_p0_evictions = 0
-        # Victim fields of the access_fast protocol (valid until the
-        # next access after a result with ACC_EVICTED set).
-        self.victim_addr = 0
-        self.victim_core = -1
-        self.victim_sdid = 0
-        self.victim_reused = False
 
     # -- public API --------------------------------------------------------
 
-    def access_fast(
-        self,
-        line_addr: int,
-        is_write: bool = False,
-        core_id: int = 0,
-        is_writeback: bool = False,
-        sdid: int = 0,
-    ) -> int:
-        """One LLC access with no allocation; returns ``ACC_*`` flags.
+    #: One LLC access with no allocation; returns ``ACC_*`` flags and
+    #: publishes a produced writeback in the ``victim_*`` fields until
+    #: the next access.  Binds the generated step on first use.
+    access_fast = first_access
 
-        When ``ACC_EVICTED`` is set, the produced writeback is published
-        in the ``victim_*`` fields until the next access.  The secure
-        lookup adds the constant :data:`SECURE_LOOKUP_EXTRA_CYCLES` on
-        every access (the hierarchy accounts for it).
-
-        The first call binds the generated step
-        (:func:`~repro.core.maya_step.maya_step`) on the instance, where
-        attribute lookup finds it from then on.  Callers that bound this
-        method before the first access keep landing here, so the
-        instance binding is looked up first and the step renders once.
-        """
-        step = self.__dict__.get("access_fast")
-        if step is None:
-            self.access_fast = step = maya_step(self)
-        return step(line_addr, is_write, core_id, is_writeback, sdid)
-
-    def access(
-        self,
-        line_addr: int,
-        is_write: bool = False,
-        core_id: int = 0,
-        is_writeback: bool = False,
-        sdid: int = 0,
-    ) -> AccessResult:
-        """One LLC access; returns hit/miss plus any writeback produced.
-
-        Boundary wrapper over :meth:`access_fast` returning the
-        historical :class:`AccessResult` dataclass.  Unlike the step,
-        it rejects an SDID outside ``[0, config.max_domains)``.
-        """
-        if sdid >> self._sdid_bits:
-            raise sdid_error(sdid, self._sdid_bits)
-        flags = self.access_fast(line_addr, is_write, core_id, is_writeback, sdid)
-        return access_result(self, flags, self.extra_lookup_latency)
+    def fresh_steps(self):
+        """Maya's one fresh generated step (:func:`~repro.core.maya_step.maya_step`)."""
+        return [(self, maya_step(self))]
 
     def invalidate(self, line_addr: int, sdid: int = 0) -> Optional[EvictedLine]:
         """Flush one line (clflush semantics for this SDID's copy)."""
-        if sdid >> self._sdid_bits:
-            raise sdid_error(sdid, self._sdid_bits)
+        if sdid >> self.sdid_bits:
+            raise sdid_error(sdid, self.sdid_bits)
         tag_idx = self.tags.lookup(line_addr, sdid)
         if tag_idx is None:
             return None
-        flags = self._drop_tag(tag_idx, filler_core=-1)
+        flags = self._drop_tag(tag_idx)
         if flags & ACC_EVICTED:
             return victim_line(self, flags)
         return None
@@ -196,7 +148,7 @@ class MayaCache:
         state = self.tags._state
         for tag_idx in range(len(state)):
             if state[tag_idx]:
-                self._drop_tag(tag_idx, filler_core=-1)
+                self._drop_tag(tag_idx)
                 dropped += 1
         return dropped
 
@@ -240,23 +192,22 @@ class MayaCache:
         """LRU mapping-cache capacity of the index randomizer."""
         return self.tags.randomizer.memo_capacity
 
-    def premap(self, lines, sdid: int = 0) -> int:
-        """:meth:`repro.llc.interface.LLCache.premap`: the tag store's
-        randomizer, keyed by the access's own SDID (Maya hashes it)."""
-        return self.tags.randomizer.premap(lines, sdid)
+    def hash_sdid(self, sdid: int) -> int:
+        """Maya hashes the access's own SDID."""
+        return sdid
 
     def contains(self, line_addr: int, sdid: int = 0) -> bool:
         """Is the line resident *with data* (priority-1)?"""
-        if sdid >> self._sdid_bits:
-            raise sdid_error(sdid, self._sdid_bits)
+        if sdid >> self.sdid_bits:
+            raise sdid_error(sdid, self.sdid_bits)
         tag_idx = self.tags.lookup(line_addr, sdid)
         return tag_idx is not None and self.tags._state[tag_idx] == _P1
 
     def missing(self, lines, sdid: int = 0) -> list:
         """The lines of ``lines`` without data for ``sdid``, in order: a
         tag-only (priority-0) line is missing, as :meth:`contains` says."""
-        if sdid >> self._sdid_bits:
-            raise sdid_error(sdid, self._sdid_bits)
+        if sdid >> self.sdid_bits:
+            raise sdid_error(sdid, self.sdid_bits)
         where_get = self.tags._where.get
         state = self.tags._state
         return [
@@ -266,8 +217,8 @@ class MayaCache:
 
     def contains_tag(self, line_addr: int, sdid: int = 0) -> bool:
         """Is the line's tag resident at either priority?"""
-        if sdid >> self._sdid_bits:
-            raise sdid_error(sdid, self._sdid_bits)
+        if sdid >> self.sdid_bits:
+            raise sdid_error(sdid, self.sdid_bits)
         return self.tags.lookup(line_addr, sdid) is not None
 
     # -- internal operations ---------------------------------------------------
@@ -293,30 +244,18 @@ class MayaCache:
             victim_idx = p0_ways[self._rng.randrange(len(p0_ways))]
         else:
             victim_idx = base + self._rng.randrange(ways)
-        return ACC_SAE | self._drop_tag(victim_idx, filler_core=-1)
+        return ACC_SAE | self._drop_tag(victim_idx)
 
-    def _drop_tag(self, tag_idx: int, filler_core: int) -> int:
+    def _drop_tag(self, tag_idx: int) -> int:
         """Invalidate a tag at either priority, freeing data if present."""
         tags = self.tags
         flags = 0
         if tags._state[tag_idx] == _P1:
-            dirty = tags._dirty[tag_idx]
-            reused = tags._reused[tag_idx]
-            core = tags._core[tag_idx]
-            self.victim_addr = tags._addr[tag_idx]
-            self.victim_core = core
-            self.victim_sdid = tags._sdid[tag_idx]
-            self.victim_reused = bool(reused)
-            st = self.stats
-            st.evictions += 1
-            if dirty:
-                st.dirty_evictions += 1
-            if not reused:
-                st.dead_evictions += 1
-            if core >= 0 and filler_core >= 0 and core != filler_core:
-                st.interference_evictions += 1
+            flags = drop_victim(
+                self, tags._addr[tag_idx], tags._core[tag_idx], tags._sdid[tag_idx],
+                tags._dirty[tag_idx], tags._reused[tag_idx],
+            )
             self.data.free(tags._fptr[tag_idx])
-            flags = ACC_EVICTED | ACC_EVICTED_DIRTY if dirty else ACC_EVICTED
         tags.invalidate_fast(tag_idx)
         return flags
 

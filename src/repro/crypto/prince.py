@@ -254,82 +254,9 @@ def _fused_block(x: int, ks, F=_T_FWD, M=_T_MID, I=_T_INV, S=_T_SINV) -> int:
 
 
 def _fused_many(blocks, ks) -> "array":
-    """Batch :func:`_fused_block`: ``array('Q')`` in, ``array('Q')`` out.
-
-    The hot loop is written out with every table row and round key in a
-    local, which measures ~25% faster than calling ``_fused_block`` per
-    element — this is the kernel under ``bulk_map`` / trace
-    pre-translation, where a trial encrypts 10^5 blocks.
-    """
-    F0, F1, F2, F3, F4, F5, F6, F7 = _T_FWD
-    M0, M1, M2, M3, M4, M5, M6, M7 = _T_MID
-    I0, I1, I2, I3, I4, I5, I6, I7 = _T_INV
-    S0, S1, S2, S3, S4, S5, S6, S7 = _T_SINV
-    k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11 = ks
-    out = array("Q", bytes(8 * len(blocks)))
-    for pos, x in enumerate(blocks):
-        x ^= k0
-        x = (
-            F0[x & 255] ^ F1[(x >> 8) & 255] ^ F2[(x >> 16) & 255]
-            ^ F3[(x >> 24) & 255] ^ F4[(x >> 32) & 255] ^ F5[(x >> 40) & 255]
-            ^ F6[(x >> 48) & 255] ^ F7[x >> 56] ^ k1
-        )
-        x = (
-            F0[x & 255] ^ F1[(x >> 8) & 255] ^ F2[(x >> 16) & 255]
-            ^ F3[(x >> 24) & 255] ^ F4[(x >> 32) & 255] ^ F5[(x >> 40) & 255]
-            ^ F6[(x >> 48) & 255] ^ F7[x >> 56] ^ k2
-        )
-        x = (
-            F0[x & 255] ^ F1[(x >> 8) & 255] ^ F2[(x >> 16) & 255]
-            ^ F3[(x >> 24) & 255] ^ F4[(x >> 32) & 255] ^ F5[(x >> 40) & 255]
-            ^ F6[(x >> 48) & 255] ^ F7[x >> 56] ^ k3
-        )
-        x = (
-            F0[x & 255] ^ F1[(x >> 8) & 255] ^ F2[(x >> 16) & 255]
-            ^ F3[(x >> 24) & 255] ^ F4[(x >> 32) & 255] ^ F5[(x >> 40) & 255]
-            ^ F6[(x >> 48) & 255] ^ F7[x >> 56] ^ k4
-        )
-        x = (
-            F0[x & 255] ^ F1[(x >> 8) & 255] ^ F2[(x >> 16) & 255]
-            ^ F3[(x >> 24) & 255] ^ F4[(x >> 32) & 255] ^ F5[(x >> 40) & 255]
-            ^ F6[(x >> 48) & 255] ^ F7[x >> 56] ^ k5
-        )
-        x = (
-            M0[x & 255] ^ M1[(x >> 8) & 255] ^ M2[(x >> 16) & 255]
-            ^ M3[(x >> 24) & 255] ^ M4[(x >> 32) & 255] ^ M5[(x >> 40) & 255]
-            ^ M6[(x >> 48) & 255] ^ M7[x >> 56]
-        )
-        x = (
-            I0[x & 255] ^ I1[(x >> 8) & 255] ^ I2[(x >> 16) & 255]
-            ^ I3[(x >> 24) & 255] ^ I4[(x >> 32) & 255] ^ I5[(x >> 40) & 255]
-            ^ I6[(x >> 48) & 255] ^ I7[x >> 56] ^ k6
-        )
-        x = (
-            I0[x & 255] ^ I1[(x >> 8) & 255] ^ I2[(x >> 16) & 255]
-            ^ I3[(x >> 24) & 255] ^ I4[(x >> 32) & 255] ^ I5[(x >> 40) & 255]
-            ^ I6[(x >> 48) & 255] ^ I7[x >> 56] ^ k7
-        )
-        x = (
-            I0[x & 255] ^ I1[(x >> 8) & 255] ^ I2[(x >> 16) & 255]
-            ^ I3[(x >> 24) & 255] ^ I4[(x >> 32) & 255] ^ I5[(x >> 40) & 255]
-            ^ I6[(x >> 48) & 255] ^ I7[x >> 56] ^ k8
-        )
-        x = (
-            I0[x & 255] ^ I1[(x >> 8) & 255] ^ I2[(x >> 16) & 255]
-            ^ I3[(x >> 24) & 255] ^ I4[(x >> 32) & 255] ^ I5[(x >> 40) & 255]
-            ^ I6[(x >> 48) & 255] ^ I7[x >> 56] ^ k9
-        )
-        x = (
-            I0[x & 255] ^ I1[(x >> 8) & 255] ^ I2[(x >> 16) & 255]
-            ^ I3[(x >> 24) & 255] ^ I4[(x >> 32) & 255] ^ I5[(x >> 40) & 255]
-            ^ I6[(x >> 48) & 255] ^ I7[x >> 56] ^ k10
-        )
-        out[pos] = (
-            S0[x & 255] ^ S1[(x >> 8) & 255] ^ S2[(x >> 16) & 255]
-            ^ S3[(x >> 24) & 255] ^ S4[(x >> 32) & 255] ^ S5[(x >> 40) & 255]
-            ^ S6[(x >> 48) & 255] ^ S7[x >> 56] ^ k11
-        )
-    return out
+    """Batch :func:`_fused_block`: ``array('Q')`` in, ``array('Q')`` out,
+    one call per block.  The small-batch side of :func:`_fused_many_auto`."""
+    return array("Q", [_fused_block(x, ks) for x in blocks])
 
 
 # -- numpy batch kernel ----------------------------------------------------
@@ -342,9 +269,11 @@ def _fused_many(blocks, ks) -> "array":
 # threshold only decides which is faster.
 
 #: Below this many blocks the per-call numpy overhead (dtype checks,
-#: temporary allocation) beats the gather savings; measured crossover
-#: is ~100-200 blocks, 256 leaves margin.
-NUMPY_BATCH_THRESHOLD = 256
+#: temporary allocation: ~290 us at any size up to 128 blocks) beats
+#: the gather savings.  Looping :func:`_fused_block` costs ~8.7 us a
+#: block, so the two cross at ~32 blocks: 280 us looped vs 289 us in
+#: numpy at 32, 431 vs 301 us at 48 (Python 3.11, 2-vCPU Xeon VM).
+NUMPY_BATCH_THRESHOLD = 32
 
 #: The four fused table banks as ``(8, 256)`` uint64 ndarrays.
 _NP_TABLES = tuple(

@@ -1,10 +1,10 @@
 """Fast execution layers behind ``run_mix``.
 
-* :mod:`repro.engine.specialize` - installs each design's one generated
-  ``access_fast`` step (Maya's :mod:`repro.core.maya_step`, Mirage's
-  :mod:`repro.llc.mirage_step`, the set-associative array's
-  :mod:`repro.cache.set_assoc_step`) through a releasable
-  ``Specialization``.
+* :mod:`repro.engine.specialize` - installs the generated
+  ``access_fast`` steps each design names in ``fresh_steps()`` (Maya's
+  :mod:`repro.core.maya_step`, Mirage's :mod:`repro.llc.mirage_step`,
+  the set-associative array's :mod:`repro.cache.set_assoc_step`, ...)
+  through a releasable ``Specialization``.
 * :mod:`repro.engine.opstream` - per-core op streams: the private
   levels pre-simulated once, leaving only the LLC/DRAM operations.
 * :mod:`repro.engine.vector` - the op-stream replay that drives every

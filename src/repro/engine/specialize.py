@@ -1,4 +1,4 @@
-"""Each design's generated step, installed per run and released after.
+"""Each design's generated steps, installed per run and released after.
 
 Every packed design with a state machine has exactly one fast
 implementation, a step rendered per configuration: Maya's
@@ -8,27 +8,34 @@ CEASER-S and Scatter-Cache's (:mod:`repro.llc.skewed_step`), CEASER's
 fully-associative cache's (:mod:`repro.llc.fully_assoc_step`) and the
 set-associative array's (:mod:`repro.cache.set_assoc_step`), which
 serves the baseline LLC, CEASER's inner array, the partitioned
-designs' slices and the private L1/L2 levels.  Each binds its step as
-an *instance* attribute (``access_fast``) on first use, and every caller
-- the compiled hierarchy closure
-(:meth:`repro.hierarchy.system.CacheHierarchy._compile_access`), the
-op-stream replay (:mod:`repro.engine.vector`), the security campaign's
-attack harnesses (:mod:`repro.security.campaign`) and the public
-``access()`` wrapper - resolves ``access_fast`` by attribute, so all of
-them run it.  The differential oracles are the object models in
-:mod:`repro.reference`.  Compiled code objects are cached in-process
-(:mod:`repro.common.codegen`).
+designs' slices and the private L1/L2 levels.
+
+Each design states its steps once, in ``fresh_steps()``: the
+``(owner, step)`` pairs to bind, its own step and those of the arrays
+it holds.  Two mechanisms bind them.  The first-use binder every
+design shares as its class-level ``access_fast``
+(:func:`repro.cache.line.first_access`, through
+:func:`~repro.cache.line.bind_steps`, which
+:func:`repro.llc.interface.access_step` also calls before it hands a
+step out) makes each step its owner's *instance* ``access_fast``.  A
+``run_mix`` call or a campaign cell instead installs fresh pairs
+through a releasable :class:`Specialization` (:func:`specialize_llc`),
+whose ``release()`` drops the bindings again.  Every caller - the compiled hierarchy
+closure (:meth:`repro.hierarchy.system.CacheHierarchy._compile_access`),
+the op-stream replay (:mod:`repro.engine.vector`), the attack
+harnesses' sweep kernel (:func:`repro.llc.interface.access_lines`) and
+the public ``access()`` wrapper - resolves ``access_fast`` by
+attribute, so all of them run the installed step.  The differential
+oracles are the object models in :mod:`repro.reference`.  Compiled
+code objects are cached in-process (:mod:`repro.common.codegen`).
 
 A bound step closes over its cache, so the binding is a
-``cache -> closure -> cache`` reference cycle.  A ``run_mix`` call or a
-campaign cell instead installs a fresh step on each design it drives
-through a releasable :class:`Specialization` (:func:`specialize_llc`),
-whose ``release()`` drops the bindings again, so every cache frees by
-refcount when its caller lets go of it.  Every design in
-:mod:`repro.llc` and :mod:`repro.core` takes a step; only an object
-from outside them (a reference model behind
-:class:`~repro.reference.AccessFastAdapter`) keeps its own
-``access_fast``, and :func:`specialize_llc` says so.
+``cache -> closure -> cache`` reference cycle; releasing a
+:class:`Specialization` breaks it, so every cache frees by refcount
+when its caller lets go of it.  Only an object from outside the
+library (a reference model behind
+:class:`~repro.reference.AccessFastAdapter`) has no ``fresh_steps()``
+and keeps its own ``access_fast``, and :func:`specialize_llc` says so.
 
 Installing a step does not choose the drive: ``run_mix`` takes the
 op-stream replay (:mod:`repro.engine.vector`) unless the replay
@@ -69,58 +76,25 @@ class Specialization:
 
 
 def specialize_llc(llc, spec: Specialization) -> Optional[str]:
-    """Install a fresh generated step on ``llc`` through ``spec``.
+    """Install ``llc``'s fresh generated steps through ``spec``.
 
-    Returns ``None`` once the step is installed, or a human-readable
+    Returns ``None`` once the steps are installed, or a human-readable
     reason for an object that is not one of the library's designs.
-    Wrapper designs install on the packed arrays they hold: the
-    baseline on its inner array (and its forwarding attribute), CEASER
-    on its inner array and then its own step, which calls the array's,
-    the partitioned designs on every slice.  Callers:
-    :func:`apply_specialization` (one ``run_mix``) and
+    The steps are the ``(owner, step)`` pairs the design's
+    ``fresh_steps()`` names - the pairs its first-use binder binds
+    (:func:`repro.cache.line.bind_steps`) - so wrapper designs install
+    on the packed arrays they hold: the baseline on its inner array
+    and itself, CEASER on its inner array and then its own step, which
+    calls the array's, the partitioned designs on every slice.
+    Callers: :func:`apply_specialization` (one ``run_mix``) and
     :func:`repro.security.campaign.run_shard` (every design one
     campaign cell builds); each releases ``spec`` when done.
     """
-    from ..cache.set_assoc import SetAssociativeCache
-    from ..cache.set_assoc_step import set_assoc_step
-    from ..core.maya_cache import MayaCache
-    from ..core.maya_step import maya_step
-    from ..llc.baseline import BaselineLLC
-    from ..llc.ceaser import CeaserCache
-    from ..llc.ceaser_step import ceaser_step
-    from ..llc.fully_assoc import FullyAssociativeCache
-    from ..llc.fully_assoc_step import fully_assoc_step
-    from ..llc.mirage import MirageCache
-    from ..llc.mirage_step import mirage_step
-    from ..llc.partitioned import _PartitionedBase
-    from ..llc.skewed import SkewedRandomizedCache
-    from ..llc.skewed_step import skewed_step
-
-    if isinstance(llc, MayaCache):
-        spec._install(llc, "access_fast", maya_step(llc))
-    elif isinstance(llc, MirageCache):
-        spec._install(llc, "access_fast", mirage_step(llc))
-    elif isinstance(llc, SkewedRandomizedCache):
-        spec._install(llc, "access_fast", skewed_step(llc))
-    elif isinstance(llc, FullyAssociativeCache):
-        spec._install(llc, "access_fast", fully_assoc_step(llc))
-    elif isinstance(llc, SetAssociativeCache):
-        spec._install(llc, "access_fast", set_assoc_step(llc))
-    elif isinstance(llc, BaselineLLC):
-        # BaselineLLC bound the inner array's method at construction;
-        # shadow both so its forwarding attribute follows the step.
-        step = set_assoc_step(llc._cache)
-        spec._install(llc._cache, "access_fast", step)
-        spec._install(llc, "access_fast", step)
-    elif isinstance(llc, CeaserCache):
-        # The CEASER step looks the inner array's step up per access.
-        spec._install(llc._cache, "access_fast", set_assoc_step(llc._cache))
-        spec._install(llc, "access_fast", ceaser_step(llc))
-    elif isinstance(llc, _PartitionedBase):
-        for part in llc._slices:
-            spec._install(part, "access_fast", set_assoc_step(part))
-    else:
+    fresh_steps = getattr(llc, "fresh_steps", None)
+    if fresh_steps is None:
         return f"{type(llc).__name__} is not a library design; its own access_fast runs"
+    for owner, step in fresh_steps():
+        spec._install(owner, "access_fast", step)
     return None
 
 

@@ -125,6 +125,39 @@ def _drive_compiled(
             heappush(heap, (clock, c))
 
 
+#: The randomizer algorithms whose mappings ``run_mix`` translates ahead
+#: of time: PRINCE's per-miss cipher pass dominates a cold trial, while
+#: the splitmix mixer is cheaper than the side-table consult.
+PRETRANSLATED = frozenset({"prince"})
+
+
+def _pretranslate(llc, traces, region: int) -> None:
+    """Ahead-of-time index translation of every line ``traces`` can touch.
+
+    Each core's distinct lines go through the randomizer's batch cipher
+    kernel in one numpy pass, and the per-skew index columns are
+    installed in its side table, keyed by the SDID the design's hash
+    uses for that core (:meth:`~repro.llc.interface.LLCache.hash_sdid`)
+    - the table :meth:`~repro.llc.interface.LLCache.premap` loads.  The
+    columns persist in the on-disk translated-trace cache, keyed by
+    address-set content x key fingerprint x SDID, so warm trials skip
+    the cipher.  Nothing is translated for a design whose hash SDID is
+    ``None`` (its steps read no side table) or whose randomizer is not
+    in :data:`PRETRANSLATED`.  From the first ``rekey()`` (e.g. an
+    SAE-triggered remap) the side table is dropped with the old keys
+    and lookups fall back to the live randomizer.
+    """
+    randomizer = getattr(llc, "index_randomizer", None)
+    if randomizer is None or randomizer.algorithm not in PRETRANSLATED:
+        return
+    for core_id, trace in enumerate(traces):
+        sdid = llc.hash_sdid(core_id)
+        if sdid is None:
+            return
+        translated = translate_trace(randomizer, trace, sdid=sdid, offset=core_id * region)
+        randomizer.load_packed(translated.line_addrs, translated.columns, sdid=sdid)
+
+
 def run_mix(
     llc: LLCache,
     mix: Mix,
@@ -134,7 +167,6 @@ def run_mix(
     seed: Optional[int] = None,
     enable_prefetch: bool = True,
     model_bandwidth: bool = False,
-    pretranslate: Optional[bool] = None,
 ) -> MixResult:
     """Simulate ``mix`` over ``llc``; returns per-core IPCs + LLC stats.
 
@@ -149,20 +181,9 @@ def run_mix(
     ``REPRO_TRACE_CACHE=0`` turns it off, so every artifact this call
     needs is rebuilt and nothing is kept.
 
-    ``pretranslate`` is the ahead-of-time index translation pipeline:
-    every distinct line each compiled trace can touch is pushed through
-    the randomizer's batch cipher kernel in one in-process numpy pass
-    per core, and the per-skew index columns are installed in its
-    precomputed side table (and persisted in the on-disk
-    translated-trace cache, keyed by address-set content x key
-    fingerprint x SDID, so warm trials skip cipher work entirely).
-    ``None`` auto-enables it exactly when it pays: the LLC exposes an
-    ``index_randomizer`` running ``algorithm="prince"``, whose per-miss
-    cipher pass dominates a cold trial (the splitmix mixer is cheaper
-    than the table consult).  Results and memo counters are unchanged;
-    from the first ``rekey()`` (e.g. an SAE-triggered remap) the side
-    table is dropped with the old keys and lookups fall back to the
-    live randomizer.
+    Before the run, the LLC's mappings are translated ahead of time
+    (:func:`_pretranslate`) when that pays.  Results and memo counters
+    are unchanged either way.
 
     The run picks its drive.  It takes the op-stream replay
     (:mod:`repro.engine.vector`): the private levels come from the
@@ -215,24 +236,7 @@ def run_mix(
             )
             for core_id, bench in enumerate(mix.assignments)
         ]
-        # Ahead-of-time index translation: batch-encrypt every (line,
-        # sdid) pair the replay can touch and install the packed index
-        # columns in the randomizer's side table (cached on disk keyed
-        # by content x key fingerprint, so warm trials skip the cipher).
-        randomizer = getattr(llc, "index_randomizer", None)
-        if pretranslate is None:
-            do_pretranslate = randomizer is not None and randomizer.algorithm == "prince"
-        else:
-            do_pretranslate = bool(pretranslate) and randomizer is not None
-        if do_pretranslate:
-            for core_id, trace in enumerate(traces):
-                translated = translate_trace(
-                    randomizer,
-                    trace,
-                    sdid=core_id,
-                    offset=core_id * region,
-                )
-                randomizer.load_packed(translated.line_addrs, translated.columns, sdid=core_id)
+        _pretranslate(llc, traces, region)
 
         # The replay runs every op through the LLC's own ``access_fast``
         # step while the private levels come from the pre-simulated op

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..cache.line import AccessResult, EvictedLine
+from ..cache.line import EvictedLine, first_access
 from ..cache.set_assoc import SetAssociativeCache
 from ..common.config import PAPER_BASELINE, CacheGeometry
 from .interface import LLCache
@@ -28,10 +28,17 @@ class BaselineLLC(LLCache):
         self.geometry = geometry or PAPER_BASELINE
         self._cache = SetAssociativeCache(self.geometry, policy=policy, seed=seed, name="LLC")
         self.stats = self._cache.stats
-        # Expose the inner cache's allocation-free hot path directly
-        # (bound method, no delegation frame); the victim_* fields of
-        # the protocol are mirrored by the properties below.
-        self.access_fast = self._cache.access_fast
+
+    #: The inner array's step, bound on the array and on this design at
+    #: first use, so a call runs it with no delegation frame; the
+    #: victim_* fields of the protocol are mirrored by the properties
+    #: below.
+    access_fast = first_access
+
+    def fresh_steps(self):
+        """The inner array's one fresh step, bound on it and on the design."""
+        [(array, step)] = self._cache.fresh_steps()
+        return [(array, step), (self, step)]
 
     @property
     def victim_addr(self) -> int:
@@ -48,18 +55,6 @@ class BaselineLLC(LLCache):
     @property
     def victim_reused(self) -> bool:
         return self._cache.victim_reused
-
-    def access(
-        self,
-        line_addr: int,
-        is_write: bool = False,
-        core_id: int = 0,
-        is_writeback: bool = False,
-        sdid: int = 0,
-    ) -> AccessResult:
-        return self._cache.access(
-            line_addr, is_write=is_write, core_id=core_id, is_writeback=is_writeback, sdid=sdid
-        )
 
     def invalidate(self, line_addr: int, sdid: int = 0) -> Optional[EvictedLine]:
         return self._cache.invalidate(line_addr)

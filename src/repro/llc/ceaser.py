@@ -13,19 +13,20 @@ experiments, which only care about how many fills share one mapping.
 The per-access protocol lives in :mod:`repro.llc.ceaser_step`: the
 step encrypts the address, runs the inner packed array's step and
 mirrors that array's ``victim_*`` fields before counting the fill
-toward the next remap.  :meth:`CeaserCache.access_fast` binds it on
-first use (``ACC_*`` flag protocol); :meth:`CeaserCache.access` wraps
-it and reports the cipher's lookup latency.  The design keeps
-:meth:`~repro.llc.interface.LLCache.premap`'s default, which loads
-nothing: the step encrypts inline and never reads the randomizer's
-side table.
+toward the next remap.  :meth:`CeaserCache.access_fast` binds it and
+the array's on first use (``ACC_*`` flag protocol);
+:meth:`~repro.llc.interface.LLCache.access` wraps it and reports the
+cipher's lookup latency.  The design keeps
+:meth:`~repro.llc.interface.LLCache.hash_sdid`'s default, ``None``: the
+step encrypts inline and never reads the randomizer's side table, so
+nothing premaps or pretranslates for it.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..cache.line import AccessResult, EvictedLine, access_result
+from ..cache.line import EvictedLine, first_access
 from ..cache.set_assoc import SetAssociativeCache
 from ..common.config import PAPER_BASELINE, CacheGeometry
 from ..common.rng import derive_seed
@@ -70,51 +71,21 @@ class CeaserCache(LLCache):
         self._encrypt = self._randomizer.encrypt_address
         self._fills_since_remap = 0
         self.remaps = 0
-        # Victim fields of the access_fast protocol (valid until the
-        # next access after a result with ACC_EVICTED set).
-        self.victim_addr = 0
-        self.victim_core = -1
-        self.victim_sdid = 0
-        self.victim_reused = False
 
     @property
     def index_randomizer(self):
         """The :class:`~repro.crypto.randomizer.IndexRandomizer` in use."""
         return self._randomizer
 
-    def access_fast(
-        self,
-        line_addr: int,
-        is_write: bool = False,
-        core_id: int = 0,
-        is_writeback: bool = False,
-        sdid: int = 0,
-    ) -> int:
-        """One access with no allocation; returns ``ACC_*`` flags.
+    #: One access with no allocation; returns ``ACC_*`` flags.  Binds
+    #: the generated steps on first use.  The published victim address
+    #: is the encrypted one the array stores.
+    access_fast = first_access
 
-        The first call binds the generated step
-        (:func:`~repro.llc.ceaser_step.ceaser_step`) on the instance,
-        where attribute lookup finds it from then on.  Callers that
-        bound this method before the first access keep landing here, so
-        the instance binding is looked up first and the step renders
-        once.  The published victim address is the encrypted one the
-        array stores.
-        """
-        step = self.__dict__.get("access_fast")
-        if step is None:
-            self.access_fast = step = ceaser_step(self)
-        return step(line_addr, is_write, core_id, is_writeback, sdid)
-
-    def access(
-        self,
-        line_addr: int,
-        is_write: bool = False,
-        core_id: int = 0,
-        is_writeback: bool = False,
-        sdid: int = 0,
-    ) -> AccessResult:
-        flags = self.access_fast(line_addr, is_write, core_id, is_writeback, sdid)
-        return access_result(self, flags, self.extra_lookup_latency)
+    def fresh_steps(self):
+        """The inner array's fresh step, then CEASER's own
+        (:func:`~repro.llc.ceaser_step.ceaser_step`), which calls it."""
+        return self._cache.fresh_steps() + [(self, ceaser_step(self))]
 
     def remap(self) -> None:
         """Refresh the key (and flush, in this epoch-remap model)."""

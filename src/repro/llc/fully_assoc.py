@@ -22,14 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..cache.line import (
-    ACC_EVICTED,
-    ACC_EVICTED_DIRTY,
-    AccessResult,
-    EvictedLine,
-    access_result,
-    victim_line,
-)
+from ..cache.line import EvictedLine, drop_victim, first_access, victim_line
 from ..cache.stats import CacheStats
 from ..common.addr import SDID_SHIFT, sdid_error
 from ..common.errors import SimulationError
@@ -42,6 +35,7 @@ class FullyAssociativeCache(LLCache):
     """Fully-associative, random-replacement cache of ``capacity_lines``."""
 
     extra_lookup_latency = 0
+    sdid_bits = SDID_SHIFT
 
     def __init__(self, capacity_lines: int, seed: Optional[int] = None):
         if capacity_lines <= 0:
@@ -57,66 +51,19 @@ class FullyAssociativeCache(LLCache):
         #: packed (line_addr << 16 | sdid) -> slot.
         self._where: Dict[int, int] = {}
         self.stats = CacheStats()
-        # Victim fields of the access_fast protocol (valid until the
-        # next access after a result with ACC_EVICTED set).
-        self.victim_addr = 0
-        self.victim_core = -1
-        self.victim_sdid = 0
-        self.victim_reused = False
 
-    def access_fast(
-        self,
-        line_addr: int,
-        is_write: bool = False,
-        core_id: int = 0,
-        is_writeback: bool = False,
-        sdid: int = 0,
-    ) -> int:
-        """One access with no allocation; returns ``ACC_*`` flags.
+    #: One access with no allocation; returns ``ACC_*`` flags.  Binds
+    #: the generated step on first use.
+    access_fast = first_access
 
-        The first call binds the generated step
-        (:func:`~repro.llc.fully_assoc_step.fully_assoc_step`) on the
-        instance, where attribute lookup finds it from then on.  Callers
-        that bound this method before the first access keep landing
-        here, so the instance binding is looked up first and the step
-        renders once.
-        """
-        step = self.__dict__.get("access_fast")
-        if step is None:
-            self.access_fast = step = fully_assoc_step(self)
-        return step(line_addr, is_write, core_id, is_writeback, sdid)
+    def fresh_steps(self):
+        """The one fresh generated step (:func:`~repro.llc.fully_assoc_step.fully_assoc_step`)."""
+        return [(self, fully_assoc_step(self))]
 
-    def access(
-        self,
-        line_addr: int,
-        is_write: bool = False,
-        core_id: int = 0,
-        is_writeback: bool = False,
-        sdid: int = 0,
-    ) -> AccessResult:
-        if sdid >> SDID_SHIFT:
-            raise sdid_error(sdid)
-        flags = self.access_fast(line_addr, is_write, core_id, is_writeback, sdid)
-        return access_result(self, flags, self.extra_lookup_latency)
-
-    def _remove_at(self, pos: int, filler_core: int) -> int:
+    def _remove_at(self, pos: int) -> int:
         addr = self._addr[pos]
         sd = self._sdid[pos]
-        core = self._core[pos]
-        dirty = self._dirty[pos]
-        reused = self._reused[pos]
-        self.victim_addr = addr
-        self.victim_core = core
-        self.victim_sdid = sd
-        self.victim_reused = bool(reused)
-        st = self.stats
-        st.evictions += 1
-        if dirty:
-            st.dirty_evictions += 1
-        if not reused:
-            st.dead_evictions += 1
-        if core >= 0 and filler_core >= 0 and core != filler_core:
-            st.interference_evictions += 1
+        flags = drop_victim(self, addr, self._core[pos], sd, self._dirty[pos], self._reused[pos])
         last = self._size - 1
         self._size = last
         del self._where[(addr << 16) | sd]
@@ -130,7 +77,7 @@ class FullyAssociativeCache(LLCache):
             self._dirty[pos] = self._dirty[last]
             self._reused[pos] = self._reused[last]
             self._where[(moved_addr << 16) | moved_sdid] = pos
-        return ACC_EVICTED | ACC_EVICTED_DIRTY if dirty else ACC_EVICTED
+        return flags
 
     def invalidate(self, line_addr: int, sdid: int = 0) -> Optional[EvictedLine]:
         if sdid >> SDID_SHIFT:
@@ -138,12 +85,12 @@ class FullyAssociativeCache(LLCache):
         pos = self._where.get((line_addr << SDID_SHIFT) | sdid)
         if pos is None:
             return None
-        return victim_line(self, self._remove_at(pos, filler_core=-1))
+        return victim_line(self, self._remove_at(pos))
 
     def flush_all(self) -> int:
         count = self._size
         while self._size:
-            self._remove_at(self._size - 1, filler_core=-1)
+            self._remove_at(self._size - 1)
         return count
 
     def contains(self, line_addr: int, sdid: int = 0) -> bool:

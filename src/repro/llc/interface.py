@@ -4,12 +4,25 @@ The hierarchy simulator, the attack harnesses, and the experiment
 runner only touch this surface, so baseline / CEASER / Scatter-Cache /
 Mirage / Maya / partitioned designs are interchangeable.
 
+The protocol around a design's generated step is written once, here
+and in :mod:`repro.cache.line`.  A design names its fresh
+``(owner, step)`` pairs in ``fresh_steps()`` and takes the shared
+first-use binder (:func:`repro.cache.line.first_access`) as its
+class-level ``access_fast``; :class:`LLCache` supplies the object
+:meth:`~LLCache.access` around the step (with the design's
+:attr:`~LLCache.sdid_bits` check), the ``victim_*`` defaults, and
+:meth:`~LLCache.premap`, keyed by the one SDID rule a design states
+(:meth:`~LLCache.hash_sdid`).  Maintenance drops publish and count
+their victims through :func:`repro.cache.line.drop_victim`.
+
 The attack harnesses load lines in bulk through :func:`access_lines`:
-a generated sweep kernel around the design's installed step, which
-runs the step's body inline for a library design's generated step and
-calls any other step once per touch.  They derive a fresh batch's set
-mappings in one pass first (:meth:`LLCache.premap`) and drop them once
-the batch is installed (:func:`drop_premap`).
+a generated sweep kernel around the design's step (:func:`access_step`
+binds a fresh design's steps first), which runs the step's body inline
+for a library design's generated step and calls any other step - the
+partitioned routers', a reference model's - once per touch.  They
+derive a fresh batch's set mappings in one pass first
+(:meth:`LLCache.premap`) and drop them once the batch is installed
+(:func:`drop_premap`).
 """
 
 from __future__ import annotations
@@ -19,9 +32,10 @@ import functools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Tuple
 
-from ..cache.line import AccessResult, EvictedLine
+from ..cache.line import AccessResult, EvictedLine, access_result, bind_steps, first_access
 from ..cache.stats import CacheStats
 from ..common import codegen
+from ..common.addr import sdid_error
 
 
 class LLCache(abc.ABC):
@@ -32,13 +46,26 @@ class LLCache(abc.ABC):
     * :attr:`stats` - a :class:`~repro.cache.stats.CacheStats`,
     * :attr:`extra_lookup_latency` - additional cycles per lookup
       beyond the baseline LLC latency (0 for the baseline; 4 for the
-      randomized decoupled designs, Section III-C).
+      randomized decoupled designs, Section III-C),
+    * ``access_fast`` - the allocation-free step (``ACC_*`` flags,
+      victim in the ``victim_*`` fields) that :meth:`access` wraps; a
+      library design takes :func:`~repro.cache.line.first_access` and
+      names its steps in ``fresh_steps()``.
     """
 
     extra_lookup_latency: int = 0
     stats: CacheStats
+    #: The SDID width :meth:`access` accepts, or ``None`` for a design
+    #: that takes any SDID.
+    sdid_bits: Optional[int] = None
 
-    @abc.abstractmethod
+    # Victim fields of the access_fast protocol (valid until the next
+    # access after a result with ACC_EVICTED set).
+    victim_addr = 0
+    victim_core = -1
+    victim_sdid = 0
+    victim_reused = False
+
     def access(
         self,
         line_addr: int,
@@ -47,7 +74,18 @@ class LLCache(abc.ABC):
         is_writeback: bool = False,
         sdid: int = 0,
     ) -> AccessResult:
-        """Perform one access, filling on miss."""
+        """Perform one access, filling on miss.
+
+        Boundary wrapper over the design's ``access_fast`` step
+        returning the historical :class:`AccessResult` dataclass with
+        the design's :attr:`extra_lookup_latency`.  Unlike the step, it
+        rejects an SDID wider than :attr:`sdid_bits`.
+        """
+        bits = self.sdid_bits
+        if bits is not None and sdid >> bits:
+            raise sdid_error(sdid, bits)
+        flags = self.access_fast(line_addr, is_write, core_id, is_writeback, sdid)
+        return access_result(self, flags, self.extra_lookup_latency)
 
     @abc.abstractmethod
     def invalidate(self, line_addr: int, sdid: int = 0) -> Optional[EvictedLine]:
@@ -89,19 +127,33 @@ class LLCache(abc.ABC):
         contains = self.contains
         return [line for line in lines if not contains(line, sdid)]
 
+    def hash_sdid(self, sdid: int) -> Optional[int]:
+        """The SDID the design's hash mixes in for an access in ``sdid``.
+
+        ``None`` (this default) for a design whose steps never read its
+        randomizer's side table: the set-indexed baseline, CEASER
+        (whose step encrypts inline), the fully-associative cache and
+        the partitioned designs.  :meth:`premap` and ``run_mix``'s
+        ahead-of-time translation key the side table by it.
+        """
+        return None
+
     def premap(self, lines, sdid: int = 0) -> int:
         """Derive the set mappings of ``lines`` for ``sdid`` ahead of their loads.
 
         A randomized design loads its randomizer's side table in one
         batch pass (:meth:`repro.crypto.randomizer.IndexRandomizer.premap`),
-        keyed by the SDID its hash uses, so a load that misses the
-        mapping memo reads its mapping there instead of computing it.
-        The miss is still counted and the memo filled in the same order,
-        so premapping changes no statistic, placement or random draw.
-        Returns the number of entries loaded; this default, for a design
-        whose steps never read such a table, loads none.
+        keyed by :meth:`hash_sdid`, so a load that misses the mapping
+        memo reads its mapping there instead of computing it.  The miss
+        is still counted and the memo filled in the same order, so
+        premapping changes no statistic, placement or random draw.
+        Returns the number of entries loaded: none for a design whose
+        :meth:`hash_sdid` is ``None``.
         """
-        return 0
+        hash_sdid = self.hash_sdid(sdid)
+        if hash_sdid is None:
+            return 0
+        return self.index_randomizer.premap(lines, hash_sdid)
 
     def rekey(self) -> None:
         """Refresh the design's mapping keys, if it has any.
@@ -130,9 +182,7 @@ class ProbeSurface:
 def attack_capacity(llc) -> int:
     """Timing-visible data capacity of any design, in lines.
 
-    Duck-typed so it also covers :class:`~repro.core.maya_cache.MayaCache`,
-    which implements the LLC surface without subclassing the ABC:
-    decoupled designs report their data-store entries, the fully
+    Decoupled designs report their data-store entries, the fully
     associative model its ``capacity_lines``, and conventional arrays
     ``sets * ways``.
     """
@@ -156,11 +206,18 @@ def access_step(llc):
     same positional ``(line, is_write, core, is_writeback, sdid)``, so
     a caller binds the result once and calls it positionally, ignoring
     what it returns (flags or an :class:`AccessResult`);
-    :func:`access_lines` wraps it for loads in bulk.  Bind it after any
+    :func:`access_lines` wraps it for loads in bulk.  A design that has
+    not bound its steps yet binds them here
+    (:func:`~repro.cache.line.bind_steps`), so the caller gets the
+    generated step rather than the first-use binder.  Bind it after any
     specialization, which replaces ``access_fast`` per instance.
     """
     step = getattr(llc, "access_fast", None)
-    return step if step is not None else llc.access
+    if step is None:
+        return llc.access
+    if getattr(step, "__func__", None) is first_access:
+        return bind_steps(llc)
+    return step
 
 
 # One touch per line per pass over each block of ``block`` lines, as a

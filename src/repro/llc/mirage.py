@@ -30,14 +30,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..cache.line import (
-    ACC_EVICTED,
-    ACC_EVICTED_DIRTY,
-    AccessResult,
-    EvictedLine,
-    access_result,
-    victim_line,
-)
+from ..cache.line import EvictedLine, drop_victim, first_access, victim_line
 from ..cache.stats import CacheStats
 from ..common.addr import SDID_SHIFT, sdid_error
 from ..common.config import MirageConfig
@@ -59,6 +52,7 @@ class MirageCache(LLCache):
     """
 
     extra_lookup_latency = 4
+    sdid_bits = SDID_SHIFT
 
     def __init__(self, config: Optional[MirageConfig] = None, on_sae: str = "count"):
         self.config = config or MirageConfig()
@@ -100,70 +94,25 @@ class MirageCache(LLCache):
         self.data = DataStore(cfg.data_entries, seed=derive_seed(cfg.rng_seed, 33))
         self.stats = CacheStats()
         self.installs = 0
-        # Victim fields of the access_fast protocol (valid until the
-        # next access after a result with ACC_EVICTED set).
-        self.victim_addr = 0
-        self.victim_core = -1
-        self.victim_sdid = 0
-        self.victim_reused = False
 
     # -- access path ---------------------------------------------------------
 
-    def access_fast(
-        self,
-        line_addr: int,
-        is_write: bool = False,
-        core_id: int = 0,
-        is_writeback: bool = False,
-        sdid: int = 0,
-    ) -> int:
-        """One access with no allocation; returns ``ACC_*`` flags.
+    #: One access with no allocation; returns ``ACC_*`` flags.  Binds
+    #: the generated step on first use.
+    access_fast = first_access
 
-        The first call binds the generated step
-        (:func:`~repro.llc.mirage_step.mirage_step`) on the instance,
-        where attribute lookup finds it from then on.  Callers that
-        bound this method before the first access keep landing here, so
-        the instance binding is looked up first and the step renders
-        once.
-        """
-        step = self.__dict__.get("access_fast")
-        if step is None:
-            self.access_fast = step = mirage_step(self)
-        return step(line_addr, is_write, core_id, is_writeback, sdid)
+    def fresh_steps(self):
+        """Mirage's one fresh generated step (:func:`~repro.llc.mirage_step.mirage_step`)."""
+        return [(self, mirage_step(self))]
 
-    def access(
-        self,
-        line_addr: int,
-        is_write: bool = False,
-        core_id: int = 0,
-        is_writeback: bool = False,
-        sdid: int = 0,
-    ) -> AccessResult:
-        if sdid >> SDID_SHIFT:
-            raise sdid_error(sdid)
-        flags = self.access_fast(line_addr, is_write, core_id, is_writeback, sdid)
-        return access_result(self, flags, self.extra_lookup_latency)
-
-    def _drop_tag(self, tag_idx: int, filler_core: int) -> int:
+    def _drop_tag(self, tag_idx: int) -> int:
         if not self._valid[tag_idx]:
             raise SimulationError("dropping an invalid Mirage tag")
-        dirty = self._dirty[tag_idx]
-        reused = self._reused[tag_idx]
-        core = self._core[tag_idx]
         addr = self._addr[tag_idx]
         sd = self._sdid[tag_idx]
-        self.victim_addr = addr
-        self.victim_core = core
-        self.victim_sdid = sd
-        self.victim_reused = bool(reused)
-        st = self.stats
-        st.evictions += 1
-        if dirty:
-            st.dirty_evictions += 1
-        if not reused:
-            st.dead_evictions += 1
-        if core >= 0 and filler_core >= 0 and core != filler_core:
-            st.interference_evictions += 1
+        flags = drop_victim(
+            self, addr, self._core[tag_idx], sd, self._dirty[tag_idx], self._reused[tag_idx]
+        )
         self.data.free(self._fptr[tag_idx])
         self._valid_count[tag_idx // self._ways] -= 1
         del self._where[(addr << 16) | sd]
@@ -172,7 +121,7 @@ class MirageCache(LLCache):
         # rest, so further resets would be wasted stores.
         self._valid[tag_idx] = 0
         self._fptr[tag_idx] = -1
-        return ACC_EVICTED | ACC_EVICTED_DIRTY if dirty else ACC_EVICTED
+        return flags
 
     # -- maintenance -----------------------------------------------------------
 
@@ -182,7 +131,7 @@ class MirageCache(LLCache):
         tag_idx = self._where.get((line_addr << SDID_SHIFT) | sdid)
         if tag_idx is None:
             return None
-        return victim_line(self, self._drop_tag(tag_idx, filler_core=-1))
+        return victim_line(self, self._drop_tag(tag_idx))
 
     def flush_all(self) -> int:
         # Insertion order of the location map, matching the reference
@@ -190,7 +139,7 @@ class MirageCache(LLCache):
         # list is observable through later allocations).
         count = 0
         for tag_idx in list(self._where.values()):
-            self._drop_tag(tag_idx, filler_core=-1)
+            self._drop_tag(tag_idx)
             count += 1
         return count
 
@@ -229,9 +178,9 @@ class MirageCache(LLCache):
         """LRU mapping-cache capacity of the index randomizer."""
         return self.randomizer.memo_capacity
 
-    def premap(self, lines, sdid: int = 0) -> int:
-        """:meth:`LLCache.premap`, keyed by the access's own SDID."""
-        return self.randomizer.premap(lines, sdid)
+    def hash_sdid(self, sdid: int) -> int:
+        """Mirage hashes the access's own SDID."""
+        return sdid
 
     @property
     def occupancy(self) -> int:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence
 
-from ..cache.line import ACC_EVICTED, AccessResult, EvictedLine, access_result
+from ..cache.line import ACC_EVICTED, EvictedLine
 from ..cache.set_assoc import SetAssociativeCache
 from ..common.config import CacheGeometry
 from ..common.errors import ConfigurationError
@@ -42,12 +42,10 @@ class _PartitionedBase(LLCache):
             raise ConfigurationError("need at least one domain")
         self.domains = domains
         self._slices: List[SetAssociativeCache] = []
-        # Victim fields of the access_fast protocol (valid until the
-        # next access after a result with ACC_EVICTED set).
-        self.victim_addr = 0
-        self.victim_core = -1
-        self.victim_sdid = 0
-        self.victim_reused = False
+
+    def fresh_steps(self):
+        """Each slice's fresh step; the router itself has none."""
+        return [pair for part in self._slices for pair in part.fresh_steps()]
 
     def access_fast(
         self,
@@ -70,17 +68,6 @@ class _PartitionedBase(LLCache):
             self.victim_sdid = part.victim_sdid
             self.victim_reused = part.victim_reused
         return flags
-
-    def access(
-        self,
-        line_addr: int,
-        is_write: bool = False,
-        core_id: int = 0,
-        is_writeback: bool = False,
-        sdid: int = 0,
-    ) -> AccessResult:
-        flags = self.access_fast(line_addr, is_write, core_id, is_writeback, sdid)
-        return access_result(self, flags)
 
     def invalidate(self, line_addr: int, sdid: int = 0) -> Optional[EvictedLine]:
         for part in self._slices:

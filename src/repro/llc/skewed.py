@@ -25,15 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..cache.line import (
-    ACC_EVICTED,
-    ACC_EVICTED_DIRTY,
-    AccessResult,
-    CoherenceState,
-    EvictedLine,
-    access_result,
-    victim_line,
-)
+from ..cache.line import CoherenceState, EvictedLine, drop_victim, first_access, victim_line
 from ..cache.stats import CacheStats
 from ..common.addr import SDID_SHIFT, sdid_error
 from ..common.config import CacheGeometry
@@ -61,6 +53,7 @@ class SkewedRandomizedCache(LLCache):
     """
 
     extra_lookup_latency = 3
+    sdid_bits = SDID_SHIFT
 
     def __init__(
         self,
@@ -94,79 +87,35 @@ class SkewedRandomizedCache(LLCache):
         self.stats = CacheStats()
         self._fills_since_remap = 0
         self.remaps = 0
-        # Victim fields of the access_fast protocol (valid until the
-        # next access after a result with ACC_EVICTED set).
-        self.victim_addr = 0
-        self.victim_core = -1
-        self.victim_sdid = 0
-        self.victim_reused = False
 
     @property
     def index_randomizer(self):
         """The :class:`~repro.crypto.randomizer.IndexRandomizer` in use."""
         return self._randomizer
 
-    def _hash_sdid(self, sdid: int) -> int:
+    def hash_sdid(self, sdid: int) -> int:
+        """The access's own SDID for Scatter-Cache, ``0`` for CEASER-S."""
         return sdid if self.use_sdid_in_hash else 0
 
-    def access_fast(
-        self,
-        line_addr: int,
-        is_write: bool = False,
-        core_id: int = 0,
-        is_writeback: bool = False,
-        sdid: int = 0,
-    ) -> int:
-        """One access with no allocation; returns ``ACC_*`` flags.
+    #: One access with no allocation; returns ``ACC_*`` flags.  Binds
+    #: the generated step on first use.
+    access_fast = first_access
 
-        The first call binds the generated step
-        (:func:`~repro.llc.skewed_step.skewed_step`) on the instance,
-        where attribute lookup finds it from then on.  Callers that
-        bound this method before the first access keep landing here, so
-        the instance binding is looked up first and the step renders
-        once.
-        """
-        step = self.__dict__.get("access_fast")
-        if step is None:
-            self.access_fast = step = skewed_step(self)
-        return step(line_addr, is_write, core_id, is_writeback, sdid)
+    def fresh_steps(self):
+        """The one fresh generated step (:func:`~repro.llc.skewed_step.skewed_step`)."""
+        return [(self, skewed_step(self))]
 
-    def access(
-        self,
-        line_addr: int,
-        is_write: bool = False,
-        core_id: int = 0,
-        is_writeback: bool = False,
-        sdid: int = 0,
-    ) -> AccessResult:
-        if sdid >> SDID_SHIFT:
-            raise sdid_error(sdid)
-        flags = self.access_fast(line_addr, is_write, core_id, is_writeback, sdid)
-        return access_result(self, flags, self.extra_lookup_latency)
-
-    def _drop(self, idx: int, filler_core: int) -> int:
-        dirty = self._state[idx] >= _DIRTY_MIN
+    def _drop(self, idx: int) -> int:
         addr = self._addr[idx]
-        core = self._core[idx]
         sd = self._sdid[idx]
-        reused = self._reused[idx]
-        self.victim_addr = addr
-        self.victim_core = core
-        self.victim_sdid = sd
-        self.victim_reused = bool(reused)
-        st = self.stats
-        st.evictions += 1
-        if dirty:
-            st.dirty_evictions += 1
-        if not reused:
-            st.dead_evictions += 1
-        if core >= 0 and filler_core >= 0 and core != filler_core:
-            st.interference_evictions += 1
+        flags = drop_victim(
+            self, addr, self._core[idx], sd, self._state[idx] >= _DIRTY_MIN, self._reused[idx]
+        )
         del self._where[(addr << 16) | (sd if self.use_sdid_in_hash else 0)]
         # Only the state column is cleared: every reader gates on it (or
         # on ``_where``), and a refill overwrites the other columns.
         self._state[idx] = 0
-        return ACC_EVICTED | ACC_EVICTED_DIRTY if dirty else ACC_EVICTED
+        return flags
 
     def remap(self) -> None:
         """Re-key both skews (epoch model: flush + new keys)."""
@@ -182,33 +131,28 @@ class SkewedRandomizedCache(LLCache):
     def invalidate(self, line_addr: int, sdid: int = 0) -> Optional[EvictedLine]:
         if sdid >> SDID_SHIFT:
             raise sdid_error(sdid)
-        idx = self._where.get((line_addr << SDID_SHIFT) | self._hash_sdid(sdid))
+        idx = self._where.get((line_addr << SDID_SHIFT) | self.hash_sdid(sdid))
         if idx is None:
             return None
-        return victim_line(self, self._drop(idx, filler_core=-1))
+        return victim_line(self, self._drop(idx))
 
     def flush_all(self) -> int:
         # Insertion order of the location map, matching the reference.
         count = 0
         for idx in list(self._where.values()):
-            self._drop(idx, filler_core=-1)
+            self._drop(idx)
             count += 1
         return count
 
     def contains(self, line_addr: int, sdid: int = 0) -> bool:
         if sdid >> SDID_SHIFT:
             raise sdid_error(sdid)
-        return ((line_addr << SDID_SHIFT) | self._hash_sdid(sdid)) in self._where
-
-    def premap(self, lines, sdid: int = 0) -> int:
-        """:meth:`LLCache.premap`, keyed by the SDID the hash uses: the
-        access's own for Scatter-Cache, ``0`` for CEASER-S."""
-        return self._randomizer.premap(lines, self._hash_sdid(sdid))
+        return ((line_addr << SDID_SHIFT) | self.hash_sdid(sdid)) in self._where
 
     def missing(self, lines, sdid: int = 0) -> list:
         if sdid >> SDID_SHIFT:
             raise sdid_error(sdid)
-        hash_sdid = self._hash_sdid(sdid)
+        hash_sdid = self.hash_sdid(sdid)
         where = self._where
         return [line for line in lines if ((line << SDID_SHIFT) | hash_sdid) not in where]
 
@@ -225,7 +169,7 @@ class SkewedRandomizedCache(LLCache):
 
     def mapped_sets(self, line_addr: int, sdid: int = 0):
         """The per-skew sets an address maps to (analysis helper)."""
-        return self._randomizer.all_indices(line_addr, self._hash_sdid(sdid))
+        return self._randomizer.all_indices(line_addr, self.hash_sdid(sdid))
 
 
 def make_ceaser_s(geometry: CacheGeometry, remap_period: Optional[int] = 10_000, seed=None):

@@ -141,7 +141,7 @@ class SetAssociativeCache:
         self.stats.record_eviction(
             dirty=line.dirty,
             was_reused=line.reused,
-            cross_core=line.core_id >= 0 and line.core_id != filler_core,
+            cross_core=line.core_id >= 0 and filler_core >= 0 and line.core_id != filler_core,
         )
         self._where.pop(line.line_addr, None)
         line.invalidate()

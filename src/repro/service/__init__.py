@@ -16,8 +16,8 @@ re-warm.  This package keeps all of that resident:
 * :mod:`~repro.service.server` / :mod:`~repro.service.client` - a
   localhost HTTP/JSON endpoint (submit / status / result / stream /
   shutdown) with graceful SIGTERM drain and pidfile management.
-* :mod:`~repro.service.cli` - the ``repro serve`` / ``repro submit`` /
-  ``repro status`` / ``repro stop`` commands.
+* :mod:`~repro.service.cli` - the ``repro serve`` / ``repro status`` /
+  ``repro stop`` commands.
 
 The batch CLI targets a running service with ``--service ADDR`` or the
 :data:`SERVICE_ENV` (``REPRO_SERVICE``) environment variable.
@@ -29,7 +29,7 @@ import os
 from typing import Optional
 
 #: Environment variable naming the default service address; consulted
-#: by the harness CLI's ``--service`` and ``repro submit``.
+#: by the harness CLI's ``--service`` and ``repro status``.
 SERVICE_ENV = "REPRO_SERVICE"
 
 #: Where ``repro serve`` listens when no port is given.

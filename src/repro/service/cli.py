@@ -4,18 +4,16 @@ Usage::
 
     repro serve --workers 4                 # run the service (foreground)
     repro serve --port 9000 --workers 2
-    repro serve --stop                      # stop running instance(s)
     repro status                            # worker + cache-warm accounting
-    repro submit fig9 table7 --fast --seed 7
-    repro submit all --fast --results results/grid.json
-    repro stop
+    repro stop                              # stop running instance(s)
+    repro stop --port 9000
 
-``repro submit`` builds the exact task grid the batch CLI
-(``repro-experiments``) would and drains it through the resident
-service: the printed reports and the ``--results`` JSON are
-byte-identical to a serial run, only faster on repeat submissions
-because the workers stay warm.  The target defaults to
-``$REPRO_SERVICE``, falling back to ``127.0.0.1:8971``.
+Grids go to a running service through the experiment CLI:
+``repro-experiments fig9 table7 --fast --service ADDR`` builds the task
+grid a serial run would and drains it through the service; its printed
+reports and ``--results`` JSON are byte-identical to a serial run, only
+faster on repeat submissions because the workers stay warm.  ``status``
+targets ``$REPRO_SERVICE``, falling back to ``127.0.0.1:8971``.
 
 Also runnable as ``python -m repro.service``.
 """
@@ -25,7 +23,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from typing import List, Optional
 
 from . import DEFAULT_ADDRESS, SERVICE_ENV
@@ -38,7 +35,7 @@ def _default_address() -> str:
 
 def _serve_main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(
-        prog="repro serve", description="Run (or stop) the resident simulation service."
+        prog="repro serve", description="Run the resident simulation service."
     )
     parser.add_argument("--host", default="127.0.0.1", help="bind address (default localhost)")
     parser.add_argument("--port", type=int, default=8971, help="port (default 8971; 0 = ephemeral)")
@@ -50,15 +47,7 @@ def _serve_main(argv: List[str]) -> int:
                         help=f"pidfile directory (default {DEFAULT_STATE_DIR})")
     parser.add_argument("--drain-deadline", type=float, default=DEFAULT_DRAIN_DEADLINE,
                         metavar="S", help="seconds in-flight jobs get on SIGTERM/SIGINT")
-    parser.add_argument("--stop", action="store_true",
-                        help="stop running instance(s) found via pidfiles and exit")
     args = parser.parse_args(argv)
-
-    if args.stop:
-        stopped = stop_running(state_dir=args.state_dir,
-                               port=args.port if args.port != 8971 else None)
-        print(f"stopped {stopped} service instance(s)")
-        return 0
 
     from ..harness.runner import default_jobs
 
@@ -67,76 +56,6 @@ def _serve_main(argv: List[str]) -> int:
         host=args.host, port=args.port, workers=workers,
         state_dir=args.state_dir, drain_deadline=args.drain_deadline,
     )
-
-
-def _submit_main(argv: List[str]) -> int:
-    from ..harness import cli as harness_cli
-    from ..harness import runner
-    from .client import ServiceClient, ServiceError
-
-    parser = argparse.ArgumentParser(
-        prog="repro submit",
-        description="Drain an experiment grid through the resident service.",
-    )
-    parser.add_argument("experiments", nargs="+", help="experiment id(s) or 'all'")
-    parser.add_argument("--fast", action="store_true", help="~4x fewer iterations")
-    parser.add_argument("--seed", type=int, default=None, metavar="S",
-                        help="base seed (per-experiment child seeds are derived)")
-    parser.add_argument("--service", default=None, metavar="ADDR",
-                        help=f"service address (default ${SERVICE_ENV} or {DEFAULT_ADDRESS})")
-    parser.add_argument("--json", metavar="PATH", default=None,
-                        help="write the runner summary (timings, texts) to PATH")
-    parser.add_argument("--results", metavar="PATH", default=None,
-                        help="write the canonical (timing-free) results JSON to PATH")
-    args = parser.parse_args(argv)
-
-    names = list(harness_cli._REGISTRY) if "all" in args.experiments else args.experiments
-    unknown = [n for n in names if n not in harness_cli._REGISTRY]
-    if unknown:
-        print(f"unknown experiment(s): {', '.join(unknown)}; try "
-              "'repro-experiments list'", file=sys.stderr)
-        return 2
-
-    address = args.service or _default_address()
-    tasks = harness_cli.build_tasks(names, args.fast, base_seed=args.seed)
-    client = ServiceClient(address)
-    start = time.perf_counter()
-    try:
-        results = client.run_tasks(
-            tasks, progress=lambda line: print(f"[service] {line}", file=sys.stderr)
-        )
-    except ServiceError as exc:
-        print(f"service error: {exc}", file=sys.stderr)
-        print("is the service running?  start one with: repro serve", file=sys.stderr)
-        return 1
-    wall_seconds = time.perf_counter() - start
-
-    failures = 0
-    for result in results:
-        print(f"\n=== {result.name}: {result.description} ===")
-        if result.ok:
-            print(result.text)
-        else:
-            failures += 1
-            print(f"FAILED after {result.seconds:.1f}s", file=sys.stderr)
-            print(result.error, file=sys.stderr)
-        print(f"[{result.seconds:.1f}s]")
-
-    if args.json:
-        extra = {"fast": args.fast, "seed": args.seed, "experiments": names,
-                 "service": address}
-        try:
-            extra["service_status"] = client.status()
-        except ServiceError:
-            pass
-        runner.write_summary(args.json, results, jobs=0, wall_seconds=wall_seconds,
-                             extra=extra)
-    if args.results:
-        runner.write_results(args.results, results)
-    if failures:
-        print(f"{failures} experiment(s) failed", file=sys.stderr)
-        return 1
-    return 0
 
 
 def _status_main(argv: List[str]) -> int:
@@ -170,7 +89,6 @@ def _stop_main(argv: List[str]) -> int:
 
 _COMMANDS = {
     "serve": _serve_main,
-    "submit": _submit_main,
     "status": _status_main,
     "stop": _stop_main,
 }

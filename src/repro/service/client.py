@@ -5,7 +5,7 @@
 progress, fetch results - and reconstructs the same
 :class:`repro.harness.runner.TaskResult` list a local ``run_tasks``
 call would return, so callers (the harness CLI's ``--service`` path,
-``repro submit``, tests) cannot tell the difference except in speed.
+tests) cannot tell the difference except in speed.
 
 Addresses are forgiving: ``HOST:PORT``, ``:PORT``, a bare port, or a
 full ``http://`` URL all resolve; bare ports bind to ``127.0.0.1``.

@@ -23,7 +23,7 @@ over stdlib ``http.server``, no third-party dependencies:
 ===========================  ===============================================
 
 **Lifecycle.**  ``serve()`` writes a pidfile under
-``results/.service/`` so ``repro serve --stop`` can find running
+``results/.service/`` so ``repro stop`` can find running
 instances; a stale pidfile (dead pid) is cleaned up on the next start
 or stop.  SIGTERM and SIGINT trigger the same graceful path as
 ``POST /shutdown``: submissions are refused (503), in-flight jobs get
@@ -464,7 +464,7 @@ def serve(
         if pid is not None and _pid_alive(int(pid)):
             print(
                 f"[serve] already running (pid {pid}, {entry.get('address')}); "
-                "use 'repro serve --stop' first",
+                "use 'repro stop' first",
                 flush=True,
             )
             return 1

@@ -26,6 +26,7 @@ from repro.common.errors import TraceError
 from repro.core.maya_cache import MayaCache
 from repro.crypto.randomizer import IndexRandomizer
 from repro.engine.opstream import STREAMS, OpStream, build_opstream, opstream_for, opstream_key
+from repro.hierarchy import simulator
 from repro.hierarchy.simulator import run_mix
 from repro.trace.compiled import TRACES, CompiledTrace, compile_workload, trace_key
 from repro.trace.mixes import homogeneous
@@ -348,10 +349,12 @@ def test_disabled_cache_writes_nothing(tmp_path, monkeypatch, drives, tiny_syste
     for name in [name for name in os.environ if name.startswith("REPRO_")]:
         monkeypatch.delenv(name)
     monkeypatch.setenv(store.CACHE_ENV, "0")
+    # Translation forced on for splitmix, so the translated kind runs too.
+    monkeypatch.setattr(simulator, "PRETRANSLATED", frozenset({"prince", "splitmix"}))
     with drives.replay():
         result = run_mix(
             MayaCache(small_maya), homogeneous("mcf", 2), tiny_system,
-            accesses_per_core=300, warmup_accesses=150, seed=5, pretranslate=True,
+            accesses_per_core=300, warmup_accesses=150, seed=5,
         )
     assert result.specialize_info["replay"] == "opstream-scalar"
     assert list(tmp_path.iterdir()) == []

@@ -21,6 +21,7 @@ from repro.common.config import CacheGeometry, MayaConfig, MirageConfig, SystemC
 from repro.common.errors import SetAssociativeEviction
 from repro.core.maya_cache import MayaCache
 from repro.hierarchy.dram import DramModel
+from repro.hierarchy import simulator
 from repro.hierarchy.simulator import run_mix
 from repro.hierarchy.system import CacheHierarchy
 from repro.llc.baseline import BaselineLLC
@@ -244,12 +245,25 @@ class TestStreamShapes:
         assert_bit_identical(a, b)
 
 
-class TestPrewarm:
-    """A mapping side table filled before the timed loop - forced with
-    ``pretranslate=True`` on a splitmix design, where it is off by
-    default - must be invisible in every counter."""
+#: ``run_mix``'s ahead-of-time translation, off and forced on for both
+#: randomizer algorithms (it is on for PRINCE only by default).
+NO_PRETRANSLATION = frozenset()
+ALL_PRETRANSLATED = frozenset({"prince", "splitmix"})
 
-    def test_forced_prewarm_is_invisible_in_stats(self, system, drives):
+
+def run_pretranslated(monkeypatch, algorithms, *args, **kwargs):
+    """``run_mix`` with ``simulator.PRETRANSLATED`` set to ``algorithms``."""
+    with monkeypatch.context() as patch:
+        patch.setattr(simulator, "PRETRANSLATED", algorithms)
+        return run_mix(*args, **kwargs)
+
+
+class TestPrewarm:
+    """A mapping side table filled before the timed loop - forced on a
+    splitmix design, where it is off by default - must be invisible in
+    every counter."""
+
+    def test_forced_prewarm_is_invisible_in_stats(self, system, drives, monkeypatch):
         # Small memo so the run actually evicts mappings: pre-warming
         # must still leave every counter bit-identical (the side table
         # is consulted on misses without touching hit/miss accounting).
@@ -259,10 +273,9 @@ class TestPrewarm:
         kwargs = dict(accesses_per_core=800, warmup_accesses=200, seed=11)
         llc_off, llc_on = make(), make()
         with drives.per_access():
-            r_off = run_mix(llc_off, homogeneous("mcf", 2), system,
-                            pretranslate=False, **kwargs)
-            r_on = run_mix(llc_on, homogeneous("mcf", 2), system,
-                           pretranslate=True, **kwargs)
+            r_off = run_mix(llc_off, homogeneous("mcf", 2), system, **kwargs)
+            r_on = run_pretranslated(monkeypatch, ALL_PRETRANSLATED,
+                                     llc_on, homogeneous("mcf", 2), system, **kwargs)
         assert llc_off.index_randomizer.cache_info().precomputed == 0
         assert_bit_identical((llc_off, r_off), (llc_on, r_on))
         info = llc_on.index_randomizer.cache_info()
@@ -270,8 +283,8 @@ class TestPrewarm:
         assert info.precomputed > 0  # the prewarm actually fired
 
     def test_prewarm_off_by_default(self, system, drives):
-        # Mirage under splitmix: no pre-warm unless asked for.  Pinned
-        # to the per-access drive, as in test_splitmix_stays_off_by_default.
+        # Mirage under splitmix: no pre-warm.  Pinned to the per-access
+        # drive, as in test_splitmix_stays_off_by_default.
         llc = MirageCache(MirageConfig(sets_per_skew=16, rng_seed=7,
                                        hash_algorithm="splitmix"))
         with drives.per_access():
@@ -288,31 +301,34 @@ class TestPretranslate:
 
     PRINCE = dict(sets_per_skew=16, rng_seed=7, hash_algorithm="prince")
 
-    def test_prince_auto_pretranslate_is_invisible(self, system, drives):
-        # pretranslate defaults to on for prince designs; an untranslated
-        # run is the oracle.
+    def test_prince_auto_pretranslate_is_invisible(self, system, drives, monkeypatch):
+        # Translation is on for prince designs; an untranslated run is
+        # the oracle.
         make = lambda: MayaCache(MayaConfig(**self.PRINCE))  # noqa: E731
         llc_off, llc_auto = make(), make()
         kwargs = dict(accesses_per_core=500, warmup_accesses=200, seed=11)
         with drives.per_access():
-            r_off = run_mix(llc_off, homogeneous("mcf", 2), system,
-                            pretranslate=False, **kwargs)
+            r_off = run_pretranslated(monkeypatch, NO_PRETRANSLATION,
+                                      llc_off, homogeneous("mcf", 2), system, **kwargs)
             r_auto = run_mix(llc_auto, homogeneous("mcf", 2), system, **kwargs)
         assert llc_off.index_randomizer.cache_info().precomputed == 0
         assert llc_auto.index_randomizer.cache_info().precomputed > 0  # it fired
         assert_bit_identical((llc_off, r_off), (llc_auto, r_auto))
 
-    def test_pretranslate_on_off_bit_identical(self, system, drives):
-        make = lambda: MayaCache(MayaConfig(**self.PRINCE))  # noqa: E731
+    def test_pretranslate_on_off_bit_identical(self, system, drives, monkeypatch):
+        # CEASER-S hashes every domain as SDID 0: both cores' lines are
+        # translated under it, and nothing else is loaded.
+        make = lambda: SkewedRandomizedCache(  # noqa: E731
+            system.llc_geometry, use_sdid_in_hash=False, seed=3, hash_algorithm="prince")
         kwargs = dict(accesses_per_core=500, warmup_accesses=200, seed=11)
         llc_off, llc_on = make(), make()
         with drives.per_access():
-            r_off = run_mix(llc_off, homogeneous("mcf", 2), system,
-                            pretranslate=False, **kwargs)
-            r_on = run_mix(llc_on, homogeneous("mcf", 2), system,
-                           pretranslate=True, **kwargs)
+            r_off = run_pretranslated(monkeypatch, NO_PRETRANSLATION,
+                                      llc_off, homogeneous("mcf", 2), system, **kwargs)
+            r_on = run_mix(llc_on, homogeneous("mcf", 2), system, **kwargs)
         assert llc_off.index_randomizer.cache_info().precomputed == 0
-        assert llc_on.index_randomizer.cache_info().precomputed > 0
+        table = llc_on.index_randomizer._precomputed
+        assert table and {key & 0xFFFF for key in table} == {0}
         assert_bit_identical((llc_off, r_off), (llc_on, r_on))
 
     def test_splitmix_stays_off_by_default(self, system, drives):
@@ -326,7 +342,7 @@ class TestPretranslate:
                     accesses_per_core=300, warmup_accesses=0, seed=2)
         assert llc.index_randomizer.cache_info().precomputed == 0
 
-    def test_rekey_during_run_falls_back_to_live_randomizer(self, system, drives):
+    def test_rekey_during_run_falls_back_to_live_randomizer(self, system, drives, monkeypatch):
         # SAE-triggered rekeys drop the pretranslated side table mid-
         # replay; from then on lookups must hit the live cipher and the
         # replay must stay in lockstep with an untranslated per-access
@@ -339,25 +355,24 @@ class TestPretranslate:
         llc_off, llc_on = make(), make()
         kwargs = dict(accesses_per_core=800, warmup_accesses=200, seed=13)
         with drives.per_access():
-            r_off = run_mix(llc_off, homogeneous("mcf", 2), system,
-                            pretranslate=False, **kwargs)
+            r_off = run_pretranslated(monkeypatch, NO_PRETRANSLATION,
+                                      llc_off, homogeneous("mcf", 2), system, **kwargs)
         with drives.replay():
-            r_on = run_mix(llc_on, homogeneous("mcf", 2), system,
-                           pretranslate=True, **kwargs)
+            r_on = run_mix(llc_on, homogeneous("mcf", 2), system, **kwargs)
         assert r_on.specialize_info["replay"] == "opstream-scalar"
         assert llc_on.stats.saes > 0  # rekeys actually happened
         assert llc_on.index_randomizer.epoch > 1
         assert llc_on.index_randomizer.cache_info().precomputed == 0  # dropped
         assert_bit_identical((llc_off, r_off), (llc_on, r_on))
 
-    def test_mirage_pretranslate(self, system):
+    def test_mirage_pretranslate(self, system, monkeypatch):
         make = lambda: MirageCache(  # noqa: E731
             MirageConfig(sets_per_skew=16, rng_seed=7, hash_algorithm="prince")
         )
         llc_off, llc_on = make(), make()
         kwargs = dict(accesses_per_core=500, warmup_accesses=200, seed=11)
-        r_off = run_mix(llc_off, homogeneous("mcf", 2), system,
-                        pretranslate=False, **kwargs)
+        r_off = run_pretranslated(monkeypatch, NO_PRETRANSLATION,
+                                  llc_off, homogeneous("mcf", 2), system, **kwargs)
         r_on = run_mix(llc_on, homogeneous("mcf", 2), system, **kwargs)
         assert llc_on.index_randomizer.cache_info().precomputed > 0
         assert_bit_identical((llc_off, r_off), (llc_on, r_on))

@@ -9,8 +9,11 @@ import random
 
 import pytest
 
-from repro.cache.line import ACC_EVICTED_DIRTY
+from repro.cache.line import ACC_EVICTED_DIRTY, first_access
+from repro.cache.set_assoc import SetAssociativeCache
+from repro.common.codegen import template_source
 from repro.common.config import CacheGeometry, MayaConfig, MirageConfig
+from repro.common.errors import ConfigurationError
 from repro.core import MayaCache
 from repro.llc import (
     BaselineLLC,
@@ -23,10 +26,12 @@ from repro.llc import (
     make_ceaser_s,
     make_scatter_cache,
 )
-from repro.llc.interface import supports_rekey
+from repro.llc.interface import access_lines, access_step, supports_rekey, sweep_info
 from repro.reference import (
     ReferenceFullyAssociativeCache,
+    ReferenceMayaCache,
     ReferenceMirageCache,
+    ReferenceSetAssociativeCache,
     ReferenceSkewedRandomizedCache,
 )
 
@@ -241,3 +246,92 @@ def test_missing_agrees_with_contains(name):
     assert got == outcome(lambda: contains_filter(llc, lines, bad))
     if name in ("ceaser_s", "scatter", "mirage", "maya", "fully_assoc"):
         assert got[0] == "raised"
+
+
+# -- the step protocol, written once ------------------------------------------
+
+PARTITIONED = ("dawg", "coloring", "bce")
+#: The designs with a generated step of their own.
+STEPPED = [name for name in ALL if name not in PARTITIONED]
+
+
+@pytest.mark.parametrize("name", STEPPED)
+def test_fresh_design_sweeps_inline(name):
+    """No specialization: ``access_step`` binds a fresh design's steps
+    itself, so the sweep kernel inlines the generated step."""
+    llc = fresh_designs()[name]
+    assert type(llc).access_fast is first_access
+    assert "access_fast" not in vars(llc)
+    before = sweep_info()
+    sweep, reason = access_lines(llc)
+    assert reason is None
+    assert sweep_info()["inline"] - before["inline"] == 1
+    step = vars(llc)["access_fast"]
+    assert template_source(step) is not None
+    assert access_step(llc) is step
+    if name == "baseline":
+        assert vars(llc._cache)["access_fast"] is step
+    if name == "ceaser":
+        assert template_source(vars(llc._cache)["access_fast"]) is not None
+    sweep(list(range(40)), 40, 2, 0, 0)
+    assert llc.stats.accesses == 80
+
+
+@pytest.mark.parametrize("name", PARTITIONED)
+def test_partitioned_routers_take_the_call_form(name):
+    """A router picks a slice per access, so there is no one step to
+    inline: the sweep calls it, and says why."""
+    llc = fresh_designs()[name]
+    sweep, reason = access_lines(llc)
+    assert reason == "access_fast (_PartitionedBase.access_fast) is not a generated step"
+    sweep(list(range(40)), 40, 2, 0, 0)
+    assert llc.stats.accesses == 80
+    assert "access_fast" in vars(llc._slices[0])  # core 0's slice bound its step
+
+
+#: The SDID width each design's object ``access`` accepts (``None``: any).
+SDID_BITS = dict(
+    {name: None for name in ("baseline", "ceaser") + PARTITIONED},
+    mirage=16, ceaser_s=16, scatter=16, fully_assoc=16,
+    maya=MayaConfig().sdid_bits,
+)
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_access_rejects_sdids_the_design_cannot_hold(name):
+    llc = fresh_designs()[name]
+    bits = SDID_BITS[name]
+    assert llc.sdid_bits == bits
+    if bits is None:
+        llc.access(0x40, sdid=1 << 20)
+        return
+    llc.access(0x40, sdid=(1 << bits) - 1)
+    with pytest.raises(ConfigurationError, match=f"does not fit {bits} bits"):
+        llc.access(0x41, sdid=1 << bits)
+
+
+def drop_designs():
+    """Every LLC design, the set-associative array and each reference twin."""
+    designs = probe_designs()
+    designs.update(
+        array=SetAssociativeCache(GEO, seed=1),
+        ref_array=ReferenceSetAssociativeCache(GEO, seed=1),
+        ref_maya=ReferenceMayaCache(
+            MayaConfig(sets_per_skew=32, rng_seed=1, hash_algorithm="splitmix")
+        ),
+    )
+    return designs
+
+
+@pytest.mark.parametrize("name", list(drop_designs()))
+def test_maintenance_drops_are_not_interference(name):
+    """Interference counts a fill that displaced another core's line; an
+    invalidation or a flush fills nothing, so it never counts."""
+    llc = drop_designs()[name]
+    for line in range(10):
+        llc.access(line, is_write=True, core_id=0)
+    assert llc.stats.evictions == 0
+    assert llc.invalidate(3) is not None
+    llc.flush_all()
+    assert llc.stats.evictions == 10
+    assert llc.stats.interference_evictions == 0

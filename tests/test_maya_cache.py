@@ -306,6 +306,8 @@ class TestStepBinding:
     """``access_fast`` binds the generated step once per instance."""
 
     def test_step_binds_once(self, monkeypatch):
+        from repro.cache.line import first_access
+        from repro.common.codegen import template_source
         from repro.core import maya_cache
         from repro.engine.specialize import apply_specialization
         from repro.llc.interface import access_step
@@ -318,17 +320,26 @@ class TestStepBinding:
             return render(llc)
 
         monkeypatch.setattr(maya_cache, "maya_step", counting_render)
+        # A caller that binds the method before any access holds the
+        # class binder, so every call below enters it.
         cache = make_maya()
-        # Taken before any access, as the attack harnesses do: this is
-        # the class binder, so every call below enters it.
-        step = access_step(cache)
-        assert step.__func__ is MayaCache.access_fast
+        binder = cache.access_fast
+        assert binder.__func__ is first_access
         for i in range(2000):
-            step(i % 300, i % 5 == 0, i % 4, i % 11 == 0, i % 2)
+            binder(i % 300, i % 5 == 0, i % 4, i % 11 == 0, i % 2)
         assert renders == [cache]
         bound = vars(cache)["access_fast"]
         assert cache.access_fast is bound
         assert cache.stats.accesses == 2000
+
+        # access_step binds a fresh design's step before handing it out,
+        # as the attack harnesses take it: the generated step itself.
+        fresh = make_maya()
+        step = access_step(fresh)
+        assert template_source(step) is not None
+        assert vars(fresh)["access_fast"] is step
+        assert access_step(fresh) is step
+        assert renders == [cache, fresh]
 
         spec, info = apply_specialization(cache)
         assert info["llc"] == "MayaCache", info["llc_reason"]

@@ -123,14 +123,14 @@ class TestKeySensitivity:
 class TestTranslationKernels:
     """The serial numpy translation and the bulk side-table install."""
 
-    @pytest.mark.parametrize("count", [100, 20_000])
+    @pytest.mark.parametrize("count", [10, 20_000])
     @pytest.mark.parametrize("sdid", [0, 3])
     @pytest.mark.parametrize("sets", [64, 512, 1024])
     @pytest.mark.parametrize("algorithm", ["prince", "splitmix"])
     def test_translate_matches_compute_indices(self, algorithm, sets, sdid, count):
-        # 100 addresses stay below the numpy cipher batch threshold, so
+        # 10 addresses stay below the numpy cipher batch threshold, so
         # PRINCE takes the pure-Python kernel there; 20,000 take numpy.
-        assert 100 < NUMPY_BATCH_THRESHOLD <= 20_000
+        assert 10 < NUMPY_BATCH_THRESHOLD <= 20_000
         rand = IndexRandomizer(2, sets, seed=sets + sdid, algorithm=algorithm)
         rng = random.Random(count)
         addrs = array("Q", (rng.getrandbits(64) for _ in range(count)))
