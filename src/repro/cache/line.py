@@ -8,9 +8,10 @@ design, and so multi-socket extensions have somewhere to stand.
 
 The module also holds the ``access_fast`` step protocol every packed
 engine shares: the ``ACC_*`` flags, the first-use binder
-(:func:`first_access`, :func:`bind_steps`), the one maintenance-drop
-path (:func:`drop_victim`) and the boundary wrappers
-(:func:`victim_line`, :func:`access_result`).
+(:func:`first_access`, :func:`bind_steps`), the one eviction rule
+(:func:`drop_victim` for maintenance drops, its inline twin
+:data:`STEP_EVICT` for the generated steps' evictions) and the boundary
+wrappers (:func:`victim_line`, :func:`access_result`).
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ class CacheLine:
     core_id: int = -1
     sdid: int = 0
     reused: bool = False
-    fill_epoch: int = 0
     #: Replacement-policy scratch (RRPV for SRRIP, timestamp for LRU).
     repl_state: int = 0
 
@@ -150,6 +150,31 @@ def drop_victim(engine, addr: int, core: int, sdid: int, dirty, reused) -> int:
     engine.victim_reused = bool(reused)
     engine.stats.record_eviction(dirty=dirty, was_reused=reused, cross_core=False)
     return ACC_EVICTED | ACC_EVICTED_DIRTY if dirty else ACC_EVICTED
+
+
+# ``drop_victim`` as statements, for the generated steps' evictions,
+# which render them with the engine bound as ``llc``, its stats as
+# ``st``, the victim's fields as ``vaddr``/``vcore``/``vsd``/``vdirty``/
+# ``vreused`` and the filler's core as ``core_id``; they set ``flags``.
+# A step's eviction is cross-core interference when both cores are
+# known (>= 0) and differ, the rule the reference models count by;
+# ``drop_victim`` is this with the filler's core -1, so a drop never is.
+STEP_EVICT = """\
+llc.victim_addr = vaddr
+llc.victim_core = vcore
+llc.victim_sdid = vsd
+llc.victim_reused = True if vreused else False
+st.evictions += 1
+if vdirty:
+    st.dirty_evictions += 1
+    flags = 6
+else:
+    flags = 2
+if not vreused:
+    st.dead_evictions += 1
+if vcore >= 0 and core_id >= 0 and vcore != core_id:
+    st.interference_evictions += 1
+"""
 
 
 def bind_steps(engine):

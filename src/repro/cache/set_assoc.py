@@ -8,7 +8,7 @@ by the hierarchy layer.
 
 Storage layout: instead of a ``CacheLine`` dataclass per way, the cache
 keeps one flat column per field (coherence state, line address, owning
-core, SDID, reused bit, replacement state, fill epoch), indexed by
+core, SDID, reused bit, replacement state), indexed by
 ``set * ways + way``.  The per-access protocol lives in
 :mod:`repro.cache.set_assoc_step`, which renders it per configuration
 and replacement policy over these columns.  :meth:`access_fast` binds
@@ -29,7 +29,6 @@ from ..common.config import CacheGeometry
 from ..common.errors import SimulationError
 from .line import (
     AccessResult,
-    CacheLine,
     CoherenceState,
     EvictedLine,
     access_result,
@@ -108,11 +107,9 @@ class SetAssociativeCache:
         self._sdid = [0] * total
         self._reused = bytearray(total)
         self._repl = [0] * total
-        self._epoch = [0] * total
         #: line_addr -> flat index (set * ways + way) for O(1) lookup.
         self._where: Dict[int, int] = {}
         self.stats = CacheStats()
-        self._fill_epoch = 0
 
     # -- lookup ---------------------------------------------------------
 
@@ -196,36 +193,6 @@ class SetAssociativeCache:
         for idx in self._where.values():
             counts[core[idx]] = counts.get(core[idx], 0) + 1
         return counts
-
-    def set_occupancy(self, set_idx: int) -> int:
-        """Valid lines in one set (eviction-set attack probes)."""
-        base = set_idx * self._ways
-        state = self._state
-        return sum(1 for i in range(base, base + self._ways) if state[i])
-
-    def line_snapshot(self, idx: int) -> CacheLine:
-        """A :class:`CacheLine` copy of the flat slot ``idx`` (not live)."""
-        return CacheLine(
-            line_addr=self._addr[idx],
-            state=CoherenceState(self._state[idx]),
-            core_id=self._core[idx],
-            sdid=self._sdid[idx],
-            reused=bool(self._reused[idx]),
-            fill_epoch=self._epoch[idx],
-            repl_state=self._repl[idx],
-        )
-
-    def resident_lines(self):
-        """Iterate over (set index, way, line snapshot) for valid lines.
-
-        The yielded :class:`CacheLine` objects are copies of the packed
-        columns; mutating them does not write back into the cache.
-        """
-        ways = self._ways
-        state = self._state
-        for idx in range(len(state)):
-            if state[idx]:
-                yield idx // ways, idx % ways, self.line_snapshot(idx)
 
     def resident_unreused(self) -> int:
         """Valid lines never (demand-)reused since fill - still-resident

@@ -10,7 +10,11 @@ CEASER's inner array and the partitioned designs' slices.
 :func:`set_assoc_step` renders the step as Python source with the ways,
 set mask, capacity and RRPV bounds inlined as literals, compiles it
 once per configuration (:mod:`repro.common.codegen`) and binds the
-array's packed columns as closure locals.
+array's packed columns as closure locals.  The accesses and the
+victim's eviction are counted by the shared accounting snippets
+(``CacheStats.STEP_HIT``/``STEP_MISS``,
+:data:`repro.cache.line.STEP_EVICT`), which read the array under the
+name every step template binds its target to, ``llc``.
 
 :meth:`SetAssociativeCache.access_fast` binds the step on first use; a
 run or campaign cell that manages its steps
@@ -22,7 +26,9 @@ order, bit-identical statistics and placement.
 
 from __future__ import annotations
 
-from ..common.codegen import bind_template, compiled_template
+from ..common.codegen import _indent, bind_template, compiled_template
+from .line import STEP_EVICT
+from .stats import CacheStats
 
 # ACC literals: HIT=1, EVICTED=2, EVICTED|DIRTY=6.  Coherence literals:
 # INVALID=0, EXCLUSIVE=2, OWNED(dirty floor)=3, MODIFIED=4.
@@ -90,42 +96,31 @@ _TEMPLATE = '''\
 # kind=set_assoc policy={POLICY} ways={WAYS} sets={SETS}
 
 
-def _bind(cache, SimulationError, SetAssociativeEviction):
-    st = cache.stats
-    state = cache._state
-    addr_col = cache._addr
-    core_col = cache._core
-    sdid_col = cache._sdid
-    reused_col = cache._reused
-    repl = cache._repl
-    epoch_col = cache._epoch
-    where = cache._where
+def _bind(llc, SimulationError, SetAssociativeEviction):
+    st = llc.stats
+    state = llc._state
+    addr_col = llc._addr
+    core_col = llc._core
+    sdid_col = llc._sdid
+    reused_col = llc._reused
+    repl = llc._repl
+    where = llc._where
     where_get = where.get
-    policy = cache._policy
+    policy = llc._policy
 {POLICY_BINDINGS}
     def access_fast(line_addr, is_write=False, core_id=0, is_writeback=False, sdid=0):
         idx = where_get(line_addr, -1)
-        st.accesses += 1
         if idx >= 0:
-            st.hits += 1
+{HIT}
             if is_writeback:
-                st.writebacks_received += 1
                 state[idx] = 4
             else:
-                st.demand_accesses += 1
-                st.demand_hits += 1
                 reused_col[idx] = 1
                 if is_write:
                     state[idx] = 4
 {HIT_TOUCH}
             return 1
-        st.misses += 1
-        if is_writeback:
-            st.writebacks_received += 1
-        else:
-            st.demand_accesses += 1
-            pcm = st.per_core_misses
-            pcm[core_id] = pcm.get(core_id, 0) + 1
+{MISS}
         base = (line_addr & {SET_MASK}) * {WAYS}
         if len(where) == {TOTAL_LINES}:
             idx = -1
@@ -134,36 +129,20 @@ def _bind(cache, SimulationError, SetAssociativeEviction):
         flags = 0
         if idx < 0:
 {VICTIM}
-            vstate = state[idx]
-            addr = addr_col[idx]
+            vaddr = addr_col[idx]
             vcore = core_col[idx]
+            vsd = sdid_col[idx]
+            vdirty = state[idx] >= 3
             vreused = reused_col[idx]
-            cache.victim_addr = addr
-            cache.victim_core = vcore
-            cache.victim_sdid = sdid_col[idx]
-            cache.victim_reused = True if vreused else False
-            st.evictions += 1
-            if vstate >= 3:
-                st.dirty_evictions += 1
-                flags = 6
-            else:
-                flags = 2
-            if not vreused:
-                st.dead_evictions += 1
-            if vcore >= 0 and vcore != core_id:
-                st.interference_evictions += 1
-            del where[addr]
+{EVICT}
+            del where[vaddr]
         state[idx] = 4 if is_write or is_writeback else 2
         addr_col[idx] = line_addr
         core_col[idx] = core_id
         sdid_col[idx] = sdid
         reused_col[idx] = 0
-        cache._fill_epoch = fe = cache._fill_epoch + 1
-        epoch_col[idx] = fe
         where[line_addr] = idx
 {FILL_TOUCH}
-        st.fills += 1
-        st.data_fills += 1
         return flags
 
     return access_fast
@@ -192,6 +171,9 @@ def set_assoc_step(cache):
             HIT_TOUCH=_HIT_TOUCH[policy_kind].format(**subst) or "            pass\n",
             VICTIM=_VICTIM[policy_kind].format(**subst),
             FILL_TOUCH=_FILL[policy_kind].format(**subst) or "        pass\n",
+            HIT=_indent(CacheStats.STEP_HIT, 12),
+            MISS=_indent(CacheStats.STEP_MISS, 8),
+            EVICT=_indent(STEP_EVICT, 12),
             **subst,
         )
 

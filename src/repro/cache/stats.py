@@ -4,26 +4,30 @@ A single :class:`CacheStats` instance is embedded in each cache; the
 experiment harness reads these counters to compute MPKI, hit rates,
 dead-block fractions (Fig. 1), and inter-core interference (Section
 V-B's explanation of Maya's wins).
+
+Each access is counted once, by the one rule
+:meth:`CacheStats.record_access` states: a hit or a miss, and a
+writeback or a demand hit.  The generated steps render that rule inline
+from its twins beside it, ``CacheStats.STEP_HIT`` and
+``CacheStats.STEP_MISS`` (and an eviction from
+:data:`repro.cache.line.STEP_EVICT`), so no step writes its own.
+``accesses`` and ``demand_accesses`` are derived from those counters,
+not counted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass
 
 
 @dataclass
 class CacheStats:
     """Raw event counters for one cache instance."""
 
-    accesses: int = 0
     hits: int = 0
     misses: int = 0
-    demand_accesses: int = 0
     demand_hits: int = 0
     writebacks_received: int = 0
-    fills: int = 0
-    data_fills: int = 0
     evictions: int = 0
     dirty_evictions: int = 0
     dead_evictions: int = 0
@@ -40,23 +44,37 @@ class CacheStats:
     #: designs that expose ``refresh_mapping_cache_stats``.
     randomizer_hits: int = 0
     randomizer_misses: int = 0
-    #: Per-core demand miss counts (for weighted-speedup attribution).
-    per_core_misses: Dict[int, int] = field(default_factory=dict)
 
-    def record_access(self, hit: bool, is_writeback: bool, core_id: int = 0) -> None:
-        self.accesses += 1
-        if is_writeback:
-            self.writebacks_received += 1
-        else:
-            self.demand_accesses += 1
-            if hit:
-                self.demand_hits += 1
+    def record_access(self, hit: bool, is_writeback: bool) -> None:
+        """Count one access: a hit or a miss, and a received writeback
+        or, on a hit, a demand hit."""
         if hit:
             self.hits += 1
+            if is_writeback:
+                self.writebacks_received += 1
+            else:
+                self.demand_hits += 1
         else:
             self.misses += 1
-            if not is_writeback:
-                self.per_core_misses[core_id] = self.per_core_misses.get(core_id, 0) + 1
+            if is_writeback:
+                self.writebacks_received += 1
+
+    # ``record_access`` as statements, for the generated steps, which
+    # render them with their stats object bound as ``st``:
+    # ``STEP_HIT`` is ``record_access(True, is_writeback)`` and
+    # ``STEP_MISS`` ``record_access(False, is_writeback)``.
+    STEP_HIT = """\
+st.hits += 1
+if is_writeback:
+    st.writebacks_received += 1
+else:
+    st.demand_hits += 1
+"""
+    STEP_MISS = """\
+st.misses += 1
+if is_writeback:
+    st.writebacks_received += 1
+"""
 
     def record_eviction(self, *, dirty: bool, was_reused: bool, cross_core: bool) -> None:
         self.evictions += 1
@@ -66,6 +84,14 @@ class CacheStats:
             self.dead_evictions += 1
         if cross_core:
             self.interference_evictions += 1
+
+    @property
+    def accesses(self) -> int:
+        return self.hits + self.misses
+
+    @property
+    def demand_accesses(self) -> int:
+        return self.accesses - self.writebacks_received
 
     @property
     def hit_rate(self) -> float:
@@ -97,10 +123,8 @@ class CacheStats:
 
     def reset(self) -> None:
         """Zero every counter (used after cache warm-up)."""
-        fresh = CacheStats()
-        for name in vars(fresh):
-            setattr(self, name, getattr(fresh, name))
-        self.per_core_misses = {}
+        for name in vars(self):
+            setattr(self, name, 0)
 
     def mpki(self, instructions: int) -> float:
         """Demand misses per kilo-instruction."""

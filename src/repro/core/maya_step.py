@@ -27,10 +27,16 @@ SAE handling calls back into :meth:`MayaCache._handle_sae`:
 rekey/flush mutate every structure in place, so the column bindings
 stay valid across it.  Every store operation keeps its
 ``SimulationError`` check, even one a guard before it already implies.
+The step counts its accesses and its data evictions with the shared
+accounting snippets (``CacheStats.STEP_HIT``/``STEP_MISS``,
+:data:`repro.cache.line.STEP_EVICT`) and keeps no per-access state that
+nothing reads.
 """
 
 from __future__ import annotations
 
+from ..cache.line import STEP_EVICT
+from ..cache.stats import CacheStats
 from ..common.codegen import (
     _draw,
     _indent,
@@ -65,8 +71,8 @@ slot = state.find(0, base, base + {WAYS})
 """
 
 # Global random data eviction: a uniformly random live data entry is
-# freed and its tag demoted to priority-0, the writeback published in
-# victim_*.
+# freed and its tag demoted to priority-0, the writeback published and
+# counted by repro.cache.line.STEP_EVICT.
 _MAYA_DATA_EVICTION = """\
 if len(free_list) == {DATA_N}:
     raise SimulationError("no valid data entries to evict")
@@ -77,20 +83,12 @@ while True:
 vt = rptr[vd]
 if state[vt] != 2:
     raise SimulationError("data entry points at a non-priority-1 tag")
+vaddr = addr_col[vt]
+vcore = core_col[vt]
+vsd = sdid_col[vt]
 vdirty = dirty_col[vt]
 vreused = reused_col[vt]
-vcore = core_col[vt]
-llc.victim_addr = addr_col[vt]
-llc.victim_core = vcore
-llc.victim_sdid = sdid_col[vt]
-llc.victim_reused = True if vreused else False
-st.evictions += 1
-if vdirty:
-    st.dirty_evictions += 1
-if not vreused:
-    st.dead_evictions += 1
-if vcore >= 0 and vcore != core_id:
-    st.interference_evictions += 1
+{STEP_EVICT}
 if rptr[vd] == -1:
     raise SimulationError("freeing an already-free data entry")
 rptr[vd] = -1
@@ -103,7 +101,6 @@ dirty_col[vt] = 0
 pos_map[vt] = len(pool)
 pool.append(vt)
 tags.priority1_count -= 1
-flags = 6 if vdirty else 2
 """
 
 # Global random tag eviction after an install into ``slot``, with ``n``
@@ -179,27 +176,17 @@ def _bind(llc, SimulationError, SetAssociativeEviction):
     def access_fast(line_addr, is_write=False, core_id=0, is_writeback=False, sdid=0):
         key = (line_addr << 16) | sdid
         tag_idx = where_get(key)
-        st.accesses += 1
         if tag_idx is not None:
             if state[tag_idx] == 2:
-                st.hits += 1
+{HIT}
                 if is_writeback:
-                    st.writebacks_received += 1
                     dirty_col[tag_idx] = 1
                 else:
-                    st.demand_accesses += 1
-                    st.demand_hits += 1
                     reused_col[tag_idx] = 1
                     if is_write:
                         dirty_col[tag_idx] = 1
                 return 1
-            st.misses += 1
-            if is_writeback:
-                st.writebacks_received += 1
-            else:
-                st.demand_accesses += 1
-                pcm = st.per_core_misses
-                pcm[core_id] = pcm.get(core_id, 0) + 1
+{TAG_HIT_MISS}
             st.tag_only_hits += 1
             # Priority-0 tag hit: promote, allocating a data entry.
             flags = 0
@@ -222,15 +209,8 @@ def _bind(llc, SimulationError, SetAssociativeEviction):
             tags.priority1_count += 1
             core_col[tag_idx] = core_id
             reused_col[tag_idx] = 0
-            st.data_fills += 1
             return 8 | flags
-        st.misses += 1
-        if is_writeback:
-            st.writebacks_received += 1
-        else:
-            st.demand_accesses += 1
-            pcm = st.per_core_misses
-            pcm[core_id] = pcm.get(core_id, 0) + 1
+{MISS}
         llc.installs += 1
         flags = 0
         if is_write or is_writeback:
@@ -272,8 +252,6 @@ def _bind(llc, SimulationError, SetAssociativeEviction):
             tags.priority1_count += 1
             valid_count[slot // {WAYS}] += 1
             where[key] = slot
-            st.fills += 1
-            st.data_fills += 1
             n = len(pool)
 {P1_TAG_EVICTION}
             return flags
@@ -297,7 +275,6 @@ def _bind(llc, SimulationError, SetAssociativeEviction):
         pool.append(slot)
         valid_count[slot // {WAYS}] += 1
         where[key] = slot
-        st.fills += 1
         n += 1
 {P0_TAG_EVICTION}
         return flags
@@ -352,7 +329,9 @@ def maya_step(llc):
             **subst,
         )
         data_eviction = _MAYA_DATA_EVICTION.format(
-            VICTIM_DRAW=_indent(_draw("vd", data_n, "data_getrandbits"), 4), **subst
+            VICTIM_DRAW=_indent(_draw("vd", data_n, "data_getrandbits"), 4),
+            STEP_EVICT=STEP_EVICT.rstrip("\n"),
+            **subst,
         )
         tag_eviction = (
             _MAYA_TAG_EVICTION.format(
@@ -367,6 +346,9 @@ def maya_step(llc):
             P1_TAG_EVICTION=_indent(tag_eviction, 12),
             P0_PICK=_indent(pick, 8),
             P0_TAG_EVICTION=_indent(tag_eviction, 8),
+            HIT=_indent(CacheStats.STEP_HIT, 16),
+            TAG_HIT_MISS=_indent(CacheStats.STEP_MISS, 12),
+            MISS=_indent(CacheStats.STEP_MISS, 8),
             **subst,
         )
 

@@ -236,9 +236,6 @@ class SkewedTagStore:
 
     # -- introspection / invariants ------------------------------------------
 
-    def set_valid_count(self, skew: int, set_idx: int) -> int:
-        return self._valid_count[skew * self._sets + set_idx]
-
     def iter_valid(self):
         """Yield (tag index, entry view) for every valid entry."""
         state = self._state

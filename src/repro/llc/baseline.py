@@ -80,9 +80,6 @@ class BaselineLLC(LLCache):
         """Public mapping (this is what makes the baseline attackable)."""
         return self._cache._set_of(line_addr)
 
-    def set_occupancy(self, set_idx: int) -> int:
-        return self._cache.set_occupancy(set_idx)
-
     def resident_unreused(self) -> int:
         """Still-resident never-reused lines (Fig. 1 accounting)."""
         return self._cache.resident_unreused()

@@ -5,7 +5,9 @@ The one fast implementation of
 protocol: the hit, and on a miss into a full cache the uniformly random
 victim, its drop and the swap-remove that moves the last slot into the
 hole, then the install into the last slot.  The capacity, the victim
-draw's bound, renders as a literal.
+draw's bound, renders as a literal; the access and the victim are
+counted by the shared accounting snippets (``CacheStats.STEP_HIT``/
+``STEP_MISS``, :data:`repro.cache.line.STEP_EVICT`).
 :meth:`FullyAssociativeCache.access_fast` binds the step on first use;
 :mod:`repro.engine.specialize` installs a releasable one.  The oracle
 is :mod:`repro.reference.fully_assoc`: same RNG draw order,
@@ -14,6 +16,8 @@ bit-identical statistics and placement.
 
 from __future__ import annotations
 
+from ..cache.line import STEP_EVICT
+from ..cache.stats import CacheStats
 from ..common.codegen import _draw, _indent, bind_template, compiled_template
 
 # ACC literals: HIT=1, EVICTED=2, EVICTED|DIRTY=6.  A full cache holds
@@ -37,48 +41,26 @@ def _bind(llc, SimulationError, SetAssociativeEviction):
     def access_fast(line_addr, is_write=False, core_id=0, is_writeback=False, sdid=0):
         key = (line_addr << 16) | sdid
         pos = where_get(key)
-        st.accesses += 1
         if pos is not None:
-            st.hits += 1
+{HIT}
             if is_writeback:
-                st.writebacks_received += 1
                 dirty_col[pos] = 1
             else:
-                st.demand_accesses += 1
-                st.demand_hits += 1
                 reused_col[pos] = 1
                 if is_write:
                     dirty_col[pos] = 1
             return 1
-        st.misses += 1
-        if is_writeback:
-            st.writebacks_received += 1
-        else:
-            st.demand_accesses += 1
-            pcm = st.per_core_misses
-            pcm[core_id] = pcm.get(core_id, 0) + 1
+{MISS}
         flags = 0
         pos = llc._size
         if pos >= {CAPACITY}:
 {VICTIM_DRAW}
             vaddr = addr_col[vpos]
-            vsd = sdid_col[vpos]
             vcore = core_col[vpos]
+            vsd = sdid_col[vpos]
+            vdirty = dirty_col[vpos]
             vreused = reused_col[vpos]
-            llc.victim_addr = vaddr
-            llc.victim_core = vcore
-            llc.victim_sdid = vsd
-            llc.victim_reused = True if vreused else False
-            st.evictions += 1
-            if dirty_col[vpos]:
-                st.dirty_evictions += 1
-                flags = 6
-            else:
-                flags = 2
-            if not vreused:
-                st.dead_evictions += 1
-            if vcore >= 0 and core_id >= 0 and vcore != core_id:
-                st.interference_evictions += 1
+{EVICT}
             pos -= 1
             del where[(vaddr << 16) | vsd]
             if vpos < pos:
@@ -97,8 +79,6 @@ def _bind(llc, SimulationError, SetAssociativeEviction):
         reused_col[pos] = 0
         where[key] = pos
         llc._size = pos + 1
-        st.fills += 1
-        st.data_fills += 1
         return flags
 
     return access_fast
@@ -113,6 +93,9 @@ def fully_assoc_step(llc):
         return _TEMPLATE.format(
             CAPACITY=capacity,
             VICTIM_DRAW=_indent(_draw("vpos", capacity, "rng_getrandbits"), 12),
+            HIT=_indent(CacheStats.STEP_HIT, 12),
+            MISS=_indent(CacheStats.STEP_MISS, 8),
+            EVICT=_indent(STEP_EVICT, 12),
         )
 
     return bind_template(compiled_template("fully_assoc", (capacity,), build), llc)

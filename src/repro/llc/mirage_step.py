@@ -6,11 +6,14 @@ and on a miss the global random data eviction, the two-skew load-aware
 skew pick (a random tie-break on equal loads), the SAE branch (the one
 configured arm: count, or raise) and the install.  The drop-tag body is
 expanded at both eviction sites exactly as the object model sequences
-it.  :func:`mirage_step` renders the step as Python source with the
-ways, sets, data-store size and memo capacity inlined as literals,
-compiles it once per configuration (:mod:`repro.common.codegen`) and
-binds the tag store's packed columns, the data store's RPTR column and
-free list, and the randomizer's memo and side table as closure locals.
+it; the access and each dropped tag are counted by the shared
+accounting snippets (``CacheStats.STEP_HIT``/``STEP_MISS``,
+:data:`repro.cache.line.STEP_EVICT`).  :func:`mirage_step` renders
+the step as Python source with the ways, sets, data-store size and
+memo capacity inlined as literals, compiles it once per configuration
+(:mod:`repro.common.codegen`) and binds the tag store's packed
+columns, the data store's RPTR column and free list, and the
+randomizer's memo and side table as closure locals.
 The mapping-memo lookup (with the splitmix mixer on a miss) and the
 three random draws render from the snippets Maya's step shares
 (:mod:`repro.common.codegen`); only a PRINCE miss outside the side
@@ -26,6 +29,8 @@ placement.
 
 from __future__ import annotations
 
+from ..cache.line import STEP_EVICT
+from ..cache.stats import CacheStats
 from ..common.codegen import (
     _draw,
     _indent,
@@ -35,38 +40,33 @@ from ..common.codegen import (
 )
 
 
-def _drop_tag(indent: str, tag_expr: str) -> str:
-    lines = [
-        f"vt = {tag_expr}",
-        "if not valid[vt]:",
-        "    raise SimulationError(\"dropping an invalid Mirage tag\")",
-        "vdirty = dirty_col[vt]",
-        "vreused = reused_col[vt]",
-        "vcore = core_col[vt]",
-        "vaddr = addr_col[vt]",
-        "vsd = sdid_col[vt]",
-        "llc.victim_addr = vaddr",
-        "llc.victim_core = vcore",
-        "llc.victim_sdid = vsd",
-        "llc.victim_reused = True if vreused else False",
-        "st.evictions += 1",
-        "if vdirty:",
-        "    st.dirty_evictions += 1",
-        "if not vreused:",
-        "    st.dead_evictions += 1",
-        "if vcore >= 0 and core_id >= 0 and vcore != core_id:",
-        "    st.interference_evictions += 1",
-        "fp = fptr_col[vt]",
-        "if rptr[fp] == -1:",
-        "    raise SimulationError(\"freeing an already-free data entry\")",
-        "rptr[fp] = -1",
-        "free_append(fp)",
-        "valid_count[vt // {WAYS}] -= 1",
-        "del where[(vaddr << 16) | vsd]",
-        "valid[vt] = 0",
-        "fptr_col[vt] = -1",
-    ]
-    return "".join(indent + line + "\n" for line in lines)
+# Drop the valid tag ``{TAG}`` and free its data entry: the victim is
+# published and counted by repro.cache.line.STEP_EVICT.  Rendered at
+# both eviction sites exactly as the object model sequences it.
+_DROP_TAG = """\
+vt = {TAG}
+if not valid[vt]:
+    raise SimulationError("dropping an invalid Mirage tag")
+vaddr = addr_col[vt]
+vcore = core_col[vt]
+vsd = sdid_col[vt]
+vdirty = dirty_col[vt]
+vreused = reused_col[vt]
+{STEP_EVICT}
+fp = fptr_col[vt]
+if rptr[fp] == -1:
+    raise SimulationError("freeing an already-free data entry")
+rptr[fp] = -1
+free_append(fp)
+valid_count[vt // {WAYS}] -= 1
+del where[(vaddr << 16) | vsd]
+valid[vt] = 0
+fptr_col[vt] = -1
+"""
+
+
+def _drop_tag(tag_expr: str, ways: int) -> str:
+    return _DROP_TAG.format(TAG=tag_expr, STEP_EVICT=STEP_EVICT.rstrip("\n"), WAYS=ways)
 
 
 _SAE_RAISE = """\
@@ -77,14 +77,12 @@ _SAE_RAISE = """\
 
 # The SAE victim's writeback supersedes the data eviction's (v1
 # semantics, kept by the reference model).
-_SAE_COUNT = (
-    "{VICTIM_DRAW}\n"
-    + _drop_tag("            ", "base + victim_way")
-    + """\
-            flags = 22 if vdirty else 18
+_SAE_COUNT = """\
+{VICTIM_DRAW}
+{DROP}
+            flags |= 16
             slot = valid.find(0, base, base + {WAYS})
 """
-)
 
 # ACC literals: HIT=1, EVICTED=2, EVICTED|DIRTY=6, SAE=16.
 _TEMPLATE = '''\
@@ -121,26 +119,16 @@ def _bind(llc, SimulationError, SetAssociativeEviction):
     def access_fast(line_addr, is_write=False, core_id=0, is_writeback=False, sdid=0):
         key = (line_addr << 16) | sdid
         tag_idx = where_get(key)
-        st.accesses += 1
         if tag_idx is not None:
-            st.hits += 1
+{HIT}
             if is_writeback:
-                st.writebacks_received += 1
                 dirty_col[tag_idx] = 1
             else:
-                st.demand_accesses += 1
-                st.demand_hits += 1
                 reused_col[tag_idx] = 1
                 if is_write:
                     dirty_col[tag_idx] = 1
             return 1
-        st.misses += 1
-        if is_writeback:
-            st.writebacks_received += 1
-        else:
-            st.demand_accesses += 1
-            pcm = st.per_core_misses
-            pcm[core_id] = pcm.get(core_id, 0) + 1
+{MISS}
         flags = 0
         llc.installs += 1
         if not free_list:
@@ -149,7 +137,6 @@ def _bind(llc, SimulationError, SetAssociativeEviction):
                 if rptr[vd] != -1:
                     break
 {GLOBAL_DROP}
-            flags = 6 if vdirty else 2
 {LOOKUP}
         l0 = valid_count[i0]
         l1 = valid_count[{SETS} + i1]
@@ -182,8 +169,6 @@ def _bind(llc, SimulationError, SetAssociativeEviction):
         fptr_col[slot] = fidx
         valid_count[slot // {WAYS}] += 1
         where[key] = slot
-        st.fills += 1
-        st.data_fills += 1
         return flags
 
     return access_fast
@@ -212,14 +197,17 @@ def mirage_step(llc):
         else:
             sae = _SAE_COUNT.format(
                 VICTIM_DRAW=_indent(_draw("victim_way", llc._ways, "rng_getrandbits"), 12),
+                DROP=_indent(_drop_tag("base + victim_way", llc._ways), 12),
                 **subst,
             )
         return _TEMPLATE.format(
             DATA_DRAW=_indent(_draw("vd", data_n, "data_getrandbits"), 16),
-            GLOBAL_DROP=_drop_tag("            ", "rptr[vd]").format(**subst).rstrip("\n"),
+            GLOBAL_DROP=_indent(_drop_tag("rptr[vd]", llc._ways), 12),
             LOOKUP=_indent(_memo_lookup(memo_cap, mix_bits), 8),
             TIE_DRAW=_indent(_draw("skew", 2, "rng_getrandbits"), 12),
             SAE=sae.rstrip("\n"),
+            HIT=_indent(CacheStats.STEP_HIT, 12),
+            MISS=_indent(CacheStats.STEP_MISS, 8),
             **subst,
         )
 

@@ -95,26 +95,12 @@ class _PartitionedBase(LLCache):
 
     @property
     def stats(self):  # type: ignore[override]
-        """Aggregate statistics across the slices."""
+        """Aggregate statistics across the slices: each counter summed."""
         from ..cache.stats import CacheStats
 
         total = CacheStats()
-        for part in self._slices:
-            s = part.stats
-            total.accesses += s.accesses
-            total.hits += s.hits
-            total.misses += s.misses
-            total.demand_accesses += s.demand_accesses
-            total.demand_hits += s.demand_hits
-            total.writebacks_received += s.writebacks_received
-            total.fills += s.fills
-            total.data_fills += s.data_fills
-            total.evictions += s.evictions
-            total.dirty_evictions += s.dirty_evictions
-            total.dead_evictions += s.dead_evictions
-            total.interference_evictions += s.interference_evictions
-            for core, n in s.per_core_misses.items():
-                total.per_core_misses[core] = total.per_core_misses.get(core, 0) + n
+        for name in vars(total):
+            setattr(total, name, sum(getattr(part.stats, name) for part in self._slices))
         return total
 
     @stats.setter

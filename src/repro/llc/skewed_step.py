@@ -9,7 +9,10 @@ Ways, sets, memo capacity and remap period render as literals; the SDID
 that enters the hash and the location map is the access's own for
 Scatter-Cache and ``0`` for CEASER-S.  The mapping lookup (splitmix
 inlined, PRINCE a call-out) and both draws come from the snippets the
-Maya and Mirage steps share (:mod:`repro.common.codegen`).
+Maya and Mirage steps share (:mod:`repro.common.codegen`); the access
+and the dropped line are counted by the shared accounting snippets
+(``CacheStats.STEP_HIT``/``STEP_MISS``,
+:data:`repro.cache.line.STEP_EVICT`).
 :meth:`SkewedRandomizedCache.access_fast` binds the step on first use;
 :mod:`repro.engine.specialize` installs a releasable one.  The oracle
 is :mod:`repro.reference.skewed`: same RNG draw order, bit-identical
@@ -18,6 +21,8 @@ statistics and placement.
 
 from __future__ import annotations
 
+from ..cache.line import STEP_EVICT
+from ..cache.stats import CacheStats
 from ..common.codegen import _draw, _indent, _memo_lookup, bind_template, compiled_template
 
 # The remap's flush must not clobber this fill's victim.
@@ -57,26 +62,16 @@ def _bind(llc, SimulationError, SetAssociativeEviction):
     def access_fast(line_addr, is_write=False, core_id=0, is_writeback=False, sdid=0):
         key = {KEY}
         idx = where_get(key)
-        st.accesses += 1
         if idx is not None:
-            st.hits += 1
+{HIT}
             if is_writeback:
-                st.writebacks_received += 1
                 state[idx] = 4
             else:
-                st.demand_accesses += 1
-                st.demand_hits += 1
                 reused_col[idx] = 1
                 if is_write:
                     state[idx] = 4
             return 1
-        st.misses += 1
-        if is_writeback:
-            st.writebacks_received += 1
-        else:
-            st.demand_accesses += 1
-            pcm = st.per_core_misses
-            pcm[core_id] = pcm.get(core_id, 0) + 1
+{MISS}
 {LOOKUP}
 {SKEW_DRAW}
         base = (skew * {SETS} + (i1 if skew else i0)) * {WAYS}
@@ -88,21 +83,9 @@ def _bind(llc, SimulationError, SetAssociativeEviction):
             vaddr = addr_col[idx]
             vcore = core_col[idx]
             vsd = sdid_col[idx]
+            vdirty = state[idx] >= 3
             vreused = reused_col[idx]
-            llc.victim_addr = vaddr
-            llc.victim_core = vcore
-            llc.victim_sdid = vsd
-            llc.victim_reused = True if vreused else False
-            st.evictions += 1
-            if state[idx] >= 3:
-                st.dirty_evictions += 1
-                flags = 6
-            else:
-                flags = 2
-            if not vreused:
-                st.dead_evictions += 1
-            if vcore >= 0 and core_id >= 0 and vcore != core_id:
-                st.interference_evictions += 1
+{EVICT}
             del where[{VICTIM_KEY}]
         state[idx] = 4 if is_write or is_writeback else 2
         addr_col[idx] = line_addr
@@ -110,8 +93,6 @@ def _bind(llc, SimulationError, SetAssociativeEviction):
         sdid_col[idx] = sdid
         reused_col[idx] = 0
         where[key] = idx
-        st.fills += 1
-        st.data_fills += 1
 {REMAP}
         return flags
 
@@ -146,6 +127,9 @@ def skewed_step(llc):
             SKEW_DRAW=_indent(_draw("skew", 2, "rng_getrandbits"), 8),
             WAY_DRAW=_indent(_draw("way", llc.ways_per_skew, "rng_getrandbits"), 12),
             REMAP=remap.rstrip("\n"),
+            HIT=_indent(CacheStats.STEP_HIT, 12),
+            MISS=_indent(CacheStats.STEP_MISS, 8),
+            EVICT=_indent(STEP_EVICT, 12),
             **subst,
         )
 

@@ -53,7 +53,7 @@ class FullyAssociativeCache(LLCache):
         key = (line_addr, sdid)
         pos = self._where.get(key)
         hit = pos is not None
-        self.stats.record_access(hit, is_writeback, core_id)
+        self.stats.record_access(hit, is_writeback)
         if hit:
             line = self._lines[pos]
             if not is_writeback:
@@ -73,8 +73,6 @@ class FullyAssociativeCache(LLCache):
         )
         self._where[key] = len(self._lines)
         self._lines.append(line)
-        self.stats.fills += 1
-        self.stats.data_fills += 1
         return AccessResult(hit=False, evicted=evicted)
 
     def _evict_random(self, filler_core: int) -> EvictedLine:

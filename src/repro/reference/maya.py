@@ -122,10 +122,10 @@ class MayaCache:
                     entry.reused = True
                 if is_write or is_writeback:
                     entry.dirty = True
-                self.stats.record_access(True, is_writeback, core_id)
+                self.stats.record_access(True, is_writeback)
                 return AccessResult(hit=True, extra_latency=self.extra_lookup_latency)
             # Priority-0 tag hit: promotion (data itself is a miss).
-            self.stats.record_access(False, is_writeback, core_id)
+            self.stats.record_access(False, is_writeback)
             self.stats.tag_only_hits += 1
             evicted = self._promote(tag_idx, dirty=is_write or is_writeback, core_id=core_id)
             return AccessResult(
@@ -133,7 +133,7 @@ class MayaCache:
             )
 
         # Tag miss.
-        self.stats.record_access(False, is_writeback, core_id)
+        self.stats.record_access(False, is_writeback)
         if is_write or is_writeback:
             evicted = self._install_priority1(line_addr, sdid, core_id)
         else:
@@ -207,7 +207,6 @@ class MayaCache:
         entry = self.tags.entry(tag_idx)
         entry.core_id = core_id
         entry.reused = False
-        self.stats.data_fills += 1
         return evicted
 
     def _global_random_data_eviction(self, filler_core: int) -> Optional[EvictedLine]:
@@ -227,7 +226,7 @@ class MayaCache:
         self.stats.record_eviction(
             dirty=victim.dirty,
             was_reused=victim.reused,
-            cross_core=victim.core_id >= 0 and victim.core_id != filler_core,
+            cross_core=victim.core_id >= 0 and filler_core >= 0 and victim.core_id != filler_core,
         )
         self.data.free(victim_data)
         self.tags.demote(victim_tag_idx)
@@ -247,7 +246,6 @@ class MayaCache:
             if slot is None:
                 raise SimulationError("no invalid way even after SAE handling")
         self.tags.install(slot, line_addr, sdid, core_id, priority1=False)
-        self.stats.fills += 1
         if self._global_tag_eviction and self.tags.priority0_count > self.config.priority0_entries:
             self._global_random_tag_eviction(exclude=slot)
         return writeback
@@ -269,8 +267,6 @@ class MayaCache:
                 raise SimulationError("no invalid way even after SAE handling")
         fptr = self.data.allocate(slot)
         self.tags.install(slot, line_addr, sdid, core_id, priority1=True, dirty=True, fptr=fptr)
-        self.stats.fills += 1
-        self.stats.data_fills += 1
         if self._global_tag_eviction and self.tags.priority0_count > self.config.priority0_entries:
             self._global_random_tag_eviction(exclude=slot)
         return writeback

@@ -113,7 +113,7 @@ class MirageCache(LLCache):
     ) -> AccessResult:
         tag_idx = self._where.get((line_addr, sdid))
         hit = tag_idx is not None
-        self.stats.record_access(hit, is_writeback, core_id)
+        self.stats.record_access(hit, is_writeback)
         if hit:
             tag = self._tags[tag_idx]
             if not is_writeback:
@@ -175,8 +175,6 @@ class MirageCache(LLCache):
         skew, set_idx, _ = self._locate(tag_idx)
         self._valid_count[skew][set_idx] += 1
         self._where[(line_addr, sdid)] = tag_idx
-        self.stats.fills += 1
-        self.stats.data_fills += 1
 
     def _global_random_eviction(self, filler_core: int) -> EvictedLine:
         victim_data = self.data.random_victim()

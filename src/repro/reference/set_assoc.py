@@ -51,7 +51,6 @@ class SetAssociativeCache:
         #: line_addr -> (set index, way) for O(1) lookup.
         self._where: Dict[int, int] = {}
         self.stats = CacheStats()
-        self._fill_epoch = 0
 
     # -- lookup ---------------------------------------------------------
 
@@ -88,7 +87,7 @@ class SetAssociativeCache:
         set_idx = self._set_of(line_addr)
         way = self._find_way(set_idx, line_addr)
         hit = way is not None
-        self.stats.record_access(hit, is_writeback, core_id)
+        self.stats.record_access(hit, is_writeback)
 
         if hit:
             line = self._sets[set_idx][way]
@@ -119,12 +118,8 @@ class SetAssociativeCache:
         line.core_id = core_id
         line.sdid = sdid
         line.reused = False
-        self._fill_epoch += 1
-        line.fill_epoch = self._fill_epoch
         self._where[line_addr] = set_idx * self.geometry.ways + way
         self._policy.on_fill(cache_set, way)
-        self.stats.fills += 1
-        self.stats.data_fills += 1
         return evicted
 
     def _evict(self, set_idx: int, way: int, filler_core: int) -> EvictedLine:
@@ -182,10 +177,6 @@ class SetAssociativeCache:
                 if line.valid:
                     counts[line.core_id] = counts.get(line.core_id, 0) + 1
         return counts
-
-    def set_occupancy(self, set_idx: int) -> int:
-        """Valid lines in one set (eviction-set attack probes)."""
-        return sum(1 for line in self._sets[set_idx] if line.valid)
 
     def resident_lines(self):
         """Iterate over (set index, way, line) for valid lines."""

@@ -96,7 +96,7 @@ class SkewedRandomizedCache(LLCache):
         key = (line_addr, sdid if self.use_sdid_in_hash else 0)
         loc = self._where.get(key)
         hit = loc is not None
-        self.stats.record_access(hit, is_writeback, core_id)
+        self.stats.record_access(hit, is_writeback)
         if hit:
             skew, set_idx, way = loc
             line = self._arrays[skew][set_idx][way]
@@ -130,8 +130,6 @@ class SkewedRandomizedCache(LLCache):
         line.sdid = sdid
         line.reused = False
         self._where[(line_addr, hash_sdid)] = (skew, set_idx, way)
-        self.stats.fills += 1
-        self.stats.data_fills += 1
         return evicted
 
     def _evict(self, skew: int, set_idx: int, way: int, filler_core: int) -> EvictedLine:

@@ -295,9 +295,6 @@ class SkewedTagStore:
 
     # -- introspection / invariants ------------------------------------------
 
-    def set_valid_count(self, skew: int, set_idx: int) -> int:
-        return self._valid_count[skew][set_idx]
-
     def iter_valid(self):
         """Yield (tag index, entry) for every valid entry."""
         for idx, entry in enumerate(self._entries):

@@ -1,9 +1,19 @@
 """The generic cache substrate: lines, policies, arrays, stats."""
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache.line import AccessResult, CacheLine, CoherenceState, EvictedLine
+from repro.cache.line import (
+    ACC_EVICTED,
+    ACC_EVICTED_DIRTY,
+    STEP_EVICT,
+    CacheLine,
+    CoherenceState,
+    EvictedLine,
+    drop_victim,
+)
 from repro.cache.replacement import (
     BRRIPPolicy,
     LRUPolicy,
@@ -218,10 +228,9 @@ class TestStats:
     def test_rates(self):
         stats = CacheStats()
         stats.record_access(True, False)
-        stats.record_access(False, False, core_id=2)
+        stats.record_access(False, False)
         assert stats.hit_rate == 0.5
         assert stats.demand_hit_rate == 0.5
-        assert stats.per_core_misses == {2: 1}
 
     def test_mpki(self):
         stats = CacheStats()
@@ -237,3 +246,80 @@ class TestStats:
         stats.tag_only_hits = 7
         stats.reset()
         assert stats.accesses == 0 and stats.tag_only_hits == 0
+
+
+def _seeded_stats() -> CacheStats:
+    """Stats whose counters start at distinct values, so a snippet that
+    bumps the wrong counter shows."""
+    stats = CacheStats()
+    for i, name in enumerate(vars(stats)):
+        setattr(stats, name, 100 * (i + 1))
+    return stats
+
+
+def _engine() -> SimpleNamespace:
+    """A stand-in engine: seeded stats and victim fields no drop sets."""
+    return SimpleNamespace(
+        stats=_seeded_stats(), victim_addr=-7, victim_core=-7, victim_sdid=-7, victim_reused=None
+    )
+
+
+def _victim_fields(engine) -> dict:
+    return {name: value for name, value in vars(engine).items() if name.startswith("victim_")}
+
+
+#: (is_write, is_writeback) per access kind.
+_KINDS = {"read": (False, False), "write": (True, False), "writeback": (False, True)}
+
+
+class TestStepAccounting:
+    """The generated steps render their accounting from snippets, and
+    each snippet equals the method it inlines: ``STEP_HIT``/``STEP_MISS``
+    are ``CacheStats.record_access`` and ``STEP_EVICT`` is
+    ``drop_victim`` plus the cross-core rule of a step's fill."""
+
+    @pytest.mark.parametrize("kind", sorted(_KINDS))
+    @pytest.mark.parametrize("hit", [True, False])
+    def test_access_snippets_are_record_access(self, hit, kind):
+        is_write, is_writeback = _KINDS[kind]
+        called = _seeded_stats()
+        called.record_access(hit, is_writeback)
+        inlined = _seeded_stats()
+        snippet = CacheStats.STEP_HIT if hit else CacheStats.STEP_MISS
+        exec(snippet, {"st": inlined, "is_write": is_write, "is_writeback": is_writeback})
+        assert vars(inlined) == vars(called)
+        assert vars(called) != vars(_seeded_stats())
+
+    @pytest.mark.parametrize("core_id", [2, -1])
+    @pytest.mark.parametrize("vcore", [2, 3, -1])
+    @pytest.mark.parametrize("vreused", [0, 1])
+    @pytest.mark.parametrize("vdirty", [0, 1])
+    @pytest.mark.parametrize("kind", sorted(_KINDS))
+    def test_evict_snippet_is_drop_victim(self, kind, vdirty, vreused, vcore, core_id):
+        # A step's miss path: the access is counted, then the victim of
+        # the fill by core ``core_id`` (-1: unknown, as for a drop).
+        is_write, is_writeback = _KINDS[kind]
+        called = _engine()
+        called.stats.record_access(False, is_writeback)
+        flags = drop_victim(called, 0x1234, vcore, 5, vdirty, vreused)
+        # A drop fills nothing, so it never counts interference; a fill
+        # does when both cores are known and differ.
+        cross_core = vcore >= 0 and core_id >= 0 and vcore != core_id
+        called.stats.interference_evictions += cross_core
+
+        inlined = _engine()
+        namespace = {
+            "llc": inlined, "st": inlined.stats, "is_write": is_write,
+            "is_writeback": is_writeback, "core_id": core_id,
+            "vaddr": 0x1234, "vcore": vcore, "vsd": 5, "vdirty": vdirty, "vreused": vreused,
+        }
+        exec(CacheStats.STEP_MISS + STEP_EVICT, namespace)
+
+        assert vars(inlined.stats) == vars(called.stats)
+        assert _victim_fields(inlined) == _victim_fields(called)
+        assert namespace["flags"] == flags
+        # The marks a caller reads: the victim's reused bit (a bool, as
+        # EvictedLine.was_reused) and the dirty bit of the flag word.
+        assert inlined.victim_reused is bool(vreused)
+        assert bool(flags & ACC_EVICTED_DIRTY) == bool(vdirty) and flags & ACC_EVICTED
+        assert (inlined.victim_addr, inlined.victim_core, inlined.victim_sdid) == (0x1234, vcore, 5)

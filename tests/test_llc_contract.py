@@ -110,19 +110,28 @@ class TestContract:
         assert sum(llc.occupancy_by_core().values()) == llc.occupancy
 
     def test_stats_accounting_consistent(self, name):
+        # The counters match the accesses this test drives and the hits
+        # access() reports; accesses and demand_accesses derive from them.
         llc = fresh_designs()[name]
         rng = random.Random(0)
+        hits = writebacks = demand_hits = 0
         for _ in range(500):
-            llc.access(
-                rng.randrange(2000),
-                is_write=rng.random() < 0.2,
-                is_writeback=rng.random() < 0.2,
+            line_addr = rng.randrange(2000)
+            is_write = rng.random() < 0.2
+            is_writeback = rng.random() < 0.2
+            hit = llc.access(
+                line_addr, is_write=is_write, is_writeback=is_writeback,
                 core_id=rng.randrange(4),
-            )
+            ).hit
+            hits += hit
+            writebacks += is_writeback
+            demand_hits += hit and not is_writeback
         stats = llc.stats
-        assert stats.hits + stats.misses == stats.accesses
-        assert stats.demand_accesses + stats.writebacks_received == stats.accesses
-        assert stats.demand_hits <= stats.demand_accesses
+        assert (stats.hits, stats.misses) == (hits, 500 - hits)
+        assert stats.writebacks_received == writebacks
+        assert stats.demand_hits == demand_hits
+        assert (stats.accesses, stats.demand_accesses) == (500, 500 - writebacks)
+        assert 0 < demand_hits < hits < 500 and writebacks
 
     def test_extra_latency_reported(self, name):
         llc = fresh_designs()[name]

@@ -21,7 +21,7 @@ class TestReuseFiltering:
         assert not result.hit and not result.tag_hit
         assert cache.contains_tag(0x100)
         assert not cache.contains(0x100)  # no data yet
-        assert cache.stats.data_fills == 0
+        assert cache.occupancy == 0
 
     def test_second_read_promotes_but_still_misses(self):
         cache = make_maya()
