@@ -12,7 +12,7 @@ set mask, capacity and RRPV bounds inlined as literals, compiles it
 once per configuration (:mod:`repro.common.codegen`) and binds the
 array's packed columns as closure locals.  The accesses and the
 victim's eviction are counted by the shared accounting snippets
-(``CacheStats.STEP_HIT``/``STEP_MISS``,
+(``CacheStats.step_hit``/``STEP_MISS``,
 :data:`repro.cache.line.STEP_EVICT`), which read the array under the
 name every step template binds its target to, ``llc``.
 
@@ -32,6 +32,11 @@ from .stats import CacheStats
 
 # ACC literals: HIT=1, EVICTED=2, EVICTED|DIRTY=6.  Coherence literals:
 # INVALID=0, EXCLUSIVE=2, OWNED(dirty floor)=3, MODIFIED=4.
+
+# A hit's marks, in CacheStats.step_hit's two arms: a writeback dirties
+# the line; a demand hit marks it reused, and a write dirties it too.
+_WRITEBACK_MARK = "state[idx] = 4\n"
+_DEMAND_MARKS = "reused_col[idx] = 1\nif is_write:\n    state[idx] = 4\n"
 
 _HIT_TOUCH = {
     "lru": (
@@ -112,12 +117,6 @@ def _bind(llc, SimulationError, SetAssociativeEviction):
         idx = where_get(line_addr, -1)
         if idx >= 0:
 {HIT}
-            if is_writeback:
-                state[idx] = 4
-            else:
-                reused_col[idx] = 1
-                if is_write:
-                    state[idx] = 4
 {HIT_TOUCH}
             return 1
 {MISS}
@@ -171,7 +170,7 @@ def set_assoc_step(cache):
             HIT_TOUCH=_HIT_TOUCH[policy_kind].format(**subst) or "            pass\n",
             VICTIM=_VICTIM[policy_kind].format(**subst),
             FILL_TOUCH=_FILL[policy_kind].format(**subst) or "        pass\n",
-            HIT=_indent(CacheStats.STEP_HIT, 12),
+            HIT=_indent(CacheStats.step_hit(_WRITEBACK_MARK, _DEMAND_MARKS), 12),
             MISS=_indent(CacheStats.STEP_MISS, 8),
             EVICT=_indent(STEP_EVICT, 12),
             **subst,

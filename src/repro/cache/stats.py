@@ -8,7 +8,8 @@ V-B's explanation of Maya's wins).
 Each access is counted once, by the one rule
 :meth:`CacheStats.record_access` states: a hit or a miss, and a
 writeback or a demand hit.  The generated steps render that rule inline
-from its twins beside it, ``CacheStats.STEP_HIT`` and
+from its twins beside it, :meth:`CacheStats.step_hit` (with the step's
+own marks on the hit line in its writeback and demand arms) and
 ``CacheStats.STEP_MISS`` (and an eviction from
 :data:`repro.cache.line.STEP_EVICT`), so no step writes its own.
 ``accesses`` and ``demand_accesses`` are derived from those counters,
@@ -17,6 +18,7 @@ not counted.
 
 from __future__ import annotations
 
+import textwrap
 from dataclasses import dataclass
 
 
@@ -61,15 +63,25 @@ class CacheStats:
 
     # ``record_access`` as statements, for the generated steps, which
     # render them with their stats object bound as ``st``:
-    # ``STEP_HIT`` is ``record_access(True, is_writeback)`` and
+    # ``step_hit()`` is ``record_access(True, is_writeback)`` and
     # ``STEP_MISS`` ``record_access(False, is_writeback)``.
-    STEP_HIT = """\
-st.hits += 1
-if is_writeback:
-    st.writebacks_received += 1
-else:
-    st.demand_hits += 1
-"""
+    @staticmethod
+    def step_hit(writeback: str = "", demand: str = "") -> str:
+        """``record_access(True, is_writeback)`` as statements, with the
+        step's own marks on the hit line rendered into its two arms:
+        ``writeback`` after a writeback's count, ``demand`` after a
+        demand hit's (each statements at column 0), so a hit tests
+        ``is_writeback`` once."""
+        return (
+            "st.hits += 1\n"
+            "if is_writeback:\n"
+            "    st.writebacks_received += 1\n"
+            + textwrap.indent(writeback, "    ")
+            + "else:\n"
+            "    st.demand_hits += 1\n"
+            + textwrap.indent(demand, "    ")
+        )
+
     STEP_MISS = """\
 st.misses += 1
 if is_writeback:

@@ -237,9 +237,6 @@ class HierarchyLatencies:
     l1_cycles: int = 5
     l2_cycles: int = 10
     llc_cycles: int = 24
-    #: Extra LLC lookup cycles for randomized decoupled designs
-    #: (3 cipher cycles + 1 indirection cycle; Section III-C).
-    secure_llc_extra_cycles: int = 4
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,10 @@ an ``ACC_*`` flag int and publishes any writeback through the
 :meth:`~repro.llc.interface.LLCache.access` wraps it in the historical
 :class:`~repro.cache.line.AccessResult` API and rejects an SDID outside
 ``[0, config.max_domains)``.  This module keeps the rare and
-whole-cache paths: SAE handling, invalidation, flush and rekey.  Behaviour -
+whole-cache paths: SAE handling, the tag drop and flush, and the
+priority-1 rule of the probe surface; the location-map key, the SDID
+check, invalidation, the key refresh and the randomizer's counters come
+from :class:`~repro.llc.interface.MappedLLCache`.  Behaviour -
 including RNG draw order and every statistics counter - is
 bit-identical to the object-model reference in ``repro.reference.maya``
 (enforced by the differential tests).
@@ -42,13 +45,13 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, Optional
 
-from ..common.addr import SDID_SHIFT, sdid_error
+from ..common.addr import SDID_SHIFT
 from ..common.config import MayaConfig
 from ..common.errors import SetAssociativeEviction, SimulationError
 from ..common.rng import derive_seed, make_rng
-from ..cache.line import ACC_EVICTED, ACC_SAE, EvictedLine, drop_victim, first_access, victim_line
+from ..cache.line import ACC_SAE, drop_victim, first_access
 from ..cache.stats import CacheStats
-from ..llc.interface import LLCache
+from ..llc.interface import MappedLLCache
 from .data_store import DataStore
 from .maya_step import maya_step
 from .tag_store import NO_DATA, SkewedTagStore, TagState
@@ -60,7 +63,7 @@ _P0 = TagState.PRIORITY_0.value
 _P1 = TagState.PRIORITY_1.value
 
 
-class MayaCache(LLCache):
+class MayaCache(MappedLLCache):
     """Functional model of the Maya LLC.
 
     Parameters
@@ -100,12 +103,12 @@ class MayaCache(LLCache):
         # also fits the packed key's lane.
         self.sdid_bits = self.config.sdid_bits
         self.tags = SkewedTagStore(self.config)
+        self.index_randomizer = self.tags.randomizer
+        #: The tag store's location map (packed key -> tag index).
+        self._where = self.tags._where
         self.data = DataStore(self.config.data_entries, seed=derive_seed(self.config.rng_seed, 3))
         self._rng = make_rng(derive_seed(self.config.rng_seed, 4))
         self.stats = CacheStats()
-        #: Mapping-cache counter snapshot taken at the last stats reset,
-        #: so ``stats.randomizer_*`` report the measured window only.
-        self._mapping_cache_base = (0, 0)
         self.installs = 0
         #: Recently tag-evicted priority-0 lines, for the premature-
         #: eviction measurement (Section V-B): packed
@@ -130,96 +133,42 @@ class MayaCache(LLCache):
         """Maya's one fresh generated step (:func:`~repro.core.maya_step.maya_step`)."""
         return [(self, maya_step(self))]
 
-    def invalidate(self, line_addr: int, sdid: int = 0) -> Optional[EvictedLine]:
-        """Flush one line (clflush semantics for this SDID's copy)."""
-        if sdid >> self.sdid_bits:
-            raise sdid_error(sdid, self.sdid_bits)
-        tag_idx = self.tags.lookup(line_addr, sdid)
-        if tag_idx is None:
-            return None
-        flags = self._drop_tag(tag_idx)
-        if flags & ACC_EVICTED:
-            return victim_line(self, flags)
-        return None
-
     def flush_all(self) -> int:
         """Invalidate every valid tag (and its data); returns count."""
         dropped = 0
         state = self.tags._state
         for tag_idx in range(len(state)):
             if state[tag_idx]:
-                self._drop_tag(tag_idx)
+                self._drop(tag_idx)
                 dropped += 1
         return dropped
 
     def reset_stats(self) -> None:
         """Zero statistics after warm-up, including the premature
         priority-0 eviction tracking (counter and window)."""
-        self.stats.reset()
+        super().reset_stats()
         self.premature_p0_evictions = 0
         self._evicted_p0_window.clear()
-        info = self.tags.randomizer.cache_info()
-        self._mapping_cache_base = (info.hits, info.misses)
-
-    def refresh_mapping_cache_stats(self):
-        """Pull the randomizer's mapping-cache counters into ``stats``.
-
-        Returns the raw :class:`~repro.crypto.randomizer.MappingCacheInfo`;
-        ``stats.randomizer_hits`` / ``stats.randomizer_misses`` are set to
-        the deltas since the last :meth:`reset_stats`.
-        """
-        info = self.tags.randomizer.cache_info()
-        self.stats.randomizer_hits = info.hits - self._mapping_cache_base[0]
-        self.stats.randomizer_misses = info.misses - self._mapping_cache_base[1]
-        return info
-
-    def rekey(self) -> None:
-        """Refresh the randomizing keys and flush (paper key management)."""
-        self.flush_all()
-        self.tags.randomizer.rekey()
-
-    @property
-    def index_randomizer(self):
-        """The :class:`~repro.crypto.randomizer.IndexRandomizer` in use.
-
-        Uniform accessor across randomized designs; the drive loop uses
-        it to decide on (and feed) ahead-of-time index translation.
-        """
-        return self.tags.randomizer
-
-    @property
-    def mapping_cache_capacity(self) -> int:
-        """LRU mapping-cache capacity of the index randomizer."""
-        return self.tags.randomizer.memo_capacity
-
-    def hash_sdid(self, sdid: int) -> int:
-        """Maya hashes the access's own SDID."""
-        return sdid
 
     def contains(self, line_addr: int, sdid: int = 0) -> bool:
         """Is the line resident *with data* (priority-1)?"""
-        if sdid >> self.sdid_bits:
-            raise sdid_error(sdid, self.sdid_bits)
-        tag_idx = self.tags.lookup(line_addr, sdid)
+        tag_idx = self._where.get((line_addr << SDID_SHIFT) | self._lane(sdid))
         return tag_idx is not None and self.tags._state[tag_idx] == _P1
 
     def missing(self, lines, sdid: int = 0) -> list:
         """The lines of ``lines`` without data for ``sdid``, in order: a
         tag-only (priority-0) line is missing, as :meth:`contains` says."""
-        if sdid >> self.sdid_bits:
-            raise sdid_error(sdid, self.sdid_bits)
-        where_get = self.tags._where.get
+        lane = self._lane(sdid)
+        where_get = self._where.get
         state = self.tags._state
         return [
             line for line in lines
-            if (idx := where_get((line << SDID_SHIFT) | sdid)) is None or state[idx] != _P1
+            if (idx := where_get((line << SDID_SHIFT) | lane)) is None or state[idx] != _P1
         ]
 
     def contains_tag(self, line_addr: int, sdid: int = 0) -> bool:
         """Is the line's tag resident at either priority?"""
-        if sdid >> self.sdid_bits:
-            raise sdid_error(sdid, self.sdid_bits)
-        return self.tags.lookup(line_addr, sdid) is not None
+        return super().contains(line_addr, sdid)
 
     # -- internal operations ---------------------------------------------------
 
@@ -244,9 +193,9 @@ class MayaCache(LLCache):
             victim_idx = p0_ways[self._rng.randrange(len(p0_ways))]
         else:
             victim_idx = base + self._rng.randrange(ways)
-        return ACC_SAE | self._drop_tag(victim_idx)
+        return ACC_SAE | self._drop(victim_idx)
 
-    def _drop_tag(self, tag_idx: int) -> int:
+    def _drop(self, tag_idx: int) -> int:
         """Invalidate a tag at either priority, freeing data if present."""
         tags = self.tags
         flags = 0

@@ -28,7 +28,7 @@ rekey/flush mutate every structure in place, so the column bindings
 stay valid across it.  Every store operation keeps its
 ``SimulationError`` check, even one a guard before it already implies.
 The step counts its accesses and its data evictions with the shared
-accounting snippets (``CacheStats.STEP_HIT``/``STEP_MISS``,
+accounting snippets (``CacheStats.step_hit``/``STEP_MISS``,
 :data:`repro.cache.line.STEP_EVICT`) and keeps no per-access state that
 nothing reads.
 """
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from ..cache.line import STEP_EVICT
 from ..cache.stats import CacheStats
+from ..common.addr import SDID_SHIFT
 from ..common.codegen import (
     _draw,
     _indent,
@@ -116,7 +117,7 @@ if n > {P0_CAP}:
     victim = pool[i]
     if victim == slot:
         victim = pool[(i + 1) % n]
-    vkey = (addr_col[victim] << 16) | sdid_col[victim]
+    vkey = (addr_col[victim] << {SDID_SHIFT}) | sdid_col[victim]
     window[vkey] = True
     if len(window) > {WINDOW_SIZE}:
         window_popitem(last=False)
@@ -137,6 +138,12 @@ if n > {P0_CAP}:
     st.tag_evictions += 1
 """
 
+# A priority-1 hit's marks, in CacheStats.step_hit's two arms: a
+# writeback dirties the line; a demand hit marks it reused, and a write
+# dirties it too.
+_WRITEBACK_MARK = "dirty_col[tag_idx] = 1\n"
+_DEMAND_MARKS = "reused_col[tag_idx] = 1\nif is_write:\n    dirty_col[tag_idx] = 1\n"
+
 _MAYA_TEMPLATE = '''\
 # Generated by repro.core.maya_step; do not edit.
 # kind=maya ways={WAYS} sets={SETS} data={DATA_N} memo={MEMO_CAP} p0={P0_CAP} \
@@ -145,7 +152,7 @@ window={WINDOW_SIZE} mix_bits={MIX_BITS} global_tag_eviction={GLOBAL_TAG_EVICTIO
 
 def _bind(llc, SimulationError, SetAssociativeEviction):
     tags = llc.tags
-    rand = tags.randomizer
+    rand = llc.index_randomizer
     st = llc.stats
     state = tags._state
     addr_col = tags._addr
@@ -174,17 +181,11 @@ def _bind(llc, SimulationError, SetAssociativeEviction):
     handle_sae = llc._handle_sae
 
     def access_fast(line_addr, is_write=False, core_id=0, is_writeback=False, sdid=0):
-        key = (line_addr << 16) | sdid
+        key = (line_addr << {SDID_SHIFT}) | sdid
         tag_idx = where_get(key)
         if tag_idx is not None:
             if state[tag_idx] == 2:
 {HIT}
-                if is_writeback:
-                    dirty_col[tag_idx] = 1
-                else:
-                    reused_col[tag_idx] = 1
-                    if is_write:
-                        dirty_col[tag_idx] = 1
                 return 1
 {TAG_HIT_MISS}
             st.tag_only_hits += 1
@@ -294,7 +295,7 @@ def maya_step(llc):
     tags = llc.tags
     ways = tags._ways
     sets = tags._sets
-    rand = tags.randomizer
+    rand = llc.index_randomizer
     data_n = len(llc.data._rptr)
     memo_cap = rand._memo_capacity
     p0_cap = llc.config.priority0_entries
@@ -322,6 +323,7 @@ def maya_step(llc):
             WINDOW_SIZE=window_size,
             MIX_BITS=mix_bits,
             GLOBAL_TAG_EVICTION=global_tag_eviction,
+            SDID_SHIFT=SDID_SHIFT,
         )
         pick = _MAYA_PICK.format(
             LOOKUP=_memo_lookup(memo_cap, mix_bits).rstrip("\n"),
@@ -346,7 +348,7 @@ def maya_step(llc):
             P1_TAG_EVICTION=_indent(tag_eviction, 12),
             P0_PICK=_indent(pick, 8),
             P0_TAG_EVICTION=_indent(tag_eviction, 8),
-            HIT=_indent(CacheStats.STEP_HIT, 16),
+            HIT=_indent(CacheStats.step_hit(_WRITEBACK_MARK, _DEMAND_MARKS), 16),
             TAG_HIT_MISS=_indent(CacheStats.STEP_MISS, 12),
             MISS=_indent(CacheStats.STEP_MISS, 8),
             **subst,

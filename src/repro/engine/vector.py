@@ -393,7 +393,7 @@ class VectorReplay:
         the references) loads nothing.  Returns the number of entries
         installed.
         """
-        if getattr(self._llc, "index_randomizer", None) is None:
+        if self._llc.index_randomizer is None:
             return 0
         installed = 0
         for core, oaddrs in enumerate(self._oaddrs_np):

@@ -147,7 +147,7 @@ def _pretranslate(llc, traces, region: int) -> None:
     SAE-triggered remap) the side table is dropped with the old keys
     and lookups fall back to the live randomizer.
     """
-    randomizer = getattr(llc, "index_randomizer", None)
+    randomizer = llc.index_randomizer
     if randomizer is None or randomizer.algorithm not in PRETRANSLATED:
         return
     for core_id, trace in enumerate(traces):
@@ -278,9 +278,7 @@ def run_mix(
 
         phase(accesses_per_core)
 
-        refresh_mapping_cache = getattr(llc, "refresh_mapping_cache_stats", None)
-        if refresh_mapping_cache is not None:
-            refresh_mapping_cache()
+        llc.refresh_mapping_cache_stats()
     finally:
         # Drop the installed step functions, also when the run raised:
         # the generated closures hold references back to their caches,

@@ -219,8 +219,5 @@ class CacheHierarchy:
         """Zero all statistics (after warm-up) without touching contents."""
         for cache in self.l1 + self.l2:
             cache.stats.reset()
-        if hasattr(self.llc, "reset_stats"):
-            self.llc.reset_stats()
-        else:
-            self.llc.stats.reset()
+        self.llc.reset_stats()
         self.dram.reset_stats()

@@ -13,13 +13,14 @@ experiments, which only care about how many fills share one mapping.
 The per-access protocol lives in :mod:`repro.llc.ceaser_step`: the
 step encrypts the address, runs the inner packed array's step and
 mirrors that array's ``victim_*`` fields before counting the fill
-toward the next remap.  :meth:`CeaserCache.access_fast` binds it and
-the array's on first use (``ACC_*`` flag protocol);
-:meth:`~repro.llc.interface.LLCache.access` wraps it and reports the
-cipher's lookup latency.  The design keeps
-:meth:`~repro.llc.interface.LLCache.hash_sdid`'s default, ``None``: the
-step encrypts inline and never reads the randomizer's side table, so
-nothing premaps or pretranslates for it.
+toward the next remap, which is the shared key refresh
+(:meth:`~repro.llc.interface.LLCache.rekey`).
+:meth:`CeaserCache.access_fast` binds it and the array's on first use
+(``ACC_*`` flag protocol); :meth:`~repro.llc.interface.LLCache.access`
+wraps it and reports the cipher's lookup latency.  The design's
+:meth:`~CeaserCache.hash_sdid` is ``None``: the step encrypts inline and
+never reads the randomizer's side table, so nothing premaps or
+pretranslates for it.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class CeaserCache(LLCache):
     ):
         self.geometry = geometry or PAPER_BASELINE
         self.remap_period = remap_period
-        self._randomizer = IndexRandomizer(
+        self.index_randomizer = IndexRandomizer(
             1, self.geometry.sets, seed=derive_seed(seed, 11), algorithm=hash_algorithm
         )
         self._cache = SetAssociativeCache(
@@ -68,14 +69,11 @@ class CeaserCache(LLCache):
         # a conventional array is behaviourally identical to storing the
         # plaintext tag at the encrypted index.  Bound once: rekey()
         # swaps the keys inside the randomizer.
-        self._encrypt = self._randomizer.encrypt_address
-        self._fills_since_remap = 0
-        self.remaps = 0
+        self._encrypt = self.index_randomizer.encrypt_address
 
-    @property
-    def index_randomizer(self):
-        """The :class:`~repro.crypto.randomizer.IndexRandomizer` in use."""
-        return self._randomizer
+    def hash_sdid(self, sdid: int) -> None:
+        """``None``: the step encrypts inline, so no SDID keys a side table."""
+        return None
 
     #: One access with no allocation; returns ``ACC_*`` flags.  Binds
     #: the generated steps on first use.  The published victim address
@@ -86,17 +84,6 @@ class CeaserCache(LLCache):
         """The inner array's fresh step, then CEASER's own
         (:func:`~repro.llc.ceaser_step.ceaser_step`), which calls it."""
         return self._cache.fresh_steps() + [(self, ceaser_step(self))]
-
-    def remap(self) -> None:
-        """Refresh the key (and flush, in this epoch-remap model)."""
-        self._cache.flush_all()
-        self._randomizer.rekey()
-        self._fills_since_remap = 0
-        self.remaps += 1
-
-    def rekey(self) -> None:
-        """Uniform probe-surface alias for :meth:`remap`."""
-        self.remap()
 
     def invalidate(self, line_addr: int, sdid: int = 0) -> Optional[EvictedLine]:
         return self._cache.invalidate(self._encrypt(line_addr))
@@ -112,7 +99,7 @@ class CeaserCache(LLCache):
         ``"splitmix"``), then one location-map probe per line."""
         lines = list(lines)
         where = self._cache._where
-        tags = self._randomizer.encrypt_addresses(lines)
+        tags = self.index_randomizer.encrypt_addresses(lines)
         return [line for line, tag in zip(lines, tags) if tag not in where]
 
     @property

@@ -27,7 +27,7 @@ _TEMPLATE = '''\
 
 def _bind(llc, SimulationError, SetAssociativeEviction):
     cache = llc._cache
-    rand = llc._randomizer
+    rand = llc.index_randomizer
     encrypt = rand.encrypt_address
 
     def access_fast(line_addr, is_write=False, core_id=0, is_writeback=False, sdid=0):
@@ -42,7 +42,7 @@ def _bind(llc, SimulationError, SetAssociativeEviction):
             llc.victim_reused = cache.victim_reused
         llc._fills_since_remap = fills = llc._fills_since_remap + 1
         if fills >= {REMAP_PERIOD}:
-            llc.remap()
+            llc.rekey()
         return flags
 
     return access_fast
@@ -51,7 +51,7 @@ def _bind(llc, SimulationError, SetAssociativeEviction):
 
 def ceaser_step(llc):
     """The ``access_fast`` closure for a :class:`CeaserCache`."""
-    algorithm = llc._randomizer.algorithm
+    algorithm = llc.index_randomizer.algorithm
     fingerprint = (algorithm, llc.remap_period)
 
     def build() -> str:

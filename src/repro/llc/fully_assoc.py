@@ -12,8 +12,9 @@ last slot into the hole (swap-remove).  The per-access protocol lives
 in :mod:`repro.llc.fully_assoc_step`, which renders it per capacity
 over these columns; :meth:`FullyAssociativeCache.access_fast` binds
 that step on first use (``ACC_*`` flag protocol, victim published via
-the ``victim_*`` fields).  This module keeps invalidation, flush and
-the probe surface.  Behaviour - RNG draw order and every statistics
+the ``victim_*`` fields).  This module keeps the swap-remove drop and
+flush; the probe surface comes from
+:class:`~repro.llc.interface.MappedLLCache`.  Behaviour - RNG draw order and every statistics
 counter included - is bit-identical to the object-model reference in
 ``repro.reference.fully_assoc`` (enforced by the differential tests).
 """
@@ -22,16 +23,16 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..cache.line import EvictedLine, drop_victim, first_access, victim_line
+from ..cache.line import drop_victim, first_access
 from ..cache.stats import CacheStats
-from ..common.addr import SDID_SHIFT, sdid_error
+from ..common.addr import SDID_SHIFT
 from ..common.errors import SimulationError
 from ..common.rng import make_rng
 from .fully_assoc_step import fully_assoc_step
-from .interface import LLCache
+from .interface import MappedLLCache
 
 
-class FullyAssociativeCache(LLCache):
+class FullyAssociativeCache(MappedLLCache):
     """Fully-associative, random-replacement cache of ``capacity_lines``."""
 
     extra_lookup_latency = 0
@@ -48,7 +49,7 @@ class FullyAssociativeCache(LLCache):
         self._core = [-1] * capacity_lines
         self._dirty = bytearray(capacity_lines)
         self._reused = bytearray(capacity_lines)
-        #: packed (line_addr << 16 | sdid) -> slot.
+        #: packed (line_addr << SDID_SHIFT | sdid) -> slot.
         self._where: Dict[int, int] = {}
         self.stats = CacheStats()
 
@@ -60,13 +61,13 @@ class FullyAssociativeCache(LLCache):
         """The one fresh generated step (:func:`~repro.llc.fully_assoc_step.fully_assoc_step`)."""
         return [(self, fully_assoc_step(self))]
 
-    def _remove_at(self, pos: int) -> int:
+    def _drop(self, pos: int) -> int:
         addr = self._addr[pos]
         sd = self._sdid[pos]
         flags = drop_victim(self, addr, self._core[pos], sd, self._dirty[pos], self._reused[pos])
         last = self._size - 1
         self._size = last
-        del self._where[(addr << 16) | sd]
+        del self._where[(addr << SDID_SHIFT) | sd]
         if pos < last:
             # Swap-remove: the last slot fills the hole.
             moved_addr = self._addr[last]
@@ -76,40 +77,15 @@ class FullyAssociativeCache(LLCache):
             self._core[pos] = self._core[last]
             self._dirty[pos] = self._dirty[last]
             self._reused[pos] = self._reused[last]
-            self._where[(moved_addr << 16) | moved_sdid] = pos
+            self._where[(moved_addr << SDID_SHIFT) | moved_sdid] = pos
         return flags
-
-    def invalidate(self, line_addr: int, sdid: int = 0) -> Optional[EvictedLine]:
-        if sdid >> SDID_SHIFT:
-            raise sdid_error(sdid)
-        pos = self._where.get((line_addr << SDID_SHIFT) | sdid)
-        if pos is None:
-            return None
-        return victim_line(self, self._remove_at(pos))
 
     def flush_all(self) -> int:
         count = self._size
         while self._size:
-            self._remove_at(self._size - 1)
+            self._drop(self._size - 1)
         return count
-
-    def contains(self, line_addr: int, sdid: int = 0) -> bool:
-        if sdid >> SDID_SHIFT:
-            raise sdid_error(sdid)
-        return ((line_addr << SDID_SHIFT) | sdid) in self._where
-
-    def missing(self, lines, sdid: int = 0) -> list:
-        if sdid >> SDID_SHIFT:
-            raise sdid_error(sdid)
-        where = self._where
-        return [line for line in lines if ((line << SDID_SHIFT) | sdid) not in where]
 
     @property
     def occupancy(self) -> int:
         return self._size
-
-    def occupancy_by_core(self) -> Dict[int, int]:
-        counts: Dict[int, int] = {}
-        for core in self._core[: self._size]:
-            counts[core] = counts.get(core, 0) + 1
-        return counts

@@ -6,7 +6,7 @@ protocol: the hit, and on a miss into a full cache the uniformly random
 victim, its drop and the swap-remove that moves the last slot into the
 hole, then the install into the last slot.  The capacity, the victim
 draw's bound, renders as a literal; the access and the victim are
-counted by the shared accounting snippets (``CacheStats.STEP_HIT``/
+counted by the shared accounting snippets (``CacheStats.step_hit``/
 ``STEP_MISS``, :data:`repro.cache.line.STEP_EVICT`).
 :meth:`FullyAssociativeCache.access_fast` binds the step on first use;
 :mod:`repro.engine.specialize` installs a releasable one.  The oracle
@@ -18,10 +18,16 @@ from __future__ import annotations
 
 from ..cache.line import STEP_EVICT
 from ..cache.stats import CacheStats
+from ..common.addr import SDID_SHIFT
 from ..common.codegen import _draw, _indent, bind_template, compiled_template
 
 # ACC literals: HIT=1, EVICTED=2, EVICTED|DIRTY=6.  A full cache holds
 # exactly ``capacity`` lines, so the victim draw's bound is a literal.
+
+# A hit's marks, in CacheStats.step_hit's two arms: a writeback dirties
+# the line; a demand hit marks it reused, and a write dirties it too.
+_WRITEBACK_MARK = "dirty_col[pos] = 1\n"
+_DEMAND_MARKS = "reused_col[pos] = 1\nif is_write:\n    dirty_col[pos] = 1\n"
 _TEMPLATE = '''\
 # Generated by repro.llc.fully_assoc_step; do not edit.
 # kind=fully_assoc capacity={CAPACITY}
@@ -39,16 +45,10 @@ def _bind(llc, SimulationError, SetAssociativeEviction):
     rng_getrandbits = llc._rng.getrandbits
 
     def access_fast(line_addr, is_write=False, core_id=0, is_writeback=False, sdid=0):
-        key = (line_addr << 16) | sdid
+        key = (line_addr << {SDID_SHIFT}) | sdid
         pos = where_get(key)
         if pos is not None:
 {HIT}
-            if is_writeback:
-                dirty_col[pos] = 1
-            else:
-                reused_col[pos] = 1
-                if is_write:
-                    dirty_col[pos] = 1
             return 1
 {MISS}
         flags = 0
@@ -62,7 +62,7 @@ def _bind(llc, SimulationError, SetAssociativeEviction):
             vreused = reused_col[vpos]
 {EVICT}
             pos -= 1
-            del where[(vaddr << 16) | vsd]
+            del where[(vaddr << {SDID_SHIFT}) | vsd]
             if vpos < pos:
                 moved_addr = addr_col[pos]
                 moved_sdid = sdid_col[pos]
@@ -71,7 +71,7 @@ def _bind(llc, SimulationError, SetAssociativeEviction):
                 core_col[vpos] = core_col[pos]
                 dirty_col[vpos] = dirty_col[pos]
                 reused_col[vpos] = reused_col[pos]
-                where[(moved_addr << 16) | moved_sdid] = vpos
+                where[(moved_addr << {SDID_SHIFT}) | moved_sdid] = vpos
         addr_col[pos] = line_addr
         sdid_col[pos] = sdid
         core_col[pos] = core_id
@@ -92,8 +92,9 @@ def fully_assoc_step(llc):
     def build() -> str:
         return _TEMPLATE.format(
             CAPACITY=capacity,
+            SDID_SHIFT=SDID_SHIFT,
             VICTIM_DRAW=_indent(_draw("vpos", capacity, "rng_getrandbits"), 12),
-            HIT=_indent(CacheStats.STEP_HIT, 12),
+            HIT=_indent(CacheStats.step_hit(_WRITEBACK_MARK, _DEMAND_MARKS), 12),
             MISS=_indent(CacheStats.STEP_MISS, 8),
             EVICT=_indent(STEP_EVICT, 12),
         )

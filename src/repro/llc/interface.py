@@ -10,10 +10,23 @@ and in :mod:`repro.cache.line`.  A design names its fresh
 first-use binder (:func:`repro.cache.line.first_access`) as its
 class-level ``access_fast``; :class:`LLCache` supplies the object
 :meth:`~LLCache.access` around the step (with the design's
-:attr:`~LLCache.sdid_bits` check), the ``victim_*`` defaults, and
-:meth:`~LLCache.premap`, keyed by the one SDID rule a design states
-(:meth:`~LLCache.hash_sdid`).  Maintenance drops publish and count
-their victims through :func:`repro.cache.line.drop_victim`.
+:attr:`~LLCache.sdid_bits` check) and the ``victim_*`` defaults.
+Maintenance drops publish and count their victims through
+:func:`repro.cache.line.drop_victim`.
+
+A design states two facts about its mapping, and :class:`LLCache`
+derives the rest from them once: its keyed randomizer,
+:attr:`~LLCache.index_randomizer` (``None`` for a conventionally
+indexed design), and the SDID its hash mixes in,
+:meth:`~LLCache.hash_sdid`.  From them come the batch mapping ahead of
+a load (:meth:`~LLCache.premap`, :meth:`~LLCache.drop_premap`), the
+one key refresh (:meth:`~LLCache.rekey`, :func:`supports_rekey`), and
+the randomizer's memo counters in the design's statistics over the
+measured window (:meth:`~LLCache.reset_stats`,
+:meth:`~LLCache.refresh_mapping_cache_stats`).  A design whose resident
+lines sit in one location map keyed by ``hash_sdid`` subclasses
+:class:`MappedLLCache`, which derives ``contains``, ``missing``,
+``invalidate`` and ``occupancy_by_core`` from the map.
 
 The attack harnesses load lines in bulk through :func:`access_lines`:
 a generated sweep kernel around the design's step (:func:`access_step`
@@ -22,20 +35,30 @@ for a library design's generated step and calls any other step - the
 partitioned routers', a reference model's - once per touch.  They
 derive a fresh batch's set mappings in one pass first
 (:meth:`LLCache.premap`) and drop them once the batch is installed
-(:func:`drop_premap`).
+(:meth:`LLCache.drop_premap`).
 """
 
 from __future__ import annotations
 
 import abc
 import functools
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Optional, Tuple
 
-from ..cache.line import AccessResult, EvictedLine, access_result, bind_steps, first_access
+from ..cache.line import (
+    ACC_EVICTED,
+    AccessResult,
+    EvictedLine,
+    access_result,
+    bind_steps,
+    first_access,
+    victim_line,
+)
 from ..cache.stats import CacheStats
 from ..common import codegen
-from ..common.addr import sdid_error
+from ..common.addr import SDID_SHIFT, sdid_error
+
+if TYPE_CHECKING:
+    from ..crypto.randomizer import IndexRandomizer, MappingCacheInfo
 
 
 class LLCache(abc.ABC):
@@ -50,7 +73,9 @@ class LLCache(abc.ABC):
     * ``access_fast`` - the allocation-free step (``ACC_*`` flags,
       victim in the ``victim_*`` fields) that :meth:`access` wraps; a
       library design takes :func:`~repro.cache.line.first_access` and
-      names its steps in ``fresh_steps()``.
+      names its steps in ``fresh_steps()``,
+    * :attr:`index_randomizer` and :meth:`hash_sdid` - the two facts
+      about its mapping that the rest of this class derives from.
     """
 
     extra_lookup_latency: int = 0
@@ -58,6 +83,19 @@ class LLCache(abc.ABC):
     #: The SDID width :meth:`access` accepts, or ``None`` for a design
     #: that takes any SDID.
     sdid_bits: Optional[int] = None
+    #: The design's keyed :class:`~repro.crypto.randomizer.IndexRandomizer`,
+    #: set in ``__init__`` by Maya, Mirage, CEASER-S/Scatter-Cache and
+    #: CEASER; ``None`` for a conventionally indexed design, which has
+    #: no keys to refresh.
+    index_randomizer: Optional["IndexRandomizer"] = None
+    #: Key refreshes so far, and fills since the last one (what a
+    #: remapping step counts toward its period); :meth:`rekey` keeps both.
+    remaps = 0
+    _fills_since_remap = 0
+    #: The randomizer's memo ``(hits, misses)`` at the last
+    #: :meth:`reset_stats`, so ``stats.randomizer_*`` cover the measured
+    #: window only.
+    _randomizer_base = (0, 0)
 
     # Victim fields of the access_fast protocol (valid until the next
     # access after a result with ACC_EVICTED set).
@@ -81,11 +119,15 @@ class LLCache(abc.ABC):
         the design's :attr:`extra_lookup_latency`.  Unlike the step, it
         rejects an SDID wider than :attr:`sdid_bits`.
         """
+        self._check_sdid(sdid)
+        flags = self.access_fast(line_addr, is_write, core_id, is_writeback, sdid)
+        return access_result(self, flags, self.extra_lookup_latency)
+
+    def _check_sdid(self, sdid: int) -> None:
+        """Reject an SDID wider than :attr:`sdid_bits`."""
         bits = self.sdid_bits
         if bits is not None and sdid >> bits:
             raise sdid_error(sdid, bits)
-        flags = self.access_fast(line_addr, is_write, core_id, is_writeback, sdid)
-        return access_result(self, flags, self.extra_lookup_latency)
 
     @abc.abstractmethod
     def invalidate(self, line_addr: int, sdid: int = 0) -> Optional[EvictedLine]:
@@ -122,21 +164,26 @@ class LLCache(abc.ABC):
         :meth:`contains` call per line.  This default is exactly
         ``[line for line in lines if not contains(line, sdid)]``; the
         packed designs override it with one pass over their location
-        map, and must raise what :meth:`contains` raises.
+        map (:class:`MappedLLCache`), and must raise what
+        :meth:`contains` raises.
         """
         contains = self.contains
         return [line for line in lines if not contains(line, sdid)]
 
+    # -- the mapping: two stated facts, the rest derived --------------------
+
     def hash_sdid(self, sdid: int) -> Optional[int]:
         """The SDID the design's hash mixes in for an access in ``sdid``.
 
-        ``None`` (this default) for a design whose steps never read its
-        randomizer's side table: the set-indexed baseline, CEASER
-        (whose step encrypts inline), the fully-associative cache and
-        the partitioned designs.  :meth:`premap` and ``run_mix``'s
-        ahead-of-time translation key the side table by it.
+        This default is the access's own SDID: Maya, Mirage and
+        Scatter-Cache map each domain apart.  CEASER-S maps every domain
+        as ``0``, and CEASER says ``None``: its step encrypts inline and
+        never reads the randomizer's side table.  It is also the SDID
+        lane of a location map's keys (:class:`MappedLLCache`).
+        :meth:`premap` and ``run_mix``'s ahead-of-time translation key
+        the side table by it.
         """
-        return None
+        return sdid
 
     def premap(self, lines, sdid: int = 0) -> int:
         """Derive the set mappings of ``lines`` for ``sdid`` ahead of their loads.
@@ -147,36 +194,122 @@ class LLCache(abc.ABC):
         memo reads its mapping there instead of computing it.  The miss
         is still counted and the memo filled in the same order, so
         premapping changes no statistic, placement or random draw.
-        Returns the number of entries loaded: none for a design whose
-        :meth:`hash_sdid` is ``None``.
+        Returns the number of entries loaded: none for a design without
+        an :attr:`index_randomizer` or whose :meth:`hash_sdid` is ``None``.
         """
+        rand = self.index_randomizer
         hash_sdid = self.hash_sdid(sdid)
-        if hash_sdid is None:
+        if rand is None or hash_sdid is None:
             return 0
-        return self.index_randomizer.premap(lines, hash_sdid)
+        return rand.premap(lines, hash_sdid)
+
+    def drop_premap(self) -> None:
+        """Drop what :meth:`premap` loaded, once its lines are installed:
+        the randomizer's side table (``clear_precomputed``)."""
+        rand = self.index_randomizer
+        if rand is not None:
+            rand.clear_precomputed()
 
     def rekey(self) -> None:
-        """Refresh the design's mapping keys, if it has any.
+        """Refresh the mapping keys: flush, re-key the randomizer, restart
+        the fill count toward the next remap and count the remap.
 
-        The base implementation is a no-op: a conventionally indexed
-        cache has no keys to refresh.  Randomized designs override this
-        (Maya/Mirage flush + draw fresh keys; CEASER-style designs
-        alias their epoch remap), so campaign code can sweep rekey
-        periods without per-design branches.
+        The one key refresh of every randomized design: the campaign's
+        rekey periods, Maya's SAE response (``on_sae="rekey"``) and the
+        CEASER and CEASER-S epoch remaps all run it.  The flush goes
+        through the design's own ``flush_all``, which counts each dirty
+        line it drops in ``dirty_evictions`` but writes nothing to DRAM
+        (the epoch model's simplification).  The randomizer clears its
+        memo and side table in place and the steps read its keys per
+        miss, so a bound step stays valid.  Raises :class:`TypeError` on
+        a design without an :attr:`index_randomizer`.
         """
+        rand = self.index_randomizer
+        if rand is None:
+            raise TypeError(f"{type(self).__name__} has no mapping keys to refresh")
+        self.flush_all()
+        rand.rekey()
+        self._fills_since_remap = 0
+        self.remaps += 1
+
+    def reset_stats(self) -> None:
+        """Zero the statistics after warm-up without touching contents;
+        the randomizer's memo counters start their window here too."""
+        self.stats.reset()
+        rand = self.index_randomizer
+        if rand is not None:
+            info = rand.cache_info()
+            self._randomizer_base = (info.hits, info.misses)
+
+    def refresh_mapping_cache_stats(self) -> Optional["MappingCacheInfo"]:
+        """Pull the randomizer's mapping-cache counters into ``stats``.
+
+        ``stats.randomizer_hits`` / ``stats.randomizer_misses`` become
+        the deltas since the last :meth:`reset_stats`.  Returns the raw
+        :class:`~repro.crypto.randomizer.MappingCacheInfo`, or ``None``
+        for a design without an :attr:`index_randomizer`.
+        """
+        rand = self.index_randomizer
+        if rand is None:
+            return None
+        info = rand.cache_info()
+        hits, misses = self._randomizer_base
+        self.stats.randomizer_hits = info.hits - hits
+        self.stats.randomizer_misses = info.misses - misses
+        return info
 
 
-@dataclass(frozen=True)
-class ProbeSurface:
-    """What one design exposes to an attacker, uniformly.
+class MappedLLCache(LLCache):
+    """An :class:`LLCache` whose resident lines sit in one location map.
 
-    Built by :func:`probe_surface`; the campaign runner uses it to size
-    priming footprints and decide which attack variants apply.
+    A subclass keeps ``_where``, the map from each resident line's
+    packed key ``(line_addr << SDID_SHIFT) | hash_sdid(sdid)`` to its
+    slot, ``_core``, each slot's owning core, and ``_drop(slot)``,
+    which drops a resident line through
+    :func:`~repro.cache.line.drop_victim` and returns the ``ACC_*``
+    flags.  This class derives the probe surface from them:
+    :meth:`contains`, :meth:`missing`, :meth:`invalidate` and
+    :meth:`occupancy_by_core`, each rejecting an SDID the design cannot
+    hold with the error :meth:`~LLCache.access` raises.  Mirage,
+    CEASER-S/Scatter-Cache and the fully-associative cache take all
+    four; Maya, whose map is its tag store's, keeps its priority-1 rule
+    for the other three.
     """
 
-    capacity_lines: int  #: data entries an attacker can hope to occupy
-    index_public: bool  #: can the attacker compute set indices from addresses?
-    supports_rekey: bool  #: does :meth:`LLCache.rekey` change the mapping?
+    _where: Dict[int, int]
+    _core: list
+
+    @abc.abstractmethod
+    def _drop(self, slot: int) -> int:
+        """Drop the resident line in ``slot``; returns its ``ACC_*`` flags."""
+
+    def _lane(self, sdid: int) -> int:
+        """The SDID lane of ``sdid``'s location-map keys, after the
+        check :meth:`~LLCache.access` makes."""
+        self._check_sdid(sdid)
+        return self.hash_sdid(sdid)
+
+    def contains(self, line_addr: int, sdid: int = 0) -> bool:
+        return ((line_addr << SDID_SHIFT) | self._lane(sdid)) in self._where
+
+    def missing(self, lines, sdid: int = 0) -> list:
+        lane = self._lane(sdid)
+        where = self._where
+        return [line for line in lines if ((line << SDID_SHIFT) | lane) not in where]
+
+    def invalidate(self, line_addr: int, sdid: int = 0) -> Optional[EvictedLine]:
+        slot = self._where.get((line_addr << SDID_SHIFT) | self._lane(sdid))
+        if slot is None:
+            return None
+        flags = self._drop(slot)
+        return victim_line(self, flags) if flags & ACC_EVICTED else None
+
+    def occupancy_by_core(self) -> Dict[int, int]:
+        counts: Dict[int, int] = {}
+        core = self._core
+        for slot in self._where.values():
+            counts[core[slot]] = counts.get(core[slot], 0) + 1
+        return counts
 
 
 def attack_capacity(llc) -> int:
@@ -291,32 +424,14 @@ def access_lines(llc):
     return kernel, reason
 
 
-def drop_premap(llc) -> None:
-    """Drop what :meth:`LLCache.premap` loaded, once its lines are
-    installed: the side table of the design's ``index_randomizer``
-    (``clear_precomputed``), if it has one."""
-    rand = getattr(llc, "index_randomizer", None)
-    if rand is not None:
-        rand.clear_precomputed()
-
-
 def supports_rekey(llc) -> bool:
-    """Does ``llc`` have a real key refresh (not the base no-op)?"""
-    rekey = getattr(type(llc), "rekey", None)
-    return rekey is not None and rekey is not LLCache.rekey
+    """Does ``llc`` have mapping keys to refresh (:meth:`LLCache.rekey`)?
 
-
-def design_rekey(llc) -> None:
-    """Invoke the design's key refresh; raises if it has none."""
-    if not supports_rekey(llc):
-        raise TypeError(f"{type(llc).__name__} has no mapping keys to refresh")
-    llc.rekey()
-
-
-def probe_surface(llc) -> ProbeSurface:
-    """The uniform attacker-facing description of one design."""
-    return ProbeSurface(
-        capacity_lines=attack_capacity(llc),
-        index_public=hasattr(llc, "set_index"),
-        supports_rekey=supports_rekey(llc),
-    )
+    A design does when it has an :attr:`~LLCache.index_randomizer`.  An
+    object outside the :class:`LLCache` family - the Maya object model
+    in :mod:`repro.reference.maya`, a wrapper - does when its class
+    defines a ``rekey`` (an attribute a wrapper forwards does not count).
+    """
+    if isinstance(llc, LLCache):
+        return llc.index_randomizer is not None
+    return hasattr(type(llc), "rekey")

@@ -17,8 +17,10 @@ core, FPTR, dirty/reused bits).  The per-access protocol lives in
 :mod:`repro.llc.mirage_step`, which renders it per configuration over
 these columns.  :meth:`MirageCache.access_fast` binds that step on
 first use; it returns an ``ACC_*`` flag int and publishes any victim
-through the ``victim_*`` instance fields.  This module keeps
-invalidation, flush, rekey and introspection.  Only the deployed
+through the ``victim_*`` instance fields.  This module keeps the tag
+drop, flush and introspection; the probe surface, the key refresh and
+the randomizer's counters come from
+:class:`~repro.llc.interface.MappedLLCache`.  Only the deployed
 configuration is modelled: two skews with load-aware skew selection.
 The object-model reference in ``repro.reference.mirage`` also keeps
 more skews and random skew selection; the skew-selection ablation runs
@@ -30,19 +32,19 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..cache.line import EvictedLine, drop_victim, first_access, victim_line
+from ..cache.line import drop_victim, first_access
 from ..cache.stats import CacheStats
-from ..common.addr import SDID_SHIFT, sdid_error
+from ..common.addr import SDID_SHIFT
 from ..common.config import MirageConfig
 from ..common.errors import SimulationError
 from ..common.rng import derive_seed, make_rng
 from ..core.data_store import DataStore
 from ..crypto.randomizer import DEFAULT_MEMO_CAPACITY, IndexRandomizer
-from .interface import LLCache
+from .interface import MappedLLCache
 from .mirage_step import mirage_step
 
 
-class MirageCache(LLCache):
+class MirageCache(MappedLLCache):
     """Functional Mirage model (v2 'MIRAGE' with global evictions).
 
     Only the paper's two skews are supported; skew selection is always
@@ -64,7 +66,7 @@ class MirageCache(LLCache):
         cfg = self.config
         self._ways = cfg.ways_per_skew
         self._sets = cfg.sets_per_skew
-        self.randomizer = IndexRandomizer(
+        self.index_randomizer = IndexRandomizer(
             cfg.skews,
             cfg.sets_per_skew,
             seed=derive_seed(cfg.rng_seed, 31),
@@ -89,7 +91,7 @@ class MirageCache(LLCache):
         self._fptr = [-1] * total
         # Flat list indexed ``skew * sets + set_idx`` (== tag_idx // ways).
         self._valid_count = [0] * (2 * self._sets)
-        #: packed (line_addr << 16 | sdid) -> tag index.
+        #: packed (line_addr << SDID_SHIFT | sdid) -> tag index.
         self._where: Dict[int, int] = {}
         self.data = DataStore(cfg.data_entries, seed=derive_seed(cfg.rng_seed, 33))
         self.stats = CacheStats()
@@ -105,7 +107,7 @@ class MirageCache(LLCache):
         """Mirage's one fresh generated step (:func:`~repro.llc.mirage_step.mirage_step`)."""
         return [(self, mirage_step(self))]
 
-    def _drop_tag(self, tag_idx: int) -> int:
+    def _drop(self, tag_idx: int) -> int:
         if not self._valid[tag_idx]:
             raise SimulationError("dropping an invalid Mirage tag")
         addr = self._addr[tag_idx]
@@ -115,7 +117,7 @@ class MirageCache(LLCache):
         )
         self.data.free(self._fptr[tag_idx])
         self._valid_count[tag_idx // self._ways] -= 1
-        del self._where[(addr << 16) | sd]
+        del self._where[(addr << SDID_SHIFT) | sd]
         # Only the validity and FPTR columns are cleared: every reader
         # gates on them (or on ``_where``), and a refill overwrites the
         # rest, so further resets would be wasted stores.
@@ -125,73 +127,19 @@ class MirageCache(LLCache):
 
     # -- maintenance -----------------------------------------------------------
 
-    def invalidate(self, line_addr: int, sdid: int = 0) -> Optional[EvictedLine]:
-        if sdid >> SDID_SHIFT:
-            raise sdid_error(sdid)
-        tag_idx = self._where.get((line_addr << SDID_SHIFT) | sdid)
-        if tag_idx is None:
-            return None
-        return victim_line(self, self._drop_tag(tag_idx))
-
     def flush_all(self) -> int:
         # Insertion order of the location map, matching the reference
         # model exactly (the order the data entries return to the free
         # list is observable through later allocations).
         count = 0
         for tag_idx in list(self._where.values()):
-            self._drop_tag(tag_idx)
+            self._drop(tag_idx)
             count += 1
         return count
-
-    def contains(self, line_addr: int, sdid: int = 0) -> bool:
-        if sdid >> SDID_SHIFT:
-            raise sdid_error(sdid)
-        return ((line_addr << SDID_SHIFT) | sdid) in self._where
-
-    def missing(self, lines, sdid: int = 0) -> list:
-        if sdid >> SDID_SHIFT:
-            raise sdid_error(sdid)
-        where = self._where
-        return [line for line in lines if ((line << SDID_SHIFT) | sdid) not in where]
-
-    def rekey(self) -> None:
-        """Refresh the randomizing keys and flush (key management).
-
-        Mirrors :meth:`repro.core.maya_cache.MayaCache.rekey`; the
-        randomizer clears its memo and side table in place and the step
-        reads the mixer keys per miss, so a bound step stays valid.
-        """
-        self.flush_all()
-        self.randomizer.rekey()
-
-    @property
-    def index_randomizer(self):
-        """The :class:`~repro.crypto.randomizer.IndexRandomizer` in use.
-
-        Uniform accessor across randomized designs; the drive loop uses
-        it to decide on (and feed) ahead-of-time index translation.
-        """
-        return self.randomizer
-
-    @property
-    def mapping_cache_capacity(self) -> int:
-        """LRU mapping-cache capacity of the index randomizer."""
-        return self.randomizer.memo_capacity
-
-    def hash_sdid(self, sdid: int) -> int:
-        """Mirage hashes the access's own SDID."""
-        return sdid
 
     @property
     def occupancy(self) -> int:
         return self.data.used
-
-    def occupancy_by_core(self) -> Dict[int, int]:
-        counts: Dict[int, int] = {}
-        core = self._core
-        for tag_idx in self._where.values():
-            counts[core[tag_idx]] = counts.get(core[tag_idx], 0) + 1
-        return counts
 
     def resident_unreused(self) -> int:
         """Still-resident never-reused lines (Fig. 1 accounting)."""

@@ -7,7 +7,7 @@ skew pick (a random tie-break on equal loads), the SAE branch (the one
 configured arm: count, or raise) and the install.  The drop-tag body is
 expanded at both eviction sites exactly as the object model sequences
 it; the access and each dropped tag are counted by the shared
-accounting snippets (``CacheStats.STEP_HIT``/``STEP_MISS``,
+accounting snippets (``CacheStats.step_hit``/``STEP_MISS``,
 :data:`repro.cache.line.STEP_EVICT`).  :func:`mirage_step` renders
 the step as Python source with the ways, sets, data-store size and
 memo capacity inlined as literals, compiles it once per configuration
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from ..cache.line import STEP_EVICT
 from ..cache.stats import CacheStats
+from ..common.addr import SDID_SHIFT
 from ..common.codegen import (
     _draw,
     _indent,
@@ -59,14 +60,16 @@ if rptr[fp] == -1:
 rptr[fp] = -1
 free_append(fp)
 valid_count[vt // {WAYS}] -= 1
-del where[(vaddr << 16) | vsd]
+del where[(vaddr << {SDID_SHIFT}) | vsd]
 valid[vt] = 0
 fptr_col[vt] = -1
 """
 
 
 def _drop_tag(tag_expr: str, ways: int) -> str:
-    return _DROP_TAG.format(TAG=tag_expr, STEP_EVICT=STEP_EVICT.rstrip("\n"), WAYS=ways)
+    return _DROP_TAG.format(
+        TAG=tag_expr, STEP_EVICT=STEP_EVICT.rstrip("\n"), WAYS=ways, SDID_SHIFT=SDID_SHIFT
+    )
 
 
 _SAE_RAISE = """\
@@ -83,6 +86,11 @@ _SAE_COUNT = """\
             flags |= 16
             slot = valid.find(0, base, base + {WAYS})
 """
+
+# A hit's marks, in CacheStats.step_hit's two arms: a writeback dirties
+# the line; a demand hit marks it reused, and a write dirties it too.
+_WRITEBACK_MARK = "dirty_col[tag_idx] = 1\n"
+_DEMAND_MARKS = "reused_col[tag_idx] = 1\nif is_write:\n    dirty_col[tag_idx] = 1\n"
 
 # ACC literals: HIT=1, EVICTED=2, EVICTED|DIRTY=6, SAE=16.
 _TEMPLATE = '''\
@@ -103,7 +111,7 @@ def _bind(llc, SimulationError, SetAssociativeEviction):
     valid_count = llc._valid_count
     where = llc._where
     where_get = where.get
-    rand = llc.randomizer
+    rand = llc.index_randomizer
     memo = rand._memo
     memo_pop = memo.pop
     precomputed_get = rand._precomputed.get
@@ -117,16 +125,10 @@ def _bind(llc, SimulationError, SetAssociativeEviction):
     data_getrandbits = data._rng.getrandbits
 
     def access_fast(line_addr, is_write=False, core_id=0, is_writeback=False, sdid=0):
-        key = (line_addr << 16) | sdid
+        key = (line_addr << {SDID_SHIFT}) | sdid
         tag_idx = where_get(key)
         if tag_idx is not None:
 {HIT}
-            if is_writeback:
-                dirty_col[tag_idx] = 1
-            else:
-                reused_col[tag_idx] = 1
-                if is_write:
-                    dirty_col[tag_idx] = 1
             return 1
 {MISS}
         flags = 0
@@ -178,7 +180,7 @@ def _bind(llc, SimulationError, SetAssociativeEviction):
 def mirage_step(llc):
     """The ``access_fast`` closure for a :class:`MirageCache`."""
     data_n = len(llc.data._rptr)
-    rand = llc.randomizer
+    rand = llc.index_randomizer
     memo_cap = rand._memo_capacity
     mix_bits = rand._index_bits if rand._algorithm == "splitmix" else None
     fingerprint = (llc._ways, llc._sets, data_n, memo_cap, mix_bits, llc._on_sae)
@@ -191,6 +193,7 @@ def mirage_step(llc):
             MEMO_CAP=memo_cap,
             MIX_BITS=mix_bits,
             ON_SAE=llc._on_sae,
+            SDID_SHIFT=SDID_SHIFT,
         )
         if llc._on_sae == "raise":
             sae = _SAE_RAISE
@@ -206,7 +209,7 @@ def mirage_step(llc):
             LOOKUP=_indent(_memo_lookup(memo_cap, mix_bits), 8),
             TIE_DRAW=_indent(_draw("skew", 2, "rng_getrandbits"), 12),
             SAE=sae.rstrip("\n"),
-            HIT=_indent(CacheStats.STEP_HIT, 12),
+            HIT=_indent(CacheStats.step_hit(_WRITEBACK_MARK, _DEMAND_MARKS), 12),
             MISS=_indent(CacheStats.STEP_MISS, 8),
             **subst,
         )

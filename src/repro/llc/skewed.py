@@ -14,8 +14,11 @@ per-access protocol lives in :mod:`repro.llc.skewed_step`, which
 renders it per configuration over these columns;
 :meth:`SkewedRandomizedCache.access_fast` binds that step on first use
 (``ACC_*`` flag protocol, victim published via the ``victim_*``
-fields).  This module keeps invalidation, flush, remap and the probe
-surface.  Only the deployed two-skew arrangement is modelled; the
+fields).  This module keeps the slot drop, flush and the hash-SDID
+rule; the probe surface, the remap (:meth:`~repro.llc.interface.LLCache.rekey`)
+and the randomizer's counters come from
+:class:`~repro.llc.interface.MappedLLCache`.  Only the deployed
+two-skew arrangement is modelled; the
 reference in ``repro.reference.skewed`` also keeps more skews.
 Behaviour - RNG draw order and every statistics counter included - is
 bit-identical to that reference (enforced by the differential tests).
@@ -25,20 +28,20 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..cache.line import CoherenceState, EvictedLine, drop_victim, first_access, victim_line
+from ..cache.line import CoherenceState, drop_victim, first_access
 from ..cache.stats import CacheStats
-from ..common.addr import SDID_SHIFT, sdid_error
+from ..common.addr import SDID_SHIFT
 from ..common.config import CacheGeometry
 from ..common.errors import ConfigurationError
 from ..common.rng import derive_seed, make_rng
 from ..crypto.randomizer import IndexRandomizer
-from .interface import LLCache
+from .interface import MappedLLCache
 from .skewed_step import skewed_step
 
 _DIRTY_MIN = CoherenceState.OWNED.value
 
 
-class SkewedRandomizedCache(LLCache):
+class SkewedRandomizedCache(MappedLLCache):
     """Two-skew randomized LLC with random skew selection.
 
     Parameters
@@ -70,7 +73,7 @@ class SkewedRandomizedCache(LLCache):
         self.sets_per_skew = geometry.sets
         self.use_sdid_in_hash = use_sdid_in_hash
         self.remap_period = remap_period
-        self._randomizer = IndexRandomizer(
+        self.index_randomizer = IndexRandomizer(
             2, geometry.sets, seed=derive_seed(seed, 21), algorithm=hash_algorithm
         )
         self._rng = make_rng(derive_seed(seed, 22))
@@ -82,16 +85,9 @@ class SkewedRandomizedCache(LLCache):
         self._core = [-1] * total
         self._sdid = [0] * total
         self._reused = bytearray(total)
-        #: packed (line_addr << 16 | hashed SDID) -> slot index.
+        #: packed (line_addr << SDID_SHIFT | hashed SDID) -> slot index.
         self._where: Dict[int, int] = {}
         self.stats = CacheStats()
-        self._fills_since_remap = 0
-        self.remaps = 0
-
-    @property
-    def index_randomizer(self):
-        """The :class:`~repro.crypto.randomizer.IndexRandomizer` in use."""
-        return self._randomizer
 
     def hash_sdid(self, sdid: int) -> int:
         """The access's own SDID for Scatter-Cache, ``0`` for CEASER-S."""
@@ -111,30 +107,11 @@ class SkewedRandomizedCache(LLCache):
         flags = drop_victim(
             self, addr, self._core[idx], sd, self._state[idx] >= _DIRTY_MIN, self._reused[idx]
         )
-        del self._where[(addr << 16) | (sd if self.use_sdid_in_hash else 0)]
+        del self._where[(addr << SDID_SHIFT) | self.hash_sdid(sd)]
         # Only the state column is cleared: every reader gates on it (or
         # on ``_where``), and a refill overwrites the other columns.
         self._state[idx] = 0
         return flags
-
-    def remap(self) -> None:
-        """Re-key both skews (epoch model: flush + new keys)."""
-        self.flush_all()
-        self._randomizer.rekey()
-        self._fills_since_remap = 0
-        self.remaps += 1
-
-    def rekey(self) -> None:
-        """Uniform probe-surface alias for :meth:`remap`."""
-        self.remap()
-
-    def invalidate(self, line_addr: int, sdid: int = 0) -> Optional[EvictedLine]:
-        if sdid >> SDID_SHIFT:
-            raise sdid_error(sdid)
-        idx = self._where.get((line_addr << SDID_SHIFT) | self.hash_sdid(sdid))
-        if idx is None:
-            return None
-        return victim_line(self, self._drop(idx))
 
     def flush_all(self) -> int:
         # Insertion order of the location map, matching the reference.
@@ -144,32 +121,9 @@ class SkewedRandomizedCache(LLCache):
             count += 1
         return count
 
-    def contains(self, line_addr: int, sdid: int = 0) -> bool:
-        if sdid >> SDID_SHIFT:
-            raise sdid_error(sdid)
-        return ((line_addr << SDID_SHIFT) | self.hash_sdid(sdid)) in self._where
-
-    def missing(self, lines, sdid: int = 0) -> list:
-        if sdid >> SDID_SHIFT:
-            raise sdid_error(sdid)
-        hash_sdid = self.hash_sdid(sdid)
-        where = self._where
-        return [line for line in lines if ((line << SDID_SHIFT) | hash_sdid) not in where]
-
     @property
     def occupancy(self) -> int:
         return len(self._where)
-
-    def occupancy_by_core(self) -> Dict[int, int]:
-        counts: Dict[int, int] = {}
-        core = self._core
-        for idx in self._where.values():
-            counts[core[idx]] = counts.get(core[idx], 0) + 1
-        return counts
-
-    def mapped_sets(self, line_addr: int, sdid: int = 0):
-        """The per-skew sets an address maps to (analysis helper)."""
-        return self._randomizer.all_indices(line_addr, self.hash_sdid(sdid))
 
 
 def make_ceaser_s(geometry: CacheGeometry, remap_period: Optional[int] = 10_000, seed=None):

@@ -11,7 +11,7 @@ Scatter-Cache and ``0`` for CEASER-S.  The mapping lookup (splitmix
 inlined, PRINCE a call-out) and both draws come from the snippets the
 Maya and Mirage steps share (:mod:`repro.common.codegen`); the access
 and the dropped line are counted by the shared accounting snippets
-(``CacheStats.STEP_HIT``/``STEP_MISS``,
+(``CacheStats.step_hit``/``STEP_MISS``,
 :data:`repro.cache.line.STEP_EVICT`).
 :meth:`SkewedRandomizedCache.access_fast` binds the step on first use;
 :mod:`repro.engine.specialize` installs a releasable one.  The oracle
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from ..cache.line import STEP_EVICT
 from ..cache.stats import CacheStats
+from ..common.addr import SDID_SHIFT
 from ..common.codegen import _draw, _indent, _memo_lookup, bind_template, compiled_template
 
 # The remap's flush must not clobber this fill's victim.
@@ -30,13 +31,18 @@ _REMAP = """\
         llc._fills_since_remap = fills = llc._fills_since_remap + 1
         if fills >= {REMAP_PERIOD}:
             victim = (llc.victim_addr, llc.victim_core, llc.victim_sdid, llc.victim_reused)
-            llc.remap()
+            llc.rekey()
             llc.victim_addr, llc.victim_core, llc.victim_sdid, llc.victim_reused = victim
 """
 
 # ACC literals: HIT=1, EVICTED=2, EVICTED|DIRTY=6.  Coherence literals:
 # INVALID=0, EXCLUSIVE=2, OWNED(dirty floor)=3, MODIFIED=4.  The victim's
 # slot is refilled at once, so its state byte is not cleared.
+
+# A hit's marks, in CacheStats.step_hit's two arms: a writeback dirties
+# the line; a demand hit marks it reused, and a write dirties it too.
+_WRITEBACK_MARK = "state[idx] = 4\n"
+_DEMAND_MARKS = "reused_col[idx] = 1\nif is_write:\n    state[idx] = 4\n"
 _TEMPLATE = '''\
 # Generated by repro.llc.skewed_step; do not edit.
 # kind=skewed ways={WAYS} sets={SETS} memo={MEMO_CAP} mix_bits={MIX_BITS} \
@@ -52,7 +58,7 @@ def _bind(llc, SimulationError, SetAssociativeEviction):
     reused_col = llc._reused
     where = llc._where
     where_get = where.get
-    rand = llc._randomizer
+    rand = llc.index_randomizer
     memo = rand._memo
     memo_pop = memo.pop
     precomputed_get = rand._precomputed.get
@@ -64,12 +70,6 @@ def _bind(llc, SimulationError, SetAssociativeEviction):
         idx = where_get(key)
         if idx is not None:
 {HIT}
-            if is_writeback:
-                state[idx] = 4
-            else:
-                reused_col[idx] = 1
-                if is_write:
-                    state[idx] = 4
             return 1
 {MISS}
 {LOOKUP}
@@ -102,7 +102,7 @@ def _bind(llc, SimulationError, SetAssociativeEviction):
 
 def skewed_step(llc):
     """The ``access_fast`` closure for a :class:`SkewedRandomizedCache`."""
-    rand = llc._randomizer
+    rand = llc.index_randomizer
     memo_cap = rand._memo_capacity
     mix_bits = rand._index_bits if rand._algorithm == "splitmix" else None
     sdid_in_hash = llc.use_sdid_in_hash
@@ -121,13 +121,13 @@ def skewed_step(llc):
         )
         remap = "" if llc.remap_period is None else _REMAP.format(**subst)
         return _TEMPLATE.format(
-            KEY="(line_addr << 16) | sdid" if sdid_in_hash else "line_addr << 16",
-            VICTIM_KEY="(vaddr << 16) | vsd" if sdid_in_hash else "vaddr << 16",
+            KEY=f"(line_addr << {SDID_SHIFT}) | sdid" if sdid_in_hash else f"line_addr << {SDID_SHIFT}",
+            VICTIM_KEY=f"(vaddr << {SDID_SHIFT}) | vsd" if sdid_in_hash else f"vaddr << {SDID_SHIFT}",
             LOOKUP=_indent(_memo_lookup(memo_cap, mix_bits, "sdid" if sdid_in_hash else "0"), 8),
             SKEW_DRAW=_indent(_draw("skew", 2, "rng_getrandbits"), 8),
             WAY_DRAW=_indent(_draw("way", llc.ways_per_skew, "rng_getrandbits"), 12),
             REMAP=remap.rstrip("\n"),
-            HIT=_indent(CacheStats.STEP_HIT, 12),
+            HIT=_indent(CacheStats.step_hit(_WRITEBACK_MARK, _DEMAND_MARKS), 12),
             MISS=_indent(CacheStats.STEP_MISS, 8),
             EVICT=_indent(STEP_EVICT, 12),
             **subst,

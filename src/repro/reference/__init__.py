@@ -39,8 +39,12 @@ class AccessFastAdapter:
     Each step calls the model's ``access()`` and turns its
     :class:`~repro.cache.line.AccessResult` into ``ACC_*`` flags plus
     the ``victim_*`` fields; every other attribute (``stats``,
-    ``extra_lookup_latency``, ``reset_stats``, ...) reads through to
-    the model.
+    ``extra_lookup_latency``, ``premap``, ...) reads through to the
+    model.  The adapter answers the three mapping reads ``run_mix``
+    makes of an LLC (:attr:`index_randomizer`, :meth:`reset_stats`,
+    :meth:`refresh_mapping_cache_stats`) for a model that lacks them:
+    the set-associative array has none of the three, and the Maya
+    object model keeps its randomizer in its tag store.
     """
 
     def __init__(self, model):
@@ -52,6 +56,24 @@ class AccessFastAdapter:
 
     def __getattr__(self, name):
         return getattr(self.model, name)
+
+    @property
+    def index_randomizer(self):
+        """The model's randomizer, or ``None`` for a model without one."""
+        return getattr(self.model, "index_randomizer", None)
+
+    def reset_stats(self) -> None:
+        """The model's ``reset_stats``, or a reset of its statistics."""
+        reset = getattr(self.model, "reset_stats", None)
+        if reset is None:
+            self.model.stats.reset()
+        else:
+            reset()
+
+    def refresh_mapping_cache_stats(self):
+        """The model's ``refresh_mapping_cache_stats``, or nothing."""
+        refresh = getattr(self.model, "refresh_mapping_cache_stats", None)
+        return None if refresh is None else refresh()
 
     def access_fast(self, line_addr, is_write=False, core_id=0, is_writeback=False, sdid=0):
         result = self.model.access(

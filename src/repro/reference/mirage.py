@@ -74,7 +74,7 @@ class MirageCache(LLCache):
         self._ways = cfg.ways_per_skew
         self._sets = cfg.sets_per_skew
         self._skews = cfg.skews
-        self.randomizer = IndexRandomizer(
+        self.index_randomizer = IndexRandomizer(
             cfg.skews,
             cfg.sets_per_skew,
             seed=derive_seed(cfg.rng_seed, 31),
@@ -145,7 +145,7 @@ class MirageCache(LLCache):
         return AccessResult(hit=False, evicted=evicted, sae=sae, extra_latency=self.extra_lookup_latency)
 
     def _pick_skew(self, line_addr: int, sdid: int):
-        indices = self.randomizer.all_indices(line_addr, sdid)
+        indices = self.index_randomizer.all_indices(line_addr, sdid)
         if self._skew_policy == "random":
             skew = self._rng.randrange(self._skews)
             return skew, indices[skew]
@@ -227,7 +227,7 @@ class MirageCache(LLCache):
     def rekey(self) -> None:
         """Refresh the randomizing keys and flush (key management)."""
         self.flush_all()
-        self.randomizer.rekey()
+        self.index_randomizer.rekey()
 
     @property
     def occupancy(self) -> int:

@@ -82,7 +82,7 @@ class SkewedRandomizedCache(LLCache):
         """The :class:`~repro.crypto.randomizer.IndexRandomizer` in use."""
         return self._randomizer
 
-    def _hash_sdid(self, sdid: int) -> int:
+    def hash_sdid(self, sdid: int) -> int:
         return sdid if self.use_sdid_in_hash else 0
 
     def access(
@@ -113,7 +113,7 @@ class SkewedRandomizedCache(LLCache):
         return AccessResult(hit=False, evicted=evicted, extra_latency=self.extra_lookup_latency)
 
     def _fill(self, line_addr: int, sdid: int, core_id: int, dirty: bool) -> Optional[EvictedLine]:
-        hash_sdid = self._hash_sdid(sdid)
+        hash_sdid = self.hash_sdid(sdid)
         indices = self._randomizer.all_indices(line_addr, hash_sdid)
         skew = self._rng.randrange(self.skews)
         set_idx = indices[skew]
@@ -146,7 +146,7 @@ class SkewedRandomizedCache(LLCache):
             was_reused=line.reused,
             cross_core=line.core_id >= 0 and filler_core >= 0 and line.core_id != filler_core,
         )
-        del self._where[(line.line_addr, self._hash_sdid(line.sdid))]
+        del self._where[(line.line_addr, self.hash_sdid(line.sdid))]
         line.invalidate()
         return evicted
 
@@ -162,7 +162,7 @@ class SkewedRandomizedCache(LLCache):
         self.remap()
 
     def invalidate(self, line_addr: int, sdid: int = 0) -> Optional[EvictedLine]:
-        loc = self._where.get((line_addr, self._hash_sdid(sdid)))
+        loc = self._where.get((line_addr, self.hash_sdid(sdid)))
         if loc is None:
             return None
         return self._evict(*loc, filler_core=-1)
@@ -175,7 +175,7 @@ class SkewedRandomizedCache(LLCache):
         return count
 
     def contains(self, line_addr: int, sdid: int = 0) -> bool:
-        return (line_addr, self._hash_sdid(sdid)) in self._where
+        return (line_addr, self.hash_sdid(sdid)) in self._where
 
     @property
     def occupancy(self) -> int:
@@ -190,5 +190,5 @@ class SkewedRandomizedCache(LLCache):
 
     def mapped_sets(self, line_addr: int, sdid: int = 0):
         """The per-skew sets an address maps to (analysis helper)."""
-        return self._randomizer.all_indices(line_addr, self._hash_sdid(sdid))
+        return self._randomizer.all_indices(line_addr, self.hash_sdid(sdid))
 

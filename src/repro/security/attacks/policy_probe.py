@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ...common.rng import derive_seed, make_rng
-from ...llc.interface import access_lines, attack_capacity, design_rekey, drop_premap
+from ...llc.interface import access_lines, attack_capacity
 from .eviction import ATTACKER_SDID, VICTIM_SDID, _install, conflicting_lines
 
 _DEFAULT_VICTIM = 0x7FFF_0000
@@ -97,13 +97,13 @@ def replacement_leakage(
     probes = 0
     for trial in range(trials):
         if rekey_every and trial and trial % rekey_every == 0:
-            design_rekey(llc)
+            llc.rekey()
             rekeys += 1
             accesses += _warm(llc, sweep, fillers, lines)
         _install(sweep, lines, ATTACKER_SDID)
         accesses += 2 * len(lines)
         # The conflict lines are installed: whatever premap loaded is too.
-        drop_premap(llc)
+        llc.drop_premap()
         victim_ran = schedule[trial]
         if victim_ran:
             _install(sweep, [victim], VICTIM_SDID)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ...common.rng import derive_seed, make_rng
-from ...llc.interface import access_lines, attack_capacity, design_rekey, drop_premap
+from ...llc.interface import access_lines, attack_capacity
 from .eviction import attacker_lines
 
 ATTACKER_SDID = 0
@@ -116,7 +116,7 @@ def prime_prune_probe(
     for round_no in range(max_rounds):
         rounds += 1
         if rekey_every and round_no and round_no % rekey_every == 0:
-            design_rekey(llc)
+            llc.rekey()
         llc.flush_all()
         batch = attacker_lines(rng, batch_size)
         # Prime: double-touch sweeps so reuse-filtered designs allocate.
@@ -124,7 +124,7 @@ def prime_prune_probe(
         # and dropped once it is installed.
         llc.premap(batch, ATTACKER_SDID)
         attacker.sweep(batch, passes=2)
-        drop_premap(llc)
+        llc.drop_premap()
         # Prune until the survivors are simultaneously resident.
         survivors = batch
         for _ in range(prune_rounds):

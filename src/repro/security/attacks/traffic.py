@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from ...common.rng import derive_seed, make_rng
-from ...llc.interface import access_step, design_rekey, supports_rekey
+from ...llc.interface import access_step, supports_rekey
 
 Op = Tuple
 
@@ -66,7 +66,7 @@ class RecordingLLC:
 
     def rekey(self):
         self.ops.append(("rekey",))
-        return design_rekey(self._llc)
+        return self._llc.rekey()
 
     def contains(self, line_addr, sdid=0):
         return self._llc.contains(line_addr, sdid=sdid)
@@ -95,7 +95,7 @@ def replay(llc, ops) -> int:
         elif kind == "rekey":
             if not supports_rekey(llc):
                 continue
-            design_rekey(llc)
+            llc.rekey()
         else:
             raise ValueError(f"unknown traffic op {op!r}")
         applied += 1

@@ -66,7 +66,7 @@ from ..engine.specialize import Specialization, specialize_llc
 from ..llc.baseline import BaselineLLC
 from ..llc.ceaser import CeaserCache
 from ..llc.fully_assoc import FullyAssociativeCache
-from ..llc.interface import attack_capacity, probe_surface
+from ..llc.interface import attack_capacity, supports_rekey
 from ..llc.mirage import MirageCache
 from ..llc.skewed import SkewedRandomizedCache
 from .attacks.occupancy import operations_to_distinguish, OccupancyAttacker
@@ -191,8 +191,7 @@ def _policy_cell(design: str, params: Dict[str, object], seed: int, build) -> Di
         policies = list(_SWEEP_POLICIES)
     else:
         policies = [None]
-    probe = probe_surface(build(derive_seed(seed, 3)))
-    periods = params["rekey_periods"] if probe.supports_rekey else (0,)
+    periods = params["rekey_periods"] if supports_rekey(build(derive_seed(seed, 3))) else (0,)
     ways = 8
     curves: Dict[str, Dict[str, float]] = {}
     for policy in policies:

@@ -106,4 +106,3 @@ class TestSystemAndDram:
     def test_system_defaults(self):
         cfg = SystemConfig()
         assert cfg.cores == 8
-        assert cfg.latencies.secure_llc_extra_cycles == 4

@@ -27,7 +27,7 @@ from repro.hierarchy.simulator import run_mix
 from repro.llc.baseline import BaselineLLC
 from repro.llc.ceaser import CeaserCache
 from repro.llc.fully_assoc import FullyAssociativeCache
-from repro.llc.interface import access_lines, drop_premap, supports_rekey, sweep_info
+from repro.llc.interface import access_lines, supports_rekey, sweep_info
 from repro.llc.mirage import MirageCache
 from repro.llc.skewed import SkewedRandomizedCache
 from repro.reference import (
@@ -157,7 +157,7 @@ def _drive(llc, sweep, seed=11, premap=False):
             llc.premap(lines, sdid)
         sweep(lines, block or len(lines) or 1, passes, core, sdid)
         if premap:
-            drop_premap(llc)
+            llc.drop_premap()
         touches += passes * len(lines)
     return touches
 
@@ -305,7 +305,7 @@ class TestPremap:
             rand = llc.index_randomizer
             if premap:
                 assert llc.premap([0x6000_0000, 0x6000_0001], 0) > 0
-                drop_premap(llc)
+                llc.drop_premap()
                 assert rand.cache_info().precomputed == 0
             _drive(llc, sweep, premap=premap)
             info = rand.cache_info()

@@ -274,7 +274,7 @@ _KINDS = {"read": (False, False), "write": (True, False), "writeback": (False, T
 
 class TestStepAccounting:
     """The generated steps render their accounting from snippets, and
-    each snippet equals the method it inlines: ``STEP_HIT``/``STEP_MISS``
+    each snippet equals the method it inlines: ``step_hit()``/``STEP_MISS``
     are ``CacheStats.record_access`` and ``STEP_EVICT`` is
     ``drop_victim`` plus the cross-core rule of a step's fill."""
 
@@ -285,10 +285,16 @@ class TestStepAccounting:
         called = _seeded_stats()
         called.record_access(hit, is_writeback)
         inlined = _seeded_stats()
-        snippet = CacheStats.STEP_HIT if hit else CacheStats.STEP_MISS
-        exec(snippet, {"st": inlined, "is_write": is_write, "is_writeback": is_writeback})
+        # A step's marks land in the hit's writeback or demand arm.
+        marks = ("arm = 'writeback'\n", "arm = 'demand'\nif is_write:\n    arm += ' write'\n")
+        snippet = CacheStats.step_hit(*marks) if hit else CacheStats.STEP_MISS
+        namespace = {"st": inlined, "is_write": is_write, "is_writeback": is_writeback}
+        exec(snippet, namespace)
         assert vars(inlined) == vars(called)
         assert vars(called) != vars(_seeded_stats())
+        if hit:
+            demand = "demand write" if is_write else "demand"
+            assert namespace["arm"] == ("writeback" if is_writeback else demand)
 
     @pytest.mark.parametrize("core_id", [2, -1])
     @pytest.mark.parametrize("vcore", [2, 3, -1])

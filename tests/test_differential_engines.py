@@ -25,7 +25,7 @@ from repro.cache.set_assoc import SetAssociativeCache
 from repro.common.config import CacheGeometry, MayaConfig, MirageConfig
 from repro.core.maya_cache import MayaCache
 from repro.llc.fully_assoc import FullyAssociativeCache
-from repro.llc.interface import attack_capacity
+from repro.llc.interface import attack_capacity, supports_rekey
 from repro.llc.mirage import MirageCache
 from repro.llc.skewed import SkewedRandomizedCache
 from repro.reference import (
@@ -434,10 +434,12 @@ def replay_pair(packed, reference, ops):
 
     Same op format as ``repro.security.attacks.traffic.replay``, but
     every mutating call's result is compared across the pair, and a
-    ``("rekey",)`` op is applied to *both* sides (every twin has the
-    same ``rekey``: a real one, or the base no-op on the
-    fully-associative cache).
+    ``("rekey",)`` op is applied to *both* sides where the pair has keys
+    to refresh and skipped on the fully-associative pair, as ``replay``
+    skips it (twins agree on :func:`supports_rekey`).
     """
+    rekeys = supports_rekey(packed)
+    assert supports_rekey(reference) is rekeys
     for i, op in enumerate(ops):
         kind = op[0]
         if kind == "access":
@@ -452,8 +454,9 @@ def replay_pair(packed, reference, ops):
         elif kind == "flush":
             assert packed.flush_all() == reference.flush_all()
         elif kind == "rekey":
-            packed.rekey()
-            reference.rekey()
+            if rekeys:
+                packed.rekey()
+                reference.rekey()
         else:
             raise AssertionError(f"unknown traffic op {op!r}")
     assert_state_equal(packed, reference)

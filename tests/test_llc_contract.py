@@ -15,11 +15,14 @@ from repro.common.codegen import template_source
 from repro.common.config import CacheGeometry, MayaConfig, MirageConfig
 from repro.common.errors import ConfigurationError
 from repro.core import MayaCache
+from repro.hierarchy.simulator import run_mix
+from repro.hierarchy.system import CacheHierarchy
 from repro.llc import (
     BaselineLLC,
     CeaserCache,
     FlexiblePartitionedLLC,
     FullyAssociativeCache,
+    LLCache,
     MirageCache,
     SetPartitionedLLC,
     WayPartitionedLLC,
@@ -28,12 +31,14 @@ from repro.llc import (
 )
 from repro.llc.interface import access_lines, access_step, supports_rekey, sweep_info
 from repro.reference import (
+    AccessFastAdapter,
     ReferenceFullyAssociativeCache,
     ReferenceMayaCache,
     ReferenceMirageCache,
     ReferenceSetAssociativeCache,
     ReferenceSkewedRandomizedCache,
 )
+from repro.trace.mixes import homogeneous
 
 GEO = CacheGeometry(sets=32, ways=16)
 
@@ -344,3 +349,109 @@ def test_maintenance_drops_are_not_interference(name):
     llc.flush_all()
     assert llc.stats.evictions == 10
     assert llc.stats.interference_evictions == 0
+
+
+# -- the mapping: two stated facts, the rest derived -------------------------
+
+#: What ``supports_rekey`` answered for each design, array and twin
+#: before the randomizer became the one fact it reads.
+SUPPORTS_REKEY = dict(
+    {name: False for name in ("baseline", "fully_assoc", "array", "ref_array", "ref_fully_assoc")
+     + PARTITIONED},
+    **{name: True for name in ("ceaser", "ceaser_s", "scatter", "mirage", "maya",
+                               "ref_ceaser_s", "ref_scatter", "ref_mirage", "ref_maya")},
+)
+
+
+@pytest.mark.parametrize("name", list(drop_designs()))
+def test_supports_rekey_reads_the_randomizer(name):
+    llc = drop_designs()[name]
+    assert supports_rekey(llc) is SUPPORTS_REKEY[name]
+    if isinstance(llc, LLCache):
+        assert (llc.index_randomizer is not None) is SUPPORTS_REKEY[name]
+
+
+#: The designs and twins whose ``rekey`` is the shared one.
+SHARED_REKEY = ["ceaser", "ceaser_s", "scatter", "mirage", "maya", "ref_ceaser_s", "ref_scatter"]
+
+
+@pytest.mark.parametrize("name", SHARED_REKEY)
+def test_rekey_flushes_rekeys_and_counts(name):
+    llc = probe_designs()[name]
+    for line in range(40):
+        install(llc, line, core_id=line % 2, sdid=line % 2)
+    assert llc.occupancy > 0
+    rand = llc.index_randomizer
+    before = rand.key_fingerprint()
+    llc.rekey()
+    assert llc.occupancy == 0
+    assert not any(llc.contains(line, line % 2) for line in range(40))
+    assert rand.key_fingerprint() != before
+    assert llc.remaps == 1
+
+
+@pytest.mark.parametrize(
+    "name", [name for name in probe_designs() if not SUPPORTS_REKEY[name]]
+)
+def test_rekey_without_a_randomizer_raises(name):
+    llc = probe_designs()[name]
+    install(llc, 0x123)
+    with pytest.raises(TypeError, match="has no mapping keys to refresh"):
+        llc.rekey()
+    assert llc.contains(0x123)
+
+
+@pytest.mark.parametrize("name", [name for name, bits in SDID_BITS.items() if bits is not None])
+def test_probes_reject_sdids_the_design_cannot_hold(name):
+    """``contains``, ``missing`` and ``invalidate`` refuse an SDID wider
+    than the design's width with the error ``access`` raises."""
+    llc = fresh_designs()[name]
+    install(llc, 0x40)
+    for bad in (1 << SDID_BITS[name], -1):
+        expected = outcome(lambda: llc.access(0x40, sdid=bad))
+        assert expected[0] == "raised" and expected[1] is ConfigurationError
+        assert outcome(lambda: llc.contains(0x40, bad)) == expected
+        assert outcome(lambda: llc.missing([0x40, 0x41], bad)) == expected
+        assert outcome(lambda: llc.invalidate(0x40, bad)) == expected
+    assert llc.contains(0x40)
+
+
+#: ``run_mix`` designs with a memo-counting randomizer, and their twins
+#: behind the ``access_fast`` adapter.
+RANDOMIZED = {
+    "mirage": lambda: MirageCache(
+        MirageConfig(sets_per_skew=32, rng_seed=1, hash_algorithm="splitmix")),
+    "scatter": lambda: make_scatter_cache(GEO, seed=1),
+    "ceaser_s": lambda: make_ceaser_s(GEO, remap_period=None, seed=1),
+    "ref_mirage": lambda: AccessFastAdapter(ReferenceMirageCache(
+        MirageConfig(sets_per_skew=32, rng_seed=1, hash_algorithm="splitmix"))),
+    "ref_scatter": lambda: AccessFastAdapter(
+        ReferenceSkewedRandomizedCache(GEO, seed=1, hash_algorithm="prince")),
+    "ref_ceaser_s": lambda: AccessFastAdapter(ReferenceSkewedRandomizedCache(
+        GEO, use_sdid_in_hash=False, seed=1, hash_algorithm="prince")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANDOMIZED))
+def test_run_mix_reports_the_randomizer_hit_rate(name, tiny_system, monkeypatch):
+    """The randomizer's memo counters over the measured window - from the
+    warm-up's stats reset to the end of the run - reach the result."""
+    llc = RANDOMIZED[name]()
+    rand = llc.index_randomizer
+    at_reset = []
+    reset_stats = CacheHierarchy.reset_stats
+
+    def recording_reset(hierarchy):
+        info = rand.cache_info()
+        at_reset.append((info.hits, info.misses))
+        reset_stats(hierarchy)
+
+    monkeypatch.setattr(CacheHierarchy, "reset_stats", recording_reset)
+    result = run_mix(llc, homogeneous("mcf", 2), tiny_system,
+                     accesses_per_core=2000, warmup_accesses=1000, seed=1)
+    [(hits0, misses0)] = at_reset
+    info = rand.cache_info()
+    hits, misses = info.hits - hits0, info.misses - misses0
+    assert hits > 0 and misses > 0
+    assert (llc.stats.randomizer_hits, llc.stats.randomizer_misses) == (hits, misses)
+    assert result.llc_randomizer_hit_rate == hits / (hits + misses)

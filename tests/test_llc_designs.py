@@ -108,7 +108,7 @@ class TestCeaser:
     def test_mapping_changes_after_remap(self, tiny_geometry):
         llc = CeaserCache(tiny_geometry, remap_period=10**9, hash_algorithm="splitmix")
         before = [llc.set_index(addr) for addr in range(200)]
-        llc.remap()
+        llc.rekey()
         after = [llc.set_index(addr) for addr in range(200)]
         assert sum(1 for b, a in zip(before, after) if b != a) > 100
 
@@ -137,12 +137,6 @@ class TestSkewed:
     def test_ways_must_split(self):
         with pytest.raises(ConfigurationError):
             make_scatter_cache(CacheGeometry(sets=8, ways=7))
-
-    def test_mapped_sets_exposed_for_analysis(self, tiny_geometry):
-        llc = make_scatter_cache(tiny_geometry)
-        sets = llc.mapped_sets(99)
-        assert len(sets) == 2
-        assert all(0 <= s < tiny_geometry.sets for s in sets)
 
     def test_dirty_writeback_on_eviction(self):
         llc = make_scatter_cache(CacheGeometry(sets=2, ways=2), seed=1)

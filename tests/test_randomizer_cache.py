@@ -181,10 +181,6 @@ class TestBulkMap:
         for addr in range(50):
             assert r.all_indices(addr) == r.compute_indices(addr)
 
-    def test_llc_delegation(self):
-        cache = MayaCache(experiment_maya(llc_sets=64, seed=9))
-        assert cache.mapping_cache_capacity == cache.tags.randomizer.memo_capacity
-
 
 class TestPrecomputedBound:
     """The bulk_map side table is FIFO-bounded: no memory leak."""

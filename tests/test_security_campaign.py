@@ -28,13 +28,7 @@ from repro.common.rng import derive_seed
 from repro.llc.baseline import BaselineLLC
 from repro.llc.ceaser import CeaserCache
 from repro.llc.fully_assoc import FullyAssociativeCache
-from repro.llc.interface import (
-    LLCache,
-    attack_capacity,
-    design_rekey,
-    probe_surface,
-    supports_rekey,
-)
+from repro.llc.interface import attack_capacity, supports_rekey
 from repro.security import campaign
 
 pytestmark = pytest.mark.security
@@ -84,31 +78,19 @@ class TestProbeSurface:
     def test_supports_rekey_truth_table(self, design, expected):
         assert supports_rekey(small(design)) is expected
 
-    def test_design_rekey_refuses_static_mappings(self):
-        with pytest.raises(TypeError):
-            design_rekey(small("baseline"))
-
-    def test_design_rekey_invalidates_ceaser_mapping(self):
-        llc = small("ceaser")
-        before = llc.index_randomizer.key_fingerprint()
-        design_rekey(llc)
-        assert llc.index_randomizer.key_fingerprint() != before
-        assert llc.remaps == 1
-
-    def test_probe_surface_summary(self):
-        surface = probe_surface(small("baseline"))
-        assert surface.capacity_lines == 128
-        assert surface.index_public is True
-        assert surface.supports_rekey is False
-        maya_surface = probe_surface(small("maya"))
-        assert maya_surface.index_public is False
-        assert maya_surface.supports_rekey is True
-
-    def test_base_rekey_is_noop(self):
+    def test_rekey_refuses_static_mappings(self):
         llc = BaselineLLC(CacheGeometry(16, 8), policy="lru", seed=1)
         llc.access(0x123)
-        LLCache.rekey(llc)
+        with pytest.raises(TypeError, match="BaselineLLC has no mapping keys to refresh"):
+            llc.rekey()
         assert llc.contains(0x123)
+
+    def test_rekey_invalidates_ceaser_mapping(self):
+        llc = small("ceaser")
+        before = llc.index_randomizer.key_fingerprint()
+        llc.rekey()
+        assert llc.index_randomizer.key_fingerprint() != before
+        assert llc.remaps == 1
 
 
 # -- design registry ------------------------------------------------------

@@ -87,7 +87,7 @@ class _ObjectCeaser(CeaserCache):
     def access_fast(self, line_addr, is_write=False, core_id=0, is_writeback=False, sdid=0):
         cache = self._cache
         flags = cache.access_fast(
-            self._randomizer.encrypt_address(line_addr), is_write, core_id, is_writeback, sdid
+            self.index_randomizer.encrypt_address(line_addr), is_write, core_id, is_writeback, sdid
         )
         if flags & ACC_HIT:
             return flags
@@ -98,7 +98,7 @@ class _ObjectCeaser(CeaserCache):
             self.victim_reused = cache.victim_reused
         self._fills_since_remap += 1
         if self._fills_since_remap >= self.remap_period:
-            self.remap()
+            self.rekey()
         return flags
 
 
