@@ -42,8 +42,9 @@ class CacheStats:
     #: Global random tag evictions (Maya).
     tag_evictions: int = 0
     #: Randomizer mapping-cache hits/misses (line->set lookups that
-    #: skipped / paid the cipher); refreshed from the randomizer by
-    #: designs that expose ``refresh_mapping_cache_stats``.
+    #: skipped / paid the cipher) over the measured window, folded in
+    #: from the design's randomizer by
+    #: :meth:`~repro.llc.interface.LLCache.refresh_mapping_cache_stats`.
     randomizer_hits: int = 0
     randomizer_misses: int = 0
 

@@ -152,7 +152,7 @@ class MayaCache(MappedLLCache):
 
     def contains(self, line_addr: int, sdid: int = 0) -> bool:
         """Is the line resident *with data* (priority-1)?"""
-        tag_idx = self._where.get((line_addr << SDID_SHIFT) | self._lane(sdid))
+        tag_idx = self._where.get(self._key(line_addr, sdid))
         return tag_idx is not None and self.tags._state[tag_idx] == _P1
 
     def missing(self, lines, sdid: int = 0) -> list:

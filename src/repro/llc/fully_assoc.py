@@ -14,9 +14,10 @@ over these columns; :meth:`FullyAssociativeCache.access_fast` binds
 that step on first use (``ACC_*`` flag protocol, victim published via
 the ``victim_*`` fields).  This module keeps the swap-remove drop and
 flush; the probe surface comes from
-:class:`~repro.llc.interface.MappedLLCache`.  Behaviour - RNG draw order and every statistics
-counter included - is bit-identical to the object-model reference in
-``repro.reference.fully_assoc`` (enforced by the differential tests).
+:class:`~repro.llc.interface.MappedLLCache`.  Behaviour - RNG draw
+order and every statistics counter included - is bit-identical to the
+object-model reference in ``repro.reference.fully_assoc`` (enforced by
+the differential tests).
 """
 
 from __future__ import annotations

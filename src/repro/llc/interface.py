@@ -272,8 +272,8 @@ class MappedLLCache(LLCache):
     :meth:`occupancy_by_core`, each rejecting an SDID the design cannot
     hold with the error :meth:`~LLCache.access` raises.  Mirage,
     CEASER-S/Scatter-Cache and the fully-associative cache take all
-    four; Maya, whose map is its tag store's, keeps its priority-1 rule
-    for the other three.
+    four; Maya, whose map is its tag store's, takes ``invalidate`` and
+    keeps its priority-1 rule for the other three.
     """
 
     _where: Dict[int, int]
@@ -289,8 +289,12 @@ class MappedLLCache(LLCache):
         self._check_sdid(sdid)
         return self.hash_sdid(sdid)
 
+    def _key(self, line_addr: int, sdid: int) -> int:
+        """The location-map key of ``line_addr`` in ``sdid``."""
+        return (line_addr << SDID_SHIFT) | self._lane(sdid)
+
     def contains(self, line_addr: int, sdid: int = 0) -> bool:
-        return ((line_addr << SDID_SHIFT) | self._lane(sdid)) in self._where
+        return self._key(line_addr, sdid) in self._where
 
     def missing(self, lines, sdid: int = 0) -> list:
         lane = self._lane(sdid)
@@ -298,7 +302,7 @@ class MappedLLCache(LLCache):
         return [line for line in lines if ((line << SDID_SHIFT) | lane) not in where]
 
     def invalidate(self, line_addr: int, sdid: int = 0) -> Optional[EvictedLine]:
-        slot = self._where.get((line_addr << SDID_SHIFT) | self._lane(sdid))
+        slot = self._where.get(self._key(line_addr, sdid))
         if slot is None:
             return None
         flags = self._drop(slot)

@@ -121,8 +121,13 @@ def skewed_step(llc):
         )
         remap = "" if llc.remap_period is None else _REMAP.format(**subst)
         return _TEMPLATE.format(
-            KEY=f"(line_addr << {SDID_SHIFT}) | sdid" if sdid_in_hash else f"line_addr << {SDID_SHIFT}",
-            VICTIM_KEY=f"(vaddr << {SDID_SHIFT}) | vsd" if sdid_in_hash else f"vaddr << {SDID_SHIFT}",
+            KEY=(
+                f"(line_addr << {SDID_SHIFT}) | sdid" if sdid_in_hash
+                else f"line_addr << {SDID_SHIFT}"
+            ),
+            VICTIM_KEY=(
+                f"(vaddr << {SDID_SHIFT}) | vsd" if sdid_in_hash else f"vaddr << {SDID_SHIFT}"
+            ),
             LOOKUP=_indent(_memo_lookup(memo_cap, mix_bits, "sdid" if sdid_in_hash else "0"), 8),
             SKEW_DRAW=_indent(_draw("skew", 2, "rng_getrandbits"), 8),
             WAY_DRAW=_indent(_draw("way", llc.ways_per_skew, "rng_getrandbits"), 12),
