@@ -214,15 +214,13 @@ class LLCache(abc.ABC):
         """Refresh the mapping keys: flush, re-key the randomizer, restart
         the fill count toward the next remap and count the remap.
 
-        The one key refresh of every randomized design: the campaign's
-        rekey periods, Maya's SAE response (``on_sae="rekey"``) and the
-        CEASER and CEASER-S epoch remaps all run it.  The flush goes
-        through the design's own ``flush_all``, which counts each dirty
-        line it drops in ``dirty_evictions`` but writes nothing to DRAM
-        (the epoch model's simplification).  The randomizer clears its
-        memo and side table in place and the steps read its keys per
-        miss, so a bound step stays valid.  Raises :class:`TypeError` on
-        a design without an :attr:`index_randomizer`.
+        The one key refresh: the campaign's rekey periods, Maya's
+        ``on_sae="rekey"`` and the CEASER and CEASER-S epoch remaps run
+        it.  The flush counts each dropped dirty line in
+        ``dirty_evictions`` but writes nothing to DRAM (the epoch model's
+        simplification).  The randomizer re-keys in place, so a bound
+        step stays valid.  Raises :class:`TypeError` on a design without
+        an :attr:`index_randomizer`.
         """
         rand = self.index_randomizer
         if rand is None:
