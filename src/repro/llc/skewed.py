@@ -15,11 +15,11 @@ renders it per configuration over these columns;
 :meth:`SkewedRandomizedCache.access_fast` binds that step on first use
 (``ACC_*`` flag protocol, victim published via the ``victim_*``
 fields).  This module keeps the slot drop, flush and the hash-SDID
-rule; the probe surface, the remap (:meth:`~repro.llc.interface.LLCache.rekey`)
-and the randomizer's counters come from
-:class:`~repro.llc.interface.MappedLLCache`.  Only the deployed
-two-skew arrangement is modelled; the
-reference in ``repro.reference.skewed`` also keeps more skews.
+rule; the probe surface, the remap
+(:meth:`~repro.llc.interface.LLCache.rekey`) and the randomizer's
+counters come from :class:`~repro.llc.interface.MappedLLCache`.  Only
+the deployed two-skew arrangement is modelled; the reference in
+``repro.reference.skewed`` also keeps more skews.
 Behaviour - RNG draw order and every statistics counter included - is
 bit-identical to that reference (enforced by the differential tests).
 """
